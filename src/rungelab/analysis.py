@@ -136,6 +136,16 @@ def norm(field_or_trace, where, kind, p=None, weights=None):
 # weighted inner products
 # ---------------------------------------------------------------------------
 
+def real_matmul(A, z):
+    """A @ z for a real matrix A, applied to the real and imaginary parts of a
+    complex z separately: numpy would otherwise copy A into a complex array
+    on every call."""
+    z = np.asarray(z)
+    if np.iscomplexobj(z):
+        return A @ z.real + 1j * (A @ z.imag)
+    return A @ z
+
+
 class NormWeights:
     """Grams for the boundary trace space V and the interior space X.
 
@@ -168,7 +178,7 @@ class NormWeights:
 
     def v_inner(self, f, g):
         """<f, g>_V, linear in f, conjugate-linear in g."""
-        return complex(np.conj(g) @ (self.gram_V @ f))
+        return complex(np.conj(g) @ real_matmul(self.gram_V, f))
 
     def v_norm(self, f):
         return float(np.sqrt(max(self.v_inner(f, f).real, 0.0)))

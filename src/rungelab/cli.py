@@ -34,8 +34,6 @@ def _load_config(path, args) -> ExperimentConfig:
         cfg.data["output"]["dir"] = args.out
     if args.cache:
         cfg.data["cache"]["dir"] = args.cache
-    if args.jobs:
-        cfg.data["jobs"] = int(args.jobs)
     if args.seed is not None:
         cfg.data["seed"] = int(args.seed)
     return cfg
@@ -100,7 +98,6 @@ def build_parser():
         description="Staggered-grid Maxwell laboratory: approximation and stability experiments")
     parser.add_argument("--out", help="report output directory")
     parser.add_argument("--cache", help="operator cache directory")
-    parser.add_argument("--jobs", type=int, help="parallel map width")
     parser.add_argument("--seed", type=int, help="base seed override")
     sub = parser.add_subparsers(dest="command", required=True)
 

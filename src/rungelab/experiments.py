@@ -18,7 +18,8 @@ import scipy.linalg as sla
 
 from . import analysis, geometry, materials, oracle, runge_op, solver
 from .errors import ConfigurationError, GeometryError
-from .analysis import build_norm_weights, fit_holder, fit_log_modulus, fit_power, hcurl_norm, lp_norm
+from .analysis import (build_norm_weights, fit_holder, fit_log_modulus, fit_power, hcurl_norm,
+                       lp_norm, real_matmul)
 
 TAGS = ("runge", "cauchy", "three_balls", "propagation", "localization", "verify_solver")
 
@@ -116,7 +117,6 @@ def normalize_config(raw: dict) -> dict:
     for k, v in _DEFAULT_TOLERANCES.items():
         tol.setdefault(k, v)
     cfg.setdefault("seed", 0)
-    cfg.setdefault("jobs", 1)
     return cfg
 
 
@@ -283,14 +283,6 @@ def build_scene(cfg: ExperimentConfig) -> Scene:
     return Scene(g, mat, sys_, patch, omega_region)
 
 
-def _pmap(fn, items, jobs):
-    if jobs and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _random_trace(patch, rng):
     v = rng.standard_normal(patch.n_dofs) + 1j * rng.standard_normal(patch.n_dofs)
     return solver.TangentialTrace(patch, v)
@@ -332,10 +324,10 @@ def _operator_with_cache(cfg, scene, weights):
         path = os.path.join(cache_dir, f"operator-{runge_op.operator_provenance(scene.system, weights):016x}.rgfo")
         if os.path.exists(path):
             return runge_op.load_operator(path, weights, scene.system)
-        op = runge_op.assemble_restriction(scene.system, weights, jobs=cfg["jobs"])
+        op = runge_op.assemble_restriction(scene.system, weights)
         runge_op.save_operator(op, path)
         return op
-    return runge_op.assemble_restriction(scene.system, weights, jobs=cfg["jobs"])
+    return runge_op.assemble_restriction(scene.system, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -491,71 +483,88 @@ def _h_trace_dofs(patch: geometry.BoundaryPatch, sel):
     return out
 
 
+def h_trace_block(sys_: solver.SystemMatrix, h_dofs):
+    """Real block R whose column j times i is H[h_dofs] for unit data on the
+    j-th boundary edge (``idx_boundary`` order).
+
+    L is real symmetric, so unit data give a real E and
+    H = P C E / (i omega) = i (-P C E / omega).  One multi-RHS solve covers
+    every boundary column that couples to an interior edge; the others (the
+    edge lines of the box) leave the interior field zero.
+    """
+    live = np.flatnonzero(sys_.L_IB.getnnz(axis=0))
+    E_I = sys_.solve_interior(-sys_.L_IB[:, live].toarray())
+    PC = (sys_.mu_inv_point @ sys_.curl)[h_dofs]
+    R = PC[:, sys_.idx_boundary].toarray()
+    R[:, live] += PC[:, sys_.idx_interior] @ E_I
+    return R / -sys_.omega
+
+
 class CauchyOperator:
     """Trace operator of the discrete solution manifold, parametrized by the
-    full boundary data, with its whitened SVD for fast ridge solves."""
+    full boundary data, with its whitened SVD for fast ridge solves.
 
-    def __init__(self, scene: Scene, weights: analysis.NormWeights, jobs=1):
+    T = [T_E; T_H] maps boundary data to the E and H traces on the patch.
+    T_E is a 0/1 selection and T_H = i R with R real (``h_trace_block``), so
+    the whitened operator diag(L^T, L^T) T diag(rsq) equals Q W with
+    Q = diag(I, iI) unitary and W real (G_V = L L^T, rsq the inverse square
+    roots of the Tikhonov weights).  The SVD of W is real and
+    Q U S V^T is the SVD of the whitened operator; data are whitened straight
+    into the frame of W by Q^H diag(L^T, L^T).
+    """
+
+    def __init__(self, scene: Scene, weights: analysis.NormWeights):
         self.scene = scene
         self.weights = weights
         sys_ = scene.system
-        grid = scene.grid
         self.b_dofs = sys_.idx_boundary
         nb = len(self.b_dofs)
         self.h_dofs = _h_trace_dofs(weights.patch, weights.v_sel)
-        nv = weights.n_v
 
-        # E-trace block is a 0/1 selection of the unknown boundary data.
-        bpos = {int(d): i for i, d in enumerate(self.b_dofs)}
-        e_rows = np.array([bpos[int(d)] for d in weights.v_dofs], dtype=int)
-        T_E = np.zeros((nv, nb), dtype=complex)
-        T_E[np.arange(nv), e_rows] = 1.0
-
-        def h_column(i):
-            eB = np.zeros(nb, dtype=complex)
-            eB[i] = 1.0
-            rhs = -(sys_.L_IB @ eB)
-            eI = sys_.solve_interior(rhs)
-            E = np.zeros(grid.n_edges, dtype=complex)
-            E[self.b_dofs] = eB
-            E[sys_.idx_interior] = eI
-            H = sys_.mu_inv_point @ (sys_.curl @ E) / (1j * sys_.omega)
-            return H[self.h_dofs]
-
-        cols = _pmap(h_column, range(nb), jobs)
-        T_H = np.stack(cols, axis=1)
-        self.T = np.vstack([T_E, T_H])
-
+        # Tikhonov Gram on the unknown data: diagonal area weights
+        self.reg_diag = np.full(nb, scene.grid.h ** 2)
         # misfit Gram: the boundary surrogate on both trace channels;
         # whitening applies the transposed factor, ||v||_G = ||L^T v||
-        self.chol_mis = sla.block_diag(weights.chol_V, weights.chol_V)
-        # Tikhonov Gram on the unknown data: diagonal area weights
-        self.reg_diag = np.full(nb, grid.h ** 2)
-        rsq = 1.0 / np.sqrt(self.reg_diag)
-        Twhite = (self.chol_mis.T @ self.T) * rsq[None, :]
-        self.U, self.S, self.Vh = np.linalg.svd(Twhite, full_matrices=False)
+        self._Lt = weights.chol_V.T
+        bpos = {int(d): i for i, d in enumerate(self.b_dofs)}
+        e_rows = np.array([bpos[int(d)] for d in weights.v_dofs], dtype=int)
+        W_E = np.zeros((weights.n_v, nb))
+        W_E[:, e_rows] = self._Lt
+        W = np.vstack([W_E, self._Lt @ h_trace_block(sys_, self.h_dofs)])
+        W /= np.sqrt(self.reg_diag)[None, :]
+        U, self.S, Vt = np.linalg.svd(W, full_matrices=False)
+        self.Ut = U.T
+        self.V = Vt.T
 
     def data_of(self, fields: solver.FieldPair):
         return np.concatenate([fields.E[self.weights.v_dofs], fields.H[self.h_dofs]])
 
     def misfit_norm(self, v):
-        return float(np.linalg.norm(self.chol_mis.T @ v))
+        return float(np.linalg.norm(self._white(v)))
 
-    def _d_white(self, d):
-        return self.chol_mis.T @ d
+    def _white(self, d):
+        """Q^H diag(L^T, L^T) d: the whitened data in the real frame of W."""
+        n = self.weights.n_v
+        f, g = d[:n], d[n:]
+        # -i g = g.imag - i g.real
+        w = self._Lt @ np.column_stack([f.real, f.imag, g.imag, -g.real])
+        return np.concatenate([w[:, 0] + 1j * w[:, 1], w[:, 2] + 1j * w[:, 3]])
+
+    def _project(self, d):
+        """Coefficients of the whitened data on the left singular vectors and
+        the squared norm of its part outside their span."""
+        dw = self._white(d)
+        ud = real_matmul(self.Ut, dw)
+        return ud, max(np.linalg.norm(dw) ** 2 - np.linalg.norm(ud) ** 2, 0.0)
 
     def solve_ridge(self, d, lam):
-        dw = self._d_white(d)
-        ud = self.U.conj().T @ dw
+        ud, _ = self._project(d)
         filt = self.S / (self.S ** 2 + lam)
-        bw = self.Vh.conj().T @ (filt * ud)
+        bw = real_matmul(self.V, filt * ud)
         return bw / np.sqrt(self.reg_diag)
 
     def misfit_of_lambda(self, d, lam):
-        dw = self._d_white(d)
-        ud = self.U.conj().T @ dw
-        out2 = max(np.linalg.norm(dw) ** 2 - np.linalg.norm(ud) ** 2, 0.0)
-        return self._misfit_from(ud, out2, lam)
+        return self._misfit_from(*self._project(d), lam)
 
     def _misfit_from(self, ud, out2, lam):
         resid_in = (lam / (self.S ** 2 + lam)) * ud
@@ -563,9 +572,7 @@ class CauchyOperator:
 
     def morozov_lambda(self, d, target, lo=1e-14, hi=1e6, iters=80):
         """Bisect the monotone misfit(lambda) curve to match the noise size."""
-        dw = self._d_white(d)
-        ud = self.U.conj().T @ dw
-        out2 = max(np.linalg.norm(dw) ** 2 - np.linalg.norm(ud) ** 2, 0.0)
+        ud, out2 = self._project(d)
         if self._misfit_from(ud, out2, lo) >= target:
             return lo
         if self._misfit_from(ud, out2, hi) <= target:
@@ -649,7 +656,7 @@ def run_cauchy(cfg: ExperimentConfig, scene: Scene | None = None) -> Report:
     scene = scene or build_scene(cfg)
     region_a = scene.omega_region
     weights = build_norm_weights(scene.patch, region_a, collar=cfg["patch"]["collar"])
-    cop = CauchyOperator(scene, weights, jobs=cfg["jobs"])
+    cop = CauchyOperator(scene, weights)
 
     truth, truth_kind = _cauchy_truth(cfg, scene)
     p = cfg["exponents"]["p"]
@@ -700,13 +707,11 @@ def run_cauchy(cfg: ExperimentConfig, scene: Scene | None = None) -> Report:
     ordered = sorted(medians, key=lambda r: r[0])
     monotone = all(b[2] >= a[2] * (1 - 1e-9) for a, b in zip(ordered, ordered[1:]))
 
-    # forward discretization error oracle on the same grid (vacuum plane wave)
+    # forward discretization error oracle on the scene's own system (vacuum plane wave)
     probe = oracle.plane_wave([cfg["omega"], 0.0, 0.0], [0.0, 1.0, 0.0], cfg["omega"],
                               float(cfg["material"].get("eps", 1.0)),
                               float(cfg["material"].get("mu", 1.0)))
-    rows = oracle.convergence_study(probe, [scene.grid, _refined(scene.grid)],
-                                    omega=cfg["omega"], material_spec=cfg["material"])
-    disc_rel = rows[0][1]
+    disc_rel = oracle.discretization_error(probe, scene.system)
 
     tol = cfg.tolerances
     flags = {
@@ -724,10 +729,6 @@ def run_cauchy(cfg: ExperimentConfig, scene: Scene | None = None) -> Report:
     budgets["forward_disc_rel_error"] = float(disc_rel)
     return Report("cauchy", cfg.echo(), records, fits, flags, budgets,
                   wall_clock=time.time() - t0)
-
-
-def _refined(grid: geometry.Grid):
-    return geometry.build_grid([2 * v for v in grid.n], grid.h / 2, grid.origin)
 
 
 # ---------------------------------------------------------------------------
@@ -765,7 +766,7 @@ def run_three_balls(cfg: ExperimentConfig, scene: Scene | None = None) -> Report
                  for b in balls]
         return norms
 
-    rows = _pmap(one, range(n_samples), cfg["jobs"])
+    rows = [one(i) for i in range(n_samples)]
     records = []
     triples = []
     for i, (a1, a2, a3) in enumerate(rows):
@@ -843,7 +844,7 @@ def run_propagation(cfg: ExperimentConfig, scene: Scene | None = None) -> Report
         az = hcurl_norm(scene.grid, scene.omega_region, E=fields.E, curl=scene.system.curl)
         return a1, ag, az
 
-    rows = _pmap(one, range(n_samples), cfg["jobs"])
+    rows = [one(i) for i in range(n_samples)]
     records = []
     triples = []
     for i, (a1, ag, az) in enumerate(rows):
@@ -887,8 +888,8 @@ def run_localization(cfg: ExperimentConfig, scene: Scene | None = None) -> Repor
     collar = cfg["patch"]["collar"]
     w_m = build_norm_weights(scene.patch, m_region, collar=collar)
     w_d = build_norm_weights(scene.patch, d_region, collar=collar)
-    op_m = runge_op.assemble_restriction(scene.system, w_m, jobs=cfg["jobs"])
-    op_d = runge_op.assemble_restriction(scene.system, w_d, jobs=cfg["jobs"])
+    op_m = runge_op.assemble_restriction(scene.system, w_m)
+    op_d = runge_op.assemble_restriction(scene.system, w_d)
     eps_reg = float(spec.get("eps_reg", 1e-6))
 
     P = op_m.matrix.conj().T @ (w_m.x_weights()[:, None] * op_m.matrix)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigurationError, GeometryError
 from .geometry import Grid
-from .solver import FieldPair, TangentialTrace, solve_bvp, assemble
+from .solver import FieldPair, SystemMatrix, TangentialTrace, solve_bvp, assemble
 from .materials import make_material
 
 
@@ -166,20 +166,25 @@ def convergence_study(sol: AnalyticSolution, grids, omega=None, material_spec=No
     prev = None
     for grid in grids:
         mat = make_material(grid, spec)
-        sys = assemble(grid, mat, omega)
-        exact = sample_on_grid(sol, grid)
-        patch = _whole_boundary(grid)
-        trace = trace_of(sol, patch)
-        approx = solve_bvp(sys, trace)
-        ones = np.ones(grid.n, dtype=bool)
-        w = grid.edge_cell_adjacency_weights(ones) * grid.h ** 3
-        err = np.sqrt(float(np.sum(w * np.abs(approx.E - exact.E) ** 2)))
-        ref = np.sqrt(float(np.sum(w * np.abs(exact.E) ** 2)))
-        rel = err / ref
+        rel = discretization_error(sol, assemble(grid, mat, omega))
         order = None if prev is None else float(np.log2(prev / rel))
         rows.append((grid.h, rel, order))
         prev = rel
     return rows
+
+
+def discretization_error(sol: AnalyticSolution, sys: SystemMatrix) -> float:
+    """Relative discrete L2 error of E when the boundary-value problem of
+    ``sys`` is solved with the solution's own tangential trace on the whole
+    boundary."""
+    grid = sys.grid
+    exact = sample_on_grid(sol, grid)
+    approx = solve_bvp(sys, trace_of(sol, _whole_boundary(grid)))
+    ones = np.ones(grid.n, dtype=bool)
+    w = grid.edge_cell_adjacency_weights(ones) * grid.h ** 3
+    err = np.sqrt(float(np.sum(w * np.abs(approx.E - exact.E) ** 2)))
+    ref = np.sqrt(float(np.sum(w * np.abs(exact.E) ** 2)))
+    return err / ref
 
 
 def _whole_boundary(grid: Grid):

@@ -52,8 +52,7 @@ def operator_provenance(sys: SystemMatrix, weights: NormWeights):
     return store.provenance_hash(desc)
 
 
-def assemble_restriction(sys: SystemMatrix, weights: NormWeights,
-                         progress=None, jobs=1) -> RestrictionOperator:
+def assemble_restriction(sys: SystemMatrix, weights: NormWeights) -> RestrictionOperator:
     """One forward solve per boundary basis vector, restricted to the region.
 
     Requires the region compactly contained with a connected complement (the
@@ -67,25 +66,10 @@ def assemble_restriction(sys: SystemMatrix, weights: NormWeights,
     patch = weights.patch
     n_v = weights.n_v
     cols = np.empty((weights.n_x, n_v), dtype=complex)
-
-    def column(i):
+    for i in range(n_v):
         values = np.zeros(patch.n_dofs, dtype=complex)
         values[weights.v_sel[i]] = 1.0
-        fields = solve_bvp(sys, TangentialTrace(patch, values))
-        return weights.restrict(fields)
-
-    if jobs and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for i, col in enumerate(pool.map(column, range(n_v))):
-                cols[:, i] = col
-                if progress:
-                    progress(i, n_v)
-    else:
-        for i in range(n_v):
-            cols[:, i] = column(i)
-            if progress:
-                progress(i, n_v)
+        cols[:, i] = weights.restrict(solve_bvp(sys, TangentialTrace(patch, values)))
     return RestrictionOperator(cols, weights, operator_provenance(sys, weights))
 
 

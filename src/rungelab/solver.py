@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConfigurationError, NumericError, ResonantFrequencyError
+from .errors import ConfigurationError, NumericError, ResonantFrequencyError, RungelabError
 from .geometry import Grid, Region, BoundaryPatch
 from .materials import MaterialField, ellipticity_check
 
@@ -30,6 +30,7 @@ _M1D = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
 DIRECT_LIMIT = 200_000
 SOLVER_TOL = 1e-10
 KRYLOV_MAXITER = 10_000
+KRYLOV_RESTARTS = 5
 RESONANCE_THRESHOLD = 1e-6
 
 
@@ -366,15 +367,12 @@ class FieldPair:
 class SystemMatrix:
     """Assembled curl-curl operator with its interior factorization.
 
-    Immutable after assembly; concurrent solve calls are safe (the SuperLU
-    triangular solves are serialized behind a lock, callers keep private
-    right-hand sides and results).
+    Immutable after assembly apart from the lazily built factorization and
+    the cached resonance margin.
     """
 
     def __init__(self, grid, material, omega, L, curl, mu_inv_point, solver_tol,
                  direct_limit):
-        import threading
-
         self.grid = grid
         self.material = material
         self.omega = float(omega)
@@ -391,7 +389,6 @@ class SystemMatrix:
         self.dimension = self.L_II.shape[0]
         self._direct = self.dimension <= direct_limit
         self._lu = None
-        self._lock = threading.Lock()
         self.margin = None
 
     def _factorize(self):
@@ -401,38 +398,55 @@ class SystemMatrix:
         return self._lu
 
     def solve_interior(self, rhs):
-        """Solve L_II x = rhs for complex rhs against the real factorization."""
-        if self._direct:
-            with self._lock:
-                lu = self._factorize()
-                if np.iscomplexobj(rhs):
-                    return lu.solve(rhs.real) + 1j * lu.solve(rhs.imag)
-                return lu.solve(rhs)
-        return self._solve_krylov(rhs)
+        """Solve L_II x = rhs for an (n,) vector or an (n, k) block.
 
-    def _solve_krylov(self, rhs):
-        def one(b):
-            if np.abs(b).max(initial=0) == 0:
-                return np.zeros_like(b)
-            diag = np.abs(self.L_II.diagonal())
-            diag[diag == 0] = 1.0
-            M = sp.diags(1.0 / diag)
-            hist = []
-
-            def cb(xk):
-                hist.append(float(np.linalg.norm(self.L_II @ xk - b)))
-
-            x, info = spla.minres(self.L_II, b, rtol=self.solver_tol,
-                                  maxiter=KRYLOV_MAXITER, M=M, callback=cb)
-            res = np.linalg.norm(self.L_II @ x - b) / np.linalg.norm(b)
-            if info != 0 or res > 10 * self.solver_tol:
-                raise NumericError(
-                    f"Krylov solver stalled at relative residual {res:.3e}", history=hist)
-            return x
-
+        Complex right-hand sides are solved through their real and imaginary
+        parts against the real factorization (or the real Krylov solver).
+        """
+        if not self._direct:
+            return self._solve_krylov(rhs)
+        lu = self._factorize()
         if np.iscomplexobj(rhs):
-            return one(rhs.real) + 1j * one(rhs.imag)
-        return one(rhs)
+            return lu.solve(rhs.real) + 1j * lu.solve(rhs.imag)
+        return lu.solve(rhs)
+
+    def _solve_krylov(self, b):
+        if np.iscomplexobj(b):
+            return self._solve_krylov(b.real) + 1j * self._solve_krylov(b.imag)
+        if b.ndim == 2:
+            out = np.empty(b.shape)
+            for j in range(b.shape[1]):
+                out[:, j] = self._solve_krylov(b[:, j])
+            return out
+        if np.abs(b).max(initial=0) == 0:
+            return np.zeros_like(b)
+        diag = np.abs(self.L_II.diagonal())
+        diag[diag == 0] = 1.0
+        M = sp.diags(1.0 / diag)
+        hist = []
+
+        def cb(xk):
+            hist.append(float(np.linalg.norm(self.L_II @ xk - b)))
+
+        # minres stops on its preconditioned residual estimate relative to
+        # |L_II| |x|, not |b|; accept only the true relative residual and
+        # solve for the correction again until it is met
+        x = np.zeros_like(b)
+        for _ in range(KRYLOV_RESTARTS):
+            r = b - self.L_II @ x
+            res = np.linalg.norm(r) / np.linalg.norm(b)
+            if res <= self.solver_tol:
+                return x
+            dx, info = spla.minres(self.L_II, r, rtol=self.solver_tol,
+                                   maxiter=KRYLOV_MAXITER, M=M, callback=cb)
+            if info != 0:
+                break
+            x = x + dx
+        res = np.linalg.norm(self.L_II @ x - b) / np.linalg.norm(b)
+        if res > 10 * self.solver_tol:
+            raise NumericError(
+                f"Krylov solver stalled at relative residual {res:.3e}", history=hist)
+        return x
 
     def key(self):
         return ("system", self.grid.key(), self.material.key(), self.omega)
@@ -480,7 +494,8 @@ def _suggest_detuned(grid, mat, omega, solver_tol, direct_limit):
             s = assemble(grid, mat, cand, check_resonance=False,
                          solver_tol=solver_tol, direct_limit=direct_limit)
             m = resonance_guard(s)
-        except Exception:
+        except (RungelabError, RuntimeError):
+            # RuntimeError: splu on an exactly singular detuned matrix
             continue
         if best is None or m > best[1]:
             best = (cand, m)

@@ -2,13 +2,15 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import rungelab as rl
+from rungelab import oracle
 from rungelab.errors import ConfigurationError, GeometryError
 from rungelab.experiments import (CauchyOperator, ExperimentConfig, Report, Scene,
                                   StabilityBudget, build_scene, cauchy_reconstruct,
-                                  run_cauchy, run_localization, run_propagation,
-                                  run_runge, run_three_balls, _quotient)
+                                  h_trace_block, run_cauchy, run_localization, run_propagation,
+                                  run_runge, run_three_balls, _cauchy_truth, _quotient)
 
 
 def _cfg(**kwargs):
@@ -192,6 +194,90 @@ def test_cauchy_penalty_dominance():
                                       "fixed", lam_fixed=1e12)
     scale = np.abs(truth.E).max()
     assert np.abs(fields.E).max() <= 1e-6 * scale
+
+
+def _cauchy_operator():
+    cfg = _cauchy_cfg()
+    scene = build_scene(cfg)
+    weights = rl.build_norm_weights(scene.patch, scene.omega_region, collar="include_rim")
+    return cfg, scene, weights, CauchyOperator(scene, weights)
+
+
+def test_cauchy_h_block_matches_single_solves():
+    _, scene, _, cop = _cauchy_operator()
+    sys_ = scene.system
+    T_H = 1j * h_trace_block(sys_, cop.h_dofs)
+    boundary = oracle._whole_boundary(scene.grid)
+    assert np.array_equal(boundary.edge_dofs, sys_.idx_boundary)
+    # boundary columns on the box's edge lines couple to no interior edge
+    edge_line = np.flatnonzero(sys_.L_IB.getnnz(axis=0) == 0)
+    assert len(edge_line) > 0
+    picks = [int(edge_line[0])] + [int(j) for j in np.random.default_rng(5).choice(
+        len(sys_.idx_boundary), size=6, replace=False)]
+    for j in picks:
+        values = np.zeros(boundary.n_dofs, dtype=complex)
+        values[j] = 1.0
+        H = rl.solve_bvp(sys_, rl.TangentialTrace(boundary, values)).H[cop.h_dofs]
+        assert np.linalg.norm(H) > 0
+        assert np.linalg.norm(T_H[:, j] - H) <= 1e-10 * np.linalg.norm(H), j
+
+
+def test_cauchy_real_svd_matches_complex_reference():
+    # reference: complex SVD of block_diag(L, L)^T T with the complex T
+    cfg, scene, weights, cop = _cauchy_operator()
+    nv, nb = weights.n_v, len(cop.b_dofs)
+    bpos = {int(d): i for i, d in enumerate(cop.b_dofs)}
+    T_E = np.zeros((nv, nb), dtype=complex)
+    T_E[np.arange(nv), [bpos[int(d)] for d in weights.v_dofs]] = 1.0
+    T = np.vstack([T_E, 1j * h_trace_block(scene.system, cop.h_dofs)])
+    chol = sla.block_diag(weights.chol_V, weights.chol_V)
+    sq = np.sqrt(cop.reg_diag)
+    U, S, Vh = np.linalg.svd((chol.T @ T) / sq[None, :], full_matrices=False)
+
+    def parts(d):
+        dw = chol.T @ d
+        ud = U.conj().T @ dw
+        return ud, max(np.linalg.norm(dw) ** 2 - np.linalg.norm(ud) ** 2, 0.0)
+
+    def misfit(d, lam):
+        ud, out2 = parts(d)
+        return float(np.sqrt(np.linalg.norm(lam / (S ** 2 + lam) * ud) ** 2 + out2))
+
+    def morozov(d, target, lo=1e-14, hi=1e6):
+        llo, lhi = np.log10(lo), np.log10(hi)
+        for _ in range(80):
+            mid = 0.5 * (llo + lhi)
+            if misfit(d, 10.0 ** mid) < target:
+                llo = mid
+            else:
+                lhi = mid
+        return 10.0 ** (0.5 * (llo + lhi))
+
+    truth, _ = _cauchy_truth(cfg, scene)
+    d0 = cop.data_of(truth)
+    rng = np.random.default_rng(0)
+    eta = 1e-2 * float(np.linalg.norm(d0))
+    noise = rng.standard_normal(2 * nv) + 1j * rng.standard_normal(2 * nv)
+    d = d0 + eta * noise / np.linalg.norm(noise)
+    assert cop.misfit_norm(d) == pytest.approx(np.linalg.norm(chol.T @ d), rel=1e-12)
+    for lam in (1e-10, 1e-6, 1e-2):
+        ud, _ = parts(d)
+        ref = (Vh.conj().T @ (S / (S ** 2 + lam) * ud)) / sq
+        assert np.linalg.norm(cop.solve_ridge(d, lam) - ref) <= 1e-9 * np.linalg.norm(ref)
+        assert cop.misfit_of_lambda(d, lam) == pytest.approx(misfit(d, lam), rel=1e-9)
+    target = misfit(d, 1e-4)
+    assert cop.morozov_lambda(d, target) == pytest.approx(morozov(d, target), rel=1e-9)
+
+
+def test_cauchy_discretization_probe_matches_convergence_study():
+    cfg = _cauchy_cfg(noise={"etas": [1e-2], "seeds": [3]})
+    rep = run_cauchy(cfg)
+    grid = rl.build_grid(cfg["grid"]["n"], cfg["grid"]["h"])
+    refined = rl.build_grid([2 * n for n in grid.n], grid.h / 2)
+    probe = rl.plane_wave([cfg["omega"], 0.0, 0.0], [0.0, 1.0, 0.0], cfg["omega"])
+    rows = rl.convergence_study(probe, [grid, refined], omega=cfg["omega"],
+                                material_spec=cfg["material"])
+    assert rep.budgets["forward_disc_rel_error"] == rows[0][1]
 
 
 def test_localization_quotient_algebra(small_restriction):

@@ -216,3 +216,49 @@ def test_concurrent_solves_deterministic(sys8, grid8):
         threaded = list(pool.map(lambda t: rl.solve_bvp(sys8, t).E, traces))
     for a, b in zip(serial, threaded):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("direct_limit", [rl.solver.DIRECT_LIMIT, 0])
+def test_solve_interior_block_matches_columns(grid8, vacuum8, direct_limit):
+    sys_ = assemble(grid8, vacuum8, 2.0, direct_limit=direct_limit, check_resonance=False)
+    # right-hand sides of unit boundary data, the block the Cauchy study solves
+    rng = np.random.default_rng(11)
+    cols = rng.choice(sys_.L_IB.shape[1], size=8, replace=False)
+    unit = -sys_.L_IB[:, cols].toarray()
+    for block in (unit[:, :4], unit[:, :4] + 1j * unit[:, 4:]):
+        X = sys_.solve_interior(block)
+        assert X.shape == block.shape
+        for j in range(block.shape[1]):
+            x = sys_.solve_interior(np.ascontiguousarray(block[:, j]))
+            assert np.linalg.norm(X[:, j] - x) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_suggest_detuned_propagates_unexpected_errors(grid8, vacuum8, monkeypatch):
+    import rungelab.solver as solver_mod
+    from rungelab.errors import NumericError
+
+    def failing_guard(exc):
+        def guard(sys):
+            raise exc
+        return guard
+
+    args = (grid8, vacuum8, 2.0, solver_mod.SOLVER_TOL, solver_mod.DIRECT_LIMIT)
+    # a probe that fails numerically is skipped
+    monkeypatch.setattr(solver_mod, "resonance_guard", failing_guard(NumericError("probe")))
+    assert solver_mod._suggest_detuned(*args) is None
+    # a programming error is not a failed probe
+    monkeypatch.setattr(solver_mod, "resonance_guard", failing_guard(TypeError("bug")))
+    with pytest.raises(TypeError):
+        solver_mod._suggest_detuned(*args)
+
+
+def test_krylov_meets_its_tolerance_on_random_data():
+    # scipy's minres alone stops near 5e-6 true relative residual on this data
+    g = rl.build_grid((16, 16, 16), 1.0 / 16)
+    mat = rl.make_material(g, {"kind": "constant", "eps": 1.0, "mu": 1.0})
+    iterative = assemble(g, mat, 2.0, direct_limit=0, check_resonance=False)
+    rng = np.random.default_rng(11)
+    b = rng.standard_normal((iterative.dimension, 2))
+    x = iterative.solve_interior(b)
+    res = np.linalg.norm(iterative.L_II @ x - b, axis=0) / np.linalg.norm(b, axis=0)
+    assert res.max() <= iterative.solver_tol
