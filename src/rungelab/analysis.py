@@ -109,29 +109,6 @@ def hcurl_norm(grid: Grid, region: Region, E=None, H=None, curl=None):
     return float(np.sqrt(total))
 
 
-def norm(field_or_trace, where, kind, p=None, weights=None):
-    """Dispatching norm front-end.
-
-    kind: "Lp" (requires p), "Hcurl", or "BoundaryHs" (requires weights).
-    ``field_or_trace``: an (E, H) pair for volume kinds (either entry may be
-    None), or a trace coefficient vector for the boundary kind.
-    """
-    if kind == "Lp":
-        if p is None:
-            raise ConfigurationError("Lp norm needs the exponent p")
-        E, H = field_or_trace
-        return lp_norm(where.grid, where, p, E=E, H=H)
-    if kind == "Hcurl":
-        E, H = field_or_trace
-        return hcurl_norm(where.grid, where, E=E, H=H)
-    if kind == "BoundaryHs":
-        w = weights if weights is not None else where
-        if not isinstance(w, NormWeights):
-            raise ConfigurationError("BoundaryHs norm needs NormWeights")
-        return w.v_norm(field_or_trace)
-    raise ConfigurationError(f"unknown norm kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # weighted inner products
 # ---------------------------------------------------------------------------

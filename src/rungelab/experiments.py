@@ -551,20 +551,28 @@ class CauchyOperator:
         return np.concatenate([w[:, 0] + 1j * w[:, 1], w[:, 2] + 1j * w[:, 3]])
 
     def _project(self, d):
-        """Coefficients of the whitened data on the left singular vectors and
-        the squared norm of its part outside their span."""
+        """Coefficients of the whitened data on the left singular vectors."""
+        return real_matmul(self.Ut, self._white(d))
+
+    def _split(self, d):
+        """The coefficients of ``_project`` and the squared norm of the
+        whitened data outside the span of the left singular vectors.
+
+        The out-of-span part is formed as the residual dw - U ud: the
+        difference ||dw||^2 - ||ud||^2 cancels when the data lie almost in the
+        span, which is the low-noise end of the study.
+        """
         dw = self._white(d)
         ud = real_matmul(self.Ut, dw)
-        return ud, max(np.linalg.norm(dw) ** 2 - np.linalg.norm(ud) ** 2, 0.0)
+        return ud, np.linalg.norm(dw - real_matmul(self.Ut.T, ud)) ** 2
 
     def solve_ridge(self, d, lam):
-        ud, _ = self._project(d)
         filt = self.S / (self.S ** 2 + lam)
-        bw = real_matmul(self.V, filt * ud)
+        bw = real_matmul(self.V, filt * self._project(d))
         return bw / np.sqrt(self.reg_diag)
 
     def misfit_of_lambda(self, d, lam):
-        return self._misfit_from(*self._project(d), lam)
+        return self._misfit_from(*self._split(d), lam)
 
     def _misfit_from(self, ud, out2, lam):
         resid_in = (lam / (self.S ** 2 + lam)) * ud
@@ -572,7 +580,7 @@ class CauchyOperator:
 
     def morozov_lambda(self, d, target, lo=1e-14, hi=1e6, iters=80):
         """Bisect the monotone misfit(lambda) curve to match the noise size."""
-        ud, out2 = self._project(d)
+        ud, out2 = self._split(d)
         if self._misfit_from(ud, out2, lo) >= target:
             return lo
         if self._misfit_from(ud, out2, hi) <= target:
@@ -588,14 +596,7 @@ class CauchyOperator:
 
     def fields_of(self, b):
         sys_ = self.scene.system
-        grid = self.scene.grid
-        rhs = -(sys_.L_IB @ b)
-        eI = sys_.solve_interior(rhs)
-        E = np.zeros(grid.n_edges, dtype=complex)
-        E[self.b_dofs] = b
-        E[sys_.idx_interior] = eI
-        H = sys_.mu_inv_point @ (sys_.curl @ E) / (1j * sys_.omega)
-        return solver.FieldPair(grid, E, H)
+        return solver._lift(sys_, b, -(sys_.L_IB @ b))
 
 
 def cauchy_reconstruct(cauchy_op: CauchyOperator, noisy_f, noisy_g, strategy,

@@ -12,15 +12,25 @@ are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from scipy import ndimage
 
+from . import store
 from .errors import ConfigurationError, DegenerateRegionError, GeometryError
 
 _SIDES = ("x-", "x+", "y-", "y+", "z-", "z+")
 
 # 6-connectivity structuring element for flood fills.
 _CONN6 = ndimage.generate_binary_structure(3, 1)
+
+
+def adjacent_axes(family, axis):
+    """Axes along which the cells adjacent to a dof of direction ``axis``
+    differ: the two transverse axes of an edge (4 cells), the normal of a
+    face (2 cells)."""
+    return ((axis + 1) % 3, (axis + 2) % 3) if family == "edge" else (axis,)
 
 
 def _ravel(shape, i, j, k):
@@ -126,44 +136,42 @@ class Grid:
     def boundary_edge_indices(self):
         return np.flatnonzero(self.boundary_edge_mask())
 
+    def adjacent_cell_sums(self, field, family):
+        """Sum a per-cell field over the cells adjacent to each edge or face.
+
+        ``field`` has shape ``n + (3,)``, column a feeding the dofs of
+        direction a, or ``n + (1,)`` shared by all three directions.  An edge
+        of ``family="edge"`` sums the 4 cells around it, a face of
+        ``family="face"`` the 2 cells on either side; cells outside the box
+        count as zero.  Returns the flat, family-ordered per-dof sums.
+        """
+        field = np.broadcast_to(field, self.n + (3,))
+        padded = np.zeros(tuple(v + 2 for v in self.n) + (3,))
+        padded[1:-1, 1:-1, 1:-1] = field
+        shapes = self.edge_shapes if family == "edge" else self.face_shapes
+        out = []
+        for axis, shape in enumerate(shapes):
+            across = adjacent_axes(family, axis)
+            acc = np.zeros(shape)
+            for offsets in itertools.product((0, 1), repeat=len(across)):
+                sl = [slice(1, -1)] * 3
+                for d, o in zip(across, offsets):
+                    sl[d] = slice(o, o + shape[d])
+                acc += padded[tuple(sl) + (axis,)]
+            out.append(acc.reshape(-1))
+        return np.concatenate(out)
+
     def edge_cell_adjacency_weights(self, mask):
         """Per-edge count of adjacent cells inside ``mask``, divided by 4.
 
         Used for the diagonal L2 quadrature on edge dofs: an interior edge
         touches 4 cells and carries weight h^3 when all of them are inside.
         """
-        counts = np.zeros(self.n_edges)
-        padded = np.zeros((self.n[0] + 2, self.n[1] + 2, self.n[2] + 2))
-        padded[1:-1, 1:-1, 1:-1] = mask
-        for axis in range(3):
-            t1, t2 = (axis + 1) % 3, (axis + 2) % 3
-            shape = self.edge_shapes[axis]
-            acc = np.zeros(shape)
-            for d1 in (0, 1):
-                for d2 in (0, 1):
-                    sl = [slice(1, -1)] * 3
-                    sl[t1] = slice(d1, d1 + shape[t1])
-                    sl[t2] = slice(d2, d2 + shape[t2])
-                    acc += padded[tuple(sl)]
-            lo = self.edge_offsets[axis]
-            counts[lo:lo + self.edge_counts[axis]] = acc.reshape(-1)
-        return counts / 4.0
+        return self.adjacent_cell_sums(np.asarray(mask)[..., None], "edge") / 4.0
 
     def face_cell_adjacency_weights(self, mask):
         """Per-face count of adjacent cells inside ``mask``, divided by 2."""
-        counts = np.zeros(self.n_faces)
-        padded = np.zeros((self.n[0] + 2, self.n[1] + 2, self.n[2] + 2))
-        padded[1:-1, 1:-1, 1:-1] = mask
-        for axis in range(3):
-            shape = self.face_shapes[axis]
-            acc = np.zeros(shape)
-            for d in (0, 1):
-                sl = [slice(1, -1)] * 3
-                sl[axis] = slice(d, d + shape[axis])
-                acc += padded[tuple(sl)]
-            lo = self.face_offsets[axis]
-            counts[lo:lo + self.face_counts[axis]] = acc.reshape(-1)
-        return counts / 2.0
+        return self.adjacent_cell_sums(np.asarray(mask)[..., None], "face") / 2.0
 
     # -- provenance -------------------------------------------------------
 
@@ -215,15 +223,10 @@ class Region:
         return count == 1
 
     def key(self):
-        return ("region", self.role, _mask_digest(self.mask))
+        return ("region", self.role, store.array_digest(self.mask))
 
     def __repr__(self):
         return f"Region(role={self.role!r}, cells={self.cell_count()})"
-
-
-def _mask_digest(mask):
-    return int(np.frombuffer(np.packbits(mask.ravel()).tobytes(), dtype=np.uint8).sum()
-               + 1000003 * mask.sum())
 
 
 def build_grid(n, h, origin=(0.0, 0.0, 0.0)) -> Grid:
@@ -348,8 +351,8 @@ class BoundaryPatch:
         raise ConfigurationError(f"unknown collar convention {collar!r}")
 
     def key(self):
-        return ("patch", self.sides, _mask_digest(np.asarray(self.rim_mask)),
-                int(self.edge_dofs.sum()), len(self.edge_dofs))
+        return ("patch", self.sides,
+                store.array_digest(self.edge_dofs, self.edge_area, self.rim_mask))
 
     def __repr__(self):
         return (f"BoundaryPatch(sides={self.sides!r}, faces={len(self.face_slots)}, "

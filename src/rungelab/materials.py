@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import store
 from .errors import MaterialError, ConfigurationError
 from .geometry import Grid
 
@@ -37,9 +38,6 @@ class MaterialField:
         self.eps.flags.writeable = False
         self.mu.flags.writeable = False
 
-    def eps_inv(self):
-        return np.linalg.inv(self.eps)
-
     def mu_inv(self):
         return np.linalg.inv(self.mu)
 
@@ -48,14 +46,9 @@ class MaterialField:
         return np.array_equal(self.eps, np.broadcast_to(eye, self.eps.shape)) and \
             np.array_equal(self.mu, np.broadcast_to(eye, self.mu.shape))
 
-    def is_diagonal(self):
-        off = ~np.eye(3, dtype=bool)
-        return not (self.eps[..., off].any() or self.mu[..., off].any())
-
     def key(self):
         return ("material", self.spec.get("kind", "custom"),
-                float(self.eps.sum()), float(self.mu.sum()),
-                float(np.abs(self.eps).max()), float(np.abs(self.mu).max()))
+                store.array_digest(self.eps, self.mu))
 
     def __repr__(self):
         return f"MaterialField(kind={self.spec.get('kind', 'custom')!r}, c={self.c:g}, M={self.M:g})"
@@ -109,8 +102,6 @@ def _layered(grid: Grid, spec):
         raise MaterialError(
             f"layered transition width {width:g} below one cell ({grid.h:g}); "
             "a sharp jump has no W^{1,inf} bound")
-    coords = grid.cell_centers()[:, axis].reshape(grid.n)[
-        tuple(slice(None) if d == axis else slice(0, 1) for d in range(3))].reshape(-1)
     coord_full = grid.cell_centers()[:, axis].reshape(grid.n)
     field = np.empty(grid.n + (3, 3))
     field[:] = tensors[0]
@@ -118,7 +109,6 @@ def _layered(grid: Grid, spec):
         # linear ramp of the given width centered on the breakpoint
         s = np.clip((coord_full - (b - width / 2)) / width, 0.0, 1.0)
         field = field * (1 - s[..., None, None]) + t_next * s[..., None, None]
-    del coords
     eps = field
     mu_spec = spec.get("mu", 1.0)
     mu = np.broadcast_to(_as_tensor(mu_spec), grid.n + (3, 3)).copy()

@@ -229,14 +229,3 @@ def load_operator(path, weights: NormWeights, sys: SystemMatrix) -> RestrictionO
         raise ConfigurationError(
             f"cached operator shape {matrix.shape} != weights ({weights.n_x}, {weights.n_v})")
     return RestrictionOperator(matrix, weights, prov)
-
-
-def save_svd(svd: SvdBundle, path):
-    payload = store.pack_arrays(sigma=svd.sigma, phi=svd.phi, psi=svd.psi)
-    store.write_envelope(path, "svd", svd.provenance, payload)
-
-
-def load_svd(path, weights: NormWeights, sys: SystemMatrix) -> SvdBundle:
-    prov = operator_provenance(sys, weights)
-    data = store.unpack_arrays(store.read_envelope(path, "svd", prov))
-    return SvdBundle(data["sigma"], data["phi"], data["psi"], weights, prov)

@@ -16,13 +16,15 @@ against one factorization.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, NumericError, ResonantFrequencyError, RungelabError
-from .geometry import Grid, Region, BoundaryPatch
-from .materials import MaterialField, ellipticity_check
+from .geometry import Grid, Region, BoundaryPatch, adjacent_axes
+from .materials import MaterialField
 
 # 1D segment mass matrix of the linear shape functions on [0, 1].
 _M1D = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
@@ -91,153 +93,76 @@ def mimetic_defect(grid: Grid) -> sp.csr_matrix:
     return d
 
 
-def _edge_lumped_weights(grid: Grid, coeff_aa):
-    """Diagonal edge weights h^3/4 * sum of coeff_aa over cells adjacent to the edge.
-
-    coeff_aa: (nx, ny, nz, 3) per-cell diagonal tensor entries.
-    """
-    h3 = grid.h ** 3
-    out = np.zeros(grid.n_edges)
-    for axis in range(3):
-        t1, t2 = (axis + 1) % 3, (axis + 2) % 3
-        field = coeff_aa[..., axis]
-        padded_shape = [grid.n[0], grid.n[1], grid.n[2]]
-        padded_shape[t1] += 2
-        padded_shape[t2] += 2
-        padded = np.zeros(padded_shape)
-        sl = [slice(None)] * 3
-        sl[t1] = slice(1, -1)
-        sl[t2] = slice(1, -1)
-        padded[tuple(sl)] = field
-        shape = grid.edge_shapes[axis]
-        acc = np.zeros(shape)
-        for d1 in (0, 1):
-            for d2 in (0, 1):
-                take = [slice(None)] * 3
-                take[t1] = slice(d1, d1 + shape[t1])
-                take[t2] = slice(d2, d2 + shape[t2])
-                acc += padded[tuple(take)]
-        lo = grid.edge_offsets[axis]
-        out[lo:lo + grid.edge_counts[axis]] = (h3 / 4.0) * acc.reshape(-1)
+def _cell_offsets(family, axis):
+    """Offsets, within a cell, of its dofs of direction ``axis``: the 4
+    parallel edges or the 2 opposite faces, in ``itertools.product`` order."""
+    across = adjacent_axes(family, axis)
+    out = []
+    for offsets in itertools.product((0, 1), repeat=len(across)):
+        o = [0, 0, 0]
+        for d, v in zip(across, offsets):
+            o[d] = v
+        out.append(o)
     return out
 
 
-def _face_lumped_weights(grid: Grid, coeff_aa):
-    h3 = grid.h ** 3
-    out = np.zeros(grid.n_faces)
-    for axis in range(3):
-        field = coeff_aa[..., axis]
-        padded_shape = list(grid.n)
-        padded_shape[axis] += 2
-        padded = np.zeros(padded_shape)
-        sl = [slice(None)] * 3
-        sl[axis] = slice(1, -1)
-        padded[tuple(sl)] = field
-        shape = grid.face_shapes[axis]
-        acc = np.zeros(shape)
-        for d in (0, 1):
-            take = [slice(None)] * 3
-            take[axis] = slice(d, d + shape[axis])
-            acc += padded[tuple(take)]
-        lo = grid.face_offsets[axis]
-        out[lo:lo + grid.face_counts[axis]] = (h3 / 2.0) * acc.reshape(-1)
-    return out
+def _cross_pairs(grid: Grid, tensors, family, a):
+    """Cell-local pairs coupling the a-dofs of ``family`` to the b-dofs.
 
-
-def _cell_edge_dofs(grid: Grid, axis, s, t, I, J, K):
-    """Edge dof of family ``axis`` with transverse offsets (s, t) in cell (I, J, K)."""
-    t1, t2 = (axis + 1) % 3, (axis + 2) % 3
-    d = [I, J, K]
-    d = [d[0].copy(), d[1].copy(), d[2].copy()]
-    d[t1] = d[t1] + s
-    d[t2] = d[t2] + t
-    return grid.edge_index(axis, d[0], d[1], d[2])
-
-
-def _edge_cross_blocks(grid: Grid, tensors):
-    """Symmetric off-diagonal tensor coupling between edge families.
-
-    Cell-local exact integrals of the trilinear edge shape functions:
-    coupling between family a (offsets s, t) and family b (offsets s', t')
-    equals eps_ab * h^3/4 * m1d[o_c, o'_c] with o_c the offsets along the
-    shared transverse axis c.
+    For every b != a whose tensor entry (a, b) is nonzero somewhere, and for
+    every a-dof and then every b-dof of a cell, yields
+    ``(b, offset_a, offset_b, rows, cols, coeff)``: the cell offsets of the
+    two dofs, their flat indices over all cells and the cellwise entry.
     """
-    nx, ny, nz = grid.n
-    I, J, K = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij")
-    h3 = grid.h ** 3
-    rows, cols, vals = [], [], []
-    for a in range(3):
-        for b in range(3):
-            if a == b:
-                continue
-            c_axis = 3 - a - b
-            coeff = tensors[..., a, b]
-            if not coeff.any():
-                continue
-            for s in (0, 1):
-                for t in (0, 1):
-                    ga = _cell_edge_dofs(grid, a, s, t, I, J, K).ravel()
-                    o_a = s if (a + 1) % 3 == c_axis else t
-                    for s2 in (0, 1):
-                        for t2 in (0, 1):
-                            gb = _cell_edge_dofs(grid, b, s2, t2, I, J, K).ravel()
-                            o_b = s2 if (b + 1) % 3 == c_axis else t2
-                            w = (h3 / 4.0) * _M1D[o_a, o_b]
-                            rows.append(ga)
-                            cols.append(gb)
-                            vals.append((w * coeff).ravel())
-    if not rows:
-        return sp.csr_matrix((grid.n_edges, grid.n_edges))
-    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(grid.n_edges, grid.n_edges))
+    cells = np.indices(grid.n)
+    index = grid.edge_index if family == "edge" else grid.face_index
+    for b in range(3):
+        coeff = tensors[..., a, b]
+        if b == a or not coeff.any():
+            continue
+        for oa in _cell_offsets(family, a):
+            ga = index(a, *(cells[d] + oa[d] for d in range(3))).ravel()
+            for ob in _cell_offsets(family, b):
+                gb = index(b, *(cells[d] + ob[d] for d in range(3))).ravel()
+                yield b, oa, ob, ga, gb, coeff.ravel()
 
 
-def _face_cross_blocks(grid: Grid, tensors):
-    """Symmetric off-diagonal coupling between face families (weight h^3/4)."""
-    nx, ny, nz = grid.n
-    I, J, K = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij")
+def _material_matrix(grid: Grid, tensors, family) -> sp.csr_matrix:
+    """Lumped diagonal plus the symmetric cross-family blocks of one dof kind.
+
+    The diagonal is h^3/4 (edges) or h^3/2 (faces) times the sum of the
+    adjacent cells' diagonal tensor entries.
+
+    The cross blocks are cell-local exact integrals of the shape functions:
+    an a-edge and a b-edge couple with eps_ab * h^3/4 * m1d[o_c, o'_c], o_c
+    their offsets along the shared transverse axis c; faces couple with
+    eps_ab * h^3/4.
+    """
     h3 = grid.h ** 3
+    n = grid.n_edges if family == "edge" else grid.n_faces
+    cells_per_dof = 4.0 if family == "edge" else 2.0
+    diagonal = np.einsum("...aa->...a", tensors)
+    m = sp.diags((h3 / cells_per_dof) * grid.adjacent_cell_sums(diagonal, family))
     rows, cols, vals = [], [], []
     for a in range(3):
-        for b in range(3):
-            if a == b:
-                continue
-            coeff = tensors[..., a, b]
-            if not coeff.any():
-                continue
-            for s in (0, 1):
-                d = [I.copy(), J.copy(), K.copy()]
-                d[a] = d[a] + s
-                ga = grid.face_index(a, d[0], d[1], d[2]).ravel()
-                for s2 in (0, 1):
-                    d2 = [I.copy(), J.copy(), K.copy()]
-                    d2[b] = d2[b] + s2
-                    gb = grid.face_index(b, d2[0], d2[1], d2[2]).ravel()
-                    vals.append((h3 / 4.0) * coeff.ravel())
-                    rows.append(ga)
-                    cols.append(gb)
-    if not rows:
-        return sp.csr_matrix((grid.n_faces, grid.n_faces))
-    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(grid.n_faces, grid.n_faces))
+        for b, oa, ob, ga, gb, coeff in _cross_pairs(grid, tensors, family, a):
+            c = 3 - a - b
+            w = (h3 / 4.0) * (_M1D[oa[c], ob[c]] if family == "edge" else 1.0)
+            rows.append(ga)
+            cols.append(gb)
+            vals.append(w * coeff)
+    if rows:
+        m = m + sp.csr_matrix((np.concatenate(vals),
+                               (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+    return m.tocsr()
 
 
 def edge_material_matrix(grid: Grid, tensors) -> sp.csr_matrix:
-    diag_aa = np.stack([tensors[..., a, a] for a in range(3)], axis=-1)
-    m = sp.diags(_edge_lumped_weights(grid, diag_aa))
-    cross = _edge_cross_blocks(grid, tensors)
-    if cross.nnz:
-        m = m + cross
-    return m.tocsr()
+    return _material_matrix(grid, tensors, "edge")
 
 
 def face_material_matrix(grid: Grid, tensors) -> sp.csr_matrix:
-    diag_aa = np.stack([tensors[..., a, a] for a in range(3)], axis=-1)
-    m = sp.diags(_face_lumped_weights(grid, diag_aa))
-    cross = _face_cross_blocks(grid, tensors)
-    if cross.nnz:
-        m = m + cross
-    return m.tocsr()
+    return _material_matrix(grid, tensors, "face")
 
 
 def face_pointwise_operator(grid: Grid, tensors) -> sp.csr_matrix:
@@ -247,51 +172,20 @@ def face_pointwise_operator(grid: Grid, tensors) -> sp.csr_matrix:
     ones additionally average the partner-component faces of those cells.
     Identity tensors give the identity matrix exactly.
     """
-    nx, ny, nz = grid.n
+    n_adj = grid.adjacent_cell_sums(np.ones(grid.n + (1,)), "face")
+    diag = grid.adjacent_cell_sums(np.einsum("...aa->...a", tensors), "face") / n_adj
     rows, cols, vals = [], [], []
     for a in range(3):
-        shape = grid.face_shapes[a]
-        idx = np.indices(shape)
-        g = grid.face_index(a, idx[0], idx[1], idx[2]).ravel()
-        # adjacent cell count along own axis
-        own = idx[a]
-        n_adj = np.where((own == 0) | (own == grid.n[a]), 1.0, 2.0).ravel()
-        coeff = tensors[..., a, a]
-        padded_shape = list(grid.n)
-        padded_shape[a] += 2
-        padded = np.zeros(padded_shape)
-        sl = [slice(None)] * 3
-        sl[a] = slice(1, -1)
-        padded[tuple(sl)] = coeff
-        acc = np.zeros(shape)
-        for d in (0, 1):
-            take = [slice(None)] * 3
-            take[a] = slice(d, d + shape[a])
-            acc += padded[tuple(take)]
-        rows.append(g)
-        cols.append(g)
-        vals.append(acc.ravel() / n_adj)
-        for b in range(3):
-            if b == a or not tensors[..., a, b].any():
-                continue
-            # cells adjacent to the a-face, each contributing its two b-faces
-            cI, cJ, cK = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij")
-            coeff_ab = tensors[..., a, b]
-            for da in (0, 1):
-                d = [cI.copy(), cJ.copy(), cK.copy()]
-                d[a] = d[a] + da
-                gf = grid.face_index(a, d[0], d[1], d[2]).ravel()
-                denom = np.where((d[a] == 0) | (d[a] == grid.n[a]), 1.0, 2.0).ravel()
-                for db in (0, 1):
-                    d2 = [cI.copy(), cJ.copy(), cK.copy()]
-                    d2[b] = d2[b] + db
-                    gb = grid.face_index(b, d2[0], d2[1], d2[2]).ravel()
-                    rows.append(gf)
-                    cols.append(gb)
-                    vals.append(coeff_ab.ravel() / (2.0 * denom))
-    mat = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(grid.n_faces, grid.n_faces))
-    return mat
+        own = np.arange(grid.face_offsets[a], grid.face_offsets[a] + grid.face_counts[a])
+        rows.append(own)
+        cols.append(own)
+        vals.append(diag[own])
+        for _, _, _, ga, gb, coeff in _cross_pairs(grid, tensors, "face", a):
+            rows.append(ga)
+            cols.append(gb)
+            vals.append(coeff / (2.0 * n_adj[ga]))
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(grid.n_faces, grid.n_faces))
 
 
 class TangentialTrace:
@@ -367,8 +261,8 @@ class FieldPair:
 class SystemMatrix:
     """Assembled curl-curl operator with its interior factorization.
 
-    Immutable after assembly apart from the lazily built factorization and
-    the cached resonance margin.
+    Immutable after assembly apart from the lazily built factorization, the
+    lazily built Krylov preconditioner and the cached resonance margin.
     """
 
     def __init__(self, grid, material, omega, L, curl, mu_inv_point, solver_tol,
@@ -389,7 +283,15 @@ class SystemMatrix:
         self.dimension = self.L_II.shape[0]
         self._direct = self.dimension <= direct_limit
         self._lu = None
+        self._jacobi = None
         self.margin = None
+
+    def _preconditioner(self):
+        if self._jacobi is None:
+            diag = np.abs(self.L_II.diagonal())
+            diag[diag == 0] = 1.0
+            self._jacobi = sp.diags(1.0 / diag)
+        return self._jacobi
 
     def _factorize(self):
         if self._lu is None:
@@ -420,32 +322,27 @@ class SystemMatrix:
             return out
         if np.abs(b).max(initial=0) == 0:
             return np.zeros_like(b)
-        diag = np.abs(self.L_II.diagonal())
-        diag[diag == 0] = 1.0
-        M = sp.diags(1.0 / diag)
-        hist = []
-
-        def cb(xk):
-            hist.append(float(np.linalg.norm(self.L_II @ xk - b)))
-
         # minres stops on its preconditioned residual estimate relative to
         # |L_II| |x|, not |b|; accept only the true relative residual and
         # solve for the correction again until it is met
+        nb = np.linalg.norm(b)
         x = np.zeros_like(b)
+        r = b
+        history = [1.0]
         for _ in range(KRYLOV_RESTARTS):
-            r = b - self.L_II @ x
-            res = np.linalg.norm(r) / np.linalg.norm(b)
-            if res <= self.solver_tol:
+            if history[-1] <= self.solver_tol:
                 return x
             dx, info = spla.minres(self.L_II, r, rtol=self.solver_tol,
-                                   maxiter=KRYLOV_MAXITER, M=M, callback=cb)
+                                   maxiter=KRYLOV_MAXITER, M=self._preconditioner())
             if info != 0:
                 break
             x = x + dx
-        res = np.linalg.norm(self.L_II @ x - b) / np.linalg.norm(b)
-        if res > 10 * self.solver_tol:
+            r = b - self.L_II @ x
+            history.append(float(np.linalg.norm(r) / nb))
+        if history[-1] > 10 * self.solver_tol:
             raise NumericError(
-                f"Krylov solver stalled at relative residual {res:.3e}", history=hist)
+                f"Krylov solver stalled at relative residual {history[-1]:.3e}",
+                history=history)
         return x
 
     def key(self):
@@ -463,9 +360,6 @@ def assemble(grid: Grid, mat: MaterialField, omega, *,
     """
     if not (omega > 0):
         raise ConfigurationError("omega must be positive")
-    ok, worst = ellipticity_check(mat, mat.c)
-    if not ok:
-        raise ConfigurationError(f"material fails its own ellipticity bound: {worst}")
     C = curl_matrix(grid)
     Mf = face_material_matrix(grid, mat.mu_inv())
     Me = edge_material_matrix(grid, mat.eps)
@@ -521,24 +415,34 @@ def resonance_guard(sys: SystemMatrix, iterations=12, seed=0):
     return sys.margin
 
 
-def solve_bvp(sys: SystemMatrix, trace: TangentialTrace) -> FieldPair:
-    """Solve the interior problem with lifted tangential boundary data."""
+def _lift(sys: SystemMatrix, eB, rhs) -> FieldPair:
+    """Fields with boundary edges ``eB`` and interior edges solving
+    L_II eI = rhs, with H = (i omega)^-1 mu^-1 curl E.
+
+    ``rhs`` already carries the boundary data (-L_IB eB) or the volume
+    source.  Raises NumericError when the relative residual of the interior
+    solve exceeds 10 * solver_tol.
+    """
     grid = sys.grid
-    eB = np.zeros(grid.n_edges, dtype=complex)
-    eB[trace.patch.edge_dofs] = trace.values
-    eB = eB[sys.idx_boundary]
-    rhs = -(sys.L_IB @ eB)
     eI = sys.solve_interior(rhs)
-    E = np.zeros(grid.n_edges, dtype=complex)
-    E[sys.idx_boundary] = eB
-    E[sys.idx_interior] = eI
     scale = np.linalg.norm(rhs)
     if scale > 0:
         rel = np.linalg.norm(sys.L_II @ eI - rhs) / scale
         if rel > 10 * sys.solver_tol:
-            raise NumericError(f"boundary-value solve at relative residual {rel:.3e}")
-    H = _derive_H(sys, E)
+            raise NumericError(f"interior solve at relative residual {rel:.3e}")
+    E = np.zeros(grid.n_edges, dtype=complex)
+    E[sys.idx_boundary] = eB
+    E[sys.idx_interior] = eI
+    H = sys.mu_inv_point @ (sys.curl @ E) / (1j * sys.omega)
     return FieldPair(grid, E, H)
+
+
+def solve_bvp(sys: SystemMatrix, trace: TangentialTrace) -> FieldPair:
+    """Solve the interior problem with lifted tangential boundary data."""
+    eB = np.zeros(sys.grid.n_edges, dtype=complex)
+    eB[trace.patch.edge_dofs] = trace.values
+    eB = eB[sys.idx_boundary]
+    return _lift(sys, eB, -(sys.L_IB @ eB))
 
 
 def weak_rhs(sys: SystemMatrix, src: SourceTerm):
@@ -552,20 +456,7 @@ def weak_rhs(sys: SystemMatrix, src: SourceTerm):
 
 def solve_source(sys: SystemMatrix, src: SourceTerm) -> FieldPair:
     """Solve the source problem with homogeneous tangential boundary data."""
-    rhs = weak_rhs(sys, src)[sys.idx_interior]
-    eI = sys.solve_interior(rhs)
-    E = np.zeros(sys.grid.n_edges, dtype=complex)
-    E[sys.idx_interior] = eI
-    scale = np.linalg.norm(rhs)
-    if scale > 0:
-        rel = np.linalg.norm(sys.L_II @ eI - rhs) / scale
-        if rel > 10 * sys.solver_tol:
-            raise NumericError(f"source solve at relative residual {rel:.3e}")
-    return FieldPair(sys.grid, E, _derive_H(sys, E))
-
-
-def _derive_H(sys: SystemMatrix, E):
-    return sys.mu_inv_point @ (sys.curl @ E) / (1j * sys.omega)
+    return _lift(sys, 0.0, weak_rhs(sys, src)[sys.idx_interior])
 
 
 def derive_H_from_E(E, mat: MaterialField, omega) -> np.ndarray:

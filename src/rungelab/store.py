@@ -16,6 +16,7 @@ read raises its own exception type.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -48,6 +49,20 @@ def provenance_hash(description) -> int:
     """FNV-1a of a canonical JSON rendering of a provenance description."""
     blob = json.dumps(description, sort_keys=True, default=_canonical).encode()
     return fnv1a64(blob)
+
+
+def array_digest(*arrays) -> str:
+    """blake2b hex digest of the shapes, dtypes and bytes of ``arrays``.
+
+    Provenance keys name their arrays by this digest: sums, counts and
+    maxima of an array collide for shifted or mirrored data.
+    """
+    h = hashlib.blake2b(digest_size=16)
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(repr((a.shape, a.dtype.str)).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
 
 
 def _canonical(obj):
@@ -135,48 +150,3 @@ def unpack_complex_matrix(payload: bytes) -> np.ndarray:
         raise BadLengthError(f"matrix payload {len(payload)} bytes, dimensions need {need}")
     flat = np.frombuffer(payload, dtype="<f8", offset=16).reshape(rows, cols, 2)
     return flat[..., 0] + 1j * flat[..., 1]
-
-
-def pack_arrays(**arrays) -> bytes:
-    """Named float64/complex128 arrays: a small JSON directory plus raw bytes."""
-    order = sorted(arrays)
-    meta = []
-    chunks = []
-    for name in order:
-        a = np.ascontiguousarray(arrays[name])
-        if a.dtype == complex:
-            raw = np.empty(a.shape + (2,))
-            raw[..., 0] = a.real
-            raw[..., 1] = a.imag
-            blob = raw.astype("<f8").tobytes()
-            dtype = "c16"
-        else:
-            blob = a.astype("<f8").tobytes()
-            dtype = "f8"
-        meta.append({"name": name, "shape": list(a.shape), "dtype": dtype, "bytes": len(blob)})
-        chunks.append(blob)
-    head = json.dumps(meta, sort_keys=True).encode()
-    return struct.pack("<Q", len(head)) + head + b"".join(chunks)
-
-
-def unpack_arrays(payload: bytes) -> dict:
-    if len(payload) < 8:
-        raise BadLengthError("array payload shorter than its directory header")
-    (hlen,) = struct.unpack_from("<Q", payload, 0)
-    meta = json.loads(payload[8:8 + hlen].decode())
-    out = {}
-    offset = 8 + hlen
-    for entry in meta:
-        blob = payload[offset:offset + entry["bytes"]]
-        if len(blob) != entry["bytes"]:
-            raise BadLengthError("array payload truncated")
-        flat = np.frombuffer(blob, dtype="<f8")
-        if entry["dtype"] == "c16":
-            flat = flat.reshape(entry["shape"] + [2])
-            out[entry["name"]] = flat[..., 0] + 1j * flat[..., 1]
-        else:
-            out[entry["name"]] = flat.reshape(entry["shape"]).copy()
-        offset += entry["bytes"]
-    if offset != len(payload):
-        raise BadLengthError("array payload carries trailing bytes")
-    return out

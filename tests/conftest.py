@@ -65,3 +65,16 @@ def reference_runge_scene():
 
 def rng_complex(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def cell_dof_slots(cell, family, axis):
+    """Grid slots of the dofs of direction ``axis`` on the boundary of a cell:
+    the 4 parallel edges or the 2 opposite faces."""
+    free = [d for d in range(3) if d != axis] if family == "edge" else [axis]
+    slots = []
+    for bits in range(2 ** len(free)):
+        slot = list(cell)
+        for n, d in enumerate(free):
+            slot[d] += (bits >> (len(free) - 1 - n)) & 1
+        slots.append(tuple(slot))
+    return slots

@@ -171,18 +171,3 @@ def test_fit_power_recovers_planted():
     fit = fit_power(np.stack([js, es], axis=1))
     assert fit.params["C"] == pytest.approx(3.0, rel=1e-9)
     assert fit.params["delta"] == pytest.approx(1.5, rel=1e-9)
-
-
-def test_norm_dispatcher(grid8):
-    region = rl.carve_region(grid8, {"kind": "box", "lo": [0, 0, 0], "hi": [1, 1, 1]})
-    E = _unit_Ex(grid8)
-    assert rl.norm((E, None), region, "Lp", p=2) == pytest.approx(1.0)
-    assert rl.norm((E, None), region, "Hcurl") == pytest.approx(1.0)
-    patch = rl.boundary_patch(grid8, "x-")
-    w = build_norm_weights(patch, region)
-    v = np.ones(w.n_v, dtype=complex)
-    assert rl.norm(v, w, "BoundaryHs") == pytest.approx(w.v_norm(v))
-    with pytest.raises(ConfigurationError):
-        rl.norm((E, None), region, "Lp")
-    with pytest.raises(ConfigurationError):
-        rl.norm((E, None), region, "unknown")

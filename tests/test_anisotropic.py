@@ -6,7 +6,10 @@ import pytest
 import sympy as sp
 
 import rungelab as rl
-from rungelab.solver import edge_material_matrix, face_material_matrix, face_pointwise_operator
+from rungelab.solver import (_cross_pairs, edge_material_matrix, face_material_matrix,
+                             face_pointwise_operator)
+
+from conftest import cell_dof_slots
 
 # constant symmetric tensors with all off-diagonal entries populated
 EPS = np.array([[1.3, 0.2, 0.1],
@@ -113,3 +116,30 @@ def test_anisotropic_solve_runs(grid8):
     f = rng.standard_normal(patch.n_dofs) + 1j * rng.standard_normal(patch.n_dofs)
     fields = rl.solve_bvp(sys_, rl.TangentialTrace(patch, f))
     assert rl.residual(fields, sys_) <= 10 * sys_.solver_tol
+
+
+@pytest.mark.parametrize("family", ["edge", "face"])
+def test_cross_pairs_match_per_cell_loop(family):
+    g = rl.build_grid((5, 7, 4), 0.2)
+    rng = np.random.default_rng(7)
+    tensors = rng.standard_normal(g.n + (3, 3))
+    tensors = tensors + np.swapaxes(tensors, -1, -2)
+    tensors[..., 0, 2] = tensors[..., 2, 0] = 0.0   # an entry that is zero everywhere
+    index = g.edge_index if family == "edge" else g.face_index
+    want = []
+    for cell in np.ndindex(*g.n):
+        for a in range(3):
+            for b in range(3):
+                if a == b or not tensors[..., a, b].any():
+                    continue
+                for sa in cell_dof_slots(cell, family, a):
+                    for sb in cell_dof_slots(cell, family, b):
+                        want.append((a, b, index(a, *sa), index(b, *sb),
+                                     tuple(np.subtract(sa, cell)), tuple(np.subtract(sb, cell)),
+                                     tensors[cell + (a, b)]))
+    got = []
+    for a in range(3):
+        for b, oa, ob, ga, gb, coeff in _cross_pairs(g, tensors, family, a):
+            got.extend((a, b, int(i), int(j), tuple(oa), tuple(ob), float(c))
+                       for i, j, c in zip(ga, gb, coeff))
+    assert sorted(got) == sorted(want)

@@ -269,6 +269,22 @@ def test_cauchy_real_svd_matches_complex_reference():
     assert cop.morozov_lambda(d, target) == pytest.approx(morozov(d, target), rel=1e-9)
 
 
+def test_cauchy_misfit_keeps_out_of_span_noise_at_low_eta():
+    # noise-free data lie in the span of the left singular vectors, so at
+    # lambda = 0 the misfit is the out-of-span part of the whitened noise;
+    # ||dw||^2 - ||ud||^2 loses it to cancellation at this noise level
+    cfg, scene, weights, cop = _cauchy_operator()
+    truth, _ = _cauchy_truth(cfg, scene)
+    d0 = cop.data_of(truth)
+    rng = np.random.default_rng(3)
+    noise = rng.standard_normal(d0.size) + 1j * rng.standard_normal(d0.size)
+    noise *= 1e-6 * np.linalg.norm(d0) / np.linalg.norm(noise)
+    nw = cop._white(noise)
+    U = cop.Ut.T
+    out = np.linalg.norm(nw - U @ (U.T @ nw))
+    assert cop.misfit_of_lambda(d0 + noise, 0.0) == pytest.approx(out, rel=1e-6)
+
+
 def test_cauchy_discretization_probe_matches_convergence_study():
     cfg = _cauchy_cfg(noise={"etas": [1e-2], "seeds": [3]})
     rep = run_cauchy(cfg)

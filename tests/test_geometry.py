@@ -5,6 +5,8 @@ import rungelab as rl
 from rungelab.errors import ConfigurationError, DegenerateRegionError, GeometryError
 from rungelab.geometry import BallChain, chain_of_balls, cube_cover, interior_margin
 
+from conftest import cell_dof_slots
+
 
 def test_edge_counts_8cube(grid8):
     # staggered combinatorics: x-edges n_x (n_y+1)(n_z+1)
@@ -238,3 +240,21 @@ def test_chain_out_and_back_path():
     chain = chain_of_balls(path, 0.008, host)
     assert chain.check_invariants(host)
     assert chain.count >= 2
+
+
+@pytest.mark.parametrize("family", ["edge", "face"])
+def test_adjacent_cell_sums_match_per_cell_loop(family):
+    g = rl.build_grid((5, 7, 4), 0.2)
+    # integer values keep every sum exact, whatever the summation order
+    field = np.random.default_rng(4).integers(-50, 50, size=g.n + (3,)).astype(float)
+    index = g.edge_index if family == "edge" else g.face_index
+    want = np.zeros(g.n_edges if family == "edge" else g.n_faces)
+    for cell in np.ndindex(*g.n):
+        for axis in range(3):
+            for slot in cell_dof_slots(cell, family, axis):
+                want[index(axis, *slot)] += field[cell + (axis,)]
+    assert np.array_equal(g.adjacent_cell_sums(field, family), want)
+    # a one-column field is shared by the three directions
+    shared = g.adjacent_cell_sums(field[..., :1], family)
+    assert np.array_equal(shared, g.adjacent_cell_sums(np.repeat(field[..., :1], 3, -1),
+                                                       family))

@@ -7,7 +7,8 @@ import rungelab as rl
 from rungelab.errors import (BadChecksumError, BadLengthError, BadProvenanceError,
                              ConfigurationError, GeometryError)
 from rungelab.runge_op import (alpha_for_j, apply_adjoint, assemble_restriction,
-                               expand_target, load_operator, matrix_adjoint, save_operator,
+                               expand_target, load_operator, matrix_adjoint,
+                               operator_provenance, save_operator,
                                truncate, weighted_svd)
 from rungelab.solver import TangentialTrace
 
@@ -251,3 +252,37 @@ def test_operator_cache_provenance(tmp_path, small_restriction, grid8):
     other_sys = rl.assemble(grid8, other_mat, 2.0)
     with pytest.raises(BadProvenanceError):
         load_operator(path, weights, other_sys)
+
+
+def _provenance(sys_, region, patch):
+    return operator_provenance(sys_, rl.build_norm_weights(patch, region,
+                                                           collar="exclude_rim"))
+
+
+def test_operator_provenance_tells_shifted_regions_apart():
+    # one cell of shift in x on the 12^3 reference grid moves 36 cells but
+    # keeps the cell count and the byte sum of the packed mask
+    g = rl.build_grid((12, 12, 12), 1.0 / 12)
+    sys_ = rl.assemble(g, rl.make_material(g, {"kind": "constant"}), 2.0,
+                       check_resonance=False)
+    patch = rl.boundary_patch(g, "x-")
+    a, b = (rl.carve_region(g, {"kind": "ball", "center": [x, 0.47, 0.52], "r": 0.2},
+                            role="subdomain_A") for x in (0.38, 0.38 + g.h))
+    assert a.cell_count() == b.cell_count() and (a.mask != b.mask).sum() == 36
+    assert a.key() != b.key()
+    assert _provenance(sys_, a, patch) != _provenance(sys_, b, patch)
+
+
+def test_operator_provenance_tells_mirrored_materials_apart(grid8):
+    # eps ramping 1 -> 2 and 2 -> 1 share every sum and maximum
+    mats = [rl.make_material(grid8, {"kind": "layered", "axis": 0, "breakpoints": [0.5],
+                                     "tensors": t, "smoothing": 0.25})
+            for t in ([1.0, 2.0], [2.0, 1.0])]
+    assert mats[0].eps.sum() == mats[1].eps.sum()
+    assert mats[0].key() != mats[1].key()
+    patch = rl.boundary_patch(grid8, "x-")
+    region = rl.carve_region(grid8, {"kind": "ball", "center": [0.4, 0.5, 0.5], "r": 0.22},
+                             role="subdomain_A")
+    provs = [_provenance(rl.assemble(grid8, m, 2.0, check_resonance=False), region, patch)
+             for m in mats]
+    assert provs[0] != provs[1]

@@ -88,17 +88,6 @@ def test_complex_matrix_payload():
         store.unpack_complex_matrix(blob[:-8])
 
 
-def test_array_payload_roundtrip():
-    rng = np.random.default_rng(1)
-    arrays = {
-        "sigma": rng.standard_normal(9),
-        "phi": rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9)),
-    }
-    back = store.unpack_arrays(store.pack_arrays(**arrays))
-    for k, v in arrays.items():
-        assert np.array_equal(back[k], v)
-
-
 def test_provenance_hash_stable():
     a = store.provenance_hash({"grid": [1, 2, 3], "omega": 2.0})
     b = store.provenance_hash({"omega": 2.0, "grid": [1, 2, 3]})
