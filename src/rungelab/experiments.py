@@ -354,7 +354,10 @@ def run_verify_solver(cfg: ExperimentConfig) -> Report:
         factor = 2 ** lvl
         n = [v * factor for v in base["n"]]
         grids.append(geometry.build_grid(n, base["h"] / factor, base["origin"]))
-    rows = oracle.convergence_study(sol, grids, omega=omega, material_spec=cfg["material"])
+    slv = cfg["solver"]
+    rows = oracle.convergence_study(sol, grids, omega=omega, material_spec=cfg["material"],
+                                    resonance_threshold=slv["resonance_threshold"],
+                                    solver_tol=slv["tol"], direct_limit=slv["direct_limit"])
 
     records = []
     for lvl, (h, err, order) in enumerate(rows):

@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import ConfigurationError, GeometryError
 from .geometry import Grid
-from .solver import FieldPair, SystemMatrix, TangentialTrace, solve_bvp, assemble
+from .solver import (DIRECT_LIMIT, RESONANCE_THRESHOLD, SOLVER_TOL, FieldPair, SystemMatrix,
+                     TangentialTrace, solve_bvp, assemble)
 from .materials import make_material
 
 
@@ -146,12 +147,15 @@ def trace_of(sol: AnalyticSolution, patch) -> TangentialTrace:
     return TangentialTrace(patch, vals)
 
 
-def convergence_study(sol: AnalyticSolution, grids, omega=None, material_spec=None):
+def convergence_study(sol: AnalyticSolution, grids, omega=None, material_spec=None, *,
+                      resonance_threshold=RESONANCE_THRESHOLD, solver_tol=SOLVER_TOL,
+                      direct_limit=DIRECT_LIMIT):
     """Solve the boundary-value problem with the solution's own trace on a
     sequence of nested grids; report discrete L2 errors and successive orders.
 
-    Returns a list of (h, relative_error, order) with order = None on the
-    coarsest level.
+    The solver settings are passed to ``assemble`` on every level.  Returns a
+    list of (h, relative_error, order) with order = None on the coarsest
+    level.
     """
     grids = list(grids)
     if len(grids) < 2:
@@ -166,7 +170,9 @@ def convergence_study(sol: AnalyticSolution, grids, omega=None, material_spec=No
     prev = None
     for grid in grids:
         mat = make_material(grid, spec)
-        rel = discretization_error(sol, assemble(grid, mat, omega))
+        sys_ = assemble(grid, mat, omega, resonance_threshold=resonance_threshold,
+                        solver_tol=solver_tol, direct_limit=direct_limit)
+        rel = discretization_error(sol, sys_)
         order = None if prev is None else float(np.log2(prev / rel))
         rows.append((grid.h, rel, order))
         prev = rel

@@ -10,7 +10,8 @@ from rungelab.errors import ConfigurationError, GeometryError
 from rungelab.experiments import (CauchyOperator, ExperimentConfig, Report, Scene,
                                   StabilityBudget, build_scene, cauchy_reconstruct,
                                   h_trace_block, run_cauchy, run_localization, run_propagation,
-                                  run_runge, run_three_balls, _cauchy_truth, _quotient)
+                                  run_runge, run_three_balls, run_verify_solver, _cauchy_truth,
+                                  _quotient)
 
 
 def _cfg(**kwargs):
@@ -424,3 +425,18 @@ def test_runge_plane_wave_target(small_restriction):
     e_first = np.hypot(first.in_span_error(), out_resid)
     e_deep = np.hypot(deep.in_span_error(), out_resid)
     assert e_deep < 0.05 * e_first
+
+
+def test_verify_uses_its_solver_block(monkeypatch):
+    base = {"tag": "verify_solver", "grid": {"n": [4, 4, 4], "h": 0.25}, "omega": 2.0,
+            "verify": {"levels": 2}, "tolerances": {"convergence_order": 1.5}}
+    default = run_verify_solver(ExperimentConfig.from_dict(base))
+
+    factorizations = []
+    splu = rl.solver.spla.splu
+    monkeypatch.setattr(rl.solver.spla, "splu",
+                        lambda *a, **k: factorizations.append(1) or splu(*a, **k))
+    krylov = run_verify_solver(ExperimentConfig.from_dict(
+        dict(base, solver={"direct_limit": 0})))
+    assert factorizations == []
+    assert krylov.fits[0]["orders"] == pytest.approx(default.fits[0]["orders"], abs=1e-8)

@@ -145,9 +145,12 @@ def test_residual_analytic_order():
     assert res[0] / res[1] > 3.0
 
 
-def test_resonance_sweep_and_guard():
+def _cavity6():
     g = rl.build_grid((6, 6, 6), 1.0 / 6)
-    mat = rl.make_material(g, {"kind": "constant", "eps": 1.0, "mu": 1.0})
+    return g, rl.make_material(g, {"kind": "constant", "eps": 1.0, "mu": 1.0})
+
+
+def _fine_sweep_near_first_resonance(g, mat):
     omegas = np.linspace(4.0, 5.0, 9)
     margins = []
     for om in omegas:
@@ -155,8 +158,13 @@ def test_resonance_sweep_and_guard():
         margins.append(resonance_guard(s))
     dip = int(np.argmin(margins))
     assert 0 < dip < len(omegas) - 1, "sweep should bracket the first cavity resonance"
+    return np.linspace(omegas[dip - 1], omegas[dip + 1], 41)
+
+
+def test_resonance_sweep_and_guard():
+    g, mat = _cavity6()
     # a fine search near the dip must produce a margin below threshold
-    fine = np.linspace(omegas[dip - 1], omegas[dip + 1], 41)
+    fine = _fine_sweep_near_first_resonance(g, mat)
     fine_margins = []
     for om in fine:
         s = rl.assemble(g, mat, om, check_resonance=False)
@@ -203,6 +211,16 @@ def test_krylov_nonconvergence_reports_history(grid8, vacuum8, monkeypatch):
     with pytest.raises(NumericError) as err:
         rl.solve_bvp(iterative, TangentialTrace(patch, rng_complex(rng, patch.n_dofs)))
     assert err.value.history is not None
+
+
+def test_krylov_guard_stall_raises(grid8, vacuum8, monkeypatch):
+    import rungelab.solver as solver_mod
+    from rungelab.errors import NumericError
+
+    monkeypatch.setattr(solver_mod, "KRYLOV_MAXITER", 2)
+    with pytest.raises(NumericError) as err:
+        assemble(grid8, vacuum8, 2.0, direct_limit=0)
+    assert err.value.history[0] > solver_mod.GUARD_TOL
 
 
 def test_concurrent_solves_deterministic(sys8, grid8):
@@ -262,3 +280,48 @@ def test_krylov_meets_its_tolerance_on_random_data():
     x = iterative.solve_interior(b)
     res = np.linalg.norm(iterative.L_II @ x - b, axis=0) / np.linalg.norm(b, axis=0)
     assert res.max() <= iterative.solver_tol
+
+
+def _guard_margins(g, mat, omega):
+    """Resonance margins of the direct and of the Krylov path."""
+    return [resonance_guard(assemble(g, mat, omega, check_resonance=False, direct_limit=limit))
+            for limit in (10 ** 9, 0)]
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_krylov_guard_agrees_with_direct(n):
+    g = rl.build_grid((n, n, n), 1.0 / n)
+    mat = rl.make_material(g, {"kind": "constant", "eps": 1.0, "mu": 1.0})
+    direct, krylov = _guard_margins(g, mat, 2.0)
+    assert abs(krylov - direct) <= 1e-6 * direct
+
+
+def test_krylov_guard_agrees_with_direct_near_resonance():
+    g, mat = _cavity6()
+    fine = _fine_sweep_near_first_resonance(g, mat)
+    margins = np.array([_guard_margins(g, mat, om) for om in fine])
+    direct, krylov = margins.T
+    assert np.all(np.abs(krylov - direct) <= 1e-6 * direct)
+    resonant = fine[int(np.argmin(direct))]
+    with pytest.raises(ResonantFrequencyError) as err:
+        assemble(g, mat, resonant, direct_limit=0, resonance_threshold=1e-4)
+    assert err.value.suggested_omega is not None
+
+
+@pytest.mark.parametrize("n, direct", [(12, True), (16, False)])
+def test_default_route(n, direct):
+    # 12^3 carries the many-RHS reference studies; 16^3 is a verify level
+    g = rl.build_grid((n, n, n), 1.0 / n)
+    mat = rl.make_material(g, {"kind": "constant", "eps": 1.0, "mu": 1.0})
+    assert assemble(g, mat, 2.0, check_resonance=False).direct is direct
+
+
+def test_lift_error_carries_its_residual(sys8, grid8, monkeypatch):
+    from rungelab.errors import NumericError
+
+    monkeypatch.setattr(type(sys8), "solve_interior", lambda self, rhs: 2.0 * rhs)
+    patch = rl.boundary_patch(grid8, "x-")
+    rng = np.random.default_rng(12)
+    with pytest.raises(NumericError) as err:
+        rl.solve_bvp(sys8, TangentialTrace(patch, rng_complex(rng, patch.n_dofs)))
+    assert err.value.history[0] > 10 * sys8.solver_tol
