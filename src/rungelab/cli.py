@@ -75,8 +75,9 @@ def _cmd_cache(args):
                     head = fh.read(store._HEADER.size)
                 magic, version, kind, prov, length = store._HEADER.unpack(head)
                 kind_name = {v: k for k, v in store.KINDS.items()}.get(kind, "?")
+                stale = "" if version == store.VERSION else "  stale"
                 print(f"{name}  kind={kind_name} version={version} "
-                      f"provenance={prov:#018x} payload={length}B")
+                      f"provenance={prov:#018x} payload={length}B{stale}")
             except (OSError, struct.error):
                 print(f"{name}  (unreadable)")
         if not names:
@@ -85,7 +86,7 @@ def _cmd_cache(args):
     if args.action == "rm":
         if os.path.isdir(cache_dir):
             for name in os.listdir(cache_dir):
-                if name.endswith(".rgfo"):
+                if name.endswith(".rgfo") or name.startswith(store.TEMP_PREFIX):
                     os.unlink(os.path.join(cache_dir, name))
         print(f"cleared {cache_dir}")
         return 0

@@ -10,6 +10,7 @@ measured data, never assumed.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import analysis, geometry, materials, oracle, runge_op, solver
-from .errors import ConfigurationError, GeometryError
+from .errors import BadVersionError, ConfigurationError, GeometryError
 from .analysis import (build_norm_weights, fit_holder, fit_log_modulus, fit_power, hcurl_norm,
                        lp_norm, real_matmul)
 
@@ -235,7 +236,6 @@ class Report:
         }
 
     def write(self, outdir):
-        import os
         os.makedirs(outdir, exist_ok=True)
         csv_path = os.path.join(outdir, f"{self.tag}.csv")
         side_path = os.path.join(outdir, f"{self.tag}.json")
@@ -317,17 +317,23 @@ def _target_on_region(sol, weights: analysis.NormWeights):
 
 
 def _operator_with_cache(cfg, scene, weights):
+    """The restriction operator, read from ``cache.dir`` when an envelope of
+    the current version holds it; a missing entry or one written under an
+    older envelope version is rebuilt and (re)written."""
     cache_dir = cfg["cache"]["dir"]
-    if cache_dir:
-        import os
-        os.makedirs(cache_dir, exist_ok=True)
-        path = os.path.join(cache_dir, f"operator-{runge_op.operator_provenance(scene.system, weights):016x}.rgfo")
-        if os.path.exists(path):
+    if not cache_dir:
+        return runge_op.assemble_restriction(scene.system, weights)
+    os.makedirs(cache_dir, exist_ok=True)
+    prov = runge_op.operator_provenance(scene.system, weights)
+    path = os.path.join(cache_dir, f"operator-{prov:016x}.rgfo")
+    if os.path.exists(path):
+        try:
             return runge_op.load_operator(path, weights, scene.system)
-        op = runge_op.assemble_restriction(scene.system, weights)
-        runge_op.save_operator(op, path)
-        return op
-    return runge_op.assemble_restriction(scene.system, weights)
+        except BadVersionError:
+            pass
+    op = runge_op.assemble_restriction(scene.system, weights)
+    runge_op.save_operator(op, path)
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -892,8 +898,7 @@ def run_localization(cfg: ExperimentConfig, scene: Scene | None = None) -> Repor
     collar = cfg["patch"]["collar"]
     w_m = build_norm_weights(scene.patch, m_region, collar=collar)
     w_d = build_norm_weights(scene.patch, d_region, collar=collar)
-    op_m = runge_op.assemble_restriction(scene.system, w_m)
-    op_d = runge_op.assemble_restriction(scene.system, w_d)
+    op_m, op_d = runge_op.assemble_restriction(scene.system, w_m, w_d)
     eps_reg = float(spec.get("eps_reg", 1e-6))
 
     P = op_m.matrix.conj().T @ (w_m.x_weights()[:, None] * op_m.matrix)

@@ -52,25 +52,40 @@ def operator_provenance(sys: SystemMatrix, weights: NormWeights):
     return store.provenance_hash(desc)
 
 
-def assemble_restriction(sys: SystemMatrix, weights: NormWeights) -> RestrictionOperator:
+def assemble_restriction(sys: SystemMatrix, weights: NormWeights, *more: NormWeights):
     """One forward solve per boundary basis vector, restricted to the region.
 
-    Requires the region compactly contained with a connected complement (the
-    standing geometry hypotheses of the approximation argument).
+    Each field is restricted to the region of ``weights`` and of every
+    weights in ``more``, which must share its patch, collar and selected
+    dofs; returns one operator per weights, a single operator when ``more``
+    is empty.  Requires every region compactly contained with a connected
+    complement (the standing geometry hypotheses of the approximation
+    argument).
     """
-    region = weights.region
-    if not region.is_compactly_contained():
-        raise GeometryError("target region must be compactly contained in the box")
-    if not region.complement_connected():
-        raise GeometryError("complement of the target region must be connected")
+    every = (weights,) + more
+    for w in every:
+        region = w.region
+        if not region.is_compactly_contained():
+            raise GeometryError("target region must be compactly contained in the box")
+        if not region.complement_connected():
+            raise GeometryError("complement of the target region must be connected")
+        if (w.patch.key() != weights.patch.key() or w.collar != weights.collar
+                or not np.array_equal(w.v_sel, weights.v_sel)):
+            raise ConfigurationError(
+                "restriction operators built from shared solves need the same patch, "
+                "collar and selected boundary dofs")
     patch = weights.patch
     n_v = weights.n_v
-    cols = np.empty((weights.n_x, n_v), dtype=complex)
+    cols = [np.empty((w.n_x, n_v), dtype=complex) for w in every]
     for i in range(n_v):
         values = np.zeros(patch.n_dofs, dtype=complex)
         values[weights.v_sel[i]] = 1.0
-        cols[:, i] = weights.restrict(solve_bvp(sys, TangentialTrace(patch, values)))
-    return RestrictionOperator(cols, weights, operator_provenance(sys, weights))
+        fields = solve_bvp(sys, TangentialTrace(patch, values))
+        for w, c in zip(every, cols):
+            c[:, i] = w.restrict(fields)
+    ops = tuple(RestrictionOperator(c, w, operator_provenance(sys, w))
+                for w, c in zip(every, cols))
+    return ops if more else ops[0]
 
 
 def apply_adjoint(sys: SystemMatrix, F, weights: NormWeights):

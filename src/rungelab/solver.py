@@ -313,18 +313,16 @@ class SystemMatrix:
         """Solve L_II x = rhs for an (n,) vector or an (n, k) block.
 
         Complex right-hand sides are solved through their real and imaginary
-        parts against the real factorization (or the real Krylov solver).
+        parts against the real factorization (or the real Krylov solver); a
+        part that is all zero is not solved, its solution is exactly zero.
         """
-        if not self.direct:
-            return self._solve_krylov(rhs)
-        lu = self._factorize()
-        if np.iscomplexobj(rhs):
-            return lu.solve(rhs.real) + 1j * lu.solve(rhs.imag)
-        return lu.solve(rhs)
+        solve = self._factorize().solve if self.direct else self._solve_krylov
+        if not np.iscomplexobj(rhs):
+            return solve(rhs)
+        re, im = (solve(p) if p.any() else np.zeros(p.shape) for p in (rhs.real, rhs.imag))
+        return re + 1j * im
 
     def _solve_krylov(self, b):
-        if np.iscomplexobj(b):
-            return self._solve_krylov(b.real) + 1j * self._solve_krylov(b.imag)
         if b.ndim == 2:
             out = np.empty(b.shape)
             for j in range(b.shape[1]):

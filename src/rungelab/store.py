@@ -3,15 +3,16 @@
 On-disk layout, all integers little-endian:
 
     magic   4 bytes  b"RGFO"
-    version u32      currently 1
+    version u32      currently 2
     kind    u32      1 = operator, 2 = svd, 3 = field
     prov    u64      provenance hash (FNV-1a of a canonical description)
     length  u64      payload byte count
     payload length bytes
-    check   u64      FNV-1a of the payload
+    check   u64      blake2b-64 of the payload (8-byte digest, little-endian)
 
-Writes are atomic (temp file then rename); every verification failure on
-read raises its own exception type.
+Version 1 checked the payload with FNV-1a; its files raise BadVersionError.
+Writes are atomic (a ``.rgfo-`` temp file in the same directory, then a
+rename); every verification failure on read raises its own exception type.
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ from .errors import (BadChecksumError, BadKindError, BadLengthError, BadMagicErr
                      BadProvenanceError, BadVersionError, ConfigurationError)
 
 MAGIC = b"RGFO"
-VERSION = 1
+VERSION = 2
 KINDS = {"operator": 1, "svd": 2, "field": 3}
+# Prefix of the temp files that write_envelope renames into place.
+TEMP_PREFIX = ".rgfo-"
 _HEADER = struct.Struct("<4sIIQQ")
 _TAIL = struct.Struct("<Q")
 
@@ -38,11 +41,17 @@ _FNV_PRIME = 0x100000001B3
 
 
 def fnv1a64(data: bytes) -> int:
+    """FNV-1a 64-bit hash; pure Python, so only for short provenance blobs."""
     h = _FNV_OFFSET
     for b in data:
         h ^= b
         h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+def _payload_check(payload: bytes) -> int:
+    """blake2b-64 of an envelope payload."""
+    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
 
 
 def provenance_hash(description) -> int:
@@ -83,9 +92,9 @@ def write_envelope(path, kind, provenance, payload: bytes):
         raise ConfigurationError(f"unknown envelope kind {kind!r}")
     header = _HEADER.pack(MAGIC, VERSION, KINDS[kind], int(provenance) & 0xFFFFFFFFFFFFFFFF,
                           len(payload))
-    tail = _TAIL.pack(fnv1a64(payload))
+    tail = _TAIL.pack(_payload_check(payload))
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rgfo-")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=TEMP_PREFIX)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(header)
@@ -123,7 +132,7 @@ def read_envelope(path, expected_kind, expected_provenance=None) -> bytes:
         raise BadLengthError(f"{path}: {len(blob)} bytes on disk, envelope declares {want}")
     payload = blob[_HEADER.size:_HEADER.size + length]
     (check,) = _TAIL.unpack_from(blob, _HEADER.size + length)
-    if fnv1a64(payload) != check:
+    if _payload_check(payload) != check:
         raise BadChecksumError(f"{path}: payload checksum mismatch")
     return payload
 

@@ -89,9 +89,12 @@ def test_cache_commands(tmp_path, capsys):
     os.makedirs(cache, exist_ok=True)
     from rungelab import store
     store.write_envelope(os.path.join(cache, "x.rgfo"), "operator", 42, b"payload")
+    # what an interrupted write leaves behind
+    with open(os.path.join(cache, store.TEMP_PREFIX + "k3j9x2"), "wb") as fh:
+        fh.write(b"RGFO")
     assert main(["--cache", cache, "cache", "ls"]) == 0
     out = capsys.readouterr().out
-    assert "operator" in out
+    assert "operator" in out and "stale" not in out
     assert main(["--cache", cache, "cache", "rm"]) == 0
     assert os.listdir(cache) == []
 
@@ -112,15 +115,17 @@ def test_seed_override(tmp_path):
     assert b["config"]["seed"] == 2
 
 
+RUNGE_SMALL = {
+    "tag": "runge",
+    "grid": {"n": [8, 8, 8], "h": 0.125},
+    "regions": {"A": {"kind": "ball", "center": [0.35, 0.5, 0.5], "r": 0.18}},
+    "runge": {"js": [1, 2, 3], "m": 3.0,
+              "target": {"kind": "dipole", "x0": [0.82, 0.5, 0.5], "m": [0, 0, 1.0]}},
+}
+
+
 def test_runge_cache_roundtrip_via_cli(tmp_path):
-    payload = {
-        "tag": "runge",
-        "grid": {"n": [8, 8, 8], "h": 0.125},
-        "regions": {"A": {"kind": "ball", "center": [0.35, 0.5, 0.5], "r": 0.18}},
-        "runge": {"js": [1, 2, 3], "m": 3.0,
-                  "target": {"kind": "dipole", "x0": [0.82, 0.5, 0.5], "m": [0, 0, 1.0]}},
-    }
-    cfg = _write(tmp_path, "r.json", payload)
+    cfg = _write(tmp_path, "r.json", RUNGE_SMALL)
     cache = str(tmp_path / "cache")
     out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
     assert main(["--out", out1, "--cache", cache, "run", cfg]) in (0, 2)
@@ -130,3 +135,51 @@ def test_runge_cache_roundtrip_via_cli(tmp_path):
     a = open(os.path.join(out1, "runge.csv"), "rb").read()
     b = open(os.path.join(out2, "runge.csv"), "rb").read()
     assert a == b
+
+
+def _forge_version_one(path):
+    """Rewrite an envelope as the version-1 format: FNV-1a payload tail."""
+    from rungelab import store
+    blob = open(path, "rb").read()
+    magic, _, kind, prov, length = store._HEADER.unpack_from(blob, 0)
+    payload = blob[store._HEADER.size:store._HEADER.size + length]
+    with open(path, "wb") as fh:
+        fh.write(store._HEADER.pack(magic, 1, kind, prov, length) + payload
+                 + store._TAIL.pack(store.fnv1a64(payload)))
+
+
+def test_stale_cache_entry_is_rebuilt(tmp_path, capsys):
+    from rungelab import store
+    cfg = _write(tmp_path, "r.json", RUNGE_SMALL)
+    cache = str(tmp_path / "cache")
+    out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
+    assert main(["--out", out1, "--cache", cache, "run", cfg]) in (0, 2)
+    [name] = os.listdir(cache)
+    path = os.path.join(cache, name)
+    _forge_version_one(path)
+    capsys.readouterr()
+    assert main(["--cache", cache, "cache", "ls"]) == 0
+    listing = capsys.readouterr().out.strip()
+    assert "version=1" in listing and listing.endswith("stale")
+    assert main(["--out", out2, "--cache", cache, "run", cfg]) in (0, 2)
+    assert os.listdir(cache) == [name]
+    with open(path, "rb") as fh:
+        assert store._HEADER.unpack(fh.read(store._HEADER.size))[1] == store.VERSION
+    a = open(os.path.join(out1, "runge.csv"), "rb").read()
+    b = open(os.path.join(out2, "runge.csv"), "rb").read()
+    assert a == b
+
+
+def test_corrupt_cache_entry_still_fails(tmp_path, capsys):
+    cfg = _write(tmp_path, "r.json", RUNGE_SMALL)
+    cache = str(tmp_path / "cache")
+    assert main(["--out", str(tmp_path / "o1"), "--cache", cache, "run", cfg]) in (0, 2)
+    [name] = os.listdir(cache)
+    path = os.path.join(cache, name)
+    blob = bytearray(open(path, "rb").read())
+    blob[100] ^= 0x01  # inside the payload
+    with open(path, "wb") as fh:
+        fh.write(bytes(blob))
+    capsys.readouterr()
+    assert main(["--out", str(tmp_path / "o2"), "--cache", cache, "run", cfg]) == 1
+    assert "checksum" in capsys.readouterr().err

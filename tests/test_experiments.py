@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -315,6 +316,46 @@ def test_localization_rejects_overlap():
     })
     with pytest.raises(GeometryError):
         run_localization(cfg)
+
+
+def test_localization_shares_its_forward_solves(monkeypatch):
+    from rungelab import runge_op
+
+    cfg = ExperimentConfig.from_dict({
+        "tag": "localization",
+        "grid": {"n": [8, 8, 8], "h": 0.125},
+        "patch": {"side": "x-", "collar": "exclude_rim"},
+        "regions": {"M": {"kind": "ball", "center": [0.3, 0.5, 0.5], "r": 0.16},
+                    "D": {"kind": "ball", "center": [0.72, 0.5, 0.5], "r": 0.16}},
+        "localization": {"cutoffs": [5, 10], "n_random": 2, "seed": 0},
+    })
+    solves, built = [], []
+    solve_bvp, assemble_restriction = runge_op.solve_bvp, runge_op.assemble_restriction
+
+    def counting_solve(*args):
+        solves.append(1)
+        return solve_bvp(*args)
+
+    def keeping_assemble(*args):
+        built.append((args, assemble_restriction(*args)))
+        return built[-1][1]
+
+    monkeypatch.setattr(runge_op, "solve_bvp", counting_solve)
+    monkeypatch.setattr(runge_op, "assemble_restriction", keeping_assemble)
+    run_localization(cfg)
+    [((sys_, w_m, w_d), (op_m, op_d))] = built
+    assert len(solves) == w_m.n_v
+
+    monkeypatch.setattr(runge_op, "solve_bvp", solve_bvp)
+    for w, op in ((w_m, op_m), (w_d, op_d)):
+        alone = assemble_restriction(sys_, w)
+        assert op.matrix.tobytes() == alone.matrix.tobytes()
+        assert op.provenance == alone.provenance and op.weights is w
+
+    other = copy.copy(w_d)
+    other.v_sel = w_d.v_sel[:-1]
+    with pytest.raises(ConfigurationError):
+        assemble_restriction(sys_, w_m, other)
 
 
 def test_propagation_data_ball_contains_g():

@@ -251,6 +251,61 @@ def test_solve_interior_block_matches_columns(grid8, vacuum8, direct_limit):
             assert np.linalg.norm(X[:, j] - x) <= 1e-12 * np.linalg.norm(x)
 
 
+class _CountingLU:
+    """Stands in for a SuperLU object and counts its real solves."""
+
+    def __init__(self, lu, calls):
+        self.lu = lu
+        self.calls = calls
+
+    def solve(self, b):
+        self.calls.append(b.shape)
+        return self.lu.solve(b)
+
+
+@pytest.mark.parametrize("ncols", [None, 3])
+@pytest.mark.parametrize("direct_limit", [rl.solver.DIRECT_LIMIT, 0])
+def test_solve_interior_skips_zero_parts(grid8, vacuum8, direct_limit, ncols, monkeypatch):
+    sys_ = assemble(grid8, vacuum8, 2.0, direct_limit=direct_limit, check_resonance=False)
+    rng = np.random.default_rng(13)
+    cols = rng.choice(sys_.L_IB.shape[1], size=3, replace=False)
+    unit = -sys_.L_IB[:, cols].toarray()
+    b = unit[:, 0].copy() if ncols is None else unit
+    # the two-part solve, with the zero part solved too
+    one = sys_._factorize().solve if sys_.direct else sys_._solve_krylov
+    cases = [b + 0j, 1j * b]
+    refs = [one(rhs.real) + 1j * one(rhs.imag) for rhs in cases]
+
+    calls = []
+    if sys_.direct:
+        monkeypatch.setattr(sys_, "_lu", _CountingLU(sys_._lu, calls))
+    else:
+        minres = sys_._minres
+        monkeypatch.setattr(sys_, "_minres", lambda *a, **k: calls.append(a[0].shape)
+                            or minres(*a, **k))
+
+    def solves(rhs):
+        calls.clear()
+        x = sys_.solve_interior(rhs)
+        return len(calls), x
+
+    one_part, _ = solves(b)
+    if sys_.direct:
+        assert one_part == 1
+    else:
+        assert one_part >= b.reshape(len(b), -1).shape[1]  # a MINRES run per column
+    assert solves(b + 1j * b)[0] == 2 * one_part
+    for rhs, ref in zip(cases, refs):
+        n, x = solves(rhs)
+        assert n == one_part
+        assert x.dtype == complex and x.shape == rhs.shape
+        assert np.array_equal(x, ref)
+        # the bytes agree up to the sign of zero: SuperLU solves a zero part
+        # to -0.0 where its pivot is negative, which the sum then carries
+        # into exact zeros of the other part; a skipped part is +0.0
+        assert (x + 0.0).tobytes() == (ref + 0.0).tobytes()
+
+
 def test_suggest_detuned_propagates_unexpected_errors(grid8, vacuum8, monkeypatch):
     import rungelab.solver as solver_mod
     from rungelab.errors import NumericError

@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -33,6 +34,35 @@ def test_version_rejected(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(BadVersionError):
         store.read_envelope(path, "svd", 1)
+
+
+def test_version_one_envelope_rejected(tmp_path):
+    # a well-formed envelope of the previous format: FNV-1a payload tail
+    payload = b"operator payload" * 8
+    header = store._HEADER.pack(store.MAGIC, 1, store.KINDS["operator"], 5, len(payload))
+    path = tmp_path / "a.rgfo"
+    path.write_bytes(header + payload + store._TAIL.pack(store.fnv1a64(payload)))
+    with pytest.raises(BadVersionError):
+        store.read_envelope(path, "operator", 5)
+
+
+def test_payload_check_is_blake2b_64(tmp_path):
+    path = tmp_path / "a.rgfo"
+    payload = os.urandom(1000)
+    store.write_envelope(path, "field", 3, payload)
+    assert path.read_bytes()[-8:] == hashlib.blake2b(payload, digest_size=8).digest()
+
+
+@pytest.mark.parametrize("bit", [0, 7 * 8 + 3, 99 * 8 + 7, 100 * 8, 107 * 8 + 7])
+def test_one_bit_flip_detected(tmp_path, bit):
+    # payload bytes 0..99, then the 8 check bytes
+    path = tmp_path / "a.rgfo"
+    store.write_envelope(path, "field", 1, os.urandom(100))
+    blob = bytearray(path.read_bytes())
+    blob[store._HEADER.size + bit // 8] ^= 1 << (bit % 8)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(BadChecksumError):
+        store.read_envelope(path, "field", 1)
 
 
 def test_magic_rejected(tmp_path):
