@@ -520,6 +520,9 @@ class CauchyOperator:
     roots of the Tikhonov weights).  The SVD of W is real and
     Q U S V^T is the SVD of the whitened operator; data are whitened straight
     into the frame of W by Q^H diag(L^T, L^T).
+
+    Methods taking data ``d`` accept a (2 n_v,) vector or a (2 n_v, k) block;
+    per-column results are scalars for a vector and (k,) arrays for a block.
     """
 
     def __init__(self, scene: Scene, weights: analysis.NormWeights):
@@ -527,7 +530,7 @@ class CauchyOperator:
         self.weights = weights
         sys_ = scene.system
         self.b_dofs = sys_.idx_boundary
-        nb = len(self.b_dofs)
+        nb, n = len(self.b_dofs), weights.n_v
         self.h_dofs = _h_trace_dofs(weights.patch, weights.v_sel)
 
         # Tikhonov Gram on the unknown data: diagonal area weights
@@ -537,27 +540,35 @@ class CauchyOperator:
         self._Lt = weights.chol_V.T
         bpos = {int(d): i for i, d in enumerate(self.b_dofs)}
         e_rows = np.array([bpos[int(d)] for d in weights.v_dofs], dtype=int)
-        W_E = np.zeros((weights.n_v, nb))
-        W_E[:, e_rows] = self._Lt
-        W = np.vstack([W_E, self._Lt @ h_trace_block(sys_, self.h_dofs)])
+        # built in LAPACK's (Fortran) order, so the QR overwrites W in place
+        W = np.zeros((2 * n, nb), order="F")
+        W[:n, e_rows] = self._Lt
+        W[n:] = self._Lt @ h_trace_block(sys_, self.h_dofs)
         W /= np.sqrt(self.reg_diag)[None, :]
-        U, self.S, Vt = np.linalg.svd(W, full_matrices=False)
-        self.Ut = U.T
+        # W = Q_W R_W, R_W = U S V^T: LAPACK only takes this QR step from
+        # 2 n_v >= 11/6 nb, but at 2040 x 1200 it saves 1.6 -> 1.2 s (1 thread)
+        QW, RW = sla.qr(W, mode="economic", overwrite_a=True, check_finite=False)
+        U, self.S, Vt = sla.svd(RW, full_matrices=False, overwrite_a=True,
+                                check_finite=False)
+        self.Ut = (QW @ U).T
         self.V = Vt.T
 
-    def data_of(self, fields: solver.FieldPair):
-        return np.concatenate([fields.E[self.weights.v_dofs], fields.H[self.h_dofs]])
+    def data_of(self, fields):
+        """Trace data of a FieldPair, or the block of a list of them."""
+        if isinstance(fields, solver.FieldPair):
+            return np.concatenate([fields.E[self.weights.v_dofs], fields.H[self.h_dofs]])
+        return np.stack([self.data_of(f) for f in fields], axis=1)
 
     def misfit_norm(self, v):
-        return float(np.linalg.norm(self._white(v)))
+        return np.linalg.norm(self._white(v), axis=0)[()]
 
     def _white(self, d):
         """Q^H diag(L^T, L^T) d: the whitened data in the real frame of W."""
         n = self.weights.n_v
         f, g = d[:n], d[n:]
-        # -i g = g.imag - i g.real
-        w = self._Lt @ np.column_stack([f.real, f.imag, g.imag, -g.real])
-        return np.concatenate([w[:, 0] + 1j * w[:, 1], w[:, 2] + 1j * w[:, 3]])
+        # -i g = g.imag - i g.real; one GEMM over every column
+        w = np.split(self._Lt @ np.column_stack([f.real, f.imag, g.imag, -g.real]), 4, axis=1)
+        return np.concatenate([w[0] + 1j * w[1], w[2] + 1j * w[3]]).reshape(d.shape)
 
     def _project(self, d):
         """Coefficients of the whitened data on the left singular vectors."""
@@ -573,35 +584,40 @@ class CauchyOperator:
         """
         dw = self._white(d)
         ud = real_matmul(self.Ut, dw)
-        return ud, np.linalg.norm(dw - real_matmul(self.Ut.T, ud)) ** 2
+        return ud, np.linalg.norm(dw - real_matmul(self.Ut.T, ud), axis=0) ** 2
+
+    @staticmethod
+    def _rows(x, d):
+        """A per-row vector x shaped to broadcast over the columns of d."""
+        return x.reshape(x.shape + (1,) * (np.ndim(d) - 1))
 
     def solve_ridge(self, d, lam):
-        filt = self.S / (self.S ** 2 + lam)
-        bw = real_matmul(self.V, filt * self._project(d))
-        return bw / np.sqrt(self.reg_diag)
+        S = self._rows(self.S, d)
+        bw = real_matmul(self.V, S / (S ** 2 + lam) * self._project(d))
+        return bw / self._rows(np.sqrt(self.reg_diag), d)
 
     def misfit_of_lambda(self, d, lam):
         return self._misfit_from(*self._split(d), lam)
 
     def _misfit_from(self, ud, out2, lam):
-        resid_in = (lam / (self.S ** 2 + lam)) * ud
-        return float(np.sqrt(np.linalg.norm(resid_in) ** 2 + out2))
+        S2 = self._rows(self.S, ud) ** 2
+        resid_in = (lam / (S2 + lam)) * ud
+        return np.sqrt(np.linalg.norm(resid_in, axis=0) ** 2 + out2)[()]
 
     def morozov_lambda(self, d, target, lo=1e-14, hi=1e6, iters=80):
-        """Bisect the monotone misfit(lambda) curve to match the noise size."""
+        """Bisect each column's monotone misfit(lambda) curve to its target;
+        ``lo`` if misfit(lo) reaches it, else ``hi`` if misfit(hi) stays below."""
         ud, out2 = self._split(d)
-        if self._misfit_from(ud, out2, lo) >= target:
-            return lo
-        if self._misfit_from(ud, out2, hi) <= target:
-            return hi
-        llo, lhi = np.log10(lo), np.log10(hi)
+        llo = np.full(np.shape(target), np.log10(lo))
+        lhi = np.full(np.shape(target), np.log10(hi))
         for _ in range(iters):
             mid = 0.5 * (llo + lhi)
-            if self._misfit_from(ud, out2, 10.0 ** mid) < target:
-                llo = mid
-            else:
-                lhi = mid
-        return 10.0 ** (0.5 * (llo + lhi))
+            below = self._misfit_from(ud, out2, 10.0 ** mid) < target
+            llo = np.where(below, mid, llo)
+            lhi = np.where(below, lhi, mid)
+        lam = np.where(self._misfit_from(ud, out2, hi) <= target, hi,
+                       10.0 ** (0.5 * (llo + lhi)))
+        return np.where(self._misfit_from(ud, out2, lo) >= target, lo, lam)[()]
 
     def fields_of(self, b):
         sys_ = self.scene.system
@@ -614,19 +630,22 @@ def cauchy_reconstruct(cauchy_op: CauchyOperator, noisy_f, noisy_g, strategy,
 
     Minimizes the patch misfit of both trace channels plus a Tikhonov term on
     the unknown boundary data; lambda comes from the discrepancy principle
-    (match misfit to the noise size) or is fixed by config.
+    (match misfit to the noise size) or is fixed by config.  ``noisy_f`` and
+    ``noisy_g`` are (n_v,) vectors, or (n_v, k) blocks reconstructed together
+    with one noise size per column in ``eta_target``; a block returns a
+    FieldPair list and (k,) arrays of lambda and misfit.
     """
-    d = np.concatenate([noisy_f, noisy_g])
-    if strategy == "morozov" and eta_target and eta_target > 0:
-        lam = cauchy_op.morozov_lambda(d, eta_target)
-    elif strategy in ("morozov", "fixed"):
-        lam = lam_fixed
-    else:
+    if strategy not in ("morozov", "fixed"):
         raise ConfigurationError(f"unknown regularization strategy {strategy!r}")
+    d = np.concatenate([noisy_f, noisy_g])
+    eta = np.broadcast_to(0.0 if eta_target is None else eta_target, d.shape[1:])
+    lam = np.full(d.shape[1:], float(lam_fixed))
+    if strategy == "morozov" and np.any(eta > 0):
+        lam = np.where(eta > 0, cauchy_op.morozov_lambda(d, eta), lam)
     b = cauchy_op.solve_ridge(d, lam)
     fields = cauchy_op.fields_of(b)
     misfit = cauchy_op.misfit_norm(cauchy_op.data_of(fields) - d)
-    return fields, float(lam), misfit
+    return fields, lam[()], misfit
 
 
 def _cauchy_truth(cfg, scene: Scene):
@@ -690,25 +709,30 @@ def run_cauchy(cfg: ExperimentConfig, scene: Scene | None = None) -> Report:
 
     etas = [float(e) for e in cfg["noise"]["etas"]]
     seeds = [int(s) for s in cfg["noise"]["seeds"]]
-    medians = []
-    for eta_rel in etas:
-        eta_abs = eta_rel * zeta / (1.0 - eta_rel)
-        errs = []
-        for seed in seeds:
-            rng = np.random.default_rng(seed)
-            nf = rng.standard_normal(weights.n_v) + 1j * rng.standard_normal(weights.n_v)
-            ng = rng.standard_normal(weights.n_v) + 1j * rng.standard_normal(weights.n_v)
-            nf *= (eta_abs / 2.0) / weights.v_norm(nf)
-            ng *= (eta_abs / 2.0) / weights.v_norm(ng)
-            rec, lam, mis = cauchy_reconstruct(cop, f0 + nf, g0 + ng, strategy,
-                                               lam_fixed=lam_fixed, eta_target=eta_abs)
+    eta_abs = [eta_rel * zeta / (1.0 - eta_rel) for eta_rel in etas]
+    # each seed's noise is drawn once and scaled per eta
+    nfs, ngs = [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        nfs.append(rng.standard_normal(weights.n_v) + 1j * rng.standard_normal(weights.n_v))
+        ngs.append(rng.standard_normal(weights.n_v) + 1j * rng.standard_normal(weights.n_v))
+    vfs, vgs = [weights.v_norm(n) for n in nfs], [weights.v_norm(n) for n in ngs]
+    # the whole ladder is one block, a column per (eta, seed) in ladder order
+    cols = [(i, j) for i in range(len(etas)) for j in range(len(seeds))]
+    errs = [[] for _ in etas]
+    if cols:
+        F = np.stack([f0 + nfs[j] * ((eta_abs[i] / 2.0) / vfs[j]) for i, j in cols], axis=1)
+        G = np.stack([g0 + ngs[j] * ((eta_abs[i] / 2.0) / vgs[j]) for i, j in cols], axis=1)
+        recs, lams, misfits = cauchy_reconstruct(cop, F, G, strategy, lam_fixed=lam_fixed,
+                                                 eta_target=[eta_abs[i] for i, _ in cols])
+        for (i, j), rec, lam, mis in zip(cols, recs, lams, misfits):
             err = hcurl_norm(scene.grid, scene.omega_region, E=(rec.E - truth.E),
                              H=(rec.H - truth.H), curl=scene.system.curl)
-            errs.append(err)
-            records.append({"eta_rel": eta_rel, "eta_abs": eta_abs, "seed": seed,
-                            "lambda": lam, "misfit": mis, "error_hcurl": err,
-                            "error_rel": err / (zeta + eta_abs)})
-        medians.append((eta_rel, eta_abs, float(np.median(errs))))
+            errs[i].append(err)
+            records.append({"eta_rel": etas[i], "eta_abs": eta_abs[i], "seed": seeds[j],
+                            "lambda": float(lam), "misfit": float(mis), "error_hcurl": err,
+                            "error_rel": err / (zeta + eta_abs[i])})
+    medians = [(e, a, float(np.median(r))) for e, a, r in zip(etas, eta_abs, errs)]
 
     pairs = [(eta_rel, med / (zeta + eta_abs)) for eta_rel, eta_abs, med in medians]
     fit = fit_log_modulus(pairs) if len(pairs) >= 4 else None

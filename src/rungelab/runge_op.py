@@ -48,6 +48,9 @@ def operator_provenance(sys: SystemMatrix, weights: NormWeights):
         "patch": list(weights.patch.key()[1:]),
         "region": list(weights.region.key()[1:]),
         "collar": weights.collar,
+        # the solve that built the columns: its tolerance and its route
+        "solver_tol": sys.solver_tol,
+        "direct": sys.direct,
     }
     return store.provenance_hash(desc)
 

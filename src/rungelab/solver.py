@@ -444,27 +444,32 @@ def _guard_step(sys: SystemMatrix, v):
     return w
 
 
-def _lift(sys: SystemMatrix, eB, rhs) -> FieldPair:
+def _lift(sys: SystemMatrix, eB, rhs):
     """Fields with boundary edges ``eB`` and interior edges solving
     L_II eI = rhs, with H = (i omega)^-1 mu^-1 curl E.
 
     ``rhs`` already carries the boundary data (-L_IB eB) or the volume
-    source.  Raises NumericError when the relative residual of the interior
-    solve exceeds 10 * solver_tol.
+    source.  An (n,) ``rhs`` gives one FieldPair; an (n, k) block with
+    (n_B, k) ``eB`` is solved in one call and gives a list of k FieldPairs.
+    Raises NumericError when the relative residual of any column with a
+    nonzero right-hand side exceeds 10 * solver_tol; the error names the worst
+    and its history holds every column's residual.
     """
     grid = sys.grid
     eI = sys.solve_interior(rhs)
-    scale = np.linalg.norm(rhs)
-    if scale > 0:
-        rel = np.linalg.norm(sys.L_II @ eI - rhs) / scale
-        if rel > 10 * sys.solver_tol:
-            raise NumericError(f"interior solve at relative residual {rel:.3e}",
-                               history=[rel])
-    E = np.zeros(grid.n_edges, dtype=complex)
+    scale = np.linalg.norm(rhs, axis=0)
+    resid = np.linalg.norm(sys.L_II @ eI - rhs, axis=0)
+    rel = np.divide(resid, scale, out=np.zeros(np.shape(scale)), where=scale > 0)
+    if np.any(rel > 10 * sys.solver_tol):
+        raise NumericError(f"interior solve at relative residual {np.max(rel):.3e}",
+                           history=np.atleast_1d(rel).tolist())
+    E = np.zeros((grid.n_edges,) + np.shape(rhs)[1:], dtype=complex)
     E[sys.idx_boundary] = eB
     E[sys.idx_interior] = eI
     H = sys.mu_inv_point @ (sys.curl @ E) / (1j * sys.omega)
-    return FieldPair(grid, E, H)
+    if E.ndim == 1:
+        return FieldPair(grid, E, H)
+    return [FieldPair(grid, e, h) for e, h in zip(E.T, H.T)]
 
 
 def solve_bvp(sys: SystemMatrix, trace: TangentialTrace) -> FieldPair:

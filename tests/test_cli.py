@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 
@@ -135,6 +136,17 @@ def test_runge_cache_roundtrip_via_cli(tmp_path):
     a = open(os.path.join(out1, "runge.csv"), "rb").read()
     b = open(os.path.join(out2, "runge.csv"), "rb").read()
     assert a == b
+
+
+def test_cache_entry_of_the_other_solver_route_is_rebuilt(tmp_path):
+    krylov = copy.deepcopy(RUNGE_SMALL)
+    krylov["solver"] = {"direct_limit": 0}
+    cfgs = [_write(tmp_path, "d.json", RUNGE_SMALL), _write(tmp_path, "k.json", krylov)]
+    cache = str(tmp_path / "cache")
+    for i, cfg in enumerate(cfgs):
+        assert main(["--out", str(tmp_path / f"o{i}"), "--cache", cache, "run", cfg]) in (0, 2)
+    # the MINRES run wrote its own entry instead of reading the direct one
+    assert len([n for n in os.listdir(cache) if n.endswith(".rgfo")]) == 2
 
 
 def _forge_version_one(path):

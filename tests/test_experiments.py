@@ -298,6 +298,63 @@ def test_cauchy_discretization_probe_matches_convergence_study():
     assert rep.budgets["forward_disc_rel_error"] == rows[0][1]
 
 
+def test_cauchy_ladder_block_matches_single_columns():
+    # run_cauchy reconstructs the noise ladder as one block; each record must
+    # match the single-vector reconstruction of its (eta, seed)
+    rep = run_cauchy(_cauchy_cfg())
+    cfg, scene, weights, cop = _cauchy_operator()
+    truth, _ = _cauchy_truth(cfg, scene)
+    d0 = cop.data_of(truth)
+    ladder = rep.records[1:]
+    assert [(r["eta_rel"], r["seed"]) for r in ladder] == [
+        (e, s) for e in cfg["noise"]["etas"] for s in cfg["noise"]["seeds"]]
+    for rec in ladder:
+        eta, rng = rec["eta_abs"], np.random.default_rng(rec["seed"])
+        nf = rng.standard_normal(weights.n_v) + 1j * rng.standard_normal(weights.n_v)
+        ng = rng.standard_normal(weights.n_v) + 1j * rng.standard_normal(weights.n_v)
+        nf *= (eta / 2.0) / weights.v_norm(nf)
+        ng *= (eta / 2.0) / weights.v_norm(ng)
+        fields, lam, misfit = cauchy_reconstruct(cop, d0[:weights.n_v] + nf,
+                                                 d0[weights.n_v:] + ng, "morozov",
+                                                 eta_target=eta)
+        err = rl.hcurl_norm(scene.grid, scene.omega_region, E=fields.E - truth.E,
+                            H=fields.H - truth.H, curl=scene.system.curl)
+        assert rec["lambda"] == pytest.approx(lam, rel=1e-10, abs=0)
+        assert rec["misfit"] == pytest.approx(misfit, rel=1e-10, abs=0)
+        assert rec["error_hcurl"] == pytest.approx(err, rel=1e-10, abs=0)
+
+
+def test_cauchy_morozov_clamps_per_column():
+    cfg, scene, weights, cop = _cauchy_operator()
+    truth, _ = _cauchy_truth(cfg, scene)
+    rng = np.random.default_rng(7)
+    noise = rng.standard_normal(2 * weights.n_v) + 1j * rng.standard_normal(2 * weights.n_v)
+    d0 = cop.data_of(truth)
+    d = d0 + 1e-3 * np.linalg.norm(d0) * noise / np.linalg.norm(noise)
+    lo, hi = 1e-14, 1e6
+    at_lo, at_hi = cop.misfit_of_lambda(d, lo), cop.misfit_of_lambda(d, hi)
+    inside = cop.misfit_of_lambda(d, 1e-4)
+    assert at_lo < inside < at_hi
+    # zero data have a flat misfit curve: both clamps apply and lo wins
+    block = np.column_stack([d, d, d, np.zeros_like(d)])
+    lam = cop.morozov_lambda(block, [0.5 * at_lo, 2.0 * at_hi, inside, 0.0], lo=lo, hi=hi)
+    assert lam.shape == (4,)
+    assert lam[0] == lo and lam[1] == hi and lam[3] == lo
+    assert lam[2] == pytest.approx(cop.morozov_lambda(d, inside, lo=lo, hi=hi), rel=1e-10)
+    assert lam[2] == pytest.approx(1e-4, rel=1e-6)
+
+
+def test_cauchy_report_determinism_quick():
+    a = run_cauchy(_cauchy_cfg())
+    b = run_cauchy(ExperimentConfig.from_dict(a.config_echo))
+    assert a.csv_text() == b.csv_text()
+    assert a.fits_csv_text() == b.fits_csv_text()
+    sa, sb = a.sidecar(), b.sidecar()
+    sa.pop("volatile")
+    sb.pop("volatile")
+    assert json.dumps(sa, sort_keys=True) == json.dumps(sb, sort_keys=True)
+
+
 def test_localization_quotient_algebra(small_restriction):
     # with identical operators on both slots the quotient stays below one
     _, weights, op, _ = small_restriction

@@ -254,6 +254,20 @@ def test_operator_cache_provenance(tmp_path, small_restriction, grid8):
         load_operator(path, weights, other_sys)
 
 
+def test_operator_provenance_names_the_solver(tmp_path, small_restriction, grid8, vacuum8):
+    # the same scene solved by MINRES, or directly at another tolerance
+    sys_, weights, op, _ = small_restriction
+    krylov = rl.assemble(grid8, vacuum8, 2.0, direct_limit=0)
+    loose = rl.assemble(grid8, vacuum8, 2.0, solver_tol=1e-8)
+    assert sys_.direct and not krylov.direct and loose.direct
+    provs = {operator_provenance(s, weights) for s in (sys_, krylov, loose)}
+    assert len(provs) == 3
+    path = tmp_path / "op.rgfo"
+    save_operator(op, path)
+    with pytest.raises(BadProvenanceError):
+        load_operator(path, weights, krylov)
+
+
 def _provenance(sys_, region, patch):
     return operator_provenance(sys_, rl.build_norm_weights(patch, region,
                                                            collar="exclude_rim"))

@@ -380,3 +380,41 @@ def test_lift_error_carries_its_residual(sys8, grid8, monkeypatch):
     with pytest.raises(NumericError) as err:
         rl.solve_bvp(sys8, TangentialTrace(patch, rng_complex(rng, patch.n_dofs)))
     assert err.value.history[0] > 10 * sys8.solver_tol
+
+
+def test_block_lift_error_names_the_bad_column(sys8, monkeypatch):
+    from rungelab.errors import NumericError
+
+    solve = type(sys8).solve_interior
+
+    def corrupt_second_column(self, rhs):
+        x = solve(self, rhs)
+        x[:, 1] *= 2.0
+        return x
+
+    monkeypatch.setattr(type(sys8), "solve_interior", corrupt_second_column)
+    rng = np.random.default_rng(14)
+    eB = rng_complex(rng, (len(sys8.idx_boundary), 3))
+    with pytest.raises(NumericError) as err:
+        rl.solver._lift(sys8, eB, -(sys8.L_IB @ eB))
+    history = err.value.history
+    assert len(history) == 3
+    # L (2 x) - b = b: the doubled column sits at relative residual 1
+    assert history[1] == pytest.approx(1.0, rel=1e-9)
+    assert max(history[0], history[2]) <= 10 * sys8.solver_tol
+    assert f"{history[1]:.3e}" in str(err.value)
+
+
+def test_krylov_block_lift_meets_its_tolerance(grid8, vacuum8, sys8):
+    krylov = assemble(grid8, vacuum8, 2.0, direct_limit=0, check_resonance=False)
+    rng = np.random.default_rng(15)
+    eB = rng_complex(rng, (len(krylov.idx_boundary), 4))
+    rhs = -(krylov.L_IB @ eB)
+    fields = rl.solver._lift(krylov, eB, rhs)
+    direct = rl.solver._lift(sys8, eB, -(sys8.L_IB @ eB))
+    assert len(fields) == len(direct) == 4
+    for j, (a, b) in enumerate(zip(fields, direct)):
+        r = krylov.L_II @ a.E[krylov.idx_interior] - rhs[:, j]
+        assert np.linalg.norm(r) <= 10 * krylov.solver_tol * np.linalg.norm(rhs[:, j])
+        assert np.linalg.norm(a.E - b.E) <= 1e-8 * np.linalg.norm(b.E)
+        assert np.linalg.norm(a.H - b.H) <= 1e-8 * np.linalg.norm(b.H)
