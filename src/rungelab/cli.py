@@ -7,6 +7,7 @@ tolerance fails, 1 on configuration or runtime errors.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import struct
@@ -116,6 +117,22 @@ def build_parser():
     return parser
 
 
+def _release_free_heap():
+    """Hand the heap's free pages back to the system (glibc only).
+
+    A command frees its systems and fields when it returns, but glibc gives
+    that memory back only when no live block sits above it in the heap.
+    Whether one does varies from process to process, so the next ``verify``
+    in the same process started from 43 MB or from 87 MB resident and peaked
+    up to 20 MB higher in the second case.  ``malloc_trim`` releases free
+    pages wherever they sit.
+    """
+    try:
+        ctypes.CDLL(None).malloc_trim(0)
+    except (AttributeError, OSError, TypeError):
+        pass
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -127,6 +144,8 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        _release_free_heap()
 
 
 if __name__ == "__main__":

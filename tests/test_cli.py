@@ -69,6 +69,20 @@ def test_run_exit_one_on_bad_field(tmp_path, capsys):
     assert "q0" in capsys.readouterr().err
 
 
+def test_every_command_releases_the_free_heap(tmp_path, monkeypatch, capsys):
+    from rungelab import cli
+
+    cli._release_free_heap()  # a no-op where the C library has no malloc_trim
+    calls = []
+    monkeypatch.setattr(cli, "_release_free_heap", lambda: calls.append(1))
+    assert main(["--out", str(tmp_path / "out"), "verify",
+                 _write(tmp_path, "v.json", QUICK_VERIFY)]) == 0
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    assert main(["--out", str(tmp_path / "out"), "run", str(path)]) == 1
+    assert len(calls) == 2
+
+
 def test_rerun_byte_identical(tmp_path):
     cfg_payload = {
         "tag": "three_balls",
