@@ -15,6 +15,7 @@ L2 norm of the trace.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,40 +30,6 @@ DENSE_GRAM_LIMIT = 4000
 # ---------------------------------------------------------------------------
 # center collocation and volume norms
 # ---------------------------------------------------------------------------
-
-def _edge_values_at_centers(grid: Grid, values):
-    """Average the 4 parallel edges of each cell per component: (ncells, 3)."""
-    out = np.empty((grid.n_cells, 3), dtype=complex)
-    for axis in range(3):
-        lo = grid.edge_offsets[axis]
-        block = values[lo:lo + grid.edge_counts[axis]].reshape(grid.edge_shapes[axis])
-        t1, t2 = (axis + 1) % 3, (axis + 2) % 3
-        sl = [slice(None)] * 3
-        acc = None
-        for d1 in (0, 1):
-            for d2 in (0, 1):
-                s = [slice(None)] * 3
-                s[t1] = slice(d1, grid.n[t1] + d1)
-                s[t2] = slice(d2, grid.n[t2] + d2)
-                piece = block[tuple(s)]
-                acc = piece if acc is None else acc + piece
-        out[:, axis] = (acc / 4.0).reshape(-1)
-    return out
-
-
-def _face_values_at_centers(grid: Grid, values):
-    """Average the 2 opposite faces of each cell per component: (ncells, 3)."""
-    out = np.empty((grid.n_cells, 3), dtype=complex)
-    for axis in range(3):
-        lo = grid.face_offsets[axis]
-        block = values[lo:lo + grid.face_counts[axis]].reshape(grid.face_shapes[axis])
-        s0 = [slice(None)] * 3
-        s0[axis] = slice(0, grid.n[axis])
-        s1 = [slice(None)] * 3
-        s1[axis] = slice(1, grid.n[axis] + 1)
-        out[:, axis] = ((block[tuple(s0)] + block[tuple(s1)]) / 2.0).reshape(-1)
-    return out
-
 
 def _lp_of_magnitudes(mag, h, p):
     if p == np.inf:
@@ -80,10 +47,10 @@ def lp_norm(grid: Grid, region: Region, p, E=None, H=None):
     sel = region.mask.reshape(-1)
     mags2 = np.zeros(int(sel.sum()))
     if E is not None:
-        v = _edge_values_at_centers(grid, np.asarray(E, dtype=complex))[sel]
+        v = grid.cell_means(np.asarray(E, dtype=complex), "edge")[sel]
         mags2 = mags2 + np.sum(np.abs(v) ** 2, axis=1)
     if H is not None:
-        v = _face_values_at_centers(grid, np.asarray(H, dtype=complex))[sel]
+        v = grid.cell_means(np.asarray(H, dtype=complex), "face")[sel]
         mags2 = mags2 + np.sum(np.abs(v) ** 2, axis=1)
     return _lp_of_magnitudes(np.sqrt(mags2), grid.h, p)
 
@@ -182,20 +149,15 @@ class NormWeights:
 
 def _patch_graph_laplacian(patch: BoundaryPatch, sel):
     """Unit-weight Laplacian connecting dofs that share a patch face."""
-    from .geometry import _face_edges
-
-    dof_pos = {int(d): i for i, d in enumerate(patch.edge_dofs[sel])}
-    n = len(sel)
-    S = np.zeros((n, n))
-    for (side, a, b) in patch.face_slots:
-        members = [dof_pos[d] for d in _face_edges(patch.grid, side, a, b) if d in dof_pos]
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                u, v = members[i], members[j]
-                S[u, u] += 1.0
-                S[v, v] += 1.0
-                S[u, v] -= 1.0
-                S[v, u] -= 1.0
+    pos = np.full(patch.n_dofs, -1)
+    pos[sel] = np.arange(len(sel))
+    members = pos[patch.face_edges]
+    pairs = members[:, list(itertools.combinations(range(4), 2))].reshape(-1, 2)
+    u, v = pairs[(pairs >= 0).all(axis=1)].T
+    S = np.zeros((len(sel), len(sel)))
+    # integer-valued, so the accumulation order does not matter
+    np.add.at(S, (np.concatenate([u, v, u, v]), np.concatenate([u, v, v, u])),
+              np.repeat([1.0, 1.0, -1.0, -1.0], len(u)))
     return S
 
 

@@ -72,9 +72,7 @@ def _cmd_cache(args):
         for name in names:
             path = os.path.join(cache_dir, name)
             try:
-                with open(path, "rb") as fh:
-                    head = fh.read(store._HEADER.size)
-                magic, version, kind, prov, length = store._HEADER.unpack(head)
+                version, kind, prov, length = store.read_header(path)
                 kind_name = {v: k for k, v in store.KINDS.items()}.get(kind, "?")
                 stale = "" if version == store.VERSION else "  stale"
                 print(f"{name}  kind={kind_name} version={version} "

@@ -468,30 +468,6 @@ def run_runge(cfg: ExperimentConfig, scene: Scene | None = None,
 # cauchy stability
 # ---------------------------------------------------------------------------
 
-def _h_trace_dofs(patch: geometry.BoundaryPatch, sel):
-    """Tangential magnetic dofs paired one-to-one with the selected edge dofs:
-    the face of the complementary tangential direction, half a cell inward of
-    the edge's home side."""
-    grid = patch.grid
-    out = np.empty(len(sel), dtype=int)
-    dofs = patch.edge_dofs[sel]
-    comps = grid.edge_axis_of(dofs)
-    for i, (pos, dof, comp) in enumerate(zip(sel, dofs, comps)):
-        side = patch.home_side[int(pos)]
-        axis = "xyz".index(side[0])
-        layer = 0 if side[1] == "-" else grid.n[axis] - 1
-        local = int(dof) - grid.edge_offsets[comp]
-        shape = grid.edge_shapes[comp]
-        ii = local // (shape[1] * shape[2])
-        jj = (local // shape[2]) % shape[1]
-        kk = local % shape[2]
-        other = 3 - axis - comp
-        coords = [ii, jj, kk]
-        coords[axis] = layer
-        out[i] = grid.face_index(other, *coords)
-    return out
-
-
 def h_trace_block(sys_: solver.SystemMatrix, h_dofs):
     """Real block R whose column j times i is H[h_dofs] for unit data on the
     j-th boundary edge (``idx_boundary`` order).
@@ -531,7 +507,7 @@ class CauchyOperator:
         sys_ = scene.system
         self.b_dofs = sys_.idx_boundary
         nb, n = len(self.b_dofs), weights.n_v
-        self.h_dofs = _h_trace_dofs(weights.patch, weights.v_sel)
+        self.h_dofs = weights.patch.inward_faces[weights.v_sel]
 
         # Tikhonov Gram on the unknown data: diagonal area weights
         self.reg_diag = np.full(nb, scene.grid.h ** 2)
@@ -621,7 +597,7 @@ class CauchyOperator:
 
     def fields_of(self, b):
         sys_ = self.scene.system
-        return solver._lift(sys_, b, -(sys_.L_IB @ b))
+        return solver.lift(sys_, b, -(sys_.L_IB @ b))
 
 
 def cauchy_reconstruct(cauchy_op: CauchyOperator, noisy_f, noisy_g, strategy,
@@ -654,9 +630,7 @@ def _cauchy_truth(cfg, scene: Scene):
     if kind == "far_side_bump":
         side = spec.get("side")
         if side is None:
-            sides = cfg["patch"]["side"]
-            sides = [sides] if isinstance(sides, str) else list(sides)
-            missing = [s for s in geometry._SIDES if s not in sides]
+            missing = [s for s in geometry.SIDES if s not in scene.patch.sides]
             if len(missing) != 1:
                 raise ConfigurationError(
                     "truth.side is required unless the patch leaves exactly one side free")
@@ -791,7 +765,7 @@ def run_three_balls(cfg: ExperimentConfig, scene: Scene | None = None) -> Report
     n_samples = int(spec.get("n_samples", 20))
     seed0 = int(spec.get("seed", cfg["seed"]))
     m0 = float(spec.get("m0", 0.0))
-    boundary = oracle._whole_boundary(scene.grid)
+    boundary = geometry.whole_boundary(scene.grid)
 
     def one(i):
         rng = np.random.default_rng(seed0 + i)
@@ -838,13 +812,13 @@ def run_propagation(cfg: ExperimentConfig, scene: Scene | None = None) -> Report
         raise GeometryError(
             f"margin {margin_h:g} exceeds r0/2 = {r0 / 2:g}; the hypotheses conflict")
     g_region = geometry.carve_region(scene.grid, cfg["regions"]["G"], role="probe_G")
-    if not g_region.complement_connected() or not _region_connected(g_region):
+    if not g_region.complement_connected() or not g_region.is_connected():
         raise GeometryError("probe region must be connected with connected complement")
     half_ball = geometry.carve_region(
         scene.grid, {"kind": "ball", "center": x0.tolist(), "r": r0 / 2}, role="ball")
     if not np.all(g_region.mask[half_ball.mask]):
         raise GeometryError("B(x0, r0/2) must sit inside the probe region")
-    dist = geometry._surface_distance(scene.grid, np.ones(scene.grid.n, dtype=bool))
+    dist = geometry.surface_distance(scene.grid, np.ones(scene.grid.n, dtype=bool))
     if float(dist[g_region.mask].min()) <= margin_h:
         raise GeometryError("probe region must keep more than the margin from the wall")
 
@@ -899,11 +873,6 @@ def run_propagation(cfg: ExperimentConfig, scene: Scene | None = None) -> Report
                               zeta=max(t[2] for t in triples)).as_dict()
     return Report("propagation", cfg.echo(), records, [fit.row()], flags, budgets,
                   wall_clock=time.time() - t0)
-
-
-def _region_connected(region: geometry.Region):
-    _, count = geometry.ndimage.label(region.mask, structure=geometry._CONN6)
-    return count == 1
 
 
 # ---------------------------------------------------------------------------

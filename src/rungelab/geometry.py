@@ -20,17 +20,27 @@ from scipy import ndimage
 from . import store
 from .errors import ConfigurationError, DegenerateRegionError, GeometryError
 
-_SIDES = ("x-", "x+", "y-", "y+", "z-", "z+")
+SIDES = ("x-", "x+", "y-", "y+", "z-", "z+")
 
 # 6-connectivity structuring element for flood fills.
 _CONN6 = ndimage.generate_binary_structure(3, 1)
 
 
-def adjacent_axes(family, axis):
-    """Axes along which the cells adjacent to a dof of direction ``axis``
-    differ: the two transverse axes of an edge (4 cells), the normal of a
-    face (2 cells)."""
-    return ((axis + 1) % 3, (axis + 2) % 3) if family == "edge" else (axis,)
+def cell_offsets(family, axis):
+    """Offsets, within a cell, of its dofs of direction ``axis``: the 4
+    parallel edges or the 2 opposite faces, in ``itertools.product`` order.
+
+    A dof at grid slot s touches the cells s - o over these offsets o; this
+    one list drives the dof sums, the cell means and the cross-pair blocks.
+    """
+    across = ((axis + 1) % 3, (axis + 2) % 3) if family == "edge" else (axis,)
+    out = []
+    for bits in itertools.product((0, 1), repeat=len(across)):
+        o = [0, 0, 0]
+        for d, v in zip(across, bits):
+            o[d] = v
+        out.append(o)
+    return out
 
 
 def _ravel(shape, i, j, k):
@@ -75,12 +85,6 @@ class Grid:
 
     def face_index(self, axis, i, j, k):
         return self.face_offsets[axis] + _ravel(self.face_shapes[axis], i, j, k)
-
-    def edge_axis_of(self, flat):
-        flat = np.asarray(flat)
-        return np.searchsorted(
-            [self.edge_offsets[1], self.edge_offsets[2]], flat, side="right"
-        )
 
     def _family_grids(self, shapes, half_axis):
         """Midpoints of one staggered family; ``half_axis`` gets the +1/2 shift."""
@@ -151,15 +155,32 @@ class Grid:
         shapes = self.edge_shapes if family == "edge" else self.face_shapes
         out = []
         for axis, shape in enumerate(shapes):
-            across = adjacent_axes(family, axis)
             acc = np.zeros(shape)
-            for offsets in itertools.product((0, 1), repeat=len(across)):
-                sl = [slice(1, -1)] * 3
-                for d, o in zip(across, offsets):
-                    sl[d] = slice(o, o + shape[d])
-                acc += padded[tuple(sl) + (axis,)]
+            # cell s - o of dof slot s sits at padded index s - o + 1; floating
+            # sums depend on their order, and this one keeps reports byte-stable
+            for o in reversed(cell_offsets(family, axis)):
+                sl = tuple(slice(1 - o[d], 1 - o[d] + shape[d]) for d in range(3))
+                acc += padded[sl + (axis,)]
             out.append(acc.reshape(-1))
         return np.concatenate(out)
+
+    def cell_means(self, values, family):
+        """Average flat, family-ordered edge or face values over each cell:
+        per direction the 4 parallel edges or the 2 opposite faces.  Returns
+        (n_cells, 3), column a the mean of the direction-a dofs."""
+        values = np.asarray(values)
+        shapes = self.edge_shapes if family == "edge" else self.face_shapes
+        offsets = self.edge_offsets if family == "edge" else self.face_offsets
+        out = np.empty((self.n_cells, 3), dtype=values.dtype)
+        for axis, block in enumerate(np.split(values, offsets[1:])):
+            block = block.reshape(shapes[axis])
+            pieces = [block[tuple(slice(o[d], o[d] + self.n[d]) for d in range(3))]
+                      for o in cell_offsets(family, axis)]
+            acc = pieces[0]
+            for piece in pieces[1:]:
+                acc = acc + piece
+            out[:, axis] = (acc / len(pieces)).reshape(-1)
+        return out
 
     def edge_cell_adjacency_weights(self, mask):
         """Per-edge count of adjacent cells inside ``mask``, divided by 4.
@@ -222,6 +243,11 @@ class Region:
         _, count = ndimage.label(comp, structure=_CONN6)
         return count == 1
 
+    def is_connected(self):
+        """6-neighbor connectivity of the voxel set itself."""
+        _, count = ndimage.label(self.mask, structure=_CONN6)
+        return count == 1
+
     def key(self):
         return ("region", self.role, store.array_digest(self.mask))
 
@@ -265,7 +291,7 @@ def carve_region(grid: Grid, shape, role="omega") -> Region:
     return Region(grid, mask, role=role)
 
 
-def _surface_distance(grid: Grid, mask):
+def surface_distance(grid: Grid, mask):
     """Distance from cell centers to the region's boundary surface.
 
     Euclidean distance transform against the complement (with a padding ring
@@ -283,7 +309,7 @@ def interior_margin(region: Region, r) -> Region:
     """Cells of the region whose distance to its boundary exceeds ``r``."""
     if not (r > 0):
         raise ConfigurationError("margin must be positive")
-    dist = _surface_distance(region.grid, region.mask)
+    dist = surface_distance(region.grid, region.mask)
     mask = region.mask & (dist > r)
     if not mask.any():
         raise DegenerateRegionError(f"margin {r:g} empties the region")
@@ -298,42 +324,30 @@ def _side_frame(grid: Grid, side):
     return axis, t1, t2, plane
 
 
-def _face_edges(grid: Grid, side, a, b):
-    """The four tangential edge dofs of boundary face (a, b) on ``side``."""
-    axis, t1, t2, plane = _side_frame(grid, side)
-    out = []
-    for (direction, i1, i2) in ((t1, a, b), (t1, a, b + 1), (t2, a, b), (t2, a + 1, b)):
-        coords = [0, 0, 0]
-        coords[axis] = plane
-        coords[t1], coords[t2] = i1, i2
-        out.append(int(grid.edge_index(direction, *coords)))
-    return out
-
-
 class BoundaryPatch:
     """A set of boundary faces on one or more box sides plus their tangential edges.
 
-    ``face_slots`` are (side, t1, t2) entries; ``edge_dofs`` lists the flat
-    indices of every tangential edge of those faces, ``edge_area`` the
-    h^2-weighted area share each edge carries, and ``home_side`` the side an
-    edge is interior to (edges along lines where sides meet count as rim).
+    ``edge_dofs`` lists, sorted, the flat indices of every tangential edge of
+    the faces, ``edge_area`` the h^2-weighted area share each edge carries and
+    ``rim_mask`` the edges with fewer than two faces on their home side (the
+    side holding most of their faces; edges along lines where sides meet
+    count as rim).  ``face_edges`` is the (n_faces, 4) incidence: the
+    positions in ``edge_dofs`` of each face's edges.  ``inward_faces`` holds,
+    per edge, the face dof of the other tangential direction half a cell
+    inward of the edge on its home side.
     """
 
-    def __init__(self, grid: Grid, sides, face_slots, edge_dofs, edge_area, rim_mask,
-                 home_side):
+    def __init__(self, grid: Grid, sides, edge_dofs, edge_area, rim_mask, face_edges,
+                 inward_faces):
         self.grid = grid
         self.sides = tuple(sides)
-        self.face_slots = face_slots
-        self.edge_dofs = np.asarray(edge_dofs, dtype=int)
-        self.edge_area = np.asarray(edge_area, dtype=float)
-        self.rim_mask = np.asarray(rim_mask, dtype=bool)
-        self.home_side = list(home_side)
-        for arr in (self.edge_dofs, self.edge_area, self.rim_mask):
+        self.edge_dofs = edge_dofs
+        self.edge_area = edge_area
+        self.rim_mask = rim_mask
+        self.face_edges = face_edges
+        self.inward_faces = inward_faces
+        for arr in (edge_dofs, edge_area, rim_mask, face_edges, inward_faces):
             arr.flags.writeable = False
-
-    @property
-    def side(self):
-        return self.sides[0] if len(self.sides) == 1 else self.sides
 
     @property
     def n_dofs(self):
@@ -355,7 +369,7 @@ class BoundaryPatch:
                 store.array_digest(self.edge_dofs, self.edge_area, self.rim_mask))
 
     def __repr__(self):
-        return (f"BoundaryPatch(sides={self.sides!r}, faces={len(self.face_slots)}, "
+        return (f"BoundaryPatch(sides={self.sides!r}, faces={len(self.face_edges)}, "
                 f"dofs={self.n_dofs})")
 
 
@@ -373,43 +387,61 @@ def boundary_patch(grid: Grid, side, window=None) -> BoundaryPatch:
     if not sides or len(set(sides)) != len(sides):
         raise ConfigurationError(f"sides must be distinct and nonempty, got {side!r}")
     for s in sides:
-        if s not in _SIDES:
-            raise ConfigurationError(f"side must be one of {_SIDES}, got {s!r}")
+        if s not in SIDES:
+            raise ConfigurationError(f"side must be one of {SIDES}, got {s!r}")
     if window is not None and len(sides) > 1:
         raise ConfigurationError("a window applies to a single-side patch only")
 
-    slots = []
-    # per-dof share count within each side separately
-    edge_shares = {}
+    edges, inward, owner = [], [], []
     for s in sides:
         axis, t1, t2, plane = _side_frame(grid, s)
-        n1, n2 = grid.n[t1], grid.n[t2]
-        s1, s2 = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
-        c1 = (s1 + 0.5) * grid.h + grid.origin[t1]
-        c2 = (s2 + 0.5) * grid.h + grid.origin[t2]
-        keep = np.ones_like(c1, dtype=bool)
+        a, b = np.meshgrid(np.arange(grid.n[t1]), np.arange(grid.n[t2]), indexing="ij")
         if window is not None:
             lo, hi = np.asarray(window[0], float), np.asarray(window[1], float)
-            keep &= (c1 >= lo[0]) & (c1 <= hi[0]) & (c2 >= lo[1]) & (c2 <= hi[1])
-        if not keep.any():
-            raise ConfigurationError(f"window {window} misses side {s!r}")
-        for a, b in zip(s1[keep].tolist(), s2[keep].tolist()):
-            slots.append((s, a, b))
-            for dof in _face_edges(grid, s, a, b):
-                per_side = edge_shares.setdefault(dof, {})
-                per_side[s] = per_side.get(s, 0) + 1
+            c1 = (a + 0.5) * grid.h + grid.origin[t1]
+            c2 = (b + 0.5) * grid.h + grid.origin[t2]
+            keep = (c1 >= lo[0]) & (c1 <= hi[0]) & (c2 >= lo[1]) & (c2 <= hi[1])
+            if not keep.any():
+                raise ConfigurationError(f"window {window} misses side {s!r}")
+            a, b = a[keep], b[keep]
+        a, b = a.ravel(), b.ravel()
+        # the cell layer next to the wall
+        layer = 0 if plane == 0 else plane - 1
 
-    dofs = np.array(sorted(edge_shares), dtype=int)
-    total_shares = np.array([sum(edge_shares[d].values()) for d in dofs], dtype=float)
-    area = total_shares * grid.h ** 2 / 4.0
-    rim = np.empty(len(dofs), dtype=bool)
-    home = []
-    for i, d in enumerate(dofs):
-        per_side = edge_shares[d]
-        best = max(per_side, key=lambda s: (per_side[s], s))
-        home.append(best)
-        rim[i] = per_side[best] < 2
-    return BoundaryPatch(grid, sides, slots, dofs, area, rim, home)
+        def at(normal, i1, i2):
+            coords = [normal] * 3
+            coords[t1], coords[t2] = i1, i2
+            return coords
+
+        # per face, its four tangential edges as (edge direction, the other
+        # tangential direction, t1 slot, t2 slot)
+        corners = ((t1, t2, a, b), (t1, t2, a, b + 1), (t2, t1, a, b), (t2, t1, a + 1, b))
+        edges.append(np.stack([grid.edge_index(d, *at(plane, i1, i2))
+                               for d, _, i1, i2 in corners], axis=1))
+        inward.append(np.stack([grid.face_index(o, *at(layer, i1, i2))
+                                for _, o, i1, i2 in corners], axis=1))
+        owner.append(np.full(len(a), SIDES.index(s)))
+    edges, inward = np.concatenate(edges), np.concatenate(inward)
+    owner = np.concatenate(owner)[:, None]
+
+    dofs, pos = np.unique(edges.ravel(), return_inverse=True)
+    pos = pos.reshape(edges.shape)
+    shares = np.zeros((len(dofs), len(SIDES)), dtype=int)
+    np.add.at(shares, (pos, owner), 1)
+    # home side: most shares, ties to the larger side name
+    by_name = np.argsort(SIDES)[::-1]
+    home = by_name[np.argmax(shares[:, by_name], axis=1)]
+    rim = shares[np.arange(len(dofs)), home] < 2
+    area = shares.sum(axis=1) * grid.h ** 2 / 4.0
+    on_home = owner == home[pos]
+    inward_faces = np.empty(len(dofs), dtype=int)
+    inward_faces[pos[on_home]] = inward[on_home]
+    return BoundaryPatch(grid, sides, dofs, area, rim, pos, inward_faces)
+
+
+def whole_boundary(grid: Grid) -> BoundaryPatch:
+    """A patch spanning all six sides, carrying every tangential boundary edge."""
+    return boundary_patch(grid, list(SIDES))
 
 
 class BallChain:
@@ -548,12 +580,6 @@ class CubeCover:
 
     def __len__(self):
         return len(self.lattice)
-
-    def corner(self, i):
-        return self.lattice[i].astype(float) * self.side
-
-    def corners(self):
-        return self.lattice.astype(float) * self.side
 
     def diagonal(self):
         return self.side * np.sqrt(3.0)

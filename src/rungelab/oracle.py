@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, GeometryError
-from .geometry import Grid
+from .geometry import Grid, whole_boundary
 from .solver import (DIRECT_LIMIT, RESONANCE_THRESHOLD, SOLVER_TOL, FieldPair, SystemMatrix,
                      TangentialTrace, solve_bvp, assemble)
 from .materials import make_material
@@ -57,9 +57,7 @@ class AnalyticSolution:
             params["k"] = -params["k"]
         else:
             params["m"] = np.conj(params["m"])
-        sol = AnalyticSolution(self.kind, self.omega, self.eps0, self.mu0, params)
-        sol._conjugated = not getattr(self, "_conjugated", False)
-        return sol
+        return AnalyticSolution(self.kind, self.omega, self.eps0, self.mu0, params)
 
     def singularity(self):
         return self.params.get("x0")
@@ -185,16 +183,9 @@ def discretization_error(sol: AnalyticSolution, sys: SystemMatrix) -> float:
     boundary."""
     grid = sys.grid
     exact = sample_on_grid(sol, grid)
-    approx = solve_bvp(sys, trace_of(sol, _whole_boundary(grid)))
+    approx = solve_bvp(sys, trace_of(sol, whole_boundary(grid)))
     ones = np.ones(grid.n, dtype=bool)
     w = grid.edge_cell_adjacency_weights(ones) * grid.h ** 3
     err = np.sqrt(float(np.sum(w * np.abs(approx.E - exact.E) ** 2)))
     ref = np.sqrt(float(np.sum(w * np.abs(exact.E) ** 2)))
     return err / ref
-
-
-def _whole_boundary(grid: Grid):
-    """A patch spanning all six sides, carrying every tangential boundary edge."""
-    from .geometry import boundary_patch, _SIDES
-
-    return boundary_patch(grid, list(_SIDES))

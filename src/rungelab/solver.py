@@ -16,14 +16,12 @@ against one factorization.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, NumericError, ResonantFrequencyError, RungelabError
-from .geometry import Grid, Region, BoundaryPatch, adjacent_axes
+from .geometry import Grid, Region, BoundaryPatch, cell_offsets
 from .materials import MaterialField
 
 # 1D segment mass matrix of the linear shape functions on [0, 1].
@@ -101,19 +99,6 @@ def mimetic_defect(grid: Grid) -> sp.csr_matrix:
     return d
 
 
-def _cell_offsets(family, axis):
-    """Offsets, within a cell, of its dofs of direction ``axis``: the 4
-    parallel edges or the 2 opposite faces, in ``itertools.product`` order."""
-    across = adjacent_axes(family, axis)
-    out = []
-    for offsets in itertools.product((0, 1), repeat=len(across)):
-        o = [0, 0, 0]
-        for d, v in zip(across, offsets):
-            o[d] = v
-        out.append(o)
-    return out
-
-
 def _cross_pairs(grid: Grid, tensors, family, a):
     """Cell-local pairs coupling the a-dofs of ``family`` to the b-dofs.
 
@@ -128,9 +113,9 @@ def _cross_pairs(grid: Grid, tensors, family, a):
         coeff = tensors[..., a, b]
         if b == a or not coeff.any():
             continue
-        for oa in _cell_offsets(family, a):
+        for oa in cell_offsets(family, a):
             ga = index(a, *(cells[d] + oa[d] for d in range(3))).ravel()
-            for ob in _cell_offsets(family, b):
+            for ob in cell_offsets(family, b):
                 gb = index(b, *(cells[d] + ob[d] for d in range(3))).ravel()
                 yield b, oa, ob, ga, gb, coeff.ravel()
 
@@ -357,9 +342,6 @@ class SystemMatrix:
         return spla.minres(self.L_II, b, x0=x0, rtol=rtol, maxiter=KRYLOV_MAXITER,
                            M=self._preconditioner())
 
-    def key(self):
-        return ("system", self.grid.key(), self.material.key(), self.omega)
-
 
 def assemble(grid: Grid, mat: MaterialField, omega, *,
              resonance_threshold=RESONANCE_THRESHOLD, check_resonance=True,
@@ -444,7 +426,7 @@ def _guard_step(sys: SystemMatrix, v):
     return w
 
 
-def _lift(sys: SystemMatrix, eB, rhs):
+def lift(sys: SystemMatrix, eB, rhs):
     """Fields with boundary edges ``eB`` and interior edges solving
     L_II eI = rhs, with H = (i omega)^-1 mu^-1 curl E.
 
@@ -477,7 +459,7 @@ def solve_bvp(sys: SystemMatrix, trace: TangentialTrace) -> FieldPair:
     eB = np.zeros(sys.grid.n_edges, dtype=complex)
     eB[trace.patch.edge_dofs] = trace.values
     eB = eB[sys.idx_boundary]
-    return _lift(sys, eB, -(sys.L_IB @ eB))
+    return lift(sys, eB, -(sys.L_IB @ eB))
 
 
 def weak_rhs(sys: SystemMatrix, src: SourceTerm):
@@ -491,7 +473,7 @@ def weak_rhs(sys: SystemMatrix, src: SourceTerm):
 
 def solve_source(sys: SystemMatrix, src: SourceTerm) -> FieldPair:
     """Solve the source problem with homogeneous tangential boundary data."""
-    return _lift(sys, 0.0, weak_rhs(sys, src)[sys.idx_interior])
+    return lift(sys, 0.0, weak_rhs(sys, src)[sys.idx_interior])
 
 
 def derive_H_from_E(E, mat: MaterialField, omega) -> np.ndarray:

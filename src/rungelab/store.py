@@ -109,6 +109,14 @@ def write_envelope(path, kind, provenance, payload: bytes):
         raise
 
 
+def read_header(path):
+    """(version, kind, provenance, payload length) of an envelope, read from
+    its header alone and unverified; raises struct.error on a short file."""
+    with open(path, "rb") as fh:
+        _, version, kind, prov, length = _HEADER.unpack(fh.read(_HEADER.size))
+    return version, kind, prov, length
+
+
 def read_envelope(path, expected_kind, expected_provenance=None) -> bytes:
     """Read and fully verify an envelope, returning the payload bytes."""
     if expected_kind not in KINDS:
@@ -141,21 +149,16 @@ def read_envelope(path, expected_kind, expected_provenance=None) -> bytes:
 
 def pack_complex_matrix(mat: np.ndarray) -> bytes:
     """rows u64, cols u64, then row-major (re, im) float64 pairs."""
-    mat = np.ascontiguousarray(mat, dtype=complex)
-    rows, cols = mat.shape
-    head = struct.pack("<QQ", rows, cols)
-    inter = np.empty((rows, cols, 2))
-    inter[..., 0] = mat.real
-    inter[..., 1] = mat.imag
-    return head + inter.astype("<f8").tobytes()
+    mat = np.ascontiguousarray(mat, dtype="<c16")
+    return struct.pack("<QQ", *mat.shape) + mat.tobytes()
 
 
 def unpack_complex_matrix(payload: bytes) -> np.ndarray:
+    """The matrix of ``pack_complex_matrix``, a read-only view of ``payload``."""
     if len(payload) < 16:
         raise BadLengthError("matrix payload shorter than its dimension header")
     rows, cols = struct.unpack_from("<QQ", payload, 0)
     need = 16 + rows * cols * 16
     if len(payload) != need:
         raise BadLengthError(f"matrix payload {len(payload)} bytes, dimensions need {need}")
-    flat = np.frombuffer(payload, dtype="<f8", offset=16).reshape(rows, cols, 2)
-    return flat[..., 0] + 1j * flat[..., 1]
+    return np.frombuffer(payload, dtype="<c16", offset=16).reshape(rows, cols)

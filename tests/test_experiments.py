@@ -6,7 +6,6 @@ import pytest
 import scipy.linalg as sla
 
 import rungelab as rl
-from rungelab import oracle
 from rungelab.errors import ConfigurationError, GeometryError
 from rungelab.experiments import (CauchyOperator, ExperimentConfig, Report, Scene,
                                   StabilityBudget, build_scene, cauchy_reconstruct,
@@ -156,6 +155,20 @@ def _cauchy_cfg(**over):
     return ExperimentConfig.from_dict(base)
 
 
+def test_cauchy_truth_side_defaults_to_the_free_side():
+    cfg = _cauchy_cfg()
+    scene = build_scene(cfg)
+    named, _ = _cauchy_truth(cfg, scene)
+    free = _cauchy_cfg(truth={"kind": "far_side_bump", "center": [1.0, 0.45, 0.55],
+                              "width": 0.3})
+    inferred, _ = _cauchy_truth(free, scene)
+    assert np.array_equal(inferred.E, named.E)
+    two_free = _cauchy_cfg(patch={"side": ["x-", "y-", "y+", "z-"]},
+                           truth={"kind": "far_side_bump"})
+    with pytest.raises(ConfigurationError):
+        _cauchy_truth(two_free, build_scene(two_free))
+
+
 def test_cauchy_quick_consistency():
     rep = run_cauchy(_cauchy_cfg())
     eta0 = rep.records[0]
@@ -209,7 +222,7 @@ def test_cauchy_h_block_matches_single_solves():
     _, scene, _, cop = _cauchy_operator()
     sys_ = scene.system
     T_H = 1j * h_trace_block(sys_, cop.h_dofs)
-    boundary = oracle._whole_boundary(scene.grid)
+    boundary = rl.geometry.whole_boundary(scene.grid)
     assert np.array_equal(boundary.edge_dofs, sys_.idx_boundary)
     # boundary columns on the box's edge lines couple to no interior edge
     edge_line = np.flatnonzero(sys_.L_IB.getnnz(axis=0) == 0)

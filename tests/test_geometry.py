@@ -3,9 +3,14 @@ import pytest
 
 import rungelab as rl
 from rungelab.errors import ConfigurationError, DegenerateRegionError, GeometryError
-from rungelab.geometry import BallChain, chain_of_balls, cube_cover, interior_margin
+from rungelab import store
+from rungelab.analysis import _patch_graph_laplacian
+from rungelab.geometry import (SIDES, BallChain, chain_of_balls, cube_cover, interior_margin,
+                               whole_boundary)
 
-from conftest import cell_dof_slots
+from conftest import cell_dof_slots, load_config
+
+CAUCHY_SIDES = ["x-", "y-", "y+", "z-", "z+"]
 
 
 def test_edge_counts_8cube(grid8):
@@ -117,11 +122,132 @@ def test_boundary_patch_disjoint_window(grid8):
         rl.boundary_patch(grid8, "x-", window=((2.0, 2.0), (3.0, 3.0)))
 
 
+def test_boundary_patch_rejects_bad_sides(grid8):
+    for side in ([], ["x-", "x-"], "w+", ["x-", "q-"]):
+        with pytest.raises(ConfigurationError):
+            rl.boundary_patch(grid8, side)
+    with pytest.raises(ConfigurationError):
+        rl.boundary_patch(grid8, ["x-", "y-"], window=((0.0, 0.0), (0.5, 0.5)))
+
+
+# BoundaryPatch.key() digests computed with the per-face-loop construction
+# the array one replaced: every operator provenance and cache file name
+# depends on these bytes.
+PATCH_DIGESTS = {
+    (5, 7, 4): {
+        "x-": "8d75cf79182a31130bec5b79d0238730", "x+": "e78ac5ed60c2b9b6eb3659742d10528e",
+        "y-": "7fd5933840d698fdbac632646de76d05", "y+": "8df1702f06af19409bed55939196eef9",
+        "z-": "0ea4fac3e140a614574470b34c0a9a80", "z+": "ee685fb0b51f020a8f99b13a9ffcb8ce",
+        "window": "29981346bf4bba535cc6448ea3fc5331",
+        "cauchy": "b5daf132addda2c1b3d9a6d262af2026",
+        "whole": "d1b3421184d77adedbd749b737cd9cc0"},
+    (10, 10, 10): {
+        "x-": "c6e314cf17881a86ef11c878835ba19c", "x+": "8234f7a38fc1d0a4f86e70e15add238b",
+        "y-": "e9380102ee7efd813dba8d4b4681b382", "y+": "1bce17572995b511bb78a5557e63011a",
+        "z-": "97df80d30cbb82471c834ad0641b8bdb", "z+": "18f4288655096f0fef5992d3d298ecc5",
+        "window": "e401c12c82d79a2506ca810a731c7be4",
+        "cauchy": "70feb1e1f394d1f2d24b215d032e9fca",
+        "whole": "11074bf7a492498319bb7bf7629776cf"},
+}
+
+
+def _named_patches(grid):
+    out = {s: rl.boundary_patch(grid, s) for s in SIDES}
+    out["window"] = rl.boundary_patch(grid, "y+", ((0.2, 0.1), (0.7, 0.5)))
+    out["cauchy"] = rl.boundary_patch(grid, CAUCHY_SIDES)
+    out["whole"] = whole_boundary(grid)
+    return out
+
+
+@pytest.mark.parametrize("n, h", [((5, 7, 4), 0.2), ((10, 10, 10), 0.1)])
+def test_patch_keys_pinned(n, h):
+    patches = _named_patches(rl.build_grid(n, h))
+    assert {name: p.key()[2] for name, p in patches.items()} == PATCH_DIGESTS[n]
+
+
+def test_cauchy_h_dofs_pinned():
+    cfg = load_config("cauchy_reference.json")
+    grid = rl.build_grid(cfg["grid"]["n"], cfg["grid"]["h"], cfg["grid"]["origin"])
+    patch = rl.boundary_patch(grid, cfg["patch"]["side"])
+    h_dofs = patch.inward_faces[patch.select(cfg["patch"]["collar"])]
+    assert len(h_dofs) == 1020
+    assert store.array_digest(h_dofs) == "f5b0ef984e35f21665e5055e633321de"
+
+
+def _face_sides(patch):
+    """Side of every row of ``face_edges``, read off its edge midpoints: the
+    one axis on which the four midpoints agree, on the low or high wall."""
+    grid = patch.grid
+    mids = grid.edge_midpoints()[patch.edge_dofs][patch.face_edges]
+    out = []
+    for quad in mids:
+        (axis,) = [d for d in range(3) if np.all(quad[:, d] == quad[0, d])]
+        low = quad[0, axis] == grid.origin[axis]
+        out.append("xyz"[axis] + ("-" if low else "+"))
+    return out
+
+
+@pytest.mark.parametrize("n, h", [((5, 7, 4), 0.2), ((6, 6, 6), 1 / 6)])
+def test_patch_topology_matches_per_face_loop(n, h):
+    grid = rl.build_grid(n, h)
+    mids, edge_comp = grid.edge_midpoints(), grid.edge_components()
+    centers, face_comp = grid.face_centers(), grid.face_components()
+    for patch in _named_patches(grid).values():
+        # every face row is a boundary square: four distinct edges, h/2 from its center
+        quads = mids[patch.edge_dofs][patch.face_edges]
+        assert np.allclose(np.linalg.norm(quads - quads.mean(axis=1, keepdims=True), axis=2),
+                           h / 2)
+        assert len({tuple(sorted(r)) for r in patch.face_edges.tolist()}) == len(patch.face_edges)
+        shares = [dict() for _ in range(patch.n_dofs)]
+        for side, row in zip(_face_sides(patch), patch.face_edges.tolist()):
+            for i in row:
+                shares[i][side] = shares[i].get(side, 0) + 1
+        assert set().union(*shares) == set(patch.sides)
+        for i, per_side in enumerate(shares):
+            home = max(per_side, key=lambda s: (per_side[s], s))
+            assert patch.rim_mask[i] == (per_side[home] < 2)
+            assert patch.edge_area[i] == sum(per_side.values()) * h ** 2 / 4.0
+            # the inward face: h/2 from the edge along the home normal, its
+            # direction the axis that is neither the edge's nor the normal
+            axis = "xyz".index(home[0])
+            inward = np.zeros(3)
+            inward[axis] = h / 2 if home[1] == "-" else -h / 2
+            dof, face = patch.edge_dofs[i], patch.inward_faces[i]
+            assert np.allclose(centers[face] - mids[dof], inward)
+            assert face_comp[face] == 3 - axis - edge_comp[dof]
+
+
+@pytest.mark.parametrize("collar", ["include_rim", "exclude_rim"])
+def test_patch_laplacian_structure(collar):
+    grid = rl.build_grid((5, 7, 4), 0.2)
+    for patch in _named_patches(grid).values():
+        sel = patch.select(collar)
+        S = _patch_graph_laplacian(patch, sel)
+        pos = {int(p): i for i, p in enumerate(sel)}
+        neighbours = [set() for _ in sel]
+        for row in patch.face_edges.tolist():
+            members = [pos[p] for p in row if p in pos]
+            for u in members:
+                neighbours[u].update(v for v in members if v != u)
+        assert np.array_equal(S, S.T)
+        assert np.all(S.sum(axis=1) == 0)
+        assert np.array_equal(np.diag(S), [len(nb) for nb in neighbours])
+        off = S - np.diag(np.diag(S))
+        assert set(np.unique(off)) <= {-1.0, 0.0}
+        assert [set(np.flatnonzero(r)) for r in off] == neighbours
+
+
 def test_region_connectivity(grid8):
     ball = rl.carve_region(grid8, {"kind": "ball", "center": [0.5, 0.5, 0.5], "r": 0.3})
     assert ball.complement_connected()
+    assert ball.is_connected()
     slab = rl.carve_region(grid8, {"kind": "box", "lo": [0.4, 0, 0], "hi": [0.6, 1, 1]})
     assert not slab.complement_connected()
+    assert slab.is_connected()
+    pair = rl.carve_region(grid8, {"kind": "union", "parts": [
+        {"kind": "ball", "center": [0.25, 0.5, 0.5], "r": 0.15},
+        {"kind": "ball", "center": [0.75, 0.5, 0.5], "r": 0.15}]})
+    assert not pair.is_connected()
     assert ball.is_compactly_contained()
     assert not slab.is_compactly_contained()
 
@@ -254,6 +380,14 @@ def test_adjacent_cell_sums_match_per_cell_loop(family):
             for slot in cell_dof_slots(cell, family, axis):
                 want[index(axis, *slot)] += field[cell + (axis,)]
     assert np.array_equal(g.adjacent_cell_sums(field, family), want)
+    # the cell means read the same slots the other way round
+    values = want + 1j * np.arange(len(want))
+    mean = np.zeros((g.n_cells, 3), dtype=complex)
+    for c, cell in enumerate(np.ndindex(*g.n)):
+        for axis in range(3):
+            slots = cell_dof_slots(cell, family, axis)
+            mean[c, axis] = sum(values[index(axis, *slot)] for slot in slots) / len(slots)
+    assert np.array_equal(g.cell_means(values, family), mean)
     # a one-column field is shared by the three directions
     shared = g.adjacent_cell_sums(field[..., :1], family)
     assert np.array_equal(shared, g.adjacent_cell_sums(np.repeat(field[..., :1], 3, -1),

@@ -3,7 +3,7 @@ import pytest
 
 import rungelab as rl
 from rungelab.errors import ResonantFrequencyError
-from rungelab.oracle import _whole_boundary, trace_of
+from rungelab.oracle import trace_of
 from rungelab.solver import SourceTerm, TangentialTrace, assemble, resonance_guard, weak_rhs
 
 from conftest import rng_complex
@@ -396,7 +396,7 @@ def test_block_lift_error_names_the_bad_column(sys8, monkeypatch):
     rng = np.random.default_rng(14)
     eB = rng_complex(rng, (len(sys8.idx_boundary), 3))
     with pytest.raises(NumericError) as err:
-        rl.solver._lift(sys8, eB, -(sys8.L_IB @ eB))
+        rl.solver.lift(sys8, eB, -(sys8.L_IB @ eB))
     history = err.value.history
     assert len(history) == 3
     # L (2 x) - b = b: the doubled column sits at relative residual 1
@@ -410,8 +410,8 @@ def test_krylov_block_lift_meets_its_tolerance(grid8, vacuum8, sys8):
     rng = np.random.default_rng(15)
     eB = rng_complex(rng, (len(krylov.idx_boundary), 4))
     rhs = -(krylov.L_IB @ eB)
-    fields = rl.solver._lift(krylov, eB, rhs)
-    direct = rl.solver._lift(sys8, eB, -(sys8.L_IB @ eB))
+    fields = rl.solver.lift(krylov, eB, rhs)
+    direct = rl.solver.lift(sys8, eB, -(sys8.L_IB @ eB))
     assert len(fields) == len(direct) == 4
     for j, (a, b) in enumerate(zip(fields, direct)):
         r = krylov.L_II @ a.E[krylov.idx_interior] - rhs[:, j]

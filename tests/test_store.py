@@ -1,5 +1,6 @@
 import hashlib
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -116,6 +117,16 @@ def test_complex_matrix_payload():
     assert np.array_equal(back, mat)
     with pytest.raises(BadLengthError):
         store.unpack_complex_matrix(blob[:-8])
+    # the layout on disk: rows, cols, then row-major (re, im) float64 pairs;
+    # a signed zero keeps its sign
+    small = np.empty((2, 2), dtype=complex)
+    small.real = [[1.0, -2.5], [0.0, -0.0]]
+    small.imag = [[-0.0, 0.5], [3.0, 1e-300]]
+    blob = store.pack_complex_matrix(small)
+    assert blob == (struct.pack("<QQ", 2, 2)
+                    + struct.pack("<8d", 1.0, -0.0, -2.5, 0.5, 0.0, 3.0, -0.0, 1e-300))
+    back = store.unpack_complex_matrix(blob)
+    assert back.tobytes() == small.tobytes()
 
 
 def test_provenance_hash_stable():
