@@ -13,8 +13,8 @@ from .solver import (SystemMatrix, FieldPair, TangentialTrace, SourceTerm, assem
                      solve_bvp, solve_source, derive_H_from_E, residual, resonance_guard,
                      curl_matrix, divergence_matrix, mimetic_defect)
 from .oracle import AnalyticSolution, plane_wave, dipole_field, sample_on_grid, convergence_study
-from .analysis import (NormWeights, FitResult, lp_norm, hcurl_norm, build_norm_weights,
-                       fit_holder, fit_log_modulus, fit_power)
+from .analysis import (TraceGram, VolumeWeights, FitResult, lp_norm, hcurl_norm,
+                       build_norm_weights, fit_holder, fit_log_modulus, fit_power)
 from .runge_op import (RestrictionOperator, SvdBundle, Approximant, assemble_restriction,
                        apply_adjoint, matrix_adjoint, weighted_svd, expand_target, truncate,
                        alpha_for_j)

@@ -10,7 +10,9 @@ the Gram is
 
 computed by dense eigendecomposition.  The mass-normalized spectrum of the
 smoothing operator is >= 1, so the surrogate norm never exceeds the plain
-L2 norm of the trace.
+L2 norm of the trace.  It depends on the patch and collar only: one
+TraceGram serves every region restricted through that trace side, and each
+region's VolumeWeights are diagonal and need no Gram.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import scipy.linalg as sla
 
 from .errors import ConfigurationError, SizeError
 from .geometry import Grid, Region, BoundaryPatch
+from .solver import TangentialTrace, curl_matrix
 
 DENSE_GRAM_LIMIT = 4000
 
@@ -61,8 +64,6 @@ def hcurl_norm(grid: Grid, region: Region, E=None, H=None, curl=None):
     ``curl`` is the edge->face curl matrix; its transpose acts as the dual
     face->edge curl (zero-extended at the boundary).
     """
-    from .solver import curl_matrix
-
     C = curl_matrix(grid) if curl is None else curl
     total = 0.0
     if E is not None:
@@ -90,35 +91,22 @@ def real_matmul(A, z):
     return A @ z
 
 
-class NormWeights:
-    """Grams for the boundary trace space V and the interior space X.
+class TraceGram:
+    """The boundary trace space V of one (patch, collar): the dense SPD Gram
+    over the selected patch dofs with its Cholesky factor.  Built once and
+    shared by every region restricted through the same trace side."""
 
-    gram_V: dense SPD matrix over the selected patch dofs with its Cholesky
-    factor.  gram_X: diagonal volume weights over the region-restricted
-    (E, H) dofs, stored as index lists plus weight vectors.
-    """
-
-    def __init__(self, patch: BoundaryPatch, region: Region, collar,
-                 v_sel, gram_V, chol_V, x_edge_idx, x_edge_w, x_face_idx, x_face_w):
+    def __init__(self, patch: BoundaryPatch, collar, v_sel, gram_V, chol_V):
         self.patch = patch
-        self.region = region
         self.collar = collar
         self.v_sel = v_sel                      # positions into patch.edge_dofs
         self.v_dofs = patch.edge_dofs[v_sel]    # global edge indices
         self.gram_V = gram_V
         self.chol_V = chol_V                    # lower triangular, G_V = L L^T
-        self.x_edge_idx = x_edge_idx
-        self.x_edge_w = x_edge_w
-        self.x_face_idx = x_face_idx
-        self.x_face_w = x_face_w
 
     @property
     def n_v(self):
         return len(self.v_dofs)
-
-    @property
-    def n_x(self):
-        return len(self.x_edge_idx) + len(self.x_face_idx)
 
     def v_inner(self, f, g):
         """<f, g>_V, linear in f, conjugate-linear in g."""
@@ -126,6 +114,38 @@ class NormWeights:
 
     def v_norm(self, f):
         return float(np.sqrt(max(self.v_inner(f, f).real, 0.0)))
+
+    def v_solve(self, rhs):
+        """Apply G_V^{-1} through the Cholesky factor."""
+        y = sla.solve_triangular(self.chol_V, rhs, lower=True)
+        return sla.solve_triangular(self.chol_V.T, y, lower=False)
+
+    def trace(self, f):
+        """The tangential trace carrying ``f`` on the selected dofs, zero on
+        the rest of the patch."""
+        values = np.zeros(self.patch.n_dofs, dtype=complex)
+        values[self.v_sel] = f
+        return TangentialTrace(self.patch, values)
+
+
+class VolumeWeights:
+    """The interior space X of one region: diagonal volume weights over the
+    region-restricted (E, H) dofs, stored as index lists plus weight
+    vectors."""
+
+    def __init__(self, region: Region):
+        self.region = region
+        grid = region.grid
+        we = grid.edge_cell_adjacency_weights(region.mask) * grid.h ** 3
+        wf = grid.face_cell_adjacency_weights(region.mask) * grid.h ** 3
+        self.x_edge_idx = np.flatnonzero(we > 0)
+        self.x_edge_w = we[self.x_edge_idx]
+        self.x_face_idx = np.flatnonzero(wf > 0)
+        self.x_face_w = wf[self.x_face_idx]
+
+    @property
+    def n_x(self):
+        return len(self.x_edge_idx) + len(self.x_face_idx)
 
     def x_weights(self):
         return np.concatenate([self.x_edge_w, self.x_face_w])
@@ -140,11 +160,6 @@ class NormWeights:
     def restrict(self, fields):
         """Stack the region-restricted (E, H) dofs of a FieldPair."""
         return np.concatenate([fields.E[self.x_edge_idx], fields.H[self.x_face_idx]])
-
-    def v_solve(self, rhs):
-        """Apply G_V^{-1} through the Cholesky factor."""
-        y = sla.solve_triangular(self.chol_V, rhs, lower=True)
-        return sla.solve_triangular(self.chol_V.T, y, lower=False)
 
 
 def _patch_graph_laplacian(patch: BoundaryPatch, sel):
@@ -161,9 +176,8 @@ def _patch_graph_laplacian(patch: BoundaryPatch, sel):
     return S
 
 
-def build_norm_weights(patch: BoundaryPatch, region: Region,
-                       collar="include_rim") -> NormWeights:
-    """Assemble the V and X Grams for a patch / region pair.
+def build_norm_weights(patch: BoundaryPatch, collar="include_rim") -> TraceGram:
+    """Assemble the trace Gram of a patch and collar.
 
     The V Gram applies the inverse square root of the mass-normalized
     (identity plus graph Laplacian) by dense eigendecomposition; patches
@@ -187,14 +201,7 @@ def build_norm_weights(patch: BoundaryPatch, region: Region,
     gram = sqrt_mass[:, None] * inv_sqrt * sqrt_mass[None, :]
     gram = 0.5 * (gram + gram.T)
     chol = np.linalg.cholesky(gram)
-
-    grid = patch.grid
-    we = grid.edge_cell_adjacency_weights(region.mask) * grid.h ** 3
-    wf = grid.face_cell_adjacency_weights(region.mask) * grid.h ** 3
-    x_edge_idx = np.flatnonzero(we > 0)
-    x_face_idx = np.flatnonzero(wf > 0)
-    return NormWeights(patch, region, collar, sel, gram, chol,
-                       x_edge_idx, we[x_edge_idx], x_face_idx, wf[x_face_idx])
+    return TraceGram(patch, collar, sel, gram, chol)
 
 
 # ---------------------------------------------------------------------------

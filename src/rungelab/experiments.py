@@ -19,8 +19,8 @@ import scipy.linalg as sla
 
 from . import analysis, geometry, materials, oracle, runge_op, solver
 from .errors import BadVersionError, ConfigurationError, GeometryError
-from .analysis import (build_norm_weights, fit_holder, fit_log_modulus, fit_power, hcurl_norm,
-                       lp_norm, real_matmul)
+from .analysis import (VolumeWeights, build_norm_weights, fit_holder, fit_log_modulus,
+                       fit_power, hcurl_norm, lp_norm, real_matmul)
 
 TAGS = ("runge", "cauchy", "three_balls", "propagation", "localization", "verify_solver")
 
@@ -297,13 +297,13 @@ def _target_solution(spec, omega, eps0=1.0, mu0=1.0):
     raise ConfigurationError(f"unknown target kind {kind!r}")
 
 
-def _target_on_region(sol, weights: analysis.NormWeights):
+def _target_on_region(sol, volume: VolumeWeights):
     """Evaluate an analytic solution on the region-restricted dofs only."""
-    grid = weights.patch.grid
-    pts_e = grid.edge_midpoints()[weights.x_edge_idx]
-    comp_e = grid.edge_components()[weights.x_edge_idx]
-    pts_f = grid.face_centers()[weights.x_face_idx]
-    comp_f = grid.face_components()[weights.x_face_idx]
+    grid = volume.region.grid
+    pts_e = grid.edge_midpoints()[volume.x_edge_idx]
+    comp_e = grid.edge_components()[volume.x_edge_idx]
+    pts_f = grid.face_centers()[volume.x_face_idx]
+    comp_f = grid.face_components()[volume.x_face_idx]
     x0 = sol.singularity()
     if x0 is not None:
         near = min(np.min(np.linalg.norm(pts_e - x0, axis=1)),
@@ -316,22 +316,22 @@ def _target_on_region(sol, weights: analysis.NormWeights):
     return np.concatenate([E, H])
 
 
-def _operator_with_cache(cfg, scene, weights):
+def _operator_with_cache(cfg, scene, gram, volume):
     """The restriction operator, read from ``cache.dir`` when an envelope of
     the current version holds it; a missing entry or one written under an
     older envelope version is rebuilt and (re)written."""
     cache_dir = cfg["cache"]["dir"]
     if not cache_dir:
-        return runge_op.assemble_restriction(scene.system, weights)
+        return runge_op.assemble_restriction(scene.system, gram, volume)
     os.makedirs(cache_dir, exist_ok=True)
-    prov = runge_op.operator_provenance(scene.system, weights)
+    prov = runge_op.operator_provenance(scene.system, gram, volume)
     path = os.path.join(cache_dir, f"operator-{prov:016x}.rgfo")
     if os.path.exists(path):
         try:
-            return runge_op.load_operator(path, weights, scene.system)
+            return runge_op.load_operator(path, gram, volume, scene.system)
         except BadVersionError:
             pass
-    op = runge_op.assemble_restriction(scene.system, weights)
+    op = runge_op.assemble_restriction(scene.system, gram, volume)
     runge_op.save_operator(op, path)
     return op
 
@@ -391,17 +391,16 @@ def run_runge(cfg: ExperimentConfig, scene: Scene | None = None,
     calibration ladder alpha(j)."""
     t0 = time.time()
     scene = scene or build_scene(cfg)
-    region_a = geometry.carve_region(scene.grid, cfg["regions"]["A"], role="subdomain_A")
     if svd is None:
-        weights = build_norm_weights(scene.patch, region_a, collar=cfg["patch"]["collar"])
-        op = _operator_with_cache(cfg, scene, weights)
+        region_a = geometry.carve_region(scene.grid, cfg["regions"]["A"], role="subdomain_A")
+        gram = build_norm_weights(scene.patch, collar=cfg["patch"]["collar"])
+        op = _operator_with_cache(cfg, scene, gram, VolumeWeights(region_a))
         svd = runge_op.weighted_svd(op)
-    weights = svd.weights
 
     target = _target_solution(cfg["runge"]["target"], cfg["omega"],
                               float(cfg["material"].get("eps", 1.0)),
                               float(cfg["material"].get("mu", 1.0)))
-    W = _target_on_region(target, weights)
+    W = _target_on_region(target, svd.volume)
     coeffs, out_residual = runge_op.expand_target(svd, W)
 
     theta = cfg["exponents"]["theta"]
@@ -501,21 +500,20 @@ class CauchyOperator:
     per-column results are scalars for a vector and (k,) arrays for a block.
     """
 
-    def __init__(self, scene: Scene, weights: analysis.NormWeights):
+    def __init__(self, scene: Scene, gram: analysis.TraceGram):
         self.scene = scene
-        self.weights = weights
+        self.gram = gram
         sys_ = scene.system
         self.b_dofs = sys_.idx_boundary
-        nb, n = len(self.b_dofs), weights.n_v
-        self.h_dofs = weights.patch.inward_faces[weights.v_sel]
+        nb, n = len(self.b_dofs), gram.n_v
+        self.h_dofs = gram.patch.inward_faces[gram.v_sel]
 
         # Tikhonov Gram on the unknown data: diagonal area weights
         self.reg_diag = np.full(nb, scene.grid.h ** 2)
         # misfit Gram: the boundary surrogate on both trace channels;
         # whitening applies the transposed factor, ||v||_G = ||L^T v||
-        self._Lt = weights.chol_V.T
-        bpos = {int(d): i for i, d in enumerate(self.b_dofs)}
-        e_rows = np.array([bpos[int(d)] for d in weights.v_dofs], dtype=int)
+        self._Lt = gram.chol_V.T
+        e_rows = np.searchsorted(self.b_dofs, gram.v_dofs)
         # built in LAPACK's (Fortran) order, so the QR overwrites W in place
         W = np.zeros((2 * n, nb), order="F")
         W[:n, e_rows] = self._Lt
@@ -532,7 +530,7 @@ class CauchyOperator:
     def data_of(self, fields):
         """Trace data of a FieldPair, or the block of a list of them."""
         if isinstance(fields, solver.FieldPair):
-            return np.concatenate([fields.E[self.weights.v_dofs], fields.H[self.h_dofs]])
+            return np.concatenate([fields.E[self.gram.v_dofs], fields.H[self.h_dofs]])
         return np.stack([self.data_of(f) for f in fields], axis=1)
 
     def misfit_norm(self, v):
@@ -540,7 +538,7 @@ class CauchyOperator:
 
     def _white(self, d):
         """Q^H diag(L^T, L^T) d: the whitened data in the real frame of W."""
-        n = self.weights.n_v
+        n = self.gram.n_v
         f, g = d[:n], d[n:]
         # -i g = g.imag - i g.real; one GEMM over every column
         w = np.split(self._Lt @ np.column_stack([f.real, f.imag, g.imag, -g.real]), 4, axis=1)
@@ -657,9 +655,8 @@ def run_cauchy(cfg: ExperimentConfig, scene: Scene | None = None) -> Report:
     """Noise-ladder reconstruction study of the two-trace Cauchy problem."""
     t0 = time.time()
     scene = scene or build_scene(cfg)
-    region_a = scene.omega_region
-    weights = build_norm_weights(scene.patch, region_a, collar=cfg["patch"]["collar"])
-    cop = CauchyOperator(scene, weights)
+    gram = build_norm_weights(scene.patch, collar=cfg["patch"]["collar"])
+    cop = CauchyOperator(scene, gram)
 
     truth, truth_kind = _cauchy_truth(cfg, scene)
     p = cfg["exponents"]["p"]
@@ -668,8 +665,8 @@ def run_cauchy(cfg: ExperimentConfig, scene: Scene | None = None) -> Report:
     truth_hcurl = hcurl_norm(scene.grid, scene.omega_region, E=truth.E, H=truth.H,
                              curl=scene.system.curl)
     d0 = cop.data_of(truth)
-    f0 = d0[:weights.n_v]
-    g0 = d0[weights.n_v:]
+    f0 = d0[:gram.n_v]
+    g0 = d0[gram.n_v:]
 
     strategy = cfg["regularization"]["strategy"]
     lam_fixed = float(cfg["regularization"]["lambda"])
@@ -688,9 +685,9 @@ def run_cauchy(cfg: ExperimentConfig, scene: Scene | None = None) -> Report:
     nfs, ngs = [], []
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        nfs.append(rng.standard_normal(weights.n_v) + 1j * rng.standard_normal(weights.n_v))
-        ngs.append(rng.standard_normal(weights.n_v) + 1j * rng.standard_normal(weights.n_v))
-    vfs, vgs = [weights.v_norm(n) for n in nfs], [weights.v_norm(n) for n in ngs]
+        nfs.append(rng.standard_normal(gram.n_v) + 1j * rng.standard_normal(gram.n_v))
+        ngs.append(rng.standard_normal(gram.n_v) + 1j * rng.standard_normal(gram.n_v))
+    vfs, vgs = [gram.v_norm(n) for n in nfs], [gram.v_norm(n) for n in ngs]
     # the whole ladder is one block, a column per (eta, seed) in ladder order
     cols = [(i, j) for i in range(len(etas)) for j in range(len(seeds))]
     errs = [[] for _ in etas]
@@ -888,15 +885,14 @@ def run_localization(cfg: ExperimentConfig, scene: Scene | None = None) -> Repor
     d_region = geometry.carve_region(scene.grid, cfg["regions"]["D"], role="exclusion_D")
     if np.any(m_region.mask & d_region.mask):
         raise GeometryError("localization regions M and D must be disjoint")
-    collar = cfg["patch"]["collar"]
-    w_m = build_norm_weights(scene.patch, m_region, collar=collar)
-    w_d = build_norm_weights(scene.patch, d_region, collar=collar)
-    op_m, op_d = runge_op.assemble_restriction(scene.system, w_m, w_d)
+    gram = build_norm_weights(scene.patch, collar=cfg["patch"]["collar"])
+    v_m, v_d = VolumeWeights(m_region), VolumeWeights(d_region)
+    op_m, op_d = runge_op.assemble_restriction(scene.system, gram, v_m, v_d)
     eps_reg = float(spec.get("eps_reg", 1e-6))
 
-    P = op_m.matrix.conj().T @ (w_m.x_weights()[:, None] * op_m.matrix)
-    Q = op_d.matrix.conj().T @ (w_d.x_weights()[:, None] * op_d.matrix) \
-        + eps_reg * w_m.gram_V
+    P = op_m.matrix.conj().T @ (v_m.x_weights()[:, None] * op_m.matrix)
+    Q = op_d.matrix.conj().T @ (v_d.x_weights()[:, None] * op_d.matrix) \
+        + eps_reg * gram.gram_V
     P = 0.5 * (P + P.conj().T)
     Q = 0.5 * (Q + Q.conj().T)
 
@@ -914,7 +910,7 @@ def run_localization(cfg: ExperimentConfig, scene: Scene | None = None) -> Repor
         evals, evecs = sla.eigh(Pk, Qk)
         quotient = float(evals[-1])
         f = basis @ evecs[:, -1]
-        fields = solver.solve_bvp(scene.system, _trace_from_v(w_m, f))
+        fields = solver.solve_bvp(scene.system, gram.trace(f))
         nm = lp_norm(scene.grid, m_region, 2, E=fields.E, H=fields.H)
         nd = lp_norm(scene.grid, d_region, 2, E=fields.E, H=fields.H)
         nz = lp_norm(scene.grid, scene.omega_region, 2, E=fields.E, H=fields.H)
@@ -929,7 +925,7 @@ def run_localization(cfg: ExperimentConfig, scene: Scene | None = None) -> Repor
     basis = svd_m.phi[:, :k]
     for _ in range(int(spec.get("n_random", 5))):
         f = basis @ (rng.standard_normal(k) + 1j * rng.standard_normal(k))
-        q = _quotient(op_m, op_d, w_m, w_d, eps_reg, f)
+        q = _quotient(op_m, op_d, eps_reg, f)
         if q > top_quotient * (1 + 1e-9):
             beats = False
     growing = all(b["quotient"] >= a["quotient"] * (1 - 1e-9)
@@ -944,15 +940,9 @@ def run_localization(cfg: ExperimentConfig, scene: Scene | None = None) -> Repor
                   wall_clock=time.time() - t0)
 
 
-def _trace_from_v(weights: analysis.NormWeights, f):
-    values = np.zeros(weights.patch.n_dofs, dtype=complex)
-    values[weights.v_sel] = f
-    return solver.TangentialTrace(weights.patch, values)
-
-
-def _quotient(op_m, op_d, w_m, w_d, eps_reg, f):
-    num = w_m.x_norm(op_m.apply(f)) ** 2
-    den = w_d.x_norm(op_d.apply(f)) ** 2 + eps_reg * w_m.v_norm(f) ** 2
+def _quotient(op_m, op_d, eps_reg, f):
+    num = op_m.volume.x_norm(op_m.apply(f)) ** 2
+    den = op_d.volume.x_norm(op_d.apply(f)) ** 2 + eps_reg * op_m.gram.v_norm(f) ** 2
     return num / den
 
 

@@ -15,18 +15,19 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-from .analysis import NormWeights
+from .analysis import TraceGram, VolumeWeights
 from .errors import ConfigurationError, GeometryError, NumericError
-from .solver import SystemMatrix, TangentialTrace, solve_bvp
+from .solver import SystemMatrix, solve_bvp
 from . import store
 
 
 class RestrictionOperator:
     """Dense matrix of f -> (E_f, H_f) restricted to the region, with provenance."""
 
-    def __init__(self, matrix, weights: NormWeights, provenance):
+    def __init__(self, matrix, gram: TraceGram, volume: VolumeWeights, provenance):
         self.matrix = np.ascontiguousarray(matrix, dtype=complex)
-        self.weights = weights
+        self.gram = gram
+        self.volume = volume
         self.provenance = provenance
         if not np.isfinite(self.matrix).all():
             raise NumericError("restriction operator carries non-finite entries")
@@ -40,14 +41,14 @@ class RestrictionOperator:
         return self.matrix @ np.asarray(f, dtype=complex)
 
 
-def operator_provenance(sys: SystemMatrix, weights: NormWeights):
+def operator_provenance(sys: SystemMatrix, gram: TraceGram, volume: VolumeWeights):
     desc = {
         "grid": list(sys.grid.key()[1:]),
         "material": list(sys.material.key()[1:]),
         "omega": sys.omega,
-        "patch": list(weights.patch.key()[1:]),
-        "region": list(weights.region.key()[1:]),
-        "collar": weights.collar,
+        "patch": list(gram.patch.key()[1:]),
+        "region": list(volume.region.key()[1:]),
+        "collar": gram.collar,
         # the solve that built the columns: its tolerance and its route
         "solver_tol": sys.solver_tol,
         "direct": sys.direct,
@@ -55,87 +56,76 @@ def operator_provenance(sys: SystemMatrix, weights: NormWeights):
     return store.provenance_hash(desc)
 
 
-def assemble_restriction(sys: SystemMatrix, weights: NormWeights, *more: NormWeights):
-    """One forward solve per boundary basis vector, restricted to the region.
+def assemble_restriction(sys: SystemMatrix, gram: TraceGram, volume: VolumeWeights,
+                         *more: VolumeWeights):
+    """One forward solve per boundary basis vector of ``gram``, restricted to
+    the region of ``volume`` and of every volume in ``more``.
 
-    Each field is restricted to the region of ``weights`` and of every
-    weights in ``more``, which must share its patch, collar and selected
-    dofs; returns one operator per weights, a single operator when ``more``
-    is empty.  Requires every region compactly contained with a connected
+    Returns one operator per region, a single operator when ``more`` is
+    empty.  Requires every region compactly contained with a connected
     complement (the standing geometry hypotheses of the approximation
     argument).
     """
-    every = (weights,) + more
-    for w in every:
-        region = w.region
-        if not region.is_compactly_contained():
+    every = (volume,) + more
+    for v in every:
+        if not v.region.is_compactly_contained():
             raise GeometryError("target region must be compactly contained in the box")
-        if not region.complement_connected():
+        if not v.region.complement_connected():
             raise GeometryError("complement of the target region must be connected")
-        if (w.patch.key() != weights.patch.key() or w.collar != weights.collar
-                or not np.array_equal(w.v_sel, weights.v_sel)):
-            raise ConfigurationError(
-                "restriction operators built from shared solves need the same patch, "
-                "collar and selected boundary dofs")
-    patch = weights.patch
-    n_v = weights.n_v
-    cols = [np.empty((w.n_x, n_v), dtype=complex) for w in every]
-    for i in range(n_v):
-        values = np.zeros(patch.n_dofs, dtype=complex)
-        values[weights.v_sel[i]] = 1.0
-        fields = solve_bvp(sys, TangentialTrace(patch, values))
-        for w, c in zip(every, cols):
-            c[:, i] = w.restrict(fields)
-    ops = tuple(RestrictionOperator(c, w, operator_provenance(sys, w))
-                for w, c in zip(every, cols))
+    cols = [np.empty((v.n_x, gram.n_v), dtype=complex) for v in every]
+    for i in range(gram.n_v):
+        fields = solve_bvp(sys, gram.trace(np.eye(1, gram.n_v, i)[0]))
+        for v, c in zip(every, cols):
+            c[:, i] = v.restrict(fields)
+    ops = tuple(RestrictionOperator(c, gram, v, operator_provenance(sys, gram, v))
+                for v, c in zip(every, cols))
     return ops if more else ops[0]
 
 
-def apply_adjoint(sys: SystemMatrix, F, weights: NormWeights):
+def apply_adjoint(sys: SystemMatrix, F, gram: TraceGram, volume: VolumeWeights):
     """Adjoint applied through the PDE: one interior solve with homogeneous
     tangential data against the volume-weighted source built from F, then the
     boundary flux on the patch dofs, then the inverse boundary Gram.
 
-    F stacks the region-restricted (E, H) dofs, matching weights.restrict.
+    F stacks the region-restricted (E, H) dofs, matching volume.restrict.
     """
     F = np.asarray(F, dtype=complex)
-    if F.shape != (weights.n_x,):
-        raise ConfigurationError(f"adjoint input length {F.shape} != {weights.n_x}")
-    ne = len(weights.x_edge_idx)
+    if F.shape != (volume.n_x,):
+        raise ConfigurationError(f"adjoint input length {F.shape} != {volume.n_x}")
+    ne = len(volume.x_edge_idx)
     FE = F[:ne]
     FH = F[ne:]
     grid = sys.grid
 
     g = np.zeros(grid.n_edges, dtype=complex)
-    g[weights.x_edge_idx] = weights.x_edge_w * FE
+    g[volume.x_edge_idx] = volume.x_edge_w * FE
     fh = np.zeros(grid.n_faces, dtype=complex)
-    fh[weights.x_face_idx] = weights.x_face_w * FH
+    fh[volume.x_face_idx] = volume.x_face_w * FH
     # conj(1/(i omega)) = i / omega
     g = g + (1j / sys.omega) * (sys.curl.T @ (sys.mu_inv_point.T @ fh))
 
     u = sys.solve_interior(g[sys.idx_interior])
-    flux = g[sys.idx_boundary] - sys.L_BI @ u
-
-    bpos = {int(d): i for i, d in enumerate(sys.idx_boundary)}
-    take = np.array([bpos[int(d)] for d in weights.v_dofs], dtype=int)
-    return weights.v_solve(flux[take])
+    # L is exactly symmetric: L_IB^T is its boundary-interior block
+    flux = g[sys.idx_boundary] - sys.L_IB.T @ u
+    return gram.v_solve(flux[np.searchsorted(sys.idx_boundary, gram.v_dofs)])
 
 
 def matrix_adjoint(op: RestrictionOperator, F):
     """Dense oracle: G_V^{-1} A^H G_X F."""
-    w = op.weights
-    return w.v_solve(op.matrix.conj().T @ (w.x_weights() * np.asarray(F, dtype=complex)))
+    GF = op.volume.x_weights() * np.asarray(F, dtype=complex)
+    return op.gram.v_solve(op.matrix.conj().T @ GF)
 
 
 class SvdBundle:
     """Weighted singular system: A phi_k = sigma_k Psi_k with
     phi^H G_V phi = I and Psi^H G_X Psi = I."""
 
-    def __init__(self, sigma, phi, psi, weights: NormWeights, provenance):
+    def __init__(self, sigma, phi, psi, gram: TraceGram, volume: VolumeWeights, provenance):
         self.sigma = np.ascontiguousarray(sigma, dtype=float)
         self.phi = np.ascontiguousarray(phi, dtype=complex)
         self.psi = np.ascontiguousarray(psi, dtype=complex)
-        self.weights = weights
+        self.gram = gram
+        self.volume = volume
         self.provenance = provenance
         if np.any(np.diff(self.sigma) > 0):
             raise NumericError("singular values must be sorted descending")
@@ -149,27 +139,26 @@ class SvdBundle:
 
 def weighted_svd(op: RestrictionOperator) -> SvdBundle:
     """SVD of the Cholesky-whitened operator, mapped back to weighted bases."""
-    w = op.weights
-    sqrt_x = np.sqrt(w.x_weights())
+    chol_V = op.gram.chol_V
+    sqrt_x = np.sqrt(op.volume.x_weights())
     # B = L_X^H A L_V^{-H}
-    rhs = sla.solve_triangular(w.chol_V, op.matrix.conj().T, lower=True).conj().T
+    rhs = sla.solve_triangular(chol_V, op.matrix.conj().T, lower=True).conj().T
     B = sqrt_x[:, None] * rhs
     try:
         U, S, Vh = np.linalg.svd(B, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"whitened SVD failed: {exc}") from exc
-    phi = sla.solve_triangular(w.chol_V.T, Vh.conj().T, lower=False)
+    phi = sla.solve_triangular(chol_V.T, Vh.conj().T, lower=False)
     psi = U / sqrt_x[:, None]
-    return SvdBundle(S, phi, psi, w, op.provenance)
+    return SvdBundle(S, phi, psi, op.gram, op.volume, op.provenance)
 
 
 def expand_target(svd: SvdBundle, W):
     """Coefficients c_k = <W, Psi_k>_X plus the out-of-span residual norm."""
     W = np.asarray(W, dtype=complex)
-    w = svd.weights
-    coeffs = svd.psi.conj().T @ (w.x_weights() * W)
+    coeffs = svd.psi.conj().T @ (svd.volume.x_weights() * W)
     recon = svd.psi @ coeffs
-    residual = w.x_norm(W - recon)
+    residual = svd.volume.x_norm(W - recon)
     return coeffs, float(residual)
 
 
@@ -193,7 +182,7 @@ class Approximant:
         return len(self.kept)
 
     def boundary_norm(self):
-        return self.svd.weights.v_norm(self.boundary_data)
+        return self.svd.gram.v_norm(self.boundary_data)
 
     def boundary_norm_bound(self):
         """Termwise bound: ||R_alpha W||_V <= (sum |c_k|^2)^{1/2} / alpha."""
@@ -204,11 +193,8 @@ class Approximant:
         dropped = np.setdiff1d(np.arange(self.svd.rank), self.kept, assume_unique=True)
         return float(np.sqrt(np.sum(np.abs(self.coeffs[dropped]) ** 2)))
 
-    def trace(self) -> TangentialTrace:
-        w = self.svd.weights
-        values = np.zeros(w.patch.n_dofs, dtype=complex)
-        values[w.v_sel] = self.boundary_data
-        return TangentialTrace(w.patch, values)
+    def trace(self):
+        return self.svd.gram.trace(self.boundary_data)
 
 
 def truncate(svd: SvdBundle, coeffs, alpha, j_index=None) -> Approximant:
@@ -239,11 +225,12 @@ def save_operator(op: RestrictionOperator, path):
                          store.pack_complex_matrix(op.matrix))
 
 
-def load_operator(path, weights: NormWeights, sys: SystemMatrix) -> RestrictionOperator:
-    prov = operator_provenance(sys, weights)
+def load_operator(path, gram: TraceGram, volume: VolumeWeights,
+                  sys: SystemMatrix) -> RestrictionOperator:
+    prov = operator_provenance(sys, gram, volume)
     payload = store.read_envelope(path, "operator", prov)
     matrix = store.unpack_complex_matrix(payload)
-    if matrix.shape != (weights.n_x, weights.n_v):
+    if matrix.shape != (volume.n_x, gram.n_v):
         raise ConfigurationError(
-            f"cached operator shape {matrix.shape} != weights ({weights.n_x}, {weights.n_v})")
-    return RestrictionOperator(matrix, weights, prov)
+            f"cached operator shape {matrix.shape} != ({volume.n_x}, {gram.n_v})")
+    return RestrictionOperator(matrix, gram, volume, prov)

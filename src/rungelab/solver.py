@@ -70,9 +70,8 @@ def curl_matrix(grid: Grid) -> sp.csr_matrix:
 def divergence_matrix(grid: Grid) -> sp.csr_matrix:
     """Discrete divergence mapping face dofs to cell values (entries +-1/h)."""
     h = grid.h
-    nx, ny, nz = grid.n
-    idx = np.indices((nx, ny, nz))
-    r = _cell_ravel(grid, idx[0], idx[1], idx[2]).ravel()
+    idx = np.indices(grid.n)
+    r = np.arange(grid.n_cells)    # C-order cell numbering of idx
     rows, cols, vals = [], [], []
     for axis in range(3):
         for d, sign in ((1, 1.0), (0, -1.0)):
@@ -84,11 +83,6 @@ def divergence_matrix(grid: Grid) -> sp.csr_matrix:
             vals.append(np.full(r.size, sign / h))
     return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                          shape=(grid.n_cells, grid.n_faces))
-
-
-def _cell_ravel(grid, i, j, k):
-    nx, ny, nz = grid.n
-    return (i * ny + j) * nz + k
 
 
 def mimetic_defect(grid: Grid) -> sp.csr_matrix:
@@ -273,7 +267,6 @@ class SystemMatrix:
         self.idx_boundary = grid.boundary_edge_indices()
         self.L_II = L[self.idx_interior][:, self.idx_interior].tocsc()
         self.L_IB = L[self.idx_interior][:, self.idx_boundary].tocsr()
-        self.L_BI = L[self.idx_boundary][:, self.idx_interior].tocsr()
         self.norm_estimate = float(np.abs(self.L_II).sum(axis=1).max())
         self.dimension = self.L_II.shape[0]
         self.direct = self.dimension <= direct_limit

@@ -1,7 +1,6 @@
 import json
 import os
 
-import numpy as np
 import pytest
 
 import rungelab as rl
@@ -37,10 +36,11 @@ def small_restriction(sys8, grid8):
     patch = rl.boundary_patch(grid8, "x-")
     region = rl.carve_region(grid8, {"kind": "ball", "center": [0.4, 0.5, 0.5], "r": 0.22},
                              role="subdomain_A")
-    weights = rl.build_norm_weights(patch, region, collar="exclude_rim")
-    op = rl.assemble_restriction(sys8, weights)
+    gram = rl.build_norm_weights(patch, collar="exclude_rim")
+    volume = rl.VolumeWeights(region)
+    op = rl.assemble_restriction(sys8, gram, volume)
     svd = rl.weighted_svd(op)
-    return sys8, weights, op, svd
+    return sys8, gram, volume, op, svd
 
 
 @pytest.fixture(scope="session")
@@ -57,10 +57,11 @@ def reference_runge_scene():
     cfg = load_config("runge_reference.json")
     scene = build_scene(cfg)
     region = rl.carve_region(scene.grid, cfg["regions"]["A"], role="subdomain_A")
-    weights = rl.build_norm_weights(scene.patch, region, collar=cfg["patch"]["collar"])
-    op = runge_op.assemble_restriction(scene.system, weights)
+    gram = rl.build_norm_weights(scene.patch, collar=cfg["patch"]["collar"])
+    volume = rl.VolumeWeights(region)
+    op = runge_op.assemble_restriction(scene.system, gram, volume)
     svd = runge_op.weighted_svd(op)
-    return cfg, scene, weights, op, svd, time.time() - t0
+    return cfg, scene, gram, volume, op, svd, time.time() - t0
 
 
 def rng_complex(rng, n):

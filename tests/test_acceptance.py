@@ -13,7 +13,6 @@ from rungelab import runge_op
 from rungelab.experiments import ExperimentConfig, run_cauchy, run_runge, run_three_balls, \
     run_verify_solver
 from rungelab.errors import BadChecksumError
-from rungelab.solver import TangentialTrace
 
 from conftest import load_config, rng_complex
 
@@ -50,13 +49,13 @@ def test_criterion_2_mimetic_identity(grid8):
 
 def test_criterion_3_adjoint_fidelity(reference_runge_scene):
     budget = 600.0
-    cfg, scene, weights, op, svd, build_s = reference_runge_scene
+    cfg, scene, gram, volume, op, svd, build_s = reference_runge_scene
     t0 = time.time() - build_s  # charge scene + operator assembly here
     rng = np.random.default_rng(33)
     worst = 0.0
     for _ in range(20):
-        F = rng_complex(rng, weights.n_x)
-        pde = runge_op.apply_adjoint(scene.system, F, weights)
+        F = rng_complex(rng, volume.n_x)
+        pde = runge_op.apply_adjoint(scene.system, F, gram, volume)
         mat = runge_op.matrix_adjoint(op, F)
         worst = max(worst, np.linalg.norm(pde - mat) / np.linalg.norm(mat))
     assert worst <= 1e-8, worst
@@ -68,15 +67,15 @@ def test_criterion_3_adjoint_fidelity(reference_runge_scene):
 
 def test_criterion_4_svd_structure(reference_runge_scene):
     budget = 60.0
-    cfg, scene, weights, op, svd, _ = reference_runge_scene
+    cfg, scene, gram, volume, op, svd, _ = reference_runge_scene
     t0 = time.time()
     assert np.all(np.diff(svd.sigma) <= 0)
     eye = np.eye(svd.rank)
-    gv = svd.phi.conj().T @ weights.gram_V @ svd.phi
-    gx = svd.psi.conj().T @ (weights.x_weights()[:, None] * svd.psi)
+    gv = svd.phi.conj().T @ gram.gram_V @ svd.phi
+    gx = svd.psi.conj().T @ (volume.x_weights()[:, None] * svd.psi)
     assert np.abs(gv - eye).max() <= 1e-10
     assert np.abs(gx - eye).max() <= 1e-10
-    recon = (svd.psi * svd.sigma) @ (svd.phi.conj().T @ weights.gram_V)
+    recon = (svd.psi * svd.sigma) @ (svd.phi.conj().T @ gram.gram_V)
     rel = np.linalg.norm(recon - op.matrix) / np.linalg.norm(op.matrix)
     assert rel <= 1e-10
     elapsed = time.time() - t0
@@ -86,7 +85,7 @@ def test_criterion_4_svd_structure(reference_runge_scene):
 
 def test_criterion_5_runge_decay(reference_runge_scene):
     budget = 900.0
-    cfg, scene, weights, op, svd, _ = reference_runge_scene
+    cfg, scene, gram, volume, op, svd, _ = reference_runge_scene
     t0 = time.time()
     rep = run_runge(cfg, scene=scene, svd=svd)
     errs = [r["x_error"] for r in rep.records]
@@ -187,17 +186,17 @@ def test_criterion_9_report_determinism():
 
 def test_criterion_10_cache_integrity(tmp_path, reference_runge_scene):
     budget = 10.0
-    cfg, scene, weights, op, svd, _ = reference_runge_scene
+    cfg, scene, gram, volume, op, svd, _ = reference_runge_scene
     t0 = time.time()
     path = tmp_path / "reference.rgfo"
     runge_op.save_operator(op, path)
-    back = runge_op.load_operator(path, weights, scene.system)
+    back = runge_op.load_operator(path, gram, volume, scene.system)
     assert np.array_equal(back.matrix, op.matrix)
     blob = bytearray(path.read_bytes())
     blob[len(blob) // 2] ^= 0x10
     path.write_bytes(bytes(blob))
     with pytest.raises(BadChecksumError):
-        runge_op.load_operator(path, weights, scene.system)
+        runge_op.load_operator(path, gram, volume, scene.system)
     elapsed = time.time() - t0
     assert elapsed <= budget
     _report("10 cache integrity (bit-exact roundtrip, corruption detected)", elapsed, budget)

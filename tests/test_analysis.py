@@ -56,8 +56,7 @@ def test_lp_region_monotonicity(grid8):
 
 def test_gram_single_face(grid8):
     patch = rl.boundary_patch(grid8, "x-", window=((0.0, 0.0), (0.125, 0.125)))
-    region = rl.carve_region(grid8, {"kind": "ball", "center": [0.5, 0.5, 0.5], "r": 0.3})
-    w = build_norm_weights(patch, region)
+    w = build_norm_weights(patch)
     assert w.gram_V.shape == (4, 4)
     assert np.allclose(w.gram_V, w.gram_V.T)
     assert np.all(np.linalg.eigvalsh(w.gram_V) > 0)
@@ -65,8 +64,7 @@ def test_gram_single_face(grid8):
 
 def test_gram_cholesky_reproduces(grid8):
     patch = rl.boundary_patch(grid8, "x-")
-    region = rl.carve_region(grid8, {"kind": "ball", "center": [0.5, 0.5, 0.5], "r": 0.3})
-    w = build_norm_weights(patch, region)
+    w = build_norm_weights(patch)
     recon = w.chol_V @ w.chol_V.T
     assert np.linalg.norm(recon - w.gram_V) <= 1e-12 * np.linalg.norm(w.gram_V)
 
@@ -75,8 +73,7 @@ def test_surrogate_contracts_l2(grid8):
     # the mass-normalized smoothing spectrum sits at or above one, so the
     # surrogate norm never exceeds the plain boundary L2 norm
     patch = rl.boundary_patch(grid8, "x-")
-    region = rl.carve_region(grid8, {"kind": "ball", "center": [0.5, 0.5, 0.5], "r": 0.3})
-    w = build_norm_weights(patch, region)
+    w = build_norm_weights(patch)
     mass = patch.edge_area[w.v_sel]
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -88,13 +85,12 @@ def test_surrogate_contracts_l2(grid8):
 
 def test_gram_size_cap(grid8):
     patch = rl.boundary_patch(grid8, "x-")
-    region = rl.carve_region(grid8, {"kind": "ball", "center": [0.5, 0.5, 0.5], "r": 0.3})
     import rungelab.analysis as analysis
     old = analysis.DENSE_GRAM_LIMIT
     analysis.DENSE_GRAM_LIMIT = 10
     try:
         with pytest.raises(SizeError):
-            build_norm_weights(patch, region)
+            build_norm_weights(patch)
     finally:
         analysis.DENSE_GRAM_LIMIT = old
 

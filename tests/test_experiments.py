@@ -1,4 +1,3 @@
-import copy
 import json
 
 import numpy as np
@@ -7,11 +6,10 @@ import scipy.linalg as sla
 
 import rungelab as rl
 from rungelab.errors import ConfigurationError, GeometryError
-from rungelab.experiments import (CauchyOperator, ExperimentConfig, Report, Scene,
-                                  StabilityBudget, build_scene, cauchy_reconstruct,
-                                  h_trace_block, run_cauchy, run_localization, run_propagation,
-                                  run_runge, run_three_balls, run_verify_solver, _cauchy_truth,
-                                  _quotient)
+from rungelab.experiments import (CauchyOperator, ExperimentConfig, Report, StabilityBudget,
+                                  build_scene, cauchy_reconstruct, h_trace_block, run_cauchy,
+                                  run_localization, run_propagation, run_runge, run_three_balls,
+                                  run_verify_solver, _cauchy_truth, _quotient)
 
 
 def _cfg(**kwargs):
@@ -131,15 +129,15 @@ def test_runge_monotonicity_quick():
 def test_runge_exact_target_in_span(small_restriction):
     # target = A f for a known f: with alpha below the smallest kept sigma the
     # approximant reproduces the target up to the out-of-span residual (zero here)
-    sys_, weights, op, svd = small_restriction
+    sys_, gram, volume, op, svd = small_restriction
     rng = np.random.default_rng(7)
-    f = rng.standard_normal(weights.n_v) + 1j * rng.standard_normal(weights.n_v)
+    f = rng.standard_normal(gram.n_v) + 1j * rng.standard_normal(gram.n_v)
     W = op.apply(f)
     coeffs, resid = rl.expand_target(svd, W)
-    assert resid <= 1e-9 * weights.x_norm(W)
+    assert resid <= 1e-9 * volume.x_norm(W)
     appr = rl.truncate(svd, coeffs, alpha=float(svd.sigma[-1]) * 0.999)
-    err = weights.x_norm(W - op.apply(appr.boundary_data))
-    assert err <= 1e-8 * weights.x_norm(W)
+    err = volume.x_norm(W - op.apply(appr.boundary_data))
+    assert err <= 1e-8 * volume.x_norm(W)
 
 
 def _cauchy_cfg(**over):
@@ -180,18 +178,18 @@ def test_cauchy_quick_consistency():
 def test_cauchy_morozov_within_factor_two():
     cfg = _cauchy_cfg()
     scene = build_scene(cfg)
-    weights = rl.build_norm_weights(scene.patch, scene.omega_region, collar="include_rim")
-    cop = CauchyOperator(scene, weights)
+    gram = rl.build_norm_weights(scene.patch, collar="include_rim")
+    cop = CauchyOperator(scene, gram)
     from rungelab.experiments import _cauchy_truth
     truth, _ = _cauchy_truth(cfg, scene)
     d0 = cop.data_of(truth)
     rng = np.random.default_rng(0)
     eta = 1e-2 * float(np.linalg.norm(d0))
-    nf = rng.standard_normal(weights.n_v) + 1j * rng.standard_normal(weights.n_v)
-    ng = rng.standard_normal(weights.n_v) + 1j * rng.standard_normal(weights.n_v)
-    nf *= (eta / 2) / weights.v_norm(nf)
-    ng *= (eta / 2) / weights.v_norm(ng)
-    _, lam, misfit = cauchy_reconstruct(cop, d0[:weights.n_v] + nf, d0[weights.n_v:] + ng,
+    nf = rng.standard_normal(gram.n_v) + 1j * rng.standard_normal(gram.n_v)
+    ng = rng.standard_normal(gram.n_v) + 1j * rng.standard_normal(gram.n_v)
+    nf *= (eta / 2) / gram.v_norm(nf)
+    ng *= (eta / 2) / gram.v_norm(ng)
+    _, lam, misfit = cauchy_reconstruct(cop, d0[:gram.n_v] + nf, d0[gram.n_v:] + ng,
                                         "morozov", eta_target=eta)
     assert misfit <= 2 * eta
     assert misfit >= eta / 2
@@ -200,12 +198,12 @@ def test_cauchy_morozov_within_factor_two():
 def test_cauchy_penalty_dominance():
     cfg = _cauchy_cfg()
     scene = build_scene(cfg)
-    weights = rl.build_norm_weights(scene.patch, scene.omega_region, collar="include_rim")
-    cop = CauchyOperator(scene, weights)
+    gram = rl.build_norm_weights(scene.patch, collar="include_rim")
+    cop = CauchyOperator(scene, gram)
     from rungelab.experiments import _cauchy_truth
     truth, _ = _cauchy_truth(cfg, scene)
     d0 = cop.data_of(truth)
-    fields, _, _ = cauchy_reconstruct(cop, d0[:weights.n_v], d0[weights.n_v:],
+    fields, _, _ = cauchy_reconstruct(cop, d0[:gram.n_v], d0[gram.n_v:],
                                       "fixed", lam_fixed=1e12)
     scale = np.abs(truth.E).max()
     assert np.abs(fields.E).max() <= 1e-6 * scale
@@ -214,8 +212,8 @@ def test_cauchy_penalty_dominance():
 def _cauchy_operator():
     cfg = _cauchy_cfg()
     scene = build_scene(cfg)
-    weights = rl.build_norm_weights(scene.patch, scene.omega_region, collar="include_rim")
-    return cfg, scene, weights, CauchyOperator(scene, weights)
+    gram = rl.build_norm_weights(scene.patch, collar="include_rim")
+    return cfg, scene, gram, CauchyOperator(scene, gram)
 
 
 def test_cauchy_h_block_matches_single_solves():
@@ -239,13 +237,13 @@ def test_cauchy_h_block_matches_single_solves():
 
 def test_cauchy_real_svd_matches_complex_reference():
     # reference: complex SVD of block_diag(L, L)^T T with the complex T
-    cfg, scene, weights, cop = _cauchy_operator()
-    nv, nb = weights.n_v, len(cop.b_dofs)
+    cfg, scene, gram, cop = _cauchy_operator()
+    nv, nb = gram.n_v, len(cop.b_dofs)
     bpos = {int(d): i for i, d in enumerate(cop.b_dofs)}
     T_E = np.zeros((nv, nb), dtype=complex)
-    T_E[np.arange(nv), [bpos[int(d)] for d in weights.v_dofs]] = 1.0
+    T_E[np.arange(nv), [bpos[int(d)] for d in gram.v_dofs]] = 1.0
     T = np.vstack([T_E, 1j * h_trace_block(scene.system, cop.h_dofs)])
-    chol = sla.block_diag(weights.chol_V, weights.chol_V)
+    chol = sla.block_diag(gram.chol_V, gram.chol_V)
     sq = np.sqrt(cop.reg_diag)
     U, S, Vh = np.linalg.svd((chol.T @ T) / sq[None, :], full_matrices=False)
 
@@ -288,7 +286,7 @@ def test_cauchy_misfit_keeps_out_of_span_noise_at_low_eta():
     # noise-free data lie in the span of the left singular vectors, so at
     # lambda = 0 the misfit is the out-of-span part of the whitened noise;
     # ||dw||^2 - ||ud||^2 loses it to cancellation at this noise level
-    cfg, scene, weights, cop = _cauchy_operator()
+    cfg, scene, gram, cop = _cauchy_operator()
     truth, _ = _cauchy_truth(cfg, scene)
     d0 = cop.data_of(truth)
     rng = np.random.default_rng(3)
@@ -315,7 +313,7 @@ def test_cauchy_ladder_block_matches_single_columns():
     # run_cauchy reconstructs the noise ladder as one block; each record must
     # match the single-vector reconstruction of its (eta, seed)
     rep = run_cauchy(_cauchy_cfg())
-    cfg, scene, weights, cop = _cauchy_operator()
+    cfg, scene, gram, cop = _cauchy_operator()
     truth, _ = _cauchy_truth(cfg, scene)
     d0 = cop.data_of(truth)
     ladder = rep.records[1:]
@@ -323,12 +321,12 @@ def test_cauchy_ladder_block_matches_single_columns():
         (e, s) for e in cfg["noise"]["etas"] for s in cfg["noise"]["seeds"]]
     for rec in ladder:
         eta, rng = rec["eta_abs"], np.random.default_rng(rec["seed"])
-        nf = rng.standard_normal(weights.n_v) + 1j * rng.standard_normal(weights.n_v)
-        ng = rng.standard_normal(weights.n_v) + 1j * rng.standard_normal(weights.n_v)
-        nf *= (eta / 2.0) / weights.v_norm(nf)
-        ng *= (eta / 2.0) / weights.v_norm(ng)
-        fields, lam, misfit = cauchy_reconstruct(cop, d0[:weights.n_v] + nf,
-                                                 d0[weights.n_v:] + ng, "morozov",
+        nf = rng.standard_normal(gram.n_v) + 1j * rng.standard_normal(gram.n_v)
+        ng = rng.standard_normal(gram.n_v) + 1j * rng.standard_normal(gram.n_v)
+        nf *= (eta / 2.0) / gram.v_norm(nf)
+        ng *= (eta / 2.0) / gram.v_norm(ng)
+        fields, lam, misfit = cauchy_reconstruct(cop, d0[:gram.n_v] + nf,
+                                                 d0[gram.n_v:] + ng, "morozov",
                                                  eta_target=eta)
         err = rl.hcurl_norm(scene.grid, scene.omega_region, E=fields.E - truth.E,
                             H=fields.H - truth.H, curl=scene.system.curl)
@@ -338,10 +336,10 @@ def test_cauchy_ladder_block_matches_single_columns():
 
 
 def test_cauchy_morozov_clamps_per_column():
-    cfg, scene, weights, cop = _cauchy_operator()
+    cfg, scene, gram, cop = _cauchy_operator()
     truth, _ = _cauchy_truth(cfg, scene)
     rng = np.random.default_rng(7)
-    noise = rng.standard_normal(2 * weights.n_v) + 1j * rng.standard_normal(2 * weights.n_v)
+    noise = rng.standard_normal(2 * gram.n_v) + 1j * rng.standard_normal(2 * gram.n_v)
     d0 = cop.data_of(truth)
     d = d0 + 1e-3 * np.linalg.norm(d0) * noise / np.linalg.norm(noise)
     lo, hi = 1e-14, 1e6
@@ -370,10 +368,10 @@ def test_cauchy_report_determinism_quick():
 
 def test_localization_quotient_algebra(small_restriction):
     # with identical operators on both slots the quotient stays below one
-    _, weights, op, _ = small_restriction
+    _, gram, _, op, _ = small_restriction
     rng = np.random.default_rng(8)
-    f = rng.standard_normal(weights.n_v) + 1j * rng.standard_normal(weights.n_v)
-    q = _quotient(op, op, weights, weights, 1e-6, f)
+    f = rng.standard_normal(gram.n_v) + 1j * rng.standard_normal(gram.n_v)
+    q = _quotient(op, op, 1e-6, f)
     assert q < 1.0
 
 
@@ -388,10 +386,8 @@ def test_localization_rejects_overlap():
         run_localization(cfg)
 
 
-def test_localization_shares_its_forward_solves(monkeypatch):
-    from rungelab import runge_op
-
-    cfg = ExperimentConfig.from_dict({
+def _localization_cfg():
+    return ExperimentConfig.from_dict({
         "tag": "localization",
         "grid": {"n": [8, 8, 8], "h": 0.125},
         "patch": {"side": "x-", "collar": "exclude_rim"},
@@ -399,6 +395,12 @@ def test_localization_shares_its_forward_solves(monkeypatch):
                     "D": {"kind": "ball", "center": [0.72, 0.5, 0.5], "r": 0.16}},
         "localization": {"cutoffs": [5, 10], "n_random": 2, "seed": 0},
     })
+
+
+def test_localization_shares_its_forward_solves(monkeypatch):
+    from rungelab import runge_op
+
+    cfg = _localization_cfg()
     solves, built = [], []
     solve_bvp, assemble_restriction = runge_op.solve_bvp, runge_op.assemble_restriction
 
@@ -413,19 +415,33 @@ def test_localization_shares_its_forward_solves(monkeypatch):
     monkeypatch.setattr(runge_op, "solve_bvp", counting_solve)
     monkeypatch.setattr(runge_op, "assemble_restriction", keeping_assemble)
     run_localization(cfg)
-    [((sys_, w_m, w_d), (op_m, op_d))] = built
-    assert len(solves) == w_m.n_v
+    [((sys_, gram, v_m, v_d), (op_m, op_d))] = built
+    assert len(solves) == gram.n_v
 
     monkeypatch.setattr(runge_op, "solve_bvp", solve_bvp)
-    for w, op in ((w_m, op_m), (w_d, op_d)):
-        alone = assemble_restriction(sys_, w)
+    for v, op in ((v_m, op_m), (v_d, op_d)):
+        alone = assemble_restriction(sys_, gram, v)
         assert op.matrix.tobytes() == alone.matrix.tobytes()
-        assert op.provenance == alone.provenance and op.weights is w
+        assert op.provenance == alone.provenance
+        assert op.gram is gram and op.volume is v
 
-    other = copy.copy(w_d)
-    other.v_sel = w_d.v_sel[:-1]
-    with pytest.raises(ConfigurationError):
-        assemble_restriction(sys_, w_m, other)
+
+def test_drivers_build_one_trace_gram(monkeypatch):
+    # localization restricts two regions through one trace side; Cauchy reads
+    # traces only and needs no volume weights
+    from rungelab import experiments
+
+    built = []
+    build_norm_weights, volume_weights = experiments.build_norm_weights, experiments.VolumeWeights
+    monkeypatch.setattr(experiments, "build_norm_weights",
+                        lambda *a, **k: built.append("gram") or build_norm_weights(*a, **k))
+    monkeypatch.setattr(experiments, "VolumeWeights",
+                        lambda *a, **k: built.append("volume") or volume_weights(*a, **k))
+    run_localization(_localization_cfg())
+    assert built == ["gram", "volume", "volume"]
+    built.clear()
+    run_cauchy(_cauchy_cfg())
+    assert built == ["gram"]
 
 
 def test_propagation_data_ball_contains_g():
@@ -526,10 +542,10 @@ def test_runge_plane_wave_target(small_restriction):
     # a plane wave extends to the whole box, so its coefficients concentrate
     # on well-visible modes and the deep-alpha error falls well under the
     # initial one
-    sys_, weights, op, svd = small_restriction
+    sys_, gram, volume, op, svd = small_restriction
     sol = rl.plane_wave([2.0, 0.0, 0.0], [0.0, 1.0, 0.0], 2.0)
     from rungelab.experiments import _target_on_region
-    W = _target_on_region(sol, weights)
+    W = _target_on_region(sol, volume)
     coeffs, out_resid = rl.expand_target(svd, W)
     first = rl.truncate(svd, coeffs, svd.sigma[0])
     deep = rl.truncate(svd, coeffs, 1e-8 * svd.sigma[0])

@@ -1,15 +1,21 @@
-"""No rungelab module reads another module's private name.
+"""Static checks over the sources, parsed with ``ast``.
 
-A name with a leading underscore is private to the module that defines it;
-a second module that needs it should get a public name in its owner.  The
-check parses every ``src/rungelab/*.py`` file and flags ``from .m import _x``
-and ``m._x`` where ``m`` names a rungelab module.
+No rungelab module reads another module's private name.  A name with a
+leading underscore is private to the module that defines it; a second module
+that needs it should get a public name in its owner.  The check parses every
+``src/rungelab/*.py`` file and flags ``from .m import _x`` and ``m._x`` where
+``m`` names a rungelab module.
+
+No module under ``src/rungelab`` (the package ``__init__`` re-exports, so it
+is left out) and no test file imports a name it never reads.
 """
 
 import ast
 import os
 
-SRC = os.path.join(os.path.dirname(__file__), "..", "src", "rungelab")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(TESTS)
+SRC = os.path.join(ROOT, "src", "rungelab")
 
 
 def _is_private(name):
@@ -53,3 +59,31 @@ def test_no_module_reads_another_modules_private_names():
         for line, text in private_reads(os.path.join(SRC, name), modules):
             offences.append(f"{name}:{line}: {text}")
     assert not offences, "cross-module private reads:\n" + "\n".join(offences)
+
+
+def unused_imports(path):
+    """(line, name) of every name a file imports and never reads.
+
+    ``import a.b`` binds ``a``; ``from __future__`` imports are directives,
+    not names.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, a.asname or a.name) for a in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for line, name in bound if name not in read)
+
+
+def test_no_unused_imports():
+    paths = [os.path.join(SRC, f) for f in sorted(os.listdir(SRC))
+             if f.endswith(".py") and f != "__init__.py"]
+    paths += [os.path.join(TESTS, f) for f in sorted(os.listdir(TESTS)) if f.endswith(".py")]
+    offences = [f"{os.path.relpath(p, ROOT)}:{line}: {name}"
+                for p in paths for line, name in unused_imports(p)]
+    assert not offences, "unused imports:\n" + "\n".join(offences)

@@ -3,7 +3,7 @@ import pytest
 
 import rungelab as rl
 from rungelab.errors import ConfigurationError, GeometryError
-from rungelab.oracle import convergence_study, sample_on_grid, trace_of
+from rungelab.oracle import convergence_study, sample_on_grid
 
 
 def test_plane_wave_H_direction():

@@ -16,73 +16,70 @@ from conftest import rng_complex
 
 
 def test_zero_data_zero_column(small_restriction):
-    sys_, weights, op, _ = small_restriction
-    out = op.apply(np.zeros(weights.n_v, dtype=complex))
+    sys_, gram, volume, op, _ = small_restriction
+    out = op.apply(np.zeros(gram.n_v, dtype=complex))
     assert np.abs(out).max() == 0.0
 
 
 def test_matrix_matches_direct_solve(small_restriction, grid8):
-    sys_, weights, op, _ = small_restriction
+    sys_, gram, volume, op, _ = small_restriction
     rng = np.random.default_rng(0)
-    f = rng_complex(rng, weights.n_v)
-    values = np.zeros(weights.patch.n_dofs, dtype=complex)
-    values[weights.v_sel] = f
-    fields = rl.solve_bvp(sys_, TangentialTrace(weights.patch, values))
-    direct = weights.restrict(fields)
+    f = rng_complex(rng, gram.n_v)
+    values = np.zeros(gram.patch.n_dofs, dtype=complex)
+    values[gram.v_sel] = f
+    fields = rl.solve_bvp(sys_, TangentialTrace(gram.patch, values))
+    direct = volume.restrict(fields)
     via_matrix = op.apply(f)
     assert np.linalg.norm(direct - via_matrix) <= 1e-10 * np.linalg.norm(direct)
 
 
 def test_row_count_monotone_in_region(sys8, grid8):
-    patch = rl.boundary_patch(grid8, "x-")
     big = rl.carve_region(grid8, {"kind": "ball", "center": [0.4, 0.5, 0.5], "r": 0.3})
     small = rl.carve_region(grid8, {"kind": "ball", "center": [0.4, 0.5, 0.5], "r": 0.2})
-    wb = rl.build_norm_weights(patch, big)
-    ws = rl.build_norm_weights(patch, small)
-    assert ws.n_x < wb.n_x
+    assert rl.VolumeWeights(small).n_x < rl.VolumeWeights(big).n_x
 
 
 def test_restriction_requires_geometry(sys8, grid8):
     patch = rl.boundary_patch(grid8, "x-")
     slab = rl.carve_region(grid8, {"kind": "box", "lo": [0.4, 0, 0], "hi": [0.6, 1, 1]})
-    weights = rl.build_norm_weights(patch, slab)
+    gram = rl.build_norm_weights(patch)
     with pytest.raises(GeometryError):
-        assemble_restriction(sys8, weights)
+        assemble_restriction(sys8, gram, rl.VolumeWeights(slab))
 
 
 def test_adjoint_identity(small_restriction):
-    sys_, weights, op, _ = small_restriction
+    sys_, gram, volume, op, _ = small_restriction
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(20):
-        f = rng_complex(rng, weights.n_v)
-        F = rng_complex(rng, weights.n_x)
-        lhs = weights.x_inner(op.apply(f), F)
-        rhs = weights.v_inner(f, apply_adjoint(sys_, F, weights))
+        f = rng_complex(rng, gram.n_v)
+        F = rng_complex(rng, volume.n_x)
+        lhs = volume.x_inner(op.apply(f), F)
+        rhs = gram.v_inner(f, apply_adjoint(sys_, F, gram, volume))
         worst = max(worst, abs(lhs - rhs) / abs(lhs))
     assert worst <= 1e-8
 
 
 def test_adjoint_matches_matrix_oracle(small_restriction):
-    sys_, weights, op, _ = small_restriction
+    sys_, gram, volume, op, _ = small_restriction
     rng = np.random.default_rng(2)
     for _ in range(5):
-        F = rng_complex(rng, weights.n_x)
-        pde = apply_adjoint(sys_, F, weights)
+        F = rng_complex(rng, volume.n_x)
+        pde = apply_adjoint(sys_, F, gram, volume)
         mat = matrix_adjoint(op, F)
         assert np.linalg.norm(pde - mat) <= 1e-8 * np.linalg.norm(mat)
 
 
 def test_adjoint_zero(small_restriction):
-    sys_, weights, _, _ = small_restriction
-    out = apply_adjoint(sys_, np.zeros(weights.n_x, dtype=complex), weights)
+    sys_, gram, volume, _, _ = small_restriction
+    out = apply_adjoint(sys_, np.zeros(volume.n_x, dtype=complex), gram, volume)
     assert np.abs(out).max() == 0.0
 
 
 def test_adjoint_of_column_nonzero(small_restriction):
-    sys_, weights, op, _ = small_restriction
+    sys_, gram, volume, op, _ = small_restriction
     F = op.matrix[:, 3]
-    out = apply_adjoint(sys_, F, weights)
+    out = apply_adjoint(sys_, F, gram, volume)
     assert np.linalg.norm(out) > 1e-12
 
 
@@ -100,7 +97,8 @@ def _stub_weights(n_v, n_x):
 def test_svd_identity_grams_diagonal_matrix():
     from rungelab.runge_op import RestrictionOperator
 
-    op = RestrictionOperator(np.diag([2.0, 1.0]).astype(complex), _stub_weights(2, 2), 0)
+    w = _stub_weights(2, 2)
+    op = RestrictionOperator(np.diag([2.0, 1.0]).astype(complex), w, w, 0)
     svd = weighted_svd(op)
     assert np.allclose(svd.sigma, [2.0, 1.0])
     assert np.allclose(np.abs(svd.phi), np.eye(2))
@@ -108,24 +106,24 @@ def test_svd_identity_grams_diagonal_matrix():
 
 
 def test_svd_structure(small_restriction):
-    _, weights, op, svd = small_restriction
+    _, gram, volume, op, svd = small_restriction
     assert np.all(np.diff(svd.sigma) <= 0)
     eye = np.eye(svd.rank)
-    gv = svd.phi.conj().T @ weights.gram_V @ svd.phi
-    gx = svd.psi.conj().T @ (weights.x_weights()[:, None] * svd.psi)
+    gv = svd.phi.conj().T @ gram.gram_V @ svd.phi
+    gx = svd.psi.conj().T @ (volume.x_weights()[:, None] * svd.psi)
     assert np.abs(gv - eye).max() <= 1e-10
     assert np.abs(gx - eye).max() <= 1e-10
-    recon = (svd.psi * svd.sigma) @ (svd.phi.conj().T @ weights.gram_V)
+    recon = (svd.psi * svd.sigma) @ (svd.phi.conj().T @ gram.gram_V)
     assert np.linalg.norm(recon - op.matrix) <= 1e-10 * np.linalg.norm(op.matrix)
 
 
 def test_svd_compact_decay(small_restriction):
-    _, _, _, svd = small_restriction
+    _, _, _, _, svd = small_restriction
     assert svd.sigma[-1] / svd.sigma[0] < 1e-3
 
 
 def test_expand_target_basis_vector(small_restriction):
-    _, weights, _, svd = small_restriction
+    _, _, _, _, svd = small_restriction
     coeffs, resid = expand_target(svd, svd.psi[:, 0])
     assert coeffs[0] == pytest.approx(1.0, abs=1e-10)
     assert np.abs(coeffs[1:]).max() <= 1e-10
@@ -133,12 +131,12 @@ def test_expand_target_basis_vector(small_restriction):
 
 
 def test_expand_target_parseval(small_restriction):
-    _, weights, _, svd = small_restriction
+    _, _, volume, _, svd = small_restriction
     rng = np.random.default_rng(3)
-    W = rng_complex(rng, weights.n_x)
+    W = rng_complex(rng, volume.n_x)
     coeffs, resid = expand_target(svd, W)
     total = np.sum(np.abs(coeffs) ** 2) + resid ** 2
-    assert total == pytest.approx(weights.x_norm(W) ** 2, rel=1e-10)
+    assert total == pytest.approx(volume.x_norm(W) ** 2, rel=1e-10)
 
 
 def test_truncate_keeps_ties():
@@ -148,7 +146,7 @@ def test_truncate_keeps_ties():
     svd = types.SimpleNamespace(sigma=np.array([2.0, 1.0, 0.5]),
                                 phi=np.eye(3, dtype=complex),
                                 psi=np.eye(3, dtype=complex),
-                                weights=w, rank=3)
+                                gram=w, volume=w, rank=3)
     appr = truncate(svd, np.array([1.0, 1.0, 1.0], dtype=complex), 0.8)
     assert appr.kept_count == 2
     assert appr.in_span_error() == pytest.approx(1.0)
@@ -162,9 +160,9 @@ def test_truncate_keeps_ties():
 
 
 def test_truncate_termwise_bound(small_restriction):
-    _, weights, _, svd = small_restriction
+    _, _, volume, _, svd = small_restriction
     rng = np.random.default_rng(4)
-    W = rng_complex(rng, weights.n_x)
+    W = rng_complex(rng, volume.n_x)
     coeffs, _ = expand_target(svd, W)
     for alpha in (svd.sigma[0], svd.sigma[len(svd.sigma) // 2], svd.sigma[-1]):
         appr = truncate(svd, coeffs, alpha)
@@ -172,9 +170,9 @@ def test_truncate_termwise_bound(small_restriction):
 
 
 def test_truncation_error_monotone(small_restriction):
-    _, weights, op, svd = small_restriction
+    _, _, volume, op, svd = small_restriction
     rng = np.random.default_rng(5)
-    W = rng_complex(rng, weights.n_x)
+    W = rng_complex(rng, volume.n_x)
     coeffs, out_resid = expand_target(svd, W)
     alphas = np.sort(svd.sigma)[::-1]
     prev = None
@@ -186,8 +184,8 @@ def test_truncation_error_monotone(small_restriction):
         # the matrix realization reproduces the tail error above the fp floor,
         # where c_k/sigma_k amplification stays representable
         if alpha >= 1e-6 * svd.sigma[0]:
-            realized = weights.x_norm(W - op.apply(appr.boundary_data))
-            assert realized == pytest.approx(err, rel=1e-6, abs=1e-10 * weights.x_norm(W))
+            realized = volume.x_norm(W - op.apply(appr.boundary_data))
+            assert realized == pytest.approx(err, rel=1e-6, abs=1e-10 * volume.x_norm(W))
         prev = err
 
 
@@ -216,61 +214,61 @@ def test_alpha_for_j_validation():
 
 
 def test_operator_cache_roundtrip(tmp_path, small_restriction):
-    sys_, weights, op, _ = small_restriction
+    sys_, gram, volume, op, _ = small_restriction
     path = tmp_path / "op.rgfo"
     save_operator(op, path)
-    back = load_operator(path, weights, sys_)
+    back = load_operator(path, gram, volume, sys_)
     assert np.array_equal(back.matrix, op.matrix)
 
 
 def test_operator_cache_detects_truncation(tmp_path, small_restriction):
-    sys_, weights, op, _ = small_restriction
+    sys_, gram, volume, op, _ = small_restriction
     path = tmp_path / "op.rgfo"
     save_operator(op, path)
     blob = path.read_bytes()
     path.write_bytes(blob[:-20])
     with pytest.raises(BadLengthError):
-        load_operator(path, weights, sys_)
+        load_operator(path, gram, volume, sys_)
 
 
 def test_operator_cache_detects_corruption(tmp_path, small_restriction):
-    sys_, weights, op, _ = small_restriction
+    sys_, gram, volume, op, _ = small_restriction
     path = tmp_path / "op.rgfo"
     save_operator(op, path)
     blob = bytearray(path.read_bytes())
     blob[60] ^= 0xFF
     path.write_bytes(bytes(blob))
     with pytest.raises(BadChecksumError):
-        load_operator(path, weights, sys_)
+        load_operator(path, gram, volume, sys_)
 
 
 def test_operator_cache_provenance(tmp_path, small_restriction, grid8):
-    sys_, weights, op, _ = small_restriction
+    sys_, gram, volume, op, _ = small_restriction
     path = tmp_path / "op.rgfo"
     save_operator(op, path)
     other_mat = rl.make_material(grid8, {"kind": "constant", "eps": 2.25, "mu": 1.0})
     other_sys = rl.assemble(grid8, other_mat, 2.0)
     with pytest.raises(BadProvenanceError):
-        load_operator(path, weights, other_sys)
+        load_operator(path, gram, volume, other_sys)
 
 
 def test_operator_provenance_names_the_solver(tmp_path, small_restriction, grid8, vacuum8):
     # the same scene solved by MINRES, or directly at another tolerance
-    sys_, weights, op, _ = small_restriction
+    sys_, gram, volume, op, _ = small_restriction
     krylov = rl.assemble(grid8, vacuum8, 2.0, direct_limit=0)
     loose = rl.assemble(grid8, vacuum8, 2.0, solver_tol=1e-8)
     assert sys_.direct and not krylov.direct and loose.direct
-    provs = {operator_provenance(s, weights) for s in (sys_, krylov, loose)}
+    provs = {operator_provenance(s, gram, volume) for s in (sys_, krylov, loose)}
     assert len(provs) == 3
     path = tmp_path / "op.rgfo"
     save_operator(op, path)
     with pytest.raises(BadProvenanceError):
-        load_operator(path, weights, krylov)
+        load_operator(path, gram, volume, krylov)
 
 
 def _provenance(sys_, region, patch):
-    return operator_provenance(sys_, rl.build_norm_weights(patch, region,
-                                                           collar="exclude_rim"))
+    return operator_provenance(sys_, rl.build_norm_weights(patch, collar="exclude_rim"),
+                               rl.VolumeWeights(region))
 
 
 def test_operator_provenance_tells_shifted_regions_apart():
@@ -300,3 +298,11 @@ def test_operator_provenance_tells_mirrored_materials_apart(grid8):
     provs = [_provenance(rl.assemble(grid8, m, 2.0, check_resonance=False), region, patch)
              for m in mats]
     assert provs[0] != provs[1]
+
+
+def test_reference_operator_provenance_is_pinned(reference_runge_scene):
+    # the key names the cache entry: a change here orphans every operator
+    # cached from configs/runge_reference.json
+    cfg, scene, gram, volume, op, _, _ = reference_runge_scene
+    assert op.provenance == 0x5f8f85a9e9147bf9
+    assert operator_provenance(scene.system, gram, volume) == op.provenance

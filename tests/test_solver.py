@@ -3,7 +3,6 @@ import pytest
 
 import rungelab as rl
 from rungelab.errors import ResonantFrequencyError
-from rungelab.oracle import trace_of
 from rungelab.solver import SourceTerm, TangentialTrace, assemble, resonance_guard, weak_rhs
 
 from conftest import rng_complex
