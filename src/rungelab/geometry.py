@@ -572,14 +572,21 @@ def _require_path_inside(grid: Grid, mask, path):
 
 
 class CubeCover:
-    """Tessellation cubes meeting a region: integer lattice corners and side."""
+    """Tessellation cubes meeting a region: side, and hit mask over a lattice
+    box whose first cube has integer corner ``corner``."""
 
-    def __init__(self, lattice, side):
-        self.lattice = np.asarray(lattice, dtype=np.int64)
+    def __init__(self, hit, corner, side):
+        self.hit = hit
+        self.corner = np.asarray(corner, dtype=np.int64)
         self.side = float(side)
 
+    @property
+    def lattice(self):
+        """(N, 3) integer corners of the hit cubes, in C order."""
+        return np.argwhere(self.hit) + self.corner
+
     def __len__(self):
-        return len(self.lattice)
+        return int(np.count_nonzero(self.hit))
 
     def diagonal(self):
         return self.side * np.sqrt(3.0)
@@ -596,30 +603,23 @@ def cube_cover(region: Region, r1) -> CubeCover:
         raise ConfigurationError("r1 must be positive")
     grid = region.grid
     side = 2.0 * r1 / np.sqrt(3.0)
-    idx = np.argwhere(region.mask)
-    los = idx * grid.h + grid.origin
-    his = los + grid.h
-    jmin_all = np.floor(los.min(axis=0) / side).astype(np.int64) - 1
-    jmax_all = np.ceil(his.max(axis=0) / side).astype(np.int64) + 1
-    shape = tuple(int(b - a + 1) for a, b in zip(jmin_all, jmax_all))
-    hit = np.zeros(shape, dtype=bool)
-    # mark, per voxel, the lattice cubes whose open interior meets its box:
-    # largest range of j with j*side < hi and (j+1)*side > lo
-    for lo, hi in zip(los, his):
-        sl = []
-        ok = True
-        for d in range(3):
-            j0 = int(np.floor(lo[d] / side))
-            while (j0 + 1) * side <= lo[d]:
-                j0 += 1
-            j1 = int(np.ceil(hi[d] / side)) - 1
-            while j1 * side >= hi[d]:
-                j1 -= 1
-            if j1 < j0:
-                ok = False
-                break
-            sl.append(slice(int(j0 - jmin_all[d]), int(j1 + 1 - jmin_all[d])))
-        if ok:
-            hit[tuple(sl)] = True
-    lattice = np.argwhere(hit) + jmin_all
-    return CubeCover(lattice, side)
+    occupied = np.argwhere(region.mask)
+    first, last = occupied.min(axis=0), occupied.max(axis=0) + 1
+    hit = region.mask[tuple(map(slice, first, last))]
+    corner = []
+    for d in range(3):
+        lo = np.arange(first[d], last[d]) * grid.h + grid.origin[d]
+        hi = lo + grid.h
+        j = np.arange(np.floor(lo[0] / side) - 1, np.ceil(hi[-1] / side) + 1)
+        lo, hi = lo[:, None], hi[:, None]
+        # voxel slab i meets the open interior of cube j along axis d; the
+        # floor/ceil bounds keep out a cube whose face lies on the slab's
+        # face when rounding of j * side puts it just inside
+        meets = ((j >= np.floor(lo / side)) & ((j + 1) * side > lo)
+                 & (j < np.ceil(hi / side)) & (j * side < hi))
+        # a cube is hit when one occupied voxel meets it along every axis;
+        # each contraction replaces the leading voxel axis by a trailing
+        # lattice axis, so the box ends in (j_x, j_y, j_z) order
+        hit = np.tensordot(hit, meets.astype(np.float32), axes=(0, 0)) > 0
+        corner.append(int(j[0]))
+    return CubeCover(hit, corner, side)

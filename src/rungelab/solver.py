@@ -28,10 +28,11 @@ from .materials import MaterialField
 _M1D = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
 
 # Interior dimension above which systems are solved by MINRES instead of a
-# SuperLU factorization.  A single-RHS level already costs less on MINRES at
-# 12^3, but studies with more than a few right-hand sides do not, so the
-# limit keeps 12^3 (4,356 interior edges: the runge and three-ball studies)
-# direct and sends 16^3 (10,800) and larger to MINRES.
+# SuperLU factorization.  In vacuum MINRES is cheaper from 14^3 up for any
+# number of right-hand sides, but in a non-constant medium the factorization
+# pays for itself after a few of them, so the limit keeps 12^3 (4,356
+# interior edges: the many-RHS runge and three-ball studies) direct and sends
+# 15^3 (8,820) and larger to MINRES.
 DIRECT_LIMIT = 8_000
 SOLVER_TOL = 1e-10
 KRYLOV_MAXITER = 10_000
@@ -245,19 +246,96 @@ class FieldPair:
         return FieldPair(self.grid, self.E - other.E, self.H - other.H)
 
 
+def reference_medium(eps, mu_inv):
+    """(eps0, deps, nu0, dnu) of the constant reference medium.
+
+    eps0 and nu0 are the cell means of tr eps / 3 and tr mu^-1 / 3; deps and
+    dnu are the largest Frobenius distance of a cell tensor from eps0 I and
+    nu0 I, so both are zero for a constant scalar medium.
+    """
+    out = []
+    for t in (eps, mu_inv):
+        t0 = np.trace(t, axis1=-2, axis2=-1).mean() / 3.0
+        out += [t0, float(np.linalg.norm(t - t0 * np.eye(3), axis=(-2, -1)).max())]
+    return tuple(out)
+
+
+def reference_inverse(grid: Grid, omega, eps0, deps, nu0, dnu) -> spla.LinearOperator:
+    """|L0|^-1 on interior edges, the MINRES preconditioner.
+
+    L0 = h^3 (nu0 C^T C - omega^2 eps0) is the operator of the constant
+    reference medium (``reference_medium``).  Under tangential-Dirichlet
+    walls each component of an interior edge field expands in DCT-II modes
+    along its own axis and DST-I modes along the other two.  The gradient of
+    a DST-I nodal mode m is, per component d, the matching edge mode times
+    s_d = 2/h sin(pi m_d / 2 n_d).  So mode by mode the field splits into its
+    gradient part, where L0 is -h^3 omega^2 eps0, and the remainder, where
+    C^T C is the Laplacian eigenvalue lam = sum_d s_d^2.  Both parts are
+    scaled by the inverse modulus.  L_II departs from L0 on a remainder mode
+    by at most h^3 (dnu lam + omega^2 deps), so the remainder's denominator
+    is floored there and M stays bounded near a resonance of the reference
+    medium.  With signs kept, this is the exact inverse of L_II for any
+    constant scalar medium.
+    """
+    import scipy.fft as fft  # loaded by the Krylov path only
+
+    h = grid.h
+    shift = omega ** 2 * eps0
+
+    def factor(d, first):
+        """s_d over the modes first..n_d-1, laid along axis d."""
+        m = np.arange(first, grid.n[d])
+        s = 2.0 / h * np.sin(np.pi * m / (2 * grid.n[d]))
+        return s.reshape([-1 if e == d else 1 for e in range(3)])
+
+    node = [factor(d, 1) for d in range(3)]
+    lams = [sum(factor(d, int(d != a)) ** 2 for d in range(3)) for a in range(3)]
+    floor = omega ** 2 * deps + np.finfo(float).eps * (nu0 * max(lam.max() for lam in lams) + shift)
+    d_rem = [1.0 / (h ** 3 * np.maximum(np.abs(nu0 * lam - shift), dnu * lam + floor))
+             for lam in lams]
+    own = [tuple(slice(1, None) if d == a else slice(None) for d in range(3)) for a in range(3)]
+    # the gradient part is G (G^T G)^-1 G^T r; it swaps the remainder's scale
+    # for 1 / (h^3 omega^2 eps0)
+    lam_node = sum(s ** 2 for s in node)
+    swap = [(1.0 / (h ** 3 * shift) - d_rem[a][own[a]]) * node[a] / lam_node for a in range(3)]
+    bounds = np.cumsum([0] + [lam.size for lam in lams])
+
+    def transform(x, a, inverse=False):
+        other = tuple(d for d in range(3) if d != a)
+        dct = fft.idct if inverse else fft.dct
+        return fft.dstn(dct(x, type=2, axis=a, norm="ortho"), type=1, axes=other, norm="ortho")
+
+    def apply(r):
+        r = np.ravel(r)
+        hats = [transform(r[bounds[a]:bounds[a + 1]].reshape(lams[a].shape), a)
+                for a in range(3)]
+        div = sum(node[a] * hats[a][own[a]] for a in range(3))  # G^T r, nodal modes
+        out = np.empty(len(r))
+        for a in range(3):
+            y = d_rem[a] * hats[a]
+            y[own[a]] += swap[a] * div
+            out[bounds[a]:bounds[a + 1]] = transform(y, a, inverse=True).ravel()
+        return out
+
+    return spla.LinearOperator((bounds[-1], bounds[-1]), matvec=apply, dtype=float)
+
+
 class SystemMatrix:
     """Assembled curl-curl operator with its interior factorization.
 
     Systems of interior dimension up to ``direct_limit`` are solved against a
-    SuperLU factorization, larger ones by Jacobi-preconditioned MINRES.
-    Immutable after assembly apart from the lazily built factorization, the
-    lazily built Krylov preconditioner and the cached resonance margin.
+    SuperLU factorization, larger ones by MINRES preconditioned with the
+    exact inverse modulus of the constant reference medium
+    (``reference_inverse``).  Immutable after assembly apart from the lazily
+    built factorization, the lazily built Krylov preconditioner and the
+    cached resonance margin.
     """
 
     def __init__(self, grid, material, omega, L, curl, mu_inv_point, solver_tol,
-                 direct_limit):
+                 direct_limit, reference):
         self.grid = grid
         self.material = material
+        self.reference = reference
         self.omega = float(omega)
         self.L = L
         self.curl = curl
@@ -271,15 +349,13 @@ class SystemMatrix:
         self.dimension = self.L_II.shape[0]
         self.direct = self.dimension <= direct_limit
         self._lu = None
-        self._jacobi = None
+        self._precond = None
         self.margin = None
 
     def _preconditioner(self):
-        if self._jacobi is None:
-            diag = np.abs(self.L_II.diagonal())
-            diag[diag == 0] = 1.0
-            self._jacobi = sp.diags(1.0 / diag)
-        return self._jacobi
+        if self._precond is None:
+            self._precond = reference_inverse(self.grid, self.omega, *self.reference)
+        return self._precond
 
     def _factorize(self):
         if self._lu is None:
@@ -348,14 +424,16 @@ def assemble(grid: Grid, mat: MaterialField, omega, *,
     if not (omega > 0):
         raise ConfigurationError("omega must be positive")
     C = curl_matrix(grid)
-    Mf = face_material_matrix(grid, mat.mu_inv())
+    mu_inv = mat.mu_inv()
+    Mf = face_material_matrix(grid, mu_inv)
     Me = edge_material_matrix(grid, mat.eps)
     K = (C.T @ Mf @ C).tocsr()
     L = (K - omega ** 2 * Me).tocsr()
     # exact symmetry of the assembled operator
     L = ((L + L.T) * 0.5).tocsr()
-    Pmu = face_pointwise_operator(grid, mat.mu_inv())
-    sys = SystemMatrix(grid, mat, omega, L, C, Pmu, solver_tol, direct_limit)
+    Pmu = face_pointwise_operator(grid, mu_inv)
+    sys = SystemMatrix(grid, mat, omega, L, C, Pmu, solver_tol, direct_limit,
+                       reference_medium(mat.eps, mu_inv))
     if check_resonance:
         margin = resonance_guard(sys)
         if margin < resonance_threshold:
@@ -387,10 +465,12 @@ def resonance_guard(sys: SystemMatrix, iterations=12, seed=0):
     """Relative smallest-singular-value estimate via inverse power iterations.
 
     On the Krylov path each step is one MINRES run at ``GUARD_TOL``,
-    warm-started from the Rayleigh-quotient guess v / (v^T L v): once v is
-    near the smallest eigenvector the start is nearly exact in that
-    direction, so the loose tolerance leaves the margin within about 1e-6
-    relative of the direct one.
+    warm-started from the Rayleigh-quotient guess v / (v^T L v) and
+    preconditioned by ``reference_inverse``: once v is near the smallest
+    eigenvector the start is nearly exact in that direction.  The loose
+    tolerance then leaves the margin within about 1e-6 relative of the
+    direct one for a constant scalar medium, and within 4e-4 on the smooth
+    and anisotropic media of the tests, where the preconditioner is inexact.
     """
     if sys.margin is not None:
         return sys.margin

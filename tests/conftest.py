@@ -64,6 +64,14 @@ def reference_runge_scene():
     return cfg, scene, gram, volume, op, svd, time.time() - t0
 
 
+@pytest.fixture
+def krylov_stall(monkeypatch):
+    """Cap MINRES at 2 iterations without a preconditioner, so that a Krylov
+    solve stalls whatever the strength of the real preconditioner."""
+    monkeypatch.setattr(rl.solver, "KRYLOV_MAXITER", 2)
+    monkeypatch.setattr(rl.solver.SystemMatrix, "_preconditioner", lambda self: None)
+
+
 def rng_complex(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 

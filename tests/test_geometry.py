@@ -304,6 +304,13 @@ def test_cube_cover_aligned(grid8):
     cover = cube_cover(full, np.sqrt(3) / 2)
     assert len(cover) == 1
     assert abs(cover.diagonal() - np.sqrt(3)) < 1e-12
+    # a voxel that is one lattice cube is covered by that cube alone, also
+    # where the next cube's face 18 * 0.05 rounds below the voxel's upper face
+    g = rl.build_grid((4, 4, 4), 0.05, origin=(0.8, 0.8, 0.8))
+    m = np.zeros(g.n, dtype=bool)
+    m[1, 1, 1] = True
+    cover = cube_cover(rl.Region(g, m), np.sqrt(3) / 2 * 0.05)
+    assert cover.lattice.tolist() == [[17, 17, 17]]
 
 
 def test_cube_cover_single_voxel(grid8):
@@ -315,6 +322,32 @@ def test_cube_cover_single_voxel(grid8):
     assert 1 <= len(cover) <= 8
     # diagonal equals 2 r1 so each cube fits a radius-r1 ball
     assert abs(cover.diagonal() - 2 * r1) < 1e-12
+
+
+@pytest.mark.parametrize("r1, origin", [
+    (0.02, (-0.3, 0.1, 0.05)), (0.0625, (-0.3, 0.1, 0.05)), (0.1, (-0.3, 0.1, 0.05)),
+    # cube faces on voxel faces: touching cubes must not count
+    (np.sqrt(3) / 2 * 0.125, (0.0, 0.0, 0.0)), (np.sqrt(3) / 4 * 0.125, (0.25, -0.5, 0.0)),
+])
+def test_cube_cover_matches_brute_force(r1, origin):
+    # an irregular region on a non-cubic grid, against every (voxel, cube)
+    # pair: open cube interiors meeting the voxel box
+    g = rl.build_grid((5, 6, 4), 0.125, origin=origin)
+    mask = np.random.default_rng(3).random(g.n) < 0.3
+    cover = cube_cover(rl.Region(g, mask), r1)
+    side = 2.0 * r1 / np.sqrt(3.0)
+    lo_box = g.origin
+    hi_box = g.origin + np.array(g.n) * g.h
+    axes = [np.arange(np.floor(lo_box[d] / side) - 1, np.ceil(hi_box[d] / side) + 1)
+            for d in range(3)]
+    cubes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    hit = np.zeros(len(cubes), dtype=bool)
+    for v in np.argwhere(mask):
+        lo = v * g.h + g.origin
+        hi = lo + g.h
+        hit |= np.all(cubes * side < hi, axis=1) & np.all((cubes + 1) * side > lo, axis=1)
+    assert np.array_equal(cover.lattice, cubes[hit].astype(np.int64))
+    assert len(cover) == hit.sum()
 
 
 def test_ballchain_volume_bound():
