@@ -18,19 +18,21 @@ from .experiments import ExperimentConfig, run_experiment
 from . import store
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a JSON experiment config."""
+def parse_config(text: str, tag=None) -> ExperimentConfig:
+    """Parse and validate a JSON experiment config, ``tag`` replacing its own."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    if tag is not None and isinstance(raw, dict):
+        raw["tag"] = tag
     return ExperimentConfig.from_dict(raw)
 
 
-def _load_config(path, args) -> ExperimentConfig:
+def _load_config(path, args, tag=None) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = parse_config(fh.read())
+        cfg = parse_config(fh.read(), tag)
     if args.out:
         cfg.data["output"]["dir"] = args.out
     if args.cache:
@@ -52,8 +54,8 @@ def _cmd_run(args):
 
 
 def _cmd_verify(args):
-    cfg = _load_config(args.config, args)
-    cfg.data["tag"] = "verify_solver"
+    # the tag is set before normalization, so verify's solver defaults apply
+    cfg = _load_config(args.config, args, tag="verify_solver")
     report = run_experiment(cfg)
     csv_path, _ = report.write(cfg["output"]["dir"])
     for name, ok in sorted(report.flags.items()):

@@ -36,6 +36,16 @@ _DEFAULT_TOLERANCES = {
 }
 
 
+def _scalar_medium(material):
+    """(eps, mu) of the analytic oracles; raises on a non-scalar eps or mu."""
+    eps, mu = material.get("eps", 1.0), material.get("mu", 1.0)
+    if np.ndim(eps) or np.ndim(mu):
+        raise ConfigurationError(
+            f"the analytic oracles need scalar eps and mu; material kind "
+            f"{material.get('kind')!r} has eps={eps!r}, mu={mu!r}")
+    return float(eps), float(mu)
+
+
 def _theta_from(q, q0):
     return (1.0 / q - 0.5) / (1.0 / q0 - 0.5)
 
@@ -109,7 +119,8 @@ def normalize_config(raw: dict) -> dict:
     slv = cfg.setdefault("solver", {})
     slv.setdefault("resonance_threshold", solver.RESONANCE_THRESHOLD)
     slv.setdefault("tol", solver.SOLVER_TOL)
-    slv.setdefault("direct_limit", solver.DIRECT_LIMIT)
+    # verify solves one right-hand side per system: the Krylov path is cheaper
+    slv.setdefault("direct_limit", 0 if tag == "verify_solver" else solver.DIRECT_LIMIT)
     cfg.setdefault("verify", {})
     cfg["verify"].setdefault("levels", 3)
     cfg.setdefault("output", {}).setdefault("dir", "out")
@@ -351,9 +362,11 @@ def run_verify_solver(cfg: ExperimentConfig) -> Report:
     wave = cfg["verify"].get("wave") or {}
     k = np.asarray(wave.get("k", [omega, 0.0, 0.0]), dtype=float)
     p = np.asarray(wave.get("p", [0.0, 1.0, 0.0]), dtype=float)
-    eps0 = float(cfg["material"].get("eps", 1.0))
-    mu0 = float(cfg["material"].get("mu", 1.0))
-    sol = oracle.plane_wave(k, p, omega, eps0, mu0)
+    kind = cfg["material"].get("kind")
+    if kind != "constant":
+        raise ConfigurationError(
+            f"verify compares with a plane wave in a constant medium, not kind {kind!r}")
+    sol = oracle.plane_wave(k, p, omega, *_scalar_medium(cfg["material"]))
 
     grids = []
     for lvl in range(levels):
@@ -398,8 +411,7 @@ def run_runge(cfg: ExperimentConfig, scene: Scene | None = None,
         svd = runge_op.weighted_svd(op)
 
     target = _target_solution(cfg["runge"]["target"], cfg["omega"],
-                              float(cfg["material"].get("eps", 1.0)),
-                              float(cfg["material"].get("mu", 1.0)))
+                              *_scalar_medium(cfg["material"]))
     W = _target_on_region(target, svd.volume)
     coeffs, out_residual = runge_op.expand_target(svd, W)
 
@@ -644,8 +656,7 @@ def _cauchy_truth(cfg, scene: Scene):
         return truth, "discrete"
     if kind == "dipole":
         sol = oracle.dipole_field(spec["x0"], spec.get("m", [0, 0, 1.0]), cfg["omega"],
-                                  float(cfg["material"].get("eps", 1.0)),
-                                  float(cfg["material"].get("mu", 1.0)))
+                                  *_scalar_medium(cfg["material"]))
         truth = oracle.sample_on_grid(sol, scene.grid)
         return truth, "analytic"
     raise ConfigurationError(f"unknown truth kind {kind!r}")
@@ -714,8 +725,7 @@ def run_cauchy(cfg: ExperimentConfig, scene: Scene | None = None) -> Report:
 
     # forward discretization error oracle on the scene's own system (vacuum plane wave)
     probe = oracle.plane_wave([cfg["omega"], 0.0, 0.0], [0.0, 1.0, 0.0], cfg["omega"],
-                              float(cfg["material"].get("eps", 1.0)),
-                              float(cfg["material"].get("mu", 1.0)))
+                              *_scalar_medium(cfg["material"]))
     disc_rel = oracle.discretization_error(probe, scene.system)
 
     tol = cfg.tolerances

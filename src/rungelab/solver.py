@@ -27,18 +27,20 @@ from .materials import MaterialField
 # 1D segment mass matrix of the linear shape functions on [0, 1].
 _M1D = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
 
-# Interior dimension above which systems are solved by MINRES instead of a
-# SuperLU factorization.  In vacuum MINRES is cheaper from 14^3 up for any
-# number of right-hand sides, but in a non-constant medium the factorization
-# pays for itself after a few of them, so the limit keeps 12^3 (4,356
-# interior edges: the many-RHS runge and three-ball studies) direct and sends
-# 15^3 (8,820) and larger to MINRES.
+# Interior dimension above which systems go to the Krylov path instead of a
+# SuperLU factorization.  A constant scalar medium is solved there by one
+# transform, cheaper than the factorization for any number of right-hand
+# sides, but in other media MINRES runs and the factorization pays for itself
+# after a few of them.  So the limit keeps 12^3 (4,356 interior edges: the
+# many-RHS runge and three-ball studies) direct and sends 15^3 (8,820) and
+# larger to the Krylov path.  Verify, one right-hand side per system, defaults
+# to 0 (``experiments.normalize_config``).
 DIRECT_LIMIT = 8_000
 SOLVER_TOL = 1e-10
 KRYLOV_MAXITER = 10_000
 KRYLOV_RESTARTS = 5
 RESONANCE_THRESHOLD = 1e-6
-# Relative MINRES tolerance of one inverse-iteration step of the resonance
+# Relative residual tolerance of one inverse-iteration step of the resonance
 # guard on the Krylov path: the margin is only compared with a threshold.
 GUARD_TOL = 1e-6
 
@@ -260,8 +262,10 @@ def reference_medium(eps, mu_inv):
     return tuple(out)
 
 
-def reference_inverse(grid: Grid, omega, eps0, deps, nu0, dnu) -> spla.LinearOperator:
-    """|L0|^-1 on interior edges, the MINRES preconditioner.
+def reference_inverse(grid: Grid, omega, eps0, deps, nu0, dnu,
+                      signed=False) -> spla.LinearOperator:
+    """|L0|^-1 on interior edges, the MINRES preconditioner, or with
+    ``signed`` the inverse L0^-1 itself.
 
     L0 = h^3 (nu0 C^T C - omega^2 eps0) is the operator of the constant
     reference medium (``reference_medium``).  Under tangential-Dirichlet
@@ -275,7 +279,7 @@ def reference_inverse(grid: Grid, omega, eps0, deps, nu0, dnu) -> spla.LinearOpe
     by at most h^3 (dnu lam + omega^2 deps), so the remainder's denominator
     is floored there and M stays bounded near a resonance of the reference
     medium.  With signs kept, this is the exact inverse of L_II for any
-    constant scalar medium.
+    constant scalar medium (where deps = dnu = 0 and the floor is rounding).
     """
     import scipy.fft as fft  # loaded by the Krylov path only
 
@@ -291,13 +295,15 @@ def reference_inverse(grid: Grid, omega, eps0, deps, nu0, dnu) -> spla.LinearOpe
     node = [factor(d, 1) for d in range(3)]
     lams = [sum(factor(d, int(d != a)) ** 2 for d in range(3)) for a in range(3)]
     floor = omega ** 2 * deps + np.finfo(float).eps * (nu0 * max(lam.max() for lam in lams) + shift)
-    d_rem = [1.0 / (h ** 3 * np.maximum(np.abs(nu0 * lam - shift), dnu * lam + floor))
+    d_rem = [(np.sign(nu0 * lam - shift) if signed else 1.0)
+             / (h ** 3 * np.maximum(np.abs(nu0 * lam - shift), dnu * lam + floor))
              for lam in lams]
     own = [tuple(slice(1, None) if d == a else slice(None) for d in range(3)) for a in range(3)]
     # the gradient part is G (G^T G)^-1 G^T r; it swaps the remainder's scale
-    # for 1 / (h^3 omega^2 eps0)
+    # for 1 / (h^3 omega^2 eps0), negated with signs kept
     lam_node = sum(s ** 2 for s in node)
-    swap = [(1.0 / (h ** 3 * shift) - d_rem[a][own[a]]) * node[a] / lam_node for a in range(3)]
+    grad = (-1.0 if signed else 1.0) / (h ** 3 * shift)
+    swap = [(grad - d_rem[a][own[a]]) * node[a] / lam_node for a in range(3)]
     bounds = np.cumsum([0] + [lam.size for lam in lams])
 
     def transform(x, a, inverse=False):
@@ -324,11 +330,13 @@ class SystemMatrix:
     """Assembled curl-curl operator with its interior factorization.
 
     Systems of interior dimension up to ``direct_limit`` are solved against a
-    SuperLU factorization, larger ones by MINRES preconditioned with the
-    exact inverse modulus of the constant reference medium
-    (``reference_inverse``).  Immutable after assembly apart from the lazily
-    built factorization, the lazily built Krylov preconditioner and the
-    cached resonance margin.
+    SuperLU factorization, larger ones on the Krylov path.  It first tries
+    the transform start x = L0^-1 b, the exact inverse of the constant
+    reference medium (``reference_inverse`` with signs kept), which solves a
+    constant scalar medium outright, and otherwise runs MINRES
+    preconditioned with |L0|^-1.  Immutable after assembly apart from the
+    lazily built factorization and reference inverses and the cached
+    resonance margin.
     """
 
     def __init__(self, grid, material, omega, L, curl, mu_inv_point, solver_tol,
@@ -349,13 +357,22 @@ class SystemMatrix:
         self.dimension = self.L_II.shape[0]
         self.direct = self.dimension <= direct_limit
         self._lu = None
-        self._precond = None
+        self._inverses = {}
         self.margin = None
 
+    def _reference_inverse(self, signed):
+        if signed not in self._inverses:
+            self._inverses[signed] = reference_inverse(self.grid, self.omega, *self.reference,
+                                                       signed=signed)
+        return self._inverses[signed]
+
     def _preconditioner(self):
-        if self._precond is None:
-            self._precond = reference_inverse(self.grid, self.omega, *self.reference)
-        return self._precond
+        return self._reference_inverse(False)
+
+    def _transform_start(self, b, rtol):
+        """L0^-1 b when its true residual is within rtol |b|, else None."""
+        x = self._reference_inverse(True) @ b
+        return x if np.linalg.norm(self.L_II @ x - b) <= rtol * np.linalg.norm(b) else None
 
     def _factorize(self):
         if self._lu is None:
@@ -384,6 +401,9 @@ class SystemMatrix:
             return out
         if np.abs(b).max(initial=0) == 0:
             return np.zeros_like(b)
+        x = self._transform_start(b, self.solver_tol)
+        if x is not None:
+            return x
         # minres stops on its preconditioned residual estimate relative to
         # |L_II| |x|, not |b|; accept only the true relative residual and
         # solve for the correction again until it is met
@@ -464,13 +484,16 @@ def _suggest_detuned(grid, mat, omega, solver_tol, direct_limit):
 def resonance_guard(sys: SystemMatrix, iterations=12, seed=0):
     """Relative smallest-singular-value estimate via inverse power iterations.
 
-    On the Krylov path each step is one MINRES run at ``GUARD_TOL``,
-    warm-started from the Rayleigh-quotient guess v / (v^T L v) and
-    preconditioned by ``reference_inverse``: once v is near the smallest
-    eigenvector the start is nearly exact in that direction.  The loose
-    tolerance then leaves the margin within about 1e-6 relative of the
-    direct one for a constant scalar medium, and within 4e-4 on the smooth
-    and anisotropic media of the tests, where the preconditioner is inexact.
+    On the Krylov path each step is first the transform start, accepted
+    when its residual meets ``GUARD_TOL``.  It always is for a constant
+    scalar medium, whose margin then agrees with the direct one to rounding
+    (below 1e-13 relative at 8^3-16^3).  Otherwise the step is one MINRES
+    run at ``GUARD_TOL``, warm-started from the Rayleigh-quotient guess
+    v / (v^T L v) and preconditioned by ``reference_inverse``: once v is near
+    the smallest eigenvector the start is nearly exact in that direction.  The loose
+    tolerance leaves the margin within 4e-4 relative of the direct one on
+    the smooth and anisotropic media of the tests, where the preconditioner
+    is inexact.
     """
     if sys.margin is not None:
         return sys.margin
@@ -490,7 +513,11 @@ def resonance_guard(sys: SystemMatrix, iterations=12, seed=0):
 
 
 def _guard_step(sys: SystemMatrix, v):
-    """Loose, warm-started MINRES solve of L_II w = v for a unit vector v."""
+    """Loose solve of L_II w = v for a unit vector v: the transform start if
+    it meets ``GUARD_TOL``, else a warm-started MINRES run."""
+    w = sys._transform_start(v, GUARD_TOL)
+    if w is not None:
+        return w
     w, info = sys._minres(v, GUARD_TOL, x0=v / (v @ (sys.L_II @ v)))
     if info != 0:
         rel = float(np.linalg.norm(sys.L_II @ w - v))

@@ -66,10 +66,17 @@ def reference_runge_scene():
 
 @pytest.fixture
 def krylov_stall(monkeypatch):
-    """Cap MINRES at 2 iterations without a preconditioner, so that a Krylov
-    solve stalls whatever the strength of the real preconditioner."""
+    """Cap MINRES at 2 iterations without a preconditioner and switch off the
+    transform start, so that a Krylov solve stalls whatever the strength of
+    the reference inverse."""
     monkeypatch.setattr(rl.solver, "KRYLOV_MAXITER", 2)
     monkeypatch.setattr(rl.solver.SystemMatrix, "_preconditioner", lambda self: None)
+    transform_off(monkeypatch)
+
+
+def transform_off(monkeypatch):
+    """Make the Krylov path skip its transform start and go to MINRES."""
+    monkeypatch.setattr(rl.solver.SystemMatrix, "_transform_start", lambda self, b, rtol: None)
 
 
 def rng_complex(rng, n):

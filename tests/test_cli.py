@@ -69,6 +69,53 @@ def test_run_exit_one_on_bad_field(tmp_path, capsys):
     assert "q0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("material, words", [
+    ({"kind": "constant", "eps": [1, 2, 3]}, ["scalar eps and mu", "'constant'", "[1, 2, 3]"]),
+    ({"kind": "smooth", "seed": 3}, ["plane wave in a constant medium", "'smooth'"]),
+], ids=["anisotropic", "smooth"])
+def test_verify_exit_one_on_a_medium_its_oracle_cannot_describe(tmp_path, capsys,
+                                                                material, words):
+    cfg = _write(tmp_path, "v.json", dict(QUICK_VERIFY, material=material))
+    assert main(["--out", str(tmp_path / "out"), "verify", cfg]) == 1
+    err = capsys.readouterr().err
+    assert all(w in err for w in words), err
+
+
+def _verify_route(tmp_path, monkeypatch, payload):
+    """Dimensions of the systems factorized by a CLI verify run, and its echo."""
+    import rungelab.solver as solver_mod
+
+    factorized = []
+    splu = solver_mod.spla.splu
+    monkeypatch.setattr(solver_mod.spla, "splu",
+                        lambda a, **k: factorized.append(a.shape[0]) or splu(a, **k))
+    out = str(tmp_path / "out")
+    assert main(["--out", out, "verify", _write(tmp_path, "v.json", payload)]) == 0
+    with open(os.path.join(out, "verify_solver.json"), encoding="utf-8") as fh:
+        return factorized, json.load(fh)["config"]
+
+
+def test_verify_defaults_to_the_krylov_route(tmp_path, monkeypatch, capsys):
+    factorized, echo = _verify_route(tmp_path, monkeypatch, QUICK_VERIFY)
+    assert factorized == []
+    assert echo["solver"]["direct_limit"] == 0
+
+
+def test_verify_explicit_direct_limit_factorizes_every_level(tmp_path, monkeypatch, capsys):
+    # 4^3 and 8^3 levels: 108 and 1,176 interior edges
+    payload = dict(QUICK_VERIFY, solver={"direct_limit": 1176})
+    factorized, echo = _verify_route(tmp_path, monkeypatch, payload)
+    assert factorized == [108, 1176]
+    assert echo["solver"]["direct_limit"] == 1176
+
+
+def test_verify_default_applies_whatever_the_tag(tmp_path, monkeypatch, capsys):
+    factorized, echo = _verify_route(tmp_path, monkeypatch, dict(QUICK_VERIFY, tag="runge"))
+    assert factorized == []
+    assert echo["tag"] == "verify_solver"
+    assert echo["solver"]["direct_limit"] == 0
+
+
 def test_every_command_releases_the_free_heap(tmp_path, monkeypatch, capsys):
     from rungelab import cli
 
