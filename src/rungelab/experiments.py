@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from . import analysis, geometry, materials, oracle, runge_op, solver
-from .errors import BadVersionError, ConfigurationError, GeometryError
+from .errors import BadVersionError, ConfigurationError, GeometryError, NumericError
 from .analysis import (VolumeWeights, build_norm_weights, fit_holder, fit_log_modulus,
                        fit_power, hcurl_norm, lp_norm, real_matmul)
 
@@ -479,20 +480,38 @@ def run_runge(cfg: ExperimentConfig, scene: Scene | None = None,
 # cauchy stability
 # ---------------------------------------------------------------------------
 
+# Columns per H-trace solve: at 10^3 (1,080 columns, one BLAS thread, median
+# of five) one block took 0.47 s, chunks of 64 0.38 s and of 16 or 32 0.45 s;
+# chunks never hold the 21 MB dense right-hand side or its solution whole.
+H_CHUNK = 64
+QR_BLOCK = 32  # dtpqrt block size: the fastest of 8-64 at 10^3
+
+
+def _lapack(name, *args, **kwargs):
+    """Call a scipy LAPACK wrapper; raise NumericError on a nonzero info."""
+    *out, info = getattr(lapack, name)(*args, **kwargs)
+    if info != 0:
+        raise NumericError(f"LAPACK {name} returned info {info}")
+    return out
+
+
 def h_trace_block(sys_: solver.SystemMatrix, h_dofs):
     """Real block R whose column j times i is H[h_dofs] for unit data on the
     j-th boundary edge (``idx_boundary`` order).
 
     L is real symmetric, so unit data give a real E and
-    H = P C E / (i omega) = i (-P C E / omega).  One multi-RHS solve covers
-    every boundary column that couples to an interior edge; the others (the
-    edge lines of the box) leave the interior field zero.
+    H = P C E / (i omega) = i (-P C E / omega).  The boundary columns that
+    couple to an interior edge are solved ``H_CHUNK`` at a time, each chunk cut
+    from the sparse -L_IB and its P C_I E added into R in place; the others
+    (the edge lines of the box) leave the interior field zero.
     """
     live = np.flatnonzero(sys_.L_IB.getnnz(axis=0))
-    E_I = sys_.solve_interior(-sys_.L_IB[:, live].toarray())
+    rhs = -sys_.L_IB.tocsc()
     PC = (sys_.mu_inv_point @ sys_.curl)[h_dofs]
+    PC_I = PC[:, sys_.idx_interior]
     R = PC[:, sys_.idx_boundary].toarray()
-    R[:, live] += PC[:, sys_.idx_interior] @ E_I
+    for cols in np.split(live, range(H_CHUNK, len(live), H_CHUNK)):
+        R[:, cols] += PC_I @ sys_.solve_interior(rhs[:, cols].toarray())
     return R / -sys_.omega
 
 
@@ -504,9 +523,12 @@ class CauchyOperator:
     T_E is a 0/1 selection and T_H = i R with R real (``h_trace_block``), so
     the whitened operator diag(L^T, L^T) T diag(rsq) equals Q W with
     Q = diag(I, iI) unitary and W real (G_V = L L^T, rsq the inverse square
-    roots of the Tikhonov weights).  The SVD of W is real and
-    Q U S V^T is the SVD of the whitened operator; data are whitened straight
-    into the frame of W by Q^H diag(L^T, L^T).
+    roots of the Tikhonov weights).  Data are whitened straight into the
+    frame of W by Q^H diag(L^T, L^T).  With the patch columns first, W is the
+    upper triangle [L^T, 0] (padded with zero rows) over the block L^T R, so
+    a triangular-pentagonal QR (LAPACK ``dtpqrt``) factors it in place and
+    keeps Q_W as Householder vectors; R_W = U S V^T is square, so Q_W U spans
+    the range of W and ``_split`` reads exact coordinates on it.
 
     Methods taking data ``d`` accept a (2 n_v,) vector or a (2 n_v, k) block;
     per-column results are scalars for a vector and (k,) arrays for a block.
@@ -526,18 +548,16 @@ class CauchyOperator:
         # whitening applies the transposed factor, ||v||_G = ||L^T v||
         self._Lt = gram.chol_V.T
         e_rows = np.searchsorted(self.b_dofs, gram.v_dofs)
-        # built in LAPACK's (Fortran) order, so the QR overwrites W in place
-        W = np.zeros((2 * n, nb), order="F")
-        W[:n, e_rows] = self._Lt
-        W[n:] = self._Lt @ h_trace_block(sys_, self.h_dofs)
-        W /= np.sqrt(self.reg_diag)[None, :]
-        # W = Q_W R_W, R_W = U S V^T: LAPACK only takes this QR step from
-        # 2 n_v >= 11/6 nb, but at 2040 x 1200 it saves 1.6 -> 1.2 s (1 thread)
-        QW, RW = sla.qr(W, mode="economic", overwrite_a=True, check_finite=False)
-        U, self.S, Vt = sla.svd(RW, full_matrices=False, overwrite_a=True,
-                                check_finite=False)
-        self.Ut = (QW @ U).T
-        self.V = Vt.T
+        perm = np.concatenate([e_rows, np.setdiff1d(np.arange(nb), e_rows)])
+        rsq = 1.0 / np.sqrt(self.reg_diag[perm])
+        top = np.zeros((nb, nb), order="F")  # Fortran order: dtpqrt overwrites it
+        top[:n, :n] = self._Lt * rsq[:n]
+        H = self._Lt @ h_trace_block(sys_, self.h_dofs)[:, perm] * rsq
+        top, self._qv, self._qt = _lapack("dtpqrt", 0, QR_BLOCK, top, H,
+                                          overwrite_a=True, overwrite_b=True)
+        self._U, self.S, Vt = sla.svd(top, full_matrices=False, overwrite_a=True,
+                                      check_finite=False)
+        self.V = Vt.T[np.argsort(perm)]
 
     def data_of(self, fields):
         """Trace data of a FieldPair, or the block of a list of them."""
@@ -546,31 +566,31 @@ class CauchyOperator:
         return np.stack([self.data_of(f) for f in fields], axis=1)
 
     def misfit_norm(self, v):
-        return np.linalg.norm(self._white(v), axis=0)[()]
+        w2 = np.sum(self._white(v).reshape(self.gram.n_v, 4, -1) ** 2, axis=(0, 1))
+        return np.sqrt(w2).reshape(np.shape(v)[1:])[()]
 
     def _white(self, d):
-        """Q^H diag(L^T, L^T) d: the whitened data in the real frame of W."""
+        """Q^H diag(L^T, L^T) d, the whitened data in the real frame of W, as
+        (n_v, 4k) real columns: E channel real and imaginary parts, then H's."""
         n = self.gram.n_v
-        f, g = d[:n], d[n:]
+        f, g = d[:n].reshape(n, -1), d[n:].reshape(n, -1)
         # -i g = g.imag - i g.real; one GEMM over every column
-        w = np.split(self._Lt @ np.column_stack([f.real, f.imag, g.imag, -g.real]), 4, axis=1)
-        return np.concatenate([w[0] + 1j * w[1], w[2] + 1j * w[3]]).reshape(d.shape)
-
-    def _project(self, d):
-        """Coefficients of the whitened data on the left singular vectors."""
-        return real_matmul(self.Ut, self._white(d))
+        return self._Lt @ np.column_stack([f.real, f.imag, g.imag, -g.real])
 
     def _split(self, d):
-        """The coefficients of ``_project`` and the squared norm of the
-        whitened data outside the span of the left singular vectors.
-
-        The out-of-span part is formed as the residual dw - U ud: the
-        difference ||dw||^2 - ||ud||^2 cancels when the data lie almost in the
-        span, which is the low-noise end of the study.
-        """
-        dw = self._white(d)
-        ud = real_matmul(self.Ut, dw)
-        return ud, np.linalg.norm(dw - real_matmul(self.Ut.T, ud), axis=0) ** 2
+        """Coordinates of the whitened data on the left singular vectors, and
+        the squared norm of its part outside their span: the last n_v rows of
+        Q_W^T w, exact where a difference ||w||^2 - ||ud||^2 would cancel
+        (data almost in the span, the low-noise end of the study)."""
+        w = self._white(d)
+        nb, k = len(self.b_dofs), w.shape[1] // 4
+        top = np.zeros((nb, 2 * k), order="F")
+        top[:self.gram.n_v] = w[:, :2 * k]
+        top, low = _lapack("dtpmqrt", 0, self._qv, self._qt, top, w[:, 2 * k:], trans="T",
+                           overwrite_a=True, overwrite_b=True)
+        ud, out2 = self._U.T @ top, np.sum(low ** 2, axis=0)
+        return ((ud[:, :k] + 1j * ud[:, k:]).reshape((nb,) + d.shape[1:]),
+                (out2[:k] + out2[k:]).reshape(d.shape[1:])[()])
 
     @staticmethod
     def _rows(x, d):
@@ -579,7 +599,7 @@ class CauchyOperator:
 
     def solve_ridge(self, d, lam):
         S = self._rows(self.S, d)
-        bw = real_matmul(self.V, S / (S ** 2 + lam) * self._project(d))
+        bw = real_matmul(self.V, S / (S ** 2 + lam) * self._split(d)[0])
         return bw / self._rows(np.sqrt(self.reg_diag), d)
 
     def misfit_of_lambda(self, d, lam):

@@ -15,15 +15,11 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy import ndimage
 
 from . import store
 from .errors import ConfigurationError, DegenerateRegionError, GeometryError
 
 SIDES = ("x-", "x+", "y-", "y+", "z-", "z+")
-
-# 6-connectivity structuring element for flood fills.
-_CONN6 = ndimage.generate_binary_structure(3, 1)
 
 
 def cell_offsets(family, axis):
@@ -238,21 +234,23 @@ class Region:
     def complement_connected(self):
         """6-neighbor connectivity of the complement voxel set within the box."""
         comp = ~self.mask
-        if not comp.any():
-            return False
-        _, count = ndimage.label(comp, structure=_CONN6)
-        return count == 1
+        return bool(comp.any()) and _component_count(comp) == 1
 
     def is_connected(self):
         """6-neighbor connectivity of the voxel set itself."""
-        _, count = ndimage.label(self.mask, structure=_CONN6)
-        return count == 1
+        return _component_count(self.mask) == 1
 
     def key(self):
         return ("region", self.role, store.array_digest(self.mask))
 
     def __repr__(self):
         return f"Region(role={self.role!r}, cells={self.cell_count()})"
+
+
+def _component_count(mask):
+    """Number of 6-connected components of a voxel mask."""
+    from scipy import ndimage  # loaded at the first region test only
+    return ndimage.label(mask, structure=ndimage.generate_binary_structure(3, 1))[1]
 
 
 def build_grid(n, h, origin=(0.0, 0.0, 0.0)) -> Grid:
@@ -299,6 +297,7 @@ def surface_distance(grid: Grid, mask):
     axis-aligned walls are measured to the wall plane, not to the neighbor
     cell center.
     """
+    from scipy import ndimage
     padded = np.zeros((grid.n[0] + 2, grid.n[1] + 2, grid.n[2] + 2), dtype=bool)
     padded[1:-1, 1:-1, 1:-1] = mask
     dist = ndimage.distance_transform_edt(padded, sampling=grid.h)
@@ -352,10 +351,6 @@ class BoundaryPatch:
     @property
     def n_dofs(self):
         return len(self.edge_dofs)
-
-    def interior_dofs(self):
-        """Tangential dofs away from the patch rim (the recorded collar convention)."""
-        return self.edge_dofs[~self.rim_mask]
 
     def select(self, collar="include_rim"):
         if collar == "include_rim":

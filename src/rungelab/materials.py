@@ -41,11 +41,6 @@ class MaterialField:
     def mu_inv(self):
         return np.linalg.inv(self.mu)
 
-    def is_vacuum(self):
-        eye = np.eye(3)
-        return np.array_equal(self.eps, np.broadcast_to(eye, self.eps.shape)) and \
-            np.array_equal(self.mu, np.broadcast_to(eye, self.mu.shape))
-
     def key(self):
         return ("material", self.spec.get("kind", "custom"),
                 store.array_digest(self.eps, self.mu))

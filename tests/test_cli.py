@@ -1,6 +1,8 @@
 import copy
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -128,6 +130,19 @@ def test_every_command_releases_the_free_heap(tmp_path, monkeypatch, capsys):
     path.write_text("{not json")
     assert main(["--out", str(tmp_path / "out"), "run", str(path)]) == 1
     assert len(calls) == 2
+
+
+def test_cli_import_loads_neither_ndimage_nor_fft():
+    # both are loaded by the first call that needs them, so a command that
+    # never tests a region or runs a Krylov solve does not pay for them
+    import rungelab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rungelab.__file__)))
+    probe = ("import sys, rungelab.cli; "
+             "print(sorted(m for m in ('scipy.ndimage', 'scipy.fft') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
 
 
 def test_rerun_byte_identical(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 import rungelab as rl
+from rungelab import experiments
 from rungelab.errors import ConfigurationError, GeometryError
 from rungelab.experiments import (CauchyOperator, ExperimentConfig, Report, StabilityBudget,
                                   build_scene, cauchy_reconstruct, h_trace_block, run_cauchy,
@@ -235,17 +236,34 @@ def test_cauchy_h_block_matches_single_solves():
         assert np.linalg.norm(T_H[:, j] - H) <= 1e-10 * np.linalg.norm(H), j
 
 
-def test_cauchy_real_svd_matches_complex_reference():
-    # reference: complex SVD of block_diag(L, L)^T T with the complex T
-    cfg, scene, gram, cop = _cauchy_operator()
+def _whitened_reference(scene, gram, cop):
+    """block_diag(L, L) and the dense complex whitened operator
+    block_diag(L, L)^T T diag(rsq), with T = [T_E; i R] built from its
+    definition in the boundary dof order."""
     nv, nb = gram.n_v, len(cop.b_dofs)
     bpos = {int(d): i for i, d in enumerate(cop.b_dofs)}
     T_E = np.zeros((nv, nb), dtype=complex)
     T_E[np.arange(nv), [bpos[int(d)] for d in gram.v_dofs]] = 1.0
     T = np.vstack([T_E, 1j * h_trace_block(scene.system, cop.h_dofs)])
     chol = sla.block_diag(gram.chol_V, gram.chol_V)
+    return chol, (chol.T @ T) / np.sqrt(cop.reg_diag)[None, :]
+
+
+def _noisy_data(cfg, scene, cop, rel, seed):
+    truth, _ = _cauchy_truth(cfg, scene)
+    d0 = cop.data_of(truth)
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal(d0.size) + 1j * rng.standard_normal(d0.size)
+    return d0, noise * (rel * np.linalg.norm(d0) / np.linalg.norm(noise))
+
+
+def test_cauchy_real_svd_matches_complex_reference():
+    # reference: complex SVD of block_diag(L, L)^T T with the complex T
+    cfg, scene, gram, cop = _cauchy_operator()
+    nv = gram.n_v
+    chol, Wc = _whitened_reference(scene, gram, cop)
     sq = np.sqrt(cop.reg_diag)
-    U, S, Vh = np.linalg.svd((chol.T @ T) / sq[None, :], full_matrices=False)
+    U, S, Vh = np.linalg.svd(Wc, full_matrices=False)
 
     def parts(d):
         dw = chol.T @ d
@@ -287,15 +305,51 @@ def test_cauchy_misfit_keeps_out_of_span_noise_at_low_eta():
     # lambda = 0 the misfit is the out-of-span part of the whitened noise;
     # ||dw||^2 - ||ud||^2 loses it to cancellation at this noise level
     cfg, scene, gram, cop = _cauchy_operator()
-    truth, _ = _cauchy_truth(cfg, scene)
-    d0 = cop.data_of(truth)
-    rng = np.random.default_rng(3)
-    noise = rng.standard_normal(d0.size) + 1j * rng.standard_normal(d0.size)
-    noise *= 1e-6 * np.linalg.norm(d0) / np.linalg.norm(noise)
-    nw = cop._white(noise)
-    U = cop.Ut.T
-    out = np.linalg.norm(nw - U @ (U.T @ nw))
+    d0, noise = _noisy_data(cfg, scene, cop, 1e-6, seed=3)
+    chol, Wc = _whitened_reference(scene, gram, cop)
+    U = np.linalg.svd(Wc, full_matrices=False)[0]
+    nw = chol.T @ noise
+    out = np.linalg.norm(nw - U @ (U.conj().T @ nw))
     assert cop.misfit_of_lambda(d0 + noise, 0.0) == pytest.approx(out, rel=1e-6)
+
+
+def test_cauchy_h_block_does_not_depend_on_the_chunk_width(monkeypatch):
+    _, scene, _, cop = _cauchy_operator()
+    monkeypatch.setattr(experiments, "H_CHUNK", len(cop.b_dofs))
+    whole = h_trace_block(scene.system, cop.h_dofs)
+    monkeypatch.setattr(experiments, "H_CHUNK", 1)
+    single = h_trace_block(scene.system, cop.h_dofs)
+    assert np.abs(single - whole).max() <= 1e-13 * np.abs(whole).max()
+
+
+def test_cauchy_singular_values_match_dense_reference():
+    _, scene, gram, cop = _cauchy_operator()
+    S = sla.svdvals(_whitened_reference(scene, gram, cop)[1])
+    assert np.abs(cop.S - S).max() <= 1e-10 * S.max()
+
+
+def test_cauchy_split_matches_dense_reference():
+    # left singular vectors are fixed up to a unitary map within each cluster
+    # of equal singular values; _split of the reference vectors gives that
+    # map M, so the coordinates must be M times the reference coordinates
+    cfg, scene, gram, cop = _cauchy_operator()
+    chol, Wc = _whitened_reference(scene, gram, cop)
+    U, S, _ = np.linalg.svd(Wc, full_matrices=False)
+    M, out_M = cop._split(sla.solve_triangular(chol.T, U, lower=False))
+    assert np.abs(M.conj().T @ M - np.eye(len(S))).max() <= 1e-10
+    assert np.abs(cop.S[:, None] * M - M * S[None, :]).max() <= 1e-10 * S.max()
+    assert np.sqrt(out_M.max()) <= 1e-8
+    d0, noise = _noisy_data(cfg, scene, cop, 1e-2, seed=4)
+    d = d0 + noise
+    dw = chol.T @ d
+    ud_ref = U.conj().T @ dw
+    out_ref = np.linalg.norm(dw - U @ ud_ref) ** 2
+    ud, out2 = cop._split(d)
+    assert np.linalg.norm(ud - M @ ud_ref) <= 1e-10 * np.linalg.norm(ud_ref)
+    assert out2 == pytest.approx(out_ref, rel=1e-8)
+    block_ud, block_out2 = cop._split(np.stack([d, d0], axis=1))
+    assert np.abs(block_ud[:, 0] - ud).max() <= 1e-14 * np.abs(ud).max()
+    assert block_out2[0] == pytest.approx(out2, rel=1e-12)
 
 
 def test_cauchy_discretization_probe_matches_convergence_study():

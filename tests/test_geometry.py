@@ -107,7 +107,7 @@ def test_interior_margin_antitone(grid8):
 def test_boundary_patch_full_face(grid8):
     patch = rl.boundary_patch(grid8, "x-")
     assert patch.n_dofs == 2 * 8 * 9 == 144
-    assert len(patch.interior_dofs()) == 2 * 8 * 7
+    assert len(patch.select("exclude_rim")) == 2 * 8 * 7
     mids = grid8.edge_midpoints()[patch.edge_dofs]
     assert np.all(mids[:, 0] == 0.0)
 

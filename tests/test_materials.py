@@ -10,7 +10,8 @@ def test_constant_identity(grid8):
     mat = make_material(grid8, {"kind": "constant", "eps": 1.0, "mu": 1.0})
     assert mat.c == 1.0
     assert mat.M == 1.0
-    assert mat.is_vacuum()
+    eye = np.broadcast_to(np.eye(3), mat.eps.shape)
+    assert np.array_equal(mat.eps, eye) and np.array_equal(mat.mu, eye)
 
 
 def test_layered_jump_requires_smoothing(grid8):
