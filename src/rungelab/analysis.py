@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import ConfigurationError, SizeError
+from .errors import ConfigurationError, NumericError, SizeError
 from .geometry import Grid, Region, BoundaryPatch
 from .solver import TangentialTrace, curl_matrix
 
@@ -158,8 +158,17 @@ class VolumeWeights:
         return float(np.sqrt(max(self.x_inner(u, u).real, 0.0)))
 
     def restrict(self, fields):
-        """Stack the region-restricted (E, H) dofs of a FieldPair."""
-        return np.concatenate([fields.E[self.x_edge_idx], fields.H[self.x_face_idx]])
+        """The region-restricted dofs of a FieldPair with real E and purely
+        imaginary H, the field of real boundary data in a real medium, as
+        the real vector (E.real, H.imag).  Any other field raises
+        NumericError carrying its largest off-phase entry."""
+        E, H = fields.E[self.x_edge_idx], fields.H[self.x_face_idx]
+        off = max(np.abs(E.imag).max(initial=0.0), np.abs(H.real).max(initial=0.0))
+        if off:
+            raise NumericError(
+                f"restricted field has an off-phase entry of size {off:.3e} "
+                "(needs real E and imaginary H)", history=[float(off)])
+        return np.concatenate([E.real, H.imag])
 
 
 def _patch_graph_laplacian(patch: BoundaryPatch, sel):

@@ -276,13 +276,17 @@ class Scene:
     omega_region: geometry.Region
 
 
+def _assemble(cfg: ExperimentConfig, grid, mat) -> solver.SystemMatrix:
+    slv = cfg["solver"]
+    return solver.assemble(grid, mat, cfg["omega"],
+                           resonance_threshold=slv["resonance_threshold"],
+                           solver_tol=slv["tol"], direct_limit=slv["direct_limit"])
+
+
 def build_scene(cfg: ExperimentConfig) -> Scene:
     g = geometry.build_grid(cfg["grid"]["n"], cfg["grid"]["h"], cfg["grid"]["origin"])
     mat = materials.make_material(g, cfg["material"])
-    slv = cfg["solver"]
-    sys_ = solver.assemble(g, mat, cfg["omega"],
-                           resonance_threshold=slv["resonance_threshold"],
-                           solver_tol=slv["tol"], direct_limit=slv["direct_limit"])
+    sys_ = _assemble(cfg, g, mat)
     pspec = cfg["patch"]
     window = pspec["window"]
     if window is not None:
@@ -743,10 +747,18 @@ def run_cauchy(cfg: ExperimentConfig, scene: Scene | None = None) -> Report:
     ordered = sorted(medians, key=lambda r: r[0])
     monotone = all(b[2] >= a[2] * (1 - 1e-9) for a, b in zip(ordered, ordered[1:]))
 
-    # forward discretization error oracle on the scene's own system (vacuum plane wave)
-    probe = oracle.plane_wave([cfg["omega"], 0.0, 0.0], [0.0, 1.0, 0.0], cfg["omega"],
-                              *_scalar_medium(cfg["material"]))
-    disc_rel = oracle.discretization_error(probe, scene.system)
+    # forward discretization error oracle: a plane wave of the constant
+    # reference medium, solved on the scene's system when the medium is that
+    # constant and otherwise on the reference medium's system on the same grid
+    eps0, deps, nu0, dnu = scene.system.reference
+    probe_sys = scene.system
+    if deps or dnu:
+        probe_sys = _assemble(cfg, scene.grid, materials.make_material(
+            scene.grid, {"kind": "constant", "eps": eps0, "mu": 1.0 / nu0}))
+    omega = cfg["omega"]
+    probe = oracle.plane_wave([omega * np.sqrt(eps0 / nu0), 0.0, 0.0], [0.0, 1.0, 0.0],
+                              omega, eps0, 1.0 / nu0)
+    disc_rel = oracle.discretization_error(probe, probe_sys)
 
     tol = cfg.tolerances
     flags = {
@@ -920,11 +932,11 @@ def run_localization(cfg: ExperimentConfig, scene: Scene | None = None) -> Repor
     op_m, op_d = runge_op.assemble_restriction(scene.system, gram, v_m, v_d)
     eps_reg = float(spec.get("eps_reg", 1e-6))
 
-    P = op_m.matrix.conj().T @ (v_m.x_weights()[:, None] * op_m.matrix)
-    Q = op_d.matrix.conj().T @ (v_d.x_weights()[:, None] * op_d.matrix) \
-        + eps_reg * gram.gram_V
-    P = 0.5 * (P + P.conj().T)
-    Q = 0.5 * (Q + Q.conj().T)
+    # A^H W A = R^T W R: the phase of A cancels, so both forms are real
+    P = op_m.matrix.T @ (v_m.x_weights()[:, None] * op_m.matrix)
+    Q = op_d.matrix.T @ (v_d.x_weights()[:, None] * op_d.matrix) + eps_reg * gram.gram_V
+    P = 0.5 * (P + P.T)
+    Q = 0.5 * (Q + Q.T)
 
     svd_m = runge_op.weighted_svd(op_m)
     cutoffs = [int(c) for c in spec.get("cutoffs", [10, 20, 50])]
@@ -933,10 +945,10 @@ def run_localization(cfg: ExperimentConfig, scene: Scene | None = None) -> Repor
     for cut in cutoffs:
         k = min(cut, svd_m.rank)
         basis = svd_m.phi[:, :k]
-        Pk = basis.conj().T @ P @ basis
-        Qk = basis.conj().T @ Q @ basis
-        Pk = 0.5 * (Pk + Pk.conj().T)
-        Qk = 0.5 * (Qk + Qk.conj().T)
+        Pk = basis.T @ P @ basis
+        Qk = basis.T @ Q @ basis
+        Pk = 0.5 * (Pk + Pk.T)
+        Qk = 0.5 * (Qk + Qk.T)
         evals, evecs = sla.eigh(Pk, Qk)
         quotient = float(evals[-1])
         f = basis @ evecs[:, -1]

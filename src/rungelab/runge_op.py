@@ -3,8 +3,11 @@ truncated approximant.
 
 The operator maps tangential boundary data on the patch basis (one column
 per selected edge dof) to the stacked (E, H) dofs restricted to the target
-region.  Inner products are weighted: the boundary Gram on the data side,
-diagonal volume weights on the field side.  The adjoint is realized two
+region.  Real boundary data in a real medium give a real E and a purely
+imaginary H, so the operator is A = diag(I_E, i I_H) R with R real, the
+phase convention of the Cauchy operator; R is what is assembled, cached and
+decomposed.  Inner products are weighted: the boundary Gram on the data
+side, diagonal volume weights on the field side.  The adjoint is realized two
 ways, a dense matrix conjugation and a PDE route through one adjoint solve
 with homogeneous tangential data plus a boundary flux extraction; their
 agreement is a test target, not an assumption.
@@ -15,17 +18,21 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-from .analysis import TraceGram, VolumeWeights
+from .analysis import TraceGram, VolumeWeights, real_matmul
 from .errors import ConfigurationError, GeometryError, NumericError
 from .solver import SystemMatrix, solve_bvp
 from . import store
 
 
 class RestrictionOperator:
-    """Dense matrix of f -> (E_f, H_f) restricted to the region, with provenance."""
+    """The restriction f -> (E_f, H_f) on the region, with provenance.
+
+    ``matrix`` is the real R of A = diag(I_E, i I_H) R: its first
+    ``volume.x_edge_idx`` rows are E, the rest are H / i.
+    """
 
     def __init__(self, matrix, gram: TraceGram, volume: VolumeWeights, provenance):
-        self.matrix = np.ascontiguousarray(matrix, dtype=complex)
+        self.matrix = np.ascontiguousarray(matrix, dtype=float)
         self.gram = gram
         self.volume = volume
         self.provenance = provenance
@@ -37,8 +44,17 @@ class RestrictionOperator:
     def shape(self):
         return self.matrix.shape
 
+    def phase(self):
+        """The diagonal of diag(I_E, i I_H)."""
+        ne = len(self.volume.x_edge_idx)
+        return np.where(np.arange(self.shape[0]) < ne, 1.0 + 0j, 1j)
+
+    def complex_matrix(self):
+        """The dense complex A = diag(I_E, i I_H) R."""
+        return self.phase()[:, None] * self.matrix
+
     def apply(self, f):
-        return self.matrix @ np.asarray(f, dtype=complex)
+        return self.phase() * real_matmul(self.matrix, f)
 
 
 def operator_provenance(sys: SystemMatrix, gram: TraceGram, volume: VolumeWeights):
@@ -72,7 +88,7 @@ def assemble_restriction(sys: SystemMatrix, gram: TraceGram, volume: VolumeWeigh
             raise GeometryError("target region must be compactly contained in the box")
         if not v.region.complement_connected():
             raise GeometryError("complement of the target region must be connected")
-    cols = [np.empty((v.n_x, gram.n_v), dtype=complex) for v in every]
+    cols = [np.empty((v.n_x, gram.n_v)) for v in every]
     for i in range(gram.n_v):
         fields = solve_bvp(sys, gram.trace(np.eye(1, gram.n_v, i)[0]))
         for v, c in zip(every, cols):
@@ -111,18 +127,19 @@ def apply_adjoint(sys: SystemMatrix, F, gram: TraceGram, volume: VolumeWeights):
 
 
 def matrix_adjoint(op: RestrictionOperator, F):
-    """Dense oracle: G_V^{-1} A^H G_X F."""
+    """Dense oracle: G_V^{-1} A^H G_X F = G_V^{-1} R^T diag(I, -iI) G_X F."""
     GF = op.volume.x_weights() * np.asarray(F, dtype=complex)
-    return op.gram.v_solve(op.matrix.conj().T @ GF)
+    return op.gram.v_solve(real_matmul(op.matrix.T, op.phase().conj() * GF))
 
 
 class SvdBundle:
-    """Weighted singular system: A phi_k = sigma_k Psi_k with
-    phi^H G_V phi = I and Psi^H G_X Psi = I."""
+    """Weighted singular system on the numerical range of A:
+    A phi_k = sigma_k Psi_k with phi^T G_V phi = I and Psi^H G_X Psi = I.
+    phi is real; Psi carries the phase of A."""
 
     def __init__(self, sigma, phi, psi, gram: TraceGram, volume: VolumeWeights, provenance):
         self.sigma = np.ascontiguousarray(sigma, dtype=float)
-        self.phi = np.ascontiguousarray(phi, dtype=complex)
+        self.phi = np.ascontiguousarray(phi, dtype=float)
         self.psi = np.ascontiguousarray(psi, dtype=complex)
         self.gram = gram
         self.volume = volume
@@ -138,19 +155,26 @@ class SvdBundle:
 
 
 def weighted_svd(op: RestrictionOperator) -> SvdBundle:
-    """SVD of the Cholesky-whitened operator, mapped back to weighted bases."""
+    """SVD of the Cholesky-whitened operator, mapped back to weighted bases.
+
+    The whitened A is diag(I, iI) times the real B = W_X^{1/2} R L_V^{-T},
+    so a real SVD B = U S V^T gives A's: phi = L_V^{-T} V and
+    Psi = diag(I, iI) U / sqrt(w).  Only the triplets above numpy's
+    ``matrix_rank`` floor, sigma_k > max(n_x, n_v) eps sigma_0, are kept:
+    below it the singular vectors are rounding noise.
+    """
     chol_V = op.gram.chol_V
     sqrt_x = np.sqrt(op.volume.x_weights())
-    # B = L_X^H A L_V^{-H}
-    rhs = sla.solve_triangular(chol_V, op.matrix.conj().T, lower=True).conj().T
-    B = sqrt_x[:, None] * rhs
+    # B = W_X^{1/2} R L_V^{-T}
+    B = sqrt_x[:, None] * sla.solve_triangular(chol_V, op.matrix.T, lower=True).T
     try:
-        U, S, Vh = np.linalg.svd(B, full_matrices=False)
+        U, S, Vt = np.linalg.svd(B, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"whitened SVD failed: {exc}") from exc
-    phi = sla.solve_triangular(chol_V.T, Vh.conj().T, lower=False)
-    psi = U / sqrt_x[:, None]
-    return SvdBundle(S, phi, psi, op.gram, op.volume, op.provenance)
+    rank = int(np.count_nonzero(S > max(B.shape) * np.finfo(float).eps * S[0]))
+    phi = sla.solve_triangular(chol_V.T, Vt[:rank].T, lower=False)
+    psi = op.phase()[:, None] * (U[:, :rank] / sqrt_x[:, None])
+    return SvdBundle(S[:rank], phi, psi, op.gram, op.volume, op.provenance)
 
 
 def expand_target(svd: SvdBundle, W):
@@ -173,7 +197,7 @@ class Approximant:
         self.kept = np.flatnonzero(svd.sigma >= self.alpha)
         kept = self.kept
         if len(kept):
-            self.boundary_data = svd.phi[:, kept] @ (self.coeffs[kept] / svd.sigma[kept])
+            self.boundary_data = real_matmul(svd.phi[:, kept], self.coeffs[kept] / svd.sigma[kept])
         else:
             self.boundary_data = np.zeros(svd.phi.shape[0], dtype=complex)
 
@@ -222,14 +246,14 @@ def alpha_for_j(j, C, theta, m):
 
 def save_operator(op: RestrictionOperator, path):
     store.write_envelope(path, "operator", op.provenance,
-                         store.pack_complex_matrix(op.matrix))
+                         store.pack_matrix(op.matrix))
 
 
 def load_operator(path, gram: TraceGram, volume: VolumeWeights,
                   sys: SystemMatrix) -> RestrictionOperator:
     prov = operator_provenance(sys, gram, volume)
     payload = store.read_envelope(path, "operator", prov)
-    matrix = store.unpack_complex_matrix(payload)
+    matrix = store.unpack_matrix(payload)
     if matrix.shape != (volume.n_x, gram.n_v):
         raise ConfigurationError(
             f"cached operator shape {matrix.shape} != ({volume.n_x}, {gram.n_v})")

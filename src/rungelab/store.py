@@ -3,14 +3,15 @@
 On-disk layout, all integers little-endian:
 
     magic   4 bytes  b"RGFO"
-    version u32      currently 2
+    version u32      currently 3
     kind    u32      1 = operator, 2 = svd, 3 = field
     prov    u64      provenance hash (FNV-1a of a canonical description)
     length  u64      payload byte count
     payload length bytes
     check   u64      blake2b-64 of the payload (8-byte digest, little-endian)
 
-Version 1 checked the payload with FNV-1a; its files raise BadVersionError.
+Version 1 checked the payload with FNV-1a and version 2 stored operators as
+complex128; files of either raise BadVersionError.
 Writes are atomic (a ``.rgfo-`` temp file in the same directory, then a
 rename); every verification failure on read raises its own exception type.
 """
@@ -29,7 +30,7 @@ from .errors import (BadChecksumError, BadKindError, BadLengthError, BadMagicErr
                      BadProvenanceError, BadVersionError, ConfigurationError)
 
 MAGIC = b"RGFO"
-VERSION = 2
+VERSION = 3
 KINDS = {"operator": 1, "svd": 2, "field": 3}
 # Prefix of the temp files that write_envelope renames into place.
 TEMP_PREFIX = ".rgfo-"
@@ -147,18 +148,18 @@ def read_envelope(path, expected_kind, expected_provenance=None) -> bytes:
 
 # -- typed payload helpers ---------------------------------------------------
 
-def pack_complex_matrix(mat: np.ndarray) -> bytes:
-    """rows u64, cols u64, then row-major (re, im) float64 pairs."""
-    mat = np.ascontiguousarray(mat, dtype="<c16")
+def pack_matrix(mat: np.ndarray) -> bytes:
+    """rows u64, cols u64, then the row-major float64 entries."""
+    mat = np.ascontiguousarray(mat, dtype="<f8")
     return struct.pack("<QQ", *mat.shape) + mat.tobytes()
 
 
-def unpack_complex_matrix(payload: bytes) -> np.ndarray:
-    """The matrix of ``pack_complex_matrix``, a read-only view of ``payload``."""
+def unpack_matrix(payload: bytes) -> np.ndarray:
+    """The matrix of ``pack_matrix``, a read-only view of ``payload``."""
     if len(payload) < 16:
         raise BadLengthError("matrix payload shorter than its dimension header")
     rows, cols = struct.unpack_from("<QQ", payload, 0)
-    need = 16 + rows * cols * 16
+    need = 16 + rows * cols * 8
     if len(payload) != need:
         raise BadLengthError(f"matrix payload {len(payload)} bytes, dimensions need {need}")
-    return np.frombuffer(payload, dtype="<c16", offset=16).reshape(rows, cols)
+    return np.frombuffer(payload, dtype="<f8", offset=16).reshape(rows, cols)

@@ -258,6 +258,48 @@ def test_stale_cache_entry_is_rebuilt(tmp_path, capsys):
     assert a == b
 
 
+def test_version_two_complex_entry_is_rebuilt(tmp_path, capsys):
+    # the old envelope held A = diag(I, iI) R as complex128 under the same
+    # file name; it must be tagged stale and rebuilt, never read as R
+    import struct
+    import numpy as np
+    import rungelab as rl
+    from rungelab import store
+    from rungelab.experiments import ExperimentConfig
+    cfg = _write(tmp_path, "r.json", RUNGE_SMALL)
+    cold_cache, cache = str(tmp_path / "cold"), str(tmp_path / "cache")
+    out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
+    assert main(["--out", out1, "--cache", cold_cache, "run", cfg]) in (0, 2)
+    [name] = os.listdir(cold_cache)
+    with open(os.path.join(cold_cache, name), "rb") as fh:
+        blob = fh.read()
+    _, version, kind, prov, length = store._HEADER.unpack_from(blob, 0)
+    assert version == 3
+    R = store.unpack_matrix(blob[store._HEADER.size:store._HEADER.size + length])
+    c = ExperimentConfig.from_dict(RUNGE_SMALL)
+    grid = rl.build_grid(c["grid"]["n"], c["grid"]["h"], c["grid"]["origin"])
+    region = rl.carve_region(grid, c["regions"]["A"], role="subdomain_A")
+    ne = len(rl.VolumeWeights(region).x_edge_idx)
+    A = np.where(np.arange(R.shape[0]) < ne, 1.0, 1j)[:, None] * R
+    payload = struct.pack("<QQ", *A.shape) + A.astype("<c16").tobytes()
+    os.makedirs(cache)
+    path = os.path.join(cache, name)
+    with open(path, "wb") as fh:
+        fh.write(store._HEADER.pack(store.MAGIC, 2, kind, prov, len(payload)) + payload
+                 + store._TAIL.pack(store._payload_check(payload)))
+    capsys.readouterr()
+    assert main(["--cache", cache, "cache", "ls"]) == 0
+    listing = capsys.readouterr().out.strip()
+    assert "version=2" in listing and listing.endswith("stale")
+    assert main(["--out", out2, "--cache", cache, "run", cfg]) in (0, 2)
+    assert os.listdir(cache) == [name]
+    with open(path, "rb") as fh:
+        assert fh.read() == blob
+    a = open(os.path.join(out1, "runge.csv"), "rb").read()
+    b = open(os.path.join(out2, "runge.csv"), "rb").read()
+    assert a == b
+
+
 def test_corrupt_cache_entry_still_fails(tmp_path, capsys):
     cfg = _write(tmp_path, "r.json", RUNGE_SMALL)
     cache = str(tmp_path / "cache")

@@ -363,6 +363,43 @@ def test_cauchy_discretization_probe_matches_convergence_study():
     assert rep.budgets["forward_disc_rel_error"] == rows[0][1]
 
 
+def _counting_assemble(monkeypatch):
+    from rungelab import experiments
+
+    calls = []
+    assemble = experiments._assemble
+
+    def counting(*args):
+        calls.append(1)
+        return assemble(*args)
+
+    monkeypatch.setattr(experiments, "_assemble", counting)
+    return calls
+
+
+def test_cauchy_discretization_probe_uses_the_reference_medium(monkeypatch):
+    # a vacuum probe on a smooth medium measures the medium mismatch (2.8e-2
+    # against 9.9e-4 in vacuum on this scene), which loosens eta0_ok 28-fold
+    noise = {"etas": [1e-2], "seeds": [3]}
+    vacuum = run_cauchy(_cauchy_cfg(noise=noise)).budgets["forward_disc_rel_error"]
+    calls = _counting_assemble(monkeypatch)
+    smooth = run_cauchy(_cauchy_cfg(noise=noise, material={"kind": "smooth", "seed": 3,
+                                                           "amplitude": 0.3}))
+    assert len(calls) == 2  # the scene, then the reference medium's system
+    assert smooth.budgets["forward_disc_rel_error"] <= 2 * vacuum
+
+
+def test_cauchy_runs_on_a_constant_dielectric(monkeypatch):
+    # eps mu != 1: the probe's wave number follows the medium's dispersion
+    # relation, and the probe is solved on the scene's own system
+    calls = _counting_assemble(monkeypatch)
+    rep = run_cauchy(_cauchy_cfg(noise={"etas": [1e-2], "seeds": [3]},
+                                 material={"kind": "constant", "eps": 2.0, "mu": 1.0}))
+    assert len(calls) == 1
+    assert 0 < rep.budgets["forward_disc_rel_error"] < 1e-2
+    assert rep.flags["eta0_ok"]
+
+
 def test_cauchy_ladder_block_matches_single_columns():
     # run_cauchy reconstructs the noise ladder as one block; each record must
     # match the single-vector reconstruction of its (eta, seed)

@@ -5,7 +5,7 @@ import pytest
 
 import rungelab as rl
 from rungelab.errors import (BadChecksumError, BadLengthError, BadProvenanceError,
-                             ConfigurationError, GeometryError)
+                             ConfigurationError, GeometryError, NumericError)
 from rungelab.runge_op import (alpha_for_j, apply_adjoint, assemble_restriction,
                                expand_target, load_operator, matrix_adjoint,
                                operator_provenance, save_operator,
@@ -28,7 +28,8 @@ def test_matrix_matches_direct_solve(small_restriction, grid8):
     values = np.zeros(gram.patch.n_dofs, dtype=complex)
     values[gram.v_sel] = f
     fields = rl.solve_bvp(sys_, TangentialTrace(gram.patch, values))
-    direct = volume.restrict(fields)
+    # complex data: the field is not real-structured, so stack it directly
+    direct = np.concatenate([fields.E[volume.x_edge_idx], fields.H[volume.x_face_idx]])
     via_matrix = op.apply(f)
     assert np.linalg.norm(direct - via_matrix) <= 1e-10 * np.linalg.norm(direct)
 
@@ -37,6 +38,24 @@ def test_row_count_monotone_in_region(sys8, grid8):
     big = rl.carve_region(grid8, {"kind": "ball", "center": [0.4, 0.5, 0.5], "r": 0.3})
     small = rl.carve_region(grid8, {"kind": "ball", "center": [0.4, 0.5, 0.5], "r": 0.2})
     assert rl.VolumeWeights(small).n_x < rl.VolumeWeights(big).n_x
+
+
+def test_restrict_rejects_off_phase_fields(small_restriction, grid8):
+    # unit data give a real E and an imaginary H; anything else must not be
+    # folded into the real matrix
+    sys_, gram, volume, _, _ = small_restriction
+    fields = rl.solve_bvp(sys_, gram.trace(np.eye(1, gram.n_v, 2)[0]))
+    assert np.array_equal(volume.restrict(fields),
+                          np.concatenate([fields.E[volume.x_edge_idx].real,
+                                          fields.H[volume.x_face_idx].imag]))
+    e_imag = fields.E.copy()
+    e_imag[volume.x_edge_idx[4]] += 1e-3j
+    h_real = fields.H.copy()
+    h_real[volume.x_face_idx[-1]] += 2e-3
+    for bad, size in (((e_imag, fields.H), 1e-3), ((fields.E, h_real), 2e-3)):
+        with pytest.raises(NumericError) as err:
+            volume.restrict(rl.FieldPair(grid8, *bad))
+        assert err.value.history == [pytest.approx(size)]
 
 
 def test_restriction_requires_geometry(sys8, grid8):
@@ -83,10 +102,12 @@ def test_adjoint_of_column_nonzero(small_restriction):
     assert np.linalg.norm(out) > 1e-12
 
 
-def _stub_weights(n_v, n_x):
+def _stub_weights(n_v, n_x, n_e=None):
+    """Identity Grams; the first ``n_e`` rows (all by default) are E rows."""
     w = types.SimpleNamespace()
     w.chol_V = np.eye(n_v)
     w.x_weights = lambda: np.ones(n_x)
+    w.x_edge_idx = np.arange(n_x if n_e is None else n_e)
     w.n_v = n_v
     w.n_x = n_x
     w.x_norm = lambda u: float(np.linalg.norm(u))
@@ -98,11 +119,51 @@ def test_svd_identity_grams_diagonal_matrix():
     from rungelab.runge_op import RestrictionOperator
 
     w = _stub_weights(2, 2)
-    op = RestrictionOperator(np.diag([2.0, 1.0]).astype(complex), w, w, 0)
+    op = RestrictionOperator(np.diag([2.0, 1.0]), w, w, 0)
     svd = weighted_svd(op)
     assert np.allclose(svd.sigma, [2.0, 1.0])
     assert np.allclose(np.abs(svd.phi), np.eye(2))
     assert np.allclose(np.abs(svd.psi), np.eye(2))
+
+
+def test_svd_rank_floor_drops_null_directions():
+    from rungelab.runge_op import RestrictionOperator
+
+    # R = Q diag(3, 2, 1, 0, 0) P^T: two exact null directions, which the
+    # SVD returns at the rounding level
+    rng = np.random.default_rng(9)
+    Q, _ = np.linalg.qr(rng.standard_normal((7, 5)))
+    P, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    R = (Q * [3.0, 2.0, 1.0, 0.0, 0.0]) @ P.T
+    w = _stub_weights(5, 7, n_e=4)
+    svd = weighted_svd(RestrictionOperator(R, w, w, 0))
+    assert svd.rank == 3
+    assert svd.sigma == pytest.approx([3.0, 2.0, 1.0], rel=1e-12)
+    assert np.linalg.norm(np.linalg.svd(R, compute_uv=False)[3:]) > 0
+    # a target outside the range keeps its whole norm out of span
+    null_target = Q[:, 3] * np.where(np.arange(7) < 4, 1.0, 1j)
+    coeffs, resid = expand_target(svd, null_target + svd.psi[:, 0])
+    assert coeffs == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
+    assert resid == pytest.approx(1.0, rel=1e-12)
+
+
+def test_svd_matches_complex_reference(small_restriction):
+    # the real path against a dense complex SVD of A = diag(I, iI) R,
+    # truncated by the same rule
+    _, gram, volume, op, svd = small_restriction
+    A = op.complex_matrix()
+    sqrt_x = np.sqrt(volume.x_weights())
+    B = sqrt_x[:, None] * np.linalg.solve(gram.chol_V, A.conj().T).conj().T
+    U, S, _ = np.linalg.svd(B, full_matrices=False)
+    keep = S > max(B.shape) * np.finfo(float).eps * S[0]
+    assert svd.rank == keep.sum() < gram.n_v
+    assert np.abs(svd.sigma / S[keep] - 1).max() <= 1e-10
+    rng = np.random.default_rng(10)
+    W = rng_complex(rng, volume.n_x)
+    ref = U[:, keep] / sqrt_x[:, None]
+    ref_resid = volume.x_norm(W - ref @ (ref.conj().T @ (volume.x_weights() * W)))
+    _, resid = expand_target(svd, W)
+    assert resid == pytest.approx(ref_resid, rel=1e-8)
 
 
 def test_svd_structure(small_restriction):
@@ -114,7 +175,8 @@ def test_svd_structure(small_restriction):
     assert np.abs(gv - eye).max() <= 1e-10
     assert np.abs(gx - eye).max() <= 1e-10
     recon = (svd.psi * svd.sigma) @ (svd.phi.conj().T @ gram.gram_V)
-    assert np.linalg.norm(recon - op.matrix) <= 1e-10 * np.linalg.norm(op.matrix)
+    A = op.complex_matrix()
+    assert np.linalg.norm(recon - A) <= 1e-10 * np.linalg.norm(A)
 
 
 def test_svd_compact_decay(small_restriction):

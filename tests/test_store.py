@@ -109,23 +109,23 @@ def test_no_stray_tempfiles(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["a.rgfo"]
 
 
-def test_complex_matrix_payload():
+def test_real_matrix_payload():
     rng = np.random.default_rng(0)
-    mat = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
-    blob = store.pack_complex_matrix(mat)
-    back = store.unpack_complex_matrix(blob)
+    mat = rng.standard_normal((7, 5))
+    blob = store.pack_matrix(mat)
+    back = store.unpack_matrix(blob)
     assert np.array_equal(back, mat)
     with pytest.raises(BadLengthError):
-        store.unpack_complex_matrix(blob[:-8])
-    # the layout on disk: rows, cols, then row-major (re, im) float64 pairs;
-    # a signed zero keeps its sign
-    small = np.empty((2, 2), dtype=complex)
-    small.real = [[1.0, -2.5], [0.0, -0.0]]
-    small.imag = [[-0.0, 0.5], [3.0, 1e-300]]
-    blob = store.pack_complex_matrix(small)
-    assert blob == (struct.pack("<QQ", 2, 2)
-                    + struct.pack("<8d", 1.0, -0.0, -2.5, 0.5, 0.0, 3.0, -0.0, 1e-300))
-    back = store.unpack_complex_matrix(blob)
+        store.unpack_matrix(blob[:-8])
+    with pytest.raises(BadLengthError):
+        store.unpack_matrix(blob[:12])
+    # the layout on disk: rows, cols, then row-major float64 entries; a
+    # signed zero keeps its sign
+    small = np.array([[1.0, -2.5, -0.0], [0.0, 3.0, 1e-300]])
+    blob = store.pack_matrix(small)
+    assert blob == (struct.pack("<QQ", 2, 3)
+                    + struct.pack("<6d", 1.0, -2.5, -0.0, 0.0, 3.0, 1e-300))
+    back = store.unpack_matrix(blob)
     assert back.tobytes() == small.tobytes()
 
 
