@@ -751,13 +751,14 @@ def run_cauchy(cfg: ExperimentConfig, scene: Scene | None = None) -> Report:
     # reference medium, solved on the scene's system when the medium is that
     # constant and otherwise on the reference medium's system on the same grid
     eps0, deps, nu0, dnu = scene.system.reference
+    mu0 = 1.0 / nu0
     probe_sys = scene.system
     if deps or dnu:
         probe_sys = _assemble(cfg, scene.grid, materials.make_material(
-            scene.grid, {"kind": "constant", "eps": eps0, "mu": 1.0 / nu0}))
+            scene.grid, {"kind": "constant", "eps": eps0, "mu": mu0}))
     omega = cfg["omega"]
-    probe = oracle.plane_wave([omega * np.sqrt(eps0 / nu0), 0.0, 0.0], [0.0, 1.0, 0.0],
-                              omega, eps0, 1.0 / nu0)
+    probe = oracle.plane_wave([omega * np.sqrt(eps0 * mu0), 0.0, 0.0], [0.0, 1.0, 0.0],
+                              omega, eps0, mu0)
     disc_rel = oracle.discretization_error(probe, probe_sys)
 
     tol = cfg.tolerances
