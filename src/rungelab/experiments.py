@@ -485,8 +485,11 @@ def run_runge(cfg: ExperimentConfig, scene: Scene | None = None,
 # ---------------------------------------------------------------------------
 
 # Columns per H-trace solve: at 10^3 (1,080 columns, one BLAS thread, median
-# of five) one block took 0.47 s, chunks of 64 0.38 s and of 16 or 32 0.45 s;
-# chunks never hold the 21 MB dense right-hand side or its solution whole.
+# of five) the vacuum block's batched transform took 0.23 s in chunks of 64,
+# 0.25-0.27 s in chunks of 32, 128 or 256 and 0.32 s in chunks of 16 or one
+# block; against the LU (other media), 0.38 s in chunks of 64 and 0.47 s in
+# one block.  Chunks never hold the 21 MB dense right-hand side or its
+# solution whole.
 H_CHUNK = 64
 QR_BLOCK = 32  # dtpqrt block size: the fastest of 8-64 at 10^3
 
@@ -605,9 +608,6 @@ class CauchyOperator:
         S = self._rows(self.S, d)
         bw = real_matmul(self.V, S / (S ** 2 + lam) * self._split(d)[0])
         return bw / self._rows(np.sqrt(self.reg_diag), d)
-
-    def misfit_of_lambda(self, d, lam):
-        return self._misfit_from(*self._split(d), lam)
 
     def _misfit_from(self, ud, out2, lam):
         S2 = self._rows(self.S, ud) ** 2

@@ -33,7 +33,9 @@ _M1D = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
 # sides, but in other media MINRES runs and the factorization pays for itself
 # after a few of them.  So the limit keeps 12^3 (4,356 interior edges: the
 # many-RHS runge and three-ball studies) direct and sends 15^3 (8,820) and
-# larger to the Krylov path.  Verify, one right-hand side per system, defaults
+# larger to the Krylov path.  Below it the limit routes vectors and
+# non-constant media only: a block in a constant scalar medium takes the
+# transform on either path.  Verify, one right-hand side per system, defaults
 # to 0 (``experiments.normalize_config``).
 DIRECT_LIMIT = 8_000
 SOLVER_TOL = 1e-10
@@ -281,16 +283,17 @@ def reference_inverse(grid: Grid, omega, eps0, deps, nu0, dnu,
     medium.  With signs kept, this is the exact inverse of L_II for any
     constant scalar medium (where deps = dnu = 0 and the floor is rounding).
     """
-    import scipy.fft as fft  # loaded by the Krylov path only
+    import scipy.fft as fft  # loaded by the transform and Krylov paths only
 
     h = grid.h
     shift = omega ** 2 * eps0
 
     def factor(d, first):
-        """s_d over the modes first..n_d-1, laid along axis d."""
+        """s_d over the modes first..n_d-1, laid along axis d of a block whose
+        trailing axis runs over right-hand sides."""
         m = np.arange(first, grid.n[d])
         s = 2.0 / h * np.sin(np.pi * m / (2 * grid.n[d]))
-        return s.reshape([-1 if e == d else 1 for e in range(3)])
+        return s.reshape([-1 if e == d else 1 for e in range(4)])
 
     node = [factor(d, 1) for d in range(3)]
     lams = [sum(factor(d, int(d != a)) ** 2 for d in range(3)) for a in range(3)]
@@ -312,31 +315,38 @@ def reference_inverse(grid: Grid, omega, eps0, deps, nu0, dnu,
         return fft.dstn(dct(x, type=2, axis=a, norm="ortho"), type=1, axes=other, norm="ortho")
 
     def apply(r):
-        r = np.ravel(r)
-        hats = [transform(r[bounds[a]:bounds[a + 1]].reshape(lams[a].shape), a)
+        """The mode table over the columns of an (n, k) block; an (n,)
+        vector is the block of one column."""
+        cols = np.reshape(r, (len(r), -1))
+        k = cols.shape[1]
+        hats = [transform(cols[bounds[a]:bounds[a + 1]].reshape(lams[a].shape[:3] + (k,)), a)
                 for a in range(3)]
         div = sum(node[a] * hats[a][own[a]] for a in range(3))  # G^T r, nodal modes
-        out = np.empty(len(r))
+        out = np.empty((len(r), k))
         for a in range(3):
             y = d_rem[a] * hats[a]
             y[own[a]] += swap[a] * div
-            out[bounds[a]:bounds[a + 1]] = transform(y, a, inverse=True).ravel()
-        return out
+            out[bounds[a]:bounds[a + 1]] = transform(y, a, inverse=True).reshape(-1, k)
+        return out.reshape(np.shape(r))
 
-    return spla.LinearOperator((bounds[-1], bounds[-1]), matvec=apply, dtype=float)
+    return spla.LinearOperator((bounds[-1], bounds[-1]), matvec=apply, matmat=apply,
+                               dtype=float)
 
 
 class SystemMatrix:
     """Assembled curl-curl operator with its interior factorization.
 
     Systems of interior dimension up to ``direct_limit`` are solved against a
-    SuperLU factorization, larger ones on the Krylov path.  It first tries
-    the transform start x = L0^-1 b, the exact inverse of the constant
-    reference medium (``reference_inverse`` with signs kept), which solves a
-    constant scalar medium outright, and otherwise runs MINRES
-    preconditioned with |L0|^-1.  Immutable after assembly apart from the
-    lazily built factorization and reference inverses and the cached
-    resonance margin.
+    SuperLU factorization, larger ones on the Krylov path.  The transform
+    start X = L0^-1 B applies the exact inverse of the constant reference
+    medium (``reference_inverse`` with signs kept) to all columns of B at
+    once; it solves a constant scalar medium outright.  The Krylov path
+    tries it first for every medium and runs MINRES, preconditioned with
+    |L0|^-1, on the columns whose true residual misses the tolerance.  The
+    direct path uses it for blocks in a constant scalar medium only, and
+    sends the columns that miss to the factorization.  Immutable after
+    assembly apart from the lazily built factorization and reference
+    inverses and the cached resonance margin.
     """
 
     def __init__(self, grid, material, omega, L, curl, mu_inv_point, solver_tol,
@@ -356,6 +366,9 @@ class SystemMatrix:
         self.norm_estimate = float(np.abs(self.L_II).sum(axis=1).max())
         self.dimension = self.L_II.shape[0]
         self.direct = self.dimension <= direct_limit
+        # a constant scalar medium, up to the rounding of the cell means
+        eps0, deps, nu0, dnu = reference
+        self.constant = max(deps / eps0, dnu / nu0) <= 1e-14
         self._lu = None
         self._inverses = {}
         self.margin = None
@@ -370,9 +383,11 @@ class SystemMatrix:
         return self._reference_inverse(False)
 
     def _transform_start(self, b, rtol):
-        """L0^-1 b when its true residual is within rtol |b|, else None."""
+        """L0^-1 b for an (n,) vector or an (n, k) block, and which columns
+        miss: those whose true residual exceeds rtol times their own norm."""
         x = self._reference_inverse(True) @ b
-        return x if np.linalg.norm(self.L_II @ x - b) <= rtol * np.linalg.norm(b) else None
+        miss = np.linalg.norm(self.L_II @ x - b, axis=0) > rtol * np.linalg.norm(b, axis=0)
+        return x, miss
 
     def _factorize(self):
         if self._lu is None:
@@ -386,24 +401,36 @@ class SystemMatrix:
         Complex right-hand sides are solved through their real and imaginary
         parts against the real factorization (or the real Krylov solver); a
         part that is all zero is not solved, its solution is exactly zero.
+        A block in a constant scalar medium takes the transform start on
+        either path, and only its columns that miss ``solver_tol`` go on to
+        the path's own solver; a vector on the direct path goes to the
+        factorization, which the resonance guard builds on that path anyway.
         """
-        solve = self._factorize().solve if self.direct else self._solve_krylov
         if not np.iscomplexobj(rhs):
-            return solve(rhs)
-        re, im = (solve(p) if p.any() else np.zeros(p.shape) for p in (rhs.real, rhs.imag))
+            return self._solve_real(rhs)
+        re, im = (self._solve_real(p) if p.any() else np.zeros(p.shape)
+                  for p in (rhs.real, rhs.imag))
         return re + 1j * im
 
+    def _solve_real(self, b):
+        if not self.direct:
+            return self._solve_krylov(b)
+        if b.ndim == 1 or not self.constant:
+            return self._factorize().solve(b)
+        x, miss = self._transform_start(b, self.solver_tol)
+        if miss.any():
+            x[:, miss] = self._factorize().solve(b[:, miss])
+        return x
+
     def _solve_krylov(self, b):
-        if b.ndim == 2:
-            out = np.empty(b.shape)
-            for j in range(b.shape[1]):
-                out[:, j] = self._solve_krylov(b[:, j])
-            return out
-        if np.abs(b).max(initial=0) == 0:
-            return np.zeros_like(b)
-        x = self._transform_start(b, self.solver_tol)
-        if x is not None:
-            return x
+        x, miss = self._transform_start(b, self.solver_tol)
+        if b.ndim == 1:
+            return self._minres_restarts(b) if miss else x
+        for j in np.flatnonzero(miss):
+            x[:, j] = self._minres_restarts(b[:, j])
+        return x
+
+    def _minres_restarts(self, b):
         # minres stops on its preconditioned residual estimate relative to
         # |L_II| |x|, not |b|; accept only the true relative residual and
         # solve for the correction again until it is met
@@ -515,8 +542,8 @@ def resonance_guard(sys: SystemMatrix, iterations=12, seed=0):
 def _guard_step(sys: SystemMatrix, v):
     """Loose solve of L_II w = v for a unit vector v: the transform start if
     it meets ``GUARD_TOL``, else a warm-started MINRES run."""
-    w = sys._transform_start(v, GUARD_TOL)
-    if w is not None:
+    w, miss = sys._transform_start(v, GUARD_TOL)
+    if not miss:
         return w
     w, info = sys._minres(v, GUARD_TOL, x0=v / (v @ (sys.L_II @ v)))
     if info != 0:

@@ -12,6 +12,8 @@ from rungelab.experiments import (CauchyOperator, ExperimentConfig, Report, Stab
                                   run_localization, run_propagation, run_runge, run_three_balls,
                                   run_verify_solver, _cauchy_truth, _quotient)
 
+from conftest import transform_off
+
 
 def _cfg(**kwargs):
     base = {"tag": "three_balls", "grid": {"n": [8, 8, 8], "h": 0.125}}
@@ -236,6 +238,20 @@ def test_cauchy_h_block_matches_single_solves():
         assert np.linalg.norm(T_H[:, j] - H) <= 1e-10 * np.linalg.norm(H), j
 
 
+def test_cauchy_h_block_transform_matches_lu(monkeypatch):
+    # the vacuum scene's chunks take the batched transform; with its start
+    # switched off the same chunks go to the LU
+    _, scene, gram, cop = _cauchy_operator()
+    sys_ = scene.system
+    assert sys_.direct and sys_.constant
+    R = h_trace_block(sys_, cop.h_dofs)
+    transform_off(monkeypatch)
+    R_lu = h_trace_block(sys_, cop.h_dofs)
+    assert np.linalg.norm(R - R_lu) <= 1e-12 * np.linalg.norm(R_lu)
+    S_lu = CauchyOperator(scene, gram).S
+    assert np.abs(cop.S - S_lu).max() <= 1e-10 * S_lu.max()
+
+
 def _whitened_reference(scene, gram, cop):
     """block_diag(L, L) and the dense complex whitened operator
     block_diag(L, L)^T T diag(rsq), with T = [T_E; i R] built from its
@@ -295,7 +311,7 @@ def test_cauchy_real_svd_matches_complex_reference():
         ud, _ = parts(d)
         ref = (Vh.conj().T @ (S / (S ** 2 + lam) * ud)) / sq
         assert np.linalg.norm(cop.solve_ridge(d, lam) - ref) <= 1e-9 * np.linalg.norm(ref)
-        assert cop.misfit_of_lambda(d, lam) == pytest.approx(misfit(d, lam), rel=1e-9)
+        assert cop._misfit_from(*cop._split(d), lam) == pytest.approx(misfit(d, lam), rel=1e-9)
     target = misfit(d, 1e-4)
     assert cop.morozov_lambda(d, target) == pytest.approx(morozov(d, target), rel=1e-9)
 
@@ -310,7 +326,7 @@ def test_cauchy_misfit_keeps_out_of_span_noise_at_low_eta():
     U = np.linalg.svd(Wc, full_matrices=False)[0]
     nw = chol.T @ noise
     out = np.linalg.norm(nw - U @ (U.conj().T @ nw))
-    assert cop.misfit_of_lambda(d0 + noise, 0.0) == pytest.approx(out, rel=1e-6)
+    assert cop._misfit_from(*cop._split(d0 + noise), 0.0) == pytest.approx(out, rel=1e-6)
 
 
 def test_cauchy_h_block_does_not_depend_on_the_chunk_width(monkeypatch):
@@ -434,8 +450,8 @@ def test_cauchy_morozov_clamps_per_column():
     d0 = cop.data_of(truth)
     d = d0 + 1e-3 * np.linalg.norm(d0) * noise / np.linalg.norm(noise)
     lo, hi = 1e-14, 1e6
-    at_lo, at_hi = cop.misfit_of_lambda(d, lo), cop.misfit_of_lambda(d, hi)
-    inside = cop.misfit_of_lambda(d, 1e-4)
+    at_lo, at_hi = cop._misfit_from(*cop._split(d), lo), cop._misfit_from(*cop._split(d), hi)
+    inside = cop._misfit_from(*cop._split(d), 1e-4)
     assert at_lo < inside < at_hi
     # zero data have a flat misfit curve: both clamps apply and lo wins
     block = np.column_stack([d, d, d, np.zeros_like(d)])

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -255,54 +257,63 @@ class _CountingLU:
         self.calls = calls
 
     def solve(self, b):
-        self.calls.append(b.shape)
+        self.calls["lu"] += 1
         return self.lu.solve(b)
+
+
+def _count_solves(monkeypatch, sys_):
+    """Count the solver calls ``solve_interior`` makes, by kind: transform
+    starts (vector or block), real LU solves and per-column MINRES solves."""
+    calls = Counter()
+    start, minres = sys_._transform_start, sys_._minres_restarts
+    monkeypatch.setattr(sys_, "_transform_start",
+                        lambda b, rtol: calls.update(["transform"]) or start(b, rtol))
+    monkeypatch.setattr(sys_, "_minres_restarts", lambda b: calls.update(["minres"]) or minres(b))
+    if sys_.direct:
+        monkeypatch.setattr(sys_, "_lu", _CountingLU(sys_._factorize(), calls))
+    return calls
 
 
 @pytest.mark.parametrize("ncols", [None, 3])
 @pytest.mark.parametrize("direct_limit", [rl.solver.DIRECT_LIMIT, 0])
 def test_solve_interior_skips_zero_parts(grid8, vacuum8, direct_limit, ncols, monkeypatch):
-    sys_ = assemble(grid8, vacuum8, 2.0, direct_limit=direct_limit, check_resonance=False)
-    rng = np.random.default_rng(13)
-    cols = rng.choice(sys_.L_IB.shape[1], size=3, replace=False)
-    unit = -sys_.L_IB[:, cols].toarray()
-    b = unit[:, 0].copy() if ncols is None else unit
-    # the two-part solve, with the zero part solved too
-    one = sys_._factorize().solve if sys_.direct else sys_._solve_krylov
-    cases = [b + 0j, 1j * b]
-    refs = [one(rhs.real) + 1j * one(rhs.imag) for rhs in cases]
+    smooth = rl.make_material(grid8, {"kind": "smooth", "seed": 3, "amplitude": 0.3})
+    for mat in (vacuum8, smooth):
+        sys_ = assemble(grid8, mat, 2.0, direct_limit=direct_limit, check_resonance=False)
+        rng = np.random.default_rng(13)
+        cols = rng.choice(sys_.L_IB.shape[1], size=3, replace=False)
+        unit = -sys_.L_IB[:, cols].toarray()
+        b = unit[:, 0].copy() if ncols is None else unit
+        # the two-part solve, with the zero part solved too
+        cases = [b + 0j, 1j * b]
+        refs = [sys_._solve_real(rhs.real) + 1j * sys_._solve_real(rhs.imag) for rhs in cases]
+        calls = _count_solves(monkeypatch, sys_)
 
-    calls = []
-    if sys_.direct:
-        monkeypatch.setattr(sys_, "_lu", _CountingLU(sys_._lu, calls))
-    else:
-        krylov = sys_._solve_krylov
+        def solves(rhs):
+            calls.clear()
+            x = sys_.solve_interior(rhs)
+            return dict(calls), x
 
-        def counting_krylov(part):
-            if part.ndim == 1:   # a block recurses into its columns
-                calls.append(part.shape)
-            return krylov(part)
-
-        monkeypatch.setattr(sys_, "_solve_krylov", counting_krylov)
-
-    def solves(rhs):
-        calls.clear()
-        x = sys_.solve_interior(rhs)
-        return len(calls), x
-
-    one_part, _ = solves(b)
-    # one LU solve per part, one Krylov solve per column of a part
-    assert one_part == (1 if sys_.direct else b.reshape(len(b), -1).shape[1])
-    assert solves(b + 1j * b)[0] == 2 * one_part
-    for rhs, ref in zip(cases, refs):
-        n, x = solves(rhs)
-        assert n == one_part
-        assert x.dtype == complex and x.shape == rhs.shape
-        assert np.array_equal(x, ref)
-        # the bytes agree up to the sign of zero: SuperLU solves a zero part
-        # to -0.0 where its pivot is negative, which the sum then carries
-        # into exact zeros of the other part; a skipped part is +0.0
-        assert (x + 0.0).tobytes() == (ref + 0.0).tobytes()
+        # per part: a vacuum block takes one transform on either path; other
+        # parts on the direct path take one LU solve and no transform; the
+        # Krylov path starts every part with one transform, and in a
+        # non-constant medium runs MINRES on each of its columns
+        if sys_.direct:
+            want = {"transform": 1} if sys_.constant and ncols else {"lu": 1}
+        else:
+            want = {"transform": 1} if sys_.constant else {"transform": 1, "minres": ncols or 1}
+        assert solves(b)[0] == want
+        assert solves(b + 1j * b)[0] == {kind: 2 * n for kind, n in want.items()}
+        for rhs, ref in zip(cases, refs):
+            n, x = solves(rhs)
+            assert n == want
+            assert x.dtype == complex and x.shape == rhs.shape
+            assert np.array_equal(x, ref)
+            # the bytes agree up to the sign of zero: a solve of a zero part
+            # can give -0.0 (SuperLU where its pivot is negative, the signed
+            # transform where a mode's sign is), which the sum then carries
+            # into exact zeros of the other part; a skipped part is +0.0
+            assert (x + 0.0).tobytes() == (ref + 0.0).tobytes()
 
 
 def test_suggest_detuned_propagates_unexpected_errors(grid8, vacuum8, monkeypatch):
@@ -413,6 +424,60 @@ def test_signed_reference_inverse_is_the_exact_inverse(spec):
     assert np.abs(S - S.T).max() <= 1e-14 * np.abs(S).max()
     b = np.random.default_rng(19).standard_normal(sys_.dimension)
     assert np.linalg.norm(sys_.L_II @ (S @ b) - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["modulus", "signed"])
+@pytest.mark.parametrize("spec", [{"kind": "constant", "eps": 1.0, "mu": 1.0},
+                                  {"kind": "constant", "eps": 2.0, "mu": 0.5}],
+                         ids=["vacuum", "eps2_mu05"])
+def test_reference_inverse_applies_to_a_block_column_by_column(spec, signed):
+    g = rl.build_grid((8, 10, 6), 0.1)
+    sys_ = assemble(g, rl.make_material(g, spec), 2.0, direct_limit=0, check_resonance=False)
+    op = sys_._reference_inverse(signed)
+    B = np.random.default_rng(21).standard_normal((sys_.dimension, 4))
+    X = op @ B
+    assert X.shape == B.shape
+    for j in range(4):
+        x = op @ np.ascontiguousarray(B[:, j])
+        assert np.linalg.norm(X[:, j] - x) <= 1e-14 * np.linalg.norm(x)
+    # a vector is the block of one column
+    b = np.ascontiguousarray(B[:, 0])
+    assert (op @ b).tobytes() == (op @ b[:, None]).tobytes()
+
+
+def test_vacuum_block_on_the_direct_path_builds_no_factorization(grid8, vacuum8):
+    sys_ = assemble(grid8, vacuum8, 2.0, check_resonance=False)
+    assert sys_.direct and sys_.constant
+    B = np.random.default_rng(22).standard_normal((sys_.dimension, 3))
+    X = sys_.solve_interior(B)
+    assert sys_._lu is None
+    res = np.linalg.norm(sys_.L_II @ X - B, axis=0) / np.linalg.norm(B, axis=0)
+    assert res.max() <= sys_.solver_tol
+
+
+@pytest.mark.parametrize("direct_limit", [rl.solver.DIRECT_LIMIT, 0])
+def test_a_column_the_transform_misses_goes_on_alone(grid8, vacuum8, direct_limit,
+                                                      monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    sys_ = assemble(grid8, vacuum8, 2.0, direct_limit=direct_limit, check_resonance=False)
+    exact = sys_._reference_inverse(True)
+    skew = np.array([1.0, 1.0 + 1e-6, 1.0])
+
+    def corrupt(b):
+        return (exact @ b) * skew[:b.shape[1]] if b.ndim == 2 else exact @ b
+
+    monkeypatch.setitem(sys_._inverses, True,
+                        spla.LinearOperator(exact.shape, matvec=corrupt, matmat=corrupt))
+    B = np.random.default_rng(23).standard_normal((sys_.dimension, 3))
+    calls = _count_solves(monkeypatch, sys_)
+    X = sys_.solve_interior(B)
+    assert dict(calls) == {"transform": 1, "lu" if sys_.direct else "minres": 1}
+    # the good columns are the transform's own
+    start = exact @ B
+    assert X[:, [0, 2]].tobytes() == start[:, [0, 2]].tobytes()
+    res = np.linalg.norm(sys_.L_II @ X - B, axis=0) / np.linalg.norm(B, axis=0)
+    assert res.max() <= sys_.solver_tol
 
 
 def test_transform_start_leaves_a_smooth_medium_unchanged(monkeypatch):
