@@ -8,7 +8,7 @@ propagation-of-smallness constants.
 
 from .geometry import (Grid, Region, BoundaryPatch, BallChain, build_grid, carve_region,
                        interior_margin, boundary_patch, chain_of_balls, cube_cover)
-from .materials import MaterialField, make_material, ellipticity_check, lipschitz_bound
+from .materials import MaterialField, make_material, lipschitz_bound
 from .solver import (SystemMatrix, FieldPair, TangentialTrace, SourceTerm, assemble,
                      solve_bvp, solve_source, derive_H_from_E, residual, resonance_guard,
                      curl_matrix, divergence_matrix, mimetic_defect)

@@ -244,13 +244,17 @@ def r_squared(y, yhat):
     return max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
 
 
-def fit_holder(triples, c_flag_threshold=1e6) -> FitResult:
+# a Holder fit whose constant C exceeds this is flagged as giving no useful bound
+HOLDER_C_FLAG = 1e6
+
+
+def fit_holder(triples) -> FitResult:
     """Fit a2 <= C a1^tau a3^(1-tau) over positive triples.
 
     tau minimizes the spread of r_i(tau) = log a2 - tau log a1 - (1-tau) log a3
     (a one-dimensional convex search); log C is then set to the max residual so
     the bound holds with equality at the worst sample.  Data that admit no
-    bound with C below ``c_flag_threshold`` are flagged.
+    bound with C below ``HOLDER_C_FLAG`` are flagged.
     """
     triples = np.asarray(triples, dtype=float)
     if triples.ndim != 2 or triples.shape[1] != 3 or len(triples) < 3:
@@ -278,7 +282,7 @@ def fit_holder(triples, c_flag_threshold=1e6) -> FitResult:
     yhat = tau * la1 + (1 - tau) * la3 + np.median(resid)
     r2 = r_squared(la2, yhat)
     C = float(np.exp(logC))
-    flag = "no_bound_below_threshold" if C > c_flag_threshold else None
+    flag = "no_bound_below_threshold" if C > HOLDER_C_FLAG else None
     return FitResult("holder", {"C": C, "tau": tau}, r2, len(triples), flag)
 
 

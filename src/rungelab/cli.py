@@ -43,24 +43,14 @@ def _load_config(path, args, tag=None) -> ExperimentConfig:
 
 
 def _cmd_run(args):
-    cfg = _load_config(args.config, args)
+    # verify sets its tag before normalization, so its solver defaults apply
+    cfg = _load_config(args.config, args, tag=args.tag)
     report = run_experiment(cfg)
     csv_path, side_path = report.write(cfg["output"]["dir"])
     for name, ok in sorted(report.flags.items()):
         print(f"{'PASS' if ok else 'FAIL'} {cfg.tag}.{name}")
     print(f"report: {csv_path}")
     print(f"sidecar: {side_path}")
-    return 0 if report.passed else 2
-
-
-def _cmd_verify(args):
-    # the tag is set before normalization, so verify's solver defaults apply
-    cfg = _load_config(args.config, args, tag="verify_solver")
-    report = run_experiment(cfg)
-    csv_path, _ = report.write(cfg["output"]["dir"])
-    for name, ok in sorted(report.flags.items()):
-        print(f"{'PASS' if ok else 'FAIL'} verify_solver.{name}")
-    print(f"report: {csv_path}")
     return 0 if report.passed else 2
 
 
@@ -105,11 +95,11 @@ def build_parser():
 
     p_run = sub.add_parser("run", help="run the experiment configured in a JSON file")
     p_run.add_argument("config")
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_run, tag=None)
 
     p_verify = sub.add_parser("verify", help="run the solver verification study")
     p_verify.add_argument("config")
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(func=_cmd_run, tag="verify_solver")
 
     p_cache = sub.add_parser("cache", help="inspect or clear the operator cache")
     p_cache.add_argument("action", choices=["ls", "rm"])

@@ -313,25 +313,6 @@ def _target_solution(spec, omega, eps0=1.0, mu0=1.0):
     raise ConfigurationError(f"unknown target kind {kind!r}")
 
 
-def _target_on_region(sol, volume: VolumeWeights):
-    """Evaluate an analytic solution on the region-restricted dofs only."""
-    grid = volume.region.grid
-    pts_e = grid.edge_midpoints()[volume.x_edge_idx]
-    comp_e = grid.edge_components()[volume.x_edge_idx]
-    pts_f = grid.face_centers()[volume.x_face_idx]
-    comp_f = grid.face_components()[volume.x_face_idx]
-    x0 = sol.singularity()
-    if x0 is not None:
-        near = min(np.min(np.linalg.norm(pts_e - x0, axis=1)),
-                   np.min(np.linalg.norm(pts_f - x0, axis=1)))
-        if near < 2 * grid.h:
-            raise GeometryError(
-                f"target singularity {x0} within 2h of the region (distance {near:g})")
-    E = sol.E(pts_e)[np.arange(len(pts_e)), comp_e]
-    H = sol.H(pts_f)[np.arange(len(pts_f)), comp_f]
-    return np.concatenate([E, H])
-
-
 def _operator_with_cache(cfg, scene, gram, volume):
     """The restriction operator, read from ``cache.dir`` when an envelope of
     the current version holds it; a missing entry or one written under an
@@ -417,7 +398,8 @@ def run_runge(cfg: ExperimentConfig, scene: Scene | None = None,
 
     target = _target_solution(cfg["runge"]["target"], cfg["omega"],
                               *_scalar_medium(cfg["material"]))
-    W = _target_on_region(target, svd.volume)
+    W = np.concatenate(oracle.sample_dofs(target, scene.grid, svd.volume.x_edge_idx,
+                                          svd.volume.x_face_idx))
     coeffs, out_residual = runge_op.expand_target(svd, W)
 
     theta = cfg["exponents"]["theta"]
@@ -430,7 +412,7 @@ def run_runge(cfg: ExperimentConfig, scene: Scene | None = None,
     bound_ok = True
     for j in js:
         alpha = min(runge_op.alpha_for_j(j, C_cal, theta, m_cal), sigma1)
-        appr = runge_op.truncate(svd, coeffs, alpha, j_index=j)
+        appr = runge_op.truncate(svd, coeffs, alpha)
         tail = appr.in_span_error()
         x_err = float(np.hypot(tail, out_residual))
         v_norm = appr.boundary_norm()
@@ -528,9 +510,9 @@ class CauchyOperator:
 
     T = [T_E; T_H] maps boundary data to the E and H traces on the patch.
     T_E is a 0/1 selection and T_H = i R with R real (``h_trace_block``), so
-    the whitened operator diag(L^T, L^T) T diag(rsq) equals Q W with
-    Q = diag(I, iI) unitary and W real (G_V = L L^T, rsq the inverse square
-    roots of the Tikhonov weights).  Data are whitened straight into the
+    the whitened operator diag(L^T, L^T) T rsq equals Q W with
+    Q = diag(I, iI) unitary and W real (G_V = L L^T, rsq = reg^(-1/2) with
+    reg I the Tikhonov Gram).  Data are whitened straight into the
     frame of W by Q^H diag(L^T, L^T).  With the patch columns first, W is the
     upper triangle [L^T, 0] (padded with zero rows) over the block L^T R, so
     a triangular-pentagonal QR (LAPACK ``dtpqrt``) factors it in place and
@@ -549,16 +531,16 @@ class CauchyOperator:
         nb, n = len(self.b_dofs), gram.n_v
         self.h_dofs = gram.patch.inward_faces[gram.v_sel]
 
-        # Tikhonov Gram on the unknown data: diagonal area weights
-        self.reg_diag = np.full(nb, scene.grid.h ** 2)
+        # Tikhonov Gram on the unknown data: reg I, one area weight h^2 per edge
+        self.reg = scene.grid.h ** 2
         # misfit Gram: the boundary surrogate on both trace channels;
         # whitening applies the transposed factor, ||v||_G = ||L^T v||
         self._Lt = gram.chol_V.T
         e_rows = np.searchsorted(self.b_dofs, gram.v_dofs)
         perm = np.concatenate([e_rows, np.setdiff1d(np.arange(nb), e_rows)])
-        rsq = 1.0 / np.sqrt(self.reg_diag[perm])
+        rsq = 1.0 / np.sqrt(self.reg)
         top = np.zeros((nb, nb), order="F")  # Fortran order: dtpqrt overwrites it
-        top[:n, :n] = self._Lt * rsq[:n]
+        top[:n, :n] = self._Lt * rsq
         H = self._Lt @ h_trace_block(sys_, self.h_dofs)[:, perm] * rsq
         top, self._qv, self._qt = _lapack("dtpqrt", 0, QR_BLOCK, top, H,
                                           overwrite_a=True, overwrite_b=True)
@@ -607,7 +589,7 @@ class CauchyOperator:
     def solve_ridge(self, d, lam):
         S = self._rows(self.S, d)
         bw = real_matmul(self.V, S / (S ** 2 + lam) * self._split(d)[0])
-        return bw / self._rows(np.sqrt(self.reg_diag), d)
+        return bw / np.sqrt(self.reg)
 
     def _misfit_from(self, ud, out2, lam):
         S2 = self._rows(self.S, ud) ** 2
@@ -750,10 +732,10 @@ def run_cauchy(cfg: ExperimentConfig, scene: Scene | None = None) -> Report:
     # forward discretization error oracle: a plane wave of the constant
     # reference medium, solved on the scene's system when the medium is that
     # constant and otherwise on the reference medium's system on the same grid
-    eps0, deps, nu0, dnu = scene.system.reference
+    eps0, _, nu0, _ = scene.system.reference
     mu0 = 1.0 / nu0
     probe_sys = scene.system
-    if deps or dnu:
+    if not scene.system.constant:
         probe_sys = _assemble(cfg, scene.grid, materials.make_material(
             scene.grid, {"kind": "constant", "eps": eps0, "mu": mu0}))
     omega = cfg["omega"]
@@ -783,6 +765,28 @@ def run_cauchy(cfg: ExperimentConfig, scene: Scene | None = None) -> Report:
 # three balls
 # ---------------------------------------------------------------------------
 
+def _holder_study(scene: Scene, patch, regions, seeds, m0, tol):
+    """Holder interpolation a2 <= C a1^tau a3^(1-tau) over random solutions.
+
+    Each seed draws random tangential data on ``patch`` and solves one
+    boundary-value problem; a_k is the H(curl) norm of its E on
+    ``regions[k]``.  The fit sees the triples shifted by ``m0``.  Returns the
+    unshifted rows, the fit, and two flags: the exponent lies inside (0, 1),
+    and the fitted bound holds on every sample to ``tol`` in log.
+    """
+    rows = []
+    for seed in seeds:
+        fields = solver.solve_bvp(scene.system, _random_trace(patch, np.random.default_rng(seed)))
+        rows.append([hcurl_norm(scene.grid, r, E=fields.E, curl=scene.system.curl)
+                     for r in regions])
+    triples = [(a1 + m0, a2 + m0, a3 + m0) for a1, a2, a3 in rows]
+    fit = fit_holder(triples)
+    tau, C = fit.params["tau"], fit.params["C"]
+    resid = [np.log(b) - tau * np.log(a) - (1 - tau) * np.log(c) - np.log(C)
+             for a, b, c in triples]
+    return rows, fit, (bool(1e-9 < tau < 1 - 1e-9), bool(max(resid) <= tol + 1e-12))
+
+
 def run_three_balls(cfg: ExperimentConfig, scene: Scene | None = None) -> Report:
     """Holder interpolation feasibility over random interior solutions."""
     t0 = time.time()
@@ -805,30 +809,15 @@ def run_three_balls(cfg: ExperimentConfig, scene: Scene | None = None) -> Report
     n_samples = int(spec.get("n_samples", 20))
     seed0 = int(spec.get("seed", cfg["seed"]))
     m0 = float(spec.get("m0", 0.0))
-    boundary = geometry.whole_boundary(scene.grid)
-
-    def one(i):
-        rng = np.random.default_rng(seed0 + i)
-        fields = solver.solve_bvp(scene.system, _random_trace(boundary, rng))
-        norms = [hcurl_norm(scene.grid, b, E=fields.E, curl=scene.system.curl)
-                 for b in balls]
-        return norms
-
-    rows = [one(i) for i in range(n_samples)]
-    records = []
-    triples = []
-    for i, (a1, a2, a3) in enumerate(rows):
-        records.append({"sample": i, "seed": seed0 + i, "a1": a1, "a2": a2, "a3": a3,
-                        "m0": m0})
-        triples.append((a1 + m0, a2 + m0, a3 + m0))
-    fit = fit_holder(triples)
-    tau, C = fit.params["tau"], fit.params["C"]
-    resid = [np.log(b) - tau * np.log(a) - (1 - tau) * np.log(c) - np.log(C)
-             for a, b, c in triples]
-    tol = cfg.tolerances
+    seeds = [seed0 + i for i in range(n_samples)]
+    rows, fit, (interior, holds) = _holder_study(
+        scene, geometry.whole_boundary(scene.grid), balls, seeds, m0,
+        cfg.tolerances["holder_residual_max"])
+    records = [{"sample": i, "seed": seed, "a1": a1, "a2": a2, "a3": a3, "m0": m0}
+               for i, (seed, (a1, a2, a3)) in enumerate(zip(seeds, rows))]
     flags = {
-        "tau_interior": bool(1e-9 < tau < 1 - 1e-9),
-        "holder_bound_holds": bool(max(resid) <= tol["holder_residual_max"] + 1e-12),
+        "tau_interior": interior,
+        "holder_bound_holds": holds,
         "enough_samples": bool(n_samples >= 20),
     }
     budgets = StabilityBudget(m0=m0).as_dict()
@@ -877,40 +866,24 @@ def run_propagation(cfg: ExperimentConfig, scene: Scene | None = None) -> Report
     for _ in range(n_paths):
         target_pt = cands[rng.integers(len(cands))]
         path = np.vstack([x0, target_pt])
-        chain = geometry.chain_of_balls(path, r1, scene.omega_region)
-        chain.check_invariants(scene.omega_region)
-        chain_counts.append(chain.count)
+        chain_counts.append(geometry.chain_of_balls(path, r1, scene.omega_region).count)
     cover = geometry.cube_cover(g_region, r1)
 
     n_samples = int(spec.get("n_samples", 12))
-
-    def one(i):
-        rng_i = np.random.default_rng(seed0 + 1000 + i)
-        fields = solver.solve_bvp(scene.system, _random_trace(scene.patch, rng_i))
-        a1 = hcurl_norm(scene.grid, data_ball, E=fields.E, curl=scene.system.curl)
-        ag = hcurl_norm(scene.grid, g_region, E=fields.E, curl=scene.system.curl)
-        az = hcurl_norm(scene.grid, scene.omega_region, E=fields.E, curl=scene.system.curl)
-        return a1, ag, az
-
-    rows = [one(i) for i in range(n_samples)]
-    records = []
-    triples = []
-    for i, (a1, ag, az) in enumerate(rows):
-        records.append({"sample": i, "seed": seed0 + 1000 + i, "ball_norm": a1,
-                        "g_norm": ag, "omega_norm": az,
-                        "chain_count": max(chain_counts), "cover_count": len(cover)})
-        triples.append((a1, ag, az))
-    fit = fit_holder(triples)
-    delta, C = fit.params["tau"], fit.params["C"]
-    resid = [np.log(b) - delta * np.log(a) - (1 - delta) * np.log(c) - np.log(C)
-             for a, b, c in triples]
+    seeds = [seed0 + 1000 + i for i in range(n_samples)]
+    rows, fit, (interior, holds) = _holder_study(
+        scene, scene.patch, (data_ball, g_region, scene.omega_region), seeds, 0.0,
+        cfg.tolerances["holder_residual_max"])
+    records = [{"sample": i, "seed": seed, "ball_norm": a1, "g_norm": ag, "omega_norm": az,
+                "chain_count": max(chain_counts), "cover_count": len(cover)}
+               for i, (seed, (a1, ag, az)) in enumerate(zip(seeds, rows))]
     flags = {
-        "delta_interior": bool(1e-9 < delta < 1 - 1e-9),
-        "bound_holds": bool(max(resid) <= cfg.tolerances["holder_residual_max"] + 1e-12),
+        "delta_interior": interior,
+        "bound_holds": holds,
         "chains_valid": True,
     }
-    budgets = StabilityBudget(eta=max(t[0] for t in triples),
-                              zeta=max(t[2] for t in triples)).as_dict()
+    budgets = StabilityBudget(eta=max(r[0] for r in rows),
+                              zeta=max(r[2] for r in rows)).as_dict()
     return Report("propagation", cfg.echo(), records, [fit.row()], flags, budgets,
                   wall_clock=time.time() - t0)
 

@@ -148,32 +148,6 @@ def _random_rotation(rng):
     return q
 
 
-def ellipticity_check(mat: MaterialField, c):
-    """Check eigenvalues of every cell tensor against [c, 1/c].
-
-    Returns (ok, worst) where worst identifies the offending cell and value.
-    """
-    if not (c > 0):
-        raise ConfigurationError("ellipticity constant must be positive")
-    worst = None
-    ok = True
-    for name, t in (("eps", mat.eps), ("mu", mat.mu)):
-        ev = np.linalg.eigvalsh(t)
-        lo_idx = np.unravel_index(np.argmin(ev[..., 0]), t.shape[:3])
-        hi_idx = np.unravel_index(np.argmax(ev[..., -1]), t.shape[:3])
-        lo = float(ev[..., 0][lo_idx])
-        hi = float(ev[..., -1][hi_idx])
-        if lo < c:
-            ok = False
-            if worst is None or lo < worst[2]:
-                worst = (name, lo_idx, lo, "min eigenvalue below c")
-        if hi > 1.0 / c:
-            ok = False
-            if worst is None or hi > 1.0 / c:
-                worst = (name, hi_idx, hi, "max eigenvalue above 1/c")
-    return ok, worst
-
-
 def lipschitz_bound(mat: MaterialField):
     """Discrete W^{1,inf} bound: max of entries and one-sided difference quotients."""
     h = mat.grid.h

@@ -111,38 +111,41 @@ def _dipole_fields(points, x0, m, omega, eps0, mu0):
     return E, H
 
 
-def sample_on_grid(sol: AnalyticSolution, grid: Grid, min_clearance=None) -> FieldPair:
-    """Point-sample E at edge midpoints (tangential component) and H at face
-    centers (normal component)."""
+def sample_dofs(sol: AnalyticSolution, grid: Grid, edges, faces):
+    """Point-sample E at the midpoints of ``edges`` (tangential component) and
+    H at the centers of ``faces`` (normal component); returns (E, H).
+
+    ``edges`` and ``faces`` index the grid's edges and faces.  A singular
+    solution must keep 2h from every sampled point.
+    """
+    pts_e = grid.edge_midpoints()[edges]
+    pts_f = grid.face_centers()[faces]
     x0 = sol.singularity()
-    pts_e = grid.edge_midpoints()
-    pts_f = grid.face_centers()
     if x0 is not None:
-        clearance = 2 * grid.h if min_clearance is None else min_clearance
-        lo = grid.origin
-        hi = grid.origin + np.array(grid.n) * grid.h
-        inside = np.all((x0 >= lo) & (x0 <= hi))
-        near = min(np.min(np.linalg.norm(pts_e - x0, axis=1)),
-                   np.min(np.linalg.norm(pts_f - x0, axis=1)))
-        if inside or near < clearance:
+        near = np.min(np.linalg.norm(np.concatenate([pts_e, pts_f]) - x0, axis=1),
+                      initial=np.inf)
+        if near < 2 * grid.h:
             raise GeometryError(
-                f"dipole singularity {x0} too close to the grid (min distance {near:g})")
-    E3 = sol.E(pts_e)
-    H3 = sol.H(pts_f)
-    comp_e = grid.edge_components()
-    comp_f = grid.face_components()
-    E = E3[np.arange(grid.n_edges), comp_e]
-    H = H3[np.arange(grid.n_faces), comp_f]
-    return FieldPair(grid, E, H)
+                f"singularity {x0} within 2h of a sampled point (distance {near:g})")
+    E = sol.E(pts_e)[np.arange(len(pts_e)), grid.edge_components()[edges]]
+    H = sol.H(pts_f)[np.arange(len(pts_f)), grid.face_components()[faces]]
+    return E, H
+
+
+def sample_on_grid(sol: AnalyticSolution, grid: Grid) -> FieldPair:
+    """E and H sampled on every edge and face; a singular source must lie
+    outside the box."""
+    x0 = sol.singularity()
+    if x0 is not None and np.all((x0 >= grid.origin)
+                                 & (x0 <= grid.origin + np.array(grid.n) * grid.h)):
+        raise GeometryError(f"dipole singularity {x0} inside the grid box")
+    return FieldPair(grid, *sample_dofs(sol, grid, slice(None), slice(None)))
 
 
 def trace_of(sol: AnalyticSolution, patch) -> TangentialTrace:
     """Tangential data of an analytic solution on a boundary patch."""
-    grid = patch.grid
-    pts = grid.edge_midpoints()[patch.edge_dofs]
-    comp = grid.edge_components()[patch.edge_dofs]
-    vals = sol.E(pts)[np.arange(len(pts)), comp]
-    return TangentialTrace(patch, vals)
+    E, _ = sample_dofs(sol, patch.grid, patch.edge_dofs, [])
+    return TangentialTrace(patch, E)
 
 
 def convergence_study(sol: AnalyticSolution, grids, omega=None, material_spec=None, *,

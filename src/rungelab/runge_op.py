@@ -189,11 +189,10 @@ def expand_target(svd: SvdBundle, W):
 class Approximant:
     """Truncated reconstruction R_alpha of a target from its expansion."""
 
-    def __init__(self, alpha, coeffs, svd: SvdBundle, j_index=None):
+    def __init__(self, alpha, coeffs, svd: SvdBundle):
         self.alpha = float(alpha)
         self.svd = svd
         self.coeffs = np.asarray(coeffs, dtype=complex)
-        self.j_index = j_index
         self.kept = np.flatnonzero(svd.sigma >= self.alpha)
         kept = self.kept
         if len(kept):
@@ -221,11 +220,11 @@ class Approximant:
         return self.svd.gram.trace(self.boundary_data)
 
 
-def truncate(svd: SvdBundle, coeffs, alpha, j_index=None) -> Approximant:
+def truncate(svd: SvdBundle, coeffs, alpha) -> Approximant:
     """Keep modes with sigma_k >= alpha (ties included)."""
     if not (alpha > 0):
         raise ConfigurationError("alpha must be positive")
-    return Approximant(alpha, coeffs, svd, j_index=j_index)
+    return Approximant(alpha, coeffs, svd)
 
 
 def alpha_for_j(j, C, theta, m):

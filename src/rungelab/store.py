@@ -118,8 +118,9 @@ def read_header(path):
     return version, kind, prov, length
 
 
-def read_envelope(path, expected_kind, expected_provenance=None) -> bytes:
-    """Read and fully verify an envelope, returning the payload bytes."""
+def read_envelope(path, expected_kind, expected_provenance) -> bytes:
+    """Read and fully verify an envelope of the expected kind and provenance,
+    returning the payload bytes."""
     if expected_kind not in KINDS:
         raise ConfigurationError(f"unknown envelope kind {expected_kind!r}")
     with open(path, "rb") as fh:
@@ -133,7 +134,7 @@ def read_envelope(path, expected_kind, expected_provenance=None) -> bytes:
         raise BadVersionError(f"{path}: unsupported version {version}")
     if kind != KINDS[expected_kind]:
         raise BadKindError(f"{path}: kind {kind} != expected {KINDS[expected_kind]}")
-    if expected_provenance is not None and prov != (int(expected_provenance) & 0xFFFFFFFFFFFFFFFF):
+    if prov != (int(expected_provenance) & 0xFFFFFFFFFFFFFFFF):
         raise BadProvenanceError(
             f"{path}: provenance {prov:#018x} does not match the requested inputs")
     want = _HEADER.size + length + _TAIL.size

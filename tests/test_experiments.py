@@ -11,6 +11,7 @@ from rungelab.experiments import (CauchyOperator, ExperimentConfig, Report, Stab
                                   build_scene, cauchy_reconstruct, h_trace_block, run_cauchy,
                                   run_localization, run_propagation, run_runge, run_three_balls,
                                   run_verify_solver, _cauchy_truth, _quotient)
+from rungelab.oracle import sample_dofs
 
 from conftest import transform_off
 
@@ -254,7 +255,7 @@ def test_cauchy_h_block_transform_matches_lu(monkeypatch):
 
 def _whitened_reference(scene, gram, cop):
     """block_diag(L, L) and the dense complex whitened operator
-    block_diag(L, L)^T T diag(rsq), with T = [T_E; i R] built from its
+    block_diag(L, L)^T T rsq, with T = [T_E; i R] built from its
     definition in the boundary dof order."""
     nv, nb = gram.n_v, len(cop.b_dofs)
     bpos = {int(d): i for i, d in enumerate(cop.b_dofs)}
@@ -262,7 +263,7 @@ def _whitened_reference(scene, gram, cop):
     T_E[np.arange(nv), [bpos[int(d)] for d in gram.v_dofs]] = 1.0
     T = np.vstack([T_E, 1j * h_trace_block(scene.system, cop.h_dofs)])
     chol = sla.block_diag(gram.chol_V, gram.chol_V)
-    return chol, (chol.T @ T) / np.sqrt(cop.reg_diag)[None, :]
+    return chol, (chol.T @ T) / np.sqrt(cop.reg)
 
 
 def _noisy_data(cfg, scene, cop, rel, seed):
@@ -278,7 +279,7 @@ def test_cauchy_real_svd_matches_complex_reference():
     cfg, scene, gram, cop = _cauchy_operator()
     nv = gram.n_v
     chol, Wc = _whitened_reference(scene, gram, cop)
-    sq = np.sqrt(cop.reg_diag)
+    sq = np.sqrt(cop.reg)
     U, S, Vh = np.linalg.svd(Wc, full_matrices=False)
 
     def parts(d):
@@ -407,13 +408,16 @@ def test_cauchy_discretization_probe_uses_the_reference_medium(monkeypatch):
 
 def test_cauchy_runs_on_a_constant_dielectric(monkeypatch):
     # eps mu != 1: the probe's wave number follows the medium's dispersion
-    # relation, and the probe is solved on the scene's own system
+    # relation, and the probe is solved on the scene's own system, also when
+    # the cell means of eps round away from eps (0.3 reads deps = 1.9e-16)
     calls = _counting_assemble(monkeypatch)
-    rep = run_cauchy(_cauchy_cfg(noise={"etas": [1e-2], "seeds": [3]},
-                                 material={"kind": "constant", "eps": 2.0, "mu": 1.0}))
-    assert len(calls) == 1
-    assert 0 < rep.budgets["forward_disc_rel_error"] < 1e-2
-    assert rep.flags["eta0_ok"]
+    for eps in (2.0, 0.3):
+        calls.clear()
+        rep = run_cauchy(_cauchy_cfg(noise={"etas": [1e-2], "seeds": [3]},
+                                     material={"kind": "constant", "eps": eps, "mu": 1.0}))
+        assert len(calls) == 1, eps
+        assert 0 < rep.budgets["forward_disc_rel_error"] < 1e-2
+        assert rep.flags["eta0_ok"]
 
 
 def test_cauchy_ladder_block_matches_single_columns():
@@ -651,14 +655,32 @@ def test_runge_plane_wave_target(small_restriction):
     # initial one
     sys_, gram, volume, op, svd = small_restriction
     sol = rl.plane_wave([2.0, 0.0, 0.0], [0.0, 1.0, 0.0], 2.0)
-    from rungelab.experiments import _target_on_region
-    W = _target_on_region(sol, volume)
+    W = np.concatenate(sample_dofs(sol, volume.region.grid, volume.x_edge_idx,
+                                   volume.x_face_idx))
     coeffs, out_resid = rl.expand_target(svd, W)
     first = rl.truncate(svd, coeffs, svd.sigma[0])
     deep = rl.truncate(svd, coeffs, 1e-8 * svd.sigma[0])
     e_first = np.hypot(first.in_span_error(), out_resid)
     e_deep = np.hypot(deep.in_span_error(), out_resid)
     assert e_deep < 0.05 * e_first
+
+
+def test_runge_target_keeps_2h_from_its_region(small_restriction):
+    # the Runge target is a dipole inside the box: region sampling checks the
+    # 2h clearance on the sampled dofs only, not the whole-grid box rule
+    _, _, volume, _, _ = small_restriction
+    grid = volume.region.grid
+    far = rl.dipole_field([0.9, 0.5, 0.5], [0.3, 0.4, 1.0], 2.0)  # 0.28 > 2h = 0.25
+    E, H = sample_dofs(far, grid, volume.x_edge_idx, volume.x_face_idx)
+    pts = grid.edge_midpoints()[volume.x_edge_idx]
+    comp = grid.edge_components()[volume.x_edge_idx]
+    assert np.array_equal(E, far.E(pts)[np.arange(len(pts)), comp])
+    assert len(H) == len(volume.x_face_idx) and np.all(np.isfinite(H))
+    with pytest.raises(GeometryError):
+        rl.sample_on_grid(far, grid)
+    near = rl.dipole_field([0.8, 0.5, 0.5], [0.3, 0.4, 1.0], 2.0)  # 0.19 < 2h
+    with pytest.raises(GeometryError):
+        sample_dofs(near, grid, volume.x_edge_idx, volume.x_face_idx)
 
 
 def test_verify_uses_its_solver_block(monkeypatch):

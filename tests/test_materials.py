@@ -3,7 +3,7 @@ import pytest
 
 import rungelab as rl
 from rungelab.errors import MaterialError
-from rungelab.materials import ellipticity_check, lipschitz_bound, make_material
+from rungelab.materials import lipschitz_bound, make_material
 
 
 def test_constant_identity(grid8):
@@ -34,20 +34,31 @@ def test_smooth_deterministic(grid8):
     assert not np.array_equal(a.eps, c.eps)
 
 
+def _assert_ellipticity_constant(mat):
+    # c is the largest constant with every eps and mu cell eigenvalue inside [c, 1/c]
+    ev = np.concatenate([np.linalg.eigvalsh(mat.eps).ravel(),
+                         np.linalg.eigvalsh(mat.mu).ravel()])
+    lo, hi = ev.min(), ev.max()
+    assert lo >= mat.c * (1 - 1e-12) and hi <= (1 + 1e-12) / mat.c
+    assert mat.c == pytest.approx(min(lo, 1.0 / hi), rel=1e-12)
+
+
 def test_ellipticity_examples(grid8):
     ident = make_material(grid8, {"kind": "constant", "eps": 1.0, "mu": 1.0})
-    ok, _ = ellipticity_check(ident, 0.5)
-    assert ok
+    assert ident.c >= 0.5
 
+    # the largest eigenvalue 3 of eps leaves c = 1/3 < 0.5
     stretched = make_material(grid8, {"kind": "constant", "eps": [3.0, 1.0, 1.0], "mu": 1.0})
-    ok, worst = ellipticity_check(stretched, 0.5)
-    assert not ok
-    name, cell, value, why = worst
-    assert name == "eps" and value == pytest.approx(3.0)
+    assert stretched.c == pytest.approx(1.0 / 3.0) and stretched.c < 0.5
+
+    # a small mu sets c just as a small eps would
+    soft = make_material(grid8, {"kind": "constant", "eps": 1.0, "mu": 0.25})
+    assert soft.c == pytest.approx(0.25)
 
     banded = make_material(grid8, {"kind": "constant", "eps": [0.5, 1.0, 2.0], "mu": 1.0})
-    ok, _ = ellipticity_check(banded, 0.5)
-    assert ok
+    assert banded.c == pytest.approx(0.5)
+    for mat in (ident, stretched, soft, banded):
+        _assert_ellipticity_constant(mat)
 
 
 def test_rejects_nonsymmetric(grid8):
@@ -103,8 +114,7 @@ def test_lipschitz_translation_invariance():
 def test_smooth_fields_respect_bounds(seed):
     g = rl.build_grid((6, 6, 6), 1.0 / 6)
     mat = make_material(g, {"kind": "smooth", "seed": seed})
-    ok, worst = ellipticity_check(mat, mat.c)
-    assert ok, worst
+    _assert_ellipticity_constant(mat)
     assert mat.c >= 0.4
     assert np.isfinite(mat.M)
 
@@ -114,7 +124,6 @@ def test_smooth_many_seeds_ellipticity():
     cs = []
     for seed in range(100):
         mat = make_material(g, {"kind": "smooth", "seed": seed, "amplitude": 0.4})
-        ok, worst = ellipticity_check(mat, mat.c)
-        assert ok, (seed, worst)
+        _assert_ellipticity_constant(mat)
         cs.append(mat.c)
     assert min(cs) > 0.3
