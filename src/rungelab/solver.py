@@ -42,8 +42,9 @@ SOLVER_TOL = 1e-10
 KRYLOV_MAXITER = 10_000
 KRYLOV_RESTARTS = 5
 RESONANCE_THRESHOLD = 1e-6
-# Relative residual tolerance of one inverse-iteration step of the resonance
-# guard on the Krylov path: the margin is only compared with a threshold.
+# Relative residual tolerance of the MINRES run of one inverse-iteration step
+# of the resonance guard on the Krylov path (media that are not constant and
+# scalar): the margin is only compared with a threshold.
 GUARD_TOL = 1e-6
 
 
@@ -264,6 +265,22 @@ def reference_medium(eps, mu_inv):
     return tuple(out)
 
 
+def mode_table(grid: Grid):
+    """(node, lams): s_d = 2/h sin(pi m_d / 2 n_d) over the DST-I nodal
+    modes m_d = 1..n_d-1 of each axis d, and lam = sum_d s_d^2 over the edge
+    modes of each component a (DCT-II from m_a = 0 along a, DST-I along the
+    other two).  Each axis d is laid along axis d of a block whose trailing
+    axis runs over right-hand sides."""
+    def factor(d, first):
+        m = np.arange(first, grid.n[d])
+        s = 2.0 / grid.h * np.sin(np.pi * m / (2 * grid.n[d]))
+        return s.reshape([-1 if e == d else 1 for e in range(4)])
+
+    node = [factor(d, 1) for d in range(3)]
+    lams = [sum(factor(d, int(d != a)) ** 2 for d in range(3)) for a in range(3)]
+    return node, lams
+
+
 def reference_inverse(grid: Grid, omega, eps0, deps, nu0, dnu,
                       signed=False) -> spla.LinearOperator:
     """|L0|^-1 on interior edges, the MINRES preconditioner, or with
@@ -274,7 +291,7 @@ def reference_inverse(grid: Grid, omega, eps0, deps, nu0, dnu,
     walls each component of an interior edge field expands in DCT-II modes
     along its own axis and DST-I modes along the other two.  The gradient of
     a DST-I nodal mode m is, per component d, the matching edge mode times
-    s_d = 2/h sin(pi m_d / 2 n_d).  So mode by mode the field splits into its
+    s_d (``mode_table``).  So mode by mode the field splits into its
     gradient part, where L0 is -h^3 omega^2 eps0, and the remainder, where
     C^T C is the Laplacian eigenvalue lam = sum_d s_d^2.  Both parts are
     scaled by the inverse modulus.  L_II departs from L0 on a remainder mode
@@ -287,16 +304,7 @@ def reference_inverse(grid: Grid, omega, eps0, deps, nu0, dnu,
 
     h = grid.h
     shift = omega ** 2 * eps0
-
-    def factor(d, first):
-        """s_d over the modes first..n_d-1, laid along axis d of a block whose
-        trailing axis runs over right-hand sides."""
-        m = np.arange(first, grid.n[d])
-        s = 2.0 / h * np.sin(np.pi * m / (2 * grid.n[d]))
-        return s.reshape([-1 if e == d else 1 for e in range(4)])
-
-    node = [factor(d, 1) for d in range(3)]
-    lams = [sum(factor(d, int(d != a)) ** 2 for d in range(3)) for a in range(3)]
+    node, lams = mode_table(grid)
     floor = omega ** 2 * deps + np.finfo(float).eps * (nu0 * max(lam.max() for lam in lams) + shift)
     d_rem = [(np.sign(nu0 * lam - shift) if signed else 1.0)
              / (h ** 3 * np.maximum(np.abs(nu0 * lam - shift), dnu * lam + floor))
@@ -509,42 +517,46 @@ def _suggest_detuned(grid, mat, omega, solver_tol, direct_limit):
 
 
 def resonance_guard(sys: SystemMatrix, iterations=12, seed=0):
-    """Relative smallest-singular-value estimate via inverse power iterations.
+    """Relative smallest-singular-value estimate sigma_min / ``norm_estimate``.
 
-    On the Krylov path each step is first the transform start, accepted
-    when its residual meets ``GUARD_TOL``.  It always is for a constant
-    scalar medium, whose margin then agrees with the direct one to rounding
-    (below 1e-13 relative at 8^3-16^3).  Otherwise the step is one MINRES
-    run at ``GUARD_TOL``, warm-started from the Rayleigh-quotient guess
-    v / (v^T L v) and preconditioned by ``reference_inverse``: once v is near
-    the smallest eigenvector the start is nearly exact in that direction.  The loose
-    tolerance leaves the margin within 4e-4 relative of the direct one on
-    the smooth and anisotropic media of the tests, where the preconditioner
-    is inexact.
+    On the Krylov path a constant scalar medium gives sigma_min exactly from
+    ``mode_table``: L_II is h^3 (nu0 lam - omega^2 eps0) on the curl-curl
+    modes and -h^3 omega^2 eps0 on the gradient modes, which every grid of at
+    least 4 cells per axis has.  Otherwise sigma_min is estimated by inverse
+    power iterations: LU back-solves on the direct path, and on the Krylov
+    path one MINRES run per step at ``GUARD_TOL``, warm-started from the
+    Rayleigh-quotient guess v / (v^T L v) and preconditioned by
+    ``reference_inverse``: once v is near the smallest eigenvector the start
+    is nearly exact in that direction.  The loose tolerance leaves the
+    margin within 4e-4 relative of the direct one on the smooth and
+    anisotropic media of the tests, where the preconditioner is inexact.
     """
     if sys.margin is not None:
         return sys.margin
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(sys.dimension)
-    v /= np.linalg.norm(v)
-    sigma_min = None
-    for _ in range(iterations):
-        w = sys.solve_interior(v) if sys.direct else _guard_step(sys, v)
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            break
-        sigma_min = 1.0 / nw
-        v = w / nw
+    if sys.constant and not sys.direct:
+        eps0, _, nu0, _ = sys.reference
+        shift = sys.omega ** 2 * eps0
+        sigma_min = sys.grid.h ** 3 * min(
+            [shift] + [np.abs(nu0 * lam - shift).min() for lam in mode_table(sys.grid)[1]])
+    else:
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(sys.dimension)
+        v /= np.linalg.norm(v)
+        sigma_min = None
+        for _ in range(iterations):
+            w = sys.solve_interior(v) if sys.direct else _guard_step(sys, v)
+            nw = np.linalg.norm(w)
+            if nw == 0:
+                break
+            sigma_min = 1.0 / nw
+            v = w / nw
     sys.margin = float(sigma_min / sys.norm_estimate)
     return sys.margin
 
 
 def _guard_step(sys: SystemMatrix, v):
-    """Loose solve of L_II w = v for a unit vector v: the transform start if
-    it meets ``GUARD_TOL``, else a warm-started MINRES run."""
-    w, miss = sys._transform_start(v, GUARD_TOL)
-    if not miss:
-        return w
+    """Loose solve of L_II w = v for a unit vector v: one warm-started MINRES
+    run."""
     w, info = sys._minres(v, GUARD_TOL, x0=v / (v @ (sys.L_II @ v)))
     if info != 0:
         rel = float(np.linalg.norm(sys.L_II @ w - v))

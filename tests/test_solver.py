@@ -212,12 +212,14 @@ def test_krylov_nonconvergence_reports_history(grid8, vacuum8, krylov_stall):
     assert err.value.history is not None
 
 
-def test_krylov_guard_stall_raises(grid8, vacuum8, krylov_stall):
+def test_krylov_guard_stall_raises(grid8, krylov_stall):
     import rungelab.solver as solver_mod
     from rungelab.errors import NumericError
 
+    # a constant scalar medium takes no guard steps on the Krylov path
+    smooth = rl.make_material(grid8, {"kind": "smooth", "seed": 3, "amplitude": 0.3})
     with pytest.raises(NumericError) as err:
-        assemble(grid8, vacuum8, 2.0, direct_limit=0)
+        assemble(grid8, smooth, 2.0, direct_limit=0)
     assert err.value.history[0] > solver_mod.GUARD_TOL
 
 
@@ -362,6 +364,51 @@ def test_krylov_guard_agrees_with_direct(n):
     mat = rl.make_material(g, {"kind": "constant", "eps": 1.0, "mu": 1.0})
     direct, krylov = _guard_margins(g, mat, 2.0)
     assert abs(krylov - direct) <= 1e-9 * direct
+
+
+@pytest.mark.parametrize("omega", [2.0, 4.44, 7.3])
+@pytest.mark.parametrize("spec", [{"kind": "constant", "eps": 1.0, "mu": 1.0},
+                                  {"kind": "constant", "eps": 2.0, "mu": 0.5}],
+                         ids=["vacuum", "eps2_mu05"])
+@pytest.mark.parametrize("n", [6, 8])
+def test_krylov_guard_margin_is_the_dense_spectrum(n, spec, omega):
+    # eigh rather than eigvalsh: the eigenvalue-only LAPACK driver reads the
+    # smallest modulus up to 1.1e-12 relative off at 6^3 and omega = 4.44
+    g = rl.build_grid((n, n, n), 1.0 / n)
+    sys_ = assemble(g, rl.make_material(g, spec), omega, direct_limit=0, check_resonance=False)
+    dense = np.abs(np.linalg.eigh(sys_.L_II.toarray())[0]).min() / sys_.norm_estimate
+    assert abs(resonance_guard(sys_) - dense) <= 1e-12 * dense
+
+
+@pytest.mark.parametrize("spec", [{"kind": "constant", "eps": 1.0, "mu": 1.0},
+                                  {"kind": "constant", "eps": 2.0, "mu": 0.5}],
+                         ids=["vacuum", "eps2_mu05"])
+@pytest.mark.parametrize("modes", [(0, 1, 1), (1, 1, 1)])
+def test_krylov_guard_raises_at_a_cavity_resonance(grid8, spec, modes):
+    mat = rl.make_material(grid8, spec)
+    eps0, _, nu0, _ = rl.solver.reference_medium(mat.eps, mat.mu_inv())
+    lam = sum((2.0 * 8 * np.sin(np.pi * m / 16)) ** 2 for m in modes)
+    omega = np.sqrt(nu0 * lam / eps0)
+    with pytest.raises(ResonantFrequencyError) as err:
+        assemble(grid8, mat, omega, direct_limit=0)
+    assert err.value.margin < rl.solver.RESONANCE_THRESHOLD
+    assert err.value.suggested_omega in (0.93 * omega, 1.07 * omega)
+
+
+def test_krylov_guard_route(grid8, vacuum8, monkeypatch):
+    # a constant scalar medium reads its margin off the mode table; any other
+    # medium runs one warm-started MINRES per guard step, with no transform
+    calls = Counter()
+    for name in ("_transform_start", "_minres"):
+        method = getattr(rl.solver.SystemMatrix, name)
+        monkeypatch.setattr(rl.solver.SystemMatrix, name,
+                            lambda self, *a, _m=method, _n=name, **k:
+                            calls.update([_n]) or _m(self, *a, **k))
+    sys_ = assemble(grid8, vacuum8, 2.0, direct_limit=0)
+    assert sys_.margin > 0 and dict(calls) == {}
+    smooth = rl.make_material(grid8, {"kind": "smooth", "seed": 3, "amplitude": 0.3})
+    assemble(grid8, smooth, 2.0, direct_limit=0)
+    assert dict(calls) == {"_minres": 12}
 
 
 @pytest.mark.parametrize("spec", [
