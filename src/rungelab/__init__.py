@@ -1,9 +1,10 @@
 """Frequency-domain Maxwell laboratory.
 
 Staggered-grid solver for the time-harmonic system, boundary-to-interior
-restriction operators with weighted SVDs, truncated approximants, and
-experiment drivers measuring approximation decay, Cauchy-data stability and
-propagation-of-smallness constants.
+restriction operators with weighted SVDs, one spectral-filter kernel for
+truncated approximants and ridge solves, and experiment drivers measuring
+approximation decay, Cauchy-data stability and propagation-of-smallness
+constants.
 """
 
 from .geometry import (Grid, Region, BoundaryPatch, BallChain, build_grid, carve_region,
@@ -15,8 +16,7 @@ from .solver import (SystemMatrix, FieldPair, TangentialTrace, SourceTerm, assem
 from .oracle import AnalyticSolution, plane_wave, dipole_field, sample_on_grid, convergence_study
 from .analysis import (TraceGram, VolumeWeights, FitResult, lp_norm, hcurl_norm,
                        build_norm_weights, fit_holder, fit_log_modulus, fit_power)
-from .runge_op import (RestrictionOperator, SvdBundle, Approximant, assemble_restriction,
-                       apply_adjoint, matrix_adjoint, weighted_svd, expand_target, truncate,
-                       alpha_for_j)
+from .runge_op import (RestrictionOperator, SvdBundle, Expansion, assemble_restriction,
+                       apply_adjoint, matrix_adjoint, weighted_svd, expand_target, alpha_for_j)
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from scipy.linalg import lapack
 from . import analysis, geometry, materials, oracle, runge_op, solver
 from .errors import BadVersionError, ConfigurationError, GeometryError, NumericError
 from .analysis import (VolumeWeights, build_norm_weights, fit_holder, fit_log_modulus,
-                       fit_power, hcurl_norm, lp_norm, real_matmul)
+                       fit_power, hcurl_norm, lp_norm)
 
 TAGS = ("runge", "cauchy", "three_balls", "propagation", "localization", "verify_solver")
 
@@ -49,6 +49,13 @@ def _scalar_medium(material):
 
 def _theta_from(q, q0):
     return (1.0 / q - 0.5) / (1.0 / q0 - 0.5)
+
+
+def _check_ints(name, values, rule, ok):
+    """Raise unless ``values`` is a non-empty list of integers passing ``ok``."""
+    ints = isinstance(values, list) and all(type(v) is int for v in values)
+    if not (ints and values and ok(values)):
+        raise ConfigurationError(f"{name} must be {rule}, got {values!r}")
 
 
 def normalize_config(raw: dict) -> dict:
@@ -114,6 +121,11 @@ def normalize_config(raw: dict) -> dict:
     rg.setdefault("js", list(range(1, 11)))
     rg.setdefault("C", float(np.e))
     rg.setdefault("m", 2.0)
+    _check_ints("runge.js", rg["js"], "at least 3 strictly increasing integers >= 1",
+                lambda js: len(js) >= 3 and 1 <= js[0] and all(np.diff(js) > 0))
+    if "cutoffs" in (cfg.get("localization") or {}):
+        _check_ints("localization.cutoffs", cfg["localization"]["cutoffs"],
+                    "a non-empty list of positive integers", lambda cs: min(cs) >= 1)
     cfg.setdefault("regularization", {"strategy": "morozov", "lambda": 1e-12})
     cfg["regularization"].setdefault("strategy", "morozov")
     cfg["regularization"].setdefault("lambda", 1e-12)
@@ -400,7 +412,9 @@ def run_runge(cfg: ExperimentConfig, scene: Scene | None = None,
                               *_scalar_medium(cfg["material"]))
     W = np.concatenate(oracle.sample_dofs(target, scene.grid, svd.volume.x_edge_idx,
                                           svd.volume.x_face_idx))
-    coeffs, out_residual = runge_op.expand_target(svd, W)
+    ex = runge_op.expand_target(svd, W)
+    out_of_span = float(np.sqrt(ex.out2))
+    coeff_norm = np.sqrt(np.sum(np.abs(ex.coords) ** 2))
 
     theta = cfg["exponents"]["theta"]
     C_cal = float(cfg["runge"]["C"])
@@ -412,18 +426,17 @@ def run_runge(cfg: ExperimentConfig, scene: Scene | None = None,
     bound_ok = True
     for j in js:
         alpha = min(runge_op.alpha_for_j(j, C_cal, theta, m_cal), sigma1)
-        appr = runge_op.truncate(svd, coeffs, alpha)
-        tail = appr.in_span_error()
-        x_err = float(np.hypot(tail, out_residual))
-        v_norm = appr.boundary_norm()
-        v_bound = appr.boundary_norm_bound()
+        data, tail, kept = ex.truncate(alpha)
+        x_err = float(np.hypot(tail, out_of_span))
+        v_norm = svd.gram.v_norm(data)
+        v_bound = float(coeff_norm / alpha)  # termwise: ||R_alpha W||_V <= ||c|| / alpha
         if v_norm > v_bound * (1 + 1e-12):
             bound_ok = False
-        fields = solver.solve_bvp(scene.system, appr.trace())
+        fields = solver.solve_bvp(scene.system, svd.gram.trace(data))
         g_norm = hcurl_norm(scene.grid, scene.omega_region, E=fields.E, H=fields.H,
                             curl=scene.system.curl)
-        records.append({"j": j, "alpha": alpha, "kept": appr.kept_count, "x_error": x_err,
-                        "tail_error": tail, "out_of_span": out_residual,
+        records.append({"j": j, "alpha": alpha, "kept": kept, "x_error": x_err,
+                        "tail_error": float(tail), "out_of_span": out_of_span,
                         "v_norm": v_norm, "v_bound": v_bound, "hcurl_omega": g_norm})
 
     errs = [r["x_error"] for r in records]
@@ -506,7 +519,8 @@ def h_trace_block(sys_: solver.SystemMatrix, h_dofs):
 
 class CauchyOperator:
     """Trace operator of the discrete solution manifold, parametrized by the
-    full boundary data, with its whitened SVD for fast ridge solves.
+    full boundary data, with its whitened SVD; ``expand`` hands data on it to
+    the spectral-filter kernel for the ridge solve and the Morozov bisection.
 
     T = [T_E; T_H] maps boundary data to the E and H traces on the patch.
     T_E is a 0/1 selection and T_H = i R with R real (``h_trace_block``), so
@@ -581,35 +595,10 @@ class CauchyOperator:
         return ((ud[:, :k] + 1j * ud[:, k:]).reshape((nb,) + d.shape[1:]),
                 (out2[:k] + out2[k:]).reshape(d.shape[1:])[()])
 
-    @staticmethod
-    def _rows(x, d):
-        """A per-row vector x shaped to broadcast over the columns of d."""
-        return x.reshape(x.shape + (1,) * (np.ndim(d) - 1))
-
-    def solve_ridge(self, d, lam):
-        S = self._rows(self.S, d)
-        bw = real_matmul(self.V, S / (S ** 2 + lam) * self._split(d)[0])
-        return bw / np.sqrt(self.reg)
-
-    def _misfit_from(self, ud, out2, lam):
-        S2 = self._rows(self.S, ud) ** 2
-        resid_in = (lam / (S2 + lam)) * ud
-        return np.sqrt(np.linalg.norm(resid_in, axis=0) ** 2 + out2)[()]
-
-    def morozov_lambda(self, d, target, lo=1e-14, hi=1e6, iters=80):
-        """Bisect each column's monotone misfit(lambda) curve to its target;
-        ``lo`` if misfit(lo) reaches it, else ``hi`` if misfit(hi) stays below."""
-        ud, out2 = self._split(d)
-        llo = np.full(np.shape(target), np.log10(lo))
-        lhi = np.full(np.shape(target), np.log10(hi))
-        for _ in range(iters):
-            mid = 0.5 * (llo + lhi)
-            below = self._misfit_from(ud, out2, 10.0 ** mid) < target
-            llo = np.where(below, mid, llo)
-            lhi = np.where(below, lhi, mid)
-        lam = np.where(self._misfit_from(ud, out2, hi) <= target, hi,
-                       10.0 ** (0.5 * (llo + lhi)))
-        return np.where(self._misfit_from(ud, out2, lo) >= target, lo, lam)[()]
+    def expand(self, d):
+        """The data on the whitened singular system, as a spectral-filter
+        kernel; its solutions times reg^(-1/2) are boundary data."""
+        return runge_op.Expansion(self.S, self.V, *self._split(d))
 
     def fields_of(self, b):
         sys_ = self.scene.system
@@ -632,10 +621,10 @@ def cauchy_reconstruct(cauchy_op: CauchyOperator, noisy_f, noisy_g, strategy,
     d = np.concatenate([noisy_f, noisy_g])
     eta = np.broadcast_to(0.0 if eta_target is None else eta_target, d.shape[1:])
     lam = np.full(d.shape[1:], float(lam_fixed))
+    ex = cauchy_op.expand(d)
     if strategy == "morozov" and np.any(eta > 0):
-        lam = np.where(eta > 0, cauchy_op.morozov_lambda(d, eta), lam)
-    b = cauchy_op.solve_ridge(d, lam)
-    fields = cauchy_op.fields_of(b)
+        lam = np.where(eta > 0, ex.discrepancy_lambda(eta), lam)
+    fields = cauchy_op.fields_of(ex.ridge(lam) / np.sqrt(cauchy_op.reg))
     misfit = cauchy_op.misfit_norm(cauchy_op.data_of(fields) - d)
     return fields, lam[()], misfit
 

@@ -1,5 +1,6 @@
 """Boundary-to-interior restriction operator, its weighted SVD and the
-truncated approximant.
+spectral-filter kernel shared by the truncated approximant and the Cauchy
+ridge solve.
 
 The operator maps tangential boundary data on the patch basis (one column
 per selected edge dof) to the stacked (E, H) dofs restricted to the target
@@ -177,54 +178,62 @@ def weighted_svd(op: RestrictionOperator) -> SvdBundle:
     return SvdBundle(S[:rank], phi, psi, op.gram, op.volume, op.provenance)
 
 
-def expand_target(svd: SvdBundle, W):
-    """Coefficients c_k = <W, Psi_k>_X plus the out-of-span residual norm."""
+class Expansion:
+    """Data on a singular system: values ``sigma`` (descending), real right
+    vectors ``right``, the data's coordinates ``coords`` on the left vectors,
+    an (r,) vector or an (r, k) block, and ``out2``, each datum's squared norm
+    outside their span.  Per-datum results are scalars or (k,) arrays."""
+
+    def __init__(self, sigma, right, coords, out2):
+        self.sigma, self.right, self.coords, self.out2 = sigma, right, coords, out2
+
+    def _rows(self, x):
+        """A per-mode vector x shaped to broadcast over the data columns."""
+        return x.reshape(x.shape + (1,) * (np.ndim(self.coords) - 1))
+
+    def truncate(self, alpha):
+        """Keep the modes with sigma_k >= alpha (ties included): the solution,
+        the dropped tail sqrt(sum_{sigma_k < alpha} |c_k|^2) and the kept count."""
+        if not (alpha > 0):
+            raise ConfigurationError("alpha must be positive")
+        keep = self.sigma >= alpha
+        x = real_matmul(self.right[:, keep], self.coords[keep] / self._rows(self.sigma[keep]))
+        tail = np.sqrt(np.sum(np.abs(self.coords[~keep]) ** 2, axis=0))
+        return x, tail[()], int(np.count_nonzero(keep))
+
+    def ridge(self, lam):
+        """The Tikhonov solution, filter sigma_k / (sigma_k^2 + lam)."""
+        S = self._rows(self.sigma)
+        return real_matmul(self.right, S / (S ** 2 + lam) * self.coords)
+
+    def ridge_misfit(self, lam):
+        """Residual norm of ``ridge(lam)``: the in-span part damped by
+        lam / (sigma_k^2 + lam), in quadrature with the out-of-span norm."""
+        S2 = self._rows(self.sigma) ** 2
+        resid_in = (lam / (S2 + lam)) * self.coords
+        return np.sqrt(np.linalg.norm(resid_in, axis=0) ** 2 + self.out2)[()]
+
+    def discrepancy_lambda(self, target, lo=1e-14, hi=1e6, iters=80):
+        """Bisect each column's monotone misfit(lambda) curve to its target;
+        ``lo`` if misfit(lo) reaches it, else ``hi`` if misfit(hi) stays below."""
+        llo = np.full(np.shape(target), np.log10(lo))
+        lhi = np.full(np.shape(target), np.log10(hi))
+        for _ in range(iters):
+            mid = 0.5 * (llo + lhi)
+            below = self.ridge_misfit(10.0 ** mid) < target
+            llo = np.where(below, mid, llo)
+            lhi = np.where(below, lhi, mid)
+        lam = np.where(self.ridge_misfit(hi) <= target, hi, 10.0 ** (0.5 * (llo + lhi)))
+        return np.where(self.ridge_misfit(lo) >= target, lo, lam)[()]
+
+
+def expand_target(svd: SvdBundle, W) -> Expansion:
+    """The target W on the singular system of ``svd``: its coefficients
+    c_k = <W, Psi_k>_X and the squared X-norm of its part outside their span."""
     W = np.asarray(W, dtype=complex)
     coeffs = svd.psi.conj().T @ (svd.volume.x_weights() * W)
-    recon = svd.psi @ coeffs
-    residual = svd.volume.x_norm(W - recon)
-    return coeffs, float(residual)
-
-
-class Approximant:
-    """Truncated reconstruction R_alpha of a target from its expansion."""
-
-    def __init__(self, alpha, coeffs, svd: SvdBundle):
-        self.alpha = float(alpha)
-        self.svd = svd
-        self.coeffs = np.asarray(coeffs, dtype=complex)
-        self.kept = np.flatnonzero(svd.sigma >= self.alpha)
-        kept = self.kept
-        if len(kept):
-            self.boundary_data = real_matmul(svd.phi[:, kept], self.coeffs[kept] / svd.sigma[kept])
-        else:
-            self.boundary_data = np.zeros(svd.phi.shape[0], dtype=complex)
-
-    @property
-    def kept_count(self):
-        return len(self.kept)
-
-    def boundary_norm(self):
-        return self.svd.gram.v_norm(self.boundary_data)
-
-    def boundary_norm_bound(self):
-        """Termwise bound: ||R_alpha W||_V <= (sum |c_k|^2)^{1/2} / alpha."""
-        return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)) / self.alpha)
-
-    def in_span_error(self):
-        """X-norm of the dropped tail, sqrt(sum_{sigma<alpha} |c_k|^2)."""
-        dropped = np.setdiff1d(np.arange(self.svd.rank), self.kept, assume_unique=True)
-        return float(np.sqrt(np.sum(np.abs(self.coeffs[dropped]) ** 2)))
-
-    def trace(self):
-        return self.svd.gram.trace(self.boundary_data)
-
-
-def truncate(svd: SvdBundle, coeffs, alpha) -> Approximant:
-    """Keep modes with sigma_k >= alpha (ties included)."""
-    if not (alpha > 0):
-        raise ConfigurationError("alpha must be positive")
-    return Approximant(alpha, coeffs, svd)
+    residual = svd.volume.x_norm(W - svd.psi @ coeffs)
+    return Expansion(svd.sigma, svd.phi, coeffs, residual ** 2)
 
 
 def alpha_for_j(j, C, theta, m):

@@ -369,8 +369,9 @@ class SystemMatrix:
         self.solver_tol = solver_tol
         self.idx_interior = grid.interior_edge_indices()
         self.idx_boundary = grid.boundary_edge_indices()
-        self.L_II = L[self.idx_interior][:, self.idx_interior].tocsc()
-        self.L_IB = L[self.idx_interior][:, self.idx_boundary].tocsr()
+        L_I = L[self.idx_interior].tocsc()  # column blocks of a CSC matrix are cheap
+        self.L_II, self.L_IB = L_I[:, self.idx_interior], L_I[:, self.idx_boundary].tocsr()
+        del L_I  # not held while np.abs copies L_II below
         self.norm_estimate = float(np.abs(self.L_II).sum(axis=1).max())
         self.dimension = self.L_II.shape[0]
         self.direct = self.dimension <= direct_limit

@@ -55,6 +55,19 @@ def test_rejects_unknown_tag():
         ExperimentConfig.from_dict({"tag": "mystery"})
 
 
+@pytest.mark.parametrize("tag, key, value", [
+    ("runge", "js", []), ("runge", "js", [3]), ("runge", "js", [1, 2]),
+    ("runge", "js", [0, 1, 2]), ("runge", "js", [1, 3, 2]), ("runge", "js", [1, 2, 2]),
+    ("runge", "js", [1, 2.5, 3]), ("runge", "js", [1, True, 3]), ("runge", "js", "123"),
+    ("localization", "cutoffs", []), ("localization", "cutoffs", [0]),
+    ("localization", "cutoffs", [-3]), ("localization", "cutoffs", [10, "20"]),
+])
+def test_rejects_bad_integer_lists(tag, key, value):
+    # caught before any solve: each of these used to fail late or not at all
+    with pytest.raises(ConfigurationError, match=f"{tag}.{key} must be"):
+        ExperimentConfig.from_dict({"tag": tag, tag: {key: value}})
+
+
 def test_budget_validation():
     with pytest.raises(ConfigurationError):
         StabilityBudget(eta=-1.0)
@@ -137,10 +150,10 @@ def test_runge_exact_target_in_span(small_restriction):
     rng = np.random.default_rng(7)
     f = rng.standard_normal(gram.n_v) + 1j * rng.standard_normal(gram.n_v)
     W = op.apply(f)
-    coeffs, resid = rl.expand_target(svd, W)
-    assert resid <= 1e-9 * volume.x_norm(W)
-    appr = rl.truncate(svd, coeffs, alpha=float(svd.sigma[-1]) * 0.999)
-    err = volume.x_norm(W - op.apply(appr.boundary_data))
+    ex = rl.expand_target(svd, W)
+    assert np.sqrt(ex.out2) <= 1e-9 * volume.x_norm(W)
+    data, _, _ = ex.truncate(float(svd.sigma[-1]) * 0.999)
+    err = volume.x_norm(W - op.apply(data))
     assert err <= 1e-8 * volume.x_norm(W)
 
 
@@ -311,10 +324,12 @@ def test_cauchy_real_svd_matches_complex_reference():
     for lam in (1e-10, 1e-6, 1e-2):
         ud, _ = parts(d)
         ref = (Vh.conj().T @ (S / (S ** 2 + lam) * ud)) / sq
-        assert np.linalg.norm(cop.solve_ridge(d, lam) - ref) <= 1e-9 * np.linalg.norm(ref)
-        assert cop._misfit_from(*cop._split(d), lam) == pytest.approx(misfit(d, lam), rel=1e-9)
+        ridge = cop.expand(d).ridge(lam) / sq
+        assert np.linalg.norm(ridge - ref) <= 1e-9 * np.linalg.norm(ref)
+        assert cop.expand(d).ridge_misfit(lam) == pytest.approx(misfit(d, lam), rel=1e-9)
     target = misfit(d, 1e-4)
-    assert cop.morozov_lambda(d, target) == pytest.approx(morozov(d, target), rel=1e-9)
+    assert cop.expand(d).discrepancy_lambda(target) == pytest.approx(morozov(d, target),
+                                                                      rel=1e-9)
 
 
 def test_cauchy_misfit_keeps_out_of_span_noise_at_low_eta():
@@ -327,7 +342,7 @@ def test_cauchy_misfit_keeps_out_of_span_noise_at_low_eta():
     U = np.linalg.svd(Wc, full_matrices=False)[0]
     nw = chol.T @ noise
     out = np.linalg.norm(nw - U @ (U.conj().T @ nw))
-    assert cop._misfit_from(*cop._split(d0 + noise), 0.0) == pytest.approx(out, rel=1e-6)
+    assert cop.expand(d0 + noise).ridge_misfit(0.0) == pytest.approx(out, rel=1e-6)
 
 
 def test_cauchy_h_block_does_not_depend_on_the_chunk_width(monkeypatch):
@@ -454,15 +469,15 @@ def test_cauchy_morozov_clamps_per_column():
     d0 = cop.data_of(truth)
     d = d0 + 1e-3 * np.linalg.norm(d0) * noise / np.linalg.norm(noise)
     lo, hi = 1e-14, 1e6
-    at_lo, at_hi = cop._misfit_from(*cop._split(d), lo), cop._misfit_from(*cop._split(d), hi)
-    inside = cop._misfit_from(*cop._split(d), 1e-4)
+    ex = cop.expand(d)
+    at_lo, at_hi, inside = ex.ridge_misfit(lo), ex.ridge_misfit(hi), ex.ridge_misfit(1e-4)
     assert at_lo < inside < at_hi
     # zero data have a flat misfit curve: both clamps apply and lo wins
-    block = np.column_stack([d, d, d, np.zeros_like(d)])
-    lam = cop.morozov_lambda(block, [0.5 * at_lo, 2.0 * at_hi, inside, 0.0], lo=lo, hi=hi)
+    block = cop.expand(np.column_stack([d, d, d, np.zeros_like(d)]))
+    lam = block.discrepancy_lambda([0.5 * at_lo, 2.0 * at_hi, inside, 0.0], lo=lo, hi=hi)
     assert lam.shape == (4,)
     assert lam[0] == lo and lam[1] == hi and lam[3] == lo
-    assert lam[2] == pytest.approx(cop.morozov_lambda(d, inside, lo=lo, hi=hi), rel=1e-10)
+    assert lam[2] == pytest.approx(ex.discrepancy_lambda(inside, lo=lo, hi=hi), rel=1e-10)
     assert lam[2] == pytest.approx(1e-4, rel=1e-6)
 
 
@@ -657,11 +672,9 @@ def test_runge_plane_wave_target(small_restriction):
     sol = rl.plane_wave([2.0, 0.0, 0.0], [0.0, 1.0, 0.0], 2.0)
     W = np.concatenate(sample_dofs(sol, volume.region.grid, volume.x_edge_idx,
                                    volume.x_face_idx))
-    coeffs, out_resid = rl.expand_target(svd, W)
-    first = rl.truncate(svd, coeffs, svd.sigma[0])
-    deep = rl.truncate(svd, coeffs, 1e-8 * svd.sigma[0])
-    e_first = np.hypot(first.in_span_error(), out_resid)
-    e_deep = np.hypot(deep.in_span_error(), out_resid)
+    ex = rl.expand_target(svd, W)
+    e_first = np.hypot(ex.truncate(svd.sigma[0])[1], np.sqrt(ex.out2))
+    e_deep = np.hypot(ex.truncate(1e-8 * svd.sigma[0])[1], np.sqrt(ex.out2))
     assert e_deep < 0.05 * e_first
 
 

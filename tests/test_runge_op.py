@@ -6,10 +6,9 @@ import pytest
 import rungelab as rl
 from rungelab.errors import (BadChecksumError, BadLengthError, BadProvenanceError,
                              ConfigurationError, GeometryError, NumericError)
-from rungelab.runge_op import (alpha_for_j, apply_adjoint, assemble_restriction,
+from rungelab.runge_op import (Expansion, alpha_for_j, apply_adjoint, assemble_restriction,
                                expand_target, load_operator, matrix_adjoint,
-                               operator_provenance, save_operator,
-                               truncate, weighted_svd)
+                               operator_provenance, save_operator, weighted_svd)
 from rungelab.solver import TangentialTrace
 
 from conftest import rng_complex
@@ -142,9 +141,9 @@ def test_svd_rank_floor_drops_null_directions():
     assert np.linalg.norm(np.linalg.svd(R, compute_uv=False)[3:]) > 0
     # a target outside the range keeps its whole norm out of span
     null_target = Q[:, 3] * np.where(np.arange(7) < 4, 1.0, 1j)
-    coeffs, resid = expand_target(svd, null_target + svd.psi[:, 0])
-    assert coeffs == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
-    assert resid == pytest.approx(1.0, rel=1e-12)
+    ex = expand_target(svd, null_target + svd.psi[:, 0])
+    assert ex.coords == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
+    assert np.sqrt(ex.out2) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_svd_matches_complex_reference(small_restriction):
@@ -162,7 +161,7 @@ def test_svd_matches_complex_reference(small_restriction):
     W = rng_complex(rng, volume.n_x)
     ref = U[:, keep] / sqrt_x[:, None]
     ref_resid = volume.x_norm(W - ref @ (ref.conj().T @ (volume.x_weights() * W)))
-    _, resid = expand_target(svd, W)
+    resid = np.sqrt(expand_target(svd, W).out2)
     assert resid == pytest.approx(ref_resid, rel=1e-8)
 
 
@@ -186,69 +185,77 @@ def test_svd_compact_decay(small_restriction):
 
 def test_expand_target_basis_vector(small_restriction):
     _, _, _, _, svd = small_restriction
-    coeffs, resid = expand_target(svd, svd.psi[:, 0])
-    assert coeffs[0] == pytest.approx(1.0, abs=1e-10)
-    assert np.abs(coeffs[1:]).max() <= 1e-10
-    assert resid <= 1e-10
+    ex = expand_target(svd, svd.psi[:, 0])
+    assert ex.coords[0] == pytest.approx(1.0, abs=1e-10)
+    assert np.abs(ex.coords[1:]).max() <= 1e-10
+    assert np.sqrt(ex.out2) <= 1e-10
 
 
 def test_expand_target_parseval(small_restriction):
     _, _, volume, _, svd = small_restriction
     rng = np.random.default_rng(3)
     W = rng_complex(rng, volume.n_x)
-    coeffs, resid = expand_target(svd, W)
-    total = np.sum(np.abs(coeffs) ** 2) + resid ** 2
+    ex = expand_target(svd, W)
+    total = np.sum(np.abs(ex.coords) ** 2) + ex.out2
     assert total == pytest.approx(volume.x_norm(W) ** 2, rel=1e-10)
 
 
 def test_truncate_keeps_ties():
-    from rungelab.runge_op import RestrictionOperator
+    ex = Expansion(np.array([2.0, 1.0, 0.5]), np.eye(3), np.ones(3, dtype=complex), 0.0)
+    _, tail, kept = ex.truncate(0.8)
+    assert kept == 2
+    assert tail == pytest.approx(1.0)
+    assert ex.truncate(1.0)[2] == 2  # sigma_k >= alpha keeps the tie at 1.0
 
-    w = _stub_weights(3, 3)
-    svd = types.SimpleNamespace(sigma=np.array([2.0, 1.0, 0.5]),
-                                phi=np.eye(3, dtype=complex),
-                                psi=np.eye(3, dtype=complex),
-                                gram=w, volume=w, rank=3)
-    appr = truncate(svd, np.array([1.0, 1.0, 1.0], dtype=complex), 0.8)
-    assert appr.kept_count == 2
-    assert appr.in_span_error() == pytest.approx(1.0)
-    tied = truncate(svd, np.ones(3, dtype=complex), 1.0)
-    assert tied.kept_count == 2  # sigma_k >= alpha keeps the tie at 1.0
-
-    nothing = truncate(svd, np.ones(3, dtype=complex), 3.0)
-    assert nothing.kept_count == 0
-    assert np.abs(nothing.boundary_data).max() == 0.0
-    assert nothing.in_span_error() == pytest.approx(np.sqrt(3.0))
+    data, tail, kept = ex.truncate(3.0)
+    assert kept == 0
+    assert np.abs(data).max() == 0.0
+    assert tail == pytest.approx(np.sqrt(3.0))
+    with pytest.raises(ConfigurationError):
+        ex.truncate(0.0)
 
 
 def test_truncate_termwise_bound(small_restriction):
-    _, _, volume, _, svd = small_restriction
+    _, gram, volume, _, svd = small_restriction
     rng = np.random.default_rng(4)
     W = rng_complex(rng, volume.n_x)
-    coeffs, _ = expand_target(svd, W)
+    ex = expand_target(svd, W)
     for alpha in (svd.sigma[0], svd.sigma[len(svd.sigma) // 2], svd.sigma[-1]):
-        appr = truncate(svd, coeffs, alpha)
-        assert appr.boundary_norm() <= appr.boundary_norm_bound() * (1 + 1e-12)
+        bound = np.sqrt(np.sum(np.abs(ex.coords) ** 2)) / alpha
+        assert gram.v_norm(ex.truncate(alpha)[0]) <= bound * (1 + 1e-12)
 
 
 def test_truncation_error_monotone(small_restriction):
     _, _, volume, op, svd = small_restriction
     rng = np.random.default_rng(5)
     W = rng_complex(rng, volume.n_x)
-    coeffs, out_resid = expand_target(svd, W)
+    ex = expand_target(svd, W)
     alphas = np.sort(svd.sigma)[::-1]
     prev = None
     for alpha in alphas[::5]:
-        appr = truncate(svd, coeffs, alpha)
-        err = float(np.hypot(appr.in_span_error(), out_resid))
+        data, tail, _ = ex.truncate(alpha)
+        err = float(np.hypot(tail, np.sqrt(ex.out2)))
         if prev is not None:
             assert err <= prev * (1 + 1e-12)
         # the matrix realization reproduces the tail error above the fp floor,
         # where c_k/sigma_k amplification stays representable
         if alpha >= 1e-6 * svd.sigma[0]:
-            realized = volume.x_norm(W - op.apply(appr.boundary_data))
+            realized = volume.x_norm(W - op.apply(data))
             assert realized == pytest.approx(err, rel=1e-6, abs=1e-10 * volume.x_norm(W))
         prev = err
+
+
+def test_runge_expansion_runs_the_discrepancy_bisection(small_restriction):
+    # the Cauchy ridge filter and Morozov bisection apply to a Runge target
+    _, _, volume, _, svd = small_restriction
+    rng = np.random.default_rng(6)
+    ex = expand_target(svd, rng_complex(rng, volume.n_x))
+    lo, hi = ex.ridge_misfit(1e-14), ex.ridge_misfit(1e6)
+    assert lo < hi
+    for target in (lo + 0.25 * (hi - lo), np.sqrt(lo * hi), hi - 0.25 * (hi - lo)):
+        assert ex.ridge_misfit(ex.discrepancy_lambda(target)) == pytest.approx(target, rel=1e-8)
+    full = ex.truncate(svd.sigma[-1])[0]
+    assert np.linalg.norm(ex.ridge(0.0) - full) <= 1e-10 * np.linalg.norm(full)
 
 
 def test_alpha_for_j_inversion():
