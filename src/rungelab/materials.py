@@ -3,7 +3,10 @@
 Tensors are stored per cell as (nx, ny, nz, 3, 3) arrays of relative values.
 Construction validates symmetry, the two-sided eigenvalue bound (eigenvalues
 of every cell tensor inside [c, 1/c]) and computes the discrete W^{1,inf}
-bound M from entries and one-sided difference quotients.
+bound M from entries and one-sided difference quotients.  A uniform medium,
+every cell bitwise equal to the first, runs these checks and the inverse of
+mu on that one tensor: every cell would give the same numbers, and each
+difference quotient is exactly zero.
 """
 
 from __future__ import annotations
@@ -26,10 +29,13 @@ class MaterialField:
         for name, t in (("eps", self.eps), ("mu", self.mu)):
             if t.shape != expected:
                 raise MaterialError(f"{name} shape {t.shape} != {expected}")
+        self.uniform = all(bool((t == t[0, 0, 0]).all()) for t in (self.eps, self.mu))
+        for name, t in (("eps", self.cells(self.eps)), ("mu", self.cells(self.mu))):
             if not np.allclose(t, np.swapaxes(t, -1, -2), rtol=0, atol=1e-13):
                 raise MaterialError(f"{name} tensors are not symmetric")
         self.spec = dict(spec) if spec else {}
-        ev = np.concatenate([_cell_eigenvalues(self.eps), _cell_eigenvalues(self.mu)])
+        ev = np.concatenate([_cell_eigenvalues(self.cells(self.eps)),
+                             _cell_eigenvalues(self.cells(self.mu))])
         lo, hi = float(ev.min()), float(ev.max())
         if lo <= 0:
             raise MaterialError(f"nonpositive tensor eigenvalue {lo:g}")
@@ -38,8 +44,14 @@ class MaterialField:
         self.eps.flags.writeable = False
         self.mu.flags.writeable = False
 
+    def cells(self, t):
+        """The tensors of ``t`` that differ: its first cell, as a (1, 1, 1, 3, 3)
+        block, in a uniform medium, else all of them."""
+        return t[:1, :1, :1] if self.uniform else t
+
     def mu_inv(self):
-        return np.linalg.inv(self.mu)
+        """Per-cell mu^-1, read-only: one inverse broadcast over a uniform medium."""
+        return np.broadcast_to(np.linalg.inv(self.cells(self.mu)), self.mu.shape)
 
     def key(self):
         return ("material", self.spec.get("kind", "custom"),
@@ -152,7 +164,7 @@ def lipschitz_bound(mat: MaterialField):
     """Discrete W^{1,inf} bound: max of entries and one-sided difference quotients."""
     h = mat.grid.h
     m = 0.0
-    for t in (mat.eps, mat.mu):
+    for t in (mat.cells(mat.eps), mat.cells(mat.mu)):
         m = max(m, float(np.abs(t).max()))
         for axis in range(3):
             d = np.abs(np.diff(t, axis=axis)) / h

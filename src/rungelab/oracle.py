@@ -142,12 +142,6 @@ def sample_on_grid(sol: AnalyticSolution, grid: Grid) -> FieldPair:
     return FieldPair(grid, *sample_dofs(sol, grid, slice(None), slice(None)))
 
 
-def trace_of(sol: AnalyticSolution, patch) -> TangentialTrace:
-    """Tangential data of an analytic solution on a boundary patch."""
-    E, _ = sample_dofs(sol, patch.grid, patch.edge_dofs, [])
-    return TangentialTrace(patch, E)
-
-
 def convergence_study(sol: AnalyticSolution, grids, omega=None, material_spec=None, *,
                       resonance_threshold=RESONANCE_THRESHOLD, solver_tol=SOLVER_TOL,
                       direct_limit=DIRECT_LIMIT):
@@ -186,7 +180,8 @@ def discretization_error(sol: AnalyticSolution, sys: SystemMatrix) -> float:
     boundary."""
     grid = sys.grid
     exact = sample_on_grid(sol, grid)
-    approx = solve_bvp(sys, trace_of(sol, whole_boundary(grid)))
+    patch = whole_boundary(grid)
+    approx = solve_bvp(sys, TangentialTrace(patch, exact.E[patch.edge_dofs]))
     ones = np.ones(grid.n, dtype=bool)
     w = grid.edge_cell_adjacency_weights(ones) * grid.h ** 3
     err = np.sqrt(float(np.sum(w * np.abs(approx.E - exact.E) ** 2)))

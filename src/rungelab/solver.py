@@ -49,27 +49,26 @@ GUARD_TOL = 1e-6
 
 
 def curl_matrix(grid: Grid) -> sp.csr_matrix:
-    """Exact discrete curl mapping edge dofs to face dofs (entries +-1/h)."""
-    h = grid.h
-    rows, cols, vals = [], [], []
+    """Exact discrete curl mapping edge dofs to face dofs (entries +-1/h).
 
-    def add(face_axis, shape, terms):
-        idx = np.indices(shape)
-        r = grid.face_index(face_axis, idx[0], idx[1], idx[2]).ravel()
-        for (edge_axis, di, dj, dk, sign) in terms:
-            c = grid.edge_index(edge_axis, idx[0] + di, idx[1] + dj, idx[2] + dk).ravel()
-            rows.append(r)
-            cols.append(c)
-            vals.append(np.full(r.size, sign / h))
+    Every face row holds its four edges; each family's terms are listed in
+    increasing edge index, so the CSR arrays are written directly, sorted.
+    """
+    h = grid.h
+    cols, vals = [], []
+
+    def add(face_axis, terms):
+        idx = np.indices(grid.face_shapes[face_axis])
+        cols.append(np.stack([grid.edge_index(edge_axis, idx[0] + di, idx[1] + dj, idx[2] + dk)
+                              for (edge_axis, di, dj, dk, _) in terms], axis=-1).ravel())
+        vals.append(np.tile([sign / h for *_, sign in terms], grid.face_counts[face_axis]))
 
     # (curl E)_x = dEz/dy - dEy/dz, and cyclic.
-    add(0, grid.face_shapes[0], [(2, 0, 1, 0, 1.0), (2, 0, 0, 0, -1.0),
-                                 (1, 0, 0, 1, -1.0), (1, 0, 0, 0, 1.0)])
-    add(1, grid.face_shapes[1], [(0, 0, 0, 1, 1.0), (0, 0, 0, 0, -1.0),
-                                 (2, 1, 0, 0, -1.0), (2, 0, 0, 0, 1.0)])
-    add(2, grid.face_shapes[2], [(1, 1, 0, 0, 1.0), (1, 0, 0, 0, -1.0),
-                                 (0, 0, 1, 0, -1.0), (0, 0, 0, 0, 1.0)])
-    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+    add(0, [(1, 0, 0, 0, 1.0), (1, 0, 0, 1, -1.0), (2, 0, 0, 0, -1.0), (2, 0, 1, 0, 1.0)])
+    add(1, [(0, 0, 0, 0, -1.0), (0, 0, 0, 1, 1.0), (2, 0, 0, 0, 1.0), (2, 1, 0, 0, -1.0)])
+    add(2, [(0, 0, 0, 0, 1.0), (0, 0, 1, 0, -1.0), (1, 0, 0, 0, -1.0), (1, 1, 0, 0, 1.0)])
+    return sp.csr_matrix((np.concatenate(vals), np.concatenate(cols),
+                          np.arange(0, 4 * grid.n_faces + 1, 4)),
                          shape=(grid.n_faces, grid.n_edges))
 
 
@@ -251,17 +250,19 @@ class FieldPair:
         return FieldPair(self.grid, self.E - other.E, self.H - other.H)
 
 
-def reference_medium(eps, mu_inv):
+def reference_medium(mat: MaterialField, mu_inv):
     """(eps0, deps, nu0, dnu) of the constant reference medium.
 
     eps0 and nu0 are the cell means of tr eps / 3 and tr mu^-1 / 3; deps and
     dnu are the largest Frobenius distance of a cell tensor from eps0 I and
-    nu0 I, so both are zero for a constant scalar medium.
+    nu0 I, so both are zero for a constant scalar medium.  The means run over
+    every cell, a uniform medium included (the mean of n equal values need
+    not be that value); the distances run over ``mat.cells``.
     """
     out = []
-    for t in (eps, mu_inv):
+    for t in (mat.eps, mu_inv):
         t0 = np.trace(t, axis1=-2, axis2=-1).mean() / 3.0
-        out += [t0, float(np.linalg.norm(t - t0 * np.eye(3), axis=(-2, -1)).max())]
+        out += [t0, float(np.linalg.norm(mat.cells(t) - t0 * np.eye(3), axis=(-2, -1)).max())]
     return tuple(out)
 
 
@@ -369,10 +370,13 @@ class SystemMatrix:
         self.solver_tol = solver_tol
         self.idx_interior = grid.interior_edge_indices()
         self.idx_boundary = grid.boundary_edge_indices()
-        L_I = L[self.idx_interior].tocsc()  # column blocks of a CSC matrix are cheap
-        self.L_II, self.L_IB = L_I[:, self.idx_interior], L_I[:, self.idx_boundary].tocsr()
-        del L_I  # not held while np.abs copies L_II below
-        self.norm_estimate = float(np.abs(self.L_II).sum(axis=1).max())
+        L_I = L[self.idx_interior]
+        self.L_II, self.L_IB = L_I[:, self.idx_interior], L_I[:, self.idx_boundary]
+        del L_I  # not held while |L_II| is formed below
+        # |L_II| 1, summed along each row in column order
+        abs_II = sp.csr_matrix((np.abs(self.L_II.data), self.L_II.indices, self.L_II.indptr),
+                               shape=self.L_II.shape)
+        self.norm_estimate = float((abs_II @ np.ones(abs_II.shape[1])).max())
         self.dimension = self.L_II.shape[0]
         self.direct = self.dimension <= direct_limit
         # a constant scalar medium, up to the rounding of the cell means
@@ -400,7 +404,8 @@ class SystemMatrix:
 
     def _factorize(self):
         if self._lu is None:
-            self._lu = spla.splu(self.L_II, permc_spec="MMD_AT_PLUS_A",
+            # L_II is exactly symmetric, so its transpose is its CSC form
+            self._lu = spla.splu(self.L_II.T, permc_spec="MMD_AT_PLUS_A",
                                  options=dict(SymmetricMode=True))
         return self._lu
 
@@ -483,13 +488,19 @@ def assemble(grid: Grid, mat: MaterialField, omega, *,
     mu_inv = mat.mu_inv()
     Mf = face_material_matrix(grid, mu_inv)
     Me = edge_material_matrix(grid, mat.eps)
-    K = (C.T @ Mf @ C).tocsr()
-    L = (K - omega ** 2 * Me).tocsr()
-    # exact symmetry of the assembled operator
-    L = ((L + L.T) * 0.5).tocsr()
+    # K = C^T Mf C, freed by rebinding L before the split
+    L = (C.T @ Mf @ C).tocsr()
+    L = (L - omega ** 2 * Me).tocsr()
+    # Cross blocks break the exact symmetry of K, so L is averaged with its
+    # transpose.  With diagonal tensors two distinct edges share at most one
+    # face: each off-diagonal entry is one product (+-1/h) d (+-1/h) and L is
+    # exactly symmetric already.
+    off_diagonal = ~np.eye(3, dtype=bool)
+    if any(mat.cells(t)[..., off_diagonal].any() for t in (mat.eps, mu_inv)):
+        L = ((L + L.T) * 0.5).tocsr()
     Pmu = face_pointwise_operator(grid, mu_inv)
     sys = SystemMatrix(grid, mat, omega, L, C, Pmu, solver_tol, direct_limit,
-                       reference_medium(mat.eps, mu_inv))
+                       reference_medium(mat, mu_inv))
     if check_resonance:
         margin = resonance_guard(sys)
         if margin < resonance_threshold:

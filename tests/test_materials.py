@@ -73,6 +73,36 @@ def test_rejects_nonpositive(grid8):
         make_material(grid8, {"kind": "constant", "eps": [-1.0, 1.0, 1.0], "mu": 1.0})
 
 
+def _uniform_but_last_cell(grid, tensor):
+    """Vacuum with ``tensor`` as eps in the last cell only."""
+    eps = np.broadcast_to(np.eye(3), grid.n + (3, 3)).copy()
+    eps[-1, -1, -1] = tensor
+    return eps, np.broadcast_to(np.eye(3), grid.n + (3, 3)).copy()
+
+
+def test_rejects_nonsymmetric_cell_in_uniform_medium(grid8):
+    eps, mu = _uniform_but_last_cell(grid8, [[1.0, 0.2, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(MaterialError, match="not symmetric"):
+        rl.MaterialField(grid8, eps, mu)
+
+
+def test_rejects_nonpositive_cell_in_uniform_medium(grid8):
+    eps, mu = _uniform_but_last_cell(grid8, np.diag([-1.0, 1.0, 1.0]))
+    with pytest.raises(MaterialError, match="nonpositive"):
+        rl.MaterialField(grid8, eps, mu)
+
+
+def test_one_ulp_makes_a_medium_nonuniform(grid8):
+    up = np.nextafter(1.0, 2.0)
+    eps, mu = _uniform_but_last_cell(grid8, np.diag([up, 1.0, 1.0]))
+    mat = rl.MaterialField(grid8, eps, mu)
+    assert not mat.uniform
+    # c and M see the last cell, which the first cell alone would miss
+    assert mat.c == 1.0 / up < 1.0
+    assert mat.M == up > 1.0
+    assert make_material(grid8, {"kind": "constant", "eps": 1.0, "mu": 1.0}).uniform
+
+
 def _linear_eps_field(grid):
     centers = grid.cell_centers()[:, 0].reshape(grid.n)
     eps = np.zeros(grid.n + (3, 3))

@@ -24,10 +24,59 @@ def test_mimetic_identity(grid8):
         assert np.all(out == 0.0)
 
 
-def test_system_symmetry(sys8):
-    d = (sys8.L - sys8.L.T)
-    d.eliminate_zeros()
-    assert d.nnz == 0
+# constant symmetric tensors with every off-diagonal entry populated
+FULL_EPS = [[1.3, 0.2, 0.1], [0.2, 1.1, 0.15], [0.1, 0.15, 1.4]]
+FULL_MU = [[1.2, 0.1, 0.05], [0.1, 1.0, 0.1], [0.05, 0.1, 1.3]]
+MEDIA = {
+    "layered": {"kind": "layered", "axis": 0, "breakpoints": [0.5], "tensors": [1.0, 2.0],
+                "smoothing": 0.25},
+    "smooth": {"kind": "smooth", "seed": 3, "amplitude": 0.3},
+    "full_tensor": {"kind": "constant", "eps": FULL_EPS, "mu": FULL_MU},
+    "scalar": {"kind": "constant", "eps": 2.0, "mu": 0.5},
+    "diagonal": {"kind": "constant", "eps": [1.0, 2.0, 3.0], "mu": [1.5, 1.0, 0.8]},
+}
+
+
+@pytest.mark.parametrize("medium", ["vacuum", "layered", "smooth", "full_tensor"])
+def test_system_symmetry(medium, sys8, grid8):
+    sys_ = sys8 if medium == "vacuum" else assemble(
+        grid8, rl.make_material(grid8, MEDIA[medium]), 2.0, check_resonance=False)
+    # exact: the factorization reads L_II^T as the CSC form of L_II
+    for m in (sys_.L, sys_.L_II):
+        d = (m - m.T)
+        d.eliminate_zeros()
+        assert d.nnz == 0
+
+
+@pytest.mark.parametrize("medium", ["vacuum", "scalar", "diagonal", "full_tensor"])
+def test_uniform_medium_matches_per_cell_formulas(medium, grid8):
+    """A uniform medium works on one tensor; every result equals, bit for bit,
+    the formula run over every cell."""
+    spec = MEDIA.get(medium, {"kind": "constant"})
+    mat = rl.make_material(grid8, spec)
+    assert mat.uniform
+    mu_inv = np.linalg.inv(mat.mu)
+    assert np.array_equal(mat.mu_inv(), mu_inv)
+    ev = np.concatenate([np.linalg.eigvalsh(mat.eps).ravel(), np.linalg.eigvalsh(mat.mu).ravel()])
+    assert mat.c == min(ev.min(), 1.0 / ev.max())
+    M = max(float(np.abs(t).max()) for t in (mat.eps, mat.mu))
+    for t in (mat.eps, mat.mu):
+        for axis in range(3):
+            M = max(M, float((np.abs(np.diff(t, axis=axis)) / grid8.h).max()))
+    assert mat.M == M
+
+    sys_ = assemble(grid8, mat, 2.0, check_resonance=False)
+    reference = []
+    for t in (mat.eps, mu_inv):
+        t0 = np.trace(t, axis1=-2, axis2=-1).mean() / 3.0
+        reference += [t0, float(np.linalg.norm(t - t0 * np.eye(3), axis=(-2, -1)).max())]
+    assert sys_.reference == tuple(reference)
+    C = rl.solver.curl_matrix(grid8)
+    K = (C.T @ rl.solver.face_material_matrix(grid8, mu_inv) @ C).tocsr()
+    L = (K - 2.0 ** 2 * rl.solver.edge_material_matrix(grid8, mat.eps)).tocsr()
+    L = ((L + L.T) * 0.5).tocsr()
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(sys_.L, part), getattr(L, part))
 
 
 def test_zero_data_zero_solution(sys8, grid8):
@@ -386,7 +435,7 @@ def test_krylov_guard_margin_is_the_dense_spectrum(n, spec, omega):
 @pytest.mark.parametrize("modes", [(0, 1, 1), (1, 1, 1)])
 def test_krylov_guard_raises_at_a_cavity_resonance(grid8, spec, modes):
     mat = rl.make_material(grid8, spec)
-    eps0, _, nu0, _ = rl.solver.reference_medium(mat.eps, mat.mu_inv())
+    eps0, _, nu0, _ = rl.solver.reference_medium(mat, mat.mu_inv())
     lam = sum((2.0 * 8 * np.sin(np.pi * m / 16)) ** 2 for m in modes)
     omega = np.sqrt(nu0 * lam / eps0)
     with pytest.raises(ResonantFrequencyError) as err:
@@ -432,7 +481,7 @@ def test_krylov_path_at_a_resonance_of_the_reference_medium(modes):
     n = 12
     g = rl.build_grid((n, n, n), 1.0 / n)
     mat = rl.make_material(g, {"kind": "smooth", "seed": 3, "amplitude": 0.3})
-    eps0, _, nu0, _ = rl.solver.reference_medium(mat.eps, mat.mu_inv())
+    eps0, _, nu0, _ = rl.solver.reference_medium(mat, mat.mu_inv())
     lam = sum((2.0 * n * np.sin(np.pi * m / (2 * n))) ** 2 for m in modes)
     omega = np.sqrt(nu0 * lam / eps0)
     direct, krylov = _guard_margins(g, mat, omega)
