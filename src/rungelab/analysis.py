@@ -136,8 +136,8 @@ class VolumeWeights:
     def __init__(self, region: Region):
         self.region = region
         grid = region.grid
-        we = grid.edge_cell_adjacency_weights(region.mask) * grid.h ** 3
-        wf = grid.face_cell_adjacency_weights(region.mask) * grid.h ** 3
+        we = grid.dof_volumes("edge", region.mask)
+        wf = grid.dof_volumes("face", region.mask)
         self.x_edge_idx = np.flatnonzero(we > 0)
         self.x_edge_w = we[self.x_edge_idx]
         self.x_face_idx = np.flatnonzero(wf > 0)

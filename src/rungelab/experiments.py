@@ -116,6 +116,13 @@ def normalize_config(raw: dict) -> dict:
                 prop.setdefault(dst_key, balls[src_key])
     noise = cfg.setdefault("noise", {})
     noise.setdefault("etas", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
+    etas = noise["etas"]
+    # eta / (1 - eta) scales the noise, and the log fit needs etas in (0, 1)
+    if not (isinstance(etas, list) and etas
+            and all(type(e) in (int, float) and 0 < e < 1 for e in etas)):
+        raise ConfigurationError(
+            f"noise.etas must be a non-empty list of numbers strictly inside (0, 1), "
+            f"got {etas!r}")
     noise.setdefault("seeds", [101, 102, 103, 104, 105])
     rg = cfg.setdefault("runge", {})
     rg.setdefault("js", list(range(1, 11)))

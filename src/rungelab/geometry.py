@@ -27,7 +27,7 @@ def cell_offsets(family, axis):
     parallel edges or the 2 opposite faces, in ``itertools.product`` order.
 
     A dof at grid slot s touches the cells s - o over these offsets o; this
-    one list drives the dof sums, the cell means and the cross-pair blocks.
+    one list drives the dof volumes, the cell means and the cross-pair blocks.
     """
     across = ((axis + 1) % 3, (axis + 2) % 3) if family == "edge" else (axis,)
     out = []
@@ -136,19 +136,25 @@ class Grid:
     def boundary_edge_indices(self):
         return np.flatnonzero(self.boundary_edge_mask())
 
-    def adjacent_cell_sums(self, field, family):
-        """Sum a per-cell field over the cells adjacent to each edge or face.
+    def dof_volumes(self, family, cells=None):
+        """h^3 times the mean of a per-cell weight over the cells adjacent to
+        each dof: the 4 around an edge of ``family="edge"``, the 2 on either
+        side of a face of ``family="face"``; cells outside the box count as
+        zero.
 
-        ``field`` has shape ``n + (3,)``, column a feeding the dofs of
-        direction a, or ``n + (1,)`` shared by all three directions.  An edge
-        of ``family="edge"`` sums the 4 cells around it, a face of
-        ``family="face"`` the 2 cells on either side; cells outside the box
-        count as zero.  Returns the flat, family-ordered per-dof sums.
+        ``cells`` is a region mask of shape ``n``, a tensor diagonal of shape
+        ``n + (3,)`` (column a feeding the dofs of direction a), or ``None``
+        for 1 in every cell.  Returns the flat, family-ordered per-dof
+        volumes: the L2 quadrature weights of a region, or the lumped
+        diagonal of a material mass matrix.
         """
-        field = np.broadcast_to(field, self.n + (3,))
+        cells = np.ones(self.n) if cells is None else np.asarray(cells)
+        if cells.shape == self.n:
+            cells = cells[..., None]
         padded = np.zeros(tuple(v + 2 for v in self.n) + (3,))
-        padded[1:-1, 1:-1, 1:-1] = field
+        padded[1:-1, 1:-1, 1:-1] = cells
         shapes = self.edge_shapes if family == "edge" else self.face_shapes
+        count = 4.0 if family == "edge" else 2.0
         out = []
         for axis, shape in enumerate(shapes):
             acc = np.zeros(shape)
@@ -158,7 +164,7 @@ class Grid:
                 sl = tuple(slice(1 - o[d], 1 - o[d] + shape[d]) for d in range(3))
                 acc += padded[sl + (axis,)]
             out.append(acc.reshape(-1))
-        return np.concatenate(out)
+        return np.concatenate(out) / count * self.h ** 3
 
     def cell_means(self, values, family):
         """Average flat, family-ordered edge or face values over each cell:
@@ -177,18 +183,6 @@ class Grid:
                 acc = acc + piece
             out[:, axis] = (acc / len(pieces)).reshape(-1)
         return out
-
-    def edge_cell_adjacency_weights(self, mask):
-        """Per-edge count of adjacent cells inside ``mask``, divided by 4.
-
-        Used for the diagonal L2 quadrature on edge dofs: an interior edge
-        touches 4 cells and carries weight h^3 when all of them are inside.
-        """
-        return self.adjacent_cell_sums(np.asarray(mask)[..., None], "edge") / 4.0
-
-    def face_cell_adjacency_weights(self, mask):
-        """Per-face count of adjacent cells inside ``mask``, divided by 2."""
-        return self.adjacent_cell_sums(np.asarray(mask)[..., None], "face") / 2.0
 
     # -- provenance -------------------------------------------------------
 

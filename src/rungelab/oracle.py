@@ -182,8 +182,7 @@ def discretization_error(sol: AnalyticSolution, sys: SystemMatrix) -> float:
     exact = sample_on_grid(sol, grid)
     patch = whole_boundary(grid)
     approx = solve_bvp(sys, TangentialTrace(patch, exact.E[patch.edge_dofs]))
-    ones = np.ones(grid.n, dtype=bool)
-    w = grid.edge_cell_adjacency_weights(ones) * grid.h ** 3
+    w = grid.dof_volumes("edge")
     err = np.sqrt(float(np.sum(w * np.abs(approx.E - exact.E) ** 2)))
     ref = np.sqrt(float(np.sum(w * np.abs(exact.E) ** 2)))
     return err / ref

@@ -5,8 +5,9 @@ The first-order system is reduced to the second-order form
 is recovered as ``H = (i omega)^-1 mu^-1 curl E`` on face dofs.  Material
 tensors enter through neighbor-cell averaging onto edges and faces (diagonal
 components) plus symmetric cross-component coupling blocks when a tensor has
-off-diagonal entries.  The discrete curl is exact, so the divergence of the
-curl cancels stencil-by-stencil.
+off-diagonal entries; pointwise mu^-1 is the face mass matrix per face volume.
+The discrete curl is exact, so the divergence of the curl cancels
+stencil-by-stencil.
 
 Tangential boundary data is imposed by lifting: only interior edges are
 unknowns, boundary edges move to the right-hand side.  The reduced matrix is
@@ -46,6 +47,9 @@ RESONANCE_THRESHOLD = 1e-6
 # of the resonance guard on the Krylov path (media that are not constant and
 # scalar): the margin is only compared with a threshold.
 GUARD_TOL = 1e-6
+# Inverse power iterations of the resonance guard and its start vector's seed.
+GUARD_ITERATIONS = 12
+GUARD_SEED = 0
 
 
 def curl_matrix(grid: Grid) -> sp.csr_matrix:
@@ -119,11 +123,12 @@ def _cross_pairs(grid: Grid, tensors, family, a):
                 yield b, oa, ob, ga, gb, coeff.ravel()
 
 
-def _material_matrix(grid: Grid, tensors, family) -> sp.csr_matrix:
-    """Lumped diagonal plus the symmetric cross-family blocks of one dof kind.
+def material_matrix(grid: Grid, tensors, family) -> sp.csr_matrix:
+    """Mass matrix of a tensor field on the edge or face dofs: a lumped
+    diagonal plus the symmetric cross-component blocks.
 
-    The diagonal is h^3/4 (edges) or h^3/2 (faces) times the sum of the
-    adjacent cells' diagonal tensor entries.
+    The diagonal is ``Grid.dof_volumes`` of the tensor diagonal: h^3 times
+    the mean of the adjacent cells' diagonal entries.
 
     The cross blocks are cell-local exact integrals of the shape functions:
     an a-edge and a b-edge couple with eps_ab * h^3/4 * m1d[o_c, o'_c], o_c
@@ -132,9 +137,7 @@ def _material_matrix(grid: Grid, tensors, family) -> sp.csr_matrix:
     """
     h3 = grid.h ** 3
     n = grid.n_edges if family == "edge" else grid.n_faces
-    cells_per_dof = 4.0 if family == "edge" else 2.0
-    diagonal = np.einsum("...aa->...a", tensors)
-    m = sp.diags((h3 / cells_per_dof) * grid.adjacent_cell_sums(diagonal, family))
+    m = sp.diags(grid.dof_volumes(family, np.einsum("...aa->...a", tensors)))
     rows, cols, vals = [], [], []
     for a in range(3):
         for b, oa, ob, ga, gb, coeff in _cross_pairs(grid, tensors, family, a):
@@ -149,35 +152,17 @@ def _material_matrix(grid: Grid, tensors, family) -> sp.csr_matrix:
     return m.tocsr()
 
 
-def edge_material_matrix(grid: Grid, tensors) -> sp.csr_matrix:
-    return _material_matrix(grid, tensors, "edge")
+def _pointwise(grid: Grid, Mf) -> sp.csr_matrix:
+    """Pointwise tensor application on face vectors: the face mass matrix
+    with each row divided by its face volume.
 
-
-def face_material_matrix(grid: Grid, tensors) -> sp.csr_matrix:
-    return _material_matrix(grid, tensors, "face")
-
-
-def face_pointwise_operator(grid: Grid, tensors) -> sp.csr_matrix:
-    """Pointwise tensor application on face vectors.
-
-    Diagonal components average the adjacent cells of each face; off-diagonal
-    ones additionally average the partner-component faces of those cells.
-    Identity tensors give the identity matrix exactly.
+    Diagonal entries are the mean of the adjacent cells' tensor entries,
+    cross entries the cell entry over twice the adjacent-cell count.
+    Dividing, rather than multiplying by a reciprocal, gives identity
+    tensors the identity matrix exactly.
     """
-    n_adj = grid.adjacent_cell_sums(np.ones(grid.n + (1,)), "face")
-    diag = grid.adjacent_cell_sums(np.einsum("...aa->...a", tensors), "face") / n_adj
-    rows, cols, vals = [], [], []
-    for a in range(3):
-        own = np.arange(grid.face_offsets[a], grid.face_offsets[a] + grid.face_counts[a])
-        rows.append(own)
-        cols.append(own)
-        vals.append(diag[own])
-        for _, _, _, ga, gb, coeff in _cross_pairs(grid, tensors, "face", a):
-            rows.append(ga)
-            cols.append(gb)
-            vals.append(coeff / (2.0 * n_adj[ga]))
-    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(grid.n_faces, grid.n_faces))
+    rows = np.repeat(grid.dof_volumes("face"), np.diff(Mf.indptr))
+    return sp.csr_matrix((Mf.data / rows, Mf.indices, Mf.indptr), shape=Mf.shape)
 
 
 class TangentialTrace:
@@ -216,8 +201,8 @@ class SourceTerm:
         if _not_finite(self.F) or _not_finite(self.Ftilde):
             raise ConfigurationError("source carries non-finite values")
         if support is not None:
-            we = grid.edge_cell_adjacency_weights(support.mask)
-            wf = grid.face_cell_adjacency_weights(support.mask)
+            we = grid.dof_volumes("edge", support.mask)
+            wf = grid.dof_volumes("face", support.mask)
             if np.abs(self.F[we == 0]).max(initial=0) > 0 or \
                     np.abs(self.Ftilde[wf == 0]).max(initial=0) > 0:
                 raise ConfigurationError("source support leaks outside its declared region")
@@ -237,17 +222,6 @@ class FieldPair:
         self.grid = grid
         self.E = E
         self.H = H
-
-    def __mul__(self, c):
-        return FieldPair(self.grid, c * self.E, c * self.H)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        return FieldPair(self.grid, self.E + other.E, self.H + other.H)
-
-    def __sub__(self, other):
-        return FieldPair(self.grid, self.E - other.E, self.H - other.H)
 
 
 def reference_medium(mat: MaterialField, mu_inv):
@@ -486,8 +460,8 @@ def assemble(grid: Grid, mat: MaterialField, omega, *,
         raise ConfigurationError("omega must be positive")
     C = curl_matrix(grid)
     mu_inv = mat.mu_inv()
-    Mf = face_material_matrix(grid, mu_inv)
-    Me = edge_material_matrix(grid, mat.eps)
+    Mf = material_matrix(grid, mu_inv, "face")
+    Me = material_matrix(grid, mat.eps, "edge")
     # K = C^T Mf C, freed by rebinding L before the split
     L = (C.T @ Mf @ C).tocsr()
     L = (L - omega ** 2 * Me).tocsr()
@@ -498,8 +472,7 @@ def assemble(grid: Grid, mat: MaterialField, omega, *,
     off_diagonal = ~np.eye(3, dtype=bool)
     if any(mat.cells(t)[..., off_diagonal].any() for t in (mat.eps, mu_inv)):
         L = ((L + L.T) * 0.5).tocsr()
-    Pmu = face_pointwise_operator(grid, mu_inv)
-    sys = SystemMatrix(grid, mat, omega, L, C, Pmu, solver_tol, direct_limit,
+    sys = SystemMatrix(grid, mat, omega, L, C, _pointwise(grid, Mf), solver_tol, direct_limit,
                        reference_medium(mat, mu_inv))
     if check_resonance:
         margin = resonance_guard(sys)
@@ -528,7 +501,7 @@ def _suggest_detuned(grid, mat, omega, solver_tol, direct_limit):
     return None if best is None else best[0]
 
 
-def resonance_guard(sys: SystemMatrix, iterations=12, seed=0):
+def resonance_guard(sys: SystemMatrix):
     """Relative smallest-singular-value estimate sigma_min / ``norm_estimate``.
 
     On the Krylov path a constant scalar medium gives sigma_min exactly from
@@ -551,11 +524,11 @@ def resonance_guard(sys: SystemMatrix, iterations=12, seed=0):
         sigma_min = sys.grid.h ** 3 * min(
             [shift] + [np.abs(nu0 * lam - shift).min() for lam in mode_table(sys.grid)[1]])
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(GUARD_SEED)
         v = rng.standard_normal(sys.dimension)
         v /= np.linalg.norm(v)
         sigma_min = None
-        for _ in range(iterations):
+        for _ in range(GUARD_ITERATIONS):
             w = sys.solve_interior(v) if sys.direct else _guard_step(sys, v)
             nw = np.linalg.norm(w)
             if nw == 0:
@@ -616,10 +589,8 @@ def solve_bvp(sys: SystemMatrix, trace: TangentialTrace) -> FieldPair:
 def weak_rhs(sys: SystemMatrix, src: SourceTerm):
     """Volume-weighted right-hand side of F + curl Ftilde."""
     grid = sys.grid
-    ones = np.ones(grid.n, dtype=bool)
-    we = grid.edge_cell_adjacency_weights(ones) * grid.h ** 3
-    wf = grid.face_cell_adjacency_weights(ones) * grid.h ** 3
-    return we * src.F + sys.curl.T @ (wf * src.Ftilde)
+    return (grid.dof_volumes("edge") * src.F
+            + sys.curl.T @ (grid.dof_volumes("face") * src.Ftilde))
 
 
 def solve_source(sys: SystemMatrix, src: SourceTerm) -> FieldPair:
@@ -630,9 +601,8 @@ def solve_source(sys: SystemMatrix, src: SourceTerm) -> FieldPair:
 def derive_H_from_E(E, mat: MaterialField, omega) -> np.ndarray:
     """H = (i omega)^-1 mu^-1 curl E on face dofs."""
     grid = mat.grid
-    C = curl_matrix(grid)
-    P = face_pointwise_operator(grid, mat.mu_inv())
-    return P @ (C @ np.asarray(E, dtype=complex)) / (1j * omega)
+    P = _pointwise(grid, material_matrix(grid, mat.mu_inv(), "face"))
+    return P @ (curl_matrix(grid) @ np.asarray(E, dtype=complex)) / (1j * omega)
 
 
 def residual(fields: FieldPair, sys: SystemMatrix, src: SourceTerm | None = None):
@@ -644,9 +614,7 @@ def residual(fields: FieldPair, sys: SystemMatrix, src: SourceTerm | None = None
     for sampled analytic solutions).
     """
     grid = sys.grid
-    ones = np.ones(grid.n, dtype=bool)
-    we = grid.edge_cell_adjacency_weights(ones) * grid.h ** 3
-    wf = grid.face_cell_adjacency_weights(ones) * grid.h ** 3
+    we, wf = grid.dof_volumes("edge"), grid.dof_volumes("face")
 
     r_far = sys.mu_inv_point @ (sys.curl @ fields.E) - 1j * sys.omega * fields.H
     rhs = weak_rhs(sys, src) if src is not None else np.zeros(grid.n_edges, dtype=complex)

@@ -1,13 +1,14 @@
 """Operator consistency for full (off-diagonal) tensor materials, checked
 against a symbolically-derived manufactured field."""
 
+import itertools
+
 import numpy as np
 import pytest
 import sympy as sp
 
 import rungelab as rl
-from rungelab.solver import (_cross_pairs, edge_material_matrix, face_material_matrix,
-                             face_pointwise_operator)
+from rungelab.solver import _cross_pairs, material_matrix
 
 from conftest import cell_dof_slots
 
@@ -48,8 +49,8 @@ def _operator_defect(n, fE, fT):
     grid = rl.build_grid((n, n, n), 1.0 / n)
     mat = rl.MaterialField(grid, _tensor_field(grid, EPS), _tensor_field(grid, MU))
     C = rl.curl_matrix(grid)
-    L = (C.T @ face_material_matrix(grid, mat.mu_inv()) @ C
-         - OMEGA ** 2 * edge_material_matrix(grid, mat.eps)).tocsr()
+    L = (C.T @ material_matrix(grid, mat.mu_inv(), "face") @ C
+         - OMEGA ** 2 * material_matrix(grid, mat.eps, "edge")).tocsr()
 
     pts = grid.edge_midpoints()
     comp = grid.edge_components()
@@ -57,7 +58,7 @@ def _operator_defect(n, fE, fT):
     Eh = evals[np.arange(grid.n_edges), comp]
 
     interior = grid.interior_edge_indices()
-    we = grid.edge_cell_adjacency_weights(np.ones(grid.n, dtype=bool)) * grid.h ** 3
+    we = grid.dof_volumes("edge")
     applied = (L @ Eh)[interior] / we[interior]
     exact = np.stack([np.asarray(fT(*p)).reshape(3) for p in pts[interior]])
     exact = exact[np.arange(len(interior)), comp[interior]]
@@ -75,8 +76,8 @@ def test_anisotropic_operator_consistency():
 def test_anisotropic_matrices_symmetric():
     grid = rl.build_grid((6, 6, 6), 1.0 / 6)
     mat = rl.MaterialField(grid, _tensor_field(grid, EPS), _tensor_field(grid, MU))
-    Me = edge_material_matrix(grid, mat.eps)
-    Mf = face_material_matrix(grid, mat.mu_inv())
+    Me = material_matrix(grid, mat.eps, "edge")
+    Mf = material_matrix(grid, mat.mu_inv(), "face")
     for M in (Me, Mf):
         d = (M - M.T)
         d.eliminate_zeros()
@@ -84,10 +85,14 @@ def test_anisotropic_matrices_symmetric():
         assert defect <= 1e-15
 
 
+def _mu_inv_point(grid, spec):
+    mat = rl.make_material(grid, spec)
+    return rl.assemble(grid, mat, OMEGA, check_resonance=False).mu_inv_point, mat
+
+
 def test_anisotropic_pointwise_identity_for_vacuum():
     grid = rl.build_grid((6, 6, 6), 1.0 / 6)
-    eye = _tensor_field(grid, np.eye(3))
-    P = face_pointwise_operator(grid, eye)
+    P, _ = _mu_inv_point(grid, {"kind": "constant", "eps": 1.0, "mu": 1.0})
     rng = np.random.default_rng(0)
     v = rng.standard_normal(grid.n_faces)
     assert np.array_equal(P @ v, v)
@@ -95,7 +100,8 @@ def test_anisotropic_pointwise_identity_for_vacuum():
 
 def test_anisotropic_pointwise_constant_tensor():
     grid = rl.build_grid((6, 6, 6), 1.0 / 6)
-    P = face_pointwise_operator(grid, _tensor_field(grid, MU))
+    # mu^-1 is MU up to the rounding of two inversions
+    P, _ = _mu_inv_point(grid, {"kind": "constant", "eps": EPS, "mu": np.linalg.inv(MU)})
     # a constant vector field maps to the constant tensor product, exactly,
     # away from the walls where transverse averaging is complete
     vec = np.array([0.7, -0.4, 1.1])
@@ -106,6 +112,38 @@ def test_anisotropic_pointwise_constant_tensor():
     centers = grid.face_centers()
     inner = np.all((centers > 2 * grid.h) & (centers < 1 - 2 * grid.h), axis=1)
     assert np.allclose(out[inner], expect[inner], atol=1e-13)
+
+
+@pytest.mark.parametrize("spec, rel", [
+    ({"kind": "constant", "eps": 1.0, "mu": 1.0}, 0.0),
+    ({"kind": "constant", "eps": 2.0, "mu": 0.5}, 0.0),
+    ({"kind": "smooth", "seed": 5, "amplitude": 0.6}, 5e-16),
+    ({"kind": "constant", "eps": EPS, "mu": MU}, 5e-16),
+], ids=["vacuum", "eps2_mu05", "smooth", "full_tensor"])
+def test_mu_inv_point_matches_per_cell_average(spec, rel):
+    # pointwise mu^-1 by its definition, cell by cell: a face's diagonal
+    # entry is the mean of its adjacent cells' mu^-1_aa; each cell adds
+    # mu^-1_ab / (2 n_adj) between its a-faces and its b-faces.  At h = 1/9,
+    # h^3 * (1 / h^3) != 1: only dividing by the face volumes is exact here
+    grid = rl.build_grid((5, 6, 4), 1.0 / 9)
+    P, mat = _mu_inv_point(grid, spec)
+    mu_inv = np.broadcast_to(mat.mu_inv(), grid.n + (3, 3))
+    n_adj = np.zeros(grid.n_faces)
+    diag = np.zeros(grid.n_faces)
+    for cell in np.ndindex(*grid.n):
+        for a in range(3):
+            for slot in cell_dof_slots(cell, "face", a):
+                n_adj[grid.face_index(a, *slot)] += 1
+                diag[grid.face_index(a, *slot)] += mu_inv[cell + (a, a)]
+    want = np.diag(diag / n_adj)
+    for cell in np.ndindex(*grid.n):
+        for a, b in itertools.permutations(range(3), 2):
+            for sa in cell_dof_slots(cell, "face", a):
+                i = grid.face_index(a, *sa)
+                for sb in cell_dof_slots(cell, "face", b):
+                    want[i, grid.face_index(b, *sb)] += mu_inv[cell + (a, b)] / (2 * n_adj[i])
+    got = P.toarray()
+    assert np.all(np.abs(got - want) <= rel * np.abs(want))
 
 
 def test_anisotropic_solve_runs(grid8):

@@ -68,6 +68,15 @@ def test_rejects_bad_integer_lists(tag, key, value):
         ExperimentConfig.from_dict({"tag": tag, tag: {key: value}})
 
 
+@pytest.mark.parametrize("etas", [[1.0], [0.0], [1.5], [0.1, -0.01], [], [0.1, True],
+                                  [float("nan")], ["0.1"], 0.1])
+def test_rejects_bad_noise_etas(etas):
+    # 1.0 used to divide by zero in the Cauchy study, 0.0 and 1.5 to fail in
+    # the final fit, after every solve
+    with pytest.raises(ConfigurationError, match="noise.etas must be"):
+        ExperimentConfig.from_dict({"tag": "cauchy", "noise": {"etas": etas}})
+
+
 def test_budget_validation():
     with pytest.raises(ConfigurationError):
         StabilityBudget(eta=-1.0)

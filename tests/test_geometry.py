@@ -404,15 +404,22 @@ def test_chain_out_and_back_path():
 @pytest.mark.parametrize("family", ["edge", "face"])
 def test_adjacent_cell_sums_match_per_cell_loop(family):
     g = rl.build_grid((5, 7, 4), 0.2)
-    # integer values keep every sum exact, whatever the summation order
-    field = np.random.default_rng(4).integers(-50, 50, size=g.n + (3,)).astype(float)
+    rng = np.random.default_rng(4)
     index = g.edge_index if family == "edge" else g.face_index
-    want = np.zeros(g.n_edges if family == "edge" else g.n_faces)
-    for cell in np.ndindex(*g.n):
-        for axis in range(3):
-            for slot in cell_dof_slots(cell, family, axis):
-                want[index(axis, *slot)] += field[cell + (axis,)]
-    assert np.array_equal(g.adjacent_cell_sums(field, family), want)
+    count = 4 if family == "edge" else 2
+    # integer values keep every sum exact, whatever the summation order: a
+    # region mask shared by the three directions, 1 in every cell, or a
+    # per-direction field (whose sums the cell means read below)
+    field = rng.integers(-50, 50, size=g.n + (3,)).astype(float)
+    mask = rng.random(g.n) < 0.5
+    for cells, per_cell in ((mask, np.repeat(mask[..., None], 3, -1)),
+                            (None, np.ones(g.n + (3,))), (field, field)):
+        want = np.zeros(g.n_edges if family == "edge" else g.n_faces)
+        for cell in np.ndindex(*g.n):
+            for axis in range(3):
+                for slot in cell_dof_slots(cell, family, axis):
+                    want[index(axis, *slot)] += per_cell[cell + (axis,)]
+        assert np.array_equal(g.dof_volumes(family, cells), want / count * g.h ** 3)
     # the cell means read the same slots the other way round
     values = want + 1j * np.arange(len(want))
     mean = np.zeros((g.n_cells, 3), dtype=complex)
@@ -421,7 +428,3 @@ def test_adjacent_cell_sums_match_per_cell_loop(family):
             slots = cell_dof_slots(cell, family, axis)
             mean[c, axis] = sum(values[index(axis, *slot)] for slot in slots) / len(slots)
     assert np.array_equal(g.cell_means(values, family), mean)
-    # a one-column field is shared by the three directions
-    shared = g.adjacent_cell_sums(field[..., :1], family)
-    assert np.array_equal(shared, g.adjacent_cell_sums(np.repeat(field[..., :1], 3, -1),
-                                                       family))

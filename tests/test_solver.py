@@ -72,8 +72,8 @@ def test_uniform_medium_matches_per_cell_formulas(medium, grid8):
         reference += [t0, float(np.linalg.norm(t - t0 * np.eye(3), axis=(-2, -1)).max())]
     assert sys_.reference == tuple(reference)
     C = rl.solver.curl_matrix(grid8)
-    K = (C.T @ rl.solver.face_material_matrix(grid8, mu_inv) @ C).tocsr()
-    L = (K - 2.0 ** 2 * rl.solver.edge_material_matrix(grid8, mat.eps)).tocsr()
+    K = (C.T @ rl.solver.material_matrix(grid8, mu_inv, "face") @ C).tocsr()
+    L = (K - 2.0 ** 2 * rl.solver.material_matrix(grid8, mat.eps, "edge")).tocsr()
     L = ((L + L.T) * 0.5).tocsr()
     for part in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(sys_.L, part), getattr(L, part))
@@ -116,7 +116,7 @@ def test_solve_source_zero(sys8, grid8):
 def test_solve_source_unique_continuation(sys8, grid8):
     # source supported in A: the solution cannot vanish on the complement
     region = rl.carve_region(grid8, {"kind": "ball", "center": [0.5, 0.5, 0.5], "r": 0.25})
-    we = grid8.edge_cell_adjacency_weights(region.mask)
+    we = grid8.dof_volumes("edge", region.mask)
     F = np.zeros(grid8.n_edges, dtype=complex)
     F[we > 0] = 1.0
     src = SourceTerm(grid8, F=F, support=region)
@@ -135,8 +135,7 @@ def test_source_support_validation(grid8):
 
 
 def test_reciprocity_surrogate(sys8, grid8):
-    ones = np.ones(grid8.n, dtype=bool)
-    we = grid8.edge_cell_adjacency_weights(ones) * grid8.h ** 3
+    we = grid8.dof_volumes("edge")
     interior = grid8.interior_edge_indices()
     rng = np.random.default_rng(2)
     picks = rng.choice(interior, size=3, replace=False)
