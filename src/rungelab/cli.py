@@ -14,41 +14,39 @@ import struct
 import sys
 
 from .errors import RungelabError, ConfigurationError
-from .experiments import ExperimentConfig, run_experiment
+from .experiments import normalize_config, run_experiment
 from . import store
 
 
-def parse_config(text: str, tag=None) -> ExperimentConfig:
-    """Parse and validate a JSON experiment config, ``tag`` replacing its own."""
+def parse_config(text: str, tag=None, out=None, cache=None, seed=None) -> dict:
+    """Parse and validate a JSON experiment config.  ``tag`` replaces its own
+    tag, and ``out``, ``cache`` and ``seed`` (when given) its output
+    directory, cache directory and base seed, before validation."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if tag is not None and isinstance(raw, dict):
-        raw["tag"] = tag
-    return ExperimentConfig.from_dict(raw)
-
-
-def _load_config(path, args, tag=None) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = parse_config(fh.read(), tag)
-    if args.out:
-        cfg.data["output"]["dir"] = args.out
-    if args.cache:
-        cfg.data["cache"]["dir"] = args.cache
-    if args.seed is not None:
-        cfg.data["seed"] = int(args.seed)
-    return cfg
+    if isinstance(raw, dict):
+        if tag is not None:
+            raw["tag"] = tag
+        if out:
+            raw.setdefault("output", {})["dir"] = out
+        if cache:
+            raw.setdefault("cache", {})["dir"] = cache
+        if seed is not None:
+            raw["seed"] = seed
+    return normalize_config(raw)
 
 
 def _cmd_run(args):
-    # verify sets its tag before normalization, so its solver defaults apply
-    cfg = _load_config(args.config, args, tag=args.tag)
+    with open(args.config, "r", encoding="utf-8") as fh:
+        # verify sets its tag before normalization, so its solver defaults apply
+        cfg = parse_config(fh.read(), args.tag, args.out, args.cache, args.seed)
     report = run_experiment(cfg)
     csv_path, side_path = report.write(cfg["output"]["dir"])
     for name, ok in sorted(report.flags.items()):
-        print(f"{'PASS' if ok else 'FAIL'} {cfg.tag}.{name}")
+        print(f"{'PASS' if ok else 'FAIL'} {cfg['tag']}.{name}")
     print(f"report: {csv_path}")
     print(f"sidecar: {side_path}")
     return 0 if report.passed else 2

@@ -1,10 +1,10 @@
 """Experiment drivers: approximation decay, Cauchy-data stability, three-ball
 feasibility, propagation of smallness, and boundary-controlled localization.
 
-Every driver consumes a validated ExperimentConfig, runs deterministically
-from the recorded seeds, and emits a Report (fixed-column CSV plus a JSON
-sidecar echoing the config).  Estimated constants are always fitted from the
-measured data, never assumed.
+Every driver consumes the plain dict ``normalize_config`` returns, runs
+deterministically from the recorded seeds, and emits a Report (fixed-column
+CSV plus a JSON sidecar echoing the config).  Estimated constants are always
+fitted from the measured data, never assumed.
 """
 
 from __future__ import annotations
@@ -56,6 +56,12 @@ def _check_ints(name, values, rule, ok):
     ints = isinstance(values, list) and all(type(v) is int for v in values)
     if not (ints and values and ok(values)):
         raise ConfigurationError(f"{name} must be {rule}, got {values!r}")
+
+
+def _check_int(name, value, least):
+    """Raise unless ``value`` is an integer >= ``least``."""
+    if not (type(value) is int and value >= least):
+        raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def normalize_config(raw: dict) -> dict:
@@ -124,6 +130,8 @@ def normalize_config(raw: dict) -> dict:
             f"noise.etas must be a non-empty list of numbers strictly inside (0, 1), "
             f"got {etas!r}")
     noise.setdefault("seeds", [101, 102, 103, 104, 105])
+    _check_ints("noise.seeds", noise["seeds"], "a non-empty list of integers >= 0",
+                lambda ss: min(ss) >= 0)
     rg = cfg.setdefault("runge", {})
     rg.setdefault("js", list(range(1, 11)))
     rg.setdefault("C", float(np.e))
@@ -133,6 +141,12 @@ def normalize_config(raw: dict) -> dict:
     if "cutoffs" in (cfg.get("localization") or {}):
         _check_ints("localization.cutoffs", cfg["localization"]["cutoffs"],
                     "a non-empty list of positive integers", lambda cs: min(cs) >= 1)
+    # the Holder fit needs three samples; numpy seeds are integers >= 0
+    for section, key, least in (("three_balls", "n_samples", 3), ("propagation", "n_samples", 3),
+                                ("propagation", "n_paths", 1), ("three_balls", "seed", 0),
+                                ("propagation", "seed", 0), ("localization", "seed", 0)):
+        if key in (cfg.get(section) or {}):
+            _check_int(f"{section}.{key}", cfg[section][key], least)
     cfg.setdefault("regularization", {"strategy": "morozov", "lambda": 1e-12})
     cfg["regularization"].setdefault("strategy", "morozov")
     cfg["regularization"].setdefault("lambda", 1e-12)
@@ -141,43 +155,14 @@ def normalize_config(raw: dict) -> dict:
     slv.setdefault("tol", solver.SOLVER_TOL)
     # verify solves one right-hand side per system: the Krylov path is cheaper
     slv.setdefault("direct_limit", 0 if tag == "verify_solver" else solver.DIRECT_LIMIT)
-    cfg.setdefault("verify", {})
-    cfg["verify"].setdefault("levels", 3)
+    _check_int("verify.levels", cfg.setdefault("verify", {}).setdefault("levels", 3), 2)
     cfg.setdefault("output", {}).setdefault("dir", "out")
     cfg.setdefault("cache", {}).setdefault("dir", None)
     tol = cfg.setdefault("tolerances", {})
     for k, v in _DEFAULT_TOLERANCES.items():
         tol.setdefault(k, v)
-    cfg.setdefault("seed", 0)
+    _check_int("seed", cfg.setdefault("seed", 0), 0)
     return cfg
-
-
-@dataclass
-class ExperimentConfig:
-    """Validated experiment description; ``data`` is the normalized echo."""
-
-    data: dict
-
-    @classmethod
-    def from_dict(cls, raw):
-        return cls(normalize_config(raw))
-
-    def __getitem__(self, key):
-        return self.data[key]
-
-    def get(self, key, default=None):
-        return self.data.get(key, default)
-
-    @property
-    def tag(self):
-        return self.data["tag"]
-
-    @property
-    def tolerances(self):
-        return self.data["tolerances"]
-
-    def echo(self):
-        return json.loads(json.dumps(self.data))
 
 
 @dataclass
@@ -221,16 +206,15 @@ def _fmt(value):
 class Report:
     """Structured experiment output: records, fits and pass/fail flags."""
 
-    def __init__(self, tag, config_echo, records, fits, flags, budgets=None,
-                 wall_clock=0.0):
+    def __init__(self, tag, config, records, fits, flags, budgets=None):
         self.tag = tag
-        self.config_echo = config_echo
+        self.config_echo = json.loads(json.dumps(config))
         self.columns = _COLUMNS[tag]
         self.records = records
         self.fits = fits
         self.flags = flags
         self.budgets = budgets or {}
-        self.wall_clock = wall_clock
+        self.wall_clock = 0.0  # set by run_experiment
         for rec in records:
             for col in self.columns:
                 v = rec[col]
@@ -295,14 +279,14 @@ class Scene:
     omega_region: geometry.Region
 
 
-def _assemble(cfg: ExperimentConfig, grid, mat) -> solver.SystemMatrix:
+def _assemble(cfg: dict, grid, mat) -> solver.SystemMatrix:
     slv = cfg["solver"]
     return solver.assemble(grid, mat, cfg["omega"],
                            resonance_threshold=slv["resonance_threshold"],
                            solver_tol=slv["tol"], direct_limit=slv["direct_limit"])
 
 
-def build_scene(cfg: ExperimentConfig) -> Scene:
+def build_scene(cfg: dict) -> Scene:
     g = geometry.build_grid(cfg["grid"]["n"], cfg["grid"]["h"], cfg["grid"]["origin"])
     mat = materials.make_material(g, cfg["material"])
     sys_ = _assemble(cfg, g, mat)
@@ -356,13 +340,10 @@ def _operator_with_cache(cfg, scene, gram, volume):
 # verify_solver
 # ---------------------------------------------------------------------------
 
-def run_verify_solver(cfg: ExperimentConfig) -> Report:
+def run_verify_solver(cfg: dict) -> Report:
     """Plane-wave convergence over nested refinements plus the mimetic check."""
-    t0 = time.time()
     base = cfg["grid"]
-    levels = int(cfg["verify"]["levels"])
-    if levels < 2:
-        raise ConfigurationError("verify needs at least two refinement levels")
+    levels = cfg["verify"]["levels"]
     omega = float(cfg["omega"])
     wave = cfg["verify"].get("wave") or {}
     k = np.asarray(wave.get("k", [omega, 0.0, 0.0]), dtype=float)
@@ -389,25 +370,23 @@ def run_verify_solver(cfg: ExperimentConfig) -> Report:
                         "order": order if order is not None else 0.0})
     defect = solver.mimetic_defect(grids[0])
     orders = [r[2] for r in rows if r[2] is not None]
-    tol = cfg.tolerances
+    tol = cfg["tolerances"]
     flags = {
         "convergence_order_ok": bool(min(orders) >= tol["convergence_order"]),
         "mimetic_ok": bool(defect.nnz <= tol["mimetic_nnz"]),
     }
     fits = [{"model": "observed_orders", "orders": orders}]
-    return Report("verify_solver", cfg.echo(), records, fits, flags,
-                  wall_clock=time.time() - t0)
+    return Report("verify_solver", cfg, records, fits, flags)
 
 
 # ---------------------------------------------------------------------------
 # runge decay
 # ---------------------------------------------------------------------------
 
-def run_runge(cfg: ExperimentConfig, scene: Scene | None = None,
+def run_runge(cfg: dict, scene: Scene | None = None,
               svd: runge_op.SvdBundle | None = None) -> Report:
     """Truncated-approximant error decay and boundary-cost growth over the
     calibration ladder alpha(j)."""
-    t0 = time.time()
     scene = scene or build_scene(cfg)
     if svd is None:
         region_a = geometry.carve_region(scene.grid, cfg["regions"]["A"], role="subdomain_A")
@@ -469,7 +448,7 @@ def run_runge(cfg: ExperimentConfig, scene: Scene | None = None,
     fits.append({"model": "exp_growth", "C": float(np.exp(intercept)),
                  "rate": float(slope), "r2": float(r2_growth), "n": len(js)})
 
-    tol = cfg.tolerances
+    tol = cfg["tolerances"]
     flags = {
         "error_nonincreasing": bool(nonincreasing),
         "strict_decreases_ok": bool(strict >= tol["strict_decreases"]),
@@ -478,8 +457,7 @@ def run_runge(cfg: ExperimentConfig, scene: Scene | None = None,
         "growth_rate_positive": bool(slope > 0),
         "growth_r2_ok": bool(r2_growth >= tol["r2_growth"]),
     }
-    return Report("runge", cfg.echo(), records, fits, flags,
-                  wall_clock=time.time() - t0)
+    return Report("runge", cfg, records, fits, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -570,10 +548,8 @@ class CauchyOperator:
         self.V = Vt.T[np.argsort(perm)]
 
     def data_of(self, fields):
-        """Trace data of a FieldPair, or the block of a list of them."""
-        if isinstance(fields, solver.FieldPair):
-            return np.concatenate([fields.E[self.gram.v_dofs], fields.H[self.h_dofs]])
-        return np.stack([self.data_of(f) for f in fields], axis=1)
+        """Trace data of a FieldPair, a column per field of a block."""
+        return np.concatenate([fields.E[self.gram.v_dofs], fields.H[self.h_dofs]])
 
     def misfit_norm(self, v):
         w2 = np.sum(self._white(v).reshape(self.gram.n_v, 4, -1) ** 2, axis=(0, 1))
@@ -621,7 +597,7 @@ def cauchy_reconstruct(cauchy_op: CauchyOperator, noisy_f, noisy_g, strategy,
     (match misfit to the noise size) or is fixed by config.  ``noisy_f`` and
     ``noisy_g`` are (n_v,) vectors, or (n_v, k) blocks reconstructed together
     with one noise size per column in ``eta_target``; a block returns a
-    FieldPair list and (k,) arrays of lambda and misfit.
+    FieldPair of blocks and (k,) arrays of lambda and misfit.
     """
     if strategy not in ("morozov", "fixed"):
         raise ConfigurationError(f"unknown regularization strategy {strategy!r}")
@@ -664,9 +640,8 @@ def _cauchy_truth(cfg, scene: Scene):
     raise ConfigurationError(f"unknown truth kind {kind!r}")
 
 
-def run_cauchy(cfg: ExperimentConfig, scene: Scene | None = None) -> Report:
+def run_cauchy(cfg: dict, scene: Scene | None = None) -> Report:
     """Noise-ladder reconstruction study of the two-trace Cauchy problem."""
-    t0 = time.time()
     scene = scene or build_scene(cfg)
     gram = build_norm_weights(scene.patch, collar=cfg["patch"]["collar"])
     cop = CauchyOperator(scene, gram)
@@ -704,18 +679,17 @@ def run_cauchy(cfg: ExperimentConfig, scene: Scene | None = None) -> Report:
     # the whole ladder is one block, a column per (eta, seed) in ladder order
     cols = [(i, j) for i in range(len(etas)) for j in range(len(seeds))]
     errs = [[] for _ in etas]
-    if cols:
-        F = np.stack([f0 + nfs[j] * ((eta_abs[i] / 2.0) / vfs[j]) for i, j in cols], axis=1)
-        G = np.stack([g0 + ngs[j] * ((eta_abs[i] / 2.0) / vgs[j]) for i, j in cols], axis=1)
-        recs, lams, misfits = cauchy_reconstruct(cop, F, G, strategy, lam_fixed=lam_fixed,
-                                                 eta_target=[eta_abs[i] for i, _ in cols])
-        for (i, j), rec, lam, mis in zip(cols, recs, lams, misfits):
-            err = hcurl_norm(scene.grid, scene.omega_region, E=(rec.E - truth.E),
-                             H=(rec.H - truth.H), curl=scene.system.curl)
-            errs[i].append(err)
-            records.append({"eta_rel": etas[i], "eta_abs": eta_abs[i], "seed": seeds[j],
-                            "lambda": float(lam), "misfit": float(mis), "error_hcurl": err,
-                            "error_rel": err / (zeta + eta_abs[i])})
+    F = np.stack([f0 + nfs[j] * ((eta_abs[i] / 2.0) / vfs[j]) for i, j in cols], axis=1)
+    G = np.stack([g0 + ngs[j] * ((eta_abs[i] / 2.0) / vgs[j]) for i, j in cols], axis=1)
+    recs, lams, misfits = cauchy_reconstruct(cop, F, G, strategy, lam_fixed=lam_fixed,
+                                             eta_target=[eta_abs[i] for i, _ in cols])
+    for c, ((i, j), lam, mis) in enumerate(zip(cols, lams, misfits)):
+        err = hcurl_norm(scene.grid, scene.omega_region, E=(recs.E[:, c] - truth.E),
+                         H=(recs.H[:, c] - truth.H), curl=scene.system.curl)
+        errs[i].append(err)
+        records.append({"eta_rel": etas[i], "eta_abs": eta_abs[i], "seed": seeds[j],
+                        "lambda": float(lam), "misfit": float(mis), "error_hcurl": err,
+                        "error_rel": err / (zeta + eta_abs[i])})
     medians = [(e, a, float(np.median(r))) for e, a, r in zip(etas, eta_abs, errs)]
 
     pairs = [(eta_rel, med / (zeta + eta_abs)) for eta_rel, eta_abs, med in medians]
@@ -739,7 +713,7 @@ def run_cauchy(cfg: ExperimentConfig, scene: Scene | None = None) -> Report:
                               omega, eps0, mu0)
     disc_rel = oracle.discretization_error(probe, probe_sys)
 
-    tol = cfg.tolerances
+    tol = cfg["tolerances"]
     flags = {
         "monotone_in_eta": bool(monotone),
         "eta0_ok": bool(err0 / truth_hcurl <= tol["eta0_factor"] * disc_rel),
@@ -749,12 +723,10 @@ def run_cauchy(cfg: ExperimentConfig, scene: Scene | None = None) -> Report:
         flags["m_positive"] = bool(fit.params["m"] > 0)
         flags["r2_ok"] = bool(fit.r2 >= tol["r2_log_modulus"])
         fits.append(fit.row())
-    budgets = StabilityBudget(eta=max(r[1] for r in medians) if medians else 0.0,
-                              zeta=zeta).as_dict()
+    budgets = StabilityBudget(eta=max(r[1] for r in medians), zeta=zeta).as_dict()
     budgets["truth_kind"] = truth_kind
     budgets["forward_disc_rel_error"] = float(disc_rel)
-    return Report("cauchy", cfg.echo(), records, fits, flags, budgets,
-                  wall_clock=time.time() - t0)
+    return Report("cauchy", cfg, records, fits, flags, budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -783,9 +755,8 @@ def _holder_study(scene: Scene, patch, regions, seeds, m0, tol):
     return rows, fit, (bool(1e-9 < tau < 1 - 1e-9), bool(max(resid) <= tol + 1e-12))
 
 
-def run_three_balls(cfg: ExperimentConfig, scene: Scene | None = None) -> Report:
+def run_three_balls(cfg: dict, scene: Scene | None = None) -> Report:
     """Holder interpolation feasibility over random interior solutions."""
-    t0 = time.time()
     scene = scene or build_scene(cfg)
     spec = cfg.get("three_balls") or {}
     center = list(spec.get("center", (np.array(scene.grid.n) * scene.grid.h / 2
@@ -808,7 +779,7 @@ def run_three_balls(cfg: ExperimentConfig, scene: Scene | None = None) -> Report
     seeds = [seed0 + i for i in range(n_samples)]
     rows, fit, (interior, holds) = _holder_study(
         scene, geometry.whole_boundary(scene.grid), balls, seeds, m0,
-        cfg.tolerances["holder_residual_max"])
+        cfg["tolerances"]["holder_residual_max"])
     records = [{"sample": i, "seed": seed, "a1": a1, "a2": a2, "a3": a3, "m0": m0}
                for i, (seed, (a1, a2, a3)) in enumerate(zip(seeds, rows))]
     flags = {
@@ -817,17 +788,15 @@ def run_three_balls(cfg: ExperimentConfig, scene: Scene | None = None) -> Report
         "enough_samples": bool(n_samples >= 20),
     }
     budgets = StabilityBudget(m0=m0).as_dict()
-    return Report("three_balls", cfg.echo(), records, [fit.row()], flags, budgets,
-                  wall_clock=time.time() - t0)
+    return Report("three_balls", cfg, records, [fit.row()], flags, budgets)
 
 
 # ---------------------------------------------------------------------------
 # propagation of smallness
 # ---------------------------------------------------------------------------
 
-def run_propagation(cfg: ExperimentConfig, scene: Scene | None = None) -> Report:
+def run_propagation(cfg: dict, scene: Scene | None = None) -> Report:
     """Two-factor interpolation bound for a probe region reached by ball chains."""
-    t0 = time.time()
     scene = scene or build_scene(cfg)
     spec = cfg.get("propagation") or {}
     x0 = np.asarray(spec["x0"], dtype=float)
@@ -869,7 +838,7 @@ def run_propagation(cfg: ExperimentConfig, scene: Scene | None = None) -> Report
     seeds = [seed0 + 1000 + i for i in range(n_samples)]
     rows, fit, (interior, holds) = _holder_study(
         scene, scene.patch, (data_ball, g_region, scene.omega_region), seeds, 0.0,
-        cfg.tolerances["holder_residual_max"])
+        cfg["tolerances"]["holder_residual_max"])
     records = [{"sample": i, "seed": seed, "ball_norm": a1, "g_norm": ag, "omega_norm": az,
                 "chain_count": max(chain_counts), "cover_count": len(cover)}
                for i, (seed, (a1, ag, az)) in enumerate(zip(seeds, rows))]
@@ -880,17 +849,15 @@ def run_propagation(cfg: ExperimentConfig, scene: Scene | None = None) -> Report
     }
     budgets = StabilityBudget(eta=max(r[0] for r in rows),
                               zeta=max(r[2] for r in rows)).as_dict()
-    return Report("propagation", cfg.echo(), records, [fit.row()], flags, budgets,
-                  wall_clock=time.time() - t0)
+    return Report("propagation", cfg, records, [fit.row()], flags, budgets)
 
 
 # ---------------------------------------------------------------------------
 # localization
 # ---------------------------------------------------------------------------
 
-def run_localization(cfg: ExperimentConfig, scene: Scene | None = None) -> Report:
+def run_localization(cfg: dict, scene: Scene | None = None) -> Report:
     """Maximize field concentration on M against D through the spectral basis."""
-    t0 = time.time()
     scene = scene or build_scene(cfg)
     spec = cfg.get("localization") or {}
     m_region = geometry.carve_region(scene.grid, cfg["regions"]["M"], role="subdomain_A")
@@ -943,13 +910,12 @@ def run_localization(cfg: ExperimentConfig, scene: Scene | None = None) -> Repor
     growing = all(b["quotient"] >= a["quotient"] * (1 - 1e-9)
                   for a, b in zip(records, records[1:]))
     flags = {
-        "quotient_threshold": bool(top_quotient >= cfg.tolerances["quotient_min"]),
+        "quotient_threshold": bool(top_quotient >= cfg["tolerances"]["quotient_min"]),
         "maximizer_extremal": bool(beats),
         "quotient_nondecreasing_in_cutoff": bool(growing),
     }
     fits = [{"model": "rayleigh", "top_quotient": top_quotient, "eps_reg": eps_reg}]
-    return Report("localization", cfg.echo(), records, fits, flags,
-                  wall_clock=time.time() - t0)
+    return Report("localization", cfg, records, fits, flags)
 
 
 def _quotient(op_m, op_d, eps_reg, f):
@@ -968,5 +934,9 @@ RUNNERS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig) -> Report:
-    return RUNNERS[cfg.tag](cfg)
+def run_experiment(cfg: dict) -> Report:
+    """Run the driver of ``cfg["tag"]``; the report carries its wall-clock time."""
+    t0 = time.time()
+    report = RUNNERS[cfg["tag"]](cfg)
+    report.wall_clock = time.time() - t0
+    return report

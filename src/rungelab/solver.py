@@ -210,12 +210,13 @@ class SourceTerm:
 
 
 class FieldPair:
-    """Complex (E, H) sampled on the staggered dofs of one grid."""
+    """Complex (E, H) sampled on the staggered dofs of one grid: vectors, or
+    (n_edges, k) and (n_faces, k) blocks holding k fields column by column."""
 
     def __init__(self, grid: Grid, E, H):
         E = np.asarray(E, dtype=complex)
         H = np.asarray(H, dtype=complex)
-        if E.shape != (grid.n_edges,) or H.shape != (grid.n_faces,):
+        if E.shape[:1] != (grid.n_edges,) or H.shape != (grid.n_faces,) + E.shape[1:]:
             raise ConfigurationError("field lengths must match the grid dof counts")
         if _not_finite(E) or _not_finite(H):
             raise ConfigurationError("fields carry non-finite values")
@@ -338,7 +339,6 @@ class SystemMatrix:
         self.material = material
         self.reference = reference
         self.omega = float(omega)
-        self.L = L
         self.curl = curl
         self.mu_inv_point = mu_inv_point
         self.solver_tol = solver_tol
@@ -474,6 +474,7 @@ def assemble(grid: Grid, mat: MaterialField, omega, *,
         L = ((L + L.T) * 0.5).tocsr()
     sys = SystemMatrix(grid, mat, omega, L, C, _pointwise(grid, Mf), solver_tol, direct_limit,
                        reference_medium(mat, mu_inv))
+    del L  # the system keeps its interior rows only; freed before the guard
     if check_resonance:
         margin = resonance_guard(sys)
         if margin < resonance_threshold:
@@ -555,8 +556,8 @@ def lift(sys: SystemMatrix, eB, rhs):
     L_II eI = rhs, with H = (i omega)^-1 mu^-1 curl E.
 
     ``rhs`` already carries the boundary data (-L_IB eB) or the volume
-    source.  An (n,) ``rhs`` gives one FieldPair; an (n, k) block with
-    (n_B, k) ``eB`` is solved in one call and gives a list of k FieldPairs.
+    source.  An (n,) ``rhs`` gives a FieldPair of vectors; an (n, k) block
+    with (n_B, k) ``eB`` is solved in one call and gives one of blocks.
     Raises NumericError when the relative residual of any column with a
     nonzero right-hand side exceeds 10 * solver_tol; the error names the worst
     and its history holds every column's residual.
@@ -573,9 +574,7 @@ def lift(sys: SystemMatrix, eB, rhs):
     E[sys.idx_boundary] = eB
     E[sys.idx_interior] = eI
     H = sys.mu_inv_point @ (sys.curl @ E) / (1j * sys.omega)
-    if E.ndim == 1:
-        return FieldPair(grid, E, H)
-    return [FieldPair(grid, e, h) for e, h in zip(E.T, H.T)]
+    return FieldPair(grid, E, H)
 
 
 def solve_bvp(sys: SystemMatrix, trace: TangentialTrace) -> FieldPair:
@@ -617,8 +616,9 @@ def residual(fields: FieldPair, sys: SystemMatrix, src: SourceTerm | None = None
     we, wf = grid.dof_volumes("edge"), grid.dof_volumes("face")
 
     r_far = sys.mu_inv_point @ (sys.curl @ fields.E) - 1j * sys.omega * fields.H
-    rhs = weak_rhs(sys, src) if src is not None else np.zeros(grid.n_edges, dtype=complex)
-    defect = (sys.L @ fields.E - rhs)[sys.idx_interior]
+    defect = sys.L_II @ fields.E[sys.idx_interior] + sys.L_IB @ fields.E[sys.idx_boundary]
+    if src is not None:
+        defect -= weak_rhs(sys, src)[sys.idx_interior]
     r_amp = defect / we[sys.idx_interior]
 
     num = np.sqrt(float(np.sum(wf * np.abs(r_far) ** 2))

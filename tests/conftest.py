@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import rungelab as rl
-from rungelab.experiments import ExperimentConfig, build_scene
+from rungelab.experiments import normalize_config, build_scene
 from rungelab import runge_op
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -13,7 +13,7 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 def load_config(name):
     with open(os.path.join(CONFIG_DIR, name), "r", encoding="utf-8") as fh:
-        return ExperimentConfig.from_dict(json.load(fh))
+        return normalize_config(json.load(fh))
 
 
 @pytest.fixture(scope="session")

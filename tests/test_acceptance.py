@@ -10,7 +10,7 @@ import pytest
 
 import rungelab as rl
 from rungelab import runge_op
-from rungelab.experiments import ExperimentConfig, run_cauchy, run_runge, run_three_balls, \
+from rungelab.experiments import normalize_config, run_cauchy, run_runge, run_three_balls, \
     run_verify_solver
 from rungelab.errors import BadChecksumError
 
@@ -174,7 +174,7 @@ def test_criterion_9_report_determinism():
     t0 = time.time()
     cfg = load_config("three_balls_reference.json")
     first = run_three_balls(cfg)
-    again = run_three_balls(ExperimentConfig.from_dict(first.config_echo))
+    again = run_three_balls(normalize_config(first.config_echo))
     assert first.csv_text().encode() == again.csv_text().encode()
     a, b = first.sidecar(), again.sidecar()
     a.pop("volatile")

@@ -46,6 +46,9 @@ def test_run_verify_exit_zero(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "verify_solver.json"))
     text = capsys.readouterr().out
     assert "PASS" in text
+    # run_experiment times every driver
+    side = json.load(open(os.path.join(out, "verify_solver.json")))
+    assert side["volatile"]["wall_clock_s"] > 0
 
 
 def test_run_exit_two_on_tolerance(tmp_path):
@@ -192,6 +195,23 @@ def test_seed_override(tmp_path):
     assert b["config"]["seed"] == 2
 
 
+def test_overrides_pass_the_config_checks(tmp_path, capsys):
+    # a negative --seed used to reach numpy's generator after assembly
+    cfg = _write(tmp_path, "t.json", {"tag": "three_balls", "grid": {"n": [8, 8, 8], "h": 0.125},
+                                      "three_balls": {"n_samples": 5}})
+    out = str(tmp_path / "out")
+    assert main(["--out", out, "--seed", "-1", "run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be an integer >= 0, got -1")
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+    # --out, --cache and --seed land in the validated echo
+    c = parse_config(open(cfg).read(), "verify_solver", out, str(tmp_path / "c"), 4)
+    assert (c["tag"], c["output"]["dir"], c["cache"]["dir"], c["seed"]) == \
+        ("verify_solver", out, str(tmp_path / "c"), 4)
+    assert c["solver"]["direct_limit"] == 0
+
+
 RUNGE_SMALL = {
     "tag": "runge",
     "grid": {"n": [8, 8, 8], "h": 0.125},
@@ -265,7 +285,7 @@ def test_version_two_complex_entry_is_rebuilt(tmp_path, capsys):
     import numpy as np
     import rungelab as rl
     from rungelab import store
-    from rungelab.experiments import ExperimentConfig
+    from rungelab.experiments import normalize_config
     cfg = _write(tmp_path, "r.json", RUNGE_SMALL)
     cold_cache, cache = str(tmp_path / "cold"), str(tmp_path / "cache")
     out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
@@ -276,7 +296,7 @@ def test_version_two_complex_entry_is_rebuilt(tmp_path, capsys):
     _, version, kind, prov, length = store._HEADER.unpack_from(blob, 0)
     assert version == 3
     R = store.unpack_matrix(blob[store._HEADER.size:store._HEADER.size + length])
-    c = ExperimentConfig.from_dict(RUNGE_SMALL)
+    c = normalize_config(RUNGE_SMALL)
     grid = rl.build_grid(c["grid"]["n"], c["grid"]["h"], c["grid"]["origin"])
     region = rl.carve_region(grid, c["regions"]["A"], role="subdomain_A")
     ne = len(rl.VolumeWeights(region).x_edge_idx)

@@ -7,10 +7,10 @@ import scipy.linalg as sla
 import rungelab as rl
 from rungelab import experiments
 from rungelab.errors import ConfigurationError, GeometryError
-from rungelab.experiments import (CauchyOperator, ExperimentConfig, Report, StabilityBudget,
-                                  build_scene, cauchy_reconstruct, h_trace_block, run_cauchy,
-                                  run_localization, run_propagation, run_runge, run_three_balls,
-                                  run_verify_solver, _cauchy_truth, _quotient)
+from rungelab.experiments import (CauchyOperator, Report, StabilityBudget, build_scene,
+                                  cauchy_reconstruct, h_trace_block, normalize_config,
+                                  run_cauchy, run_localization, run_propagation, run_runge,
+                                  run_three_balls, run_verify_solver, _cauchy_truth, _quotient)
 from rungelab.oracle import sample_dofs
 
 from conftest import transform_off
@@ -19,7 +19,7 @@ from conftest import transform_off
 def _cfg(**kwargs):
     base = {"tag": "three_balls", "grid": {"n": [8, 8, 8], "h": 0.125}}
     base.update(kwargs)
-    return ExperimentConfig.from_dict(base)
+    return normalize_config(base)
 
 
 def test_defaults_and_theta():
@@ -52,7 +52,7 @@ def test_consistent_theta_accepted():
 
 def test_rejects_unknown_tag():
     with pytest.raises(ConfigurationError):
-        ExperimentConfig.from_dict({"tag": "mystery"})
+        normalize_config({"tag": "mystery"})
 
 
 @pytest.mark.parametrize("tag, key, value", [
@@ -61,11 +61,15 @@ def test_rejects_unknown_tag():
     ("runge", "js", [1, 2.5, 3]), ("runge", "js", [1, True, 3]), ("runge", "js", "123"),
     ("localization", "cutoffs", []), ("localization", "cutoffs", [0]),
     ("localization", "cutoffs", [-3]), ("localization", "cutoffs", [10, "20"]),
+    ("three_balls", "seed", -1), ("propagation", "seed", 1.5), ("localization", "seed", True),
+    ("localization", "seed", "0"), ("three_balls", "n_samples", 2),
+    ("propagation", "n_samples", 2), ("propagation", "n_samples", 12.0),
+    ("propagation", "n_paths", 0), ("propagation", "n_paths", None),
 ])
 def test_rejects_bad_integer_lists(tag, key, value):
     # caught before any solve: each of these used to fail late or not at all
     with pytest.raises(ConfigurationError, match=f"{tag}.{key} must be"):
-        ExperimentConfig.from_dict({"tag": tag, tag: {key: value}})
+        normalize_config({"tag": tag, tag: {key: value}})
 
 
 @pytest.mark.parametrize("etas", [[1.0], [0.0], [1.5], [0.1, -0.01], [], [0.1, True],
@@ -74,7 +78,27 @@ def test_rejects_bad_noise_etas(etas):
     # 1.0 used to divide by zero in the Cauchy study, 0.0 and 1.5 to fail in
     # the final fit, after every solve
     with pytest.raises(ConfigurationError, match="noise.etas must be"):
-        ExperimentConfig.from_dict({"tag": "cauchy", "noise": {"etas": etas}})
+        normalize_config({"tag": "cauchy", "noise": {"etas": etas}})
+
+
+@pytest.mark.parametrize("seeds", [[101, -1], [], [1.0], [True], ["7"], 101])
+def test_rejects_bad_noise_seeds(seeds):
+    # a negative seed used to die in numpy's generator after the eta = 0 run
+    with pytest.raises(ConfigurationError, match="noise.seeds must be"):
+        normalize_config({"tag": "cauchy", "noise": {"seeds": seeds}})
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+    ({"seed": 2.0}, "seed must be an integer >= 0, got 2.0"),
+    ({"seed": None}, "seed must be an integer >= 0, got None"),
+    ({"seed": "3"}, "seed must be an integer >= 0, got '3'"),
+    ({"verify": {"levels": 1}}, "verify.levels must be an integer >= 2, got 1"),
+    ({"verify": {"levels": 2.5}}, "verify.levels must be an integer >= 2, got 2.5"),
+])
+def test_rejects_bad_top_level_integers(raw, message):
+    with pytest.raises(ConfigurationError, match=message):
+        normalize_config({"tag": "verify_solver", **raw})
 
 
 def test_budget_validation():
@@ -86,8 +110,7 @@ def test_budget_validation():
 
 def test_normalized_config_is_fixed_point():
     cfg = _cfg()
-    again = ExperimentConfig.from_dict(cfg.echo())
-    assert again.data == cfg.data
+    assert normalize_config(cfg) == cfg
 
 
 def test_report_rejects_nonfinite():
@@ -135,7 +158,7 @@ def test_three_balls_rejects_bad_radii():
 def _runge_cfg(**runge):
     spec = {"m": 3.0, "target": {"kind": "dipole", "x0": [0.82, 0.5, 0.5], "m": [0, 0, 1.0]}}
     spec.update(runge)
-    return ExperimentConfig.from_dict({
+    return normalize_config({
         "tag": "runge",
         "grid": {"n": [8, 8, 8], "h": 0.125},
         "regions": {"A": {"kind": "ball", "center": [0.35, 0.5, 0.5], "r": 0.18}},
@@ -176,7 +199,7 @@ def _cauchy_cfg(**over):
         "noise": {"etas": [1e-2, 1e-4], "seeds": [11, 12, 13]},
     }
     base.update(over)
-    return ExperimentConfig.from_dict(base)
+    return normalize_config(base)
 
 
 def test_cauchy_truth_side_defaults_to_the_free_side():
@@ -492,7 +515,7 @@ def test_cauchy_morozov_clamps_per_column():
 
 def test_cauchy_report_determinism_quick():
     a = run_cauchy(_cauchy_cfg())
-    b = run_cauchy(ExperimentConfig.from_dict(a.config_echo))
+    b = run_cauchy(normalize_config(a.config_echo))
     assert a.csv_text() == b.csv_text()
     assert a.fits_csv_text() == b.fits_csv_text()
     sa, sb = a.sidecar(), b.sidecar()
@@ -511,7 +534,7 @@ def test_localization_quotient_algebra(small_restriction):
 
 
 def test_localization_rejects_overlap():
-    cfg = ExperimentConfig.from_dict({
+    cfg = normalize_config({
         "tag": "localization",
         "grid": {"n": [8, 8, 8], "h": 0.125},
         "regions": {"M": {"kind": "ball", "center": [0.5, 0.5, 0.5], "r": 0.2},
@@ -522,7 +545,7 @@ def test_localization_rejects_overlap():
 
 
 def _localization_cfg():
-    return ExperimentConfig.from_dict({
+    return normalize_config({
         "tag": "localization",
         "grid": {"n": [8, 8, 8], "h": 0.125},
         "patch": {"side": "x-", "collar": "exclude_rim"},
@@ -581,7 +604,7 @@ def test_drivers_build_one_trace_gram(monkeypatch):
 
 def test_propagation_data_ball_contains_g():
     # G inside the data ball: the two-factor bound holds with delta = 1, C = 1
-    cfg = ExperimentConfig.from_dict({
+    cfg = normalize_config({
         "tag": "propagation",
         "grid": {"n": [8, 8, 8], "h": 0.125},
         "patch": {"side": "x-"},
@@ -595,7 +618,7 @@ def test_propagation_data_ball_contains_g():
 
 
 def test_propagation_rejects_margin_conflict():
-    cfg = ExperimentConfig.from_dict({
+    cfg = normalize_config({
         "tag": "propagation",
         "grid": {"n": [8, 8, 8], "h": 0.125},
         "regions": {"G": {"kind": "ball", "center": [0.5, 0.5, 0.5], "r": 0.2}},
@@ -608,7 +631,7 @@ def test_propagation_rejects_margin_conflict():
 def test_report_determinism_quick():
     cfg = _cfg(three_balls={"n_samples": 5, "seed": 0})
     a = run_three_balls(cfg)
-    b = run_three_balls(ExperimentConfig.from_dict(a.config_echo))
+    b = run_three_balls(normalize_config(a.config_echo))
     assert a.csv_text() == b.csv_text()
     sa, sb = a.sidecar(), b.sidecar()
     sa.pop("volatile")
@@ -635,7 +658,7 @@ def test_localization_reference_config():
 
 
 def test_schema_balls_and_material_params():
-    cfg = ExperimentConfig.from_dict({
+    cfg = normalize_config({
         "tag": "three_balls",
         "grid": {"n": [8, 8, 8], "h": 0.125},
         "material": {"kind": "smooth", "params": {"amplitude": 0.2}},
@@ -646,12 +669,11 @@ def test_schema_balls_and_material_params():
     assert cfg["material"]["seed"] == 0
     assert cfg["three_balls"]["r1"] == 0.12
     assert cfg["propagation"]["x0"] == [0.5, 0.5, 0.5]
-    again = ExperimentConfig.from_dict(cfg.echo())
-    assert again.data == cfg.data
+    assert normalize_config(cfg) == cfg
 
 
 def test_three_balls_smooth_material():
-    cfg = ExperimentConfig.from_dict({
+    cfg = normalize_config({
         "tag": "three_balls",
         "grid": {"n": [8, 8, 8], "h": 0.125},
         "material": {"kind": "smooth", "seed": 5, "amplitude": 0.25},
@@ -708,14 +730,14 @@ def test_runge_target_keeps_2h_from_its_region(small_restriction):
 def test_verify_uses_its_solver_block(monkeypatch):
     base = {"tag": "verify_solver", "grid": {"n": [4, 4, 4], "h": 0.25}, "omega": 2.0,
             "verify": {"levels": 2}, "tolerances": {"convergence_order": 1.5}}
-    direct = run_verify_solver(ExperimentConfig.from_dict(
+    direct = run_verify_solver(normalize_config(
         dict(base, solver={"direct_limit": 10 ** 9})))
 
     factorizations = []
     splu = rl.solver.spla.splu
     monkeypatch.setattr(rl.solver.spla, "splu",
                         lambda *a, **k: factorizations.append(1) or splu(*a, **k))
-    krylov = run_verify_solver(ExperimentConfig.from_dict(
+    krylov = run_verify_solver(normalize_config(
         dict(base, solver={"direct_limit": 0})))
     assert factorizations == []
     assert krylov.fits[0]["orders"] == pytest.approx(direct.fits[0]["orders"], abs=1e-8)
