@@ -30,10 +30,10 @@ def parse_config(text: str, tag=None, out=None, cache=None, seed=None) -> dict:
     if isinstance(raw, dict):
         if tag is not None:
             raw["tag"] = tag
-        if out:
-            raw.setdefault("output", {})["dir"] = out
-        if cache:
-            raw.setdefault("cache", {})["dir"] = cache
+        for key, value in (("output", out), ("cache", cache)):
+            # a section that is not an object is left for normalize_config
+            if value and isinstance(raw.setdefault(key, {}), dict):
+                raw[key]["dir"] = value
         if seed is not None:
             raw["seed"] = seed
     return normalize_config(raw)

@@ -64,6 +64,12 @@ def _check_int(name, value, least):
         raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+# config keys that hold a JSON object when present, a parent before its child
+_SECTIONS = ("grid", "material", "patch", "exponents", "regions", "regions.balls", "three_balls",
+             "propagation", "noise", "runge", "localization", "truth", "regularization",
+             "solver", "verify", "output", "cache", "tolerances")
+
+
 def normalize_config(raw: dict) -> dict:
     """Fill defaults and enforce the cross-field invariants; returns a plain
     dict that re-normalizes to itself (the sidecar echo)."""
@@ -73,6 +79,11 @@ def normalize_config(raw: dict) -> dict:
     tag = cfg.get("tag")
     if tag not in TAGS:
         raise ConfigurationError(f"config field 'tag' must be one of {TAGS}, got {tag!r}")
+    for key in _SECTIONS:
+        parent, _, leaf = key.rpartition(".")
+        value = (cfg.get(parent, {}) if parent else cfg).get(leaf, {})
+        if not isinstance(value, dict):
+            raise ConfigurationError(f"config section {key} must be a JSON object, got {value!r}")
 
     grid = cfg.setdefault("grid", {})
     grid.setdefault("n", [12, 12, 12])
@@ -162,6 +173,12 @@ def normalize_config(raw: dict) -> dict:
     for k, v in _DEFAULT_TOLERANCES.items():
         tol.setdefault(k, v)
     _check_int("seed", cfg.setdefault("seed", 0), 0)
+    if tag == "propagation":
+        missing = [f"propagation.{k}" for k in ("x0", "r0", "margin_h")
+                   if k not in cfg.get("propagation", {})] + ["regions.G"] * ("G" not in regions)
+        if missing:
+            raise ConfigurationError(f"propagation needs {', '.join(missing)} (x0, r0 and "
+                                     f"margin_h may also come from regions.balls)")
     return cfg
 
 
@@ -290,11 +307,7 @@ def build_scene(cfg: dict) -> Scene:
     g = geometry.build_grid(cfg["grid"]["n"], cfg["grid"]["h"], cfg["grid"]["origin"])
     mat = materials.make_material(g, cfg["material"])
     sys_ = _assemble(cfg, g, mat)
-    pspec = cfg["patch"]
-    window = pspec["window"]
-    if window is not None:
-        window = (window[0], window[1])
-    patch = geometry.boundary_patch(g, pspec["side"], window)
+    patch = geometry.boundary_patch(g, cfg["patch"]["side"], cfg["patch"]["window"])
     lo = g.origin
     hi = g.origin + np.array(g.n) * g.h
     omega_region = geometry.carve_region(
@@ -354,20 +367,15 @@ def run_verify_solver(cfg: dict) -> Report:
             f"verify compares with a plane wave in a constant medium, not kind {kind!r}")
     sol = oracle.plane_wave(k, p, omega, *_scalar_medium(cfg["material"]))
 
-    grids = []
-    for lvl in range(levels):
-        factor = 2 ** lvl
-        n = [v * factor for v in base["n"]]
-        grids.append(geometry.build_grid(n, base["h"] / factor, base["origin"]))
+    grids = [geometry.build_grid([v * 2 ** lvl for v in base["n"]], base["h"] / 2 ** lvl,
+                                 base["origin"]) for lvl in range(levels)]
     slv = cfg["solver"]
     rows = oracle.convergence_study(sol, grids, omega=omega, material_spec=cfg["material"],
                                     resonance_threshold=slv["resonance_threshold"],
                                     solver_tol=slv["tol"], direct_limit=slv["direct_limit"])
 
-    records = []
-    for lvl, (h, err, order) in enumerate(rows):
-        records.append({"level": lvl, "h": h, "rel_error": err,
-                        "order": order if order is not None else 0.0})
+    records = [{"level": lvl, "h": h, "rel_error": err, "order": 0.0 if order is None else order}
+               for lvl, (h, err, order) in enumerate(rows)]
     defect = solver.mimetic_defect(grids[0])
     orders = [r[2] for r in rows if r[2] is not None]
     tol = cfg["tolerances"]
@@ -842,11 +850,7 @@ def run_propagation(cfg: dict, scene: Scene | None = None) -> Report:
     records = [{"sample": i, "seed": seed, "ball_norm": a1, "g_norm": ag, "omega_norm": az,
                 "chain_count": max(chain_counts), "cover_count": len(cover)}
                for i, (seed, (a1, ag, az)) in enumerate(zip(seeds, rows))]
-    flags = {
-        "delta_interior": interior,
-        "bound_holds": holds,
-        "chains_valid": True,
-    }
+    flags = {"delta_interior": interior, "bound_holds": holds, "chains_valid": True}
     budgets = StabilityBudget(eta=max(r[0] for r in rows),
                               zeta=max(r[2] for r in rows)).as_dict()
     return Report("propagation", cfg, records, [fit.row()], flags, budgets)

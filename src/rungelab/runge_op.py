@@ -68,7 +68,7 @@ def operator_provenance(sys: SystemMatrix, gram: TraceGram, volume: VolumeWeight
         "collar": gram.collar,
         # the solve that built the columns: its tolerance and its route
         "solver_tol": sys.solver_tol,
-        "direct": sys.direct,
+        "route": "transform" if sys.constant else "lu" if sys.direct else "minres",
     }
     return store.provenance_hash(desc)
 

@@ -11,8 +11,8 @@ stencil-by-stencil.
 
 Tangential boundary data is imposed by lifting: only interior edges are
 unknowns, boundary edges move to the right-hand side.  The reduced matrix is
-real symmetric; complex data is solved through its real and imaginary parts
-against one factorization.
+real symmetric; complex data is solved as one real block of its real and
+imaginary parts.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ _M1D = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
 # sides, but in other media MINRES runs and the factorization pays for itself
 # after a few of them.  So the limit keeps 12^3 (4,356 interior edges: the
 # many-RHS runge and three-ball studies) direct and sends 15^3 (8,820) and
-# larger to the Krylov path.  Below it the limit routes vectors and
-# non-constant media only: a block in a constant scalar medium takes the
-# transform on either path.  Verify, one right-hand side per system, defaults
-# to 0 (``experiments.normalize_config``).
+# larger to the Krylov path.  Below it the limit routes real vectors and
+# non-constant media only: a block or complex right-hand side in a constant
+# scalar medium takes the transform on either path.  Verify, one right-hand
+# side per system, defaults to 0 (``experiments.normalize_config``).
 DIRECT_LIMIT = 8_000
 SOLVER_TOL = 1e-10
 KRYLOV_MAXITER = 10_000
@@ -257,6 +257,19 @@ def mode_table(grid: Grid):
     return node, lams
 
 
+def mode_matrices(grid: Grid):
+    """Per axis d, the orthonormal DCT-II matrix of size n_d and the
+    orthonormal DST-I matrix of size n_d - 1, row m holding ``mode_table``'s
+    mode m (from 0 and from 1).  Both are orthogonal; DST-I is symmetric."""
+    out = []
+    for n in grid.n:
+        j = np.arange(n)
+        scale = np.sqrt((2.0 - (j == 0)) / n)[:, None]
+        out.append((scale * np.cos(np.pi * np.outer(j, 2 * j + 1) / (2 * n)),
+                    np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(j[1:], j[1:]) / n)))
+    return out
+
+
 def reference_inverse(grid: Grid, omega, eps0, deps, nu0, dnu,
                       signed=False) -> spla.LinearOperator:
     """|L0|^-1 on interior edges, the MINRES preconditioner, or with
@@ -275,9 +288,8 @@ def reference_inverse(grid: Grid, omega, eps0, deps, nu0, dnu,
     is floored there and M stays bounded near a resonance of the reference
     medium.  With signs kept, this is the exact inverse of L_II for any
     constant scalar medium (where deps = dnu = 0 and the floor is rounding).
+    Each transform is one product with a ``mode_matrices`` entry per axis.
     """
-    import scipy.fft as fft  # loaded by the transform and Krylov paths only
-
     h = grid.h
     shift = omega ** 2 * eps0
     node, lams = mode_table(grid)
@@ -292,11 +304,14 @@ def reference_inverse(grid: Grid, omega, eps0, deps, nu0, dnu,
     grad = (-1.0 if signed else 1.0) / (h ** 3 * shift)
     swap = [(grad - d_rem[a][own[a]]) * node[a] / lam_node for a in range(3)]
     bounds = np.cumsum([0] + [lam.size for lam in lams])
+    pairs = mode_matrices(grid)
 
     def transform(x, a, inverse=False):
-        other = tuple(d for d in range(3) if d != a)
-        dct = fft.idct if inverse else fft.dct
-        return fft.dstn(dct(x, type=2, axis=a, norm="ortho"), type=1, axes=other, norm="ortho")
+        # DCT-II along a, DST-I along the other axes; the inverse transposes
+        t = [pairs[d][d != a].T if inverse else pairs[d][d != a] for d in range(3)]
+        p, q, r, k = x.shape
+        x = (t[0] @ x.reshape(p, q * r * k)).reshape(p, q, r * k)
+        return (t[2] @ (t[1] @ x).reshape(p * q, r, k)).reshape(p, q, r, k)
 
     def apply(r):
         """The mode table over the columns of an (n, k) block; an (n,)
@@ -327,10 +342,11 @@ class SystemMatrix:
     once; it solves a constant scalar medium outright.  The Krylov path
     tries it first for every medium and runs MINRES, preconditioned with
     |L0|^-1, on the columns whose true residual misses the tolerance.  The
-    direct path uses it for blocks in a constant scalar medium only, and
-    sends the columns that miss to the factorization.  Immutable after
-    assembly apart from the lazily built factorization and reference
-    inverses and the cached resonance margin.
+    direct path uses it for every block and complex right-hand side in a
+    constant scalar medium (``solve_interior``), and factorizes for the
+    columns that miss and for everything else.  Immutable after assembly
+    apart from the lazily built factorization and reference inverses and
+    the cached resonance margin.
     """
 
     def __init__(self, grid, material, omega, L, curl, mu_inv_point, solver_tol,
@@ -386,37 +402,37 @@ class SystemMatrix:
     def solve_interior(self, rhs):
         """Solve L_II x = rhs for an (n,) vector or an (n, k) block.
 
-        Complex right-hand sides are solved through their real and imaginary
-        parts against the real factorization (or the real Krylov solver); a
-        part that is all zero is not solved, its solution is exactly zero.
-        A block in a constant scalar medium takes the transform start on
-        either path, and only its columns that miss ``solver_tol`` go on to
-        the path's own solver; a vector on the direct path goes to the
-        factorization, which the resonance guard builds on that path anyway.
+        A complex right-hand side is solved as one real block: its real and
+        imaginary parts side by side, less the columns that are all zero,
+        whose solutions are exactly zero.  A block in a constant scalar
+        medium takes the transform start on either path, and only its
+        columns that miss ``solver_tol`` go on to the path's own solver.  So
+        on the direct path only a real (n,) vector, the resonance guard's,
+        goes to the factorization outright.
         """
         if not np.iscomplexobj(rhs):
             return self._solve_real(rhs)
-        re, im = (self._solve_real(p) if p.any() else np.zeros(p.shape)
-                  for p in (rhs.real, rhs.imag))
-        return re + 1j * im
+        cols = np.reshape(rhs, (len(rhs), -1))
+        parts = np.hstack([cols.real, cols.imag])
+        live = parts.any(axis=0)
+        x = np.zeros(parts.shape)
+        if live.any():
+            x[:, live] = self._solve_real(parts[:, live])
+        k = cols.shape[1]
+        return (x[:, :k] + 1j * x[:, k:]).reshape(rhs.shape)
 
     def _solve_real(self, b):
-        if not self.direct:
-            return self._solve_krylov(b)
-        if b.ndim == 1 or not self.constant:
+        if self.direct and (b.ndim == 1 or not self.constant):
             return self._factorize().solve(b)
-        x, miss = self._transform_start(b, self.solver_tol)
-        if miss.any():
-            x[:, miss] = self._factorize().solve(b[:, miss])
-        return x
-
-    def _solve_krylov(self, b):
-        x, miss = self._transform_start(b, self.solver_tol)
-        if b.ndim == 1:
-            return self._minres_restarts(b) if miss else x
-        for j in np.flatnonzero(miss):
-            x[:, j] = self._minres_restarts(b[:, j])
-        return x
+        B = np.reshape(b, (len(b), -1))
+        X, miss = self._transform_start(B, self.solver_tol)
+        # the columns that miss go on to the path's own solver
+        if self.direct and miss.any():
+            X[:, miss] = self._factorize().solve(B[:, miss])
+        elif not self.direct:
+            for j in np.flatnonzero(miss):
+                X[:, j] = self._minres_restarts(B[:, j])
+        return X.reshape(b.shape)
 
     def _minres_restarts(self, b):
         # minres stops on its preconditioned residual estimate relative to

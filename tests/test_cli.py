@@ -37,6 +37,14 @@ def test_parse_config_invariants():
     assert "q0" in str(err.value)
 
 
+@pytest.mark.parametrize("section", ["output", "cache"])
+@pytest.mark.parametrize("value", [None, ["x"]])
+def test_parse_config_override_of_a_section_that_is_not_an_object(section, value):
+    # --out and --cache used to index a null or list section with a TypeError
+    with pytest.raises(ConfigurationError, match=f"config section {section} must be"):
+        parse_config(json.dumps({"tag": "three_balls", section: value}), out="o", cache="c")
+
+
 def test_run_verify_exit_zero(tmp_path, capsys):
     cfg = _write(tmp_path, "v.json", QUICK_VERIFY)
     out = str(tmp_path / "out")
@@ -136,8 +144,9 @@ def test_every_command_releases_the_free_heap(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_import_loads_neither_ndimage_nor_fft():
-    # both are loaded by the first call that needs them, so a command that
-    # never tests a region or runs a Krylov solve does not pay for them
+    # ndimage is loaded by the first call that needs it, so a command that
+    # never tests a region does not pay for it; the transforms are dense
+    # matrix products and need no scipy.fft
     import rungelab
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(rungelab.__file__)))
@@ -235,14 +244,22 @@ def test_runge_cache_roundtrip_via_cli(tmp_path):
 
 
 def test_cache_entry_of_the_other_solver_route_is_rebuilt(tmp_path):
-    krylov = copy.deepcopy(RUNGE_SMALL)
-    krylov["solver"] = {"direct_limit": 0}
-    cfgs = [_write(tmp_path, "d.json", RUNGE_SMALL), _write(tmp_path, "k.json", krylov)]
+    smooth = {"kind": "smooth", "seed": 3, "amplitude": 0.3}
+    cfgs = []
+    for material in (smooth, None):
+        for limit in (None, 0):
+            cfg = copy.deepcopy(RUNGE_SMALL)
+            if material:
+                cfg["material"] = material
+            if limit is not None:
+                cfg["solver"] = {"direct_limit": limit}
+            cfgs.append(_write(tmp_path, f"{len(cfgs)}.json", cfg))
     cache = str(tmp_path / "cache")
     for i, cfg in enumerate(cfgs):
         assert main(["--out", str(tmp_path / f"o{i}"), "--cache", cache, "run", cfg]) in (0, 2)
-    # the MINRES run wrote its own entry instead of reading the direct one
-    assert len([n for n in os.listdir(cache) if n.endswith(".rgfo")]) == 2
+    # the MINRES run wrote its own entry instead of reading the LU one; a
+    # vacuum takes the transform on either path and shares one entry
+    assert len([n for n in os.listdir(cache) if n.endswith(".rgfo")]) == 3
 
 
 def _forge_version_one(path):

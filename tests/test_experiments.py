@@ -101,6 +101,39 @@ def test_rejects_bad_top_level_integers(raw, message):
         normalize_config({"tag": "verify_solver", **raw})
 
 
+@pytest.mark.parametrize("value", [None, [], [1, 2], "x", 3])
+@pytest.mark.parametrize("key", ["noise", "output", "patch", "exponents", "grid", "material",
+                                 "regions", "regions.balls", "solver", "tolerances",
+                                 "localization", "truth"])
+def test_rejects_a_section_that_is_not_an_object(key, value):
+    # a null or list section used to die in setdefault with an AttributeError
+    section, _, sub = key.partition(".")
+    raw = {"tag": "three_balls", section: {sub: value} if sub else value}
+    with pytest.raises(ConfigurationError, match=f"config section {key} must be a JSON object"):
+        normalize_config(raw)
+
+
+_PROPAGATION = {"tag": "propagation",
+                "regions": {"G": {"kind": "box", "lo": [0.2] * 3, "hi": [0.8] * 3}},
+                "propagation": {"x0": [0.5] * 3, "r0": 0.24, "margin_h": 0.1}}
+
+
+@pytest.mark.parametrize("drop", ["x0", "r0", "margin_h", "G"])
+def test_propagation_requires_its_geometry(drop):
+    # run_propagation used to die with a KeyError after assembling the system
+    raw = json.loads(json.dumps(_PROPAGATION))
+    section = raw["regions"] if drop == "G" else raw["propagation"]
+    del section[drop]
+    name = "regions.G" if drop == "G" else f"propagation.{drop}"
+    with pytest.raises(ConfigurationError, match=f"propagation needs {name} "):
+        normalize_config(raw)
+    normalize_config(_PROPAGATION)
+    # regions.balls supplies the ball
+    balls = {"center": [0.5] * 3, "r0": 0.24, "margin_h": 0.1}
+    normalize_config({"tag": "propagation", "regions": {"G": _PROPAGATION["regions"]["G"],
+                                                        "balls": balls}})
+
+
 def test_budget_validation():
     with pytest.raises(ConfigurationError):
         StabilityBudget(eta=-1.0)

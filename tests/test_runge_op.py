@@ -321,18 +321,29 @@ def test_operator_cache_provenance(tmp_path, small_restriction, grid8):
         load_operator(path, gram, volume, other_sys)
 
 
-def test_operator_provenance_names_the_solver(tmp_path, small_restriction, grid8, vacuum8):
-    # the same scene solved by MINRES, or directly at another tolerance
+def test_operator_provenance_names_the_solver(tmp_path, small_restriction, grid8, vacuum8,
+                                              monkeypatch):
+    # the route that solves the columns and its tolerance are keys: a smooth
+    # medium by LU, by MINRES, by the transform (the system taken for a
+    # constant one) and by LU at another tolerance
     sys_, gram, volume, op, _ = small_restriction
-    krylov = rl.assemble(grid8, vacuum8, 2.0, direct_limit=0)
-    loose = rl.assemble(grid8, vacuum8, 2.0, solver_tol=1e-8)
-    assert sys_.direct and not krylov.direct and loose.direct
-    provs = {operator_provenance(s, gram, volume) for s in (sys_, krylov, loose)}
-    assert len(provs) == 3
+    smooth = rl.make_material(grid8, {"kind": "smooth", "seed": 3, "amplitude": 0.3})
+    lu, minres, transform = (rl.assemble(grid8, smooth, 2.0, direct_limit=limit,
+                                         check_resonance=False)
+                             for limit in (rl.solver.DIRECT_LIMIT, 0, rl.solver.DIRECT_LIMIT))
+    monkeypatch.setattr(transform, "constant", True)
+    loose = rl.assemble(grid8, smooth, 2.0, solver_tol=1e-8, check_resonance=False)
+    assert lu.direct and not minres.direct and not lu.constant
+    provs = {operator_provenance(s, gram, volume) for s in (lu, minres, transform, loose)}
+    assert len(provs) == 4
+    # a constant medium takes the transform on either path: one key, one entry
     path = tmp_path / "op.rgfo"
     save_operator(op, path)
+    krylov = rl.assemble(grid8, vacuum8, 2.0, direct_limit=0)
+    assert sys_.direct and not krylov.direct
+    assert load_operator(path, gram, volume, krylov).provenance == op.provenance
     with pytest.raises(BadProvenanceError):
-        load_operator(path, gram, volume, krylov)
+        load_operator(path, gram, volume, rl.assemble(grid8, vacuum8, 2.0, solver_tol=1e-8))
 
 
 def _provenance(sys_, region, patch):
@@ -371,7 +382,8 @@ def test_operator_provenance_tells_mirrored_materials_apart(grid8):
 
 def test_reference_operator_provenance_is_pinned(reference_runge_scene):
     # the key names the cache entry: a change here orphans every operator
-    # cached from configs/runge_reference.json
+    # cached from configs/runge_reference.json (as naming the transform route
+    # did every entry the factorization had built)
     cfg, scene, gram, volume, op, _, _ = reference_runge_scene
-    assert op.provenance == 0x5f8f85a9e9147bf9
+    assert op.provenance == 0x4f011fed0c5062af
     assert operator_provenance(scene.system, gram, volume) == op.provenance

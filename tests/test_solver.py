@@ -352,9 +352,13 @@ def test_solve_interior_skips_zero_parts(grid8, vacuum8, direct_limit, ncols, mo
         cols = rng.choice(sys_.L_IB.shape[1], size=3, replace=False)
         unit = -sys_.L_IB[:, cols].toarray()
         b = unit[:, 0].copy() if ncols is None else unit
-        # the two-part solve, with the zero part solved too
-        cases = [b + 0j, 1j * b]
-        refs = [sys_._solve_real(rhs.real) + 1j * sys_._solve_real(rhs.imag) for rhs in cases]
+        # the real block of one live part, and of both parts side by side
+        b2 = np.reshape(b, (len(b), -1))
+        k = b2.shape[1]
+        one = sys_._solve_real(b2).reshape(b.shape)
+        two = sys_._solve_real(np.hstack([b2, b2]))
+        cases = [(b + 0j, one + 0j, "imag"), (1j * b, 1j * one, "real"),
+                 (b + 1j * b, (two[:, :k] + 1j * two[:, k:]).reshape(b.shape), None)]
         calls = _count_solves(monkeypatch, sys_)
 
         def solves(rhs):
@@ -362,26 +366,29 @@ def test_solve_interior_skips_zero_parts(grid8, vacuum8, direct_limit, ncols, mo
             x = sys_.solve_interior(rhs)
             return dict(calls), x
 
-        # per part: a vacuum block takes one transform on either path; other
-        # parts on the direct path take one LU solve and no transform; the
-        # Krylov path starts every part with one transform, and in a
-        # non-constant medium runs MINRES on each of its columns
-        if sys_.direct:
-            want = {"transform": 1} if sys_.constant and ncols else {"lu": 1}
-        else:
-            want = {"transform": 1} if sys_.constant else {"transform": 1, "minres": ncols or 1}
-        assert solves(b)[0] == want
-        assert solves(b + 1j * b)[0] == {kind: 2 * n for kind, n in want.items()}
-        for rhs, ref in zip(cases, refs):
+        def want(m):
+            # one real block of m columns: in a vacuum one transform on
+            # either path; otherwise one LU solve on the direct path, and on
+            # the Krylov path one transform and MINRES on each column
+            if sys_.constant:
+                return {"transform": 1}
+            return {"lu": 1} if sys_.direct else {"transform": 1, "minres": m}
+
+        # a real vector on the direct path goes to the factorization
+        assert solves(b)[0] == ({"lu": 1} if sys_.direct and ncols is None else want(k))
+        for rhs, ref, skipped in cases:
             n, x = solves(rhs)
-            assert n == want
+            assert n == want(k if skipped else 2 * k)
             assert x.dtype == complex and x.shape == rhs.shape
             assert np.array_equal(x, ref)
-            # the bytes agree up to the sign of zero: a solve of a zero part
-            # can give -0.0 (SuperLU where its pivot is negative, the signed
-            # transform where a mode's sign is), which the sum then carries
-            # into exact zeros of the other part; a skipped part is +0.0
+            # the bytes agree up to the sign of zero: a solve of a zero
+            # entry can give -0.0 (SuperLU where its pivot is negative, the
+            # signed transform where a mode's sign is), which the sum then
+            # carries into exact zeros of the other part
             assert (x + 0.0).tobytes() == (ref + 0.0).tobytes()
+            # a skipped part is +0.0
+            if skipped:
+                assert getattr(x, skipped).tobytes() == np.zeros(x.shape).tobytes()
 
 
 def test_suggest_detuned_propagates_unexpected_errors(grid8, vacuum8, monkeypatch):
@@ -566,6 +573,44 @@ def test_vacuum_block_on_the_direct_path_builds_no_factorization(grid8, vacuum8)
     assert sys_._lu is None
     res = np.linalg.norm(sys_.L_II @ X - B, axis=0) / np.linalg.norm(B, axis=0)
     assert res.max() <= sys_.solver_tol
+
+
+def test_complex_vector_on_the_direct_path_takes_the_transform(grid8, vacuum8, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    splu = spla.splu
+    built = []
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: built.append(1) or splu(*a, **k))
+    sys_ = assemble(grid8, vacuum8, 2.0)   # the guard factorizes on the direct path
+    assert sys_.direct and sys_.constant and len(built) == 1
+    calls = _count_solves(monkeypatch, sys_)
+    b = rng_complex(np.random.default_rng(24), sys_.dimension)
+    x = sys_.solve_interior(b)
+    assert dict(calls) == {"transform": 1}
+    assert len(built) == 1
+    assert np.linalg.norm(sys_.L_II @ x - b) <= sys_.solver_tol * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("shape", [(8, 10, 6), (5, 7, 9)])
+def test_mode_matrices_are_the_orthonormal_transforms(shape):
+    import scipy.fft as fft
+
+    g = rl.build_grid(shape, 0.1)
+    for n, (dct, dst) in zip(shape, rl.solver.mode_matrices(g)):
+        assert dct.shape == (n, n) and dst.shape == (n - 1, n - 1)
+        assert np.abs(dct - fft.dct(np.eye(n), type=2, axis=0, norm="ortho")).max() <= 1e-14
+        assert np.abs(dst - fft.dst(np.eye(n - 1), type=1, axis=0, norm="ortho")).max() <= 1e-14
+
+
+def test_transform_start_meets_its_tolerance_at_32():
+    g = rl.build_grid((32, 32, 32), 1.0 / 32)
+    mat = rl.make_material(g, {"kind": "constant", "eps": 1.0, "mu": 1.0})
+    sys_ = assemble(g, mat, 2.0, direct_limit=0, check_resonance=False)
+    B = np.random.default_rng(25).standard_normal((sys_.dimension, 4))
+    X, miss = sys_._transform_start(B, 1e-11)
+    assert not miss.any()
+    res = np.linalg.norm(sys_.L_II @ X - B, axis=0) / np.linalg.norm(B, axis=0)
+    assert res.max() <= 1e-11
 
 
 @pytest.mark.parametrize("direct_limit", [rl.solver.DIRECT_LIMIT, 0])
