@@ -58,16 +58,29 @@ def _check_ints(name, values, rule, ok):
         raise ConfigurationError(f"{name} must be {rule}, got {values!r}")
 
 
-def _check_int(name, value, least):
-    """Raise unless ``value`` is an integer >= ``least``."""
-    if not (type(value) is int and value >= least):
-        raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
+def _check_number(cfg, key, rule, ok):
+    """Raise unless the dotted ``key``, when present, is a number passing ``ok``."""
+    section, _, leaf = key.rpartition(".")
+    holder = cfg.get(section, {}) if section else cfg
+    if leaf in holder and not (type(holder[leaf]) in (int, float) and ok(holder[leaf])):
+        raise ConfigurationError(f"{key} must be {rule}, got {holder[leaf]!r}")
 
 
-# config keys that hold a JSON object when present, a parent before its child
-_SECTIONS = ("grid", "material", "patch", "exponents", "regions", "regions.balls", "three_balls",
-             "propagation", "noise", "runge", "localization", "truth", "regularization",
-             "solver", "verify", "output", "cache", "tolerances")
+# config keys that hold a JSON object when present
+_SECTIONS = ("grid", "material", "patch", "exponents", "regions", "three_balls", "propagation",
+             "noise", "runge", "localization", "truth", "regularization", "solver", "verify",
+             "output", "cache", "tolerances")
+# keys no longer read, and where their entries go instead
+_REMOVED = {"regions.balls": "three_balls {center, r1, r2, r3} and propagation {x0, r0, margin_h}",
+            "material.params": "material itself"}
+# numbers the drivers read: integers with their least value (the Holder fit
+# needs three samples, numpy seeds are >= 0), then finite numbers > 0 or >= 0
+_INTEGERS = (("three_balls.n_samples", 3), ("propagation.n_samples", 3),
+             ("propagation.n_paths", 1), ("three_balls.seed", 0), ("propagation.seed", 0),
+             ("localization.seed", 0), ("verify.levels", 2), ("seed", 0))
+_POSITIVE = ("omega", "runge.C", "runge.m", "three_balls.r1", "three_balls.r2", "three_balls.r3",
+             "propagation.r0", "propagation.margin_h", "localization.eps_reg", "truth.width")
+_NONNEGATIVE = ("regularization.lambda", "three_balls.m0")
 
 
 def normalize_config(raw: dict) -> dict:
@@ -80,10 +93,13 @@ def normalize_config(raw: dict) -> dict:
     if tag not in TAGS:
         raise ConfigurationError(f"config field 'tag' must be one of {TAGS}, got {tag!r}")
     for key in _SECTIONS:
-        parent, _, leaf = key.rpartition(".")
-        value = (cfg.get(parent, {}) if parent else cfg).get(leaf, {})
-        if not isinstance(value, dict):
-            raise ConfigurationError(f"config section {key} must be a JSON object, got {value!r}")
+        if not isinstance(cfg.get(key, {}), dict):
+            raise ConfigurationError(
+                f"config section {key} must be a JSON object, got {cfg[key]!r}")
+    for key, home in _REMOVED.items():
+        section, _, leaf = key.partition(".")
+        if leaf in cfg.get(section, {}):
+            raise ConfigurationError(f"config key {key} was removed; set its entries in {home}")
 
     grid = cfg.setdefault("grid", {})
     grid.setdefault("n", [12, 12, 12])
@@ -91,9 +107,6 @@ def normalize_config(raw: dict) -> dict:
     grid.setdefault("origin", [0.0, 0.0, 0.0])
 
     material = cfg.setdefault("material", {"kind": "constant", "eps": 1.0, "mu": 1.0})
-    if "params" in material:
-        for k, v in material.pop("params").items():
-            material.setdefault(k, v)
     if material.get("kind") == "smooth":
         material.setdefault("seed", 0)
     cfg.setdefault("omega", 2.0)
@@ -120,17 +133,6 @@ def normalize_config(raw: dict) -> dict:
     exps["theta"] = theta_id
 
     regions = cfg.setdefault("regions", {})
-    balls = regions.get("balls")
-    if balls:
-        tb = cfg.setdefault("three_balls", {})
-        for key in ("center", "r1", "r2", "r3"):
-            if key in balls:
-                tb.setdefault(key, balls[key])
-        prop = cfg.setdefault("propagation", {})
-        for src_key, dst_key in (("x0", "x0"), ("center", "x0"), ("r0", "r0"),
-                                 ("margin_h", "margin_h")):
-            if src_key in balls:
-                prop.setdefault(dst_key, balls[src_key])
     noise = cfg.setdefault("noise", {})
     noise.setdefault("etas", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
     etas = noise["etas"]
@@ -152,12 +154,6 @@ def normalize_config(raw: dict) -> dict:
     if "cutoffs" in (cfg.get("localization") or {}):
         _check_ints("localization.cutoffs", cfg["localization"]["cutoffs"],
                     "a non-empty list of positive integers", lambda cs: min(cs) >= 1)
-    # the Holder fit needs three samples; numpy seeds are integers >= 0
-    for section, key, least in (("three_balls", "n_samples", 3), ("propagation", "n_samples", 3),
-                                ("propagation", "n_paths", 1), ("three_balls", "seed", 0),
-                                ("propagation", "seed", 0), ("localization", "seed", 0)):
-        if key in (cfg.get(section) or {}):
-            _check_int(f"{section}.{key}", cfg[section][key], least)
     cfg.setdefault("regularization", {"strategy": "morozov", "lambda": 1e-12})
     cfg["regularization"].setdefault("strategy", "morozov")
     cfg["regularization"].setdefault("lambda", 1e-12)
@@ -166,36 +162,25 @@ def normalize_config(raw: dict) -> dict:
     slv.setdefault("tol", solver.SOLVER_TOL)
     # verify solves one right-hand side per system: the Krylov path is cheaper
     slv.setdefault("direct_limit", 0 if tag == "verify_solver" else solver.DIRECT_LIMIT)
-    _check_int("verify.levels", cfg.setdefault("verify", {}).setdefault("levels", 3), 2)
+    cfg.setdefault("verify", {}).setdefault("levels", 3)
     cfg.setdefault("output", {}).setdefault("dir", "out")
     cfg.setdefault("cache", {}).setdefault("dir", None)
     tol = cfg.setdefault("tolerances", {})
     for k, v in _DEFAULT_TOLERANCES.items():
         tol.setdefault(k, v)
-    _check_int("seed", cfg.setdefault("seed", 0), 0)
+    cfg.setdefault("seed", 0)
+    for key, least in _INTEGERS:
+        _check_number(cfg, key, f"an integer >= {least}", lambda v: type(v) is int and v >= least)
+    for key in _POSITIVE:
+        _check_number(cfg, key, "a finite number > 0", lambda v: 0 < v < np.inf)
+    for key in _NONNEGATIVE:
+        _check_number(cfg, key, "a finite number >= 0", lambda v: 0 <= v < np.inf)
     if tag == "propagation":
         missing = [f"propagation.{k}" for k in ("x0", "r0", "margin_h")
                    if k not in cfg.get("propagation", {})] + ["regions.G"] * ("G" not in regions)
         if missing:
-            raise ConfigurationError(f"propagation needs {', '.join(missing)} (x0, r0 and "
-                                     f"margin_h may also come from regions.balls)")
+            raise ConfigurationError(f"propagation needs {', '.join(missing)}")
     return cfg
-
-
-@dataclass
-class StabilityBudget:
-    """Size bounds entering the conditional stability estimates."""
-
-    eta: float = 0.0
-    zeta: float = 0.0
-    m0: float = 0.0
-
-    def __post_init__(self):
-        if min(self.eta, self.zeta, self.m0) < 0:
-            raise ConfigurationError("stability budgets must be nonnegative")
-
-    def as_dict(self):
-        return {"eta": self.eta, "zeta": self.zeta, "m0": self.m0}
 
 
 _COLUMNS = {
@@ -310,8 +295,7 @@ def build_scene(cfg: dict) -> Scene:
     patch = geometry.boundary_patch(g, cfg["patch"]["side"], cfg["patch"]["window"])
     lo = g.origin
     hi = g.origin + np.array(g.n) * g.h
-    omega_region = geometry.carve_region(
-        g, {"kind": "box", "lo": lo.tolist(), "hi": hi.tolist()}, role="omega")
+    omega_region = geometry.carve_region(g, {"kind": "box", "lo": lo.tolist(), "hi": hi.tolist()})
     return Scene(g, mat, sys_, patch, omega_region)
 
 
@@ -397,7 +381,7 @@ def run_runge(cfg: dict, scene: Scene | None = None,
     calibration ladder alpha(j)."""
     scene = scene or build_scene(cfg)
     if svd is None:
-        region_a = geometry.carve_region(scene.grid, cfg["regions"]["A"], role="subdomain_A")
+        region_a = geometry.carve_region(scene.grid, cfg["regions"]["A"])
         gram = build_norm_weights(scene.patch, collar=cfg["patch"]["collar"])
         op = _operator_with_cache(cfg, scene, gram, VolumeWeights(region_a))
         svd = runge_op.weighted_svd(op)
@@ -731,9 +715,8 @@ def run_cauchy(cfg: dict, scene: Scene | None = None) -> Report:
         flags["m_positive"] = bool(fit.params["m"] > 0)
         flags["r2_ok"] = bool(fit.r2 >= tol["r2_log_modulus"])
         fits.append(fit.row())
-    budgets = StabilityBudget(eta=max(r[1] for r in medians), zeta=zeta).as_dict()
-    budgets["truth_kind"] = truth_kind
-    budgets["forward_disc_rel_error"] = float(disc_rel)
+    budgets = {"eta": max(r[1] for r in medians), "zeta": zeta, "m0": 0.0,
+               "truth_kind": truth_kind, "forward_disc_rel_error": float(disc_rel)}
     return Report("cauchy", cfg, records, fits, flags, budgets)
 
 
@@ -778,8 +761,8 @@ def run_three_balls(cfg: dict, scene: Scene | None = None) -> Report:
     hi = lo + np.array(scene.grid.n) * scene.grid.h
     if np.any(np.asarray(center) - r3 < lo) or np.any(np.asarray(center) + r3 > hi):
         raise GeometryError("outer ball must sit inside the box")
-    balls = [geometry.carve_region(scene.grid, {"kind": "ball", "center": center, "r": r},
-                                   role="ball") for r in (r1, r2, r3)]
+    balls = [geometry.carve_region(scene.grid, {"kind": "ball", "center": center, "r": r})
+             for r in (r1, r2, r3)]
 
     n_samples = int(spec.get("n_samples", 20))
     seed0 = int(spec.get("seed", cfg["seed"]))
@@ -795,7 +778,7 @@ def run_three_balls(cfg: dict, scene: Scene | None = None) -> Report:
         "holder_bound_holds": holds,
         "enough_samples": bool(n_samples >= 20),
     }
-    budgets = StabilityBudget(m0=m0).as_dict()
+    budgets = {"eta": 0.0, "zeta": 0.0, "m0": m0}
     return Report("three_balls", cfg, records, [fit.row()], flags, budgets)
 
 
@@ -813,11 +796,11 @@ def run_propagation(cfg: dict, scene: Scene | None = None) -> Report:
     if margin_h > r0 / 2:
         raise GeometryError(
             f"margin {margin_h:g} exceeds r0/2 = {r0 / 2:g}; the hypotheses conflict")
-    g_region = geometry.carve_region(scene.grid, cfg["regions"]["G"], role="probe_G")
+    g_region = geometry.carve_region(scene.grid, cfg["regions"]["G"])
     if not g_region.complement_connected() or not g_region.is_connected():
         raise GeometryError("probe region must be connected with connected complement")
-    half_ball = geometry.carve_region(
-        scene.grid, {"kind": "ball", "center": x0.tolist(), "r": r0 / 2}, role="ball")
+    half_ball = geometry.carve_region(scene.grid, {"kind": "ball", "center": x0.tolist(),
+                                                   "r": r0 / 2})
     if not np.all(g_region.mask[half_ball.mask]):
         raise GeometryError("B(x0, r0/2) must sit inside the probe region")
     dist = geometry.surface_distance(scene.grid, np.ones(scene.grid.n, dtype=bool))
@@ -826,8 +809,7 @@ def run_propagation(cfg: dict, scene: Scene | None = None) -> Report:
 
     r3 = margin_h / 2.0
     r1 = r3 / 9.0
-    data_ball = geometry.carve_region(
-        scene.grid, {"kind": "ball", "center": x0.tolist(), "r": r0}, role="ball")
+    data_ball = geometry.carve_region(scene.grid, {"kind": "ball", "center": x0.tolist(), "r": r0})
 
     n_paths = int(spec.get("n_paths", 3))
     seed0 = int(spec.get("seed", cfg["seed"]))
@@ -851,8 +833,7 @@ def run_propagation(cfg: dict, scene: Scene | None = None) -> Report:
                 "chain_count": max(chain_counts), "cover_count": len(cover)}
                for i, (seed, (a1, ag, az)) in enumerate(zip(seeds, rows))]
     flags = {"delta_interior": interior, "bound_holds": holds, "chains_valid": True}
-    budgets = StabilityBudget(eta=max(r[0] for r in rows),
-                              zeta=max(r[2] for r in rows)).as_dict()
+    budgets = {"eta": max(r[0] for r in rows), "zeta": max(r[2] for r in rows), "m0": 0.0}
     return Report("propagation", cfg, records, [fit.row()], flags, budgets)
 
 
@@ -864,8 +845,8 @@ def run_localization(cfg: dict, scene: Scene | None = None) -> Report:
     """Maximize field concentration on M against D through the spectral basis."""
     scene = scene or build_scene(cfg)
     spec = cfg.get("localization") or {}
-    m_region = geometry.carve_region(scene.grid, cfg["regions"]["M"], role="subdomain_A")
-    d_region = geometry.carve_region(scene.grid, cfg["regions"]["D"], role="exclusion_D")
+    m_region = geometry.carve_region(scene.grid, cfg["regions"]["M"])
+    d_region = geometry.carve_region(scene.grid, cfg["regions"]["D"])
     if np.any(m_region.mask & d_region.mask):
         raise GeometryError("localization regions M and D must be disjoint")
     gram = build_norm_weights(scene.patch, collar=cfg["patch"]["collar"])

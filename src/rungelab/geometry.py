@@ -194,24 +194,17 @@ class Grid:
 
 
 class Region:
-    """A voxel set inside the grid box with a role tag."""
+    """A nonempty voxel set inside the grid box, keyed by its mask."""
 
-    ROLES = ("omega", "subdomain_A", "exclusion_D", "probe_G", "ball", "margin")
-
-    def __init__(self, grid: Grid, mask, role="omega"):
+    def __init__(self, grid: Grid, mask):
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != grid.n:
             raise ConfigurationError(f"mask shape {mask.shape} != grid cells {grid.n}")
         if not mask.any():
             raise DegenerateRegionError("region mask is empty")
-        if role not in self.ROLES:
-            raise ConfigurationError(f"unknown region role {role!r}")
         self.grid = grid
         self.mask = mask
         self.mask.flags.writeable = False
-        self.role = role
-        if role == "subdomain_A" and not self.is_compactly_contained():
-            raise GeometryError("subdomain_A must keep one cell of wall clearance")
 
     def volume(self):
         return float(self.mask.sum()) * self.grid.h ** 3
@@ -235,10 +228,10 @@ class Region:
         return _component_count(self.mask) == 1
 
     def key(self):
-        return ("region", self.role, store.array_digest(self.mask))
+        return ("region", store.array_digest(self.mask))
 
     def __repr__(self):
-        return f"Region(role={self.role!r}, cells={self.cell_count()})"
+        return f"Region(cells={self.cell_count()})"
 
 
 def _component_count(mask):
@@ -274,13 +267,12 @@ def _shape_predicate(grid: Grid, spec):
     raise ConfigurationError(f"unknown shape kind {kind!r}")
 
 
-def carve_region(grid: Grid, shape, role="omega") -> Region:
+def carve_region(grid: Grid, shape) -> Region:
     """Voxelize a shape spec by the cell-center membership test."""
-    flat = _shape_predicate(grid, shape)
-    mask = flat.reshape(grid.n)
+    mask = _shape_predicate(grid, shape).reshape(grid.n)
     if not mask.any():
         raise DegenerateRegionError(f"shape {shape.get('kind')!r} selects no cells")
-    return Region(grid, mask, role=role)
+    return Region(grid, mask)
 
 
 def surface_distance(grid: Grid, mask):
@@ -306,7 +298,7 @@ def interior_margin(region: Region, r) -> Region:
     mask = region.mask & (dist > r)
     if not mask.any():
         raise DegenerateRegionError(f"margin {r:g} empties the region")
-    return Region(region.grid, mask, role="margin")
+    return Region(region.grid, mask)
 
 
 def _side_frame(grid: Grid, side):

@@ -497,7 +497,8 @@ def assemble(grid: Grid, mat: MaterialField, omega, *,
             suggestion = _suggest_detuned(grid, mat, omega, solver_tol, direct_limit)
             raise ResonantFrequencyError(
                 f"omega={omega:g} sits near a resonance "
-                f"(relative margin {margin:.3e} < {resonance_threshold:g})",
+                f"(relative margin {margin:.3e} < {resonance_threshold:g})"
+                + ("" if suggestion is None else f"; try omega={suggestion:g}"),
                 margin=margin, suggested_omega=suggestion)
     return sys
 

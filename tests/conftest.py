@@ -35,8 +35,7 @@ def sys8(grid8, vacuum8):
 def small_restriction(sys8, grid8):
     """8^3 single-face restriction operator with its SVD, shared across tests."""
     patch = rl.boundary_patch(grid8, "x-")
-    region = rl.carve_region(grid8, {"kind": "ball", "center": [0.4, 0.5, 0.5], "r": 0.22},
-                             role="subdomain_A")
+    region = rl.carve_region(grid8, {"kind": "ball", "center": [0.4, 0.5, 0.5], "r": 0.22})
     gram = rl.build_norm_weights(patch, collar="exclude_rim")
     volume = rl.VolumeWeights(region)
     op = rl.assemble_restriction(sys8, gram, volume)
@@ -57,7 +56,7 @@ def reference_runge_scene():
     t0 = time.time()
     cfg = load_config("runge_reference.json")
     scene = build_scene(cfg)
-    region = rl.carve_region(scene.grid, cfg["regions"]["A"], role="subdomain_A")
+    region = rl.carve_region(scene.grid, cfg["regions"]["A"])
     gram = rl.build_norm_weights(scene.patch, collar=cfg["patch"]["collar"])
     volume = rl.VolumeWeights(region)
     op = runge_op.assemble_restriction(scene.system, gram, volume)

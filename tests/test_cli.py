@@ -3,10 +3,11 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
-from rungelab.cli import main, parse_config
+from rungelab.cli import build_parser, main, parse_config
 from rungelab.errors import ConfigurationError
 
 
@@ -80,6 +81,56 @@ def test_run_exit_one_on_bad_field(tmp_path, capsys):
     code = main(["--out", str(tmp_path / "out"), "run", str(cfg)])
     assert code == 1
     assert "q0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload, key", [
+    ({"regions": {"balls": {"center": [0.5] * 3, "r1": 0.12}}}, "config key regions.balls"),
+    ({"material": {"kind": "constant", "params": {"eps": 2.0}}}, "config key material.params"),
+    ({"three_balls": {"m0": -1}}, "three_balls.m0"),
+])
+def test_run_exit_one_before_assembly(tmp_path, monkeypatch, capsys, payload, key):
+    from rungelab import solver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a system was assembled")
+
+    monkeypatch.setattr(solver, "assemble", refuse)
+    cfg = _write(tmp_path, "c.json", {"tag": "three_balls", "grid": {"n": [6, 6, 6]}, **payload})
+    assert main(["--out", str(tmp_path / "out"), "run", cfg]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} ")
+
+
+def test_resonance_error_names_the_suggested_omega(tmp_path, capsys):
+    # 6^3 vacuum just below the first cavity eigenvalue; the error already
+    # carried the detuned omega that the guard found, but did not print it
+    omega = 4.3923
+    cfg = _write(tmp_path, "r.json", {"tag": "three_balls", "grid": {"n": [6, 6, 6]},
+                                      "omega": omega})
+    assert main(["--out", str(tmp_path / "out"), "run", cfg]) == 1
+    err = capsys.readouterr().err.rstrip()
+    assert err.startswith("error: omega=4.3923 sits near a resonance (relative margin ")
+    assert err.endswith((f"; try omega={0.93 * omega:g}", f"; try omega={1.07 * omega:g}"))
+
+
+def _readme_cli_lines():
+    """Every ``rungelab ...`` line of the code blocks in README's CLI section."""
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return [line.split("#")[0] for block in section.split("```")[1::2]
+            for line in block.splitlines() if line.startswith("rungelab ")]
+
+
+def test_readme_cli_lines_parse():
+    # the options of the top-level parser go before the subcommand
+    lines = _readme_cli_lines()
+    assert len(lines) >= 5
+    fill = {"<config.json>": "c.json", "DIR": "d", "S": "7"}
+    for line in lines:
+        words = [fill.get(w, w).split("|")
+                 for w in line.replace("[", " ").replace("]", " ").split()[1:]]
+        for argv in product(*words):
+            build_parser().parse_args(list(argv))  # argparse exits 2 on a misplaced option
 
 
 @pytest.mark.parametrize("material, words", [
@@ -315,7 +366,7 @@ def test_version_two_complex_entry_is_rebuilt(tmp_path, capsys):
     R = store.unpack_matrix(blob[store._HEADER.size:store._HEADER.size + length])
     c = normalize_config(RUNGE_SMALL)
     grid = rl.build_grid(c["grid"]["n"], c["grid"]["h"], c["grid"]["origin"])
-    region = rl.carve_region(grid, c["regions"]["A"], role="subdomain_A")
+    region = rl.carve_region(grid, c["regions"]["A"])
     ne = len(rl.VolumeWeights(region).x_edge_idx)
     A = np.where(np.arange(R.shape[0]) < ne, 1.0, 1j)[:, None] * R
     payload = struct.pack("<QQ", *A.shape) + A.astype("<c16").tobytes()

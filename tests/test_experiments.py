@@ -7,7 +7,7 @@ import scipy.linalg as sla
 import rungelab as rl
 from rungelab import experiments
 from rungelab.errors import ConfigurationError, GeometryError
-from rungelab.experiments import (CauchyOperator, Report, StabilityBudget, build_scene,
+from rungelab.experiments import (CauchyOperator, Report, build_scene,
                                   cauchy_reconstruct, h_trace_block, normalize_config,
                                   run_cauchy, run_localization, run_propagation, run_runge,
                                   run_three_balls, run_verify_solver, _cauchy_truth, _quotient)
@@ -103,7 +103,7 @@ def test_rejects_bad_top_level_integers(raw, message):
 
 @pytest.mark.parametrize("value", [None, [], [1, 2], "x", 3])
 @pytest.mark.parametrize("key", ["noise", "output", "patch", "exponents", "grid", "material",
-                                 "regions", "regions.balls", "solver", "tolerances",
+                                 "regions", "solver", "tolerances",
                                  "localization", "truth"])
 def test_rejects_a_section_that_is_not_an_object(key, value):
     # a null or list section used to die in setdefault with an AttributeError
@@ -125,20 +125,53 @@ def test_propagation_requires_its_geometry(drop):
     section = raw["regions"] if drop == "G" else raw["propagation"]
     del section[drop]
     name = "regions.G" if drop == "G" else f"propagation.{drop}"
-    with pytest.raises(ConfigurationError, match=f"propagation needs {name} "):
+    with pytest.raises(ConfigurationError, match=f"^propagation needs {name}$"):
         normalize_config(raw)
     normalize_config(_PROPAGATION)
-    # regions.balls supplies the ball
-    balls = {"center": [0.5] * 3, "r0": 0.24, "margin_h": 0.1}
-    normalize_config({"tag": "propagation", "regions": {"G": _PROPAGATION["regions"]["G"],
-                                                        "balls": balls}})
 
 
-def test_budget_validation():
-    with pytest.raises(ConfigurationError):
-        StabilityBudget(eta=-1.0)
-    b = StabilityBudget(eta=1.0, zeta=2.0)
-    assert b.as_dict()["zeta"] == 2.0
+@pytest.mark.parametrize("value", [None, [], [1, 2], "x", 3, {},
+                                   {"center": [0.5] * 3, "r1": 0.12}])
+@pytest.mark.parametrize("key", ["regions.balls", "material.params"])
+def test_rejects_removed_keys(key, value):
+    # whatever it holds: its entries used to be copied into three_balls,
+    # propagation or material
+    section, _, leaf = key.partition(".")
+    with pytest.raises(ConfigurationError, match=f"^config key {key} was removed"):
+        normalize_config({"tag": "three_balls", section: {leaf: value}})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("omega", 0), ("omega", -2.0), ("omega", None), ("omega", "2"), ("omega", True),
+    ("runge.C", float("nan")), ("runge.m", 0.0), ("runge.m", float("inf")),
+    ("three_balls.r1", None), ("three_balls.r2", -0.1), ("three_balls.r3", "0.45"),
+    ("propagation.r0", 0), ("propagation.margin_h", False),
+    ("localization.eps_reg", "tiny"), ("localization.eps_reg", 0.0), ("truth.width", -0.3),
+])
+def test_rejects_numbers_that_are_not_positive(key, value):
+    # three_balls.r1: null died with a TypeError after assembly, and
+    # localization.eps_reg: "tiny" with a ValueError after the restriction solves
+    section, _, leaf = key.rpartition(".")
+    raw = {"tag": "three_balls", **({section: {leaf: value}} if section else {leaf: value})}
+    with pytest.raises(ConfigurationError, match=f"^{key} must be a finite number > 0, got"):
+        normalize_config(raw)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("three_balls.m0", -1), ("three_balls.m0", None), ("regularization.lambda", -1e-12),
+    ("regularization.lambda", float("nan")), ("regularization.lambda", "1e-12"),
+])
+def test_rejects_numbers_that_are_negative(key, value):
+    # a negative m0 used to raise only after every sample was solved
+    section, _, leaf = key.partition(".")
+    with pytest.raises(ConfigurationError, match=f"^{key} must be a finite number >= 0, got"):
+        normalize_config({"tag": "three_balls", section: {leaf: value}})
+
+
+def test_accepts_the_bounds_of_the_numbers():
+    cfg = normalize_config({"tag": "three_balls", "omega": 3, "three_balls": {"m0": 0},
+                            "regularization": {"lambda": 0.0}, "truth": {"width": 1e-3}})
+    assert cfg["omega"] == 3 and cfg["three_balls"]["m0"] == 0
 
 
 def test_normalized_config_is_fixed_point():
@@ -688,21 +721,6 @@ def test_localization_reference_config():
     assert rep.records[-1]["quotient"] > 10.0
     quotients = [r["quotient"] for r in rep.records]
     assert quotients == sorted(quotients)
-
-
-def test_schema_balls_and_material_params():
-    cfg = normalize_config({
-        "tag": "three_balls",
-        "grid": {"n": [8, 8, 8], "h": 0.125},
-        "material": {"kind": "smooth", "params": {"amplitude": 0.2}},
-        "regions": {"balls": {"center": [0.5, 0.5, 0.5], "r1": 0.12, "r2": 0.21,
-                              "r3": 0.45, "r0": 0.3, "margin_h": 0.1}},
-    })
-    assert cfg["material"]["amplitude"] == 0.2
-    assert cfg["material"]["seed"] == 0
-    assert cfg["three_balls"]["r1"] == 0.12
-    assert cfg["propagation"]["x0"] == [0.5, 0.5, 0.5]
-    assert normalize_config(cfg) == cfg
 
 
 def test_three_balls_smooth_material():

@@ -369,14 +369,6 @@ def test_face_index_bijection(grid8):
     assert seen == set(range(grid8.n_faces))
 
 
-def test_subdomain_role_requires_clearance(grid8):
-    with pytest.raises(GeometryError):
-        rl.carve_region(grid8, {"kind": "box", "lo": [0, 0, 0], "hi": [0.5, 1, 1]},
-                        role="subdomain_A")
-    rl.carve_region(grid8, {"kind": "ball", "center": [0.5, 0.5, 0.5], "r": 0.3},
-                    role="subdomain_A")
-
-
 def test_chain_literal_hand_construction():
     # a box of side 4 leaves room for the r3 = 0.9 erosion, so the stepping
     # rule can be checked at the hand-computed scale: unit segment, r1 = 0.1,

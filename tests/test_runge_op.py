@@ -358,11 +358,20 @@ def test_operator_provenance_tells_shifted_regions_apart():
     sys_ = rl.assemble(g, rl.make_material(g, {"kind": "constant"}), 2.0,
                        check_resonance=False)
     patch = rl.boundary_patch(g, "x-")
-    a, b = (rl.carve_region(g, {"kind": "ball", "center": [x, 0.47, 0.52], "r": 0.2},
-                            role="subdomain_A") for x in (0.38, 0.38 + g.h))
+    a, b = (rl.carve_region(g, {"kind": "ball", "center": [x, 0.47, 0.52], "r": 0.2})
+            for x in (0.38, 0.38 + g.h))
     assert a.cell_count() == b.cell_count() and (a.mask != b.mask).sum() == 36
     assert a.key() != b.key()
     assert _provenance(sys_, a, patch) != _provenance(sys_, b, patch)
+
+
+def test_operator_provenance_follows_the_mask_not_the_shape(sys8, grid8):
+    # cell centers sit at 0.0625 + 0.125 k: both boxes hold the same 4^3 cells
+    a, b = (rl.carve_region(grid8, {"kind": "box", "lo": [lo] * 3, "hi": [hi] * 3})
+            for lo, hi in ((0.3, 0.7), (0.26, 0.74)))
+    assert a.cell_count() == 64 and np.array_equal(a.mask, b.mask)
+    patch = rl.boundary_patch(grid8, "x-")
+    assert _provenance(sys8, a, patch) == _provenance(sys8, b, patch)
 
 
 def test_operator_provenance_tells_mirrored_materials_apart(grid8):
@@ -373,8 +382,7 @@ def test_operator_provenance_tells_mirrored_materials_apart(grid8):
     assert mats[0].eps.sum() == mats[1].eps.sum()
     assert mats[0].key() != mats[1].key()
     patch = rl.boundary_patch(grid8, "x-")
-    region = rl.carve_region(grid8, {"kind": "ball", "center": [0.4, 0.5, 0.5], "r": 0.22},
-                             role="subdomain_A")
+    region = rl.carve_region(grid8, {"kind": "ball", "center": [0.4, 0.5, 0.5], "r": 0.22})
     provs = [_provenance(rl.assemble(grid8, m, 2.0, check_resonance=False), region, patch)
              for m in mats]
     assert provs[0] != provs[1]
@@ -382,8 +390,7 @@ def test_operator_provenance_tells_mirrored_materials_apart(grid8):
 
 def test_reference_operator_provenance_is_pinned(reference_runge_scene):
     # the key names the cache entry: a change here orphans every operator
-    # cached from configs/runge_reference.json (as naming the transform route
-    # did every entry the factorization had built)
+    # cached from configs/runge_reference.json
     cfg, scene, gram, volume, op, _, _ = reference_runge_scene
-    assert op.provenance == 0x4f011fed0c5062af
+    assert op.provenance == 0xd81fc316d412ec31
     assert operator_provenance(scene.system, gram, volume) == op.provenance
