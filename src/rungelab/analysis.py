@@ -244,6 +244,12 @@ def r_squared(y, yhat):
     return max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
 
 
+def fit_line(x, y):
+    """Least-squares line y ~= slope x + intercept: (slope, intercept, r2)."""
+    slope, intercept = np.polyfit(x, y, 1)
+    return slope, intercept, r_squared(y, slope * x + intercept)
+
+
 # a Holder fit whose constant C exceeds this is flagged as giving no useful bound
 HOLDER_C_FLAG = 1e6
 
@@ -296,12 +302,9 @@ def fit_log_modulus(pairs) -> FitResult:
         raise ConfigurationError("abscissae must lie strictly inside (0, 1)")
     if np.any(e <= 0):
         raise ConfigurationError("values must be positive")
-    x = np.log(np.log(1.0 / t))
-    y = np.log(e)
-    slope, intercept = np.polyfit(x, y, 1)
+    slope, intercept, r2 = fit_line(np.log(np.log(1.0 / t)), np.log(e))
     m = float(-slope)
     C = float(np.exp(intercept))
-    r2 = r_squared(y, slope * x + intercept)
     flag = "non_decaying" if m <= 0 else None
     return FitResult("log_modulus", {"C": C, "m": m}, r2, len(pairs), flag)
 
@@ -314,10 +317,7 @@ def fit_power(pairs) -> FitResult:
     j, e = pairs.T
     if np.any(j <= 0) or np.any(e <= 0):
         raise ConfigurationError("power fit requires positive data")
-    x = np.log(j)
-    y = np.log(e)
-    slope, intercept = np.polyfit(x, y, 1)
-    r2 = r_squared(y, slope * x + intercept)
+    slope, intercept, r2 = fit_line(np.log(j), np.log(e))
     flag = "non_decaying" if -slope <= 0 else None
     return FitResult("power", {"C": float(np.exp(intercept)), "delta": float(-slope)},
                      r2, len(pairs), flag)

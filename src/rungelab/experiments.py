@@ -9,6 +9,7 @@ fitted from the measured data, never assumed.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import time
@@ -25,161 +26,222 @@ from .analysis import (VolumeWeights, build_norm_weights, fit_holder, fit_log_mo
 
 TAGS = ("runge", "cauchy", "three_balls", "propagation", "localization", "verify_solver")
 
-_DEFAULT_TOLERANCES = {
-    "convergence_order": 1.8,
-    "mimetic_nnz": 0,
-    "r2_log_modulus": 0.8,
-    "r2_growth": 0.9,
-    "strict_decreases": 6,
-    "quotient_min": 10.0,
-    "eta0_factor": 10.0,
-    "holder_residual_max": 0.0,
-}
+
+# rules: (what a present value must be, its test); bools, strings and null are not numbers
+def _number(v):
+    return type(v) in (int, float) and abs(v) < np.inf
 
 
-def _scalar_medium(material):
-    """(eps, mu) of the analytic oracles; raises on a non-scalar eps or mu."""
-    eps, mu = material.get("eps", 1.0), material.get("mu", 1.0)
-    if np.ndim(eps) or np.ndim(mu):
+def _int(least):
+    return lambda v: type(v) is int and v >= least
+
+
+def _list(item, n=None):
+    """Test: a non-empty list, of ``n`` entries when given, whose entries pass ``item``."""
+    return lambda v: (isinstance(v, list) and len(v) > 0 and len(v) == (n or len(v))
+                      and all(map(item, v)))
+
+
+def _one_of(*names):
+    return f"one of {', '.join(names)}", lambda v: v in names
+
+
+def _integer(least):
+    return f"an integer >= {least}", _int(least)
+
+
+_GT0 = "a finite number > 0", lambda v: _number(v) and v > 0
+_GE0 = "a finite number >= 0", lambda v: _number(v) and v >= 0
+_GT2 = "a finite number > 2", lambda v: _number(v) and v > 2
+_POINT = "a list of three finite numbers", _list(_number, 3)
+_SIDE = ("a side or a non-empty list of sides",
+         lambda v: v in geometry.SIDES or _list(lambda s: s in geometry.SIDES)(v))
+
+
+def _box(cfg):
+    """Lower corner and edge lengths of the configured grid's box."""
+    g = cfg["grid"]
+    return np.asarray(g["origin"], dtype=float), np.array(g["n"]) * float(g["h"])
+
+
+def _box_center(cfg):
+    # halving is exact, so this is also origin + 0.5 n h bit for bit
+    lo, size = _box(cfg)
+    return (size / 2 + lo).tolist()
+
+
+def _free_side(cfg):
+    side = cfg["patch"]["side"]
+    free = [s for s in geometry.SIDES if s not in ([side] if isinstance(side, str) else side)]
+    if len(free) != 1:
         raise ConfigurationError(
-            f"the analytic oracles need scalar eps and mu; material kind "
-            f"{material.get('kind')!r} has eps={eps!r}, mu={mu!r}")
-    return float(eps), float(mu)
+            "truth.side is required unless the patch leaves exactly one side free")
+    return free[0]
 
 
-def _theta_from(q, q0):
-    return (1.0 / q - 0.5) / (1.0 / q0 - 0.5)
-
-
-def _check_ints(name, values, rule, ok):
-    """Raise unless ``values`` is a non-empty list of integers passing ``ok``."""
-    ints = isinstance(values, list) and all(type(v) is int for v in values)
-    if not (ints and values and ok(values)):
-        raise ConfigurationError(f"{name} must be {rule}, got {values!r}")
-
-
-def _check_number(cfg, key, rule, ok):
-    """Raise unless the dotted ``key``, when present, is a number passing ``ok``."""
-    section, _, leaf = key.rpartition(".")
-    holder = cfg.get(section, {}) if section else cfg
-    if leaf in holder and not (type(holder[leaf]) in (int, float) and ok(holder[leaf])):
-        raise ConfigurationError(f"{key} must be {rule}, got {holder[leaf]!r}")
-
-
-# config keys that hold a JSON object when present
-_SECTIONS = ("grid", "material", "patch", "exponents", "regions", "three_balls", "propagation",
-             "noise", "runge", "localization", "truth", "regularization", "solver", "verify",
-             "output", "cache", "tolerances")
+_REQUIRED = object()
+# Every config key a driver reads, as (dotted key, default, readers, rule).
+# For a config whose tag reads the key, an absent key takes the default (a
+# callable derives it from the keys above it), or fails as "<tag> needs
+# <key>" when _REQUIRED.  The readers are tags or "*" for every tag, each
+# with ":kind" when it reads the key only if the key's section has that kind;
+# a key no tag reads is optional.  The rule checks the key whenever it is
+# present, whatever the tag.
+_TABLE = (
+    ("seed", 0, "*", _integer(0)),
+    ("omega", 2.0, "*", _GT0),
+    ("grid.n", [12, 12, 12], "*", ("three integers >= 4", _list(_int(4), 3))),
+    ("grid.h", lambda c: 1.0 / c["grid"]["n"][0], "*", _GT0),
+    ("grid.origin", [0.0, 0.0, 0.0], "*", _POINT),
+    ("material", {"kind": "constant", "eps": 1.0, "mu": 1.0}, "*", None),
+    ("material.seed", 0, "*:smooth", _integer(0)),
+    ("patch.side", "x-", "*", _SIDE),
+    ("patch.window", None, "*", None),
+    ("patch.collar", "exclude_rim", "*", _one_of("exclude_rim", "include_rim")),
+    ("exponents.p", 4.0, "*", _GT2),
+    ("exponents.q", 3.0, "*", _GT2),
+    ("exponents.q0", 4.0, "*", _GT2),
+    ("exponents.theta", None, "", _GT0),
+    ("regions", {}, "*", None),
+    # eta / (1 - eta) scales the noise, and the log fit needs etas in (0, 1)
+    ("noise.etas", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5], "*",
+     ("a non-empty list of numbers strictly inside (0, 1)",
+      _list(lambda e: _number(e) and 0 < e < 1))),
+    ("noise.seeds", [101, 102, 103, 104, 105], "*",
+     ("a non-empty list of integers >= 0", _list(_int(0)))),
+    ("runge.js", list(range(1, 11)), "*",
+     ("at least 3 strictly increasing integers >= 1",
+      lambda v: _list(_int(1))(v) and len(v) >= 3 and all(np.diff(v) > 0))),
+    ("runge.C", float(np.e), "*", _GT0),
+    ("runge.m", 2.0, "*", _GT0),
+    ("regions.A", _REQUIRED, "runge", None),
+    ("runge.target", _REQUIRED, "runge", None),
+    ("runge.target.kind", "dipole", "runge", _one_of("dipole", "plane_wave")),
+    ("runge.target.x0", _REQUIRED, "runge:dipole", _POINT),
+    ("runge.target.m", [0.0, 0.0, 1.0], "runge:dipole", _POINT),
+    ("runge.target.k", _REQUIRED, "runge:plane_wave", _POINT),
+    ("runge.target.p", _REQUIRED, "runge:plane_wave", _POINT),
+    ("truth.kind", "far_side_bump", "cauchy", _one_of("far_side_bump", "dipole")),
+    ("truth.side", _free_side, "cauchy:far_side_bump", _one_of(*geometry.SIDES)),
+    ("truth.center", _box_center, "cauchy:far_side_bump", _POINT),
+    ("truth.width", 0.25, "cauchy:far_side_bump", _GT0),
+    ("truth.x0", _REQUIRED, "cauchy:dipole", _POINT),
+    ("truth.m", [0, 0, 1.0], "cauchy:dipole", _POINT),
+    ("regularization.strategy", "morozov", "*", _one_of("morozov", "fixed")),
+    ("regularization.lambda", 1e-12, "*", _GE0),
+    ("three_balls.center", _box_center, "three_balls", _POINT),
+    ("three_balls.r1", 0.12, "three_balls", _GT0),
+    ("three_balls.r2", 0.21, "three_balls", _GT0),
+    ("three_balls.r3", 0.45, "three_balls", _GT0),
+    ("three_balls.m0", 0.0, "three_balls", _GE0),
+    # the Holder fit needs three samples
+    ("three_balls.n_samples", 20, "three_balls", _integer(3)),
+    ("three_balls.seed", None, "", _integer(0)),
+    ("propagation.x0", _REQUIRED, "propagation", _POINT),
+    ("propagation.r0", _REQUIRED, "propagation", _GT0),
+    ("propagation.margin_h", _REQUIRED, "propagation", _GT0),
+    ("regions.G", _REQUIRED, "propagation", None),
+    ("propagation.n_paths", 3, "propagation", _integer(1)),
+    ("propagation.n_samples", 12, "propagation", _integer(3)),
+    ("propagation.seed", None, "", _integer(0)),
+    ("regions.M", _REQUIRED, "localization", None),
+    ("regions.D", _REQUIRED, "localization", None),
+    ("localization.cutoffs", [10, 20, 50], "localization",
+     ("a non-empty list of positive integers", _list(_int(1)))),
+    ("localization.eps_reg", 1e-6, "localization", _GT0),
+    ("localization.n_random", 5, "localization", _integer(0)),
+    ("localization.seed", None, "", _integer(0)),
+    ("solver.resonance_threshold", solver.RESONANCE_THRESHOLD, "*", _GT0),
+    ("solver.tol", solver.SOLVER_TOL, "*", _GT0),
+    # verify solves one right-hand side per system: the Krylov path is cheaper
+    ("solver.direct_limit", lambda c: 0 if c["tag"] == "verify_solver" else solver.DIRECT_LIMIT,
+     "*", _integer(0)),
+    ("verify.levels", 3, "*", _integer(2)),
+    ("verify.wave.k", lambda c: [float(c["omega"]), 0.0, 0.0], "verify_solver", _POINT),
+    ("verify.wave.p", [0.0, 1.0, 0.0], "verify_solver", _POINT),
+    ("output.dir", "out", "*", None),
+    ("cache.dir", None, "*", None),
+    ("tolerances.convergence_order", 1.8, "*", _GE0),
+    ("tolerances.mimetic_nnz", 0, "*", _integer(0)),
+    ("tolerances.r2_log_modulus", 0.8, "*", _GE0),
+    ("tolerances.r2_growth", 0.9, "*", _GE0),
+    ("tolerances.strict_decreases", 6, "*", _integer(0)),
+    ("tolerances.quotient_min", 10.0, "*", _GE0),
+    ("tolerances.eta0_factor", 10.0, "*", _GE0),
+    ("tolerances.holder_residual_max", 0.0, "*", _GE0),
+)
 # keys no longer read, and where their entries go instead
 _REMOVED = {"regions.balls": "three_balls {center, r1, r2, r3} and propagation {x0, r0, margin_h}",
             "material.params": "material itself"}
-# numbers the drivers read: integers with their least value (the Holder fit
-# needs three samples, numpy seeds are >= 0), then finite numbers > 0 or >= 0
-_INTEGERS = (("three_balls.n_samples", 3), ("propagation.n_samples", 3),
-             ("propagation.n_paths", 1), ("three_balls.seed", 0), ("propagation.seed", 0),
-             ("localization.seed", 0), ("verify.levels", 2), ("seed", 0))
-_POSITIVE = ("omega", "runge.C", "runge.m", "three_balls.r1", "three_balls.r2", "three_balls.r3",
-             "propagation.r0", "propagation.margin_h", "localization.eps_reg", "truth.width")
-_NONNEGATIVE = ("regularization.lambda", "three_balls.m0")
+
+
+def _lookup(cfg, key, create=False):
+    """(section, leaf) of a dotted key; an absent section reads as empty and
+    is added when ``create``, and a present one must be a JSON object."""
+    *path, leaf = key.split(".")
+    for i, part in enumerate(path):
+        cfg = cfg.setdefault(part, {}) if create else cfg.get(part, {})
+        if not isinstance(cfg, dict):
+            raise ConfigurationError(
+                f"config section {'.'.join(path[:i + 1])} must be a JSON object, got {cfg!r}")
+    return cfg, leaf
 
 
 def normalize_config(raw: dict) -> dict:
-    """Fill defaults and enforce the cross-field invariants; returns a plain
-    dict that re-normalizes to itself (the sidecar echo)."""
+    """Fill and check every key of ``_TABLE`` and the cross-field invariants,
+    before any assembly; returns a plain dict that re-normalizes to itself."""
     if not isinstance(raw, dict):
         raise ConfigurationError("config root must be a JSON object")
     cfg = json.loads(json.dumps(raw))  # deep copy, JSON-clean
     tag = cfg.get("tag")
     if tag not in TAGS:
         raise ConfigurationError(f"config field 'tag' must be one of {TAGS}, got {tag!r}")
-    for key in _SECTIONS:
-        if not isinstance(cfg.get(key, {}), dict):
-            raise ConfigurationError(
-                f"config section {key} must be a JSON object, got {cfg[key]!r}")
     for key, home in _REMOVED.items():
-        section, _, leaf = key.partition(".")
-        if leaf in cfg.get(section, {}):
+        section, leaf = _lookup(cfg, key)
+        if leaf in section:
             raise ConfigurationError(f"config key {key} was removed; set its entries in {home}")
 
-    grid = cfg.setdefault("grid", {})
-    grid.setdefault("n", [12, 12, 12])
-    grid.setdefault("h", 1.0 / grid["n"][0])
-    grid.setdefault("origin", [0.0, 0.0, 0.0])
+    missing = []
+    for key, default, readers, rule in _TABLE:
+        if any(key.startswith(m + ".") for m in missing):
+            continue  # under a missing key
+        section, leaf = _lookup(cfg, key)
+        kind = section.get("kind")
+        if leaf not in section and any(r in ("*", tag, f"{tag}:{kind}", f"*:{kind}")
+                                       for r in readers.split()):
+            if default is _REQUIRED:
+                missing.append(key)
+                continue
+            section, _ = _lookup(cfg, key, create=True)
+            section[leaf] = default(cfg) if callable(default) else copy.deepcopy(default)
+        if rule and leaf in section and not rule[1](section[leaf]):
+            raise ConfigurationError(f"{key} must be {rule[0]}, got {section[leaf]!r}")
 
-    material = cfg.setdefault("material", {"kind": "constant", "eps": 1.0, "mu": 1.0})
-    if material.get("kind") == "smooth":
-        material.setdefault("seed", 0)
-    cfg.setdefault("omega", 2.0)
-    patch = cfg.setdefault("patch", {})
-    patch.setdefault("side", "x-")
-    patch.setdefault("window", None)
-    patch.setdefault("collar", "exclude_rim")
-
-    exps = cfg.setdefault("exponents", {})
-    p = float(exps.setdefault("p", 4.0))
-    q = float(exps.setdefault("q", 3.0))
-    q0 = float(exps.setdefault("q0", 4.0))
-    if not p > 2:
-        raise ConfigurationError(f"exponents.p must exceed 2, got {p}")
-    if not (2 < q < q0):
-        raise ConfigurationError(f"need 2 < q < q0, got q={q}, q0={q0}")
-    if not q0 <= p:
-        raise ConfigurationError(f"need q0 <= p, got q0={q0}, p={p}")
-    theta_id = _theta_from(q, q0)
-    if "theta" in exps and abs(exps["theta"] - theta_id) > 1e-9:
+    exps = cfg["exponents"]
+    p, q, q0 = (float(exps[k]) for k in ("p", "q", "q0"))
+    if not q < q0 <= p:
+        raise ConfigurationError(f"need 2 < q < q0 <= p, got q={q}, q0={q0}, p={p}")
+    theta = (1.0 / q - 0.5) / (1.0 / q0 - 0.5)
+    if abs(exps.get("theta", theta) - theta) > 1e-9:
         raise ConfigurationError(
             f"exponents.theta={exps['theta']} contradicts the identity "
-            f"1/q = (1-theta)/2 + theta/q0, which gives theta={theta_id:.12g}")
-    exps["theta"] = theta_id
-
-    regions = cfg.setdefault("regions", {})
-    noise = cfg.setdefault("noise", {})
-    noise.setdefault("etas", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
-    etas = noise["etas"]
-    # eta / (1 - eta) scales the noise, and the log fit needs etas in (0, 1)
-    if not (isinstance(etas, list) and etas
-            and all(type(e) in (int, float) and 0 < e < 1 for e in etas)):
-        raise ConfigurationError(
-            f"noise.etas must be a non-empty list of numbers strictly inside (0, 1), "
-            f"got {etas!r}")
-    noise.setdefault("seeds", [101, 102, 103, 104, 105])
-    _check_ints("noise.seeds", noise["seeds"], "a non-empty list of integers >= 0",
-                lambda ss: min(ss) >= 0)
-    rg = cfg.setdefault("runge", {})
-    rg.setdefault("js", list(range(1, 11)))
-    rg.setdefault("C", float(np.e))
-    rg.setdefault("m", 2.0)
-    _check_ints("runge.js", rg["js"], "at least 3 strictly increasing integers >= 1",
-                lambda js: len(js) >= 3 and 1 <= js[0] and all(np.diff(js) > 0))
-    if "cutoffs" in (cfg.get("localization") or {}):
-        _check_ints("localization.cutoffs", cfg["localization"]["cutoffs"],
-                    "a non-empty list of positive integers", lambda cs: min(cs) >= 1)
-    cfg.setdefault("regularization", {"strategy": "morozov", "lambda": 1e-12})
-    cfg["regularization"].setdefault("strategy", "morozov")
-    cfg["regularization"].setdefault("lambda", 1e-12)
-    slv = cfg.setdefault("solver", {})
-    slv.setdefault("resonance_threshold", solver.RESONANCE_THRESHOLD)
-    slv.setdefault("tol", solver.SOLVER_TOL)
-    # verify solves one right-hand side per system: the Krylov path is cheaper
-    slv.setdefault("direct_limit", 0 if tag == "verify_solver" else solver.DIRECT_LIMIT)
-    cfg.setdefault("verify", {}).setdefault("levels", 3)
-    cfg.setdefault("output", {}).setdefault("dir", "out")
-    cfg.setdefault("cache", {}).setdefault("dir", None)
-    tol = cfg.setdefault("tolerances", {})
-    for k, v in _DEFAULT_TOLERANCES.items():
-        tol.setdefault(k, v)
-    cfg.setdefault("seed", 0)
-    for key, least in _INTEGERS:
-        _check_number(cfg, key, f"an integer >= {least}", lambda v: type(v) is int and v >= least)
-    for key in _POSITIVE:
-        _check_number(cfg, key, "a finite number > 0", lambda v: 0 < v < np.inf)
-    for key in _NONNEGATIVE:
-        _check_number(cfg, key, "a finite number >= 0", lambda v: 0 <= v < np.inf)
+            f"1/q = (1-theta)/2 + theta/q0, which gives theta={theta:.12g}")
+    exps["theta"] = theta
+    if missing:
+        raise ConfigurationError(f"{tag} needs {', '.join(missing)}")
+    if tag == "three_balls":
+        r1, r2, r3 = (float(cfg["three_balls"][k]) for k in ("r1", "r2", "r3"))
+        if not (r1 < r2 < r3 / 2):
+            raise GeometryError(f"need r1 < r2 < r3/2, got {r1}, {r2}, {r3}")
+        lo, size = _box(cfg)
+        center = np.asarray(cfg["three_balls"]["center"])
+        if np.any(center - r3 < lo) or np.any(center + r3 > lo + size):
+            raise GeometryError("outer ball must sit inside the box")
     if tag == "propagation":
-        missing = [f"propagation.{k}" for k in ("x0", "r0", "margin_h")
-                   if k not in cfg.get("propagation", {})] + ["regions.G"] * ("G" not in regions)
-        if missing:
-            raise ConfigurationError(f"propagation needs {', '.join(missing)}")
+        r0, margin_h = float(cfg["propagation"]["r0"]), float(cfg["propagation"]["margin_h"])
+        if margin_h > r0 / 2:
+            raise GeometryError(
+                f"margin {margin_h:g} exceeds r0/2 = {r0 / 2:g}; the hypotheses conflict")
     return cfg
 
 
@@ -304,15 +366,6 @@ def _random_trace(patch, rng):
     return solver.TangentialTrace(patch, v)
 
 
-def _target_solution(spec, omega, eps0=1.0, mu0=1.0):
-    kind = spec.get("kind", "dipole")
-    if kind == "dipole":
-        return oracle.dipole_field(spec["x0"], spec.get("m", [0.0, 0.0, 1.0]), omega, eps0, mu0)
-    if kind == "plane_wave":
-        return oracle.plane_wave(spec["k"], spec["p"], omega, eps0, mu0)
-    raise ConfigurationError(f"unknown target kind {kind!r}")
-
-
 def _operator_with_cache(cfg, scene, gram, volume):
     """The restriction operator, read from ``cache.dir`` when an envelope of
     the current version holds it; a missing entry or one written under an
@@ -342,14 +395,13 @@ def run_verify_solver(cfg: dict) -> Report:
     base = cfg["grid"]
     levels = cfg["verify"]["levels"]
     omega = float(cfg["omega"])
-    wave = cfg["verify"].get("wave") or {}
-    k = np.asarray(wave.get("k", [omega, 0.0, 0.0]), dtype=float)
-    p = np.asarray(wave.get("p", [0.0, 1.0, 0.0]), dtype=float)
+    wave = cfg["verify"]["wave"]
     kind = cfg["material"].get("kind")
     if kind != "constant":
         raise ConfigurationError(
             f"verify compares with a plane wave in a constant medium, not kind {kind!r}")
-    sol = oracle.plane_wave(k, p, omega, *_scalar_medium(cfg["material"]))
+    sol = oracle.plane_wave(wave["k"], wave["p"], omega,
+                            *materials.scalar_medium(cfg["material"]))
 
     grids = [geometry.build_grid([v * 2 ** lvl for v in base["n"]], base["h"] / 2 ** lvl,
                                  base["origin"]) for lvl in range(levels)]
@@ -386,8 +438,10 @@ def run_runge(cfg: dict, scene: Scene | None = None,
         op = _operator_with_cache(cfg, scene, gram, VolumeWeights(region_a))
         svd = runge_op.weighted_svd(op)
 
-    target = _target_solution(cfg["runge"]["target"], cfg["omega"],
-                              *_scalar_medium(cfg["material"]))
+    spec, medium = cfg["runge"]["target"], materials.scalar_medium(cfg["material"])
+    target = (oracle.dipole_field(spec["x0"], spec["m"], cfg["omega"], *medium)
+              if spec["kind"] == "dipole" else
+              oracle.plane_wave(spec["k"], spec["p"], cfg["omega"], *medium))
     W = np.concatenate(oracle.sample_dofs(target, scene.grid, svd.volume.x_edge_idx,
                                           svd.volume.x_face_idx))
     ex = runge_op.expand_target(svd, W)
@@ -434,9 +488,7 @@ def run_runge(cfg: dict, scene: Scene | None = None,
     if len(pos) >= 2:
         fits.append(fit_power(pos).row())
     x = np.array([float(j) ** (2.0 / m_cal) for j in js])
-    y = np.log(np.maximum(growth, 1e-300))
-    slope, intercept = np.polyfit(x, y, 1)
-    r2_growth = analysis.r_squared(y, slope * x + intercept)
+    slope, intercept, r2_growth = analysis.fit_line(x, np.log(np.maximum(growth, 1e-300)))
     fits.append({"model": "exp_growth", "C": float(np.exp(intercept)),
                  "rate": float(slope), "r2": float(r2_growth), "n": len(js)})
 
@@ -605,31 +657,19 @@ def cauchy_reconstruct(cauchy_op: CauchyOperator, noisy_f, noisy_g, strategy,
 
 
 def _cauchy_truth(cfg, scene: Scene):
-    spec = cfg.get("truth") or {"kind": "far_side_bump"}
-    kind = spec.get("kind", "far_side_bump")
-    if kind == "far_side_bump":
-        side = spec.get("side")
-        if side is None:
-            missing = [s for s in geometry.SIDES if s not in scene.patch.sides]
-            if len(missing) != 1:
-                raise ConfigurationError(
-                    "truth.side is required unless the patch leaves exactly one side free")
-            side = missing[0]
-        far = geometry.boundary_patch(scene.grid, side)
+    spec = cfg["truth"]
+    if spec["kind"] == "far_side_bump":
+        far = geometry.boundary_patch(scene.grid, spec["side"])
         pts = scene.grid.edge_midpoints()[far.edge_dofs]
-        center = np.asarray(spec.get("center", scene.grid.origin
-                                     + 0.5 * np.array(scene.grid.n) * scene.grid.h))
-        width = float(spec.get("width", 0.25))
+        center = np.asarray(spec["center"])
+        width = float(spec["width"])
         prof = np.exp(-np.sum((pts - center) ** 2, axis=1) / (2 * width ** 2))
         values = prof.astype(complex) * (1.0 + 0.5j)
         truth = solver.solve_bvp(scene.system, solver.TangentialTrace(far, values))
         return truth, "discrete"
-    if kind == "dipole":
-        sol = oracle.dipole_field(spec["x0"], spec.get("m", [0, 0, 1.0]), cfg["omega"],
-                                  *_scalar_medium(cfg["material"]))
-        truth = oracle.sample_on_grid(sol, scene.grid)
-        return truth, "analytic"
-    raise ConfigurationError(f"unknown truth kind {kind!r}")
+    sol = oracle.dipole_field(spec["x0"], spec["m"], cfg["omega"],
+                              *materials.scalar_medium(cfg["material"]))
+    return oracle.sample_on_grid(sol, scene.grid), "analytic"
 
 
 def run_cauchy(cfg: dict, scene: Scene | None = None) -> Report:
@@ -749,25 +789,11 @@ def _holder_study(scene: Scene, patch, regions, seeds, m0, tol):
 def run_three_balls(cfg: dict, scene: Scene | None = None) -> Report:
     """Holder interpolation feasibility over random interior solutions."""
     scene = scene or build_scene(cfg)
-    spec = cfg.get("three_balls") or {}
-    center = list(spec.get("center", (np.array(scene.grid.n) * scene.grid.h / 2
-                                      + scene.grid.origin).tolist()))
-    r1 = float(spec.get("r1", 0.12))
-    r2 = float(spec.get("r2", 0.21))
-    r3 = float(spec.get("r3", 0.45))
-    if not (r1 < r2 < r3 / 2):
-        raise GeometryError(f"need r1 < r2 < r3/2, got {r1}, {r2}, {r3}")
-    lo = scene.grid.origin
-    hi = lo + np.array(scene.grid.n) * scene.grid.h
-    if np.any(np.asarray(center) - r3 < lo) or np.any(np.asarray(center) + r3 > hi):
-        raise GeometryError("outer ball must sit inside the box")
-    balls = [geometry.carve_region(scene.grid, {"kind": "ball", "center": center, "r": r})
-             for r in (r1, r2, r3)]
-
-    n_samples = int(spec.get("n_samples", 20))
-    seed0 = int(spec.get("seed", cfg["seed"]))
-    m0 = float(spec.get("m0", 0.0))
-    seeds = [seed0 + i for i in range(n_samples)]
+    spec = cfg["three_balls"]
+    balls = [geometry.carve_region(scene.grid, {"kind": "ball", "center": spec["center"],
+                                                "r": float(spec[r])}) for r in ("r1", "r2", "r3")]
+    seeds = [spec.get("seed", cfg["seed"]) + i for i in range(spec["n_samples"])]
+    m0 = float(spec["m0"])
     rows, fit, (interior, holds) = _holder_study(
         scene, geometry.whole_boundary(scene.grid), balls, seeds, m0,
         cfg["tolerances"]["holder_residual_max"])
@@ -776,7 +802,7 @@ def run_three_balls(cfg: dict, scene: Scene | None = None) -> Report:
     flags = {
         "tau_interior": interior,
         "holder_bound_holds": holds,
-        "enough_samples": bool(n_samples >= 20),
+        "enough_samples": bool(len(seeds) >= 20),
     }
     budgets = {"eta": 0.0, "zeta": 0.0, "m0": m0}
     return Report("three_balls", cfg, records, [fit.row()], flags, budgets)
@@ -789,13 +815,10 @@ def run_three_balls(cfg: dict, scene: Scene | None = None) -> Report:
 def run_propagation(cfg: dict, scene: Scene | None = None) -> Report:
     """Two-factor interpolation bound for a probe region reached by ball chains."""
     scene = scene or build_scene(cfg)
-    spec = cfg.get("propagation") or {}
+    spec = cfg["propagation"]
     x0 = np.asarray(spec["x0"], dtype=float)
     r0 = float(spec["r0"])
     margin_h = float(spec["margin_h"])
-    if margin_h > r0 / 2:
-        raise GeometryError(
-            f"margin {margin_h:g} exceeds r0/2 = {r0 / 2:g}; the hypotheses conflict")
     g_region = geometry.carve_region(scene.grid, cfg["regions"]["G"])
     if not g_region.complement_connected() or not g_region.is_connected():
         raise GeometryError("probe region must be connected with connected complement")
@@ -811,21 +834,19 @@ def run_propagation(cfg: dict, scene: Scene | None = None) -> Report:
     r1 = r3 / 9.0
     data_ball = geometry.carve_region(scene.grid, {"kind": "ball", "center": x0.tolist(), "r": r0})
 
-    n_paths = int(spec.get("n_paths", 3))
-    seed0 = int(spec.get("seed", cfg["seed"]))
+    seed0 = spec.get("seed", cfg["seed"])
     rng = np.random.default_rng(seed0)
     # targets live in G itself; the margin hypothesis keeps every point of G
     # more than 2*r3 away from the wall, so chains remain inside the eroded box
     cands = scene.grid.cell_centers()[g_region.mask.reshape(-1)]
     chain_counts = []
-    for _ in range(n_paths):
+    for _ in range(spec["n_paths"]):
         target_pt = cands[rng.integers(len(cands))]
         path = np.vstack([x0, target_pt])
         chain_counts.append(geometry.chain_of_balls(path, r1, scene.omega_region).count)
     cover = geometry.cube_cover(g_region, r1)
 
-    n_samples = int(spec.get("n_samples", 12))
-    seeds = [seed0 + 1000 + i for i in range(n_samples)]
+    seeds = [seed0 + 1000 + i for i in range(spec["n_samples"])]
     rows, fit, (interior, holds) = _holder_study(
         scene, scene.patch, (data_ball, g_region, scene.omega_region), seeds, 0.0,
         cfg["tolerances"]["holder_residual_max"])
@@ -844,7 +865,7 @@ def run_propagation(cfg: dict, scene: Scene | None = None) -> Report:
 def run_localization(cfg: dict, scene: Scene | None = None) -> Report:
     """Maximize field concentration on M against D through the spectral basis."""
     scene = scene or build_scene(cfg)
-    spec = cfg.get("localization") or {}
+    spec = cfg["localization"]
     m_region = geometry.carve_region(scene.grid, cfg["regions"]["M"])
     d_region = geometry.carve_region(scene.grid, cfg["regions"]["D"])
     if np.any(m_region.mask & d_region.mask):
@@ -852,7 +873,7 @@ def run_localization(cfg: dict, scene: Scene | None = None) -> Report:
     gram = build_norm_weights(scene.patch, collar=cfg["patch"]["collar"])
     v_m, v_d = VolumeWeights(m_region), VolumeWeights(d_region)
     op_m, op_d = runge_op.assemble_restriction(scene.system, gram, v_m, v_d)
-    eps_reg = float(spec.get("eps_reg", 1e-6))
+    eps_reg = float(spec["eps_reg"])
 
     # A^H W A = R^T W R: the phase of A cancels, so both forms are real
     P = op_m.matrix.T @ (v_m.x_weights()[:, None] * op_m.matrix)
@@ -861,10 +882,9 @@ def run_localization(cfg: dict, scene: Scene | None = None) -> Report:
     Q = 0.5 * (Q + Q.T)
 
     svd_m = runge_op.weighted_svd(op_m)
-    cutoffs = [int(c) for c in spec.get("cutoffs", [10, 20, 50])]
     records = []
     top_quotient = None
-    for cut in cutoffs:
+    for cut in spec["cutoffs"]:
         k = min(cut, svd_m.rank)
         basis = svd_m.phi[:, :k]
         Pk = basis.T @ P @ basis
@@ -883,11 +903,11 @@ def run_localization(cfg: dict, scene: Scene | None = None) -> Report:
         top_quotient = quotient
 
     # extremality against random data in the same span
-    rng = np.random.default_rng(int(spec.get("seed", cfg["seed"])))
+    rng = np.random.default_rng(spec.get("seed", cfg["seed"]))
     beats = True
-    k = min(cutoffs[-1], svd_m.rank)
+    k = min(spec["cutoffs"][-1], svd_m.rank)
     basis = svd_m.phi[:, :k]
-    for _ in range(int(spec.get("n_random", 5))):
+    for _ in range(spec["n_random"]):
         f = basis @ (rng.standard_normal(k) + 1j * rng.standard_normal(k))
         q = _quotient(op_m, op_d, eps_reg, f)
         if q > top_quotient * (1 + 1e-9):

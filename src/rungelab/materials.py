@@ -76,6 +76,16 @@ def _as_tensor(value):
     raise MaterialError(f"cannot interpret {t.shape} as a 3x3 tensor")
 
 
+def scalar_medium(spec):
+    """(eps, mu) of the analytic oracles; raises on a non-scalar eps or mu."""
+    eps, mu = spec.get("eps", 1.0), spec.get("mu", 1.0)
+    if np.ndim(eps) or np.ndim(mu):
+        raise ConfigurationError(
+            f"the analytic oracles need scalar eps and mu; material kind "
+            f"{spec.get('kind')!r} has eps={eps!r}, mu={mu!r}")
+    return float(eps), float(mu)
+
+
 def make_material(grid: Grid, spec) -> MaterialField:
     """Build a material field from a spec dict.
 

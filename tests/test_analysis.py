@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import rungelab as rl
-from rungelab.analysis import (build_norm_weights, fit_holder, fit_log_modulus, fit_power,
-                               hcurl_norm, lp_norm)
+from rungelab.analysis import (build_norm_weights, fit_holder, fit_line, fit_log_modulus,
+                               fit_power, hcurl_norm, lp_norm, r_squared)
 from rungelab.errors import ConfigurationError, SizeError
 
 from conftest import rng_complex
@@ -167,3 +167,19 @@ def test_fit_power_recovers_planted():
     fit = fit_power(np.stack([js, es], axis=1))
     assert fit.params["C"] == pytest.approx(3.0, rel=1e-9)
     assert fit.params["delta"] == pytest.approx(1.5, rel=1e-9)
+
+
+def test_fit_line_is_polyfit_and_r_squared():
+    # the one least-squares line of every fit: the same numbers, bit for bit,
+    # as the polyfit and r_squared calls it replaced
+    rng = np.random.default_rng(4)
+    x = rng.uniform(0.0, 3.0, 9)
+    y = 1.7 * x - 0.4 + 0.05 * rng.standard_normal(9)
+    slope, intercept, r2 = fit_line(x, y)
+    s, i = np.polyfit(x, y, 1)
+    assert (slope, intercept, r2) == (s, i, r_squared(y, s * x + i))
+    j, e = np.arange(1.0, 10.0), np.exp(y)
+    s, i = np.polyfit(np.log(j), np.log(e), 1)
+    fit = fit_power(np.stack([j, e], axis=1))
+    assert (fit.params["delta"], fit.params["C"], fit.r2) == \
+        (float(-s), float(np.exp(i)), r_squared(np.log(e), s * np.log(j) + i))

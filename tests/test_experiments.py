@@ -1,4 +1,8 @@
+import ast
+import inspect
 import json
+import os
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ from rungelab.experiments import (CauchyOperator, Report, build_scene,
                                   run_three_balls, run_verify_solver, _cauchy_truth, _quotient)
 from rungelab.oracle import sample_dofs
 
-from conftest import transform_off
+from conftest import CONFIG_DIR, load_config, transform_off
 
 
 def _cfg(**kwargs):
@@ -179,6 +183,121 @@ def test_normalized_config_is_fixed_point():
     assert normalize_config(cfg) == cfg
 
 
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
+def test_reference_echo_is_fixed_point(name):
+    # the sidecar echoes the normalized config, which carries every default
+    cfg = load_config(name)
+    assert normalize_config(cfg) == cfg
+
+
+@pytest.mark.parametrize("key", ["three_balls.center", "propagation.x0", "grid.origin",
+                                 "truth.center", "runge.target.x0", "verify.wave.k"])
+@pytest.mark.parametrize("value", ["middle", [0.5, 0.5], [0.5, 0.5, 0.5, 0.5],
+                                   [0.5, float("nan"), 0.5], [True, 0.5, 0.5], None])
+def test_rejects_points_that_are_not_three_numbers(key, value):
+    # "center": "middle" died in numpy after assembly, [0.5, 0.5] with a
+    # broadcasting ValueError
+    *path, leaf = key.split(".")
+    raw = {"tag": "three_balls"}
+    section = raw
+    for part in path:
+        section = section.setdefault(part, {})
+    section[leaf] = value
+    with pytest.raises(ConfigurationError,
+                       match=f"^{re.escape(key)} must be a list of three finite numbers, got"):
+        normalize_config(raw)
+
+
+@pytest.mark.parametrize("key, value, rule", [
+    ("grid.n", [8, 8], "three integers >= 4"), ("grid.n", [8, 3, 8], "three integers >= 4"),
+    ("patch.side", "w-", "a side or a non-empty list of sides"),
+    ("patch.side", [], "a side or a non-empty list of sides"),
+    ("patch.collar", "rim", "one of exclude_rim, include_rim"),
+    ("runge.target.kind", "monopole", "one of dipole, plane_wave"),
+    ("truth.kind", None, "one of far_side_bump, dipole"),
+    ("truth.side", "x", "one of x-, x+, y-, y+, z-, z+"),
+    ("regularization.strategy", "lcurve", "one of morozov, fixed"),
+    ("solver.tol", 0, "a finite number > 0"),
+    ("solver.direct_limit", 1e9, "an integer >= 0"),
+    ("localization.n_random", -1, "an integer >= 0"),
+    ("tolerances.strict_decreases", 6.0, "an integer >= 0"),
+    ("tolerances.r2_growth", "0.9", "a finite number >= 0"),
+    ("exponents.q", 2, "a finite number > 2"), ("exponents.theta", "2/3", "a finite number > 0"),
+])
+def test_rejects_values_that_break_their_rule(key, value, rule):
+    *path, leaf = key.split(".")
+    raw = {"tag": "three_balls"}
+    section = raw
+    for part in path:
+        section = section.setdefault(part, {})
+    section[leaf] = value
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(f'{key} must be {rule}, got')}"):
+        normalize_config(raw)
+
+
+_BALL = {"kind": "ball", "center": [0.5, 0.5, 0.5], "r": 0.2}
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"tag": "runge"}, "runge needs regions.A, runge.target"),
+    ({"tag": "runge", "regions": {"A": _BALL}, "runge": {"target": {}}},
+     "runge needs runge.target.x0"),
+    ({"tag": "runge", "regions": {"A": _BALL},
+      "runge": {"target": {"kind": "plane_wave", "k": [2.0, 0.0, 0.0]}}},
+     "runge needs runge.target.p"),
+    ({"tag": "localization", "regions": {"D": _BALL}}, "localization needs regions.M"),
+    ({"tag": "localization"}, "localization needs regions.M, regions.D"),
+    ({"tag": "cauchy", "truth": {"kind": "dipole"}}, "cauchy needs truth.x0"),
+    ({"tag": "propagation"},
+     "propagation needs propagation.x0, propagation.r0, propagation.margin_h, regions.G"),
+])
+def test_each_tag_needs_its_keys(raw, message):
+    # a missing region or target used to die with a KeyError after assembly
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        normalize_config(raw)
+
+
+def test_derived_defaults_follow_the_grid_and_the_patch():
+    grid = {"n": [10, 10, 12], "h": 0.1, "origin": [0.3, -0.2, 0.1]}
+    balls = normalize_config({"tag": "three_balls", "grid": grid})
+    center = (np.array(grid["n"]) * grid["h"] / 2 + np.asarray(grid["origin"])).tolist()
+    assert balls["three_balls"]["center"] == center
+    assert "truth" not in balls and "wave" not in balls["verify"]
+    assert "seed" not in balls["three_balls"]  # a section seed follows the top-level one
+    cauchy = normalize_config({"tag": "cauchy", "grid": grid,
+                               "patch": {"side": ["x-", "y-", "y+", "z-", "z+"]}})
+    truth = cauchy["truth"]
+    assert truth == {"kind": "far_side_bump", "side": "x+", "center": center, "width": 0.25}
+    assert truth["center"] == (np.asarray(grid["origin"])
+                               + 0.5 * np.array(grid["n"]) * grid["h"]).tolist()
+    verify = normalize_config({"tag": "verify_solver", "omega": 3})
+    assert verify["verify"]["wave"] == {"k": [3.0, 0.0, 0.0], "p": [0.0, 1.0, 0.0]}
+    assert verify["grid"]["h"] == 1.0 / 12
+    assert (verify["solver"]["direct_limit"], balls["solver"]["direct_limit"]) == \
+        (0, rl.solver.DIRECT_LIMIT)
+
+
+def test_drivers_hold_no_defaults():
+    # every default lives in the table: a driver indexes its config, and only
+    # a section seed falls back, to the top-level seed
+    tree = ast.parse(inspect.getsource(experiments))
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef) or fn.name in ("normalize_config", "_lookup"):
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("get", "setdefault") and len(node.args) > 1):
+                assert ast.unparse(node) == "spec.get('seed', cfg['seed'])", (fn.name,
+                                                                               ast.unparse(node))
+
+
+def test_readme_schema_names_every_table_key():
+    with open(os.path.join(CONFIG_DIR, os.pardir, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## Config schema\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"^- `([^`]+)`", section, re.M))
+    assert named == {key for key, *_ in experiments._TABLE} | {"tag"}
+
+
 def test_report_rejects_nonfinite():
     with pytest.raises(ConfigurationError):
         Report("three_balls", {}, [{"sample": 0, "seed": 0, "a1": np.nan, "a2": 1.0,
@@ -216,9 +335,14 @@ def test_three_balls_m0_offset_trivial_bound():
 
 
 def test_three_balls_rejects_bad_radii():
-    cfg = _cfg(three_balls={"r1": 0.2, "r2": 0.3, "r3": 0.5})
-    with pytest.raises(GeometryError):
-        run_three_balls(cfg)
+    # checked on the config and the grid alone, before any assembly
+    with pytest.raises(GeometryError, match=r"^need r1 < r2 < r3/2, got 0.2, 0.3, 0.5$"):
+        _cfg(three_balls={"r1": 0.2, "r2": 0.3, "r3": 0.5})
+
+
+def test_three_balls_rejects_an_outer_ball_outside_the_box():
+    with pytest.raises(GeometryError, match="^outer ball must sit inside the box$"):
+        _cfg(three_balls={"center": [0.3, 0.5, 0.5]})
 
 
 def _runge_cfg(**runge):
@@ -274,12 +398,12 @@ def test_cauchy_truth_side_defaults_to_the_free_side():
     named, _ = _cauchy_truth(cfg, scene)
     free = _cauchy_cfg(truth={"kind": "far_side_bump", "center": [1.0, 0.45, 0.55],
                               "width": 0.3})
+    assert free["truth"]["side"] == "x+"
     inferred, _ = _cauchy_truth(free, scene)
     assert np.array_equal(inferred.E, named.E)
-    two_free = _cauchy_cfg(patch={"side": ["x-", "y-", "y+", "z-"]},
-                           truth={"kind": "far_side_bump"})
-    with pytest.raises(ConfigurationError):
-        _cauchy_truth(two_free, build_scene(two_free))
+    # two free sides: refused by the config check, before any assembly
+    with pytest.raises(ConfigurationError, match="^truth.side is required unless"):
+        _cauchy_cfg(patch={"side": ["x-", "y-", "y+", "z-"]}, truth={"kind": "far_side_bump"})
 
 
 def test_cauchy_quick_consistency():
@@ -684,14 +808,13 @@ def test_propagation_data_ball_contains_g():
 
 
 def test_propagation_rejects_margin_conflict():
-    cfg = normalize_config({
-        "tag": "propagation",
-        "grid": {"n": [8, 8, 8], "h": 0.125},
-        "regions": {"G": {"kind": "ball", "center": [0.5, 0.5, 0.5], "r": 0.2}},
-        "propagation": {"x0": [0.5, 0.5, 0.5], "r0": 0.2, "margin_h": 0.15},
-    })
-    with pytest.raises(GeometryError):
-        run_propagation(cfg)
+    with pytest.raises(GeometryError, match="^margin 0.15 exceeds r0/2 = 0.1;"):
+        normalize_config({
+            "tag": "propagation",
+            "grid": {"n": [8, 8, 8], "h": 0.125},
+            "regions": {"G": {"kind": "ball", "center": [0.5, 0.5, 0.5], "r": 0.2}},
+            "propagation": {"x0": [0.5, 0.5, 0.5], "r0": 0.2, "margin_h": 0.15},
+        })
 
 
 def test_report_determinism_quick():
@@ -706,7 +829,6 @@ def test_report_determinism_quick():
 
 
 def test_propagation_reference_config():
-    from conftest import load_config
     rep = run_propagation(load_config("propagation_reference.json"))
     assert rep.passed, rep.flags
     delta = rep.fits[0]["exponent"]
@@ -715,7 +837,6 @@ def test_propagation_reference_config():
 
 
 def test_localization_reference_config():
-    from conftest import load_config
     rep = run_localization(load_config("localization_reference.json"))
     assert rep.passed, rep.flags
     assert rep.records[-1]["quotient"] > 10.0
