@@ -8,9 +8,10 @@ the Gram is
 
     G_V = M^{1/2} (I + M^{-1/2} S M^{-1/2})^{-1/2} M^{1/2},
 
-computed by dense eigendecomposition.  The mass-normalized spectrum of the
-smoothing operator is >= 1, so the surrogate norm never exceeds the plain
-L2 norm of the trace.  It depends on the patch and collar only: one
+computed by dense eigendecomposition and stored only as its Cholesky factor
+L: the norm is ||L^T f||, and every solve, whitening and weighted SVD goes
+through L.  The mass-normalized spectrum of the smoothing operator is >= 1,
+so the surrogate norm never exceeds the plain L2 norm of the trace.  It depends on the patch and collar only: one
 TraceGram serves every region restricted through that trace side, and each
 region's VolumeWeights are diagonal and need no Gram.
 """
@@ -93,15 +94,14 @@ def real_matmul(A, z):
 
 class TraceGram:
     """The boundary trace space V of one (patch, collar): the dense SPD Gram
-    over the selected patch dofs with its Cholesky factor.  Built once and
-    shared by every region restricted through the same trace side."""
+    over the selected patch dofs, held only as its Cholesky factor.  Built
+    once and shared by every region restricted through the same trace side."""
 
-    def __init__(self, patch: BoundaryPatch, collar, v_sel, gram_V, chol_V):
+    def __init__(self, patch: BoundaryPatch, collar, v_sel, chol_V):
         self.patch = patch
         self.collar = collar
         self.v_sel = v_sel                      # positions into patch.edge_dofs
         self.v_dofs = patch.edge_dofs[v_sel]    # global edge indices
-        self.gram_V = gram_V
         self.chol_V = chol_V                    # lower triangular, G_V = L L^T
 
     @property
@@ -109,11 +109,11 @@ class TraceGram:
         return len(self.v_dofs)
 
     def v_inner(self, f, g):
-        """<f, g>_V, linear in f, conjugate-linear in g."""
-        return complex(np.conj(g) @ real_matmul(self.gram_V, f))
+        """<f, g>_V = (L^T g)^H (L^T f), linear in f, conjugate-linear in g."""
+        return complex(np.conj(real_matmul(self.chol_V.T, g)) @ real_matmul(self.chol_V.T, f))
 
     def v_norm(self, f):
-        return float(np.sqrt(max(self.v_inner(f, f).real, 0.0)))
+        return float(np.linalg.norm(real_matmul(self.chol_V.T, f)))
 
     def v_solve(self, rhs):
         """Apply G_V^{-1} through the Cholesky factor."""
@@ -186,11 +186,11 @@ def _patch_graph_laplacian(patch: BoundaryPatch, sel):
 
 
 def build_norm_weights(patch: BoundaryPatch, collar="include_rim") -> TraceGram:
-    """Assemble the trace Gram of a patch and collar.
+    """Assemble the trace Gram of a patch and collar and keep its factor.
 
     The V Gram applies the inverse square root of the mass-normalized
     (identity plus graph Laplacian) by dense eigendecomposition; patches
-    beyond 4000 dofs are rejected.
+    beyond 4000 dofs are rejected.  Only its Cholesky factor is returned.
     """
     sel = patch.select(collar)
     if len(sel) == 0:
@@ -208,9 +208,7 @@ def build_norm_weights(patch: BoundaryPatch, collar="include_rim") -> TraceGram:
     inv_sqrt = (evecs * (1.0 / np.sqrt(evals))) @ evecs.T
     sqrt_mass = np.sqrt(mass)
     gram = sqrt_mass[:, None] * inv_sqrt * sqrt_mass[None, :]
-    gram = 0.5 * (gram + gram.T)
-    chol = np.linalg.cholesky(gram)
-    return TraceGram(patch, collar, sel, gram, chol)
+    return TraceGram(patch, collar, sel, np.linalg.cholesky(0.5 * (gram + gram.T)))
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,7 @@ TAGS = ("runge", "cauchy", "three_balls", "propagation", "localization", "verify
 
 
 # rules: (what a present value must be, its test); bools, strings and null are not numbers
-def _number(v):
-    return type(v) in (int, float) and abs(v) < np.inf
+_number = geometry.finite_number
 
 
 def _int(least):
@@ -56,6 +55,9 @@ _GT2 = "a finite number > 2", lambda v: _number(v) and v > 2
 _POINT = "a list of three finite numbers", _list(_number, 3)
 _SIDE = ("a side or a non-empty list of sides",
          lambda v: v in geometry.SIDES or _list(lambda s: s in geometry.SIDES)(v))
+_TENSOR = ("a finite number, a list of three or a 3 x 3 list of finite numbers",
+           lambda v: _number(v) or _list(_number, 3)(v) or _list(_list(_number, 3), 3)(v))
+_MAT = materials.DEFAULTS
 
 
 def _box(cfg):
@@ -93,10 +95,25 @@ _TABLE = (
     ("grid.n", [12, 12, 12], "*", ("three integers >= 4", _list(_int(4), 3))),
     ("grid.h", lambda c: 1.0 / c["grid"]["n"][0], "*", _GT0),
     ("grid.origin", [0.0, 0.0, 0.0], "*", _POINT),
-    ("material", {"kind": "constant", "eps": 1.0, "mu": 1.0}, "*", None),
-    ("material.seed", 0, "*:smooth", _integer(0)),
+    ("material.kind", "constant", "*", _one_of(*materials.KINDS)),
+    ("material.eps", _MAT["eps"], "*:constant", _TENSOR),
+    ("material.mu", _MAT["mu"], "*:constant *:layered", _TENSOR),
+    ("material.axis", _MAT["axis"], "*:layered",
+     ("0, 1 or 2", lambda v: type(v) is int and v in (0, 1, 2))),
+    ("material.smoothing", _MAT["smoothing"], "*:layered", _GE0),
+    ("material.breakpoints", _REQUIRED, "*:layered",
+     ("a list of finite numbers", lambda v: isinstance(v, list) and all(map(_number, v)))),
+    ("material.tensors", _REQUIRED, "*:layered",
+     ("a non-empty list of tensors, each " + _TENSOR[0], _list(_TENSOR[1]))),
+    ("material.seed", _MAT["seed"], "*:smooth", _integer(0)),
+    ("material.amplitude", _MAT["amplitude"], "*:smooth",
+     ("a number strictly inside (0, 1)", lambda v: _number(v) and 0 < v < 1)),
+    ("material.modes", _MAT["modes"], "*:smooth", _integer(1)),
+    ("material.max_wavenumber", _MAT["max_wavenumber"], "*:smooth", _integer(0)),
     ("patch.side", "x-", "*", _SIDE),
-    ("patch.window", None, "*", None),
+    ("patch.window", None, "*",
+     ("null or [[lo1, lo2], [hi1, hi2]] of finite numbers",
+      lambda v: v is None or _list(_list(_number, 2), 2)(v))),
     ("patch.collar", "exclude_rim", "*", _one_of("exclude_rim", "include_rim")),
     ("exponents.p", 4.0, "*", _GT2),
     ("exponents.q", 3.0, "*", _GT2),
@@ -229,6 +246,13 @@ def normalize_config(raw: dict) -> dict:
     exps["theta"] = theta
     if missing:
         raise ConfigurationError(f"{tag} needs {', '.join(missing)}")
+    mat = cfg["material"]
+    if mat["kind"] == "layered" and len(mat["tensors"]) != len(mat["breakpoints"]) + 1:
+        raise ConfigurationError(
+            f"material.tensors must hold one entry more than material.breakpoints, got "
+            f"{len(mat['tensors'])} and {len(mat['breakpoints'])}")
+    for name, shape in cfg["regions"].items():
+        geometry.check_shape(shape, f"regions.{name}")
     if tag == "three_balls":
         r1, r2, r3 = (float(cfg["three_balls"][k]) for k in ("r1", "r2", "r3"))
         if not (r1 < r2 < r3 / 2):
@@ -352,9 +376,10 @@ def _assemble(cfg: dict, grid, mat) -> solver.SystemMatrix:
 
 def build_scene(cfg: dict) -> Scene:
     g = geometry.build_grid(cfg["grid"]["n"], cfg["grid"]["h"], cfg["grid"]["origin"])
+    # the patch first: a window that misses its side fails before assembly
+    patch = geometry.boundary_patch(g, cfg["patch"]["side"], cfg["patch"]["window"])
     mat = materials.make_material(g, cfg["material"])
     sys_ = _assemble(cfg, g, mat)
-    patch = geometry.boundary_patch(g, cfg["patch"]["side"], cfg["patch"]["window"])
     lo = g.origin
     hi = g.origin + np.array(g.n) * g.h
     omega_region = geometry.carve_region(g, {"kind": "box", "lo": lo.tolist(), "hi": hi.tolist()})
@@ -672,9 +697,9 @@ def _cauchy_truth(cfg, scene: Scene):
     return oracle.sample_on_grid(sol, scene.grid), "analytic"
 
 
-def run_cauchy(cfg: dict, scene: Scene | None = None) -> Report:
+def run_cauchy(cfg: dict) -> Report:
     """Noise-ladder reconstruction study of the two-trace Cauchy problem."""
-    scene = scene or build_scene(cfg)
+    scene = build_scene(cfg)
     gram = build_norm_weights(scene.patch, collar=cfg["patch"]["collar"])
     cop = CauchyOperator(scene, gram)
 
@@ -786,9 +811,9 @@ def _holder_study(scene: Scene, patch, regions, seeds, m0, tol):
     return rows, fit, (bool(1e-9 < tau < 1 - 1e-9), bool(max(resid) <= tol + 1e-12))
 
 
-def run_three_balls(cfg: dict, scene: Scene | None = None) -> Report:
+def run_three_balls(cfg: dict) -> Report:
     """Holder interpolation feasibility over random interior solutions."""
-    scene = scene or build_scene(cfg)
+    scene = build_scene(cfg)
     spec = cfg["three_balls"]
     balls = [geometry.carve_region(scene.grid, {"kind": "ball", "center": spec["center"],
                                                 "r": float(spec[r])}) for r in ("r1", "r2", "r3")]
@@ -812,9 +837,9 @@ def run_three_balls(cfg: dict, scene: Scene | None = None) -> Report:
 # propagation of smallness
 # ---------------------------------------------------------------------------
 
-def run_propagation(cfg: dict, scene: Scene | None = None) -> Report:
+def run_propagation(cfg: dict) -> Report:
     """Two-factor interpolation bound for a probe region reached by ball chains."""
-    scene = scene or build_scene(cfg)
+    scene = build_scene(cfg)
     spec = cfg["propagation"]
     x0 = np.asarray(spec["x0"], dtype=float)
     r0 = float(spec["r0"])
@@ -862,9 +887,11 @@ def run_propagation(cfg: dict, scene: Scene | None = None) -> Report:
 # localization
 # ---------------------------------------------------------------------------
 
-def run_localization(cfg: dict, scene: Scene | None = None) -> Report:
-    """Maximize field concentration on M against D through the spectral basis."""
-    scene = scene or build_scene(cfg)
+def run_localization(cfg: dict) -> Report:
+    """Maximize field concentration on M against D through the spectral basis:
+    on M's G_V-orthonormal singular vectors phi, each cutoff k solves the
+    pencil (diag(sigma_k^2), D_k^T D_k + eps_reg I_k), D = W_D^{1/2} R_D phi."""
+    scene = build_scene(cfg)
     spec = cfg["localization"]
     m_region = geometry.carve_region(scene.grid, cfg["regions"]["M"])
     d_region = geometry.carve_region(scene.grid, cfg["regions"]["D"])
@@ -875,25 +902,17 @@ def run_localization(cfg: dict, scene: Scene | None = None) -> Report:
     op_m, op_d = runge_op.assemble_restriction(scene.system, gram, v_m, v_d)
     eps_reg = float(spec["eps_reg"])
 
-    # A^H W A = R^T W R: the phase of A cancels, so both forms are real
-    P = op_m.matrix.T @ (v_m.x_weights()[:, None] * op_m.matrix)
-    Q = op_d.matrix.T @ (v_d.x_weights()[:, None] * op_d.matrix) + eps_reg * gram.gram_V
-    P = 0.5 * (P + P.T)
-    Q = 0.5 * (Q + Q.T)
-
     svd_m = runge_op.weighted_svd(op_m)
+    # A^H W A = R^T W R: the phase of A cancels, so D is real
+    D = np.sqrt(v_d.x_weights())[:, None] * (op_d.matrix @ svd_m.phi)
     records = []
     top_quotient = None
     for cut in spec["cutoffs"]:
         k = min(cut, svd_m.rank)
-        basis = svd_m.phi[:, :k]
-        Pk = basis.T @ P @ basis
-        Qk = basis.T @ Q @ basis
-        Pk = 0.5 * (Pk + Pk.T)
-        Qk = 0.5 * (Qk + Qk.T)
-        evals, evecs = sla.eigh(Pk, Qk)
+        Dk = D[:, :k]
+        evals, evecs = sla.eigh(np.diag(svd_m.sigma[:k] ** 2), Dk.T @ Dk + eps_reg * np.eye(k))
         quotient = float(evals[-1])
-        f = basis @ evecs[:, -1]
+        f = svd_m.phi[:, :k] @ evecs[:, -1]
         fields = solver.solve_bvp(scene.system, gram.trace(f))
         nm = lp_norm(scene.grid, m_region, 2, E=fields.E, H=fields.H)
         nd = lp_norm(scene.grid, d_region, 2, E=fields.E, H=fields.H)

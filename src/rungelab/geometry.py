@@ -245,6 +245,45 @@ def build_grid(n, h, origin=(0.0, 0.0, 0.0)) -> Grid:
     return Grid(n, h, origin)
 
 
+def finite_number(v):
+    """A finite int or float; bools, strings and null are not numbers."""
+    return type(v) in (int, float) and abs(v) < np.inf
+
+
+_POINT = ("a list of three finite numbers",
+          lambda v: isinstance(v, list) and len(v) == 3 and all(map(finite_number, v)))
+_PARTS = ("a non-empty list of shapes", lambda v: isinstance(v, list) and len(v) > 0)
+# each shape kind's keys, as key: (what its value must be, its test)
+_SHAPE_KEYS = {
+    "ball": {"center": _POINT, "r": ("a finite number > 0", lambda v: finite_number(v) and v > 0)},
+    "box": {"lo": _POINT, "hi": _POINT},
+    "union": {"parts": _PARTS},
+    "intersection": {"parts": _PARTS},
+    "complement": {"part": ("a shape", lambda v: isinstance(v, dict))},
+}
+
+
+def check_shape(spec, name):
+    """Raise ConfigurationError naming ``name`` and the bad key unless
+    ``spec`` is a shape: a known kind, three-number points, r > 0 and
+    non-empty ``parts``, checked down every nested shape."""
+    if not isinstance(spec, dict):
+        raise ConfigurationError(f"{name} must be a shape object, got {spec!r}")
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _SHAPE_KEYS:
+        raise ConfigurationError(
+            f"{name}.kind must be one of {', '.join(_SHAPE_KEYS)}, got {kind!r}")
+    for key, (what, test) in _SHAPE_KEYS[kind].items():
+        if key not in spec:
+            raise ConfigurationError(f"{name}.{key} is missing; it must be {what}")
+        if not test(spec[key]):
+            raise ConfigurationError(f"{name}.{key} must be {what}, got {spec[key]!r}")
+    if kind == "complement":
+        check_shape(spec["part"], f"{name}.part")
+    for i, part in enumerate(spec["parts"] if kind in ("union", "intersection") else ()):
+        check_shape(part, f"{name}.parts[{i}]")
+
+
 def _shape_predicate(grid: Grid, spec):
     centers = grid.cell_centers()
     kind = spec.get("kind")

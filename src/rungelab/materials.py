@@ -17,6 +17,12 @@ from . import store
 from .errors import MaterialError, ConfigurationError
 from .geometry import Grid
 
+KINDS = ("constant", "layered", "smooth")
+# the defaults of the kinds' keys, which the config table reads too; layered
+# breakpoints and tensors have none
+DEFAULTS = {"eps": 1.0, "mu": 1.0, "axis": 0, "smoothing": 0.0,
+            "seed": 0, "amplitude": 0.3, "modes": 3, "max_wavenumber": 2}
+
 
 class MaterialField:
     """Per-cell (eps, mu) tensors plus the ellipticity constant and Lipschitz bound."""
@@ -78,7 +84,7 @@ def _as_tensor(value):
 
 def scalar_medium(spec):
     """(eps, mu) of the analytic oracles; raises on a non-scalar eps or mu."""
-    eps, mu = spec.get("eps", 1.0), spec.get("mu", 1.0)
+    eps, mu = (spec.get(k, DEFAULTS[k]) for k in ("eps", "mu"))
     if np.ndim(eps) or np.ndim(mu):
         raise ConfigurationError(
             f"the analytic oracles need scalar eps and mu; material kind "
@@ -93,28 +99,32 @@ def make_material(grid: Grid, spec) -> MaterialField:
       constant: {"eps": t, "mu": t} with scalars, diagonals or 3x3 tensors.
       layered:  piecewise tensors along an axis with a linear transition of
                 width >= one cell (a sharp jump violates the Lipschitz rule).
-      smooth:   seeded random Fourier superposition with a budgeted amplitude,
-                guaranteeing the eigenvalue window for every seed.
+      smooth:   seeded random Fourier superposition with a budgeted amplitude
+                in (0, 1), guaranteeing the eigenvalue window for every seed.
+
+    An absent key takes its ``DEFAULTS`` entry; ``experiments.normalize_config``
+    checks every kind's keys before a material is built.
     """
     kind = spec.get("kind")
-    if kind == "constant":
-        eps = np.broadcast_to(_as_tensor(spec.get("eps", 1.0)), grid.n + (3, 3)).copy()
-        mu = np.broadcast_to(_as_tensor(spec.get("mu", 1.0)), grid.n + (3, 3)).copy()
-        return MaterialField(grid, eps, mu, spec)
-    if kind == "layered":
-        return _layered(grid, spec)
-    if kind == "smooth":
-        return _smooth(grid, spec)
-    raise ConfigurationError(f"unknown material kind {kind!r}")
+    if kind not in KINDS:
+        raise ConfigurationError(f"unknown material kind {kind!r}")
+    build = {"constant": _constant, "layered": _layered, "smooth": _smooth}[kind]
+    return MaterialField(grid, *build(grid, {**DEFAULTS, **spec}), spec)
 
 
-def _layered(grid: Grid, spec):
-    axis = int(spec.get("axis", 0))
-    breaks = [float(b) for b in spec["breakpoints"]]
-    tensors = [_as_tensor(t) for t in spec["tensors"]]
-    if len(tensors) != len(breaks) + 1:
-        raise ConfigurationError("layered needs len(tensors) == len(breakpoints) + 1")
-    width = float(spec.get("smoothing", 0.0))
+def _uniform(grid: Grid, t):
+    return np.broadcast_to(_as_tensor(t), grid.n + (3, 3)).copy()
+
+
+def _constant(grid: Grid, p):
+    return _uniform(grid, p["eps"]), _uniform(grid, p["mu"])
+
+
+def _layered(grid: Grid, p):
+    axis = int(p["axis"])
+    breaks = [float(b) for b in p["breakpoints"]]
+    tensors = [_as_tensor(t) for t in p["tensors"]]
+    width = float(p["smoothing"])
     if width < grid.h:
         raise MaterialError(
             f"layered transition width {width:g} below one cell ({grid.h:g}); "
@@ -126,19 +136,12 @@ def _layered(grid: Grid, spec):
         # linear ramp of the given width centered on the breakpoint
         s = np.clip((coord_full - (b - width / 2)) / width, 0.0, 1.0)
         field = field * (1 - s[..., None, None]) + t_next * s[..., None, None]
-    eps = field
-    mu_spec = spec.get("mu", 1.0)
-    mu = np.broadcast_to(_as_tensor(mu_spec), grid.n + (3, 3)).copy()
-    return MaterialField(grid, eps, mu, spec)
+    return field, _uniform(grid, p["mu"])
 
 
-def _smooth(grid: Grid, spec):
-    seed = int(spec.get("seed", 0))
-    amplitude = float(spec.get("amplitude", 0.3))
-    n_modes = int(spec.get("modes", 3))
-    max_wavenumber = int(spec.get("max_wavenumber", 2))
-    if not (0 < amplitude < 1):
-        raise ConfigurationError("smooth amplitude must sit in (0, 1)")
+def _smooth(grid: Grid, p):
+    seed, amplitude = int(p["seed"]), float(p["amplitude"])
+    n_modes, max_wavenumber = int(p["modes"]), int(p["max_wavenumber"])
     rng = np.random.default_rng(seed)
     centers = grid.cell_centers()
 
@@ -156,11 +159,9 @@ def _smooth(grid: Grid, spec):
     lams = np.stack([scalar_field() for _ in range(3)], axis=-1)
     field = np.einsum("ia,na,ja->nij", basis, lams, basis).reshape(grid.n + (3, 3))
     field = 0.5 * (field + np.swapaxes(field, -1, -2))
-    eps = field
     lams_mu = np.stack([scalar_field() for _ in range(3)], axis=-1)
     mu = np.einsum("ia,na,ja->nij", basis, lams_mu, basis).reshape(grid.n + (3, 3))
-    mu = 0.5 * (mu + np.swapaxes(mu, -1, -2))
-    return MaterialField(grid, eps, mu, spec)
+    return field, 0.5 * (mu + np.swapaxes(mu, -1, -2))
 
 
 def _random_rotation(rng):

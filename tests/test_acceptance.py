@@ -71,11 +71,13 @@ def test_criterion_4_svd_structure(reference_runge_scene):
     t0 = time.time()
     assert np.all(np.diff(svd.sigma) <= 0)
     eye = np.eye(svd.rank)
-    gv = svd.phi.conj().T @ gram.gram_V @ svd.phi
+    # the trace Gram is stored as its factor: G_V = L L^T
+    gram_V = gram.chol_V @ gram.chol_V.T
+    gv = svd.phi.conj().T @ gram_V @ svd.phi
     gx = svd.psi.conj().T @ (volume.x_weights()[:, None] * svd.psi)
     assert np.abs(gv - eye).max() <= 1e-10
     assert np.abs(gx - eye).max() <= 1e-10
-    recon = (svd.psi * svd.sigma) @ (svd.phi.conj().T @ gram.gram_V)
+    recon = (svd.psi * svd.sigma) @ (svd.phi.conj().T @ gram_V)
     A = op.complex_matrix()
     rel = np.linalg.norm(recon - A) / np.linalg.norm(A)
     assert rel <= 1e-10

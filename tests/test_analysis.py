@@ -57,16 +57,39 @@ def test_lp_region_monotonicity(grid8):
 def test_gram_single_face(grid8):
     patch = rl.boundary_patch(grid8, "x-", window=((0.0, 0.0), (0.125, 0.125)))
     w = build_norm_weights(patch)
-    assert w.gram_V.shape == (4, 4)
-    assert np.allclose(w.gram_V, w.gram_V.T)
-    assert np.all(np.linalg.eigvalsh(w.gram_V) > 0)
+    L = w.chol_V
+    assert L.shape == (4, 4)
+    assert np.array_equal(L, np.tril(L)) and np.all(np.diag(L) > 0)
+    assert vars(w).keys() == {"patch", "collar", "v_sel", "v_dofs", "chol_V"}
+
+
+def _surrogate_gram(patch, sel):
+    """G = M^{1/2} (I + M^{-1/2} S M^{-1/2})^{-1/2} M^{1/2}, S the unit-weight
+    graph Laplacian linking the selected dofs of each patch face."""
+    pos = {int(d): i for i, d in enumerate(sel)}
+    S = np.zeros((len(sel), len(sel)))
+    for face in patch.face_edges:
+        members = [pos[int(d)] for d in face if int(d) in pos]
+        for a in members:
+            for b in members:
+                if a != b:
+                    S[a, b] -= 1.0
+                    S[a, a] += 1.0
+    m = np.sqrt(patch.edge_area[sel])
+    evals, evecs = np.linalg.eigh(np.eye(len(sel)) + S / np.outer(m, m))
+    return np.outer(m, m) * ((evecs / np.sqrt(evals)) @ evecs.T)
 
 
 def test_gram_cholesky_reproduces(grid8):
     patch = rl.boundary_patch(grid8, "x-")
-    w = build_norm_weights(patch)
-    recon = w.chol_V @ w.chol_V.T
-    assert np.linalg.norm(recon - w.gram_V) <= 1e-12 * np.linalg.norm(w.gram_V)
+    rng = np.random.default_rng(3)
+    for collar in ("include_rim", "exclude_rim"):
+        w = build_norm_weights(patch, collar)
+        G = _surrogate_gram(patch, w.v_sel)
+        assert np.linalg.norm(w.chol_V @ w.chol_V.T - G) <= 1e-12 * np.linalg.norm(G)
+        f, g = rng_complex(rng, w.n_v), rng_complex(rng, w.n_v)
+        assert w.v_inner(f, g) == pytest.approx(np.conj(g) @ G @ f, rel=1e-12)
+        assert w.v_norm(f) == pytest.approx(np.sqrt((np.conj(f) @ G @ f).real), rel=1e-12)
 
 
 def test_surrogate_contracts_l2(grid8):

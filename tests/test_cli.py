@@ -84,6 +84,14 @@ def test_run_exit_one_on_bad_field(tmp_path, capsys):
 
 
 _BALL = {"kind": "ball", "center": [0.5, 0.5, 0.5], "r": 0.2}
+_LAYERED = {"kind": "layered", "breakpoints": [0.5], "tensors": [1.0, 2.0], "smoothing": 0.25}
+
+
+def _localize(m_shape):
+    """An 8^3 localization config whose region M is ``m_shape``."""
+    return {"tag": "localization", "grid": {"n": [8, 8, 8]},
+            "regions": {"M": m_shape, "D": {"kind": "ball", "center": [0.72, 0.5, 0.5],
+                                            "r": 0.16}}}
 
 
 @pytest.mark.parametrize("payload, key", [
@@ -115,6 +123,45 @@ _BALL = {"kind": "ball", "center": [0.5, 0.5, 0.5], "r": 0.2}
      "margin 0.15 exceeds r0/2 = 0.1; the hypotheses conflict"),
     ({"tag": "cauchy", "patch": {"side": ["x-", "y-"]}},
      "truth.side is required unless the patch leaves exactly one side free"),
+    # a material kind's own keys: these died in make_material with untyped
+    # tracebacks, or ran with a truncated value
+    ({"material": {"kind": "smooth", "amplitude": "big"}}, "material.amplitude"),
+    ({"material": {"kind": "smooth", "amplitude": 1.0}}, "material.amplitude"),
+    ({"material": {"kind": "smooth", "modes": 2.5}}, "material.modes"),
+    ({"material": {"kind": "smooth", "max_wavenumber": -1}}, "material.max_wavenumber"),
+    ({"material": {"kind": "smooth", "seed": "3"}}, "material.seed"),
+    ({"material": {"kind": "constant", "eps": "abc"}}, "material.eps"),
+    ({"material": {"kind": "constant", "mu": [1.0, 2.0]}}, "material.mu"),
+    ({"material": {"kind": "wood"}}, "material.kind"),
+    ({"material": dict(_LAYERED, breakpoints=None)}, "material.breakpoints"),
+    ({"material": {k: v for k, v in _LAYERED.items() if k != "breakpoints"}},
+     "three_balls needs material.breakpoints"),
+    ({"material": {k: v for k, v in _LAYERED.items() if k != "tensors"}},
+     "three_balls needs material.tensors"),
+    ({"material": dict(_LAYERED, tensors=[1.0])}, "material.tensors"),
+    ({"material": dict(_LAYERED, tensors=[1.0, "x"])}, "material.tensors"),
+    ({"material": dict(_LAYERED, axis=3)}, "material.axis"),
+    ({"material": dict(_LAYERED, smoothing=-0.1)}, "material.smoothing"),
+    ({"material": dict(_LAYERED, mu="x")}, "material.mu"),
+    # region shapes: these died in carve_region after assembly
+    (_localize("ball"), "regions.M"),
+    (_localize({"kind": "ball", "center": [0.3, 0.5, 0.5]}), "regions.M.r"),
+    (_localize({"kind": "ball", "center": "middle", "r": 0.16}), "regions.M.center"),
+    (_localize({"kind": "ball", "center": [0.3, 0.5, 0.5], "r": "0.16"}), "regions.M.r"),
+    (_localize({"kind": "ball", "center": [0.3, 0.5, 0.5], "r": 0}), "regions.M.r"),
+    (_localize({"kind": "box", "lo": [0.2, 0.4, 0.4]}), "regions.M.hi"),
+    (_localize({"kind": "complement"}), "regions.M.part"),
+    (_localize({"kind": "union", "parts": []}), "regions.M.parts"),
+    (_localize({"kind": "intersection", "parts": [_BALL, {"kind": "ball", "r": 0.1}]}),
+     "regions.M.parts[1].center"),
+    (_localize({"kind": "cone"}), "regions.M.kind"),
+    # the patch window: these died in boundary_patch after assembly
+    ({"patch": {"window": [1, 2]}}, "patch.window"),
+    ({"patch": {"window": "all"}}, "patch.window"),
+    ({"patch": {"window": [[0.0, 0.0], [0.5, None]]}}, "patch.window"),
+    # the patch is built before the system, so a window off its side fails first
+    ({"patch": {"window": [[2.0, 2.0], [3.0, 3.0]]}},
+     "window [[2.0, 2.0], [3.0, 3.0]] misses side 'x-'"),
 ])
 def test_run_exit_one_before_assembly(tmp_path, monkeypatch, capsys, payload, key):
     from rungelab import solver
@@ -124,10 +171,14 @@ def test_run_exit_one_before_assembly(tmp_path, monkeypatch, capsys, payload, ke
 
     monkeypatch.setattr(solver, "assemble", refuse)
     cfg = _write(tmp_path, "c.json", {"tag": "three_balls", "grid": {"n": [6, 6, 6]}, **payload})
-    assert main(["--out", str(tmp_path / "out"), "run", cfg]) == 1
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", cfg]) == 1
     # the key starts the message, or the whole message is given
-    line = capsys.readouterr().err.splitlines()[0]
+    err = capsys.readouterr().err
+    line = err.splitlines()[0]
     assert line.startswith(f"error: {key} ") or line == f"error: {key}"
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_resonance_error_names_the_suggested_omega(tmp_path, capsys):

@@ -844,6 +844,32 @@ def test_localization_reference_config():
     assert quotients == sorted(quotients)
 
 
+def test_localization_pencil_matches_the_dense_grams(monkeypatch):
+    # reference: the dense n_v x n_v Grams P = R_M^T W_M R_M and
+    # Q = R_D^T W_D R_D + eps G_V, projected on the leading singular vectors
+    from rungelab import runge_op
+
+    built = []
+    assemble_restriction = runge_op.assemble_restriction
+    monkeypatch.setattr(runge_op, "assemble_restriction",
+                        lambda *a: built.append(assemble_restriction(*a)) or built[-1])
+    cfg = load_config("localization_reference.json")
+    rep = run_localization(cfg)
+    [(op_m, op_d)] = built
+    eps_reg = cfg["localization"]["eps_reg"]
+    P = op_m.matrix.T @ (op_m.volume.x_weights()[:, None] * op_m.matrix)
+    Q = (op_d.matrix.T @ (op_d.volume.x_weights()[:, None] * op_d.matrix)
+         + eps_reg * op_m.gram.chol_V @ op_m.gram.chol_V.T)
+    P, Q = 0.5 * (P + P.T), 0.5 * (Q + Q.T)
+    svd = runge_op.weighted_svd(op_m)
+    assert [r["cutoff"] for r in rep.records] == [10, 20, 48]
+    for rec in rep.records:
+        basis = svd.phi[:, :rec["cutoff"]]
+        Pk, Qk = basis.T @ P @ basis, basis.T @ Q @ basis
+        dense = sla.eigh(0.5 * (Pk + Pk.T), 0.5 * (Qk + Qk.T), eigvals_only=True)[-1]
+        assert rec["quotient"] == pytest.approx(dense, rel=1e-9)
+
+
 def test_three_balls_smooth_material():
     cfg = normalize_config({
         "tag": "three_balls",
