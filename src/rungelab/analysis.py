@@ -26,7 +26,7 @@ import scipy.linalg as sla
 
 from .errors import ConfigurationError, NumericError, SizeError
 from .geometry import Grid, Region, BoundaryPatch
-from .solver import TangentialTrace, curl_matrix
+from .solver import TangentialTrace, curl_matrix, real_matmul
 
 DENSE_GRAM_LIMIT = 4000
 
@@ -81,16 +81,6 @@ def hcurl_norm(grid: Grid, region: Region, E=None, H=None, curl=None):
 # ---------------------------------------------------------------------------
 # weighted inner products
 # ---------------------------------------------------------------------------
-
-def real_matmul(A, z):
-    """A @ z for a real matrix A, applied to the real and imaginary parts of a
-    complex z separately: numpy would otherwise copy A into a complex array
-    on every call."""
-    z = np.asarray(z)
-    if np.iscomplexobj(z):
-        return A @ z.real + 1j * (A @ z.imag)
-    return A @ z
-
 
 class TraceGram:
     """The boundary trace space V of one (patch, collar): the dense SPD Gram

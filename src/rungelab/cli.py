@@ -126,10 +126,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RungelabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (RungelabError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

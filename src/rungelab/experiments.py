@@ -365,6 +365,7 @@ class Scene:
     system: solver.SystemMatrix
     patch: geometry.BoundaryPatch
     omega_region: geometry.Region
+    regions: dict  # every regions.<name> of the config, carved
 
 
 def _assemble(cfg: dict, grid, mat) -> solver.SystemMatrix:
@@ -374,16 +375,18 @@ def _assemble(cfg: dict, grid, mat) -> solver.SystemMatrix:
                            solver_tol=slv["tol"], direct_limit=slv["direct_limit"])
 
 
-def build_scene(cfg: dict) -> Scene:
+def build_scene(cfg: dict, targets=()) -> Scene:
     g = geometry.build_grid(cfg["grid"]["n"], cfg["grid"]["h"], cfg["grid"]["origin"])
-    # the patch first: a window that misses its side fails before assembly
+    # the patch and the regions first, so that a window off its side, an
+    # empty region or a bad restriction target in ``targets`` fails early
     patch = geometry.boundary_patch(g, cfg["patch"]["side"], cfg["patch"]["window"])
+    regions = {name: geometry.carve_region(g, shape, f"regions.{name}")
+               for name, shape in cfg["regions"].items()}
+    for name in targets:
+        regions[name].require_target(f"regions.{name}")
     mat = materials.make_material(g, cfg["material"])
     sys_ = _assemble(cfg, g, mat)
-    lo = g.origin
-    hi = g.origin + np.array(g.n) * g.h
-    omega_region = geometry.carve_region(g, {"kind": "box", "lo": lo.tolist(), "hi": hi.tolist()})
-    return Scene(g, mat, sys_, patch, omega_region)
+    return Scene(g, mat, sys_, patch, geometry.Region(g, np.ones(g.n, dtype=bool)), regions)
 
 
 def _random_trace(patch, rng):
@@ -456,11 +459,10 @@ def run_runge(cfg: dict, scene: Scene | None = None,
               svd: runge_op.SvdBundle | None = None) -> Report:
     """Truncated-approximant error decay and boundary-cost growth over the
     calibration ladder alpha(j)."""
-    scene = scene or build_scene(cfg)
+    scene = scene or build_scene(cfg, ["A"])
     if svd is None:
-        region_a = geometry.carve_region(scene.grid, cfg["regions"]["A"])
         gram = build_norm_weights(scene.patch, collar=cfg["patch"]["collar"])
-        op = _operator_with_cache(cfg, scene, gram, VolumeWeights(region_a))
+        op = _operator_with_cache(cfg, scene, gram, VolumeWeights(scene.regions["A"]))
         svd = runge_op.weighted_svd(op)
 
     spec, medium = cfg["runge"]["target"], materials.scalar_medium(cfg["material"])
@@ -501,11 +503,10 @@ def run_runge(cfg: dict, scene: Scene | None = None,
     growth = [r["hcurl_omega"] for r in records]
     nonincreasing = all(b <= a * (1 + 1e-12) for a, b in zip(errs, errs[1:]))
     # longest run of consecutive strict decrements
-    strict = best = 0
+    run = strict = 0
     for a, b in zip(errs, errs[1:]):
-        strict = strict + 1 if b < a * (1 - 1e-12) else 0
-        best = max(best, strict)
-    strict = best
+        run = run + 1 if b < a * (1 - 1e-12) else 0
+        strict = max(strict, run)
     v_nondecreasing = all(b >= a * (1 - 1e-12) for a, b in zip(vs, vs[1:]))
 
     fits = []
@@ -654,7 +655,7 @@ class CauchyOperator:
 
     def fields_of(self, b):
         sys_ = self.scene.system
-        return solver.lift(sys_, b, -(sys_.L_IB @ b))
+        return solver.lift(sys_, b, -solver.real_matmul(sys_.L_IB, b))
 
 
 def cauchy_reconstruct(cauchy_op: CauchyOperator, noisy_f, noisy_g, strategy,
@@ -844,7 +845,7 @@ def run_propagation(cfg: dict) -> Report:
     x0 = np.asarray(spec["x0"], dtype=float)
     r0 = float(spec["r0"])
     margin_h = float(spec["margin_h"])
-    g_region = geometry.carve_region(scene.grid, cfg["regions"]["G"])
+    g_region = scene.regions["G"]
     if not g_region.complement_connected() or not g_region.is_connected():
         raise GeometryError("probe region must be connected with connected complement")
     half_ball = geometry.carve_region(scene.grid, {"kind": "ball", "center": x0.tolist(),
@@ -891,10 +892,9 @@ def run_localization(cfg: dict) -> Report:
     """Maximize field concentration on M against D through the spectral basis:
     on M's G_V-orthonormal singular vectors phi, each cutoff k solves the
     pencil (diag(sigma_k^2), D_k^T D_k + eps_reg I_k), D = W_D^{1/2} R_D phi."""
-    scene = build_scene(cfg)
+    scene = build_scene(cfg, ["M", "D"])
     spec = cfg["localization"]
-    m_region = geometry.carve_region(scene.grid, cfg["regions"]["M"])
-    d_region = geometry.carve_region(scene.grid, cfg["regions"]["D"])
+    m_region, d_region = scene.regions["M"], scene.regions["D"]
     if np.any(m_region.mask & d_region.mask):
         raise GeometryError("localization regions M and D must be disjoint")
     gram = build_norm_weights(scene.patch, collar=cfg["patch"]["collar"])

@@ -120,7 +120,6 @@ class Grid:
 
     def boundary_edge_mask(self):
         """True for edges lying in a boundary plane (tangential trace dofs)."""
-        nx, ny, nz = self.n
         masks = []
         for axis in range(3):
             shape = self.edge_shapes[axis]
@@ -212,11 +211,14 @@ class Region:
     def cell_count(self):
         return int(self.mask.sum())
 
-    def is_compactly_contained(self):
-        """True when the mask keeps at least one cell of clearance from the box walls."""
-        m = self.mask
-        return not (m[0].any() or m[-1].any() or m[:, 0].any() or m[:, -1].any()
-                    or m[:, :, 0].any() or m[:, :, -1].any())
+    def require_target(self, name="target region"):
+        """Raise GeometryError unless the region keeps one cell of clearance
+        from the box walls and has a connected complement (the standing
+        geometry hypotheses of the approximation argument)."""
+        if self.mask[1:-1, 1:-1, 1:-1].sum() < self.mask.sum():
+            raise GeometryError(f"{name} must be compactly contained in the box")
+        if not self.complement_connected():
+            raise GeometryError(f"{name} must have a connected complement")
 
     def complement_connected(self):
         """6-neighbor connectivity of the complement voxel set within the box."""
@@ -306,11 +308,12 @@ def _shape_predicate(grid: Grid, spec):
     raise ConfigurationError(f"unknown shape kind {kind!r}")
 
 
-def carve_region(grid: Grid, shape) -> Region:
-    """Voxelize a shape spec by the cell-center membership test."""
+def carve_region(grid: Grid, shape, name="shape") -> Region:
+    """Voxelize a shape spec by the cell-center membership test; an empty
+    region raises an error that calls the shape ``name``."""
     mask = _shape_predicate(grid, shape).reshape(grid.n)
     if not mask.any():
-        raise DegenerateRegionError(f"shape {shape.get('kind')!r} selects no cells")
+        raise DegenerateRegionError(f"{name} ({shape['kind']}) selects no cells")
     return Region(grid, mask)
 
 
@@ -519,11 +522,8 @@ def _segment_sphere_exits(p0, p1, center, radius):
     if disc < 0.0:
         return []
     sq = np.sqrt(disc)
-    out = []
-    for s in ((-b - sq) / (2 * a), (-b + sq) / (2 * a)):
-        if 0.0 <= s <= 1.0:
-            out.append(s)
-    return sorted(out)
+    # a > 0 and sq >= 0, so the roots come in increasing order
+    return [s for s in ((-b - sq) / (2 * a), (-b + sq) / (2 * a)) if 0.0 <= s <= 1.0]
 
 
 def chain_of_balls(path, r1, host: Region) -> BallChain:

@@ -19,9 +19,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-from .analysis import TraceGram, VolumeWeights, real_matmul
-from .errors import ConfigurationError, GeometryError, NumericError
-from .solver import SystemMatrix, solve_bvp
+from .analysis import TraceGram, VolumeWeights
+from .errors import ConfigurationError, NumericError
+from .solver import SystemMatrix, real_matmul, solve_bvp
 from . import store
 
 
@@ -85,10 +85,7 @@ def assemble_restriction(sys: SystemMatrix, gram: TraceGram, volume: VolumeWeigh
     """
     every = (volume,) + more
     for v in every:
-        if not v.region.is_compactly_contained():
-            raise GeometryError("target region must be compactly contained in the box")
-        if not v.region.complement_connected():
-            raise GeometryError("complement of the target region must be connected")
+        v.region.require_target()
     cols = [np.empty((v.n_x, gram.n_v)) for v in every]
     for i in range(gram.n_v):
         fields = solve_bvp(sys, gram.trace(np.eye(1, gram.n_v, i)[0]))

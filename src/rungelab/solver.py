@@ -188,6 +188,23 @@ def _not_finite(a):
     return not np.isfinite(a).all()
 
 
+def real_matmul(*factors):
+    """A @ ... @ B @ z for real matrices A ... B and a last factor z: one
+    chain of real products per part of a complex z that is not all zero.
+    numpy and scipy would otherwise copy each matrix into a complex array."""
+    *mats, z = factors
+    z = np.asarray(z)
+    if np.iscomplexobj(z):
+        out = np.zeros(mats[0].shape[:1] + z.shape[1:], dtype=complex)
+        for part, view in zip(map(np.ascontiguousarray, (z.real, z.imag)), (out.real, out.imag)):
+            if part.any():
+                view[...] = real_matmul(*mats, part)
+        return out
+    for A in reversed(mats):
+        z = A @ z
+    return z
+
+
 class SourceTerm:
     """Volume source: F on edge dofs and Ftilde on face dofs, region-supported."""
 
@@ -342,9 +359,10 @@ class SystemMatrix:
     once; it solves a constant scalar medium outright.  The Krylov path
     tries it first for every medium and runs MINRES, preconditioned with
     |L0|^-1, on the columns whose true residual misses the tolerance.  The
-    direct path uses it for every block and complex right-hand side in a
-    constant scalar medium (``solve_interior``), and factorizes for the
-    columns that miss and for everything else.  Immutable after assembly
+    direct path uses it in a constant scalar medium, and factorizes for the
+    columns that miss, for every column in other media and for the
+    resonance guard's vectors.  ``solve_interior`` checks the residual of
+    every column it returns but the guard's.  Immutable after assembly
     apart from the lazily built factorization and reference inverses and
     the cached resonance margin.
     """
@@ -385,12 +403,10 @@ class SystemMatrix:
     def _preconditioner(self):
         return self._reference_inverse(False)
 
-    def _transform_start(self, b, rtol):
-        """L0^-1 b for an (n,) vector or an (n, k) block, and which columns
-        miss: those whose true residual exceeds rtol times their own norm."""
+    def _transform_start(self, b):
+        """L0^-1 b for an (n, k) block, and each column's residual norm."""
         x = self._reference_inverse(True) @ b
-        miss = np.linalg.norm(self.L_II @ x - b, axis=0) > rtol * np.linalg.norm(b, axis=0)
-        return x, miss
+        return x, np.linalg.norm(self.L_II @ x - b, axis=0)
 
     def _factorize(self):
         if self._lu is None:
@@ -402,60 +418,70 @@ class SystemMatrix:
     def solve_interior(self, rhs):
         """Solve L_II x = rhs for an (n,) vector or an (n, k) block.
 
-        A complex right-hand side is solved as one real block: its real and
-        imaginary parts side by side, less the columns that are all zero,
-        whose solutions are exactly zero.  A block in a constant scalar
-        medium takes the transform start on either path, and only its
-        columns that miss ``solver_tol`` go on to the path's own solver.  So
-        on the direct path only a real (n,) vector, the resonance guard's,
-        goes to the factorization outright.
+        A real (n,) vector on the direct path, the resonance guard's, goes to
+        the factorization unchecked.  Anything else is solved as one real
+        block (``_solve_real``): a complex right-hand side as its real and
+        imaginary parts, less the parts that are all zero, whose solutions
+        are exactly zero.  Raises NumericError when a column's relative
+        residual exceeds 10 * solver_tol, naming the worst; its history
+        holds every column's residual.
         """
-        if not np.iscomplexobj(rhs):
-            return self._solve_real(rhs)
+        if self.direct and rhs.ndim == 1 and not np.iscomplexobj(rhs):
+            return self._factorize().solve(rhs)
         cols = np.reshape(rhs, (len(rhs), -1))
-        parts = np.hstack([cols.real, cols.imag])
-        live = parts.any(axis=0)
-        x = np.zeros(parts.shape)
-        if live.any():
-            x[:, live] = self._solve_real(parts[:, live])
         k = cols.shape[1]
-        return (x[:, :k] + 1j * x[:, k:]).reshape(rhs.shape)
+        if np.iscomplexobj(rhs):
+            # the parts as rows: numpy reduces rows along contiguous memory,
+            # but a narrow block's columns one row at a time
+            parts = np.concatenate([cols.real.T, cols.imag.T])
+            live = parts.any(axis=1)
+            x, resid, scale = np.zeros((len(rhs), 2 * k)), np.zeros(2 * k), np.zeros(2 * k)
+            if live.any():
+                x[:, live], resid[live], scale[live] = self._solve_real(parts[live].T)
+            x = x[:, :k] + 1j * x[:, k:]
+            resid, scale = np.hypot(resid[:k], resid[k:]), np.hypot(scale[:k], scale[k:])
+        else:
+            x, resid, scale = self._solve_real(cols)
+        rel = np.divide(resid, scale, out=np.zeros(k), where=scale > 0)
+        if np.any(rel > 10 * self.solver_tol):
+            raise NumericError(f"interior solve at relative residual {rel.max():.3e}",
+                               history=rel.tolist())
+        return x.reshape(rhs.shape)
 
-    def _solve_real(self, b):
-        if self.direct and (b.ndim == 1 or not self.constant):
-            return self._factorize().solve(b)
-        B = np.reshape(b, (len(b), -1))
-        X, miss = self._transform_start(B, self.solver_tol)
-        # the columns that miss go on to the path's own solver
+    def _solve_real(self, B):
+        """X solving L_II X = B for a real (n, k) block, and each column's
+        residual and right-hand side norms.  The transform start solves and
+        checks every column in a constant scalar medium or on the Krylov
+        path; the columns that miss ``solver_tol``, and on the direct path in
+        other media all, go on to the path's own solver and its residual."""
+        nb = np.linalg.norm(B, axis=0)
+        if self.direct and not self.constant:
+            X, resid = np.zeros(B.shape), nb.copy()
+        else:
+            X, resid = self._transform_start(B)
+        miss = resid > self.solver_tol * nb
         if self.direct and miss.any():
             X[:, miss] = self._factorize().solve(B[:, miss])
-        elif not self.direct:
-            for j in np.flatnonzero(miss):
-                X[:, j] = self._minres_restarts(B[:, j])
-        return X.reshape(b.shape)
+            resid[miss] = np.linalg.norm(self.L_II @ X[:, miss] - B[:, miss], axis=0)
+        for j in np.flatnonzero(miss) if not self.direct else ():
+            X[:, j], resid[j] = self._minres_restarts(B[:, j])
+        return X, resid, nb
 
     def _minres_restarts(self, b):
-        # minres stops on its preconditioned residual estimate relative to
-        # |L_II| |x|, not |b|; accept only the true relative residual and
-        # solve for the correction again until it is met
-        nb = np.linalg.norm(b)
-        x = np.zeros_like(b)
-        r = b
-        history = [1.0]
+        """x solving L_II x = b, and its residual norm.  minres stops on its
+        preconditioned residual estimate relative to |L_II| |x|, not |b|, so
+        the correction is solved for again until the true residual meets
+        ``solver_tol`` or a run fails; ``solve_interior`` judges the rest."""
+        x, r = np.zeros_like(b), b
         for _ in range(KRYLOV_RESTARTS):
-            if history[-1] <= self.solver_tol:
-                return x
             dx, info = self._minres(r, self.solver_tol)
             if info != 0:
                 break
             x = x + dx
             r = b - self.L_II @ x
-            history.append(float(np.linalg.norm(r) / nb))
-        if history[-1] > 10 * self.solver_tol:
-            raise NumericError(
-                f"Krylov solver stalled at relative residual {history[-1]:.3e}",
-                history=history)
-        return x
+            if np.linalg.norm(r) <= self.solver_tol * np.linalg.norm(b):
+                break
+        return x, np.linalg.norm(r)
 
     def _minres(self, b, rtol, x0=None):
         """One preconditioned MINRES run on L_II x = b; returns (x, info)."""
@@ -575,22 +601,13 @@ def lift(sys: SystemMatrix, eB, rhs):
     ``rhs`` already carries the boundary data (-L_IB eB) or the volume
     source.  An (n,) ``rhs`` gives a FieldPair of vectors; an (n, k) block
     with (n_B, k) ``eB`` is solved in one call and gives one of blocks.
-    Raises NumericError when the relative residual of any column with a
-    nonzero right-hand side exceeds 10 * solver_tol; the error names the worst
-    and its history holds every column's residual.
+    ``solve_interior`` checks each column's residual; H takes real products.
     """
     grid = sys.grid
-    eI = sys.solve_interior(rhs)
-    scale = np.linalg.norm(rhs, axis=0)
-    resid = np.linalg.norm(sys.L_II @ eI - rhs, axis=0)
-    rel = np.divide(resid, scale, out=np.zeros(np.shape(scale)), where=scale > 0)
-    if np.any(rel > 10 * sys.solver_tol):
-        raise NumericError(f"interior solve at relative residual {np.max(rel):.3e}",
-                           history=np.atleast_1d(rel).tolist())
     E = np.zeros((grid.n_edges,) + np.shape(rhs)[1:], dtype=complex)
     E[sys.idx_boundary] = eB
-    E[sys.idx_interior] = eI
-    H = sys.mu_inv_point @ (sys.curl @ E) / (1j * sys.omega)
+    E[sys.idx_interior] = sys.solve_interior(rhs)
+    H = real_matmul(sys.mu_inv_point, sys.curl, E) * (-1j / sys.omega)
     return FieldPair(grid, E, H)
 
 
@@ -599,7 +616,7 @@ def solve_bvp(sys: SystemMatrix, trace: TangentialTrace) -> FieldPair:
     eB = np.zeros(sys.grid.n_edges, dtype=complex)
     eB[trace.patch.edge_dofs] = trace.values
     eB = eB[sys.idx_boundary]
-    return lift(sys, eB, -(sys.L_IB @ eB))
+    return lift(sys, eB, -real_matmul(sys.L_IB, eB))
 
 
 def weak_rhs(sys: SystemMatrix, src: SourceTerm):

@@ -82,8 +82,6 @@ def _canonical(obj):
         return float(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, tuple):
-        return list(obj)
     raise TypeError(f"not canonicalizable: {type(obj)}")
 
 

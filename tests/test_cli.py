@@ -162,6 +162,15 @@ def _localize(m_shape):
     # the patch is built before the system, so a window off its side fails first
     ({"patch": {"window": [[2.0, 2.0], [3.0, 3.0]]}},
      "window [[2.0, 2.0], [3.0, 3.0]] misses side 'x-'"),
+    # a region that selects no cells, and a restriction target that touches
+    # the walls or encloses part of its complement: these failed after
+    # assembly, the first without naming the key
+    (_localize({"kind": "ball", "center": [2.0, 2.0, 2.0], "r": 0.1}), "regions.M"),
+    (_localize({"kind": "ball", "center": [0.1, 0.5, 0.5], "r": 0.2}), "regions.M"),
+    (_localize({"kind": "intersection", "parts": [
+        {"kind": "ball", "center": [0.5] * 3, "r": 0.35},
+        {"kind": "complement", "part": {"kind": "ball", "center": [0.5] * 3, "r": 0.2}}]}),
+     "regions.M"),
 ])
 def test_run_exit_one_before_assembly(tmp_path, monkeypatch, capsys, payload, key):
     from rungelab import solver

@@ -10,7 +10,7 @@ import scipy.linalg as sla
 
 import rungelab as rl
 from rungelab import experiments
-from rungelab.errors import ConfigurationError, GeometryError
+from rungelab.errors import ConfigurationError, GeometryError, NumericError
 from rungelab.experiments import (CauchyOperator, Report, build_scene,
                                   cauchy_reconstruct, h_trace_block, normalize_config,
                                   run_cauchy, run_localization, run_propagation, run_runge,
@@ -486,6 +486,25 @@ def test_cauchy_h_block_transform_matches_lu(monkeypatch):
     assert np.linalg.norm(R - R_lu) <= 1e-12 * np.linalg.norm(R_lu)
     S_lu = CauchyOperator(scene, gram).S
     assert np.abs(cop.S - S_lu).max() <= 1e-10 * S_lu.max()
+
+
+class _DoublingLU:
+    """Stands in for a SuperLU object whose solve is off by a factor 2."""
+
+    def solve(self, b):
+        return 2.0 * b
+
+
+def test_cauchy_h_block_checks_its_solves(monkeypatch):
+    # the real block's columns go through solve_interior's residual check:
+    # with the transform start off, a bad factorization cannot pass
+    _, scene, _, cop = _cauchy_operator()
+    transform_off(monkeypatch)
+    monkeypatch.setattr(scene.system, "_lu", _DoublingLU())
+    with pytest.raises(NumericError) as err:
+        h_trace_block(scene.system, cop.h_dofs)
+    assert len(err.value.history) == experiments.H_CHUNK
+    assert min(err.value.history) > 10 * scene.system.solver_tol
 
 
 def _whitened_reference(scene, gram, cop):

@@ -248,8 +248,15 @@ def test_region_connectivity(grid8):
         {"kind": "ball", "center": [0.25, 0.5, 0.5], "r": 0.15},
         {"kind": "ball", "center": [0.75, 0.5, 0.5], "r": 0.15}]})
     assert not pair.is_connected()
-    assert ball.is_compactly_contained()
-    assert not slab.is_compactly_contained()
+    ball.require_target()
+    with pytest.raises(GeometryError, match="^target region must be compactly contained"):
+        slab.require_target()
+    # a shell is compactly contained but encloses part of its complement
+    shell = rl.carve_region(grid8, {"kind": "intersection", "parts": [
+        {"kind": "ball", "center": [0.5] * 3, "r": 0.35},
+        {"kind": "complement", "part": {"kind": "ball", "center": [0.5] * 3, "r": 0.2}}]})
+    with pytest.raises(GeometryError, match="^target region must have a connected complement"):
+        shell.require_target()
 
 
 def _host(grid):
