@@ -463,8 +463,9 @@ class SystemMatrix:
         if self.direct and miss.any():
             X[:, miss] = self._factorize().solve(B[:, miss])
             resid[miss] = np.linalg.norm(self.L_II @ X[:, miss] - B[:, miss], axis=0)
-        for j in np.flatnonzero(miss) if not self.direct else ():
-            X[:, j], resid[j] = self._minres_restarts(B[:, j])
+        elif not self.direct:
+            for j in np.flatnonzero(miss):
+                X[:, j], resid[j] = self._minres_restarts(B[:, j])
         return X, resid, nb
 
     def _minres_restarts(self, b):

@@ -81,6 +81,13 @@ def transform_off(monkeypatch):
                         lambda self, b: (np.zeros(b.shape), np.linalg.norm(b, axis=0)))
 
 
+class FakeLU:
+    """Stands in for a SuperLU object with a given ``solve``."""
+
+    def __init__(self, solve):
+        self.solve = solve
+
+
 def rng_complex(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 

@@ -17,7 +17,7 @@ from rungelab.experiments import (CauchyOperator, Report, build_scene,
                                   run_three_balls, run_verify_solver, _cauchy_truth, _quotient)
 from rungelab.oracle import sample_dofs
 
-from conftest import CONFIG_DIR, load_config, transform_off
+from conftest import CONFIG_DIR, FakeLU, load_config, transform_off
 
 
 def _cfg(**kwargs):
@@ -488,19 +488,12 @@ def test_cauchy_h_block_transform_matches_lu(monkeypatch):
     assert np.abs(cop.S - S_lu).max() <= 1e-10 * S_lu.max()
 
 
-class _DoublingLU:
-    """Stands in for a SuperLU object whose solve is off by a factor 2."""
-
-    def solve(self, b):
-        return 2.0 * b
-
-
 def test_cauchy_h_block_checks_its_solves(monkeypatch):
     # the real block's columns go through solve_interior's residual check:
     # with the transform start off, a bad factorization cannot pass
     _, scene, _, cop = _cauchy_operator()
     transform_off(monkeypatch)
-    monkeypatch.setattr(scene.system, "_lu", _DoublingLU())
+    monkeypatch.setattr(scene.system, "_lu", FakeLU(lambda b: 2.0 * b))
     with pytest.raises(NumericError) as err:
         h_trace_block(scene.system, cop.h_dofs)
     assert len(err.value.history) == experiments.H_CHUNK

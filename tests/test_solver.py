@@ -7,7 +7,7 @@ import rungelab as rl
 from rungelab.errors import ConfigurationError, ResonantFrequencyError
 from rungelab.solver import SourceTerm, TangentialTrace, assemble, resonance_guard, weak_rhs
 
-from conftest import rng_complex, transform_off
+from conftest import FakeLU, rng_complex, transform_off
 
 
 def test_matrix_dimension(sys8):
@@ -692,13 +692,6 @@ def test_default_route(n, direct):
     assert assemble(g, mat, 2.0, check_resonance=False).direct is direct
 
 
-class _FakeLU:
-    """Stands in for a SuperLU object with a given ``solve``."""
-
-    def __init__(self, solve):
-        self.solve = solve
-
-
 def _smooth_direct(grid8):
     """A direct system whose medium is not constant, so that every column
     goes to the factorization."""
@@ -711,7 +704,7 @@ def test_lift_error_carries_its_residual(grid8, monkeypatch):
     from rungelab.errors import NumericError
 
     sys_ = _smooth_direct(grid8)
-    monkeypatch.setattr(sys_, "_lu", _FakeLU(lambda b: 2.0 * b))
+    monkeypatch.setattr(sys_, "_lu", FakeLU(lambda b: 2.0 * b))
     patch = rl.boundary_patch(grid8, "x-")
     rng = np.random.default_rng(12)
     with pytest.raises(NumericError) as err:
@@ -732,7 +725,7 @@ def test_block_lift_error_names_the_bad_column(grid8, monkeypatch):
         x[:, [1, 4]] *= 2.0
         return x
 
-    monkeypatch.setattr(sys_, "_lu", _FakeLU(corrupt_second_column))
+    monkeypatch.setattr(sys_, "_lu", FakeLU(corrupt_second_column))
     rng = np.random.default_rng(14)
     eB = rng_complex(rng, (len(sys_.idx_boundary), 3))
     with pytest.raises(NumericError) as err:
