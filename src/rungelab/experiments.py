@@ -375,15 +375,21 @@ def _assemble(cfg: dict, grid, mat) -> solver.SystemMatrix:
                            solver_tol=slv["tol"], direct_limit=slv["direct_limit"])
 
 
-def build_scene(cfg: dict, targets=()) -> Scene:
+def build_scene(cfg: dict, targets=(), check=None) -> Scene:
+    """The grid, patch, regions, material and assembled system of a config.
+
+    The patch and the regions come first, so that a window off its side, an
+    empty region, a bad restriction target in ``targets`` or a failed
+    ``check(grid, regions)``, a driver's own region hypotheses, stop the run
+    before assembly."""
     g = geometry.build_grid(cfg["grid"]["n"], cfg["grid"]["h"], cfg["grid"]["origin"])
-    # the patch and the regions first, so that a window off its side, an
-    # empty region or a bad restriction target in ``targets`` fails early
     patch = geometry.boundary_patch(g, cfg["patch"]["side"], cfg["patch"]["window"])
     regions = {name: geometry.carve_region(g, shape, f"regions.{name}")
                for name, shape in cfg["regions"].items()}
     for name in targets:
         regions[name].require_target(f"regions.{name}")
+    if check is not None:
+        check(g, regions)
     mat = materials.make_material(g, cfg["material"])
     sys_ = _assemble(cfg, g, mat)
     return Scene(g, mat, sys_, patch, geometry.Region(g, np.ones(g.n, dtype=bool)), regions)
@@ -840,22 +846,28 @@ def run_three_balls(cfg: dict) -> Report:
 
 def run_propagation(cfg: dict) -> Report:
     """Two-factor interpolation bound for a probe region reached by ball chains."""
-    scene = build_scene(cfg)
     spec = cfg["propagation"]
     x0 = np.asarray(spec["x0"], dtype=float)
     r0 = float(spec["r0"])
     margin_h = float(spec["margin_h"])
-    g_region = scene.regions["G"]
-    if not g_region.complement_connected() or not g_region.is_connected():
-        raise GeometryError("probe region must be connected with connected complement")
-    half_ball = geometry.carve_region(scene.grid, {"kind": "ball", "center": x0.tolist(),
-                                                   "r": r0 / 2})
-    if not np.all(g_region.mask[half_ball.mask]):
-        raise GeometryError("B(x0, r0/2) must sit inside the probe region")
-    dist = geometry.surface_distance(scene.grid, np.ones(scene.grid.n, dtype=bool))
-    if float(dist[g_region.mask].min()) <= margin_h:
-        raise GeometryError("probe region must keep more than the margin from the wall")
 
+    def check(grid, regions):
+        g_region = regions["G"]
+        if not g_region.complement_connected() or not g_region.is_connected():
+            raise GeometryError("regions.G must be connected with a connected complement")
+        half_ball = geometry.carve_region(grid, {"kind": "ball", "center": x0.tolist(),
+                                                 "r": r0 / 2},
+                                          f"propagation.r0 = {r0:g}: B(x0, r0/2)")
+        if not np.all(g_region.mask[half_ball.mask]):
+            raise GeometryError("regions.G must contain B(x0, r0/2) "
+                                "(propagation.x0, propagation.r0)")
+        dist = geometry.surface_distance(grid, np.ones(grid.n, dtype=bool))
+        if float(dist[g_region.mask].min()) <= margin_h:
+            raise GeometryError(f"regions.G must keep more than propagation.margin_h = "
+                                f"{margin_h:g} from the wall")
+
+    scene = build_scene(cfg, check=check)
+    g_region = scene.regions["G"]
     r3 = margin_h / 2.0
     r1 = r3 / 9.0
     data_ball = geometry.carve_region(scene.grid, {"kind": "ball", "center": x0.tolist(), "r": r0})
@@ -892,11 +904,13 @@ def run_localization(cfg: dict) -> Report:
     """Maximize field concentration on M against D through the spectral basis:
     on M's G_V-orthonormal singular vectors phi, each cutoff k solves the
     pencil (diag(sigma_k^2), D_k^T D_k + eps_reg I_k), D = W_D^{1/2} R_D phi."""
-    scene = build_scene(cfg, ["M", "D"])
+    def check(grid, regions):
+        if np.any(regions["M"].mask & regions["D"].mask):
+            raise GeometryError("regions.M and regions.D must be disjoint")
+
+    scene = build_scene(cfg, ["M", "D"], check)
     spec = cfg["localization"]
     m_region, d_region = scene.regions["M"], scene.regions["D"]
-    if np.any(m_region.mask & d_region.mask):
-        raise GeometryError("localization regions M and D must be disjoint")
     gram = build_norm_weights(scene.patch, collar=cfg["patch"]["collar"])
     v_m, v_d = VolumeWeights(m_region), VolumeWeights(d_region)
     op_m, op_d = runge_op.assemble_restriction(scene.system, gram, v_m, v_d)

@@ -185,7 +185,10 @@ class TangentialTrace:
 
 
 def _not_finite(a):
-    return not np.isfinite(a).all()
+    # a contiguous complex array is tested through its real view
+    a = np.asarray(a)
+    return not np.isfinite(a.view(float) if a.dtype == complex and a.flags.c_contiguous
+                           else a).all()
 
 
 def real_matmul(*factors):
@@ -194,15 +197,18 @@ def real_matmul(*factors):
     numpy and scipy would otherwise copy each matrix into a complex array."""
     *mats, z = factors
     z = np.asarray(z)
-    if np.iscomplexobj(z):
-        out = np.zeros(mats[0].shape[:1] + z.shape[1:], dtype=complex)
-        for part, view in zip(map(np.ascontiguousarray, (z.real, z.imag)), (out.real, out.imag)):
-            if part.any():
-                view[...] = real_matmul(*mats, part)
-        return out
-    for A in reversed(mats):
-        z = A @ z
-    return z
+    if not np.iscomplexobj(z):
+        for A in reversed(mats):
+            z = A @ z
+        return z
+    out = np.zeros(mats[0].shape[:1] + z.shape[1:], dtype=complex)
+    for part, view in ((z.real, out.real), (z.imag, out.imag)):
+        part = np.ascontiguousarray(part)
+        if part.any():
+            for A in reversed(mats):
+                part = A @ part
+            view[...] = part
+    return out
 
 
 class SourceTerm:
@@ -262,12 +268,13 @@ def mode_table(grid: Grid):
     """(node, lams): s_d = 2/h sin(pi m_d / 2 n_d) over the DST-I nodal
     modes m_d = 1..n_d-1 of each axis d, and lam = sum_d s_d^2 over the edge
     modes of each component a (DCT-II from m_a = 0 along a, DST-I along the
-    other two).  Each axis d is laid along axis d of a block whose trailing
-    axis runs over right-hand sides."""
+    other two).  Each axis d is laid along axis d of a 3-D grid block, so the
+    tables broadcast against a block with right-hand sides on a leading
+    axis."""
     def factor(d, first):
         m = np.arange(first, grid.n[d])
         s = 2.0 / grid.h * np.sin(np.pi * m / (2 * grid.n[d]))
-        return s.reshape([-1 if e == d else 1 for e in range(4)])
+        return s.reshape([-1 if e == d else 1 for e in range(3)])
 
     node = [factor(d, 1) for d in range(3)]
     lams = [sum(factor(d, int(d != a)) ** 2 for d in range(3)) for a in range(3)]
@@ -287,10 +294,10 @@ def mode_matrices(grid: Grid):
     return out
 
 
-def reference_inverse(grid: Grid, omega, eps0, deps, nu0, dnu,
-                      signed=False) -> spla.LinearOperator:
-    """|L0|^-1 on interior edges, the MINRES preconditioner, or with
-    ``signed`` the inverse L0^-1 itself.
+def reference_inverse(grid: Grid, omega, eps0, deps, nu0, dnu, signed=False):
+    """The function applying |L0|^-1 on interior edges, the MINRES
+    preconditioner, or with ``signed`` the inverse L0^-1 itself, to an (n,)
+    vector or to the columns of an (n, k) block.
 
     L0 = h^3 (nu0 C^T C - omega^2 eps0) is the operator of the constant
     reference medium (``reference_medium``).  Under tangential-Dirichlet
@@ -305,7 +312,13 @@ def reference_inverse(grid: Grid, omega, eps0, deps, nu0, dnu,
     is floored there and M stays bounded near a resonance of the reference
     medium.  With signs kept, this is the exact inverse of L_II for any
     constant scalar medium (where deps = dnu = 0 and the floor is rounding).
-    Each transform is one product with a ``mode_matrices`` entry per axis.
+
+    A component's block of k columns is a (p, q, r, k) grid block.  Each
+    axis of a transform is one flat GEMM with a ``mode_matrices`` entry: the
+    forward transform multiplies the leading axis and moves it last, so
+    three products take (p, q, r, k) to (k, p, q, r), where the mode table
+    scales it; the inverse multiplies the trailing axis and moves it first,
+    back to (p, q, r, k).  A vector is the block of one column.
     """
     h = grid.h
     shift = omega ** 2 * eps0
@@ -314,7 +327,8 @@ def reference_inverse(grid: Grid, omega, eps0, deps, nu0, dnu,
     d_rem = [(np.sign(nu0 * lam - shift) if signed else 1.0)
              / (h ** 3 * np.maximum(np.abs(nu0 * lam - shift), dnu * lam + floor))
              for lam in lams]
-    own = [tuple(slice(1, None) if d == a else slice(None) for d in range(3)) for a in range(3)]
+    own = [(...,) + tuple(slice(1, None) if d == a else slice(None) for d in range(3))
+           for a in range(3)]
     # the gradient part is G (G^T G)^-1 G^T r; it swaps the remainder's scale
     # for 1 / (h^3 omega^2 eps0), negated with signs kept
     lam_node = sum(s ** 2 for s in node)
@@ -322,31 +336,38 @@ def reference_inverse(grid: Grid, omega, eps0, deps, nu0, dnu,
     swap = [(grad - d_rem[a][own[a]]) * node[a] / lam_node for a in range(3)]
     bounds = np.cumsum([0] + [lam.size for lam in lams])
     pairs = mode_matrices(grid)
-
-    def transform(x, a, inverse=False):
-        # DCT-II along a, DST-I along the other axes; the inverse transposes
-        t = [pairs[d][d != a].T if inverse else pairs[d][d != a] for d in range(3)]
-        p, q, r, k = x.shape
-        x = (t[0] @ x.reshape(p, q * r * k)).reshape(p, q, r * k)
-        return (t[2] @ (t[1] @ x).reshape(p * q, r, k)).reshape(p, q, r, k)
+    # per component a, the transposed matrix of each axis d (DCT-II along a,
+    # DST-I along the other axes): x^T T^T is (T x)^T, so both directions
+    # multiply by T^T
+    mats = [[pairs[d][d != a].T for d in range(3)] for a in range(3)]
 
     def apply(r):
-        """The mode table over the columns of an (n, k) block; an (n,)
-        vector is the block of one column."""
-        cols = np.reshape(r, (len(r), -1))
+        cols = np.ascontiguousarray(np.reshape(r, (len(r), -1)))
         k = cols.shape[1]
-        hats = [transform(cols[bounds[a]:bounds[a + 1]].reshape(lams[a].shape[:3] + (k,)), a)
-                for a in range(3)]
-        div = sum(node[a] * hats[a][own[a]] for a in range(3))  # G^T r, nodal modes
-        out = np.empty((len(r), k))
+        hats = []
         for a in range(3):
-            y = d_rem[a] * hats[a]
+            # forward: each product takes the leading axis and moves it last
+            x = cols[bounds[a]:bounds[a + 1]]
+            for tt in mats[a]:
+                x = x.reshape(len(tt), -1).T @ tt
+            hats.append(x.reshape((k,) + lams[a].shape))
+        # G^T r on the nodal modes
+        div = node[0] * hats[0][own[0]] + node[1] * hats[1][own[1]] + node[2] * hats[2][own[2]]
+        out = np.empty(cols.shape)
+        for a in range(3):
+            y = hats[a]
+            y *= d_rem[a]
             y[own[a]] += swap[a] * div
-            out[bounds[a]:bounds[a + 1]] = transform(y, a, inverse=True).reshape(-1, k)
+            # inverse: each product takes the trailing axis and moves it
+            # first; the last writes the component's rows of ``out``
+            t0, t1, t2 = mats[a]
+            y = t2 @ y.reshape(-1, len(t2)).T
+            y = t1 @ y.reshape(-1, len(t1)).T
+            np.matmul(t0, y.reshape(-1, len(t0)).T,
+                      out=out[bounds[a]:bounds[a + 1]].reshape(len(t0), -1))
         return out.reshape(np.shape(r))
 
-    return spla.LinearOperator((bounds[-1], bounds[-1]), matvec=apply, matmat=apply,
-                               dtype=float)
+    return apply
 
 
 class SystemMatrix:
@@ -401,12 +422,18 @@ class SystemMatrix:
         return self._inverses[signed]
 
     def _preconditioner(self):
-        return self._reference_inverse(False)
+        """|L0|^-1 as the operator MINRES takes for M."""
+        apply = self._reference_inverse(False)
+        return spla.LinearOperator(self.L_II.shape, matvec=apply, matmat=apply, dtype=float)
 
     def _transform_start(self, b):
-        """L0^-1 b for an (n, k) block, and each column's residual norm."""
-        x = self._reference_inverse(True) @ b
-        return x, np.linalg.norm(self.L_II @ x - b, axis=0)
+        """L0^-1 b for an (n, k) block, by one call of the mode-table
+        function, and each column's residual norm ||L_II x - b||: the one
+        residual product of every column the start solves."""
+        x = self._reference_inverse(True)(b)
+        r = self.L_II @ x
+        r -= b
+        return x, np.linalg.norm(r, axis=0)
 
     def _factorize(self):
         if self._lu is None:
@@ -420,33 +447,39 @@ class SystemMatrix:
 
         A real (n,) vector on the direct path, the resonance guard's, goes to
         the factorization unchecked.  Anything else is solved as one real
-        block (``_solve_real``): a complex right-hand side as its real and
-        imaginary parts, less the parts that are all zero, whose solutions
-        are exactly zero.  Raises NumericError when a column's relative
-        residual exceeds 10 * solver_tol, naming the worst; its history
-        holds every column's residual.
+        block (``_solve_real``): a complex right-hand side as the real view
+        of its columns' real and imaginary parts side by side, less a part
+        that is all zero in every column, whose solutions are +0.0.  Raises
+        NumericError when a column's relative residual exceeds
+        10 * solver_tol, naming the worst; its history holds every column's
+        residual.
         """
         if self.direct and rhs.ndim == 1 and not np.iscomplexobj(rhs):
             return self._factorize().solve(rhs)
         cols = np.reshape(rhs, (len(rhs), -1))
         k = cols.shape[1]
-        if np.iscomplexobj(rhs):
-            # the parts as rows: numpy reduces rows along contiguous memory,
-            # but a narrow block's columns one row at a time
-            parts = np.concatenate([cols.real.T, cols.imag.T])
-            live = parts.any(axis=1)
-            x, resid, scale = np.zeros((len(rhs), 2 * k)), np.zeros(2 * k), np.zeros(2 * k)
-            if live.any():
-                x[:, live], resid[live], scale[live] = self._solve_real(parts[live].T)
-            x = x[:, :k] + 1j * x[:, k:]
-            resid, scale = np.hypot(resid[:k], resid[k:]), np.hypot(scale[:k], scale[k:])
+        complex_rhs = np.iscomplexobj(cols)
+        # a complex block's real view: column j's real part is column 2j, its
+        # imaginary part column 2j + 1
+        B = np.ascontiguousarray(cols).view(float) if complex_rhs else cols
+        live = (cols.real.any(), cols.imag.any()) if complex_rhs else (True,)
+        if all(live):
+            X, resid, scale = self._solve_real(B)
         else:
-            x, resid, scale = self._solve_real(cols)
+            # one part is all zero in every column: its solutions are +0.0
+            X, resid, scale = np.zeros(B.shape), np.zeros(2 * k), np.zeros(2 * k)
+            if any(live):
+                cut = slice(live.index(True), None, 2)
+                X[:, cut], resid[cut], scale[cut] = self._solve_real(
+                    np.ascontiguousarray(B[:, cut]))
+        if complex_rhs:
+            X = X.view(complex)
+            resid, scale = np.hypot(resid[0::2], resid[1::2]), np.hypot(scale[0::2], scale[1::2])
         rel = np.divide(resid, scale, out=np.zeros(k), where=scale > 0)
-        if np.any(rel > 10 * self.solver_tol):
+        if (rel > 10 * self.solver_tol).any():
             raise NumericError(f"interior solve at relative residual {rel.max():.3e}",
                                history=rel.tolist())
-        return x.reshape(rhs.shape)
+        return X.reshape(rhs.shape)
 
     def _solve_real(self, B):
         """X solving L_II X = B for a real (n, k) block, and each column's
@@ -608,7 +641,8 @@ def lift(sys: SystemMatrix, eB, rhs):
     E = np.zeros((grid.n_edges,) + np.shape(rhs)[1:], dtype=complex)
     E[sys.idx_boundary] = eB
     E[sys.idx_interior] = sys.solve_interior(rhs)
-    H = real_matmul(sys.mu_inv_point, sys.curl, E) * (-1j / sys.omega)
+    H = real_matmul(sys.mu_inv_point, sys.curl, E)
+    H *= -1j / sys.omega
     return FieldPair(grid, E, H)
 
 
@@ -617,7 +651,8 @@ def solve_bvp(sys: SystemMatrix, trace: TangentialTrace) -> FieldPair:
     eB = np.zeros(sys.grid.n_edges, dtype=complex)
     eB[trace.patch.edge_dofs] = trace.values
     eB = eB[sys.idx_boundary]
-    return lift(sys, eB, -real_matmul(sys.L_IB, eB))
+    rhs = real_matmul(sys.L_IB, eB)
+    return lift(sys, eB, np.negative(rhs, out=rhs))
 
 
 def weak_rhs(sys: SystemMatrix, src: SourceTerm):

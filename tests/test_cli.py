@@ -94,6 +94,12 @@ def _localize(m_shape):
                                             "r": 0.16}}}
 
 
+def _propagate(g_shape, r0, margin_h, x0=(0.5, 0.5, 0.5)):
+    """An 8^3 propagation config with probe region G ``g_shape``."""
+    return {"tag": "propagation", "grid": {"n": [8, 8, 8]}, "regions": {"G": g_shape},
+            "propagation": {"x0": list(x0), "r0": r0, "margin_h": margin_h}}
+
+
 @pytest.mark.parametrize("payload, key", [
     ({"regions": {"balls": {"center": [0.5] * 3, "r1": 0.12}}}, "config key regions.balls"),
     ({"material": {"kind": "constant", "params": {"eps": 2.0}}}, "config key material.params"),
@@ -171,6 +177,16 @@ def _localize(m_shape):
         {"kind": "ball", "center": [0.5] * 3, "r": 0.35},
         {"kind": "complement", "part": {"kind": "ball", "center": [0.5] * 3, "r": 0.2}}]}),
      "regions.M"),
+    # the drivers' own region hypotheses, tested after assembly before: M and
+    # D overlap; G is not connected, misses B(x0, r0/2) or comes within the
+    # margin of the wall; B(x0, r0/2) is empty (that message named no key)
+    (_localize({"kind": "ball", "center": [0.6, 0.5, 0.5], "r": 0.2}), "regions.M"),
+    (_propagate({"kind": "union", "parts": [
+        {"kind": "ball", "center": [0.3, 0.5, 0.5], "r": 0.12},
+        {"kind": "ball", "center": [0.7, 0.5, 0.5], "r": 0.12}]}, 0.2, 0.1), "regions.G"),
+    (_propagate(_BALL, 0.1, 0.05), "propagation.r0"),
+    (_propagate(_BALL, 0.3, 0.1, x0=[0.3, 0.3, 0.3]), "regions.G"),
+    (_propagate(dict(_BALL, r=0.4), 0.4, 0.2), "regions.G"),
 ])
 def test_run_exit_one_before_assembly(tmp_path, monkeypatch, capsys, payload, key):
     from rungelab import solver
