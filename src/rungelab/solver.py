@@ -185,7 +185,8 @@ class TangentialTrace:
 
 
 def _not_finite(a):
-    # a contiguous complex array is tested through its real view
+    # a contiguous complex array is tested through its real view, which
+    # numpy checks faster than the complex array itself
     a = np.asarray(a)
     return not np.isfinite(a.view(float) if a.dtype == complex and a.flags.c_contiguous
                            else a).all()
