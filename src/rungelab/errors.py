@@ -30,6 +30,15 @@ class ResonantFrequencyError(RungelabError):
         self.suggested_omega = suggested_omega
 
 
+class LowFrequencyError(ResonantFrequencyError):
+    """The nearest resonance is omega = 0: the gradient modes set the margin,
+    which scales as omega^2 h^2, so no detuning raises it."""
+
+    def __init__(self, message, margin, omega2_h2):
+        super().__init__(message, margin=margin)
+        self.omega2_h2 = omega2_h2
+
+
 class NumericError(RungelabError):
     """A linear-algebra step failed (non-convergence, breakdown)."""
 

@@ -14,9 +14,7 @@ import numpy as np
 
 from .errors import ConfigurationError, GeometryError
 from .geometry import Grid, whole_boundary
-from .solver import (DIRECT_LIMIT, RESONANCE_THRESHOLD, SOLVER_TOL, FieldPair, SystemMatrix,
-                     TangentialTrace, solve_bvp, assemble)
-from .materials import make_material
+from .solver import FieldPair, SystemMatrix, TangentialTrace, solve_bvp
 
 
 class AnalyticSolution:
@@ -142,35 +140,20 @@ def sample_on_grid(sol: AnalyticSolution, grid: Grid) -> FieldPair:
     return FieldPair(grid, *sample_dofs(sol, grid, slice(None), slice(None)))
 
 
-def convergence_study(sol: AnalyticSolution, grids, omega=None, material_spec=None, *,
-                      resonance_threshold=RESONANCE_THRESHOLD, solver_tol=SOLVER_TOL,
-                      direct_limit=DIRECT_LIMIT):
-    """Solve the boundary-value problem with the solution's own trace on a
-    sequence of nested grids; report discrete L2 errors and successive orders.
-
-    The solver settings are passed to ``assemble`` on every level.  Returns a
-    list of (h, relative_error, order) with order = None on the coarsest
-    level.
-    """
-    grids = list(grids)
-    if len(grids) < 2:
-        raise ConfigurationError("convergence study needs at least two grids")
-    for a, b in zip(grids[:-1], grids[1:]):
-        if not all(b.n[d] == 2 * a.n[d] for d in range(3)):
+def convergence_study(sol: AnalyticSolution, systems):
+    """(h, relative_error, order) of ``discretization_error`` on each of
+    ``systems``, whose grids refine by factor two per level, with order None
+    on the first.  A generator of systems is read one level at a time: it
+    assembles none after a level that does not refine its predecessor."""
+    rows, grid = [], None
+    for sys_ in systems:
+        if grid is not None and not all(a == 2 * b for a, b in zip(sys_.grid.n, grid.n)):
             raise ConfigurationError("grids must refine by factor two per level")
-    omega = sol.omega if omega is None else omega
-    spec = material_spec or {"kind": "constant", "eps": sol.eps0, "mu": sol.mu0}
-
-    rows = []
-    prev = None
-    for grid in grids:
-        mat = make_material(grid, spec)
-        sys_ = assemble(grid, mat, omega, resonance_threshold=resonance_threshold,
-                        solver_tol=solver_tol, direct_limit=direct_limit)
+        grid = sys_.grid
         rel = discretization_error(sol, sys_)
-        order = None if prev is None else float(np.log2(prev / rel))
-        rows.append((grid.h, rel, order))
-        prev = rel
+        rows.append((grid.h, rel, float(np.log2(rows[-1][1] / rel)) if rows else None))
+    if len(rows) < 2:
+        raise ConfigurationError("convergence study needs at least two grids")
     return rows
 
 

@@ -21,7 +21,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConfigurationError, NumericError, ResonantFrequencyError, RungelabError
+from .errors import (ConfigurationError, LowFrequencyError, NumericError,
+                     ResonantFrequencyError, RungelabError)
 from .geometry import Grid, Region, BoundaryPatch, cell_offsets
 from .materials import MaterialField
 
@@ -166,22 +167,19 @@ def _pointwise(grid: Grid, Mf) -> sp.csr_matrix:
 
 
 class TangentialTrace:
-    """Complex tangential data on the edge dofs of a boundary patch."""
+    """Complex tangential data on the edge dofs of a boundary patch: an
+    (n_dofs,) vector, or an (n_dofs, k) block of k data column by column."""
 
     def __init__(self, patch: BoundaryPatch, values):
         values = np.asarray(values, dtype=complex)
-        if values.shape != (patch.n_dofs,):
+        if values.ndim not in (1, 2) or len(values) != patch.n_dofs:
             raise ConfigurationError(
-                f"trace length {values.shape} != patch dof count {patch.n_dofs}")
+                f"trace shape {values.shape} is not ({patch.n_dofs},) or ({patch.n_dofs}, k)")
         if _not_finite(values):
             raise ConfigurationError("trace carries non-finite values")
         self.patch = patch
         self.values = values
         self.values.flags.writeable = False
-
-    @classmethod
-    def zeros(cls, patch):
-        return cls(patch, np.zeros(patch.n_dofs, dtype=complex))
 
 
 def _not_finite(a):
@@ -375,18 +373,17 @@ class SystemMatrix:
     """Assembled curl-curl operator with its interior factorization.
 
     Systems of interior dimension up to ``direct_limit`` are solved against a
-    SuperLU factorization, larger ones on the Krylov path.  The transform
-    start X = L0^-1 B applies the exact inverse of the constant reference
-    medium (``reference_inverse`` with signs kept) to all columns of B at
-    once; it solves a constant scalar medium outright.  The Krylov path
-    tries it first for every medium and runs MINRES, preconditioned with
-    |L0|^-1, on the columns whose true residual misses the tolerance.  The
-    direct path uses it in a constant scalar medium, and factorizes for the
-    columns that miss, for every column in other media and for the
-    resonance guard's vectors.  ``solve_interior`` checks the residual of
-    every column it returns but the guard's.  Immutable after assembly
-    apart from the lazily built factorization and reference inverses and
-    the cached resonance margin.
+    SuperLU factorization, larger ones on the Krylov path.  In a constant
+    scalar medium, on either path, the transform start X = L0^-1 B applies
+    the exact inverse of that medium (``reference_inverse`` with signs kept)
+    to all columns of B at once and solves them outright.  Every column it
+    misses, and in other media every column, goes to the path's own solver:
+    the factorization, or MINRES preconditioned with |L0|^-1 from a zero
+    start.  The direct path also factorizes for the resonance guard's
+    vectors.  ``solve_interior`` checks the residual of every column it
+    returns but the guard's.  Immutable after assembly apart from the lazily
+    built factorization and reference inverses and the cached resonance
+    margin.
     """
 
     def __init__(self, grid, material, omega, L, curl, mu_inv_point, solver_tol,
@@ -485,14 +482,14 @@ class SystemMatrix:
     def _solve_real(self, B):
         """X solving L_II X = B for a real (n, k) block, and each column's
         residual and right-hand side norms.  The transform start solves and
-        checks every column in a constant scalar medium or on the Krylov
-        path; the columns that miss ``solver_tol``, and on the direct path in
-        other media all, go on to the path's own solver and its residual."""
+        checks every column in a constant scalar medium; the columns that
+        miss ``solver_tol``, and in other media all, go on to the path's own
+        solver and its residual."""
         nb = np.linalg.norm(B, axis=0)
-        if self.direct and not self.constant:
-            X, resid = np.zeros(B.shape), nb.copy()
-        else:
+        if self.constant:
             X, resid = self._transform_start(B)
+        else:
+            X, resid = np.zeros(B.shape), nb.copy()
         miss = resid > self.solver_tol * nb
         if self.direct and miss.any():
             X[:, miss] = self._factorize().solve(B[:, miss])
@@ -531,7 +528,8 @@ def assemble(grid: Grid, mat: MaterialField, omega, *,
 
     Raises ResonantFrequencyError when the relative smallest-singular-value
     estimate falls below ``resonance_threshold``; the error carries a detuned
-    frequency suggestion probed at +-7 percent.
+    frequency suggestion probed at +-7 percent, or is a LowFrequencyError with
+    none when the gradient branch of a constant scalar medium sets the margin.
     """
     if not (omega > 0):
         raise ConfigurationError("omega must be positive")
@@ -555,6 +553,13 @@ def assemble(grid: Grid, mat: MaterialField, omega, *,
     if check_resonance:
         margin = resonance_guard(sys)
         if margin < resonance_threshold:
+            grad, curl = constant_branches(sys) if sys.constant else (np.inf, 0.0)
+            if grad <= curl:
+                w2h2 = omega ** 2 * grid.h ** 2
+                raise LowFrequencyError(
+                    f"omega={omega:g} is too low for h={grid.h:g}: the gradient modes set the "
+                    f"relative margin {margin:.3e} < {resonance_threshold:g} (omega^2 h^2 = "
+                    f"{w2h2:.3e}); no detuning raises it", margin=margin, omega2_h2=w2h2)
             suggestion = _suggest_detuned(grid, mat, omega, solver_tol, direct_limit)
             raise ResonantFrequencyError(
                 f"omega={omega:g} sits near a resonance "
@@ -580,28 +585,32 @@ def _suggest_detuned(grid, mat, omega, solver_tol, direct_limit):
     return None if best is None else best[0]
 
 
+def constant_branches(sys: SystemMatrix):
+    """The smallest |eigenvalue| / h^3 of L_II in a constant scalar medium
+    on its gradient modes, omega^2 eps0 (every grid of at least 4 cells per
+    axis has them), and on its curl-curl modes, |nu0 lam - omega^2 eps0|."""
+    eps0, _, nu0, _ = sys.reference
+    shift = sys.omega ** 2 * eps0
+    return shift, min(np.abs(nu0 * lam - shift).min() for lam in mode_table(sys.grid)[1])
+
+
 def resonance_guard(sys: SystemMatrix):
     """Relative smallest-singular-value estimate sigma_min / ``norm_estimate``.
 
-    On the Krylov path a constant scalar medium gives sigma_min exactly from
-    ``mode_table``: L_II is h^3 (nu0 lam - omega^2 eps0) on the curl-curl
-    modes and -h^3 omega^2 eps0 on the gradient modes, which every grid of at
-    least 4 cells per axis has.  Otherwise sigma_min is estimated by inverse
-    power iterations: LU back-solves on the direct path, and on the Krylov
-    path one MINRES run per step at ``GUARD_TOL``, warm-started from the
-    Rayleigh-quotient guess v / (v^T L v) and preconditioned by
-    ``reference_inverse``: once v is near the smallest eigenvector the start
-    is nearly exact in that direction.  The loose tolerance leaves the
-    margin within 4e-4 relative of the direct one on the smooth and
-    anisotropic media of the tests, where the preconditioner is inexact.
+    On the Krylov path a constant scalar medium gives sigma_min exactly, h^3
+    times the smaller ``constant_branches``.  Otherwise sigma_min is
+    estimated by inverse power iterations: LU back-solves on the direct path,
+    and on the Krylov path one MINRES run per step at ``GUARD_TOL``,
+    warm-started from the Rayleigh-quotient guess v / (v^T L v) and
+    preconditioned by ``reference_inverse``: once v is near the smallest
+    eigenvector the start is nearly exact in that direction.  The loose
+    tolerance leaves the margin within 4e-4 relative of the direct one on the
+    smooth and anisotropic media of the tests, where M is inexact.
     """
     if sys.margin is not None:
         return sys.margin
     if sys.constant and not sys.direct:
-        eps0, _, nu0, _ = sys.reference
-        shift = sys.omega ** 2 * eps0
-        sigma_min = sys.grid.h ** 3 * min(
-            [shift] + [np.abs(nu0 * lam - shift).min() for lam in mode_table(sys.grid)[1]])
+        sigma_min = sys.grid.h ** 3 * min(constant_branches(sys))
     else:
         rng = np.random.default_rng(GUARD_SEED)
         v = rng.standard_normal(sys.dimension)
@@ -648,8 +657,9 @@ def lift(sys: SystemMatrix, eB, rhs):
 
 
 def solve_bvp(sys: SystemMatrix, trace: TangentialTrace) -> FieldPair:
-    """Solve the interior problem with lifted tangential boundary data."""
-    eB = np.zeros(sys.grid.n_edges, dtype=complex)
+    """Solve the interior problem with lifted tangential boundary data; a
+    trace of k columns is one ``lift``, giving a FieldPair of blocks."""
+    eB = np.zeros((sys.grid.n_edges,) + trace.values.shape[1:], dtype=complex)
     eB[trace.patch.edge_dofs] = trace.values
     eB = eB[sys.idx_boundary]
     rhs = real_matmul(sys.L_IB, eB)

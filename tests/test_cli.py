@@ -218,6 +218,24 @@ def test_resonance_error_names_the_suggested_omega(tmp_path, capsys):
     assert err.endswith((f"; try omega={0.93 * omega:g}", f"; try omega={1.07 * omega:g}"))
 
 
+def test_low_frequency_error_suggests_no_omega(tmp_path, monkeypatch, capsys):
+    # the gradient modes set the margin at omega = 0.02 on 8^3: the error says
+    # so, suggests no detuned omega and assembles no probe system
+    from rungelab import solver
+
+    calls = []
+    assemble = solver.assemble
+    monkeypatch.setattr(solver, "assemble", lambda *a, **k: calls.append(1) or assemble(*a, **k))
+    cfg = _write(tmp_path, "l.json", {"tag": "three_balls", "grid": {"n": [8, 8, 8]},
+                                      "omega": 0.02})
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: omega=0.02 is too low for h=0.125: the gradient modes ")
+    assert "try omega=" not in err and "Traceback" not in err
+    assert len(calls) == 1 and not out.exists()
+
+
 def _readme_cli_lines():
     """Every ``rungelab ...`` line of the code blocks in README's CLI section."""
     readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")

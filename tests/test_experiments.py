@@ -624,8 +624,8 @@ def test_cauchy_discretization_probe_matches_convergence_study():
     grid = rl.build_grid(cfg["grid"]["n"], cfg["grid"]["h"])
     refined = rl.build_grid([2 * n for n in grid.n], grid.h / 2)
     probe = rl.plane_wave([cfg["omega"], 0.0, 0.0], [0.0, 1.0, 0.0], cfg["omega"])
-    rows = rl.convergence_study(probe, [grid, refined], omega=cfg["omega"],
-                                material_spec=cfg["material"])
+    rows = rl.convergence_study(probe, (experiments._assemble(
+        cfg, g, rl.make_material(g, cfg["material"])) for g in (grid, refined)))
     assert rep.budgets["forward_disc_rel_error"] == rows[0][1]
 
 

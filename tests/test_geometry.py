@@ -427,3 +427,12 @@ def test_adjacent_cell_sums_match_per_cell_loop(family):
             slots = cell_dof_slots(cell, family, axis)
             mean[c, axis] = sum(values[index(axis, *slot)] for slot in slots) / len(slots)
     assert np.array_equal(g.cell_means(values, family), mean)
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 4), (10, 10, 10), (12, 12, 12), (16, 16, 16),
+                                   (8, 10, 6), (5, 7, 9)])
+def test_whole_boundary_dofs_are_the_boundary_edges(shape):
+    # the Cauchy reconstruction lifts data given in idx_boundary order as a
+    # trace on the whole boundary
+    g = rl.build_grid(shape, 0.1)
+    assert np.array_equal(whole_boundary(g).edge_dofs, g.boundary_edge_indices())

@@ -86,13 +86,32 @@ def test_dipole_H_consistency():
     assert errs[0] / errs[1] > 3.0
 
 
+def _vacuum_systems(ns, assembled=None):
+    """A generator of vacuum systems on the unit cube at n^3 for n in ``ns``,
+    appending each n to ``assembled`` as its system is assembled."""
+    for n in ns:
+        g = rl.build_grid((n, n, n), 1.0 / n)
+        if assembled is not None:
+            assembled.append(n)
+        yield rl.assemble(g, rl.make_material(g, {"kind": "constant"}), 2.0)
+
+
 def test_convergence_study_rejects_single_grid():
     sol = rl.plane_wave([2.0, 0.0, 0.0], [0.0, 1.0, 0.0], 2.0)
-    with pytest.raises(ConfigurationError):
-        convergence_study(sol, [rl.build_grid((8, 8, 8), 0.125)])
+    with pytest.raises(ConfigurationError, match="at least two grids"):
+        convergence_study(sol, _vacuum_systems([8]))
+
+
+def test_convergence_study_stops_at_a_level_that_does_not_refine():
+    sol = rl.plane_wave([2.0, 0.0, 0.0], [0.0, 1.0, 0.0], 2.0)
+    assembled = []
+    with pytest.raises(ConfigurationError, match="refine by factor two"):
+        convergence_study(sol, _vacuum_systems([4, 8, 12, 24], assembled))
+    # the bad level is the last one assembled
+    assert assembled == [4, 8, 12]
 
 
 def test_convergence_study_deterministic():
     sol = rl.plane_wave([2.0, 0.0, 0.0], [0.0, 1.0, 0.0], 2.0)
-    grids = [rl.build_grid((n, n, n), 1.0 / n) for n in (4, 8)]
-    assert convergence_study(sol, grids) == convergence_study(sol, grids)
+    assert convergence_study(sol, _vacuum_systems([4, 8])) == \
+        convergence_study(sol, _vacuum_systems([4, 8]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rungelab as rl
-from rungelab.errors import ConfigurationError, ResonantFrequencyError
+from rungelab.errors import ConfigurationError, LowFrequencyError, ResonantFrequencyError
 from rungelab.solver import SourceTerm, TangentialTrace, assemble, resonance_guard, weak_rhs
 
 from conftest import FakeLU, rng_complex, transform_off
@@ -82,7 +82,7 @@ def test_uniform_medium_matches_per_cell_formulas(medium, grid8):
 
 def test_zero_data_zero_solution(sys8, grid8):
     patch = rl.boundary_patch(grid8, "x-")
-    fields = rl.solve_bvp(sys8, TangentialTrace.zeros(patch))
+    fields = rl.solve_bvp(sys8, TangentialTrace(patch, np.zeros(patch.n_dofs)))
     assert np.abs(fields.E).max() == 0.0
     assert np.abs(fields.H).max() == 0.0
 
@@ -101,10 +101,46 @@ def test_linearity(sys8, grid8):
     assert np.linalg.norm(fg.E - one.E - other.E) <= 1e-12 * np.linalg.norm(fg.E)
 
 
+@pytest.mark.parametrize("direct_limit", [rl.solver.DIRECT_LIMIT, 0])
+@pytest.mark.parametrize("medium", ["vacuum", "smooth"])
+def test_block_solve_bvp_matches_its_columns(grid8, vacuum8, medium, direct_limit):
+    # the transform (vacuum) and MINRES (smooth, Krylov path) solve a block's
+    # columns as they solve one column; SuperLU rounds a column of a
+    # multi-column solve by its place in the block, so on the smooth direct
+    # path the columns agree to rounding only
+    mat = vacuum8 if medium == "vacuum" else rl.make_material(grid8, MEDIA["smooth"])
+    sys_ = assemble(grid8, mat, 2.0, direct_limit=direct_limit, check_resonance=False)
+    patch = rl.boundary_patch(grid8, ["x-", "y+"])
+    values = rng_complex(np.random.default_rng(28), (patch.n_dofs, 5))
+    block = rl.solve_bvp(sys_, TangentialTrace(patch, values))
+    assert block.E.shape == (grid8.n_edges, 5) and block.H.shape == (grid8.n_faces, 5)
+    for j in range(5):
+        one = rl.solve_bvp(sys_, TangentialTrace(patch, values[:, j]))
+        for a, b in ((block.E[:, j], one.E), (block.H[:, j], one.H)):
+            if sys_.direct and not sys_.constant:
+                assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+            else:
+                assert a.tobytes() == b.tobytes()
+
+
+def test_trace_rejects_bad_values(grid8):
+    patch = rl.boundary_patch(grid8, "x-")
+    n = patch.n_dofs
+    for bad in (np.zeros((n, 2, 2)), np.zeros((n + 1, 3)), np.zeros(n - 1), np.float64(0.0)):
+        with pytest.raises(ConfigurationError, match="trace shape"):
+            TangentialTrace(patch, bad)
+    block = np.zeros((n, 3), dtype=complex)
+    block[4, 1] = complex(0.0, np.inf)
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        TangentialTrace(patch, block)
+    assert TangentialTrace(patch, block[:, ::2].real).values.shape == (n, 2)
+
+
 def test_plane_wave_convergence_two_levels():
     sol = rl.plane_wave([2.0, 0.0, 0.0], [0.0, 1.0, 0.0], 2.0)
     grids = [rl.build_grid((n, n, n), 1.0 / n) for n in (8, 16)]
-    rows = rl.convergence_study(sol, grids)
+    rows = rl.convergence_study(sol, (rl.assemble(g, rl.make_material(g, {"kind": "constant"}),
+                                                  2.0) for g in grids))
     assert rows[1][2] >= 1.8
 
 
@@ -369,11 +405,11 @@ def test_solve_interior_skips_zero_parts(grid8, vacuum8, direct_limit, ncols, mo
 
         def want(m):
             # one real block of m columns: in a vacuum one transform on
-            # either path; otherwise one LU solve on the direct path, and on
-            # the Krylov path one transform and MINRES on each column
+            # either path; otherwise no transform, and one LU solve on the
+            # direct path or MINRES on each column on the Krylov path
             if sys_.constant:
                 return {"transform": 1}
-            return {"lu": 1} if sys_.direct else {"transform": 1, "minres": m}
+            return {"lu": 1} if sys_.direct else {"minres": m}
 
         # a real vector on the direct path goes to the factorization
         assert solves(b)[0] == ({"lu": 1} if sys_.direct and ncols is None else want(k))
@@ -465,8 +501,37 @@ def test_krylov_guard_raises_at_a_cavity_resonance(grid8, spec, modes):
     omega = np.sqrt(nu0 * lam / eps0)
     with pytest.raises(ResonantFrequencyError) as err:
         assemble(grid8, mat, omega, direct_limit=0)
+    assert type(err.value) is ResonantFrequencyError
     assert err.value.margin < rl.solver.RESONANCE_THRESHOLD
     assert err.value.suggested_omega in (0.93 * omega, 1.07 * omega)
+
+
+@pytest.mark.parametrize("direct_limit", [10 ** 9, 0])
+@pytest.mark.parametrize("n", [8, 12])
+def test_low_frequency_raises_without_a_suggestion(n, direct_limit, monkeypatch):
+    # at omega = 0.02 the gradient branch h^3 omega^2 eps0 sets sigma_min, which
+    # no detuning raises: the error suggests nothing and assembles nothing more
+    import rungelab.solver as solver_mod
+
+    g = rl.build_grid((n, n, n), 1.0 / n)
+    mat = rl.make_material(g, {"kind": "constant"})
+    norm = assemble(g, mat, 0.02, direct_limit=direct_limit, check_resonance=False).norm_estimate
+    calls = []
+    monkeypatch.setattr(solver_mod, "assemble",
+                        lambda *a, _f=solver_mod.assemble, **k: calls.append(1) or _f(*a, **k))
+    with pytest.raises(LowFrequencyError) as err:
+        solver_mod.assemble(g, mat, 0.02, direct_limit=direct_limit)
+    assert len(calls) == 1
+    assert err.value.suggested_omega is None and "try omega=" not in str(err.value)
+    assert err.value.omega2_h2 == 0.02 ** 2 * g.h ** 2
+    assert err.value.margin == pytest.approx(g.h ** 3 * 0.02 ** 2 / norm, rel=1e-9)
+
+
+def test_low_frequency_in_a_smooth_medium_keeps_the_resonance_error(grid8):
+    smooth = rl.make_material(grid8, MEDIA["smooth"])
+    with pytest.raises(ResonantFrequencyError) as err:
+        assemble(grid8, smooth, 0.02)
+    assert type(err.value) is ResonantFrequencyError
 
 
 def test_krylov_guard_route(grid8, vacuum8, monkeypatch):
@@ -644,8 +709,8 @@ def test_a_column_the_transform_misses_goes_on_alone(grid8, vacuum8, direct_limi
 
 
 def test_transform_start_leaves_a_smooth_medium_unchanged(monkeypatch):
-    # off the reference medium the start fails its residual test, and the
-    # solve and the guard go on exactly as without it
+    # a medium that is not constant takes no transform start: switching the
+    # start off leaves the solve and the guard as they are
     g = rl.build_grid((12, 12, 12), 1.0 / 12)
     mat = rl.make_material(g, {"kind": "smooth", "seed": 3, "amplitude": 0.3})
     b = np.random.default_rng(20).standard_normal(3 * 12 * 11 * 11)
@@ -686,6 +751,7 @@ def test_krylov_guard_agrees_with_direct_near_resonance():
     resonant = fine[int(np.argmin(direct))]
     with pytest.raises(ResonantFrequencyError) as err:
         assemble(g, mat, resonant, direct_limit=0, resonance_threshold=1e-4)
+    assert type(err.value) is ResonantFrequencyError
     assert err.value.suggested_omega is not None
 
 
