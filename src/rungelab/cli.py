@@ -63,12 +63,21 @@ def _cmd_cache(args):
             path = os.path.join(cache_dir, name)
             try:
                 version, kind, prov, length = store.read_header(path)
-                kind_name = {v: k for k, v in store.KINDS.items()}.get(kind, "?")
-                stale = "" if version == store.VERSION else "  stale"
-                print(f"{name}  kind={kind_name} version={version} "
-                      f"provenance={prov:#018x} payload={length}B{stale}")
             except (OSError, struct.error):
                 print(f"{name}  (unreadable)")
+                continue
+            kind_name = {v: k for k, v in store.KINDS.items()}.get(kind, "?")
+            line = (f"{name}  kind={kind_name} version={version} "
+                    f"provenance={prov:#018x} payload={length}B")
+            if version != store.VERSION:
+                line += "  stale"
+            elif kind_name == "operator":
+                try:
+                    margin, guard = store.read_margin(path)
+                    line += f" margin={margin:.3e} guard={guard}"
+                except (OSError, struct.error):
+                    line += " (no margin)"
+            print(line)
         if not names:
             print("(cache empty)")
         return 0

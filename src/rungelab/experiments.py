@@ -72,6 +72,15 @@ def _box_center(cfg):
     return (size / 2 + lo).tolist()
 
 
+def _existing_part(path):
+    """The longest prefix of ``path`` that exists: where ``os.makedirs``
+    starts creating directories."""
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    return path
+
+
 def _free_side(cfg):
     side = cfg["patch"]["side"]
     free = [s for s in geometry.SIDES if s not in ([side] if isinstance(side, str) else side)]
@@ -177,7 +186,10 @@ _TABLE = (
     ("verify.wave.k", lambda c: [float(c["omega"]), 0.0, 0.0], "verify_solver", _POINT),
     ("verify.wave.p", [0.0, 1.0, 0.0], "verify_solver", _POINT),
     ("output.dir", "out", "*", None),
-    ("cache.dir", None, "*", None),
+    # checked here, so that a file in its place or on its path fails before assembly
+    ("cache.dir", None, "*",
+     ("null or a path whose nearest existing part is a directory",
+      lambda v: v is None or isinstance(v, str) and os.path.isdir(_existing_part(v)))),
     ("tolerances.convergence_order", 1.8, "*", _GE0),
     ("tolerances.mimetic_nnz", 0, "*", _integer(0)),
     ("tolerances.r2_log_modulus", 0.8, "*", _GE0),
@@ -368,21 +380,24 @@ class Scene:
     regions: dict  # every regions.<name> of the config, carved
 
 
-def _assemble(cfg: dict, grid, mat) -> solver.SystemMatrix:
-    """The one place where a config's ``solver`` section becomes keywords."""
+def _assemble(cfg: dict, grid, mat, guard=True) -> solver.SystemMatrix:
+    """The one place where a config's ``solver`` section becomes keywords;
+    without ``guard`` the caller checks the resonance margin itself."""
     slv = cfg["solver"]
     return solver.assemble(grid, mat, cfg["omega"],
                            resonance_threshold=slv["resonance_threshold"],
-                           solver_tol=slv["tol"], direct_limit=slv["direct_limit"])
+                           check_resonance=guard, solver_tol=slv["tol"],
+                           direct_limit=slv["direct_limit"])
 
 
-def build_scene(cfg: dict, targets=(), check=None) -> Scene:
+def build_scene(cfg: dict, targets=(), check=None, guard=True) -> Scene:
     """The grid, patch, regions, material and assembled system of a config.
 
     The patch and the regions come first, so that a window off its side, an
     empty region, a bad restriction target in ``targets`` or a failed
     ``check(grid, regions)``, a driver's own region hypotheses, stop the run
-    before assembly."""
+    before assembly.  Without ``guard`` the system's resonance margin is
+    left unchecked for the caller."""
     g = geometry.build_grid(cfg["grid"]["n"], cfg["grid"]["h"], cfg["grid"]["origin"])
     patch = geometry.boundary_patch(g, cfg["patch"]["side"], cfg["patch"]["window"])
     regions = {name: geometry.carve_region(g, shape, f"regions.{name}")
@@ -392,27 +407,39 @@ def build_scene(cfg: dict, targets=(), check=None) -> Scene:
     if check is not None:
         check(g, regions)
     mat = materials.make_material(g, cfg["material"])
-    sys_ = _assemble(cfg, g, mat)
+    sys_ = _assemble(cfg, g, mat, guard)
     return Scene(g, mat, sys_, patch, geometry.Region(g, np.ones(g.n, dtype=bool)), regions)
 
 
 def _operator_with_cache(cfg, scene, gram, volume):
     """The restriction operator, read from ``cache.dir`` when an envelope of
     the current version holds it; a missing entry or one written under an
-    older envelope version is rebuilt and (re)written."""
-    cache_dir = cfg["cache"]["dir"]
-    if not cache_dir:
-        return runge_op.assemble_restriction(scene.system, gram, volume)
-    os.makedirs(cache_dir, exist_ok=True)
-    prov = runge_op.operator_provenance(scene.system, gram, volume)
-    path = os.path.join(cache_dir, f"operator-{prov:016x}.rgfo")
-    if os.path.exists(path):
-        try:
-            return runge_op.load_operator(path, gram, volume, scene.system)
-        except BadVersionError:
-            pass
-    op = runge_op.assemble_restriction(scene.system, gram, volume)
-    runge_op.save_operator(op, path)
+    older envelope version is rebuilt and (re)written with the system's
+    resonance margin.
+
+    The margin is checked against ``solver.resonance_threshold`` before any
+    column is solved.  A stored margin is taken when the system would run
+    the guard that computed it, so a warm run makes no guard solve; else the
+    guard runs."""
+    sys_, cache_dir = scene.system, cfg["cache"]["dir"]
+    op = path = None
+    if cache_dir:
+        os.makedirs(cache_dir, exist_ok=True)
+        prov = runge_op.operator_provenance(sys_, gram, volume)
+        path = os.path.join(cache_dir, f"operator-{prov:016x}.rgfo")
+        if os.path.exists(path):
+            try:
+                op, margin, guard = runge_op.load_operator(path, gram, volume, sys_)
+            except BadVersionError:
+                pass
+            else:
+                if guard == solver.guard_kind(sys_):
+                    sys_.margin = margin
+    solver.check_margin(sys_, cfg["solver"]["resonance_threshold"])
+    if op is None:
+        op = runge_op.assemble_restriction(sys_, gram, volume)
+        if path:
+            runge_op.save_operator(op, path, sys_)
     return op
 
 
@@ -454,7 +481,8 @@ def run_runge(cfg: dict, scene: Scene | None = None,
               svd: runge_op.SvdBundle | None = None) -> Report:
     """Truncated-approximant error decay and boundary-cost growth over the
     calibration ladder alpha(j)."""
-    scene = scene or build_scene(cfg, ["A"])
+    # the margin is checked with the operator, which the cache may hold
+    scene = scene or build_scene(cfg, ["A"], guard=svd is not None)
     if svd is None:
         gram = build_norm_weights(scene.patch, collar=cfg["patch"]["collar"])
         op = _operator_with_cache(cfg, scene, gram, VolumeWeights(scene.regions["A"]))

@@ -21,7 +21,7 @@ import scipy.linalg as sla
 
 from .analysis import TraceGram, VolumeWeights
 from .errors import ConfigurationError, NumericError
-from .solver import SystemMatrix, real_matmul, solve_bvp
+from .solver import SystemMatrix, guard_kind, real_matmul, resonance_guard, solve_bvp
 from . import store
 
 
@@ -250,17 +250,21 @@ def alpha_for_j(j, C, theta, m):
 # cache
 # ---------------------------------------------------------------------------
 
-def save_operator(op: RestrictionOperator, path):
-    store.write_envelope(path, "operator", op.provenance,
-                         store.pack_matrix(op.matrix))
+def save_operator(op: RestrictionOperator, path, sys: SystemMatrix):
+    """Write R with the resonance margin of ``sys``, the system that built it
+    (``resonance_guard``, which returns a margin already checked at no
+    cost), and the kind of guard that computed the margin."""
+    store.write_envelope(path, "operator", op.provenance, store.pack_operator(
+        op.matrix, resonance_guard(sys), guard_kind(sys)))
 
 
-def load_operator(path, gram: TraceGram, volume: VolumeWeights,
-                  sys: SystemMatrix) -> RestrictionOperator:
+def load_operator(path, gram: TraceGram, volume: VolumeWeights, sys: SystemMatrix):
+    """(operator, margin, guard) of the entry at ``path`` for these inputs,
+    guard naming the ``solver.guard_kind`` that computed the margin."""
     prov = operator_provenance(sys, gram, volume)
     payload = store.read_envelope(path, "operator", prov)
-    matrix = store.unpack_matrix(payload)
+    matrix, margin, guard = store.unpack_operator(payload)
     if matrix.shape != (volume.n_x, gram.n_v):
         raise ConfigurationError(
             f"cached operator shape {matrix.shape} != ({volume.n_x}, {gram.n_v})")
-    return RestrictionOperator(matrix, gram, volume, prov)
+    return RestrictionOperator(matrix, gram, volume, prov), margin, guard

@@ -49,6 +49,7 @@ RESONANCE_THRESHOLD = 1e-6
 # scalar): the margin is only compared with a threshold.
 GUARD_TOL = 1e-6
 # Inverse power iterations of the resonance guard and its start vector's seed.
+# Cached operators carry the guard's margin: a change here bumps store.VERSION.
 GUARD_ITERATIONS = 12
 GUARD_SEED = 0
 
@@ -382,8 +383,11 @@ class SystemMatrix:
     start.  The direct path also factorizes for the resonance guard's
     vectors.  ``solve_interior`` checks the residual of every column it
     returns but the guard's.  Immutable after assembly apart from the lazily
-    built factorization and reference inverses and the cached resonance
-    margin.
+    built factorization and reference inverses and ``margin``: the
+    resonance guard's result, None until ``resonance_guard`` runs or a
+    margin stored with a cached operator of the same guard kind is set on
+    it (``experiments._operator_with_cache``), which spares the guard's
+    solves and its factorization.
     """
 
     def __init__(self, grid, material, omega, L, curl, mu_inv_point, solver_tol,
@@ -395,6 +399,7 @@ class SystemMatrix:
         self.curl = curl
         self.mu_inv_point = mu_inv_point
         self.solver_tol = solver_tol
+        self.direct_limit = direct_limit
         self.idx_interior = grid.interior_edge_indices()
         self.idx_boundary = grid.boundary_edge_indices()
         L_I = L[self.idx_interior]
@@ -526,10 +531,10 @@ def assemble(grid: Grid, mat: MaterialField, omega, *,
              solver_tol=SOLVER_TOL, direct_limit=DIRECT_LIMIT) -> SystemMatrix:
     """Assemble curl(mu^-1 curl .) - omega^2 eps on interior edges.
 
-    Raises ResonantFrequencyError when the relative smallest-singular-value
-    estimate falls below ``resonance_threshold``; the error carries a detuned
-    frequency suggestion probed at +-7 percent, or is a LowFrequencyError with
-    none when the gradient branch of a constant scalar medium sets the margin.
+    With ``check_resonance`` the system's resonance margin is checked against
+    ``resonance_threshold`` before it is returned (``check_margin``); a
+    caller that may know the margin already, the runge operator cache,
+    assembles without the check and makes it later.
     """
     if not (omega > 0):
         raise ConfigurationError("omega must be positive")
@@ -551,22 +556,36 @@ def assemble(grid: Grid, mat: MaterialField, omega, *,
                        reference_medium(mat, mu_inv))
     del L  # the system keeps its interior rows only; freed before the guard
     if check_resonance:
-        margin = resonance_guard(sys)
-        if margin < resonance_threshold:
-            grad, curl = constant_branches(sys) if sys.constant else (np.inf, 0.0)
-            if grad <= curl:
-                w2h2 = omega ** 2 * grid.h ** 2
-                raise LowFrequencyError(
-                    f"omega={omega:g} is too low for h={grid.h:g}: the gradient modes set the "
-                    f"relative margin {margin:.3e} < {resonance_threshold:g} (omega^2 h^2 = "
-                    f"{w2h2:.3e}); no detuning raises it", margin=margin, omega2_h2=w2h2)
-            suggestion = _suggest_detuned(grid, mat, omega, solver_tol, direct_limit)
-            raise ResonantFrequencyError(
-                f"omega={omega:g} sits near a resonance "
-                f"(relative margin {margin:.3e} < {resonance_threshold:g})"
-                + ("" if suggestion is None else f"; try omega={suggestion:g}"),
-                margin=margin, suggested_omega=suggestion)
+        check_margin(sys, resonance_threshold)
     return sys
+
+
+def check_margin(sys: SystemMatrix, resonance_threshold=RESONANCE_THRESHOLD):
+    """The ``resonance_guard`` margin of ``sys``, checked against the threshold.
+
+    Raises ResonantFrequencyError when the margin falls below
+    ``resonance_threshold``; the error carries a detuned frequency suggestion
+    probed at +-7 percent, or is a LowFrequencyError with none when the
+    gradient branch of a constant scalar medium sets the margin.  A margin
+    already on ``sys`` (a cached one) is compared without a solve.
+    """
+    margin = resonance_guard(sys)
+    if margin >= resonance_threshold:
+        return margin
+    grid, omega = sys.grid, sys.omega
+    grad, curl = constant_branches(sys) if sys.constant else (np.inf, 0.0)
+    if grad <= curl:
+        w2h2 = omega ** 2 * grid.h ** 2
+        raise LowFrequencyError(
+            f"omega={omega:g} is too low for h={grid.h:g}: the gradient modes set the "
+            f"relative margin {margin:.3e} < {resonance_threshold:g} (omega^2 h^2 = "
+            f"{w2h2:.3e}); no detuning raises it", margin=margin, omega2_h2=w2h2)
+    suggestion = _suggest_detuned(grid, sys.material, omega, sys.solver_tol, sys.direct_limit)
+    raise ResonantFrequencyError(
+        f"omega={omega:g} sits near a resonance "
+        f"(relative margin {margin:.3e} < {resonance_threshold:g})"
+        + ("" if suggestion is None else f"; try omega={suggestion:g}"),
+        margin=margin, suggested_omega=suggestion)
 
 
 def _suggest_detuned(grid, mat, omega, solver_tol, direct_limit):
@@ -594,22 +613,38 @@ def constant_branches(sys: SystemMatrix):
     return shift, min(np.abs(nu0 * lam - shift).min() for lam in mode_table(sys.grid)[1])
 
 
-def resonance_guard(sys: SystemMatrix):
-    """Relative smallest-singular-value estimate sigma_min / ``norm_estimate``.
+def guard_kind(sys: SystemMatrix):
+    """The guard ``resonance_guard`` runs on ``sys``: ``closed_form`` for a
+    constant scalar medium on the Krylov path, else inverse iteration by LU
+    back-solves on the direct path (``direct``) or by MINRES steps on the
+    Krylov path (``minres``)."""
+    if sys.constant and not sys.direct:
+        return "closed_form"
+    return "direct" if sys.direct else "minres"
 
-    On the Krylov path a constant scalar medium gives sigma_min exactly, h^3
-    times the smaller ``constant_branches``.  Otherwise sigma_min is
-    estimated by inverse power iterations: LU back-solves on the direct path,
-    and on the Krylov path one MINRES run per step at ``GUARD_TOL``,
-    warm-started from the Rayleigh-quotient guess v / (v^T L v) and
-    preconditioned by ``reference_inverse``: once v is near the smallest
-    eigenvector the start is nearly exact in that direction.  The loose
-    tolerance leaves the margin within 4e-4 relative of the direct one on the
-    smooth and anisotropic media of the tests, where M is inexact.
+
+def resonance_guard(sys: SystemMatrix):
+    """Relative smallest-singular-value estimate sigma_min / ``norm_estimate``,
+    kept on ``sys.margin``; a margin already there is returned unchanged.
+
+    ``guard_kind`` names the guard.  On the Krylov path a constant scalar
+    medium gives sigma_min exactly, h^3 times the smaller
+    ``constant_branches``.  Otherwise sigma_min is estimated by
+    ``GUARD_ITERATIONS`` inverse power iterations from a ``GUARD_SEED``
+    start: LU back-solves on the direct path, and on the Krylov path one
+    MINRES run per step at ``GUARD_TOL``, warm-started from the
+    Rayleigh-quotient guess v / (v^T L v) and preconditioned by
+    ``reference_inverse``: once v is near the smallest eigenvector the start
+    is nearly exact in that direction.  The loose tolerance leaves the margin
+    within 4e-4 relative of the direct one on the smooth and anisotropic
+    media of the tests, where M is inexact.  The runge operator cache stores
+    the margin with its guard kind (``runge_op.save_operator``), so a change
+    to any guard's method or constants must bump ``store.VERSION``.
     """
     if sys.margin is not None:
         return sys.margin
-    if sys.constant and not sys.direct:
+    kind = guard_kind(sys)
+    if kind == "closed_form":
         sigma_min = sys.grid.h ** 3 * min(constant_branches(sys))
     else:
         rng = np.random.default_rng(GUARD_SEED)
@@ -617,7 +652,7 @@ def resonance_guard(sys: SystemMatrix):
         v /= np.linalg.norm(v)
         sigma_min = None
         for _ in range(GUARD_ITERATIONS):
-            w = sys.solve_interior(v) if sys.direct else _guard_step(sys, v)
+            w = sys.solve_interior(v) if kind == "direct" else _guard_step(sys, v)
             nw = np.linalg.norm(w)
             if nw == 0:
                 break

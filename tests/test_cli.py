@@ -5,6 +5,7 @@ import subprocess
 import sys
 from itertools import product
 
+import numpy as np
 import pytest
 
 from rungelab.cli import build_parser, main, parse_config
@@ -187,6 +188,11 @@ def _propagate(g_shape, r0, margin_h, x0=(0.5, 0.5, 0.5)):
     (_propagate(_BALL, 0.1, 0.05), "propagation.r0"),
     (_propagate(_BALL, 0.3, 0.1, x0=[0.3, 0.3, 0.3]), "regions.G"),
     (_propagate(dict(_BALL, r=0.4), 0.4, 0.2), "regions.G"),
+    # a file where the cache directory goes, or on its path: os.makedirs
+    # raised an untyped FileExistsError or NotADirectoryError once the
+    # system and the trace Gram were built
+    ({"cache": {"dir": __file__}}, "cache.dir"),
+    ({"cache": {"dir": os.path.join(__file__, "cache")}}, "cache.dir"),
 ])
 def test_run_exit_one_before_assembly(tmp_path, monkeypatch, capsys, payload, key):
     from rungelab import solver
@@ -486,8 +492,8 @@ def test_version_two_complex_entry_is_rebuilt(tmp_path, capsys):
     with open(os.path.join(cold_cache, name), "rb") as fh:
         blob = fh.read()
     _, version, kind, prov, length = store._HEADER.unpack_from(blob, 0)
-    assert version == 3
-    R = store.unpack_matrix(blob[store._HEADER.size:store._HEADER.size + length])
+    assert version == 4
+    R, _, _ = store.unpack_operator(blob[store._HEADER.size:store._HEADER.size + length])
     c = normalize_config(RUNGE_SMALL)
     grid = rl.build_grid(c["grid"]["n"], c["grid"]["h"], c["grid"]["origin"])
     region = rl.carve_region(grid, c["regions"]["A"])
@@ -525,3 +531,137 @@ def test_corrupt_cache_entry_still_fails(tmp_path, capsys):
     capsys.readouterr()
     assert main(["--out", str(tmp_path / "o2"), "--cache", cache, "run", cfg]) == 1
     assert "checksum" in capsys.readouterr().err
+
+
+def _spy_guard(monkeypatch):
+    """Record every factorization built (not a cached one handed back) and
+    every resonance-guard solve: an LU back-solve of a real vector or a
+    MINRES guard step."""
+    from rungelab import solver
+
+    calls = []
+    factorize, solve_interior = solver.SystemMatrix._factorize, solver.SystemMatrix.solve_interior
+    guard_step = solver._guard_step
+
+    def spy_factorize(self):
+        if self._lu is None:
+            calls.append("factorize")
+        return factorize(self)
+
+    def spy_solve_interior(self, rhs):
+        if rhs.ndim == 1 and not np.iscomplexobj(rhs):
+            calls.append("guard solve")
+        return solve_interior(self, rhs)
+
+    monkeypatch.setattr(solver.SystemMatrix, "_factorize", spy_factorize)
+    monkeypatch.setattr(solver.SystemMatrix, "solve_interior", spy_solve_interior)
+    monkeypatch.setattr(solver, "_guard_step",
+                        lambda *a: calls.append("guard solve") or guard_step(*a))
+    return calls
+
+
+def _cold_system(payload):
+    """The system of a config as a cold run assembles it, guard unchecked."""
+    from rungelab.experiments import build_scene, normalize_config
+    return build_scene(normalize_config(payload), guard=False).system
+
+
+def test_warm_run_takes_the_stored_margin(tmp_path, monkeypatch, capsys):
+    from rungelab import solver, store
+    cfg = _write(tmp_path, "r.json", RUNGE_SMALL)
+    cache = str(tmp_path / "cache")
+    out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
+    calls = _spy_guard(monkeypatch)
+    assert main(["--out", out1, "--cache", cache, "run", cfg]) in (0, 2)
+    assert calls.count("factorize") == 1 and calls.count("guard solve") == 12
+    [name] = os.listdir(cache)
+    margin, guard = store.read_margin(os.path.join(cache, name))
+    # the stored margin is the cold system's guard result, bit for bit
+    cold = _cold_system(RUNGE_SMALL)
+    assert margin == solver.resonance_guard(cold)
+    assert guard == solver.guard_kind(cold) == "direct"
+    calls.clear()
+    assert main(["--out", out2, "--cache", cache, "run", cfg]) in (0, 2)
+    assert calls == []
+    a = open(os.path.join(out1, "runge.csv"), "rb").read()
+    b = open(os.path.join(out2, "runge.csv"), "rb").read()
+    assert a == b
+    # cache ls shows the stored margin and its guard
+    capsys.readouterr()
+    assert main(["--cache", cache, "cache", "ls"]) == 0
+    listing = capsys.readouterr().out.strip()
+    assert listing.endswith(f"margin={margin:.3e} guard=direct")
+
+
+def test_warm_run_checks_the_stored_margin(tmp_path, monkeypatch, capsys):
+    # a threshold above the stored margin fails the warm run with the typed
+    # error, which names the margin, and still makes no guard solve
+    from rungelab import store
+    cache = str(tmp_path / "cache")
+    cfg = _write(tmp_path, "r.json", RUNGE_SMALL)
+    assert main(["--out", str(tmp_path / "o1"), "--cache", cache, "run", cfg]) in (0, 2)
+    [name] = os.listdir(cache)
+    margin, _ = store.read_margin(os.path.join(cache, name))
+    strict = _write(tmp_path, "s.json", dict(RUNGE_SMALL, solver={"resonance_threshold": 0.01}))
+    calls = _spy_guard(monkeypatch)
+    capsys.readouterr()
+    out = tmp_path / "o2"
+    assert main(["--out", str(out), "--cache", cache, "run", strict]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: omega=2 is too low for h=0.125: the gradient modes set the "
+                          f"relative margin {margin:.3e} < 0.01")
+    assert "Traceback" not in err and not out.exists()
+    assert calls == []
+
+
+def test_stored_margin_of_another_guard_is_recomputed(tmp_path):
+    # a vacuum shares one entry between the direct and the Krylov path, whose
+    # guards differ in the last digits: the Krylov run ends with its own
+    # closed-form margin, not the direct path's stored one
+    from rungelab import experiments, solver, store
+    from rungelab.analysis import VolumeWeights, build_norm_weights
+    cache = str(tmp_path / "cache")
+    cfg = _write(tmp_path, "r.json", RUNGE_SMALL)
+    assert main(["--out", str(tmp_path / "o1"), "--cache", cache, "run", cfg]) in (0, 2)
+    [name] = os.listdir(cache)
+    stored, guard = store.read_margin(os.path.join(cache, name))
+    payload = dict(RUNGE_SMALL, solver={"direct_limit": 0}, cache={"dir": cache})
+    c = experiments.normalize_config(payload)
+    scene = experiments.build_scene(c, ["A"], guard=False)
+    gram = build_norm_weights(scene.patch, collar=c["patch"]["collar"])
+    experiments._operator_with_cache(c, scene, gram, VolumeWeights(scene.regions["A"]))
+    assert os.listdir(cache) == [name]
+    closed_form = solver.resonance_guard(_cold_system(payload))
+    assert solver.guard_kind(scene.system) == "closed_form" != guard
+    assert scene.system.margin == closed_form != stored
+
+
+def test_version_three_entry_is_rebuilt(tmp_path, capsys):
+    # an entry of the previous version holds R without the margin; it is
+    # tagged stale and rebuilt to the same bytes as a cold run's
+    from rungelab import store
+    cfg = _write(tmp_path, "r.json", RUNGE_SMALL)
+    cache = str(tmp_path / "cache")
+    out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
+    assert main(["--out", out1, "--cache", cache, "run", cfg]) in (0, 2)
+    [name] = os.listdir(cache)
+    path = os.path.join(cache, name)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    magic, _, kind, prov, length = store._HEADER.unpack_from(blob, 0)
+    R, _, _ = store.unpack_operator(blob[store._HEADER.size:store._HEADER.size + length])
+    payload = store.pack_matrix(R)
+    with open(path, "wb") as fh:
+        fh.write(store._HEADER.pack(magic, 3, kind, prov, len(payload)) + payload
+                 + store._TAIL.pack(store._payload_check(payload)))
+    capsys.readouterr()
+    assert main(["--cache", cache, "cache", "ls"]) == 0
+    listing = capsys.readouterr().out.strip()
+    assert "version=3" in listing and listing.endswith("stale") and "margin=" not in listing
+    assert main(["--out", out2, "--cache", cache, "run", cfg]) in (0, 2)
+    assert os.listdir(cache) == [name]
+    with open(path, "rb") as fh:
+        assert fh.read() == blob
+    a = open(os.path.join(out1, "runge.csv"), "rb").read()
+    b = open(os.path.join(out2, "runge.csv"), "rb").read()
+    assert a == b

@@ -287,15 +287,17 @@ def test_alpha_for_j_validation():
 def test_operator_cache_roundtrip(tmp_path, small_restriction):
     sys_, gram, volume, op, _ = small_restriction
     path = tmp_path / "op.rgfo"
-    save_operator(op, path)
-    back = load_operator(path, gram, volume, sys_)
+    save_operator(op, path, sys_)
+    back, margin, guard = load_operator(path, gram, volume, sys_)
     assert np.array_equal(back.matrix, op.matrix)
+    # the margin comes back bit for bit, with the guard that computed it
+    assert margin == rl.resonance_guard(sys_) and guard == rl.solver.guard_kind(sys_) == "direct"
 
 
 def test_operator_cache_detects_truncation(tmp_path, small_restriction):
     sys_, gram, volume, op, _ = small_restriction
     path = tmp_path / "op.rgfo"
-    save_operator(op, path)
+    save_operator(op, path, sys_)
     blob = path.read_bytes()
     path.write_bytes(blob[:-20])
     with pytest.raises(BadLengthError):
@@ -305,7 +307,7 @@ def test_operator_cache_detects_truncation(tmp_path, small_restriction):
 def test_operator_cache_detects_corruption(tmp_path, small_restriction):
     sys_, gram, volume, op, _ = small_restriction
     path = tmp_path / "op.rgfo"
-    save_operator(op, path)
+    save_operator(op, path, sys_)
     blob = bytearray(path.read_bytes())
     blob[60] ^= 0xFF
     path.write_bytes(bytes(blob))
@@ -316,7 +318,7 @@ def test_operator_cache_detects_corruption(tmp_path, small_restriction):
 def test_operator_cache_provenance(tmp_path, small_restriction, grid8):
     sys_, gram, volume, op, _ = small_restriction
     path = tmp_path / "op.rgfo"
-    save_operator(op, path)
+    save_operator(op, path, sys_)
     other_mat = rl.make_material(grid8, {"kind": "constant", "eps": 2.25, "mu": 1.0})
     other_sys = rl.assemble(grid8, other_mat, 2.0)
     with pytest.raises(BadProvenanceError):
@@ -340,10 +342,10 @@ def test_operator_provenance_names_the_solver(tmp_path, small_restriction, grid8
     assert len(provs) == 4
     # a constant medium takes the transform on either path: one key, one entry
     path = tmp_path / "op.rgfo"
-    save_operator(op, path)
+    save_operator(op, path, sys_)
     krylov = rl.assemble(grid8, vacuum8, 2.0, direct_limit=0)
     assert sys_.direct and not krylov.direct
-    assert load_operator(path, gram, volume, krylov).provenance == op.provenance
+    assert load_operator(path, gram, volume, krylov)[0].provenance == op.provenance
     with pytest.raises(BadProvenanceError):
         load_operator(path, gram, volume, rl.assemble(grid8, vacuum8, 2.0, solver_tol=1e-8))
 

@@ -129,6 +129,26 @@ def test_real_matrix_payload():
     assert back.tobytes() == small.tobytes()
 
 
+def test_operator_payload(tmp_path):
+    # R, then the margin f64 and the guard name in 12 NUL-padded bytes; the
+    # tail reads back unverified from the file without the matrix
+    mat = np.array([[1.0, -2.5], [0.0, 3.0]])
+    blob = store.pack_operator(mat, 1.739e-3, "closed_form")
+    assert blob == store.pack_matrix(mat) + struct.pack("<d", 1.739e-3) + b"closed_form\0"
+    back, margin, guard = store.unpack_operator(blob)
+    assert back.tobytes() == mat.tobytes() and (margin, guard) == (1.739e-3, "closed_form")
+    path = tmp_path / "a.rgfo"
+    store.write_envelope(path, "operator", 9, store.pack_operator(mat, 0.5, "direct"))
+    assert store.read_margin(path) == (0.5, "direct")
+    with pytest.raises(BadLengthError):
+        store.unpack_operator(blob[:-1])
+    with pytest.raises(BadLengthError):
+        store.unpack_operator(blob[:8])
+    store.write_envelope(path, "operator", 9, b"short")
+    with pytest.raises(struct.error):
+        store.read_margin(path)
+
+
 def test_provenance_hash_stable():
     a = store.provenance_hash({"grid": [1, 2, 3], "omega": 2.0})
     b = store.provenance_hash({"omega": 2.0, "grid": [1, 2, 3]})
