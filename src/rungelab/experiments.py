@@ -10,6 +10,7 @@ fitted from the measured data, never assumed.
 from __future__ import annotations
 
 import copy
+import ctypes
 import json
 import os
 import time
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import lapack
+import scipy.sparse.linalg as spla
+from scipy.linalg import blas, cython_lapack, lapack
 
 from . import analysis, geometry, materials, oracle, runge_op, solver
 from .errors import BadVersionError, ConfigurationError, GeometryError, NumericError
@@ -576,6 +578,36 @@ def _lapack(name, *args, **kwargs):
     return out
 
 
+# own function objects: setting argtypes on ctypes.pythonapi's would be global
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _lapack_ref(name, *args):
+    """Call a LAPACK routine scipy.linalg.lapack lacks from scipy's Cython table,
+    with ints, one-letter strs and writable Fortran float64 or int32 arrays by
+    reference, then INFO; raise NumericError on a nonzero info."""
+    if not all(a.dtype in (np.float64, np.int32) and a.flags.f_contiguous and a.flags.writeable
+               for a in args if isinstance(a, np.ndarray)):
+        raise TypeError(f"LAPACK {name} needs writable Fortran float64 or int32 arrays")
+    refs = [a.ctypes.data if isinstance(a, np.ndarray) else ctypes.byref(
+        ctypes.c_char(a.encode()) if isinstance(a, str) else ctypes.c_int(a)) for a in args]
+    cap, info = cython_lapack.__pyx_capi__[name], ctypes.c_int()
+    ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * (len(args) + 1))(
+        _capsule_pointer(cap, _capsule_name(cap)))(*refs, ctypes.byref(info))
+    if info.value != 0:
+        raise NumericError(f"LAPACK {name} returned info {info.value}")
+
+
+def _lapack_work(name, *args):
+    """``_lapack_ref`` with WORK and LWORK appended, sized by an LWORK = -1 query."""
+    size = np.zeros(1)
+    _lapack_ref(name, *args, size, -1)
+    _lapack_ref(name, *args, np.zeros(int(size[0])), int(size[0]))
+
+
 def h_trace_block(sys_: solver.SystemMatrix, h_dofs):
     """Real block R whose column j times i is H[h_dofs] for unit data on the
     j-th boundary edge (``idx_boundary`` order).
@@ -598,6 +630,41 @@ def h_trace_block(sys_: solver.SystemMatrix, h_dofs):
     return R / -sys_.omega
 
 
+class BidiagonalSvd:
+    """A = U S V^T for a square real A (Fortran-ordered float64, overwritten
+    and kept), as LAPACK ``dgesdd`` computes it less its two n x n
+    back-transforms: ``dgebrd`` reduces A in place to the bidiagonal
+    B = Q_B^T A P_B, with Q_B and P_B kept as Householder vectors, and ``dbdsdc``
+    gives B = U_B S V_B^T, S descending.  U = Q_B U_B and V = P_B V_B are only
+    ever applied to columns; ``right`` returns the ``rows`` of V y, in order."""
+
+    def __init__(self, a, rows=slice(None)):
+        self._a, self._rows, n = a, rows, len(a)
+        if a.shape != (n, n):
+            raise ValueError(f"BidiagonalSvd needs a square matrix, got {a.shape}")
+        self.S, e, self._tauq, self._taup = (np.zeros(n) for _ in range(4))
+        _lapack_work("dgebrd", n, n, a, n, self.S, e, self._tauq, self._taup)
+        self._ub, self._vbt = (np.zeros((n, n), order="F") for _ in range(2))
+        _lapack_ref("dbdsdc", "U", "I", n, self.S, e, self._ub, n, self._vbt, n,
+                    np.zeros(1), np.zeros(1, np.int32), np.zeros(3 * n * n + 4 * n),
+                    np.zeros(8 * n, np.int32))
+
+    def coords(self, b):
+        """U^T b for a real Fortran-ordered (n, k) block ``b``, overwritten."""
+        n = len(self.S)
+        if len(b) != n:
+            raise ValueError(f"U^T b needs {n} rows, got {len(b)}")
+        _lapack_work("dormbr", "Q", "L", "T", n, b.shape[1], n, self._a, n, self._tauq, b, n)
+        return self._ub.T @ b
+
+    def right(self, y):
+        """V y, an (n, k) block, for a real (n,) vector or (n, k) block."""
+        n = len(self.S)
+        x = np.asfortranarray(self._vbt.T @ y.reshape(n, -1))
+        _lapack_work("dormbr", "P", "L", "N", n, x.shape[1], n, self._a, n, self._taup, x, n)
+        return x[self._rows]
+
+
 class CauchyOperator:
     """Trace operator of the discrete solution manifold, parametrized by the
     full boundary data, with its whitened SVD; ``expand`` hands data on it to
@@ -611,8 +678,9 @@ class CauchyOperator:
     frame of W by Q^H diag(L^T, L^T).  With the patch columns first, W is the
     upper triangle [L^T, 0] (padded with zero rows) over the block L^T R, so
     a triangular-pentagonal QR (LAPACK ``dtpqrt``) factors it in place and
-    keeps Q_W as Householder vectors; R_W = U S V^T is square, so Q_W U spans
-    the range of W and ``_split`` reads exact coordinates on it.
+    keeps Q_W as Householder vectors; R_W = U S V^T is square (a
+    ``BidiagonalSvd``, which never forms U or V), so Q_W U spans the range of
+    W and ``_split`` reads exact coordinates on it.
 
     Methods taking data ``d`` accept a (2 n_v,) vector or a (2 n_v, k) block;
     per-column results are scalars for a vector and (k,) arrays for a block.
@@ -636,14 +704,14 @@ class CauchyOperator:
         e_rows = np.searchsorted(self.b_dofs, gram.v_dofs)
         perm = np.concatenate([e_rows, np.setdiff1d(np.arange(nb), e_rows)])
         rsq = 1.0 / np.sqrt(self.reg)
-        top = np.zeros((nb, nb), order="F")  # Fortran order: dtpqrt overwrites it
+        top = np.zeros((nb, nb), order="F")  # Fortran order: LAPACK overwrites it
         top[:n, :n] = self._Lt * rsq
-        H = self._Lt @ h_trace_block(sys_, self.h_dofs)[:, perm] * rsq
+        H = blas.dtrmm(rsq, self._Lt, h_trace_block(sys_, self.h_dofs).T[perm].T,
+                       overwrite_b=True)  # .T[perm].T: Fortran order, so no copy
         top, self._qv, self._qt = _lapack("dtpqrt", 0, QR_BLOCK, top, H,
                                           overwrite_a=True, overwrite_b=True)
-        self._U, self.S, Vt = sla.svd(top, full_matrices=False, overwrite_a=True,
-                                      check_finite=False)
-        self.V = Vt.T[np.argsort(perm)]
+        self._svd = BidiagonalSvd(top, rows=np.argsort(perm))  # boundary dof order
+        self.S = self._svd.S
 
     def data_of(self, fields):
         """Trace data of a FieldPair, a column per field of a block."""
@@ -672,14 +740,16 @@ class CauchyOperator:
         top[:self.gram.n_v] = w[:, :2 * k]
         top, low = _lapack("dtpmqrt", 0, self._qv, self._qt, top, w[:, 2 * k:], trans="T",
                            overwrite_a=True, overwrite_b=True)
-        ud, out2 = self._U.T @ top, np.sum(low ** 2, axis=0)
+        ud, out2 = self._svd.coords(top), np.sum(low ** 2, axis=0)
         return ((ud[:, :k] + 1j * ud[:, k:]).reshape((nb,) + d.shape[1:]),
                 (out2[:k] + out2[k:]).reshape(d.shape[1:])[()])
 
     def expand(self, d):
         """The data on the whitened singular system, as a spectral-filter
         kernel; its solutions times reg^(-1/2) are boundary data."""
-        return runge_op.Expansion(self.S, self.V, *self._split(d))
+        n, right = len(self.b_dofs), self._svd.right
+        V = spla.LinearOperator((n, n), matvec=right, matmat=right, dtype=float)
+        return runge_op.Expansion(self.S, V, *self._split(d))
 
 
 def cauchy_reconstruct(cauchy_op: CauchyOperator, noisy_f, noisy_g, strategy,

@@ -454,8 +454,8 @@ class SystemMatrix:
         of its columns' real and imaginary parts side by side, less a part
         that is all zero in every column, whose solutions are +0.0.  Raises
         NumericError when a column's relative residual exceeds
-        10 * solver_tol, naming the worst; its history holds every column's
-        residual.
+        10 * solver_tol or is NaN, naming the worst; its history holds every
+        column's residual.
         """
         if self.direct and rhs.ndim == 1 and not np.iscomplexobj(rhs):
             return self._factorize().solve(rhs)
@@ -478,8 +478,8 @@ class SystemMatrix:
         if complex_rhs:
             X = X.view(complex)
             resid, scale = np.hypot(resid[0::2], resid[1::2]), np.hypot(scale[0::2], scale[1::2])
-        rel = np.divide(resid, scale, out=np.zeros(k), where=scale > 0)
-        if (rel > 10 * self.solver_tol).any():
+        rel = np.divide(resid, scale, out=resid * 0.0, where=scale > 0)  # NaN stays NaN
+        if not (rel <= 10 * self.solver_tol).all():
             raise NumericError(f"interior solve at relative residual {rel.max():.3e}",
                                history=rel.tolist())
         return X.reshape(rhs.shape)
@@ -488,14 +488,14 @@ class SystemMatrix:
         """X solving L_II X = B for a real (n, k) block, and each column's
         residual and right-hand side norms.  The transform start solves and
         checks every column in a constant scalar medium; the columns that
-        miss ``solver_tol``, and in other media all, go on to the path's own
-        solver and its residual."""
+        miss ``solver_tol`` or read a NaN residual, and in other media all,
+        go on to the path's own solver and its residual."""
         nb = np.linalg.norm(B, axis=0)
         if self.constant:
             X, resid = self._transform_start(B)
         else:
             X, resid = np.zeros(B.shape), nb.copy()
-        miss = resid > self.solver_tol * nb
+        miss = ~(resid <= self.solver_tol * nb)  # a NaN residual misses
         if self.direct and miss.any():
             X[:, miss] = self._factorize().solve(B[:, miss])
             resid[miss] = np.linalg.norm(self.L_II @ X[:, miss] - B[:, miss], axis=0)

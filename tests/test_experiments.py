@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 import rungelab as rl
 from rungelab import experiments
@@ -448,10 +449,16 @@ def test_cauchy_penalty_dominance():
     assert np.abs(fields.E).max() <= 1e-6 * scale
 
 
-def _cauchy_operator():
-    cfg = _cauchy_cfg()
+# most boundary columns free: W has 2 n_v = 448 rows against 768 columns, so
+# at least 320 of R_W's singular values are zero
+TWO_SIDES = {"patch": {"side": ["x-", "y-"], "collar": "exclude_rim"}}
+GEOMETRIES = ({}, TWO_SIDES)
+
+
+def _cauchy_operator(**over):
+    cfg = _cauchy_cfg(**over)
     scene = build_scene(cfg)
-    gram = rl.build_norm_weights(scene.patch, collar="include_rim")
+    gram = rl.build_norm_weights(scene.patch, collar=cfg["patch"]["collar"])
     return cfg, scene, gram, CauchyOperator(scene, gram)
 
 
@@ -523,47 +530,48 @@ def _noisy_data(cfg, scene, cop, rel, seed):
 
 def test_cauchy_real_svd_matches_complex_reference():
     # reference: complex SVD of block_diag(L, L)^T T with the complex T
-    cfg, scene, gram, cop = _cauchy_operator()
-    nv = gram.n_v
-    chol, Wc = _whitened_reference(scene, gram, cop)
-    sq = np.sqrt(cop.reg)
-    U, S, Vh = np.linalg.svd(Wc, full_matrices=False)
+    for over in GEOMETRIES:
+        cfg, scene, gram, cop = _cauchy_operator(**over)
+        nv = gram.n_v
+        chol, Wc = _whitened_reference(scene, gram, cop)
+        sq = np.sqrt(cop.reg)
+        U, S, Vh = np.linalg.svd(Wc, full_matrices=False)
 
-    def parts(d):
-        dw = chol.T @ d
-        ud = U.conj().T @ dw
-        return ud, max(np.linalg.norm(dw) ** 2 - np.linalg.norm(ud) ** 2, 0.0)
+        def parts(d):
+            dw = chol.T @ d
+            ud = U.conj().T @ dw
+            return ud, max(np.linalg.norm(dw) ** 2 - np.linalg.norm(ud) ** 2, 0.0)
 
-    def misfit(d, lam):
-        ud, out2 = parts(d)
-        return float(np.sqrt(np.linalg.norm(lam / (S ** 2 + lam) * ud) ** 2 + out2))
+        def misfit(d, lam):
+            ud, out2 = parts(d)
+            return float(np.sqrt(np.linalg.norm(lam / (S ** 2 + lam) * ud) ** 2 + out2))
 
-    def morozov(d, target, lo=1e-14, hi=1e6):
-        llo, lhi = np.log10(lo), np.log10(hi)
-        for _ in range(80):
-            mid = 0.5 * (llo + lhi)
-            if misfit(d, 10.0 ** mid) < target:
-                llo = mid
-            else:
-                lhi = mid
-        return 10.0 ** (0.5 * (llo + lhi))
+        def morozov(d, target, lo=1e-14, hi=1e6):
+            llo, lhi = np.log10(lo), np.log10(hi)
+            for _ in range(80):
+                mid = 0.5 * (llo + lhi)
+                if misfit(d, 10.0 ** mid) < target:
+                    llo = mid
+                else:
+                    lhi = mid
+            return 10.0 ** (0.5 * (llo + lhi))
 
-    truth, _ = _cauchy_truth(cfg, scene)
-    d0 = cop.data_of(truth)
-    rng = np.random.default_rng(0)
-    eta = 1e-2 * float(np.linalg.norm(d0))
-    noise = rng.standard_normal(2 * nv) + 1j * rng.standard_normal(2 * nv)
-    d = d0 + eta * noise / np.linalg.norm(noise)
-    assert cop.misfit_norm(d) == pytest.approx(np.linalg.norm(chol.T @ d), rel=1e-12)
-    for lam in (1e-10, 1e-6, 1e-2):
-        ud, _ = parts(d)
-        ref = (Vh.conj().T @ (S / (S ** 2 + lam) * ud)) / sq
-        ridge = cop.expand(d).ridge(lam) / sq
-        assert np.linalg.norm(ridge - ref) <= 1e-9 * np.linalg.norm(ref)
-        assert cop.expand(d).ridge_misfit(lam) == pytest.approx(misfit(d, lam), rel=1e-9)
-    target = misfit(d, 1e-4)
-    assert cop.expand(d).discrepancy_lambda(target) == pytest.approx(morozov(d, target),
-                                                                      rel=1e-9)
+        truth, _ = _cauchy_truth(cfg, scene)
+        d0 = cop.data_of(truth)
+        rng = np.random.default_rng(0)
+        eta = 1e-2 * float(np.linalg.norm(d0))
+        noise = rng.standard_normal(2 * nv) + 1j * rng.standard_normal(2 * nv)
+        d = d0 + eta * noise / np.linalg.norm(noise)
+        assert cop.misfit_norm(d) == pytest.approx(np.linalg.norm(chol.T @ d), rel=1e-12)
+        for lam in (1e-10, 1e-6, 1e-2):
+            ud, _ = parts(d)
+            ref = (Vh.conj().T @ (S / (S ** 2 + lam) * ud)) / sq
+            ridge = cop.expand(d).ridge(lam) / sq
+            assert np.linalg.norm(ridge - ref) <= 1e-9 * np.linalg.norm(ref)
+            assert cop.expand(d).ridge_misfit(lam) == pytest.approx(misfit(d, lam), rel=1e-9)
+        target = misfit(d, 1e-4)
+        assert cop.expand(d).discrepancy_lambda(target) == pytest.approx(morozov(d, target),
+                                                                          rel=1e-9)
 
 
 def test_cauchy_misfit_keeps_out_of_span_noise_at_low_eta():
@@ -589,34 +597,82 @@ def test_cauchy_h_block_does_not_depend_on_the_chunk_width(monkeypatch):
 
 
 def test_cauchy_singular_values_match_dense_reference():
-    _, scene, gram, cop = _cauchy_operator()
-    S = sla.svdvals(_whitened_reference(scene, gram, cop)[1])
-    assert np.abs(cop.S - S).max() <= 1e-10 * S.max()
+    for over in GEOMETRIES:
+        _, scene, gram, cop = _cauchy_operator(**over)
+        S = sla.svdvals(_whitened_reference(scene, gram, cop)[1])
+        # a wide W has fewer singular values than R_W, whose others are zero
+        S = np.pad(S, (0, len(cop.S) - len(S)))
+        assert np.abs(cop.S - S).max() <= 1e-10 * S.max(), over
 
 
 def test_cauchy_split_matches_dense_reference():
     # left singular vectors are fixed up to a unitary map within each cluster
     # of equal singular values; _split of the reference vectors gives that
     # map M, so the coordinates must be M times the reference coordinates
-    cfg, scene, gram, cop = _cauchy_operator()
-    chol, Wc = _whitened_reference(scene, gram, cop)
-    U, S, _ = np.linalg.svd(Wc, full_matrices=False)
-    M, out_M = cop._split(sla.solve_triangular(chol.T, U, lower=False))
-    assert np.abs(M.conj().T @ M - np.eye(len(S))).max() <= 1e-10
-    assert np.abs(cop.S[:, None] * M - M * S[None, :]).max() <= 1e-10 * S.max()
-    assert np.sqrt(out_M.max()) <= 1e-8
-    d0, noise = _noisy_data(cfg, scene, cop, 1e-2, seed=4)
-    d = d0 + noise
-    dw = chol.T @ d
-    ud_ref = U.conj().T @ dw
-    out_ref = np.linalg.norm(dw - U @ ud_ref) ** 2
-    ud, out2 = cop._split(d)
-    assert np.linalg.norm(ud - M @ ud_ref) <= 1e-10 * np.linalg.norm(ud_ref)
-    assert out2 == pytest.approx(out_ref, rel=1e-8)
-    block_ud, block_out2 = cop._split(np.stack([d, d0], axis=1))
-    assert np.abs(block_ud[:, 0] - ud).max() <= 1e-14 * np.abs(ud).max()
-    assert block_out2[0] == pytest.approx(out2, rel=1e-12)
+    for over in GEOMETRIES:
+        cfg, scene, gram, cop = _cauchy_operator(**over)
+        chol, Wc = _whitened_reference(scene, gram, cop)
+        U, S, _ = np.linalg.svd(Wc, full_matrices=False)
+        M, out_M = cop._split(sla.solve_triangular(chol.T, U, lower=False))
+        assert np.abs(M.conj().T @ M - np.eye(len(S))).max() <= 1e-10
+        assert np.abs(cop.S[:, None] * M - M * S[None, :]).max() <= 1e-10 * S.max()
+        assert np.sqrt(out_M.max()) <= 1e-8
+        d0, noise = _noisy_data(cfg, scene, cop, 1e-2, seed=4)
+        d = d0 + noise
+        dw = chol.T @ d
+        ud_ref = U.conj().T @ dw
+        out_ref = np.linalg.norm(dw - U @ ud_ref) ** 2
+        ud, out2 = cop._split(d)
+        assert np.linalg.norm(ud - M @ ud_ref) <= 1e-10 * np.linalg.norm(ud_ref)
+        assert out2 == pytest.approx(out_ref, rel=1e-8)
+        block_ud, block_out2 = cop._split(np.stack([d, d0], axis=1))
+        assert np.abs(block_ud[:, 0] - ud).max() <= 1e-14 * np.abs(ud).max()
+        assert block_out2[0] == pytest.approx(out2, rel=1e-12)
 
+
+
+def test_bidiagonal_svd_matches_dense_svd():
+    # a graded upper triangle: singular values from 1 down to 1e-9, the spread
+    # of the reference scene's R_W (1.1e-9)
+    rng = np.random.default_rng(2)
+    n = 200
+    Q1, Q2 = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    A = np.linalg.qr((Q1 * np.logspace(0, -9, n)) @ Q2.T)[1]
+    U, S, Vt = sla.svd(A)
+    svd = experiments.BidiagonalSvd(A.copy(order="F"))
+    assert np.all(np.abs(svd.S - S) <= 1e-13 * S)
+    # singular vectors are fixed up to sign; V's columns give each sign
+    V = svd.right(np.eye(n))
+    sign = np.sign(np.sum(V * Vt.T, axis=0))
+    assert np.abs(V - Vt.T * sign).max() <= 1e-10
+    right = spla.LinearOperator((n, n), matvec=svd.right, matmat=svd.right, dtype=float)
+    b = rng.standard_normal(n)
+    B = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    for d, coords in ((b, svd.coords(b[:, None].copy(order="F"))[:, 0]),
+                      (B, svd.coords(np.asfortranarray(B.real))
+                       + 1j * svd.coords(np.asfortranarray(B.imag)))):
+        ref = U.T @ d
+        assert np.linalg.norm(coords - (sign * ref.T).T) <= 1e-10 * np.linalg.norm(ref)
+        for lam in (1e-12, 1e-6, 1e-2):
+            filt = (S / (S ** 2 + lam)).reshape((n,) + (1,) * (d.ndim - 1))
+            ridge_ref = Vt.T @ (filt * ref)
+            ridge = rl.runge_op.Expansion(svd.S, right, coords, 0.0).ridge(lam)
+            assert np.linalg.norm(ridge - ridge_ref) <= 1e-10 * np.linalg.norm(ridge_ref)
+
+
+def test_cython_lapack_calls_raise_typed_errors():
+    # LDA = 1 < M = 3: LAPACK names the fourth argument
+    a = np.zeros((3, 3), order="F")
+    with pytest.raises(NumericError, match="^LAPACK dgebrd returned info -4$"):
+        experiments._lapack_work("dgebrd", 3, 3, a, 1, *(np.zeros(3) for _ in range(4)))
+    # no pointer into an array LAPACK would read in the wrong order or past its end
+    with pytest.raises(TypeError, match="Fortran"):
+        experiments._lapack_work("dgebrd", 3, 3, np.zeros((3, 3)), 3,
+                                 *(np.zeros(3) for _ in range(4)))
+    with pytest.raises(ValueError, match="square"):
+        experiments.BidiagonalSvd(np.zeros((3, 2), order="F"))
+    with pytest.raises(ValueError, match="needs 3 rows"):
+        experiments.BidiagonalSvd(np.eye(3, order="F")).coords(np.zeros((2, 1), order="F"))
 
 def test_cauchy_discretization_probe_matches_convergence_study():
     cfg = _cauchy_cfg(noise={"etas": [1e-2], "seeds": [3]})

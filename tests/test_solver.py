@@ -378,6 +378,36 @@ def _count_solves(monkeypatch, sys_):
     return calls
 
 
+@pytest.mark.parametrize("direct_limit", [rl.solver.DIRECT_LIMIT, 0])
+def test_solve_interior_never_accepts_a_nan_residual(grid8, vacuum8, direct_limit, monkeypatch):
+    # a NaN residual compares False with any tolerance: the start column that
+    # reads one must go on to the path's own solver, and a NaN that is left
+    # must fail the solve
+    from rungelab.errors import NumericError
+
+    sys_ = assemble(grid8, vacuum8, 2.0, direct_limit=direct_limit, check_resonance=False)
+    b = -sys_.L_IB[:, np.flatnonzero(sys_.L_IB.getnnz(axis=0))[:3]].toarray()
+    want = sys_.solve_interior(b)
+    start = sys_._transform_start
+
+    def nan_start(B):
+        X, resid = start(B)
+        X[:, 1], resid[1] = np.nan, np.nan
+        return X, resid
+
+    monkeypatch.setattr(sys_, "_transform_start", nan_start)
+    x = sys_.solve_interior(b)
+    assert np.isfinite(x).all()
+    assert np.linalg.norm(x - want) <= 1e-8 * np.linalg.norm(want)
+    if sys_.direct:
+        monkeypatch.setattr(sys_, "_lu", FakeLU(lambda B: np.full(B.shape, np.nan)))
+    else:
+        monkeypatch.setattr(sys_, "_minres_restarts", lambda B: (np.full(B.shape, np.nan), np.nan))
+    with pytest.raises(NumericError, match="relative residual nan") as err:
+        sys_.solve_interior(b)
+    assert np.isnan(err.value.history[1])
+    assert max(err.value.history[0], err.value.history[2]) <= sys_.solver_tol
+
 @pytest.mark.parametrize("ncols", [None, 3])
 @pytest.mark.parametrize("direct_limit", [rl.solver.DIRECT_LIMIT, 0])
 def test_solve_interior_skips_zero_parts(grid8, vacuum8, direct_limit, ncols, monkeypatch):
