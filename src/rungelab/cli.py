@@ -73,8 +73,7 @@ def _cmd_cache(args):
                 line += "  stale"
             elif kind_name == "operator":
                 try:
-                    margin, guard = store.read_margin(path)
-                    line += f" margin={margin:.3e} guard={guard}"
+                    line += f" margin={store.read_margin(path):.3e}"
                 except (OSError, struct.error):
                     line += " (no margin)"
             print(line)
@@ -135,7 +134,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (RungelabError, FileNotFoundError) as exc:
+    except (RungelabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -22,7 +22,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import blas, cython_lapack, lapack
 
 from . import analysis, geometry, materials, oracle, runge_op, solver
-from .errors import BadVersionError, ConfigurationError, GeometryError, NumericError
+from .errors import ConfigurationError, GeometryError, NumericError
 from .analysis import (VolumeWeights, build_norm_weights, fit_holder, fit_log_modulus,
                        fit_power, hcurl_norm, lp_norm)
 
@@ -74,13 +74,15 @@ def _box_center(cfg):
     return (size / 2 + lo).tolist()
 
 
-def _existing_part(path):
-    """The longest prefix of ``path`` that exists: where ``os.makedirs``
-    starts creating directories."""
-    path = os.path.abspath(path)
+def _dir_path(v):
+    """Test: a path whose longest existing prefix, where ``os.makedirs``
+    starts creating directories, is a directory."""
+    if not isinstance(v, str):
+        return False
+    path = os.path.abspath(v)
     while not os.path.exists(path):
         path = os.path.dirname(path)
-    return path
+    return os.path.isdir(path)
 
 
 def _free_side(cfg):
@@ -187,11 +189,11 @@ _TABLE = (
     ("verify.levels", 3, "*", _integer(2)),
     ("verify.wave.k", lambda c: [float(c["omega"]), 0.0, 0.0], "verify_solver", _POINT),
     ("verify.wave.p", [0.0, 1.0, 0.0], "verify_solver", _POINT),
-    ("output.dir", "out", "*", None),
     # checked here, so that a file in its place or on its path fails before assembly
+    ("output.dir", "out", "*", ("a path whose nearest existing part is a directory", _dir_path)),
     ("cache.dir", None, "*",
      ("null or a path whose nearest existing part is a directory",
-      lambda v: v is None or isinstance(v, str) and os.path.isdir(_existing_part(v)))),
+      lambda v: v is None or _dir_path(v))),
     ("tolerances.convergence_order", 1.8, "*", _GE0),
     ("tolerances.mimetic_nnz", 0, "*", _integer(0)),
     ("tolerances.r2_log_modulus", 0.8, "*", _GE0),
@@ -413,38 +415,6 @@ def build_scene(cfg: dict, targets=(), check=None, guard=True) -> Scene:
     return Scene(g, mat, sys_, patch, geometry.Region(g, np.ones(g.n, dtype=bool)), regions)
 
 
-def _operator_with_cache(cfg, scene, gram, volume):
-    """The restriction operator, read from ``cache.dir`` when an envelope of
-    the current version holds it; a missing entry or one written under an
-    older envelope version is rebuilt and (re)written with the system's
-    resonance margin.
-
-    The margin is checked against ``solver.resonance_threshold`` before any
-    column is solved.  A stored margin is taken when the system would run
-    the guard that computed it, so a warm run makes no guard solve; else the
-    guard runs."""
-    sys_, cache_dir = scene.system, cfg["cache"]["dir"]
-    op = path = None
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        prov = runge_op.operator_provenance(sys_, gram, volume)
-        path = os.path.join(cache_dir, f"operator-{prov:016x}.rgfo")
-        if os.path.exists(path):
-            try:
-                op, margin, guard = runge_op.load_operator(path, gram, volume, sys_)
-            except BadVersionError:
-                pass
-            else:
-                if guard == solver.guard_kind(sys_):
-                    sys_.margin = margin
-    solver.check_margin(sys_, cfg["solver"]["resonance_threshold"])
-    if op is None:
-        op = runge_op.assemble_restriction(sys_, gram, volume)
-        if path:
-            runge_op.save_operator(op, path, sys_)
-    return op
-
-
 # ---------------------------------------------------------------------------
 # verify_solver
 # ---------------------------------------------------------------------------
@@ -487,7 +457,9 @@ def run_runge(cfg: dict, scene: Scene | None = None,
     scene = scene or build_scene(cfg, ["A"], guard=svd is not None)
     if svd is None:
         gram = build_norm_weights(scene.patch, collar=cfg["patch"]["collar"])
-        op = _operator_with_cache(cfg, scene, gram, VolumeWeights(scene.regions["A"]))
+        op = runge_op.cached_restriction(scene.system, gram, VolumeWeights(scene.regions["A"]),
+                                         cfg["cache"]["dir"],
+                                         cfg["solver"]["resonance_threshold"])
         svd = runge_op.weighted_svd(op)
 
     spec, medium = cfg["runge"]["target"], materials.scalar_medium(cfg["material"])
@@ -752,20 +724,21 @@ class CauchyOperator:
         return runge_op.Expansion(self.S, V, *self._split(d))
 
 
-def cauchy_reconstruct(cauchy_op: CauchyOperator, noisy_f, noisy_g, strategy,
-                       lam_fixed=1e-12, eta_target=None):
+def cauchy_reconstruct(cauchy_op: CauchyOperator, d, strategy, lam_fixed=1e-12,
+                       eta_target=None):
     """Least-squares data completion over the discrete solution manifold.
 
     Minimizes the patch misfit of both trace channels plus a Tikhonov term on
     the unknown boundary data; lambda comes from the discrepancy principle
-    (match misfit to the noise size) or is fixed by config.  ``noisy_f`` and
-    ``noisy_g`` are (n_v,) vectors, or (n_v, k) blocks reconstructed together
-    with one noise size per column in ``eta_target``; a block returns a
-    FieldPair of blocks and (k,) arrays of lambda and misfit.
+    (match misfit to the noise size) or is fixed by config, and is
+    ``lam_fixed`` for a column of noise size 0.  The noisy data ``d`` stack
+    the E trace over the H trace (``data_of``): a (2 n_v,) vector, or a
+    (2 n_v, k) block reconstructed together with one noise size per column
+    in ``eta_target``; a block returns a FieldPair of blocks and (k,) arrays
+    of lambda and misfit.
     """
     if strategy not in ("morozov", "fixed"):
         raise ConfigurationError(f"unknown regularization strategy {strategy!r}")
-    d = np.concatenate([noisy_f, noisy_g])
     eta = np.broadcast_to(0.0 if eta_target is None else eta_target, d.shape[1:])
     lam = np.full(d.shape[1:], float(lam_fixed))
     ex = cauchy_op.expand(d)
@@ -806,44 +779,36 @@ def run_cauchy(cfg: dict) -> Report:
     truth_hcurl = hcurl_norm(scene.grid, scene.omega_region, E=truth.E, H=truth.H,
                              curl=scene.system.curl)
     d0 = cop.data_of(truth)
-    f0 = d0[:gram.n_v]
-    g0 = d0[gram.n_v:]
-
-    strategy = cfg["regularization"]["strategy"]
-    lam_fixed = float(cfg["regularization"]["lambda"])
-
-    # eta = 0 consistency run
-    rec0, lam0, mis0 = cauchy_reconstruct(cop, f0, g0, "fixed", lam_fixed=lam_fixed)
-    err0 = hcurl_norm(scene.grid, scene.omega_region, E=(rec0.E - truth.E),
-                      H=(rec0.H - truth.H), curl=scene.system.curl)
-    records = [{"eta_rel": 0.0, "eta_abs": 0.0, "seed": -1, "lambda": lam0,
-                "misfit": mis0, "error_hcurl": err0, "error_rel": err0 / truth_hcurl}]
 
     etas = [float(e) for e in cfg["noise"]["etas"]]
     seeds = [int(s) for s in cfg["noise"]["seeds"]]
     eta_abs = [eta_rel * zeta / (1.0 - eta_rel) for eta_rel in etas]
-    # each seed's noise is drawn once and scaled per eta
-    nfs, ngs = [], []
+    # each seed's noise is drawn once, f's then g's, and each channel is
+    # scaled per eta to half the noise size in its norm
+    noise, norms = [], []
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        nfs.append(rng.standard_normal(gram.n_v) + 1j * rng.standard_normal(gram.n_v))
-        ngs.append(rng.standard_normal(gram.n_v) + 1j * rng.standard_normal(gram.n_v))
-    vfs, vgs = [gram.v_norm(n) for n in nfs], [gram.v_norm(n) for n in ngs]
-    # the whole ladder is one block, a column per (eta, seed) in ladder order
+        n = [rng.standard_normal(gram.n_v) + 1j * rng.standard_normal(gram.n_v) for _ in "fg"]
+        noise.append(np.concatenate(n))
+        norms.append(np.repeat([gram.v_norm(x) for x in n], gram.n_v))
+    # the whole ladder is one block: column 0 the eta = 0 consistency run,
+    # then a column per (eta, seed) in ladder order
     cols = [(i, j) for i in range(len(etas)) for j in range(len(seeds))]
-    errs = [[] for _ in etas]
-    F = np.stack([f0 + nfs[j] * ((eta_abs[i] / 2.0) / vfs[j]) for i, j in cols], axis=1)
-    G = np.stack([g0 + ngs[j] * ((eta_abs[i] / 2.0) / vgs[j]) for i, j in cols], axis=1)
-    recs, lams, misfits = cauchy_reconstruct(cop, F, G, strategy, lam_fixed=lam_fixed,
-                                             eta_target=[eta_abs[i] for i, _ in cols])
-    for c, ((i, j), lam, mis) in enumerate(zip(cols, lams, misfits)):
-        err = hcurl_norm(scene.grid, scene.omega_region, E=(recs.E[:, c] - truth.E),
-                         H=(recs.H[:, c] - truth.H), curl=scene.system.curl)
-        errs[i].append(err)
-        records.append({"eta_rel": etas[i], "eta_abs": eta_abs[i], "seed": seeds[j],
-                        "lambda": float(lam), "misfit": float(mis), "error_hcurl": err,
-                        "error_rel": err / (zeta + eta_abs[i])})
-    medians = [(e, a, float(np.median(r))) for e, a, r in zip(etas, eta_abs, errs)]
+    D = np.stack([d0] + [d0 + noise[j] * ((eta_abs[i] / 2.0) / norms[j]) for i, j in cols],
+                 axis=1)
+    recs, lams, misfits = cauchy_reconstruct(
+        cop, D, cfg["regularization"]["strategy"], float(cfg["regularization"]["lambda"]),
+        [0.0] + [eta_abs[i] for i, _ in cols])
+    errs = [hcurl_norm(scene.grid, scene.omega_region, E=(recs.E[:, c] - truth.E),
+                       H=(recs.H[:, c] - truth.H), curl=scene.system.curl)
+            for c in range(D.shape[1])]
+    rows = [(0.0, 0.0, -1, truth_hcurl)] + [(etas[i], eta_abs[i], seeds[j], zeta + eta_abs[i])
+                                            for i, j in cols]
+    records = [{"eta_rel": eta_rel, "eta_abs": eta, "seed": seed, "lambda": float(lam),
+                "misfit": float(mis), "error_hcurl": err, "error_rel": err / scale}
+               for (eta_rel, eta, seed, scale), lam, mis, err in zip(rows, lams, misfits, errs)]
+    medians = [(e, a, float(np.median(r))) for e, a, r in
+               zip(etas, eta_abs, np.reshape(errs[1:], (len(etas), len(seeds))))]
 
     pairs = [(eta_rel, med / (zeta + eta_abs)) for eta_rel, eta_abs, med in medians]
     fit = fit_log_modulus(pairs) if len(pairs) >= 4 else None
@@ -869,7 +834,7 @@ def run_cauchy(cfg: dict) -> Report:
     tol = cfg["tolerances"]
     flags = {
         "monotone_in_eta": bool(monotone),
-        "eta0_ok": bool(err0 / truth_hcurl <= tol["eta0_factor"] * disc_rel),
+        "eta0_ok": bool(errs[0] / truth_hcurl <= tol["eta0_factor"] * disc_rel),
     }
     fits = []
     if fit is not None:

@@ -16,12 +16,14 @@ agreement is a test target, not an assumption.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import scipy.linalg as sla
 
 from .analysis import TraceGram, VolumeWeights
-from .errors import ConfigurationError, NumericError
-from .solver import SystemMatrix, guard_kind, real_matmul, resonance_guard, solve_bvp
+from .errors import BadVersionError, ConfigurationError, NumericError
+from .solver import SystemMatrix, check_margin, real_matmul, resonance_guard, solve_bvp
 from . import store
 
 
@@ -66,9 +68,10 @@ def operator_provenance(sys: SystemMatrix, gram: TraceGram, volume: VolumeWeight
         "patch": list(gram.patch.key()[1:]),
         "region": list(volume.region.key()[1:]),
         "collar": gram.collar,
-        # the solve that built the columns: its tolerance and its route
+        # the solve that built the columns: its tolerance and its path, which
+        # with the material (constant or not) fix its route and the guard
         "solver_tol": sys.solver_tol,
-        "route": "transform" if sys.constant else "lu" if sys.direct else "minres",
+        "direct": sys.direct,
     }
     return store.provenance_hash(desc)
 
@@ -200,9 +203,13 @@ class Expansion:
         return x, tail[()], int(np.count_nonzero(keep))
 
     def ridge(self, lam):
-        """The Tikhonov solution, filter sigma_k / (sigma_k^2 + lam)."""
+        """The Tikhonov solution, filter sigma_k / (sigma_k^2 + lam): one
+        product of the real right vectors with the real view of the filtered
+        coordinates, each column's real and imaginary part side by side."""
         S = self._rows(self.sigma)
-        return real_matmul(self.right, S / (S ** 2 + lam) * self.coords)
+        y = np.ascontiguousarray(S / (S ** 2 + lam) * self.coords, dtype=complex)
+        x = self.right @ y.reshape(len(y), -1).view(float)
+        return np.ascontiguousarray(x).view(complex).reshape(x.shape[:1] + y.shape[1:])
 
     def ridge_misfit(self, lam):
         """Residual norm of ``ridge(lam)``: the in-span part damped by
@@ -253,18 +260,44 @@ def alpha_for_j(j, C, theta, m):
 def save_operator(op: RestrictionOperator, path, sys: SystemMatrix):
     """Write R with the resonance margin of ``sys``, the system that built it
     (``resonance_guard``, which returns a margin already checked at no
-    cost), and the kind of guard that computed the margin."""
-    store.write_envelope(path, "operator", op.provenance, store.pack_operator(
-        op.matrix, resonance_guard(sys), guard_kind(sys)))
+    cost)."""
+    store.write_envelope(path, "operator", op.provenance,
+                         store.pack_operator(op.matrix, resonance_guard(sys)))
 
 
 def load_operator(path, gram: TraceGram, volume: VolumeWeights, sys: SystemMatrix):
-    """(operator, margin, guard) of the entry at ``path`` for these inputs,
-    guard naming the ``solver.guard_kind`` that computed the margin."""
+    """(operator, margin) of the entry at ``path`` for these inputs."""
     prov = operator_provenance(sys, gram, volume)
-    payload = store.read_envelope(path, "operator", prov)
-    matrix, margin, guard = store.unpack_operator(payload)
+    matrix, margin = store.unpack_operator(store.read_envelope(path, "operator", prov))
     if matrix.shape != (volume.n_x, gram.n_v):
         raise ConfigurationError(
             f"cached operator shape {matrix.shape} != ({volume.n_x}, {gram.n_v})")
-    return RestrictionOperator(matrix, gram, volume, prov), margin, guard
+    return RestrictionOperator(matrix, gram, volume, prov), margin
+
+
+def cached_restriction(sys: SystemMatrix, gram: TraceGram, volume: VolumeWeights,
+                       cache_dir, resonance_threshold):
+    """The restriction operator of ``assemble_restriction``, read from
+    ``cache_dir`` when an entry of the current envelope version holds it; a
+    missing entry, or one of an older version, is assembled and (re)written
+    with the system's resonance margin.
+
+    The provenance fixes the guard, so a hit sets the stored margin on
+    ``sys``: a warm run makes no guard solve.  The margin is checked
+    against ``resonance_threshold`` before any column is solved."""
+    op = path = None
+    if cache_dir:
+        os.makedirs(cache_dir, exist_ok=True)
+        path = os.path.join(cache_dir,
+                            f"operator-{operator_provenance(sys, gram, volume):016x}.rgfo")
+        if os.path.exists(path):
+            try:
+                op, sys.margin = load_operator(path, gram, volume, sys)
+            except BadVersionError:
+                pass
+    check_margin(sys, resonance_threshold)
+    if op is None:
+        op = assemble_restriction(sys, gram, volume)
+        if path:
+            save_operator(op, path, sys)
+    return op

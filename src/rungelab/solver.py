@@ -384,10 +384,10 @@ class SystemMatrix:
     vectors.  ``solve_interior`` checks the residual of every column it
     returns but the guard's.  Immutable after assembly apart from the lazily
     built factorization and reference inverses and ``margin``: the
-    resonance guard's result, None until ``resonance_guard`` runs or a
-    margin stored with a cached operator of the same guard kind is set on
-    it (``experiments._operator_with_cache``), which spares the guard's
-    solves and its factorization.
+    resonance guard's result, None until ``resonance_guard`` runs or the
+    margin stored with a cached operator is set on it
+    (``runge_op.cached_restriction``), which spares the guard's solves and
+    its factorization.
     """
 
     def __init__(self, grid, material, omega, L, curl, mu_inv_point, solver_tol,
@@ -613,38 +613,27 @@ def constant_branches(sys: SystemMatrix):
     return shift, min(np.abs(nu0 * lam - shift).min() for lam in mode_table(sys.grid)[1])
 
 
-def guard_kind(sys: SystemMatrix):
-    """The guard ``resonance_guard`` runs on ``sys``: ``closed_form`` for a
-    constant scalar medium on the Krylov path, else inverse iteration by LU
-    back-solves on the direct path (``direct``) or by MINRES steps on the
-    Krylov path (``minres``)."""
-    if sys.constant and not sys.direct:
-        return "closed_form"
-    return "direct" if sys.direct else "minres"
-
-
 def resonance_guard(sys: SystemMatrix):
     """Relative smallest-singular-value estimate sigma_min / ``norm_estimate``,
     kept on ``sys.margin``; a margin already there is returned unchanged.
 
-    ``guard_kind`` names the guard.  On the Krylov path a constant scalar
-    medium gives sigma_min exactly, h^3 times the smaller
-    ``constant_branches``.  Otherwise sigma_min is estimated by
-    ``GUARD_ITERATIONS`` inverse power iterations from a ``GUARD_SEED``
-    start: LU back-solves on the direct path, and on the Krylov path one
-    MINRES run per step at ``GUARD_TOL``, warm-started from the
-    Rayleigh-quotient guess v / (v^T L v) and preconditioned by
+    On the Krylov path a constant scalar medium gives sigma_min exactly,
+    h^3 times the smaller ``constant_branches``.  Otherwise sigma_min is
+    estimated by ``GUARD_ITERATIONS`` inverse power iterations from a
+    ``GUARD_SEED`` start: LU back-solves on the direct path, and on the
+    Krylov path one MINRES run per step at ``GUARD_TOL``, warm-started from
+    the Rayleigh-quotient guess v / (v^T L v) and preconditioned by
     ``reference_inverse``: once v is near the smallest eigenvector the start
     is nearly exact in that direction.  The loose tolerance leaves the margin
     within 4e-4 relative of the direct one on the smooth and anisotropic
-    media of the tests, where M is inexact.  The runge operator cache stores
-    the margin with its guard kind (``runge_op.save_operator``), so a change
-    to any guard's method or constants must bump ``store.VERSION``.
+    media of the tests, where M is inexact.  So the medium's kind and the
+    path (``sys.direct``) fix the guard, and the runge operator cache, keyed
+    by both, stores its margin (``runge_op.save_operator``): a change to any
+    guard's method or constants must bump ``store.VERSION``.
     """
     if sys.margin is not None:
         return sys.margin
-    kind = guard_kind(sys)
-    if kind == "closed_form":
+    if sys.constant and not sys.direct:
         sigma_min = sys.grid.h ** 3 * min(constant_branches(sys))
     else:
         rng = np.random.default_rng(GUARD_SEED)
@@ -652,7 +641,7 @@ def resonance_guard(sys: SystemMatrix):
         v /= np.linalg.norm(v)
         sigma_min = None
         for _ in range(GUARD_ITERATIONS):
-            w = sys.solve_interior(v) if kind == "direct" else _guard_step(sys, v)
+            w = sys.solve_interior(v) if sys.direct else _guard_step(sys, v)
             nw = np.linalg.norm(w)
             if nw == 0:
                 break

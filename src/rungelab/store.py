@@ -3,7 +3,7 @@
 On-disk layout, all integers little-endian:
 
     magic   4 bytes  b"RGFO"
-    version u32      currently 4
+    version u32      currently 5
     kind    u32      1 = operator, 2 = svd, 3 = field
     prov    u64      provenance hash (FNV-1a of a canonical description)
     length  u64      payload byte count
@@ -11,22 +11,20 @@ On-disk layout, all integers little-endian:
     check   u64      blake2b-64 of the payload (8-byte digest, little-endian)
 
 An operator payload (``pack_operator``) is the real restriction matrix R
-(``pack_matrix``), then the system's resonance margin (f64) and the name of
-the guard that computed it (``solver.guard_kind``, 12 bytes of ASCII padded
-with NULs): ``direct`` inverse iteration, the Krylov ``closed_form`` or
-Krylov ``minres`` steps.  A run that reads the entry takes the stored
-margin instead of running the guard only when its own system would run the
-same guard; otherwise it recomputes the margin (the ``transform`` route is
-shared by the direct and the Krylov path of a constant medium, whose
-margins differ in the last digits).  The margin is a function of the
-guard's method and of ``solver.GUARD_ITERATIONS`` and
+(``pack_matrix``), then the resonance margin (f64) of the system that built
+it.  The provenance names the medium and the solve path, which fix the
+guard that computed the margin, so a run that reads the entry takes the
+stored margin instead of running the guard.  The margin is a function of
+the guard's method and of ``solver.GUARD_ITERATIONS`` and
 ``solver.GUARD_SEED``, none of which the provenance names, so a change to
 any of them must bump VERSION.
 
 Version 1 checked the payload with FNV-1a, version 2 stored operators as
-complex128 and version 3 stored R without a margin; files of any of them
-raise BadVersionError.  Writes are atomic (a ``.rgfo-`` temp file in the same directory, then a
-rename); every verification failure on read raises its own exception type.
+complex128, version 3 stored R without a margin and version 4 followed the
+margin with the name of its guard; files of any of them raise
+BadVersionError.  Writes are atomic (a ``.rgfo-`` temp file in the same
+directory, then a rename); every verification failure on read raises its
+own exception type.
 """
 
 from __future__ import annotations
@@ -43,14 +41,14 @@ from .errors import (BadChecksumError, BadKindError, BadLengthError, BadMagicErr
                      BadProvenanceError, BadVersionError, ConfigurationError)
 
 MAGIC = b"RGFO"
-VERSION = 4
+VERSION = 5
 KINDS = {"operator": 1, "svd": 2, "field": 3}
 # Prefix of the temp files that write_envelope renames into place.
 TEMP_PREFIX = ".rgfo-"
 _HEADER = struct.Struct("<4sIIQQ")
 _TAIL = struct.Struct("<Q")
-# resonance margin and guard name at the end of an operator payload
-_MARGIN = struct.Struct("<d12s")
+# resonance margin at the end of an operator payload
+_MARGIN = struct.Struct("<d")
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -131,20 +129,15 @@ def read_header(path):
     return version, kind, prov, length
 
 
-def _unpack_margin(tail):
-    margin, guard = _MARGIN.unpack(tail)
-    return margin, guard.rstrip(b"\0").decode("ascii", "replace")
-
-
 def read_margin(path):
-    """(margin, guard name) from the tail of an operator envelope's payload,
-    unverified like ``read_header``; raises struct.error on a short file."""
+    """The margin at the tail of an operator envelope's payload, unverified
+    like ``read_header``; raises struct.error on a short file."""
     _, _, _, length = read_header(path)
     if length < _MARGIN.size:
         raise struct.error(f"payload of {length} bytes holds no margin")
     with open(path, "rb") as fh:
         fh.seek(_HEADER.size + length - _MARGIN.size)
-        return _unpack_margin(fh.read(_MARGIN.size))
+        return _MARGIN.unpack(fh.read(_MARGIN.size))[0]
 
 
 def read_envelope(path, expected_kind, expected_provenance) -> bytes:
@@ -200,16 +193,16 @@ def unpack_matrix(payload: bytes) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f8", offset=16).reshape(rows, cols)
 
 
-def pack_operator(mat: np.ndarray, margin, guard: str) -> bytes:
-    """``pack_matrix(mat)``, then the resonance margin f64 and the guard name."""
-    return b"".join((*_matrix_parts(mat), _MARGIN.pack(margin, guard.encode("ascii"))))
+def pack_operator(mat: np.ndarray, margin) -> bytes:
+    """``pack_matrix(mat)``, then the resonance margin f64."""
+    return b"".join((*_matrix_parts(mat), _MARGIN.pack(margin)))
 
 
 def unpack_operator(payload: bytes):
-    """(matrix, margin, guard name) of ``pack_operator``; the matrix is a
-    read-only view of ``payload``."""
+    """(matrix, margin) of ``pack_operator``; the matrix is a read-only view
+    of ``payload``."""
     if len(payload) < _MARGIN.size:
         raise BadLengthError("operator payload shorter than its margin")
     cut = len(payload) - _MARGIN.size
     return (unpack_matrix(memoryview(payload)[:cut]),
-            *_unpack_margin(memoryview(payload)[cut:]))
+            _MARGIN.unpack_from(payload, cut)[0])

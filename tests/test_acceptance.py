@@ -193,7 +193,7 @@ def test_criterion_10_cache_integrity(tmp_path, reference_runge_scene):
     t0 = time.time()
     path = tmp_path / "reference.rgfo"
     runge_op.save_operator(op, path, scene.system)
-    back, _, _ = runge_op.load_operator(path, gram, volume, scene.system)
+    back, _ = runge_op.load_operator(path, gram, volume, scene.system)
     assert np.array_equal(back.matrix, op.matrix)
     blob = bytearray(path.read_bytes())
     blob[len(blob) // 2] ^= 0x10

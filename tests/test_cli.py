@@ -77,6 +77,15 @@ def test_run_exit_one_on_malformed(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_run_exit_one_on_a_config_that_cannot_be_read(tmp_path, capsys):
+    # a directory given as the config raised an untyped IsADirectoryError
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and str(tmp_path) in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_run_exit_one_on_bad_field(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.json", {"tag": "runge", "exponents": {"q0": 2.0}})
     code = main(["--out", str(tmp_path / "out"), "run", str(cfg)])
@@ -193,6 +202,10 @@ def _propagate(g_shape, r0, margin_h, x0=(0.5, 0.5, 0.5)):
     # system and the trace Gram were built
     ({"cache": {"dir": __file__}}, "cache.dir"),
     ({"cache": {"dir": os.path.join(__file__, "cache")}}, "cache.dir"),
+    # the same for the output directory, given by --out: Report.write raised
+    # an untyped FileExistsError or NotADirectoryError after the whole study
+    ({"output": {"dir": __file__}}, "output.dir"),
+    ({"output": {"dir": os.path.join(__file__, "sub")}}, "output.dir"),
 ])
 def test_run_exit_one_before_assembly(tmp_path, monkeypatch, capsys, payload, key):
     from rungelab import solver
@@ -203,7 +216,7 @@ def test_run_exit_one_before_assembly(tmp_path, monkeypatch, capsys, payload, ke
     monkeypatch.setattr(solver, "assemble", refuse)
     cfg = _write(tmp_path, "c.json", {"tag": "three_balls", "grid": {"n": [6, 6, 6]}, **payload})
     out = tmp_path / "out"
-    assert main(["--out", str(out), "run", cfg]) == 1
+    assert main(["--out", payload.get("output", {}).get("dir", str(out)), "run", cfg]) == 1
     # the key starts the message, or the whole message is given
     err = capsys.readouterr().err
     line = err.splitlines()[0]
@@ -438,9 +451,9 @@ def test_cache_entry_of_the_other_solver_route_is_rebuilt(tmp_path):
     cache = str(tmp_path / "cache")
     for i, cfg in enumerate(cfgs):
         assert main(["--out", str(tmp_path / f"o{i}"), "--cache", cache, "run", cfg]) in (0, 2)
-    # the MINRES run wrote its own entry instead of reading the LU one; a
-    # vacuum takes the transform on either path and shares one entry
-    assert len([n for n in os.listdir(cache) if n.endswith(".rgfo")]) == 3
+    # each path writes its own entry: the MINRES run does not read the LU
+    # one, nor the Krylov vacuum run the direct one, whose guards differ
+    assert len([n for n in os.listdir(cache) if n.endswith(".rgfo")]) == 4
 
 
 def _forge_version_one(path):
@@ -492,8 +505,8 @@ def test_version_two_complex_entry_is_rebuilt(tmp_path, capsys):
     with open(os.path.join(cold_cache, name), "rb") as fh:
         blob = fh.read()
     _, version, kind, prov, length = store._HEADER.unpack_from(blob, 0)
-    assert version == 4
-    R, _, _ = store.unpack_operator(blob[store._HEADER.size:store._HEADER.size + length])
+    assert version == store.VERSION
+    R, _ = store.unpack_operator(blob[store._HEADER.size:store._HEADER.size + length])
     c = normalize_config(RUNGE_SMALL)
     grid = rl.build_grid(c["grid"]["n"], c["grid"]["h"], c["grid"]["origin"])
     region = rl.carve_region(grid, c["regions"]["A"])
@@ -575,22 +588,20 @@ def test_warm_run_takes_the_stored_margin(tmp_path, monkeypatch, capsys):
     assert main(["--out", out1, "--cache", cache, "run", cfg]) in (0, 2)
     assert calls.count("factorize") == 1 and calls.count("guard solve") == 12
     [name] = os.listdir(cache)
-    margin, guard = store.read_margin(os.path.join(cache, name))
+    margin = store.read_margin(os.path.join(cache, name))
     # the stored margin is the cold system's guard result, bit for bit
-    cold = _cold_system(RUNGE_SMALL)
-    assert margin == solver.resonance_guard(cold)
-    assert guard == solver.guard_kind(cold) == "direct"
+    assert margin == solver.resonance_guard(_cold_system(RUNGE_SMALL))
     calls.clear()
     assert main(["--out", out2, "--cache", cache, "run", cfg]) in (0, 2)
     assert calls == []
     a = open(os.path.join(out1, "runge.csv"), "rb").read()
     b = open(os.path.join(out2, "runge.csv"), "rb").read()
     assert a == b
-    # cache ls shows the stored margin and its guard
+    # cache ls shows the stored margin
     capsys.readouterr()
     assert main(["--cache", cache, "cache", "ls"]) == 0
     listing = capsys.readouterr().out.strip()
-    assert listing.endswith(f"margin={margin:.3e} guard=direct")
+    assert listing.endswith(f" margin={margin:.3e}") and "guard" not in listing
 
 
 def test_warm_run_checks_the_stored_margin(tmp_path, monkeypatch, capsys):
@@ -601,7 +612,7 @@ def test_warm_run_checks_the_stored_margin(tmp_path, monkeypatch, capsys):
     cfg = _write(tmp_path, "r.json", RUNGE_SMALL)
     assert main(["--out", str(tmp_path / "o1"), "--cache", cache, "run", cfg]) in (0, 2)
     [name] = os.listdir(cache)
-    margin, _ = store.read_margin(os.path.join(cache, name))
+    margin = store.read_margin(os.path.join(cache, name))
     strict = _write(tmp_path, "s.json", dict(RUNGE_SMALL, solver={"resonance_threshold": 0.01}))
     calls = _spy_guard(monkeypatch)
     capsys.readouterr()
@@ -614,54 +625,58 @@ def test_warm_run_checks_the_stored_margin(tmp_path, monkeypatch, capsys):
     assert calls == []
 
 
-def test_stored_margin_of_another_guard_is_recomputed(tmp_path):
-    # a vacuum shares one entry between the direct and the Krylov path, whose
-    # guards differ in the last digits: the Krylov run ends with its own
-    # closed-form margin, not the direct path's stored one
-    from rungelab import experiments, solver, store
-    from rungelab.analysis import VolumeWeights, build_norm_weights
+def test_direct_and_krylov_runs_keep_their_own_margins(tmp_path):
+    # the provenance names the solve path, which with the medium fixes the
+    # guard: a direct_limit 0 run on the default run's cache writes a second
+    # entry, and each entry keeps the margin of its own guard (the Krylov
+    # path's closed form differs from inverse iteration in the last digits)
+    from rungelab import solver, store
     cache = str(tmp_path / "cache")
-    cfg = _write(tmp_path, "r.json", RUNGE_SMALL)
-    assert main(["--out", str(tmp_path / "o1"), "--cache", cache, "run", cfg]) in (0, 2)
-    [name] = os.listdir(cache)
-    stored, guard = store.read_margin(os.path.join(cache, name))
-    payload = dict(RUNGE_SMALL, solver={"direct_limit": 0}, cache={"dir": cache})
-    c = experiments.normalize_config(payload)
-    scene = experiments.build_scene(c, ["A"], guard=False)
-    gram = build_norm_weights(scene.patch, collar=c["patch"]["collar"])
-    experiments._operator_with_cache(c, scene, gram, VolumeWeights(scene.regions["A"]))
-    assert os.listdir(cache) == [name]
-    closed_form = solver.resonance_guard(_cold_system(payload))
-    assert solver.guard_kind(scene.system) == "closed_form" != guard
-    assert scene.system.margin == closed_form != stored
+    margins, reports = {}, []
+    for i, payload in enumerate((RUNGE_SMALL, dict(RUNGE_SMALL, solver={"direct_limit": 0}))):
+        out, cfg = tmp_path / f"o{i}", _write(tmp_path, f"{i}.json", payload)
+        assert main(["--out", str(out), "--cache", cache, "run", cfg]) in (0, 2)
+        [name] = set(os.listdir(cache)) - set(margins)
+        margins[name] = store.read_margin(os.path.join(cache, name))
+        assert margins[name] == solver.resonance_guard(_cold_system(payload))
+        reports.append((out / "runge.csv").read_bytes())
+    assert len(set(margins.values())) == 2
+    # both paths solve the vacuum columns by the transform
+    assert reports[0] == reports[1]
 
 
 def test_version_three_entry_is_rebuilt(tmp_path, capsys):
-    # an entry of the previous version holds R without the margin; it is
-    # tagged stale and rebuilt to the same bytes as a cold run's
+    # an entry of an older version, R without the margin (version 3) or the
+    # margin followed by its guard's name (version 4), is tagged stale and
+    # rebuilt to the same bytes as a cold run's
+    import struct
     from rungelab import store
     cfg = _write(tmp_path, "r.json", RUNGE_SMALL)
     cache = str(tmp_path / "cache")
-    out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
+    out1 = str(tmp_path / "o1")
     assert main(["--out", out1, "--cache", cache, "run", cfg]) in (0, 2)
     [name] = os.listdir(cache)
     path = os.path.join(cache, name)
     with open(path, "rb") as fh:
         blob = fh.read()
     magic, _, kind, prov, length = store._HEADER.unpack_from(blob, 0)
-    R, _, _ = store.unpack_operator(blob[store._HEADER.size:store._HEADER.size + length])
-    payload = store.pack_matrix(R)
-    with open(path, "wb") as fh:
-        fh.write(store._HEADER.pack(magic, 3, kind, prov, len(payload)) + payload
-                 + store._TAIL.pack(store._payload_check(payload)))
-    capsys.readouterr()
-    assert main(["--cache", cache, "cache", "ls"]) == 0
-    listing = capsys.readouterr().out.strip()
-    assert "version=3" in listing and listing.endswith("stale") and "margin=" not in listing
-    assert main(["--out", out2, "--cache", cache, "run", cfg]) in (0, 2)
-    assert os.listdir(cache) == [name]
-    with open(path, "rb") as fh:
-        assert fh.read() == blob
-    a = open(os.path.join(out1, "runge.csv"), "rb").read()
-    b = open(os.path.join(out2, "runge.csv"), "rb").read()
-    assert a == b
+    R, margin = store.unpack_operator(blob[store._HEADER.size:store._HEADER.size + length])
+    old = {3: store.pack_matrix(R),
+           4: store.pack_matrix(R) + struct.pack("<d12s", margin, b"direct")}
+    for version, payload in old.items():
+        with open(path, "wb") as fh:
+            fh.write(store._HEADER.pack(magic, version, kind, prov, len(payload)) + payload
+                     + store._TAIL.pack(store._payload_check(payload)))
+        capsys.readouterr()
+        assert main(["--cache", cache, "cache", "ls"]) == 0
+        listing = capsys.readouterr().out.strip()
+        assert f"version={version}" in listing and listing.endswith("stale")
+        assert "margin=" not in listing
+        out2 = str(tmp_path / f"v{version}")
+        assert main(["--out", out2, "--cache", cache, "run", cfg]) in (0, 2)
+        assert os.listdir(cache) == [name]
+        with open(path, "rb") as fh:
+            assert fh.read() == blob
+        a = open(os.path.join(out1, "runge.csv"), "rb").read()
+        b = open(os.path.join(out2, "runge.csv"), "rb").read()
+        assert a == b

@@ -429,8 +429,8 @@ def test_cauchy_morozov_within_factor_two():
     ng = rng.standard_normal(gram.n_v) + 1j * rng.standard_normal(gram.n_v)
     nf *= (eta / 2) / gram.v_norm(nf)
     ng *= (eta / 2) / gram.v_norm(ng)
-    _, lam, misfit = cauchy_reconstruct(cop, d0[:gram.n_v] + nf, d0[gram.n_v:] + ng,
-                                        "morozov", eta_target=eta)
+    _, lam, misfit = cauchy_reconstruct(cop, d0 + np.concatenate([nf, ng]), "morozov",
+                                        eta_target=eta)
     assert misfit <= 2 * eta
     assert misfit >= eta / 2
 
@@ -443,8 +443,7 @@ def test_cauchy_penalty_dominance():
     from rungelab.experiments import _cauchy_truth
     truth, _ = _cauchy_truth(cfg, scene)
     d0 = cop.data_of(truth)
-    fields, _, _ = cauchy_reconstruct(cop, d0[:gram.n_v], d0[gram.n_v:],
-                                      "fixed", lam_fixed=1e12)
+    fields, _, _ = cauchy_reconstruct(cop, d0, "fixed", lam_fixed=1e12)
     scale = np.abs(truth.E).max()
     assert np.abs(fields.E).max() <= 1e-6 * scale
 
@@ -732,6 +731,9 @@ def test_cauchy_ladder_block_matches_single_columns():
     cfg, scene, gram, cop = _cauchy_operator()
     truth, _ = _cauchy_truth(cfg, scene)
     d0 = cop.data_of(truth)
+    # column 0 of the block is the eta = 0 consistency run at the fixed lambda
+    assert rep.records[0]["seed"] == -1
+    assert rep.records[0]["lambda"] == cfg["regularization"]["lambda"]
     ladder = rep.records[1:]
     assert [(r["eta_rel"], r["seed"]) for r in ladder] == [
         (e, s) for e in cfg["noise"]["etas"] for s in cfg["noise"]["seeds"]]
@@ -741,9 +743,8 @@ def test_cauchy_ladder_block_matches_single_columns():
         ng = rng.standard_normal(gram.n_v) + 1j * rng.standard_normal(gram.n_v)
         nf *= (eta / 2.0) / gram.v_norm(nf)
         ng *= (eta / 2.0) / gram.v_norm(ng)
-        fields, lam, misfit = cauchy_reconstruct(cop, d0[:gram.n_v] + nf,
-                                                 d0[gram.n_v:] + ng, "morozov",
-                                                 eta_target=eta)
+        fields, lam, misfit = cauchy_reconstruct(cop, d0 + np.concatenate([nf, ng]),
+                                                 "morozov", eta_target=eta)
         err = rl.hcurl_norm(scene.grid, scene.omega_region, E=fields.E - truth.E,
                             H=fields.H - truth.H, curl=scene.system.curl)
         assert rec["lambda"] == pytest.approx(lam, rel=1e-10, abs=0)

@@ -288,10 +288,10 @@ def test_operator_cache_roundtrip(tmp_path, small_restriction):
     sys_, gram, volume, op, _ = small_restriction
     path = tmp_path / "op.rgfo"
     save_operator(op, path, sys_)
-    back, margin, guard = load_operator(path, gram, volume, sys_)
+    back, margin = load_operator(path, gram, volume, sys_)
     assert np.array_equal(back.matrix, op.matrix)
-    # the margin comes back bit for bit, with the guard that computed it
-    assert margin == rl.resonance_guard(sys_) and guard == rl.solver.guard_kind(sys_) == "direct"
+    # the margin comes back bit for bit
+    assert margin == rl.resonance_guard(sys_)
 
 
 def test_operator_cache_detects_truncation(tmp_path, small_restriction):
@@ -325,29 +325,26 @@ def test_operator_cache_provenance(tmp_path, small_restriction, grid8):
         load_operator(path, gram, volume, other_sys)
 
 
-def test_operator_provenance_names_the_solver(tmp_path, small_restriction, grid8, vacuum8,
-                                              monkeypatch):
-    # the route that solves the columns and its tolerance are keys: a smooth
-    # medium by LU, by MINRES, by the transform (the system taken for a
-    # constant one) and by LU at another tolerance
+def test_operator_provenance_names_the_solver(tmp_path, small_restriction, grid8, vacuum8):
+    # the path that solves the columns and its tolerance are keys: a smooth
+    # medium by LU, by MINRES and by LU at another tolerance
     sys_, gram, volume, op, _ = small_restriction
     smooth = rl.make_material(grid8, {"kind": "smooth", "seed": 3, "amplitude": 0.3})
-    lu, minres, transform = (rl.assemble(grid8, smooth, 2.0, direct_limit=limit,
-                                         check_resonance=False)
-                             for limit in (rl.solver.DIRECT_LIMIT, 0, rl.solver.DIRECT_LIMIT))
-    monkeypatch.setattr(transform, "constant", True)
+    lu, minres = (rl.assemble(grid8, smooth, 2.0, direct_limit=limit, check_resonance=False)
+                  for limit in (rl.solver.DIRECT_LIMIT, 0))
     loose = rl.assemble(grid8, smooth, 2.0, solver_tol=1e-8, check_resonance=False)
     assert lu.direct and not minres.direct and not lu.constant
-    provs = {operator_provenance(s, gram, volume) for s in (lu, minres, transform, loose)}
-    assert len(provs) == 4
-    # a constant medium takes the transform on either path: one key, one entry
+    provs = {operator_provenance(s, gram, volume) for s in (lu, minres, loose)}
+    assert len(provs) == 3
+    # a constant medium takes the transform on either path, but the path
+    # fixes the guard whose margin the entry holds: one key per path
     path = tmp_path / "op.rgfo"
     save_operator(op, path, sys_)
     krylov = rl.assemble(grid8, vacuum8, 2.0, direct_limit=0)
-    assert sys_.direct and not krylov.direct
-    assert load_operator(path, gram, volume, krylov)[0].provenance == op.provenance
-    with pytest.raises(BadProvenanceError):
-        load_operator(path, gram, volume, rl.assemble(grid8, vacuum8, 2.0, solver_tol=1e-8))
+    assert sys_.direct and not krylov.direct and krylov.constant
+    for other in (krylov, rl.assemble(grid8, vacuum8, 2.0, solver_tol=1e-8)):
+        with pytest.raises(BadProvenanceError):
+            load_operator(path, gram, volume, other)
 
 
 def _provenance(sys_, region, patch):
@@ -396,5 +393,5 @@ def test_reference_operator_provenance_is_pinned(reference_runge_scene):
     # the key names the cache entry: a change here orphans every operator
     # cached from configs/runge_reference.json
     cfg, scene, gram, volume, op, _, _ = reference_runge_scene
-    assert op.provenance == 0xd81fc316d412ec31
+    assert op.provenance == 0x2c396ff84741cd81
     assert operator_provenance(scene.system, gram, volume) == op.provenance

@@ -130,20 +130,20 @@ def test_real_matrix_payload():
 
 
 def test_operator_payload(tmp_path):
-    # R, then the margin f64 and the guard name in 12 NUL-padded bytes; the
-    # tail reads back unverified from the file without the matrix
+    # R, then the margin f64; the margin reads back unverified from the file
+    # without the matrix
     mat = np.array([[1.0, -2.5], [0.0, 3.0]])
-    blob = store.pack_operator(mat, 1.739e-3, "closed_form")
-    assert blob == store.pack_matrix(mat) + struct.pack("<d", 1.739e-3) + b"closed_form\0"
-    back, margin, guard = store.unpack_operator(blob)
-    assert back.tobytes() == mat.tobytes() and (margin, guard) == (1.739e-3, "closed_form")
+    blob = store.pack_operator(mat, 1.739e-3)
+    assert blob == store.pack_matrix(mat) + struct.pack("<d", 1.739e-3)
+    back, margin = store.unpack_operator(blob)
+    assert back.tobytes() == mat.tobytes() and margin == 1.739e-3
     path = tmp_path / "a.rgfo"
-    store.write_envelope(path, "operator", 9, store.pack_operator(mat, 0.5, "direct"))
-    assert store.read_margin(path) == (0.5, "direct")
+    store.write_envelope(path, "operator", 9, store.pack_operator(mat, 0.5))
+    assert store.read_margin(path) == 0.5
     with pytest.raises(BadLengthError):
         store.unpack_operator(blob[:-1])
     with pytest.raises(BadLengthError):
-        store.unpack_operator(blob[:8])
+        store.unpack_operator(blob[:4])
     store.write_envelope(path, "operator", 9, b"short")
     with pytest.raises(struct.error):
         store.read_margin(path)
