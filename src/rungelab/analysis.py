@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .errors import ConfigurationError, NumericError, SizeError
 from .geometry import Grid, Region, BoundaryPatch
@@ -162,43 +163,84 @@ class VolumeWeights:
 
 
 def _patch_graph_laplacian(patch: BoundaryPatch, sel):
-    """Unit-weight Laplacian connecting dofs that share a patch face."""
+    """Unit-weight Laplacian connecting dofs that share a patch face, sparse."""
     pos = np.full(patch.n_dofs, -1)
     pos[sel] = np.arange(len(sel))
     members = pos[patch.face_edges]
     pairs = members[:, list(itertools.combinations(range(4), 2))].reshape(-1, 2)
     u, v = pairs[(pairs >= 0).all(axis=1)].T
-    S = np.zeros((len(sel), len(sel)))
-    # integer-valued, so the accumulation order does not matter
-    np.add.at(S, (np.concatenate([u, v, u, v]), np.concatenate([u, v, v, u])),
-              np.repeat([1.0, 1.0, -1.0, -1.0], len(u)))
-    return S
+    # integer-valued, so the summation of duplicates is exact
+    return sp.csr_matrix((np.repeat([1.0, 1.0, -1.0, -1.0], len(u)),
+                          (np.concatenate([u, v, u, v]), np.concatenate([u, v, v, u]))),
+                         shape=(len(sel), len(sel)))
+
+
+def _symmetrize(a, block=256):
+    """a = 0.5 (a + a^T) in place, entry by entry as numpy evaluates the
+    expression, holding one block pair at a time."""
+    n = len(a)
+    for i in range(0, n, block):
+        for j in range(i, n, block):
+            s = a[i:i + block, j:j + block] + a[j:j + block, i:i + block].T
+            s *= 0.5
+            a[i:i + block, j:j + block] = s
+            a[j:j + block, i:i + block] = s.T
+
+
+def _component_factor(S, mass):
+    """The Cholesky factor of one connected component's Gram from its dense
+    Laplacian ``S``, which is overwritten.  Every elementwise step is that of
+    M^{1/2} (I + M^{-1/2} S M^{-1/2})^{-1/2} M^{1/2}, symmetrized, in the same
+    order, so a patch of one component gets the same factor bit for bit as
+    the whole-array expressions did."""
+    rsqrt_mass = 1.0 / np.sqrt(mass)
+    S *= rsqrt_mass[:, None]
+    S *= rsqrt_mass[None, :]
+    _symmetrize(S)
+    S[np.diag_indices_from(S)] += 1.0
+    evals, evecs = np.linalg.eigh(S)
+    del S
+    gram = (evecs * (1.0 / np.sqrt(evals))) @ evecs.T
+    del evecs
+    sqrt_mass = np.sqrt(mass)
+    gram *= sqrt_mass[:, None]
+    gram *= sqrt_mass[None, :]
+    _symmetrize(gram)
+    return np.linalg.cholesky(gram)
 
 
 def build_norm_weights(patch: BoundaryPatch, collar="include_rim") -> TraceGram:
     """Assemble the trace Gram of a patch and collar and keep its factor.
 
-    The V Gram applies the inverse square root of the mass-normalized
-    (identity plus graph Laplacian) by dense eigendecomposition; patches
-    beyond 4000 dofs are rejected.  Only its Cholesky factor is returned.
+    The graph Laplacian links only dofs that share a patch face, so the Gram
+    is block diagonal over the connected components of the patch graph (the
+    six sides of a whole boundary without its rim are six).  Each component
+    applies the inverse square root of its mass-normalized (identity plus
+    graph Laplacian) by dense eigendecomposition, and is rejected beyond
+    ``DENSE_GRAM_LIMIT`` dofs; its Cholesky factor fills its block of the
+    dense lower-triangular factor, which is all that is returned.
     """
     sel = patch.select(collar)
     if len(sel) == 0:
         raise ConfigurationError("collar selection leaves no patch dofs")
-    if len(sel) > DENSE_GRAM_LIMIT:
-        raise SizeError(
-            f"patch carries {len(sel)} dofs; dense eigendecomposition is capped at "
-            f"{DENSE_GRAM_LIMIT}, coarsen the patch or the grid")
+    from scipy.sparse import csgraph  # loaded at the first Gram only: 1.1 MB resident
+    laplacian = _patch_graph_laplacian(patch, sel)
+    count, labels = csgraph.connected_components(laplacian, directed=False)
+    components = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+    for i, comp in enumerate(components):
+        if len(comp) > DENSE_GRAM_LIMIT:
+            raise SizeError(
+                f"patch component {i} of {count} carries {len(comp)} dofs; dense "
+                f"eigendecomposition is capped at {DENSE_GRAM_LIMIT}, coarsen the patch or the grid",
+                size=len(comp), limit=DENSE_GRAM_LIMIT, component=i)
     mass = patch.edge_area[sel]
-    S = _patch_graph_laplacian(patch, sel)
-    rsqrt_mass = 1.0 / np.sqrt(mass)
-    S_norm = rsqrt_mass[:, None] * S * rsqrt_mass[None, :]
-    S_norm = 0.5 * (S_norm + S_norm.T)
-    evals, evecs = np.linalg.eigh(np.eye(len(sel)) + S_norm)
-    inv_sqrt = (evecs * (1.0 / np.sqrt(evals))) @ evecs.T
-    sqrt_mass = np.sqrt(mass)
-    gram = sqrt_mass[:, None] * inv_sqrt * sqrt_mass[None, :]
-    return TraceGram(patch, collar, sel, np.linalg.cholesky(0.5 * (gram + gram.T)))
+    if count == 1:
+        return TraceGram(patch, collar, sel, _component_factor(laplacian.toarray(), mass))
+    chol_V = np.zeros((len(sel), len(sel)))
+    for comp in components:
+        chol_V[np.ix_(comp, comp)] = _component_factor(laplacian[comp][:, comp].toarray(),
+                                                       mass[comp])
+    return TraceGram(patch, collar, sel, chol_V)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,14 @@ class NumericError(RungelabError):
 
 
 class SizeError(RungelabError):
-    """A dense computation was requested beyond its supported size."""
+    """A dense computation was requested beyond its supported size: ``size``
+    dofs against ``limit`` in ``component`` of the patch graph."""
+
+    def __init__(self, message, size, limit, component):
+        super().__init__(message)
+        self.size = size
+        self.limit = limit
+        self.component = component
 
 
 class StoreError(RungelabError):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import ctypes
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -602,24 +603,133 @@ def h_trace_block(sys_: solver.SystemMatrix, h_dofs):
     return R / -sys_.omega
 
 
+# dlalsd's bound on a bidiagonal block whose singular vectors are formed explicitly
+SMLSIZ = 25
+EPS = np.finfo(float).eps / 2  # LAPACK's dlamch("E"): the split and the clamp below
+
+
+def _touched(name, *pairs):
+    """Raise ValueError unless each (array, length) pair's array holds the
+    ``length`` entries LAPACK ``name`` touches in it."""
+    for a, length in pairs:
+        if a.size < length:
+            raise ValueError(f"LAPACK {name} touches {length} entries of an array of {a.size}")
+
+
+def _compact_lengths(m, levels):
+    """The entries dlasda and dlalsa touch in each compact-form array of an
+    m-row block (leading dimensions m) whose divide-and-conquer tree is
+    ``levels`` deep, as LAPACK documents them."""
+    return {"u": m * SMLSIZ, "vt": m * (SMLSIZ + 1), "k": m, "difl": m * levels,
+            "difr": 2 * m * levels, "z": m * levels, "poles": 2 * m * levels,
+            "givptr": m, "givcol": 2 * m * levels, "perm": m * levels,
+            "givnum": 2 * m * levels, "c": m, "s": m}
+
+
+class _UnitBlock:
+    """A 1 x 1 block d: singular value |d|, left vector sign(d), right vector 1."""
+
+    def __init__(self, d):
+        self._sign = np.copysign(1.0, d[0])
+        d[0] = abs(d[0])
+
+    def apply(self, icompq, b):
+        return b if icompq else self._sign * b
+
+
+class _SmallBlock:
+    """A block of at most SMLSIZ rows with explicit singular vectors (``dlasdq``)."""
+
+    def __init__(self, d, e):
+        m = len(d)
+        self._u, self._vt = np.eye(m, order="F"), np.eye(m, order="F")
+        _touched("dlasdq", (e, m - 1))
+        _lapack_ref("dlasdq", "U", 0, m, m, m, 0, d, e, self._vt, m, self._u, m, np.zeros(1),
+                    1, np.zeros(4 * m))
+
+    def apply(self, icompq, b):
+        return self._vt.T @ b if icompq else self._u.T @ b
+
+
+class _CompactBlock:
+    """A block of more than SMLSIZ rows in ``dlasda``'s compact form: the
+    leaves' singular vectors and, per merge, the secular equation's poles,
+    Givens rotations and deflation permutation (Gu and Eisenstat, SIAM J.
+    Matrix Anal. Appl. 16, 1995).  Its singular values stay in ``d`` in
+    dlasda's order, which is not sorted; ``dlalsa`` applies U^T or V in it."""
+
+    _INTS = ("k", "givptr", "givcol", "perm")
+
+    def __init__(self, d, e):
+        m = self.m = len(d)
+        # as dlalsd does: a zero diagonal entry would be a pole of the secular equation
+        tiny = np.abs(d) < EPS
+        d[tiny] = np.copysign(EPS, d[tiny])
+        # dlasdt's depth, int(log2(m / (SMLSIZ + 1))) + 1, is below m's bit length
+        self._arrays = {name: np.zeros(length, np.int32 if name in self._INTS else float)
+                        for name, length in _compact_lengths(m, m.bit_length()).items()}
+        self._check("dlasda", (e, m - 1))
+        _lapack_ref("dlasda", 1, SMLSIZ, m, 0, d, e, *self._form(),
+                    np.zeros(6 * m + (SMLSIZ + 1) ** 2), np.zeros(7 * m, np.int32))
+
+    def _form(self):
+        a, m = self._arrays, self.m
+        return (a["u"], m, a["vt"], a["k"], a["difl"], a["difr"], a["z"], a["poles"],
+                a["givptr"], a["givcol"], m, a["perm"], a["givnum"], a["c"], a["s"])
+
+    def _check(self, name, *pairs):
+        levels = int(math.log(self.m / (SMLSIZ + 1)) / math.log(2)) + 1  # dlasdt's
+        need = _compact_lengths(self.m, levels)
+        _touched(name, *pairs, *((self._arrays[key], length) for key, length in need.items()))
+
+    def apply(self, icompq, b):
+        """U^T b (``icompq`` 0) or V b (1) for an (m, k) block ``b``, which a
+        Fortran-ordered ``b`` gives up as workspace."""
+        b, m, k = np.asfortranarray(b), self.m, b.shape[1]
+        bx = np.empty(b.shape, order="F")
+        self._check("dlalsa", (b, m * k))
+        _lapack_ref("dlalsa", icompq, SMLSIZ, m, k, b, m, bx, m, *self._form(), np.zeros(m),
+                    np.zeros(3 * m, np.int32))
+        return bx
+
+
 class BidiagonalSvd:
     """A = U S V^T for a square real A (Fortran-ordered float64, overwritten
-    and kept), as LAPACK ``dgesdd`` computes it less its two n x n
-    back-transforms: ``dgebrd`` reduces A in place to the bidiagonal
-    B = Q_B^T A P_B, with Q_B and P_B kept as Householder vectors, and ``dbdsdc``
-    gives B = U_B S V_B^T, S descending.  U = Q_B U_B and V = P_B V_B are only
-    ever applied to columns; ``right`` returns the ``rows`` of V y, in order."""
+    and kept), S descending, with U and V never formed: ``dgebrd`` reduces A
+    in place to the bidiagonal B = Q_B^T A P_B, keeping Q_B and P_B as
+    Householder vectors, and B = U_B S V_B^T is taken as LAPACK's
+    ``dlalsd`` takes it.  B is scaled by its largest entry and split at every
+    superdiagonal entry below eps; a block of one row is its own SVD, one of
+    at most ``SMLSIZ`` rows gets explicit singular vectors, and a larger one
+    is kept in ``dlasda``'s compact form.  U = Q_B U_B and V = P_B V_B are
+    only ever applied to columns, block by block, with S's sort permutation
+    applied to the coordinates; ``right`` returns the ``rows`` of V y, in
+    order."""
 
     def __init__(self, a, rows=slice(None)):
         self._a, self._rows, n = a, rows, len(a)
         if a.shape != (n, n):
             raise ValueError(f"BidiagonalSvd needs a square matrix, got {a.shape}")
-        self.S, e, self._tauq, self._taup = (np.zeros(n) for _ in range(4))
-        _lapack_work("dgebrd", n, n, a, n, self.S, e, self._tauq, self._taup)
-        self._ub, self._vbt = (np.zeros((n, n), order="F") for _ in range(2))
-        _lapack_ref("dbdsdc", "U", "I", n, self.S, e, self._ub, n, self._vbt, n,
-                    np.zeros(1), np.zeros(1, np.int32), np.zeros(3 * n * n + 4 * n),
-                    np.zeros(8 * n, np.int32))
+        d, e, self._tauq, self._taup = (np.zeros(n) for _ in range(4))
+        _lapack_work("dgebrd", n, n, a, n, d, e, self._tauq, self._taup)
+        scale = max(np.abs(d).max(initial=0.0), np.abs(e).max(initial=0.0))
+        if scale:
+            d /= scale
+            e /= scale
+        cuts = [0, *(np.flatnonzero(np.abs(e[:n - 1]) < EPS) + 1), n]
+        self._blocks = [(lo, hi, _UnitBlock(d[lo:hi]) if hi - lo == 1 else
+                         _SmallBlock(d[lo:hi], e[lo:hi - 1]) if hi - lo <= SMLSIZ else
+                         _CompactBlock(d[lo:hi], e[lo:hi - 1]))
+                        for lo, hi in zip(cuts, cuts[1:])]
+        self._order = np.argsort(-d, kind="stable")
+        self.S = d[self._order] * scale
+
+    def _apply(self, icompq, b):
+        """U_B^T b (``icompq`` 0) or V_B b (1), in the blocks' order of S."""
+        out = np.empty(b.shape, order="F")
+        for lo, hi, block in self._blocks:
+            out[lo:hi] = block.apply(icompq, b[lo:hi])
+        return out
 
     def coords(self, b):
         """U^T b for a real Fortran-ordered (n, k) block ``b``, overwritten."""
@@ -627,12 +737,14 @@ class BidiagonalSvd:
         if len(b) != n:
             raise ValueError(f"U^T b needs {n} rows, got {len(b)}")
         _lapack_work("dormbr", "Q", "L", "T", n, b.shape[1], n, self._a, n, self._tauq, b, n)
-        return self._ub.T @ b
+        return self._apply(0, b)[self._order]
 
     def right(self, y):
         """V y, an (n, k) block, for a real (n,) vector or (n, k) block."""
         n = len(self.S)
-        x = np.asfortranarray(self._vbt.T @ y.reshape(n, -1))
+        z = np.empty((n, y.size // n), order="F")
+        z[self._order] = y.reshape(n, -1)
+        x = self._apply(1, z)
         _lapack_work("dormbr", "P", "L", "N", n, x.shape[1], n, self._a, n, self._taup, x, n)
         return x[self._rows]
 

@@ -118,6 +118,40 @@ def test_gram_size_cap(grid8):
         analysis.DENSE_GRAM_LIMIT = old
 
 
+def test_whole_boundary_gram_by_component(grid8):
+    # without its rim the whole boundary's patch graph is six sides that share
+    # no face: the factor is block diagonal, each block the side's own factor
+    patch = rl.geometry.whole_boundary(grid8)
+    w = build_norm_weights(patch, "exclude_rim")
+    G = _surrogate_gram(patch, w.v_sel)
+    assert np.linalg.norm(w.chol_V @ w.chol_V.T - G) <= 1e-12 * np.linalg.norm(G)
+    assert np.array_equal(w.chol_V, np.tril(w.chol_V))
+    side_of = np.full(w.n_v, -1)
+    for i, side in enumerate(rl.geometry.SIDES):
+        one = build_norm_weights(rl.boundary_patch(grid8, side), "exclude_rim")
+        pos = np.searchsorted(w.v_dofs, one.v_dofs)
+        assert np.array_equal(w.v_dofs[pos], one.v_dofs)
+        assert np.array_equal(w.chol_V[np.ix_(pos, pos)], one.chol_V)
+        side_of[pos] = i
+    assert np.all(side_of >= 0) and np.bincount(side_of).tolist() == [112] * 6
+    assert np.all(w.chol_V[side_of[:, None] != side_of[None, :]] == 0.0)
+
+
+def test_gram_size_cap_is_per_component(grid8, monkeypatch):
+    import rungelab.analysis as analysis
+    patch = rl.geometry.whole_boundary(grid8)
+    monkeypatch.setattr(analysis, "DENSE_GRAM_LIMIT", 112)
+    assert build_norm_weights(patch, "exclude_rim").n_v == 672
+    monkeypatch.setattr(analysis, "DENSE_GRAM_LIMIT", 100)
+    with pytest.raises(SizeError, match="^patch component 0 of 6 carries 112 dofs;") as err:
+        build_norm_weights(patch, "exclude_rim")
+    assert (err.value.size, err.value.limit, err.value.component) == (112, 100, 0)
+    # with its rim the whole boundary is one component
+    with pytest.raises(SizeError, match="^patch component 0 of 1 carries 768 dofs;") as err:
+        build_norm_weights(patch, "include_rim")
+    assert (err.value.size, err.value.limit, err.value.component) == (768, 100, 0)
+
+
 def test_fit_holder_degenerate_ones():
     fit = fit_holder([(1.0, 1.0, 1.0)] * 4)
     assert fit.params["C"] == pytest.approx(1.0)

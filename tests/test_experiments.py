@@ -3,6 +3,7 @@ import inspect
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -659,6 +660,73 @@ def test_bidiagonal_svd_matches_dense_svd():
             assert np.linalg.norm(ridge - ridge_ref) <= 1e-10 * np.linalg.norm(ridge_ref)
 
 
+def _graded_triangle(n, seed=2):
+    rng = np.random.default_rng(seed)
+    Q1, Q2 = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    return np.linalg.qr((Q1 * np.logspace(0, -9, n)) @ Q2.T)[1]
+
+
+def _split_bidiagonal():
+    # exact zeros on the superdiagonal split B into blocks of 30 and 29 rows,
+    # both past SMLSIZ, and a trailing 1 x 1 block with a negative entry
+    rng = np.random.default_rng(5)
+    d, e = rng.standard_normal(60), rng.standard_normal(59)
+    e[29] = e[58] = 0.0
+    d[59] = -abs(d[59])
+    return np.diag(d) + np.diag(e, 1)
+
+
+def _rank_deficient_triangle():
+    # rank 20 of 60: dgebrd leaves entries at rounding, which split B into
+    # 1 x 1 blocks and blocks of every kind
+    rng = np.random.default_rng(6)
+    return np.linalg.qr(rng.standard_normal((60, 20)) @ rng.standard_normal((20, 60)))[1]
+
+
+@pytest.mark.parametrize("make", [
+    _split_bidiagonal, _rank_deficient_triangle,
+    lambda: _graded_triangle(3), lambda: _graded_triangle(25), lambda: _graded_triangle(26),
+    lambda: np.zeros((4, 4))],
+    ids=["zero_superdiagonal", "rank_deficient", "n3", "n25", "n26", "zero"])
+def test_bidiagonal_svd_blocks_match_numpy(make):
+    A = make()
+    n = len(A)
+    S_ref = np.linalg.svd(A, compute_uv=False)
+    svd = experiments.BidiagonalSvd(A.copy(order="F"))
+    top = S_ref[0] or 1.0
+    assert np.all(np.abs(svd.S - S_ref) <= 1e-13 * top)
+    assert np.all(np.diff(svd.S) <= 0)
+    # U^T and V from the columns of I: orthogonal, and U^T A V = diag(S)
+    Ut, V = svd.coords(np.eye(n, order="F")), svd.right(np.eye(n))
+    assert np.abs(Ut @ Ut.T - np.eye(n)).max() <= 1e-13 * n
+    assert np.abs(V.T @ V - np.eye(n)).max() <= 1e-13 * n
+    assert np.abs(Ut @ A @ V - np.diag(svd.S)).max() <= 1e-13 * top
+    # a vector is the block of one column
+    y = np.arange(1.0, n + 1)
+    assert np.array_equal(svd.right(y), svd.right(y[:, None]))
+
+
+def test_cauchy_setup_holds_no_square_workspace():
+    # at 10^3 (n_v = 1020, 1200 boundary columns) the dense Gram steps peaked
+    # at 58 MB of traced memory and the operator at 80 MB before the Gram went
+    # in place and the bidiagonal SVD into LAPACK's compact form (dbdsdc's
+    # workspace alone was 34.6 MB, its explicit singular vectors 23 MB)
+    cfg = load_config("cauchy_reference.json")
+    scene = build_scene(cfg)
+    tracemalloc.start()
+    try:
+        gram = rl.build_norm_weights(scene.patch, collar=cfg["patch"]["collar"])
+        gram_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        CauchyOperator(scene, gram)
+        operator_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert gram_peak < 40e6
+    assert operator_peak < 50e6
+
+
 def test_cython_lapack_calls_raise_typed_errors():
     # LDA = 1 < M = 3: LAPACK names the fourth argument
     a = np.zeros((3, 3), order="F")
@@ -672,6 +740,10 @@ def test_cython_lapack_calls_raise_typed_errors():
         experiments.BidiagonalSvd(np.zeros((3, 2), order="F"))
     with pytest.raises(ValueError, match="needs 3 rows"):
         experiments.BidiagonalSvd(np.eye(3, order="F")).coords(np.zeros((2, 1), order="F"))
+    # no pointer into an array shorter than what the routine touches
+    block = experiments.BidiagonalSvd(_split_bidiagonal().copy(order="F"))._blocks[0][2]
+    with pytest.raises(ValueError, match="^LAPACK dlalsa touches 60 entries of an array of 58$"):
+        block.apply(1, np.zeros((29, 2), order="F"))
 
 def test_cauchy_discretization_probe_matches_convergence_study():
     cfg = _cauchy_cfg(noise={"etas": [1e-2], "seeds": [3]})

@@ -222,7 +222,7 @@ def test_patch_laplacian_structure(collar):
     grid = rl.build_grid((5, 7, 4), 0.2)
     for patch in _named_patches(grid).values():
         sel = patch.select(collar)
-        S = _patch_graph_laplacian(patch, sel)
+        S = _patch_graph_laplacian(patch, sel).toarray()
         pos = {int(p): i for i, p in enumerate(sel)}
         neighbours = [set() for _ in sel]
         for row in patch.face_edges.tolist():
