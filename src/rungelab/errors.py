@@ -22,20 +22,21 @@ class MaterialError(RungelabError):
 
 
 class ResonantFrequencyError(RungelabError):
-    """The requested frequency sits too close to an interior resonance."""
+    """The requested frequency sits too close to the resonance at ``nearest_omega``."""
 
-    def __init__(self, message, margin=None, suggested_omega=None):
+    def __init__(self, message, margin=None, suggested_omega=None, nearest_omega=None):
         super().__init__(message)
         self.margin = margin
         self.suggested_omega = suggested_omega
+        self.nearest_omega = nearest_omega
 
 
 class LowFrequencyError(ResonantFrequencyError):
-    """The nearest resonance is omega = 0: the gradient modes set the margin,
-    which scales as omega^2 h^2, so no detuning raises it."""
+    """The nearest resonance lies below omega / 2: the gradient modes set the
+    margin, which scales as omega^2 h^2, so no detuning raises it."""
 
-    def __init__(self, message, margin, omega2_h2):
-        super().__init__(message, margin=margin)
+    def __init__(self, message, margin, omega2_h2, nearest_omega):
+        super().__init__(message, margin=margin, nearest_omega=nearest_omega)
         self.omega2_h2 = omega2_h2
 
 

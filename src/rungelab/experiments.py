@@ -600,7 +600,7 @@ def h_trace_block(sys_: solver.SystemMatrix, h_dofs):
     R = PC[:, sys_.idx_boundary].toarray()
     for cols in np.split(live, range(H_CHUNK, len(live), H_CHUNK)):
         R[:, cols] += PC_I @ sys_.solve_interior(rhs[:, cols].toarray())
-    return R / -sys_.omega
+    return np.divide(R, -sys_.omega, out=R)
 
 
 # dlalsd's bound on a bidiagonal block whose singular vectors are formed explicitly

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (ConfigurationError, LowFrequencyError, NumericError,
-                     ResonantFrequencyError, RungelabError)
+                     ResonantFrequencyError)
 from .geometry import Grid, Region, BoundaryPatch, cell_offsets
 from .materials import MaterialField
 
@@ -383,11 +383,10 @@ class SystemMatrix:
     start.  The direct path also factorizes for the resonance guard's
     vectors.  ``solve_interior`` checks the residual of every column it
     returns but the guard's.  Immutable after assembly apart from the lazily
-    built factorization and reference inverses and ``margin``: the
-    resonance guard's result, None until ``resonance_guard`` runs or the
-    margin stored with a cached operator is set on it
-    (``runge_op.cached_restriction``), which spares the guard's solves and
-    its factorization.
+    built factorization and reference inverses, and ``margin`` and
+    ``guard_vector``, the resonance guard's result and last vector: None
+    until ``resonance_guard`` runs or a cached operator's margin is set
+    (``runge_op.cached_restriction``), sparing the guard's solves and LU.
     """
 
     def __init__(self, grid, material, omega, L, curl, mu_inv_point, solver_tol,
@@ -399,7 +398,6 @@ class SystemMatrix:
         self.curl = curl
         self.mu_inv_point = mu_inv_point
         self.solver_tol = solver_tol
-        self.direct_limit = direct_limit
         self.idx_interior = grid.interior_edge_indices()
         self.idx_boundary = grid.boundary_edge_indices()
         L_I = L[self.idx_interior]
@@ -417,6 +415,7 @@ class SystemMatrix:
         self._lu = None
         self._inverses = {}
         self.margin = None
+        self.guard_vector = None
 
     def _reference_inverse(self, signed):
         if signed not in self._inverses:
@@ -561,80 +560,75 @@ def assemble(grid: Grid, mat: MaterialField, omega, *,
 
 
 def check_margin(sys: SystemMatrix, resonance_threshold=RESONANCE_THRESHOLD):
-    """The ``resonance_guard`` margin of ``sys``, checked against the threshold.
-
-    Raises ResonantFrequencyError when the margin falls below
-    ``resonance_threshold``; the error carries a detuned frequency suggestion
-    probed at +-7 percent, or is a LowFrequencyError with none when the
-    gradient branch of a constant scalar medium sets the margin.  A margin
-    already on ``sys`` (a cached one) is compared without a solve.
-    """
+    """The ``resonance_guard`` margin of ``sys``, checked against the threshold:
+    below it, LowFrequencyError when the nearest resonance omega_r
+    (``nearest_resonance``) lies below omega / 2, else ResonantFrequencyError
+    suggesting omega detuned by 7 percent away from omega_r (up on a tie).  A
+    margin already on ``sys`` (a cached one) is compared without a solve."""
     margin = resonance_guard(sys)
     if margin >= resonance_threshold:
         return margin
-    grid, omega = sys.grid, sys.omega
-    grad, curl = constant_branches(sys) if sys.constant else (np.inf, 0.0)
-    if grad <= curl:
-        w2h2 = omega ** 2 * grid.h ** 2
+    omega, omega_r = sys.omega, nearest_resonance(sys)
+    if omega_r ** 2 < omega ** 2 / 4:
+        w2h2 = omega ** 2 * sys.grid.h ** 2
         raise LowFrequencyError(
-            f"omega={omega:g} is too low for h={grid.h:g}: the gradient modes set the "
-            f"relative margin {margin:.3e} < {resonance_threshold:g} (omega^2 h^2 = "
-            f"{w2h2:.3e}); no detuning raises it", margin=margin, omega2_h2=w2h2)
-    suggestion = _suggest_detuned(grid, sys.material, omega, sys.solver_tol, sys.direct_limit)
+            f"omega={omega:g} is too low for h={sys.grid.h:g}: the gradient modes set the relative "
+            f"margin {margin:.3e} < {resonance_threshold:g} (omega^2 h^2 = {w2h2:.3e}); no "
+            f"detuning raises it", margin=margin, omega2_h2=w2h2, nearest_omega=omega_r)
+    suggestion = omega * (1.07 if omega_r <= omega else 0.93)
     raise ResonantFrequencyError(
-        f"omega={omega:g} sits near a resonance "
-        f"(relative margin {margin:.3e} < {resonance_threshold:g})"
-        + ("" if suggestion is None else f"; try omega={suggestion:g}"),
-        margin=margin, suggested_omega=suggestion)
-
-
-def _suggest_detuned(grid, mat, omega, solver_tol, direct_limit):
-    best = None
-    for factor in (0.93, 1.07):
-        cand = omega * factor
-        try:
-            s = assemble(grid, mat, cand, check_resonance=False,
-                         solver_tol=solver_tol, direct_limit=direct_limit)
-            m = resonance_guard(s)
-        except (RungelabError, RuntimeError):
-            # RuntimeError: splu on an exactly singular detuned matrix
-            continue
-        if best is None or m > best[1]:
-            best = (cand, m)
-    return None if best is None else best[0]
+        f"omega={omega:g} sits near a resonance (relative margin {margin:.3e} < "
+        f"{resonance_threshold:g}, resonance at omega={omega_r:.6g}); try omega={suggestion:g}",
+        margin=margin, suggested_omega=suggestion, nearest_omega=omega_r)
 
 
 def constant_branches(sys: SystemMatrix):
-    """The smallest |eigenvalue| / h^3 of L_II in a constant scalar medium
-    on its gradient modes, omega^2 eps0 (every grid of at least 4 cells per
-    axis has them), and on its curl-curl modes, |nu0 lam - omega^2 eps0|."""
+    """(sigma, omega_r) in a constant scalar medium: the smallest modulus of
+    L_II / h^3, -omega^2 eps0 on its gradient modes (every grid of at least 4
+    cells per axis has them) and nu0 lam - omega^2 eps0 on its curl-curl modes;
+    omega_r is 0 when a gradient mode sets it, else sqrt(nu0 lam* / eps0)."""
     eps0, _, nu0, _ = sys.reference
     shift = sys.omega ** 2 * eps0
-    return shift, min(np.abs(nu0 * lam - shift).min() for lam in mode_table(sys.grid)[1])
+    curl = np.concatenate([nu0 * lam.ravel() for lam in mode_table(sys.grid)[1]])
+    curl = curl[np.argmin(np.abs(curl - shift))]
+    if shift <= abs(curl - shift):
+        return shift, 0.0
+    return abs(curl - shift), float(np.sqrt(curl / eps0))
+
+
+def nearest_resonance(sys: SystemMatrix):
+    """omega_r, the frequency of the resonance nearest omega: by
+    ``constant_branches`` in a constant scalar medium, else at the guard's last
+    vector v the Rayleigh quotient of the pencil (K, M), L_II = K - omega^2 M:
+    omega^2 v^T K v / (v^T K v - v^T L_II v), v^T K v = (C v)^T diag(w_face) P (C v)."""
+    if sys.constant:
+        return constant_branches(sys)[1]
+    if sys.guard_vector is None:  # a margin read from the operator cache
+        sys.margin = None
+        resonance_guard(sys)
+    v = sys.guard_vector
+    cv = sys.curl[:, sys.idx_interior] @ v
+    kv = cv @ (sys.grid.dof_volumes("face") * (sys.mu_inv_point @ cv))
+    return float(sys.omega * np.sqrt(kv / (kv - v @ (sys.L_II @ v))))
 
 
 def resonance_guard(sys: SystemMatrix):
     """Relative smallest-singular-value estimate sigma_min / ``norm_estimate``,
     kept on ``sys.margin``; a margin already there is returned unchanged.
 
-    On the Krylov path a constant scalar medium gives sigma_min exactly,
-    h^3 times the smaller ``constant_branches``.  Otherwise sigma_min is
-    estimated by ``GUARD_ITERATIONS`` inverse power iterations from a
-    ``GUARD_SEED`` start: LU back-solves on the direct path, and on the
-    Krylov path one MINRES run per step at ``GUARD_TOL``, warm-started from
-    the Rayleigh-quotient guess v / (v^T L v) and preconditioned by
-    ``reference_inverse``: once v is near the smallest eigenvector the start
-    is nearly exact in that direction.  The loose tolerance leaves the margin
-    within 4e-4 relative of the direct one on the smooth and anisotropic
-    media of the tests, where M is inexact.  So the medium's kind and the
-    path (``sys.direct``) fix the guard, and the runge operator cache, keyed
-    by both, stores its margin (``runge_op.save_operator``): a change to any
-    guard's method or constants must bump ``store.VERSION``.
+    On the Krylov path a constant scalar medium gives sigma_min exactly
+    (``constant_branches``).  Otherwise ``GUARD_ITERATIONS`` inverse power
+    steps from a ``GUARD_SEED`` start, LU back-solves on the direct path and
+    MINRES runs at ``GUARD_TOL`` on the Krylov path (``_guard_step``),
+    estimate it and leave their last vector on ``sys.guard_vector``.  So the
+    medium's kind and the path (``sys.direct``) fix the guard, and the runge
+    operator cache, keyed by both, stores its margin (``runge_op.save_operator``):
+    a change to any guard's method or constants must bump ``store.VERSION``.
     """
     if sys.margin is not None:
         return sys.margin
     if sys.constant and not sys.direct:
-        sigma_min = sys.grid.h ** 3 * min(constant_branches(sys))
+        sigma_min = sys.grid.h ** 3 * constant_branches(sys)[0]
     else:
         rng = np.random.default_rng(GUARD_SEED)
         v = rng.standard_normal(sys.dimension)
@@ -647,13 +641,17 @@ def resonance_guard(sys: SystemMatrix):
                 break
             sigma_min = 1.0 / nw
             v = w / nw
+        sys.guard_vector = v
     sys.margin = float(sigma_min / sys.norm_estimate)
     return sys.margin
 
 
 def _guard_step(sys: SystemMatrix, v):
-    """Loose solve of L_II w = v for a unit vector v: one warm-started MINRES
-    run."""
+    """Loose solve of L_II w = v for a unit vector v: one MINRES run
+    preconditioned by ``reference_inverse``, warm-started from v / (v^T L v),
+    nearly exact once v nears the smallest eigenvector.  The loose tolerance
+    leaves the margin within 4e-4 relative of the direct one on the smooth
+    and anisotropic media of the tests, where the preconditioner is inexact."""
     w, info = sys._minres(v, GUARD_TOL, x0=v / (v @ (sys.L_II @ v)))
     if info != 0:
         rel = float(np.linalg.norm(sys.L_II @ w - v))

@@ -625,6 +625,26 @@ def test_warm_run_checks_the_stored_margin(tmp_path, monkeypatch, capsys):
     assert calls == []
 
 
+def test_warm_run_in_a_smooth_medium_raises_the_cold_error(tmp_path, capsys):
+    # a margin read from the cache leaves no guard vector behind, so a warm
+    # run that trips a stricter threshold runs the guard once for the nearest
+    # resonance: it fails with the cold run's error, word for word
+    smooth = dict(RUNGE_SMALL, material={"kind": "smooth", "seed": 3, "amplitude": 0.3})
+    cache = str(tmp_path / "cache")
+    cfg = _write(tmp_path, "r.json", smooth)
+    assert main(["--out", str(tmp_path / "o"), "--cache", cache, "run", cfg]) in (0, 2)
+    strict = _write(tmp_path, "s.json", dict(smooth, solver={"resonance_threshold": 0.01}))
+    errors = []
+    for i, cached in enumerate(([], ["--cache", cache])):
+        capsys.readouterr()
+        out = tmp_path / f"x{i}"
+        assert main(["--out", str(out), *cached, "run", strict]) == 1
+        errors.append(capsys.readouterr().err)
+        assert "Traceback" not in errors[-1] and not out.exists()
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: omega=2 is too low for h=0.125: the gradient modes ")
+
+
 def test_direct_and_krylov_runs_keep_their_own_margins(tmp_path):
     # the provenance names the solve path, which with the medium fixes the
     # guard: a direct_limit 0 run on the default run's cache writes a second

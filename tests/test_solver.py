@@ -458,25 +458,6 @@ def test_solve_interior_skips_zero_parts(grid8, vacuum8, direct_limit, ncols, mo
                 assert getattr(x, skipped).tobytes() == np.zeros(x.shape).tobytes()
 
 
-def test_suggest_detuned_propagates_unexpected_errors(grid8, vacuum8, monkeypatch):
-    import rungelab.solver as solver_mod
-    from rungelab.errors import NumericError
-
-    def failing_guard(exc):
-        def guard(sys):
-            raise exc
-        return guard
-
-    args = (grid8, vacuum8, 2.0, solver_mod.SOLVER_TOL, solver_mod.DIRECT_LIMIT)
-    # a probe that fails numerically is skipped
-    monkeypatch.setattr(solver_mod, "resonance_guard", failing_guard(NumericError("probe")))
-    assert solver_mod._suggest_detuned(*args) is None
-    # a programming error is not a failed probe
-    monkeypatch.setattr(solver_mod, "resonance_guard", failing_guard(TypeError("bug")))
-    with pytest.raises(TypeError):
-        solver_mod._suggest_detuned(*args)
-
-
 def test_krylov_meets_its_tolerance_on_random_data():
     # minres stops on its own residual estimate, not on the true residual;
     # the smooth medium is where the reference preconditioner is inexact
@@ -536,16 +517,11 @@ def test_krylov_guard_raises_at_a_cavity_resonance(grid8, spec, modes):
     assert err.value.suggested_omega in (0.93 * omega, 1.07 * omega)
 
 
-@pytest.mark.parametrize("direct_limit", [10 ** 9, 0])
-@pytest.mark.parametrize("n", [8, 12])
-def test_low_frequency_raises_without_a_suggestion(n, direct_limit, monkeypatch):
-    # at omega = 0.02 the gradient branch h^3 omega^2 eps0 sets sigma_min, which
-    # no detuning raises: the error suggests nothing and assembles nothing more
+def _low_frequency_error(g, mat, direct_limit, monkeypatch):
+    """The LowFrequencyError of assembling at omega = 0.02, which must suggest
+    nothing and assemble nothing more."""
     import rungelab.solver as solver_mod
 
-    g = rl.build_grid((n, n, n), 1.0 / n)
-    mat = rl.make_material(g, {"kind": "constant"})
-    norm = assemble(g, mat, 0.02, direct_limit=direct_limit, check_resonance=False).norm_estimate
     calls = []
     monkeypatch.setattr(solver_mod, "assemble",
                         lambda *a, _f=solver_mod.assemble, **k: calls.append(1) or _f(*a, **k))
@@ -554,14 +530,53 @@ def test_low_frequency_raises_without_a_suggestion(n, direct_limit, monkeypatch)
     assert len(calls) == 1
     assert err.value.suggested_omega is None and "try omega=" not in str(err.value)
     assert err.value.omega2_h2 == 0.02 ** 2 * g.h ** 2
-    assert err.value.margin == pytest.approx(g.h ** 3 * 0.02 ** 2 / norm, rel=1e-9)
+    return err.value
 
 
-def test_low_frequency_in_a_smooth_medium_keeps_the_resonance_error(grid8):
-    smooth = rl.make_material(grid8, MEDIA["smooth"])
+@pytest.mark.parametrize("direct_limit", [10 ** 9, 0])
+@pytest.mark.parametrize("n", [8, 12])
+def test_low_frequency_raises_without_a_suggestion(n, direct_limit, monkeypatch):
+    # at omega = 0.02 the gradient branch h^3 omega^2 eps0 sets sigma_min, which
+    # no detuning raises: the error suggests nothing and assembles nothing more
+    g = rl.build_grid((n, n, n), 1.0 / n)
+    mat = rl.make_material(g, {"kind": "constant"})
+    norm = assemble(g, mat, 0.02, direct_limit=direct_limit, check_resonance=False).norm_estimate
+    err = _low_frequency_error(g, mat, direct_limit, monkeypatch)
+    assert err.nearest_omega == 0.0
+    assert err.margin == pytest.approx(g.h ** 3 * 0.02 ** 2 / norm, rel=1e-9)
+
+
+@pytest.mark.parametrize("direct_limit", [10 ** 9, 0])
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("medium", ["smooth", "full_tensor"])
+def test_low_frequency_error_in_other_media(medium, n, direct_limit, monkeypatch):
+    # the guard's vector is a gradient mode there too: omega_r^2 / omega^2
+    # reads 4e-9 to 3.1e-8 on the direct path and 2.6e-3 to 3.8e-3 on the
+    # Krylov path, far below 1/4; the resonance error used to suggest
+    # omega = 0.0214 in the smooth medium
+    g = rl.build_grid((n, n, n), 1.0 / n)
+    err = _low_frequency_error(g, rl.make_material(g, MEDIA[medium]), direct_limit, monkeypatch)
+    assert 0.0 <= err.nearest_omega < 0.1 * 0.02
+
+
+@pytest.mark.parametrize("direct_limit", [10 ** 9, 0])
+@pytest.mark.parametrize("medium", ["vacuum", "smooth"])
+@pytest.mark.parametrize("detune", [0.99, 1.001])
+def test_resonance_error_names_the_nearest_cavity_mode(grid8, medium, direct_limit, detune):
+    # near the first cavity mode of 8^3 the nearest resonance is read off the
+    # mode table in vacuum and off the guard's vector in the smooth medium;
+    # either lies within 2e-3 of the mode, and the suggestion moves away
+    mat = rl.make_material(grid8, {"kind": "constant"} if medium == "vacuum" else MEDIA[medium])
+    omega1 = np.sqrt(rl.solver.mode_table(grid8)[1][0][0, 0, 0])
+    omega = detune * omega1
     with pytest.raises(ResonantFrequencyError) as err:
-        assemble(grid8, smooth, 0.02)
+        assemble(grid8, mat, omega, direct_limit=direct_limit, resonance_threshold=1e-3)
     assert type(err.value) is ResonantFrequencyError
+    omega_r = err.value.nearest_omega
+    assert abs(omega_r - omega1) <= 2e-3 * omega1
+    assert f"resonance at omega={omega_r:.6g})" in str(err.value)
+    assert (omega_r < omega) == (detune > 1)
+    assert err.value.suggested_omega == omega * (1.07 if detune > 1 else 0.93)
 
 
 def test_krylov_guard_route(grid8, vacuum8, monkeypatch):
