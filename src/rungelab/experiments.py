@@ -10,20 +10,17 @@ fitted from the measured data, never assumed.
 from __future__ import annotations
 
 import copy
-import ctypes
 import json
-import math
 import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
-from scipy.linalg import blas, cython_lapack, lapack
+from scipy.linalg import blas
 
 from . import analysis, geometry, materials, oracle, runge_op, solver
-from .errors import ConfigurationError, GeometryError, NumericError
+from .errors import ConfigurationError, GeometryError
 from .analysis import (VolumeWeights, build_norm_weights, fit_holder, fit_log_modulus,
                        fit_power, hcurl_norm, lp_norm)
 
@@ -56,6 +53,8 @@ _GT0 = "a finite number > 0", lambda v: _number(v) and v > 0
 _GE0 = "a finite number >= 0", lambda v: _number(v) and v >= 0
 _GT2 = "a finite number > 2", lambda v: _number(v) and v > 2
 _POINT = "a list of three finite numbers", _list(_number, 3)
+_INCREASING = ("a non-empty list of strictly increasing integers >= 1",
+               lambda v: _list(_int(1))(v) and all(np.diff(v) > 0))
 _SIDE = ("a side or a non-empty list of sides",
          lambda v: v in geometry.SIDES or _list(lambda s: s in geometry.SIDES)(v))
 _TENSOR = ("a finite number, a list of three or a 3 x 3 list of finite numbers",
@@ -142,7 +141,7 @@ _TABLE = (
      ("a non-empty list of integers >= 0", _list(_int(0)))),
     ("runge.js", list(range(1, 11)), "*",
      ("at least 3 strictly increasing integers >= 1",
-      lambda v: _list(_int(1))(v) and len(v) >= 3 and all(np.diff(v) > 0))),
+      lambda v: _INCREASING[1](v) and len(v) >= 3)),
     ("runge.C", float(np.e), "*", _GT0),
     ("runge.m", 2.0, "*", _GT0),
     ("regions.A", _REQUIRED, "runge", None),
@@ -177,8 +176,7 @@ _TABLE = (
     ("propagation.seed", None, "", _integer(0)),
     ("regions.M", _REQUIRED, "localization", None),
     ("regions.D", _REQUIRED, "localization", None),
-    ("localization.cutoffs", [10, 20, 50], "localization",
-     ("a non-empty list of positive integers", _list(_int(1)))),
+    ("localization.cutoffs", [10, 20, 50], "localization", _INCREASING),
     ("localization.eps_reg", 1e-6, "localization", _GT0),
     ("localization.n_random", 5, "localization", _integer(0)),
     ("localization.seed", None, "", _integer(0)),
@@ -540,45 +538,6 @@ def run_runge(cfg: dict, scene: Scene | None = None,
 # one block.  Chunks never hold the 21 MB dense right-hand side or its
 # solution whole.
 H_CHUNK = 64
-QR_BLOCK = 32  # dtpqrt block size: the fastest of 8-64 at 10^3
-
-
-def _lapack(name, *args, **kwargs):
-    """Call a scipy LAPACK wrapper; raise NumericError on a nonzero info."""
-    *out, info = getattr(lapack, name)(*args, **kwargs)
-    if info != 0:
-        raise NumericError(f"LAPACK {name} returned info {info}")
-    return out
-
-
-# own function objects: setting argtypes on ctypes.pythonapi's would be global
-_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-    ("PyCapsule_GetName", ctypes.pythonapi))
-_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi))
-
-
-def _lapack_ref(name, *args):
-    """Call a LAPACK routine scipy.linalg.lapack lacks from scipy's Cython table,
-    with ints, one-letter strs and writable Fortran float64 or int32 arrays by
-    reference, then INFO; raise NumericError on a nonzero info."""
-    if not all(a.dtype in (np.float64, np.int32) and a.flags.f_contiguous and a.flags.writeable
-               for a in args if isinstance(a, np.ndarray)):
-        raise TypeError(f"LAPACK {name} needs writable Fortran float64 or int32 arrays")
-    refs = [a.ctypes.data if isinstance(a, np.ndarray) else ctypes.byref(
-        ctypes.c_char(a.encode()) if isinstance(a, str) else ctypes.c_int(a)) for a in args]
-    cap, info = cython_lapack.__pyx_capi__[name], ctypes.c_int()
-    ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * (len(args) + 1))(
-        _capsule_pointer(cap, _capsule_name(cap)))(*refs, ctypes.byref(info))
-    if info.value != 0:
-        raise NumericError(f"LAPACK {name} returned info {info.value}")
-
-
-def _lapack_work(name, *args):
-    """``_lapack_ref`` with WORK and LWORK appended, sized by an LWORK = -1 query."""
-    size = np.zeros(1)
-    _lapack_ref(name, *args, size, -1)
-    _lapack_ref(name, *args, np.zeros(int(size[0])), int(size[0]))
 
 
 def h_trace_block(sys_: solver.SystemMatrix, h_dofs):
@@ -603,152 +562,6 @@ def h_trace_block(sys_: solver.SystemMatrix, h_dofs):
     return np.divide(R, -sys_.omega, out=R)
 
 
-# dlalsd's bound on a bidiagonal block whose singular vectors are formed explicitly
-SMLSIZ = 25
-EPS = np.finfo(float).eps / 2  # LAPACK's dlamch("E"): the split and the clamp below
-
-
-def _touched(name, *pairs):
-    """Raise ValueError unless each (array, length) pair's array holds the
-    ``length`` entries LAPACK ``name`` touches in it."""
-    for a, length in pairs:
-        if a.size < length:
-            raise ValueError(f"LAPACK {name} touches {length} entries of an array of {a.size}")
-
-
-def _compact_lengths(m, levels):
-    """The entries dlasda and dlalsa touch in each compact-form array of an
-    m-row block (leading dimensions m) whose divide-and-conquer tree is
-    ``levels`` deep, as LAPACK documents them."""
-    return {"u": m * SMLSIZ, "vt": m * (SMLSIZ + 1), "k": m, "difl": m * levels,
-            "difr": 2 * m * levels, "z": m * levels, "poles": 2 * m * levels,
-            "givptr": m, "givcol": 2 * m * levels, "perm": m * levels,
-            "givnum": 2 * m * levels, "c": m, "s": m}
-
-
-class _UnitBlock:
-    """A 1 x 1 block d: singular value |d|, left vector sign(d), right vector 1."""
-
-    def __init__(self, d):
-        self._sign = np.copysign(1.0, d[0])
-        d[0] = abs(d[0])
-
-    def apply(self, icompq, b):
-        return b if icompq else self._sign * b
-
-
-class _SmallBlock:
-    """A block of at most SMLSIZ rows with explicit singular vectors (``dlasdq``)."""
-
-    def __init__(self, d, e):
-        m = len(d)
-        self._u, self._vt = np.eye(m, order="F"), np.eye(m, order="F")
-        _touched("dlasdq", (e, m - 1))
-        _lapack_ref("dlasdq", "U", 0, m, m, m, 0, d, e, self._vt, m, self._u, m, np.zeros(1),
-                    1, np.zeros(4 * m))
-
-    def apply(self, icompq, b):
-        return self._vt.T @ b if icompq else self._u.T @ b
-
-
-class _CompactBlock:
-    """A block of more than SMLSIZ rows in ``dlasda``'s compact form: the
-    leaves' singular vectors and, per merge, the secular equation's poles,
-    Givens rotations and deflation permutation (Gu and Eisenstat, SIAM J.
-    Matrix Anal. Appl. 16, 1995).  Its singular values stay in ``d`` in
-    dlasda's order, which is not sorted; ``dlalsa`` applies U^T or V in it."""
-
-    _INTS = ("k", "givptr", "givcol", "perm")
-
-    def __init__(self, d, e):
-        m = self.m = len(d)
-        # as dlalsd does: a zero diagonal entry would be a pole of the secular equation
-        tiny = np.abs(d) < EPS
-        d[tiny] = np.copysign(EPS, d[tiny])
-        # dlasdt's depth, int(log2(m / (SMLSIZ + 1))) + 1, is below m's bit length
-        self._arrays = {name: np.zeros(length, np.int32 if name in self._INTS else float)
-                        for name, length in _compact_lengths(m, m.bit_length()).items()}
-        self._check("dlasda", (e, m - 1))
-        _lapack_ref("dlasda", 1, SMLSIZ, m, 0, d, e, *self._form(),
-                    np.zeros(6 * m + (SMLSIZ + 1) ** 2), np.zeros(7 * m, np.int32))
-
-    def _form(self):
-        a, m = self._arrays, self.m
-        return (a["u"], m, a["vt"], a["k"], a["difl"], a["difr"], a["z"], a["poles"],
-                a["givptr"], a["givcol"], m, a["perm"], a["givnum"], a["c"], a["s"])
-
-    def _check(self, name, *pairs):
-        levels = int(math.log(self.m / (SMLSIZ + 1)) / math.log(2)) + 1  # dlasdt's
-        need = _compact_lengths(self.m, levels)
-        _touched(name, *pairs, *((self._arrays[key], length) for key, length in need.items()))
-
-    def apply(self, icompq, b):
-        """U^T b (``icompq`` 0) or V b (1) for an (m, k) block ``b``, which a
-        Fortran-ordered ``b`` gives up as workspace."""
-        b, m, k = np.asfortranarray(b), self.m, b.shape[1]
-        bx = np.empty(b.shape, order="F")
-        self._check("dlalsa", (b, m * k))
-        _lapack_ref("dlalsa", icompq, SMLSIZ, m, k, b, m, bx, m, *self._form(), np.zeros(m),
-                    np.zeros(3 * m, np.int32))
-        return bx
-
-
-class BidiagonalSvd:
-    """A = U S V^T for a square real A (Fortran-ordered float64, overwritten
-    and kept), S descending, with U and V never formed: ``dgebrd`` reduces A
-    in place to the bidiagonal B = Q_B^T A P_B, keeping Q_B and P_B as
-    Householder vectors, and B = U_B S V_B^T is taken as LAPACK's
-    ``dlalsd`` takes it.  B is scaled by its largest entry and split at every
-    superdiagonal entry below eps; a block of one row is its own SVD, one of
-    at most ``SMLSIZ`` rows gets explicit singular vectors, and a larger one
-    is kept in ``dlasda``'s compact form.  U = Q_B U_B and V = P_B V_B are
-    only ever applied to columns, block by block, with S's sort permutation
-    applied to the coordinates; ``right`` returns the ``rows`` of V y, in
-    order."""
-
-    def __init__(self, a, rows=slice(None)):
-        self._a, self._rows, n = a, rows, len(a)
-        if a.shape != (n, n):
-            raise ValueError(f"BidiagonalSvd needs a square matrix, got {a.shape}")
-        d, e, self._tauq, self._taup = (np.zeros(n) for _ in range(4))
-        _lapack_work("dgebrd", n, n, a, n, d, e, self._tauq, self._taup)
-        scale = max(np.abs(d).max(initial=0.0), np.abs(e).max(initial=0.0))
-        if scale:
-            d /= scale
-            e /= scale
-        cuts = [0, *(np.flatnonzero(np.abs(e[:n - 1]) < EPS) + 1), n]
-        self._blocks = [(lo, hi, _UnitBlock(d[lo:hi]) if hi - lo == 1 else
-                         _SmallBlock(d[lo:hi], e[lo:hi - 1]) if hi - lo <= SMLSIZ else
-                         _CompactBlock(d[lo:hi], e[lo:hi - 1]))
-                        for lo, hi in zip(cuts, cuts[1:])]
-        self._order = np.argsort(-d, kind="stable")
-        self.S = d[self._order] * scale
-
-    def _apply(self, icompq, b):
-        """U_B^T b (``icompq`` 0) or V_B b (1), in the blocks' order of S."""
-        out = np.empty(b.shape, order="F")
-        for lo, hi, block in self._blocks:
-            out[lo:hi] = block.apply(icompq, b[lo:hi])
-        return out
-
-    def coords(self, b):
-        """U^T b for a real Fortran-ordered (n, k) block ``b``, overwritten."""
-        n = len(self.S)
-        if len(b) != n:
-            raise ValueError(f"U^T b needs {n} rows, got {len(b)}")
-        _lapack_work("dormbr", "Q", "L", "T", n, b.shape[1], n, self._a, n, self._tauq, b, n)
-        return self._apply(0, b)[self._order]
-
-    def right(self, y):
-        """V y, an (n, k) block, for a real (n,) vector or (n, k) block."""
-        n = len(self.S)
-        z = np.empty((n, y.size // n), order="F")
-        z[self._order] = y.reshape(n, -1)
-        x = self._apply(1, z)
-        _lapack_work("dormbr", "P", "L", "N", n, x.shape[1], n, self._a, n, self._taup, x, n)
-        return x[self._rows]
-
-
 class CauchyOperator:
     """Trace operator of the discrete solution manifold, parametrized by the
     full boundary data, with its whitened SVD; ``expand`` hands data on it to
@@ -758,13 +571,10 @@ class CauchyOperator:
     T_E is a 0/1 selection and T_H = i R with R real (``h_trace_block``), so
     the whitened operator diag(L^T, L^T) T rsq equals Q W with
     Q = diag(I, iI) unitary and W real (G_V = L L^T, rsq = reg^(-1/2) with
-    reg I the Tikhonov Gram).  Data are whitened straight into the
-    frame of W by Q^H diag(L^T, L^T).  With the patch columns first, W is the
-    upper triangle [L^T, 0] (padded with zero rows) over the block L^T R, so
-    a triangular-pentagonal QR (LAPACK ``dtpqrt``) factors it in place and
-    keeps Q_W as Householder vectors; R_W = U S V^T is square (a
-    ``BidiagonalSvd``, which never forms U or V), so Q_W U spans the range of
-    W and ``_split`` reads exact coordinates on it.
+    reg I the Tikhonov Gram).  Data are whitened straight into the frame of W
+    by Q^H diag(L^T, L^T).  With the patch columns first, W is the upper
+    triangle [L^T, 0] (padded with zero rows) over the block L^T R: a
+    ``runge_op.StackedSvd``, on whose range ``_split`` reads exact coordinates.
 
     Methods taking data ``d`` accept a (2 n_v,) vector or a (2 n_v, k) block;
     per-column results are scalars for a vector and (k,) arrays for a block.
@@ -792,9 +602,7 @@ class CauchyOperator:
         top[:n, :n] = self._Lt * rsq
         H = blas.dtrmm(rsq, self._Lt, h_trace_block(sys_, self.h_dofs).T[perm].T,
                        overwrite_b=True)  # .T[perm].T: Fortran order, so no copy
-        top, self._qv, self._qt = _lapack("dtpqrt", 0, QR_BLOCK, top, H,
-                                          overwrite_a=True, overwrite_b=True)
-        self._svd = BidiagonalSvd(top, rows=np.argsort(perm))  # boundary dof order
+        self._svd = runge_op.StackedSvd(top, H, rows=np.argsort(perm))  # boundary dof order
         self.S = self._svd.S
 
     def data_of(self, fields):
@@ -814,26 +622,20 @@ class CauchyOperator:
         return self._Lt @ np.column_stack([f.real, f.imag, g.imag, -g.real])
 
     def _split(self, d):
-        """Coordinates of the whitened data on the left singular vectors, and
-        the squared norm of its part outside their span: the last n_v rows of
-        Q_W^T w, exact where a difference ||w||^2 - ||ud||^2 would cancel
-        (data almost in the span, the low-noise end of the study)."""
+        """``StackedSvd.split`` of the whitened data: exact where a difference
+        ||w||^2 - ||ud||^2 would cancel (the low-noise end of the study)."""
         w = self._white(d)
         nb, k = len(self.b_dofs), w.shape[1] // 4
         top = np.zeros((nb, 2 * k), order="F")
         top[:self.gram.n_v] = w[:, :2 * k]
-        top, low = _lapack("dtpmqrt", 0, self._qv, self._qt, top, w[:, 2 * k:], trans="T",
-                           overwrite_a=True, overwrite_b=True)
-        ud, out2 = self._svd.coords(top), np.sum(low ** 2, axis=0)
+        ud, out2 = self._svd.split(top, w[:, 2 * k:])
         return ((ud[:, :k] + 1j * ud[:, k:]).reshape((nb,) + d.shape[1:]),
                 (out2[:k] + out2[k:]).reshape(d.shape[1:])[()])
 
     def expand(self, d):
         """The data on the whitened singular system, as a spectral-filter
         kernel; its solutions times reg^(-1/2) are boundary data."""
-        n, right = len(self.b_dofs), self._svd.right
-        V = spla.LinearOperator((n, n), matvec=right, matmat=right, dtype=float)
-        return runge_op.Expansion(self.S, V, *self._split(d))
+        return runge_op.Expansion(self.S, self._svd.right, *self._split(d))
 
 
 def cauchy_reconstruct(cauchy_op: CauchyOperator, d, strategy, lam_fixed=1e-12,
@@ -1083,8 +885,9 @@ def run_localization(cfg: dict) -> Report:
     eps_reg = float(spec["eps_reg"])
 
     svd_m = runge_op.weighted_svd(op_m)
+    phi = svd_m.right(np.eye(svd_m.rank))
     # A^H W A = R^T W R: the phase of A cancels, so D is real
-    D = np.sqrt(v_d.x_weights())[:, None] * (op_d.matrix @ svd_m.phi)
+    D = np.sqrt(v_d.x_weights())[:, None] * (op_d.matrix @ phi)
     records = []
     top_quotient = None
     for cut in spec["cutoffs"]:
@@ -1092,7 +895,7 @@ def run_localization(cfg: dict) -> Report:
         Dk = D[:, :k]
         evals, evecs = sla.eigh(np.diag(svd_m.sigma[:k] ** 2), Dk.T @ Dk + eps_reg * np.eye(k))
         quotient = float(evals[-1])
-        f = svd_m.phi[:, :k] @ evecs[:, -1]
+        f = phi[:, :k] @ evecs[:, -1]
         # three solves: one block would add lines and save nothing measurable
         fields = solver.solve_bvp(scene.system, gram.trace(f))
         nm = lp_norm(scene.grid, m_region, 2, E=fields.E, H=fields.H)
@@ -1106,7 +909,7 @@ def run_localization(cfg: dict) -> Report:
     rng = np.random.default_rng(spec.get("seed", cfg["seed"]))
     beats = True
     k = min(spec["cutoffs"][-1], svd_m.rank)
-    basis = svd_m.phi[:, :k]
+    basis = phi[:, :k]
     for _ in range(spec["n_random"]):
         f = basis @ (rng.standard_normal(k) + 1j * rng.standard_normal(k))
         q = _quotient(op_m, op_d, eps_reg, f)

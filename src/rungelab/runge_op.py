@@ -11,15 +11,19 @@ decomposed.  Inner products are weighted: the boundary Gram on the data
 side, diagonal volume weights on the field side.  The adjoint is realized two
 ways, a dense matrix conjugation and a PDE route through one adjoint solve
 with homogeneous tangential data plus a boundary flux extraction; their
-agreement is a test target, not an assumption.
+agreement is a test target, not an assumption.  Runge and Cauchy take
+their SVDs one way, ``StackedSvd``, which forms no singular vector.
 """
 
 from __future__ import annotations
 
+import ctypes
+import math
 import os
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import cython_lapack, lapack
 
 from .analysis import TraceGram, VolumeWeights
 from .errors import BadVersionError, ConfigurationError, NumericError
@@ -134,56 +138,239 @@ def matrix_adjoint(op: RestrictionOperator, F):
     return op.gram.v_solve(real_matmul(op.matrix.T, op.phase().conj() * GF))
 
 
+QR_BLOCK = 32  # dtpqrt block size: the fastest of 8-64 at 10^3
+
+
+def _lapack(name, *args, **kwargs):
+    """Call a scipy LAPACK wrapper; raise NumericError on a nonzero info."""
+    *out, info = getattr(lapack, name)(*args, **kwargs)
+    if info != 0:
+        raise NumericError(f"LAPACK {name} returned info {info}")
+    return out
+
+
+# own function objects: setting argtypes on ctypes.pythonapi's would be global
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _lapack_ref(name, *args):
+    """Call a LAPACK routine scipy.linalg.lapack lacks from scipy's Cython table,
+    with ints, one-letter strs and writable Fortran float64 or int32 arrays by
+    reference, then INFO; raise NumericError on a nonzero info."""
+    if not all(a.dtype in (np.float64, np.int32) and a.flags.f_contiguous and a.flags.writeable
+               for a in args if isinstance(a, np.ndarray)):
+        raise TypeError(f"LAPACK {name} needs writable Fortran float64 or int32 arrays")
+    refs = [a.ctypes.data if isinstance(a, np.ndarray) else ctypes.byref(
+        ctypes.c_char(a.encode()) if isinstance(a, str) else ctypes.c_int(a)) for a in args]
+    cap, info = cython_lapack.__pyx_capi__[name], ctypes.c_int()
+    ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * (len(args) + 1))(
+        _capsule_pointer(cap, _capsule_name(cap)))(*refs, ctypes.byref(info))
+    if info.value != 0:
+        raise NumericError(f"LAPACK {name} returned info {info.value}")
+
+
+def _lapack_work(name, *args):
+    """``_lapack_ref`` with WORK and LWORK appended, sized by an LWORK = -1 query."""
+    size = np.zeros(1)
+    _lapack_ref(name, *args, size, -1)
+    _lapack_ref(name, *args, np.zeros(int(size[0])), int(size[0]))
+
+
+# dlalsd's bound on a bidiagonal block whose singular vectors are formed explicitly
+SMLSIZ = 25
+EPS = np.finfo(float).eps / 2  # LAPACK's dlamch("E"): the split and the clamp below
+
+
+def _touched(name, *pairs):
+    """Raise ValueError unless each (array, length) pair's array holds the
+    ``length`` entries LAPACK ``name`` touches in it."""
+    for a, length in pairs:
+        if a.size < length:
+            raise ValueError(f"LAPACK {name} touches {length} entries of an array of {a.size}")
+
+
+def _compact_lengths(m, levels):
+    """The entries dlasda and dlalsa touch in each compact-form array of an
+    m-row block (leading dimensions m) whose divide-and-conquer tree is
+    ``levels`` deep, as LAPACK documents them."""
+    return {"u": m * SMLSIZ, "vt": m * (SMLSIZ + 1), "k": m, "difl": m * levels,
+            "difr": 2 * m * levels, "z": m * levels, "poles": 2 * m * levels,
+            "givptr": m, "givcol": 2 * m * levels, "perm": m * levels,
+            "givnum": 2 * m * levels, "c": m, "s": m}
+
+
+class _SmallBlock:
+    """A block of at most SMLSIZ rows with explicit singular vectors (``dlasdq``);
+    a 1 x 1 block d gets singular value |d| and right vector sign(d)."""
+
+    def __init__(self, d, e):
+        m = len(d)
+        self._u, self._vt = np.eye(m, order="F"), np.eye(m, order="F")
+        _touched("dlasdq", (e, m - 1))
+        _lapack_ref("dlasdq", "U", 0, m, m, m, 0, d, e, self._vt, m, self._u, m, np.zeros(1),
+                    1, np.zeros(4 * m))
+
+    def apply(self, icompq, b):
+        return self._vt.T @ b if icompq else self._u.T @ b
+
+
+class _CompactBlock:
+    """A block of more than SMLSIZ rows in ``dlasda``'s compact form: the
+    leaves' singular vectors and, per merge, the secular equation's poles,
+    Givens rotations and deflation permutation (Gu and Eisenstat, SIAM J.
+    Matrix Anal. Appl. 16, 1995).  Its singular values stay in ``d`` in
+    dlasda's order, which is not sorted; ``dlalsa`` applies U^T or V in it."""
+
+    _INTS = ("k", "givptr", "givcol", "perm")
+
+    def __init__(self, d, e):
+        m = self.m = len(d)
+        # as dlalsd does: a zero diagonal entry would be a pole of the secular equation
+        tiny = np.abs(d) < EPS
+        d[tiny] = np.copysign(EPS, d[tiny])
+        # dlasdt's depth, int(log2(m / (SMLSIZ + 1))) + 1, is below m's bit length
+        self._arrays = {name: np.zeros(length, np.int32 if name in self._INTS else float)
+                        for name, length in _compact_lengths(m, m.bit_length()).items()}
+        self._check("dlasda", (e, m - 1))
+        _lapack_ref("dlasda", 1, SMLSIZ, m, 0, d, e, *self._form(),
+                    np.zeros(6 * m + (SMLSIZ + 1) ** 2), np.zeros(7 * m, np.int32))
+
+    def _form(self):
+        a, m = self._arrays, self.m
+        return (a["u"], m, a["vt"], a["k"], a["difl"], a["difr"], a["z"], a["poles"],
+                a["givptr"], a["givcol"], m, a["perm"], a["givnum"], a["c"], a["s"])
+
+    def _check(self, name, *pairs):
+        levels = int(math.log(self.m / (SMLSIZ + 1)) / math.log(2)) + 1  # dlasdt's
+        need = _compact_lengths(self.m, levels)
+        _touched(name, *pairs, *((self._arrays[key], length) for key, length in need.items()))
+
+    def apply(self, icompq, b):
+        """U^T b (``icompq`` 0) or V b (1) for an (m, k) block ``b``, which a
+        Fortran-ordered ``b`` gives up as workspace."""
+        b, m, k = np.asfortranarray(b), self.m, b.shape[1]
+        bx = np.empty(b.shape, order="F")
+        self._check("dlalsa", (b, m * k))
+        _lapack_ref("dlalsa", icompq, SMLSIZ, m, k, b, m, bx, m, *self._form(), np.zeros(m),
+                    np.zeros(3 * m, np.int32))
+        return bx
+
+
+class BidiagonalSvd:
+    """A = U S V^T for a square real A (Fortran-ordered float64, overwritten
+    and kept), S descending, with U and V never formed: ``dgebrd`` reduces A
+    in place to the bidiagonal B = Q_B^T A P_B, keeping Q_B and P_B as
+    Householder vectors, and B = U_B S V_B^T is taken as LAPACK's
+    ``dlalsd`` takes it.  B is scaled by its largest entry and split at every
+    superdiagonal entry below eps; a block of at most ``SMLSIZ`` rows gets
+    explicit singular vectors, a larger one ``dlasda``'s compact form.
+    U = Q_B U_B and V = P_B V_B are only applied to columns, S's sort
+    permutation to the coordinates; ``right`` returns the ``rows`` of V y."""
+
+    def __init__(self, a, rows=slice(None)):
+        self._a, self._rows, n = a, rows, len(a)
+        if a.shape != (n, n):
+            raise ValueError(f"BidiagonalSvd needs a square matrix, got {a.shape}")
+        d, e, self._tauq, self._taup = (np.zeros(n) for _ in range(4))
+        _lapack_work("dgebrd", n, n, a, n, d, e, self._tauq, self._taup)
+        scale = max(np.abs(d).max(initial=0.0), np.abs(e).max(initial=0.0))
+        if scale:
+            d /= scale
+            e /= scale
+        cuts = [0, *(np.flatnonzero(np.abs(e[:n - 1]) < EPS) + 1), n]
+        self._blocks = [(lo, hi, _SmallBlock(d[lo:hi], e[lo:hi - 1]) if hi - lo <= SMLSIZ else
+                         _CompactBlock(d[lo:hi], e[lo:hi - 1]))
+                        for lo, hi in zip(cuts, cuts[1:])]
+        self._order = np.argsort(-d, kind="stable")
+        self.S = d[self._order] * scale
+
+    def _apply(self, icompq, b):
+        """U_B^T b (``icompq`` 0) or V_B b (1), in the blocks' order of S."""
+        out = np.empty(b.shape, order="F")
+        for lo, hi, block in self._blocks:
+            out[lo:hi] = block.apply(icompq, b[lo:hi])
+        return out
+
+    def coords(self, b):
+        """U^T b for a real Fortran-ordered (n, k) block ``b``, overwritten."""
+        n = len(self.S)
+        if len(b) != n:
+            raise ValueError(f"U^T b needs {n} rows, got {len(b)}")
+        _lapack_work("dormbr", "Q", "L", "T", n, b.shape[1], n, self._a, n, self._tauq, b, n)
+        return self._apply(0, b)[self._order]
+
+    def right(self, y):
+        """V[:, :r] y, an (n, k) block, for a real (r,) vector or (r, k) block."""
+        n, y = len(self.S), y.reshape(len(y), -1)
+        z = np.zeros((n, y.shape[1]), order="F")
+        z[self._order[:len(y)]] = y
+        x = self._apply(1, z)
+        _lapack_work("dormbr", "P", "L", "N", n, x.shape[1], n, self._a, n, self._taup, x, n)
+        return x[self._rows]
+
+
+class StackedSvd(BidiagonalSvd):
+    """The SVD of a stacked W = [T; B], T an n x n upper triangle and B m x n
+    (Fortran-ordered float64, both overwritten): LAPACK's triangular-pentagonal
+    QR ``dtpqrt`` keeps Q_W as Householder vectors, and R_W = U S V^T is
+    taken as a ``BidiagonalSvd``, so no singular vector of W is formed."""
+
+    def __init__(self, top, low, rows=slice(None)):
+        top, self._v, self._t = _lapack("dtpqrt", 0, min(QR_BLOCK, len(top)), top, low,
+                                        overwrite_a=True, overwrite_b=True)
+        super().__init__(top, rows)
+
+    def split(self, top, low):
+        """(U^T w, ||w outside the range of W||^2) for the columns of the
+        stacked w = [top; low], overwritten: Q_W^T w's first n rows and the
+        squared norms of its last m."""
+        top, low = _lapack("dtpmqrt", 0, self._v, self._t, top, low, trans="T",
+                           overwrite_a=True, overwrite_b=True)
+        return self.coords(top), np.sum(low ** 2, axis=0)
+
+
 class SvdBundle:
-    """Weighted singular system on the numerical range of A:
-    A phi_k = sigma_k Psi_k with phi^T G_V phi = I and Psi^H G_X Psi = I.
-    phi is real; Psi carries the phase of A."""
+    """Weighted singular system on the numerical range of A: A phi_k =
+    sigma_k Psi_k, phi^T G_V phi = I and Psi^H G_X Psi = I, phi real and Psi
+    carrying the phase of A.  Neither is formed: ``right`` maps coordinates
+    on the modes to phi y, ``expand_target`` reads coordinates on Psi."""
 
-    def __init__(self, sigma, phi, psi, gram: TraceGram, volume: VolumeWeights, provenance):
-        self.sigma = np.ascontiguousarray(sigma, dtype=float)
-        self.phi = np.ascontiguousarray(phi, dtype=float)
-        self.psi = np.ascontiguousarray(psi, dtype=complex)
-        self.gram = gram
-        self.volume = volume
-        self.provenance = provenance
-        if np.any(np.diff(self.sigma) > 0):
-            raise NumericError("singular values must be sorted descending")
-        for arr in (self.sigma, self.phi, self.psi):
-            arr.flags.writeable = False
+    def __init__(self, svd: StackedSvd, rank, op: RestrictionOperator):
+        self.sigma, self.rank, self._svd, self._phase = svd.S[:rank], rank, svd, op.phase()
+        self.gram, self.volume, self.provenance = op.gram, op.volume, op.provenance
+        self.sigma.flags.writeable = False
 
-    @property
-    def rank(self):
-        return len(self.sigma)
+    def right(self, y):
+        """phi y = L_V^{-T} V y, an (n_v, k) block, for a real (rank, k) block."""
+        return sla.solve_triangular(self.gram.chol_V.T, self._svd.right(y), lower=False)
 
 
 def weighted_svd(op: RestrictionOperator) -> SvdBundle:
-    """SVD of the Cholesky-whitened operator, mapped back to weighted bases.
+    """SVD of the Cholesky-whitened operator on weighted bases.
 
     The whitened A is diag(I, iI) times the real B = W_X^{1/2} R L_V^{-T},
-    so a real SVD B = U S V^T gives A's: phi = L_V^{-T} V and
-    Psi = diag(I, iI) U / sqrt(w).  Only the triplets above numpy's
-    ``matrix_rank`` floor, sigma_k > max(n_x, n_v) eps sigma_0, are kept:
-    below it the singular vectors are rounding noise.
+    so a real SVD B = U S V^T, taken as the ``StackedSvd`` of B below a zero
+    triangle, gives A's: phi = L_V^{-T} V and Psi = diag(I, iI) U / sqrt(w).
+    Only the modes above numpy's ``matrix_rank`` floor, sigma_k >
+    max(n_x, n_v) eps sigma_0, are kept: below it they are rounding noise.
     """
-    chol_V = op.gram.chol_V
-    sqrt_x = np.sqrt(op.volume.x_weights())
-    # B = W_X^{1/2} R L_V^{-T}
-    B = sqrt_x[:, None] * sla.solve_triangular(chol_V, op.matrix.T, lower=True).T
-    try:
-        U, S, Vt = np.linalg.svd(B, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"whitened SVD failed: {exc}") from exc
-    rank = int(np.count_nonzero(S > max(B.shape) * np.finfo(float).eps * S[0]))
-    phi = sla.solve_triangular(chol_V.T, Vt[:rank].T, lower=False)
-    psi = op.phase()[:, None] * (U[:, :rank] / sqrt_x[:, None])
-    return SvdBundle(S[:rank], phi, psi, op.gram, op.volume, op.provenance)
+    # B = W_X^{1/2} R L_V^{-T}, Fortran-ordered as the transpose of a C array
+    B = (sla.solve_triangular(op.gram.chol_V, op.matrix.T, lower=True)
+         * np.sqrt(op.volume.x_weights())).T
+    svd = StackedSvd(np.zeros((op.shape[1],) * 2, order="F"), np.asfortranarray(B))
+    return SvdBundle(svd, int(np.count_nonzero(
+        svd.S > max(B.shape) * np.finfo(float).eps * svd.S[0])), op)
 
 
 class Expansion:
-    """Data on a singular system: values ``sigma`` (descending), real right
-    vectors ``right``, the data's coordinates ``coords`` on the left vectors,
-    an (r,) vector or an (r, k) block, and ``out2``, each datum's squared norm
-    outside their span.  Per-datum results are scalars or (k,) arrays."""
+    """Data on a singular system: values ``sigma`` (descending), the data's
+    coordinates ``coords`` on the left vectors, an (r,) vector or an (r, k)
+    block, and ``out2``, each datum's squared norm outside their span;
+    ``right`` maps real (r, k) mode coordinates to right-vector combinations.
+    Per-datum results are scalars or (k,) arrays."""
 
     def __init__(self, sigma, right, coords, out2):
         self.sigma, self.right, self.coords, self.out2 = sigma, right, coords, out2
@@ -192,24 +379,27 @@ class Expansion:
         """A per-mode vector x shaped to broadcast over the data columns."""
         return x.reshape(x.shape + (1,) * (np.ndim(self.coords) - 1))
 
+    def _solution(self, y):
+        """``right`` of complex per-mode y, each column's parts side by side."""
+        y = np.ascontiguousarray(y, dtype=complex)
+        x = self.right(y.reshape(len(y), -1).view(float))
+        return np.ascontiguousarray(x).view(complex).reshape(x.shape[:1] + y.shape[1:])
+
     def truncate(self, alpha):
         """Keep the modes with sigma_k >= alpha (ties included): the solution,
         the dropped tail sqrt(sum_{sigma_k < alpha} |c_k|^2) and the kept count."""
         if not (alpha > 0):
             raise ConfigurationError("alpha must be positive")
         keep = self.sigma >= alpha
-        x = real_matmul(self.right[:, keep], self.coords[keep] / self._rows(self.sigma[keep]))
+        y = np.zeros_like(self.coords, dtype=complex)
+        y[keep] = self.coords[keep] / self._rows(self.sigma[keep])
         tail = np.sqrt(np.sum(np.abs(self.coords[~keep]) ** 2, axis=0))
-        return x, tail[()], int(np.count_nonzero(keep))
+        return self._solution(y), tail[()], int(np.count_nonzero(keep))
 
     def ridge(self, lam):
-        """The Tikhonov solution, filter sigma_k / (sigma_k^2 + lam): one
-        product of the real right vectors with the real view of the filtered
-        coordinates, each column's real and imaginary part side by side."""
+        """The Tikhonov solution, filter sigma_k / (sigma_k^2 + lam)."""
         S = self._rows(self.sigma)
-        y = np.ascontiguousarray(S / (S ** 2 + lam) * self.coords, dtype=complex)
-        x = self.right @ y.reshape(len(y), -1).view(float)
-        return np.ascontiguousarray(x).view(complex).reshape(x.shape[:1] + y.shape[1:])
+        return self._solution(S / (S ** 2 + lam) * self.coords)
 
     def ridge_misfit(self, lam):
         """Residual norm of ``ridge(lam)``: the in-span part damped by
@@ -233,12 +423,15 @@ class Expansion:
 
 
 def expand_target(svd: SvdBundle, W) -> Expansion:
-    """The target W on the singular system of ``svd``: its coefficients
-    c_k = <W, Psi_k>_X and the squared X-norm of its part outside their span."""
-    W = np.asarray(W, dtype=complex)
-    coeffs = svd.psi.conj().T @ (svd.volume.x_weights() * W)
-    residual = svd.volume.x_norm(W - svd.psi @ coeffs)
-    return Expansion(svd.sigma, svd.phi, coeffs, residual ** 2)
+    """The target W on ``svd``: its coordinates c_k = <W, Psi_k>_X on the kept
+    modes, read off the whitened conj(phase) W_X^{1/2} W, and its squared
+    X-norm outside their span, which takes in the dropped modes' |c_k|^2."""
+    w = svd._phase.conj() * np.sqrt(svd.volume.x_weights()) * np.asarray(W, dtype=complex)
+    c, out2 = svd._svd.split(np.zeros((svd.gram.n_v, 2), order="F"),
+                             np.asfortranarray(np.column_stack([w.real, w.imag])))
+    c = c[:, 0] + 1j * c[:, 1]
+    return Expansion(svd.sigma, svd.right, c[:svd.rank],
+                     float(np.sum(out2) + np.sum(np.abs(c[svd.rank:]) ** 2)))
 
 
 def alpha_for_j(j, C, theta, m):

@@ -103,3 +103,30 @@ def cell_dof_slots(cell, family, axis):
             slot[d] += (bits >> (len(free) - 1 - n)) & 1
         slots.append(tuple(slot))
     return slots
+
+
+def svd_structure(gram, volume, op, svd):
+    """Check the weighted singular system on its right vectors phi and on
+    Psi = A phi / sigma, formed here: forming A phi_k errs by rounding of
+    A's size, sigma_0, so Psi_k carries an error of order eps sigma_0 /
+    sigma_k, and each Psi check is scaled by sigma_k / sigma_0.  Returns the
+    relative reconstruction error of A from the kept modes."""
+    assert np.all(np.diff(svd.sigma) <= 0)
+    eye = np.eye(svd.rank)
+    scale = svd.sigma / svd.sigma[0]
+    # the trace Gram is stored as its factor: G_V = L L^T
+    gram_V = gram.chol_V @ gram.chol_V.T
+    phi = svd.right(eye)
+    A = op.complex_matrix()
+    psi = A @ phi / svd.sigma
+    gv = phi.T @ gram_V @ phi
+    gx = psi.conj().T @ (volume.x_weights()[:, None] * psi)
+    assert np.abs(gv - eye).max() <= 1e-10
+    assert np.abs((gx - eye) * np.outer(scale, scale)).max() <= 1e-13
+    # Psi_k expands to e_k, with nothing out of span
+    for k in range(svd.rank):
+        ex = rl.expand_target(svd, psi[:, k])
+        assert np.abs(ex.coords - eye[k]).max() * scale[k] <= 1e-13
+        assert np.sqrt(ex.out2) * scale[k] <= 1e-13
+    recon = (psi * svd.sigma) @ (phi.T @ gram_V)
+    return np.linalg.norm(recon - A) / np.linalg.norm(A)

@@ -14,7 +14,7 @@ from rungelab.experiments import normalize_config, run_cauchy, run_runge, run_th
     run_verify_solver
 from rungelab.errors import BadChecksumError
 
-from conftest import load_config, rng_complex
+from conftest import load_config, rng_complex, svd_structure
 
 
 def _report(name, elapsed, budget):
@@ -69,17 +69,7 @@ def test_criterion_4_svd_structure(reference_runge_scene):
     budget = 60.0
     cfg, scene, gram, volume, op, svd, _ = reference_runge_scene
     t0 = time.time()
-    assert np.all(np.diff(svd.sigma) <= 0)
-    eye = np.eye(svd.rank)
-    # the trace Gram is stored as its factor: G_V = L L^T
-    gram_V = gram.chol_V @ gram.chol_V.T
-    gv = svd.phi.conj().T @ gram_V @ svd.phi
-    gx = svd.psi.conj().T @ (volume.x_weights()[:, None] * svd.psi)
-    assert np.abs(gv - eye).max() <= 1e-10
-    assert np.abs(gx - eye).max() <= 1e-10
-    recon = (svd.psi * svd.sigma) @ (svd.phi.conj().T @ gram_V)
-    A = op.complex_matrix()
-    rel = np.linalg.norm(recon - A) / np.linalg.norm(A)
+    rel = svd_structure(gram, volume, op, svd)
     assert rel <= 1e-10
     elapsed = time.time() - t0
     assert elapsed <= budget

@@ -206,6 +206,10 @@ def _propagate(g_shape, r0, margin_h, x0=(0.5, 0.5, 0.5)):
     # an untyped FileExistsError or NotADirectoryError after the whole study
     ({"output": {"dir": __file__}}, "output.dir"),
     ({"output": {"dir": os.path.join(__file__, "sub")}}, "output.dir"),
+    # cutoffs out of order: the flags compared records in list order and read
+    # the last cutoff as the largest, so the run failed after the whole study
+    (dict(_localize({"kind": "ball", "center": [0.3, 0.5, 0.5], "r": 0.16}),
+          localization={"cutoffs": [50, 20, 10]}), "localization.cutoffs"),
 ])
 def test_run_exit_one_before_assembly(tmp_path, monkeypatch, capsys, payload, key):
     from rungelab import solver

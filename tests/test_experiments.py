@@ -8,10 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
 import rungelab as rl
-from rungelab import experiments
+from rungelab import experiments, runge_op
 from rungelab.errors import ConfigurationError, GeometryError, NumericError
 from rungelab.experiments import (CauchyOperator, Report, build_scene,
                                   cauchy_reconstruct, h_trace_block, normalize_config,
@@ -639,13 +638,12 @@ def test_bidiagonal_svd_matches_dense_svd():
     Q1, Q2 = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
     A = np.linalg.qr((Q1 * np.logspace(0, -9, n)) @ Q2.T)[1]
     U, S, Vt = sla.svd(A)
-    svd = experiments.BidiagonalSvd(A.copy(order="F"))
+    svd = runge_op.BidiagonalSvd(A.copy(order="F"))
     assert np.all(np.abs(svd.S - S) <= 1e-13 * S)
     # singular vectors are fixed up to sign; V's columns give each sign
     V = svd.right(np.eye(n))
     sign = np.sign(np.sum(V * Vt.T, axis=0))
     assert np.abs(V - Vt.T * sign).max() <= 1e-10
-    right = spla.LinearOperator((n, n), matvec=svd.right, matmat=svd.right, dtype=float)
     b = rng.standard_normal(n)
     B = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
     for d, coords in ((b, svd.coords(b[:, None].copy(order="F"))[:, 0]),
@@ -656,7 +654,7 @@ def test_bidiagonal_svd_matches_dense_svd():
         for lam in (1e-12, 1e-6, 1e-2):
             filt = (S / (S ** 2 + lam)).reshape((n,) + (1,) * (d.ndim - 1))
             ridge_ref = Vt.T @ (filt * ref)
-            ridge = rl.runge_op.Expansion(svd.S, right, coords, 0.0).ridge(lam)
+            ridge = runge_op.Expansion(svd.S, svd.right, coords, 0.0).ridge(lam)
             assert np.linalg.norm(ridge - ridge_ref) <= 1e-10 * np.linalg.norm(ridge_ref)
 
 
@@ -692,7 +690,7 @@ def test_bidiagonal_svd_blocks_match_numpy(make):
     A = make()
     n = len(A)
     S_ref = np.linalg.svd(A, compute_uv=False)
-    svd = experiments.BidiagonalSvd(A.copy(order="F"))
+    svd = runge_op.BidiagonalSvd(A.copy(order="F"))
     top = S_ref[0] or 1.0
     assert np.all(np.abs(svd.S - S_ref) <= 1e-13 * top)
     assert np.all(np.diff(svd.S) <= 0)
@@ -731,17 +729,17 @@ def test_cython_lapack_calls_raise_typed_errors():
     # LDA = 1 < M = 3: LAPACK names the fourth argument
     a = np.zeros((3, 3), order="F")
     with pytest.raises(NumericError, match="^LAPACK dgebrd returned info -4$"):
-        experiments._lapack_work("dgebrd", 3, 3, a, 1, *(np.zeros(3) for _ in range(4)))
+        runge_op._lapack_work("dgebrd", 3, 3, a, 1, *(np.zeros(3) for _ in range(4)))
     # no pointer into an array LAPACK would read in the wrong order or past its end
     with pytest.raises(TypeError, match="Fortran"):
-        experiments._lapack_work("dgebrd", 3, 3, np.zeros((3, 3)), 3,
-                                 *(np.zeros(3) for _ in range(4)))
+        runge_op._lapack_work("dgebrd", 3, 3, np.zeros((3, 3)), 3,
+                              *(np.zeros(3) for _ in range(4)))
     with pytest.raises(ValueError, match="square"):
-        experiments.BidiagonalSvd(np.zeros((3, 2), order="F"))
+        runge_op.BidiagonalSvd(np.zeros((3, 2), order="F"))
     with pytest.raises(ValueError, match="needs 3 rows"):
-        experiments.BidiagonalSvd(np.eye(3, order="F")).coords(np.zeros((2, 1), order="F"))
+        runge_op.BidiagonalSvd(np.eye(3, order="F")).coords(np.zeros((2, 1), order="F"))
     # no pointer into an array shorter than what the routine touches
-    block = experiments.BidiagonalSvd(_split_bidiagonal().copy(order="F"))._blocks[0][2]
+    block = runge_op.BidiagonalSvd(_split_bidiagonal().copy(order="F"))._blocks[0][2]
     with pytest.raises(ValueError, match="^LAPACK dlalsa touches 60 entries of an array of 58$"):
         block.apply(1, np.zeros((29, 2), order="F"))
 
@@ -1003,9 +1001,10 @@ def test_localization_pencil_matches_the_dense_grams(monkeypatch):
          + eps_reg * op_m.gram.chol_V @ op_m.gram.chol_V.T)
     P, Q = 0.5 * (P + P.T), 0.5 * (Q + Q.T)
     svd = runge_op.weighted_svd(op_m)
+    phi = svd.right(np.eye(svd.rank))
     assert [r["cutoff"] for r in rep.records] == [10, 20, 48]
     for rec in rep.records:
-        basis = svd.phi[:, :rec["cutoff"]]
+        basis = phi[:, :rec["cutoff"]]
         Pk, Qk = basis.T @ P @ basis, basis.T @ Q @ basis
         dense = sla.eigh(0.5 * (Pk + Pk.T), 0.5 * (Qk + Qk.T), eigvals_only=True)[-1]
         assert rec["quotient"] == pytest.approx(dense, rel=1e-9)

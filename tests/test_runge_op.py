@@ -11,7 +11,7 @@ from rungelab.runge_op import (Expansion, alpha_for_j, apply_adjoint, assemble_r
                                operator_provenance, save_operator, weighted_svd)
 from rungelab.solver import TangentialTrace
 
-from conftest import rng_complex
+from conftest import rng_complex, svd_structure
 
 
 def test_zero_data_zero_column(small_restriction):
@@ -121,8 +121,15 @@ def test_svd_identity_grams_diagonal_matrix():
     op = RestrictionOperator(np.diag([2.0, 1.0]), w, w, 0)
     svd = weighted_svd(op)
     assert np.allclose(svd.sigma, [2.0, 1.0])
-    assert np.allclose(np.abs(svd.phi), np.eye(2))
-    assert np.allclose(np.abs(svd.psi), np.eye(2))
+    phi = svd.right(np.eye(2))
+    psi = op.apply(phi) / svd.sigma
+    assert np.allclose(np.abs(phi), np.eye(2))
+    assert np.allclose(np.abs(psi), np.eye(2))
+    # Psi_k = A phi_k / sigma_k expands to e_k
+    for k in range(2):
+        ex = expand_target(svd, psi[:, k])
+        assert ex.coords == pytest.approx(np.eye(2)[k], abs=1e-15)
+        assert ex.out2 <= 1e-30
 
 
 def test_svd_rank_floor_drops_null_directions():
@@ -141,9 +148,12 @@ def test_svd_rank_floor_drops_null_directions():
     assert np.linalg.norm(np.linalg.svd(R, compute_uv=False)[3:]) > 0
     # a target outside the range keeps its whole norm out of span
     null_target = Q[:, 3] * np.where(np.arange(7) < 4, 1.0, 1j)
-    ex = expand_target(svd, null_target + svd.psi[:, 0])
+    psi_0 = RestrictionOperator(R, w, w, 0).apply(svd.right(np.eye(3))[:, 0]) / svd.sigma[0]
+    ex = expand_target(svd, null_target + psi_0)
     assert ex.coords == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
     assert np.sqrt(ex.out2) == pytest.approx(1.0, rel=1e-12)
+    # the null directions' rounding-level modes count as out of span
+    assert np.sqrt(expand_target(svd, psi_0).out2) <= 1e-14
 
 
 def test_svd_matches_complex_reference(small_restriction):
@@ -167,17 +177,58 @@ def test_svd_matches_complex_reference(small_restriction):
 
 def test_svd_structure(small_restriction):
     _, gram, volume, op, svd = small_restriction
-    assert np.all(np.diff(svd.sigma) <= 0)
-    eye = np.eye(svd.rank)
-    # the trace Gram is stored as its factor: G_V = L L^T
-    gram_V = gram.chol_V @ gram.chol_V.T
-    gv = svd.phi.conj().T @ gram_V @ svd.phi
-    gx = svd.psi.conj().T @ (volume.x_weights()[:, None] * svd.psi)
-    assert np.abs(gv - eye).max() <= 1e-10
-    assert np.abs(gx - eye).max() <= 1e-10
-    recon = (svd.psi * svd.sigma) @ (svd.phi.conj().T @ gram_V)
-    A = op.complex_matrix()
-    assert np.linalg.norm(recon - A) <= 1e-10 * np.linalg.norm(A)
+    assert svd_structure(gram, volume, op, svd) <= 1e-10
+
+
+def _dense_reference(R, w, rng):
+    """weighted_svd and expand_target of R under the Grams of ``w``, against
+    numpy's dense SVD of the whitened B = W_X^{1/2} R L_V^{-T}."""
+    from rungelab.runge_op import RestrictionOperator
+
+    op = RestrictionOperator(R, w, w, 0)
+    svd = weighted_svd(op)
+    sqrt_x = np.sqrt(w.x_weights())
+    B = sqrt_x[:, None] * np.linalg.solve(w.chol_V, R.T).T
+    U, S, Vt = np.linalg.svd(B, full_matrices=False)
+    rank = int(np.count_nonzero(S > max(B.shape) * np.finfo(float).eps * S[0]))
+    assert svd.rank == rank
+    assert np.abs(svd.sigma - S[:rank]).max() <= 1e-12 * S[0]
+    # singular vectors are fixed up to sign; V = L_V^T phi gives each sign
+    V = w.chol_V.T @ svd.right(np.eye(rank))
+    sign = np.sign(np.sum(V * Vt[:rank].T, axis=0))
+    assert np.abs(V - Vt[:rank].T * sign).max() <= 1e-10
+    W = rng_complex(rng, len(R))
+    white = op.phase().conj() * sqrt_x * W
+    coords = U[:, :rank].T @ white
+    ex = expand_target(svd, W)
+    assert np.abs(ex.coords - sign * coords).max() <= 1e-10 * np.linalg.norm(white)
+    assert ex.out2 == pytest.approx(np.linalg.norm(white - U[:, :rank] @ coords) ** 2,
+                                    rel=1e-8)
+    return rank
+
+
+def _random_grams(rng, n_v, n_x):
+    """Stub weights with a random well-conditioned trace Gram, G_V = I + X X^T / n_v,
+    random volume weights, and E rows first, H rows last."""
+    w = _stub_weights(n_v, n_x, n_e=n_x // 2)
+    X = rng.standard_normal((n_v, n_v))
+    w.chol_V = np.linalg.cholesky(np.eye(n_v) + X @ X.T / n_v)
+    weights = rng.uniform(0.1, 1.0, n_x)
+    w.x_weights = lambda: weights
+    return w
+
+
+def test_svd_matches_dense_reference_tall():
+    rng = np.random.default_rng(11)
+    R = rng.standard_normal((120, 60))
+    assert _dense_reference(R, _random_grams(rng, 60, 120), rng) == 60
+
+
+def test_svd_matches_dense_reference_wide_rank_deficient():
+    # rank 48 of 90 x 180, the shape and rank of the localization reference's M
+    rng = np.random.default_rng(12)
+    R = rng.standard_normal((90, 48)) @ rng.standard_normal((48, 180))
+    assert _dense_reference(R, _random_grams(rng, 180, 90), rng) == 48
 
 
 def test_svd_compact_decay(small_restriction):
@@ -186,8 +237,8 @@ def test_svd_compact_decay(small_restriction):
 
 
 def test_expand_target_basis_vector(small_restriction):
-    _, _, _, _, svd = small_restriction
-    ex = expand_target(svd, svd.psi[:, 0])
+    _, _, _, op, svd = small_restriction
+    ex = expand_target(svd, op.apply(svd.right(np.eye(svd.rank)[:, :1])[:, 0]) / svd.sigma[0])
     assert ex.coords[0] == pytest.approx(1.0, abs=1e-10)
     assert np.abs(ex.coords[1:]).max() <= 1e-10
     assert np.sqrt(ex.out2) <= 1e-10
@@ -203,7 +254,7 @@ def test_expand_target_parseval(small_restriction):
 
 
 def test_truncate_keeps_ties():
-    ex = Expansion(np.array([2.0, 1.0, 0.5]), np.eye(3), np.ones(3, dtype=complex), 0.0)
+    ex = Expansion(np.array([2.0, 1.0, 0.5]), lambda y: y, np.ones(3, dtype=complex), 0.0)
     _, tail, kept = ex.truncate(0.8)
     assert kept == 2
     assert tail == pytest.approx(1.0)
