@@ -17,6 +17,6 @@ from .oracle import AnalyticSolution, plane_wave, dipole_field, sample_on_grid, 
 from .analysis import (TraceGram, VolumeWeights, FitResult, lp_norm, hcurl_norm,
                        build_norm_weights, fit_holder, fit_log_modulus, fit_power)
 from .runge_op import (RestrictionOperator, SvdBundle, Expansion, assemble_restriction,
-                       apply_adjoint, matrix_adjoint, weighted_svd, expand_target, alpha_for_j)
+                       apply_adjoint, matrix_adjoint, weighted_svd, alpha_for_j)
 
 __version__ = "0.1.0"

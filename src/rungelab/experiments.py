@@ -467,7 +467,7 @@ def run_runge(cfg: dict, scene: Scene | None = None,
               oracle.plane_wave(spec["k"], spec["p"], cfg["omega"], *medium))
     W = np.concatenate(oracle.sample_dofs(target, scene.grid, svd.volume.x_edge_idx,
                                           svd.volume.x_face_idx))
-    ex = runge_op.expand_target(svd, W)
+    ex = svd.expand(W)
     out_of_span = float(np.sqrt(ex.out2))
     coeff_norm = np.sqrt(np.sum(np.abs(ex.coords) ** 2))
 
@@ -574,7 +574,7 @@ class CauchyOperator:
     reg I the Tikhonov Gram).  Data are whitened straight into the frame of W
     by Q^H diag(L^T, L^T).  With the patch columns first, W is the upper
     triangle [L^T, 0] (padded with zero rows) over the block L^T R: a
-    ``runge_op.StackedSvd``, on whose range ``_split`` reads exact coordinates.
+    ``runge_op.StackedSvd``, on whose range ``expand`` reads exact coordinates.
 
     Methods taking data ``d`` accept a (2 n_v,) vector or a (2 n_v, k) block;
     per-column results are scalars for a vector and (k,) arrays for a block.
@@ -621,21 +621,17 @@ class CauchyOperator:
         # -i g = g.imag - i g.real; one GEMM over every column
         return self._Lt @ np.column_stack([f.real, f.imag, g.imag, -g.real])
 
-    def _split(self, d):
-        """``StackedSvd.split`` of the whitened data: exact where a difference
-        ||w||^2 - ||ud||^2 would cancel (the low-noise end of the study)."""
+    def expand(self, d):
+        """The data on the whitened singular system, as a spectral-filter
+        kernel; its solutions times reg^(-1/2) are boundary data.  ``split``
+        is exact where ||w||^2 - ||ud||^2 would cancel (the low-noise end)."""
         w = self._white(d)
         nb, k = len(self.b_dofs), w.shape[1] // 4
         top = np.zeros((nb, 2 * k), order="F")
         top[:self.gram.n_v] = w[:, :2 * k]
         ud, out2 = self._svd.split(top, w[:, 2 * k:])
-        return ((ud[:, :k] + 1j * ud[:, k:]).reshape((nb,) + d.shape[1:]),
-                (out2[:k] + out2[k:]).reshape(d.shape[1:])[()])
-
-    def expand(self, d):
-        """The data on the whitened singular system, as a spectral-filter
-        kernel; its solutions times reg^(-1/2) are boundary data."""
-        return runge_op.Expansion(self.S, self._svd.right, *self._split(d))
+        return runge_op.Expansion(self.S, self._svd.right, ud.reshape((nb,) + d.shape[1:]),
+                                  out2.reshape(d.shape[1:])[()])
 
 
 def cauchy_reconstruct(cauchy_op: CauchyOperator, d, strategy, lam_fixed=1e-12,

@@ -324,28 +324,43 @@ class StackedSvd(BidiagonalSvd):
         super().__init__(top, rows)
 
     def split(self, top, low):
-        """(U^T w, ||w outside the range of W||^2) for the columns of the
-        stacked w = [top; low], overwritten: Q_W^T w's first n rows and the
+        """(U^T w, ||w outside the range of W||^2) for complex columns w =
+        [top; low], given as 2k real columns, the k real parts then the k
+        imaginary parts, and overwritten: Q_W^T w's first n rows and the
         squared norms of its last m."""
         top, low = _lapack("dtpmqrt", 0, self._v, self._t, top, low, trans="T",
                            overwrite_a=True, overwrite_b=True)
-        return self.coords(top), np.sum(low ** 2, axis=0)
+        c, out2, k = self.coords(top), np.sum(low ** 2, axis=0), top.shape[1] // 2
+        return c[:, :k] + 1j * c[:, k:], out2[:k] + out2[k:]
 
 
 class SvdBundle:
     """Weighted singular system on the numerical range of A: A phi_k =
     sigma_k Psi_k, phi^T G_V phi = I and Psi^H G_X Psi = I, phi real and Psi
     carrying the phase of A.  Neither is formed: ``right`` maps coordinates
-    on the modes to phi y, ``expand_target`` reads coordinates on Psi."""
+    on the modes to phi y, ``expand`` reads coordinates on Psi."""
 
     def __init__(self, svd: StackedSvd, rank, op: RestrictionOperator):
-        self.sigma, self.rank, self._svd, self._phase = svd.S[:rank], rank, svd, op.phase()
+        self.sigma, self.rank, self._svd = svd.S[:rank], rank, svd
+        self._white = op.phase().conj() * np.sqrt(op.volume.x_weights())
         self.gram, self.volume, self.provenance = op.gram, op.volume, op.provenance
         self.sigma.flags.writeable = False
 
     def right(self, y):
         """phi y = L_V^{-T} V y, an (n_v, k) block, for a real (rank, k) block."""
         return sla.solve_triangular(self.gram.chol_V.T, self._svd.right(y), lower=False)
+
+    def expand(self, W):
+        """The target W, an (n_x,) vector or (n_x, k) block, on the kept modes:
+        c_k = <W, Psi_k>_X read off the whitened conj(phase) W_X^{1/2} W, and
+        its squared X-norm outside their span, with the dropped modes' |c_k|^2."""
+        W = np.asarray(W, dtype=complex)
+        w, k, r = self._white[:, None] * W.reshape(len(W), -1), W.size // len(W), self.rank
+        c, out2 = self._svd.split(np.zeros((self.gram.n_v, 2 * k), order="F"),
+                                  np.asfortranarray(np.column_stack([w.real, w.imag])))
+        out2 = out2 + np.sum(np.abs(c[r:]) ** 2, axis=0)
+        return Expansion(self.sigma, self.right, c[:r].reshape((r,) + W.shape[1:]),
+                         out2.reshape(W.shape[1:])[()])
 
 
 def weighted_svd(op: RestrictionOperator) -> SvdBundle:
@@ -361,8 +376,8 @@ def weighted_svd(op: RestrictionOperator) -> SvdBundle:
     B = (sla.solve_triangular(op.gram.chol_V, op.matrix.T, lower=True)
          * np.sqrt(op.volume.x_weights())).T
     svd = StackedSvd(np.zeros((op.shape[1],) * 2, order="F"), np.asfortranarray(B))
-    return SvdBundle(svd, int(np.count_nonzero(
-        svd.S > max(B.shape) * np.finfo(float).eps * svd.S[0])), op)
+    rank = int(np.count_nonzero(svd.S > max(B.shape) * np.finfo(float).eps * svd.S[0]))
+    return SvdBundle(svd, rank, op)
 
 
 class Expansion:
@@ -420,18 +435,6 @@ class Expansion:
             lhi = np.where(below, lhi, mid)
         lam = np.where(self.ridge_misfit(hi) <= target, hi, 10.0 ** (0.5 * (llo + lhi)))
         return np.where(self.ridge_misfit(lo) >= target, lo, lam)[()]
-
-
-def expand_target(svd: SvdBundle, W) -> Expansion:
-    """The target W on ``svd``: its coordinates c_k = <W, Psi_k>_X on the kept
-    modes, read off the whitened conj(phase) W_X^{1/2} W, and its squared
-    X-norm outside their span, which takes in the dropped modes' |c_k|^2."""
-    w = svd._phase.conj() * np.sqrt(svd.volume.x_weights()) * np.asarray(W, dtype=complex)
-    c, out2 = svd._svd.split(np.zeros((svd.gram.n_v, 2), order="F"),
-                             np.asfortranarray(np.column_stack([w.real, w.imag])))
-    c = c[:, 0] + 1j * c[:, 1]
-    return Expansion(svd.sigma, svd.right, c[:svd.rank],
-                     float(np.sum(out2) + np.sum(np.abs(c[svd.rank:]) ** 2)))
 
 
 def alpha_for_j(j, C, theta, m):

@@ -106,27 +106,28 @@ def cell_dof_slots(cell, family, axis):
 
 
 def svd_structure(gram, volume, op, svd):
-    """Check the weighted singular system on its right vectors phi and on
-    Psi = A phi / sigma, formed here: forming A phi_k errs by rounding of
-    A's size, sigma_0, so Psi_k carries an error of order eps sigma_0 /
-    sigma_k, and each Psi check is scaled by sigma_k / sigma_0.  Returns the
-    relative reconstruction error of A from the kept modes."""
+    """Check the weighted singular system on its right vectors phi =
+    ``right`` of the identity and its left vectors Psi read off ``expand``
+    (the unit vector e_j has coordinates c_k = conj(Psi_k[j]) w_j), and that
+    A phi_k / sigma_k expands to e_k.  Returns the relative reconstruction
+    error of A from the kept modes."""
     assert np.all(np.diff(svd.sigma) <= 0)
     eye = np.eye(svd.rank)
-    scale = svd.sigma / svd.sigma[0]
+    w = volume.x_weights()
     # the trace Gram is stored as its factor: G_V = L L^T
     gram_V = gram.chol_V @ gram.chol_V.T
     phi = svd.right(eye)
-    A = op.complex_matrix()
-    psi = A @ phi / svd.sigma
+    psi = svd.expand(np.eye(len(w))).coords.conj().T / w[:, None]
     gv = phi.T @ gram_V @ phi
-    gx = psi.conj().T @ (volume.x_weights()[:, None] * psi)
+    gx = psi.conj().T @ (w[:, None] * psi)
     assert np.abs(gv - eye).max() <= 1e-10
-    assert np.abs((gx - eye) * np.outer(scale, scale)).max() <= 1e-13
-    # Psi_k expands to e_k, with nothing out of span
-    for k in range(svd.rank):
-        ex = rl.expand_target(svd, psi[:, k])
-        assert np.abs(ex.coords - eye[k]).max() * scale[k] <= 1e-13
-        assert np.sqrt(ex.out2) * scale[k] <= 1e-13
+    assert np.abs(gx - eye).max() <= 1e-10
+    # forming A phi_k errs by rounding of A's size, sigma_0, so A phi_k / sigma_k
+    # carries an error of order eps sigma_0 / sigma_k: scaled by sigma_k / sigma_0
+    A = op.complex_matrix()
+    scale = svd.sigma / svd.sigma[0]
+    ex = svd.expand(A @ phi / svd.sigma)
+    assert np.abs((ex.coords - eye) * scale).max() <= 1e-13
+    assert np.max(np.sqrt(ex.out2) * scale) <= 1e-13
     recon = (psi * svd.sigma) @ (phi.T @ gram_V)
     return np.linalg.norm(recon - A) / np.linalg.norm(A)

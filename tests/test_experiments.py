@@ -373,7 +373,7 @@ def test_runge_exact_target_in_span(small_restriction):
     rng = np.random.default_rng(7)
     f = rng.standard_normal(gram.n_v) + 1j * rng.standard_normal(gram.n_v)
     W = op.apply(f)
-    ex = rl.expand_target(svd, W)
+    ex = svd.expand(W)
     assert np.sqrt(ex.out2) <= 1e-9 * volume.x_norm(W)
     data, _, _ = ex.truncate(float(svd.sigma[-1]) * 0.999)
     err = volume.x_norm(W - op.apply(data))
@@ -606,13 +606,14 @@ def test_cauchy_singular_values_match_dense_reference():
 
 def test_cauchy_split_matches_dense_reference():
     # left singular vectors are fixed up to a unitary map within each cluster
-    # of equal singular values; _split of the reference vectors gives that
+    # of equal singular values; expand of the reference vectors gives that
     # map M, so the coordinates must be M times the reference coordinates
     for over in GEOMETRIES:
         cfg, scene, gram, cop = _cauchy_operator(**over)
         chol, Wc = _whitened_reference(scene, gram, cop)
         U, S, _ = np.linalg.svd(Wc, full_matrices=False)
-        M, out_M = cop._split(sla.solve_triangular(chol.T, U, lower=False))
+        ex_U = cop.expand(sla.solve_triangular(chol.T, U, lower=False))
+        M, out_M = ex_U.coords, ex_U.out2
         assert np.abs(M.conj().T @ M - np.eye(len(S))).max() <= 1e-10
         assert np.abs(cop.S[:, None] * M - M * S[None, :]).max() <= 1e-10 * S.max()
         assert np.sqrt(out_M.max()) <= 1e-8
@@ -621,10 +622,12 @@ def test_cauchy_split_matches_dense_reference():
         dw = chol.T @ d
         ud_ref = U.conj().T @ dw
         out_ref = np.linalg.norm(dw - U @ ud_ref) ** 2
-        ud, out2 = cop._split(d)
+        ex = cop.expand(d)
+        ud, out2 = ex.coords, ex.out2
         assert np.linalg.norm(ud - M @ ud_ref) <= 1e-10 * np.linalg.norm(ud_ref)
         assert out2 == pytest.approx(out_ref, rel=1e-8)
-        block_ud, block_out2 = cop._split(np.stack([d, d0], axis=1))
+        block = cop.expand(np.stack([d, d0], axis=1))
+        block_ud, block_out2 = block.coords, block.out2
         assert np.abs(block_ud[:, 0] - ud).max() <= 1e-14 * np.abs(ud).max()
         assert block_out2[0] == pytest.approx(out2, rel=1e-12)
 
@@ -1041,7 +1044,7 @@ def test_runge_plane_wave_target(small_restriction):
     sol = rl.plane_wave([2.0, 0.0, 0.0], [0.0, 1.0, 0.0], 2.0)
     W = np.concatenate(sample_dofs(sol, volume.region.grid, volume.x_edge_idx,
                                    volume.x_face_idx))
-    ex = rl.expand_target(svd, W)
+    ex = svd.expand(W)
     e_first = np.hypot(ex.truncate(svd.sigma[0])[1], np.sqrt(ex.out2))
     e_deep = np.hypot(ex.truncate(1e-8 * svd.sigma[0])[1], np.sqrt(ex.out2))
     assert e_deep < 0.05 * e_first

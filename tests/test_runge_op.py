@@ -7,7 +7,7 @@ import rungelab as rl
 from rungelab.errors import (BadChecksumError, BadLengthError, BadProvenanceError,
                              ConfigurationError, GeometryError, NumericError)
 from rungelab.runge_op import (Expansion, alpha_for_j, apply_adjoint, assemble_restriction,
-                               expand_target, load_operator, matrix_adjoint,
+                               load_operator, matrix_adjoint,
                                operator_provenance, save_operator, weighted_svd)
 from rungelab.solver import TangentialTrace
 
@@ -127,7 +127,7 @@ def test_svd_identity_grams_diagonal_matrix():
     assert np.allclose(np.abs(psi), np.eye(2))
     # Psi_k = A phi_k / sigma_k expands to e_k
     for k in range(2):
-        ex = expand_target(svd, psi[:, k])
+        ex = svd.expand(psi[:, k])
         assert ex.coords == pytest.approx(np.eye(2)[k], abs=1e-15)
         assert ex.out2 <= 1e-30
 
@@ -149,11 +149,11 @@ def test_svd_rank_floor_drops_null_directions():
     # a target outside the range keeps its whole norm out of span
     null_target = Q[:, 3] * np.where(np.arange(7) < 4, 1.0, 1j)
     psi_0 = RestrictionOperator(R, w, w, 0).apply(svd.right(np.eye(3))[:, 0]) / svd.sigma[0]
-    ex = expand_target(svd, null_target + psi_0)
+    ex = svd.expand(null_target + psi_0)
     assert ex.coords == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
     assert np.sqrt(ex.out2) == pytest.approx(1.0, rel=1e-12)
     # the null directions' rounding-level modes count as out of span
-    assert np.sqrt(expand_target(svd, psi_0).out2) <= 1e-14
+    assert np.sqrt(svd.expand(psi_0).out2) <= 1e-14
 
 
 def test_svd_matches_complex_reference(small_restriction):
@@ -171,7 +171,7 @@ def test_svd_matches_complex_reference(small_restriction):
     W = rng_complex(rng, volume.n_x)
     ref = U[:, keep] / sqrt_x[:, None]
     ref_resid = volume.x_norm(W - ref @ (ref.conj().T @ (volume.x_weights() * W)))
-    resid = np.sqrt(expand_target(svd, W).out2)
+    resid = np.sqrt(svd.expand(W).out2)
     assert resid == pytest.approx(ref_resid, rel=1e-8)
 
 
@@ -181,7 +181,7 @@ def test_svd_structure(small_restriction):
 
 
 def _dense_reference(R, w, rng):
-    """weighted_svd and expand_target of R under the Grams of ``w``, against
+    """weighted_svd and SvdBundle.expand of R under the Grams of ``w``, against
     numpy's dense SVD of the whitened B = W_X^{1/2} R L_V^{-T}."""
     from rungelab.runge_op import RestrictionOperator
 
@@ -200,7 +200,7 @@ def _dense_reference(R, w, rng):
     W = rng_complex(rng, len(R))
     white = op.phase().conj() * sqrt_x * W
     coords = U[:, :rank].T @ white
-    ex = expand_target(svd, W)
+    ex = svd.expand(W)
     assert np.abs(ex.coords - sign * coords).max() <= 1e-10 * np.linalg.norm(white)
     assert ex.out2 == pytest.approx(np.linalg.norm(white - U[:, :rank] @ coords) ** 2,
                                     rel=1e-8)
@@ -238,7 +238,7 @@ def test_svd_compact_decay(small_restriction):
 
 def test_expand_target_basis_vector(small_restriction):
     _, _, _, op, svd = small_restriction
-    ex = expand_target(svd, op.apply(svd.right(np.eye(svd.rank)[:, :1])[:, 0]) / svd.sigma[0])
+    ex = svd.expand(op.apply(svd.right(np.eye(svd.rank)[:, :1])[:, 0]) / svd.sigma[0])
     assert ex.coords[0] == pytest.approx(1.0, abs=1e-10)
     assert np.abs(ex.coords[1:]).max() <= 1e-10
     assert np.sqrt(ex.out2) <= 1e-10
@@ -248,9 +248,23 @@ def test_expand_target_parseval(small_restriction):
     _, _, volume, _, svd = small_restriction
     rng = np.random.default_rng(3)
     W = rng_complex(rng, volume.n_x)
-    ex = expand_target(svd, W)
+    ex = svd.expand(W)
     total = np.sum(np.abs(ex.coords) ** 2) + ex.out2
     assert total == pytest.approx(volume.x_norm(W) ** 2, rel=1e-10)
+
+
+def test_expand_block_matches_columns(small_restriction):
+    _, _, volume, _, svd = small_restriction
+    rng = np.random.default_rng(4)
+    W = np.column_stack([rng_complex(rng, volume.n_x) for _ in range(3)])
+    ex = svd.expand(W)
+    assert ex.coords.shape == (svd.rank, 3) and ex.out2.shape == (3,)
+    for k in range(3):
+        col = svd.expand(W[:, k])
+        assert np.abs(ex.coords[:, k] - col.coords).max() <= 1e-14 * np.linalg.norm(col.coords)
+        assert ex.out2[k] == pytest.approx(col.out2, rel=1e-12)
+        assert np.abs(ex.truncate(svd.sigma[5])[0][:, k]
+                      - col.truncate(svd.sigma[5])[0]).max() <= 1e-12
 
 
 def test_truncate_keeps_ties():
@@ -272,7 +286,7 @@ def test_truncate_termwise_bound(small_restriction):
     _, gram, volume, _, svd = small_restriction
     rng = np.random.default_rng(4)
     W = rng_complex(rng, volume.n_x)
-    ex = expand_target(svd, W)
+    ex = svd.expand(W)
     for alpha in (svd.sigma[0], svd.sigma[len(svd.sigma) // 2], svd.sigma[-1]):
         bound = np.sqrt(np.sum(np.abs(ex.coords) ** 2)) / alpha
         assert gram.v_norm(ex.truncate(alpha)[0]) <= bound * (1 + 1e-12)
@@ -282,7 +296,7 @@ def test_truncation_error_monotone(small_restriction):
     _, _, volume, op, svd = small_restriction
     rng = np.random.default_rng(5)
     W = rng_complex(rng, volume.n_x)
-    ex = expand_target(svd, W)
+    ex = svd.expand(W)
     alphas = np.sort(svd.sigma)[::-1]
     prev = None
     for alpha in alphas[::5]:
@@ -302,7 +316,7 @@ def test_runge_expansion_runs_the_discrepancy_bisection(small_restriction):
     # the Cauchy ridge filter and Morozov bisection apply to a Runge target
     _, _, volume, _, svd = small_restriction
     rng = np.random.default_rng(6)
-    ex = expand_target(svd, rng_complex(rng, volume.n_x))
+    ex = svd.expand(rng_complex(rng, volume.n_x))
     lo, hi = ex.ridge_misfit(1e-14), ex.ridge_misfit(1e6)
     assert lo < hi
     for target in (lo + 0.25 * (hi - lo), np.sqrt(lo * hi), hi - 0.25 * (hi - lo)):
