@@ -85,15 +85,21 @@ def hcurl_norm(grid: Grid, region: Region, E=None, H=None, curl=None):
 
 class TraceGram:
     """The boundary trace space V of one (patch, collar): the dense SPD Gram
-    over the selected patch dofs, held only as its Cholesky factor.  Built
+    over the selected patch dofs, held only as its Cholesky factor, which
+    ``build_norm_weights`` computes or an operator cache entry holds.  Built
     once and shared by every region restricted through the same trace side."""
 
-    def __init__(self, patch: BoundaryPatch, collar, v_sel, chol_V):
+    def __init__(self, patch: BoundaryPatch, collar, chol_V):
         self.patch = patch
         self.collar = collar
-        self.v_sel = v_sel                      # positions into patch.edge_dofs
-        self.v_dofs = patch.edge_dofs[v_sel]    # global edge indices
-        self.chol_V = chol_V                    # lower triangular, G_V = L L^T
+        self.v_sel = patch.select(collar)            # positions into patch.edge_dofs
+        self.v_dofs = patch.edge_dofs[self.v_sel]    # global edge indices
+        n = len(self.v_sel)
+        if chol_V.shape != (n, n):
+            raise ConfigurationError(
+                f"trace Gram factor shape {chol_V.shape} != ({n}, {n}), the {collar} "
+                "selection of the patch")
+        self.chol_V = chol_V                         # lower triangular, G_V = L L^T
 
     @property
     def n_v(self):
@@ -235,12 +241,12 @@ def build_norm_weights(patch: BoundaryPatch, collar="include_rim") -> TraceGram:
                 size=len(comp), limit=DENSE_GRAM_LIMIT, component=i)
     mass = patch.edge_area[sel]
     if count == 1:
-        return TraceGram(patch, collar, sel, _component_factor(laplacian.toarray(), mass))
+        return TraceGram(patch, collar, _component_factor(laplacian.toarray(), mass))
     chol_V = np.zeros((len(sel), len(sel)))
     for comp in components:
         chol_V[np.ix_(comp, comp)] = _component_factor(laplacian[comp][:, comp].toarray(),
                                                        mass[comp])
-    return TraceGram(patch, collar, sel, chol_V)
+    return TraceGram(patch, collar, chol_V)
 
 
 # ---------------------------------------------------------------------------

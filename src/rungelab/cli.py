@@ -73,9 +73,10 @@ def _cmd_cache(args):
                 line += "  stale"
             elif kind_name == "operator":
                 try:
-                    line += f" margin={store.read_margin(path):.3e}"
+                    (rows, cols), (n, m) = store.read_operator_shapes(path)
+                    line += f" R={rows}x{cols} L={n}x{m} margin={store.read_margin(path):.3e}"
                 except (OSError, struct.error):
-                    line += " (no margin)"
+                    line += " (unreadable payload)"
             print(line)
         if not names:
             print("(cache empty)")

@@ -455,9 +455,8 @@ def run_runge(cfg: dict, scene: Scene | None = None,
     # the margin is checked with the operator, which the cache may hold
     scene = scene or build_scene(cfg, ["A"], guard=svd is not None)
     if svd is None:
-        gram = build_norm_weights(scene.patch, collar=cfg["patch"]["collar"])
-        op = runge_op.cached_restriction(scene.system, gram, VolumeWeights(scene.regions["A"]),
-                                         cfg["cache"]["dir"],
+        op = runge_op.cached_restriction(scene.system, scene.patch, cfg["patch"]["collar"],
+                                         VolumeWeights(scene.regions["A"]), cfg["cache"]["dir"],
                                          cfg["solver"]["resonance_threshold"])
         svd = runge_op.weighted_svd(op)
 
@@ -477,11 +476,11 @@ def run_runge(cfg: dict, scene: Scene | None = None,
     js = [int(j) for j in cfg["runge"]["js"]]
     sigma1 = float(svd.sigma[0])
 
+    alphas = [min(runge_op.alpha_for_j(j, C_cal, theta, m_cal), sigma1) for j in js]
+    block, tails, counts = ex.truncate(np.array(alphas))
     records = []
     bound_ok = True
-    for j in js:
-        alpha = min(runge_op.alpha_for_j(j, C_cal, theta, m_cal), sigma1)
-        data, tail, kept = ex.truncate(alpha)
+    for j, alpha, data, tail, kept in zip(js, alphas, block.T, tails, counts):
         x_err = float(np.hypot(tail, out_of_span))
         v_norm = svd.gram.v_norm(data)
         v_bound = float(coeff_norm / alpha)  # termwise: ||R_alpha W||_V <= ||c|| / alpha
@@ -491,7 +490,7 @@ def run_runge(cfg: dict, scene: Scene | None = None,
         fields = solver.solve_bvp(scene.system, svd.gram.trace(data))
         g_norm = hcurl_norm(scene.grid, scene.omega_region, E=fields.E, H=fields.H,
                             curl=scene.system.curl)
-        records.append({"j": j, "alpha": alpha, "kept": kept, "x_error": x_err,
+        records.append({"j": j, "alpha": alpha, "kept": int(kept), "x_error": x_err,
                         "tail_error": float(tail), "out_of_span": out_of_span,
                         "v_norm": v_norm, "v_bound": v_bound, "hcurl_omega": g_norm})
 

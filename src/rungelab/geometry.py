@@ -388,8 +388,10 @@ class BoundaryPatch:
         raise ConfigurationError(f"unknown collar convention {collar!r}")
 
     def key(self):
+        # the trace Gram reads face_edges: an operator cache entry holds its factor
         return ("patch", self.sides,
-                store.array_digest(self.edge_dofs, self.edge_area, self.rim_mask))
+                store.array_digest(self.edge_dofs, self.edge_area, self.rim_mask),
+                store.array_digest(self.face_edges))
 
     def __repr__(self):
         return (f"BoundaryPatch(sides={self.sides!r}, faces={len(self.face_edges)}, "

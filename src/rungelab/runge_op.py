@@ -25,8 +25,9 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import cython_lapack, lapack
 
-from .analysis import TraceGram, VolumeWeights
+from .analysis import TraceGram, VolumeWeights, build_norm_weights
 from .errors import BadVersionError, ConfigurationError, NumericError
+from .geometry import BoundaryPatch
 from .solver import SystemMatrix, check_margin, real_matmul, resonance_guard, solve_bvp
 from . import store
 
@@ -64,14 +65,14 @@ class RestrictionOperator:
         return self.phase() * real_matmul(self.matrix, f)
 
 
-def operator_provenance(sys: SystemMatrix, gram: TraceGram, volume: VolumeWeights):
+def operator_provenance(sys: SystemMatrix, patch: BoundaryPatch, collar, volume: VolumeWeights):
     desc = {
         "grid": list(sys.grid.key()[1:]),
         "material": list(sys.material.key()[1:]),
         "omega": sys.omega,
-        "patch": list(gram.patch.key()[1:]),
+        "patch": list(patch.key()[1:]),
         "region": list(volume.region.key()[1:]),
-        "collar": gram.collar,
+        "collar": collar,
         # the solve that built the columns: its tolerance and its path, which
         # with the material (constant or not) fix its route and the guard
         "solver_tol": sys.solver_tol,
@@ -99,7 +100,8 @@ def assemble_restriction(sys: SystemMatrix, gram: TraceGram, volume: VolumeWeigh
         fields = solve_bvp(sys, gram.trace(np.eye(1, gram.n_v, i)[0]))
         for v, c in zip(every, cols):
             c[:, i] = v.restrict(fields)
-    ops = tuple(RestrictionOperator(c, gram, v, operator_provenance(sys, gram, v))
+    ops = tuple(RestrictionOperator(c, gram, v,
+                                    operator_provenance(sys, gram.patch, gram.collar, v))
                 for v, c in zip(every, cols))
     return ops if more else ops[0]
 
@@ -402,14 +404,23 @@ class Expansion:
 
     def truncate(self, alpha):
         """Keep the modes with sigma_k >= alpha (ties included): the solution,
-        the dropped tail sqrt(sum_{sigma_k < alpha} |c_k|^2) and the kept count."""
-        if not (alpha > 0):
+        the dropped tail sqrt(sum_{sigma_k < alpha} |c_k|^2) and the kept count.
+
+        A (J,) array of alpha truncates a single datum at every alpha through
+        one ``right``: an (n_v, J) block of solutions, (J,) tails and counts."""
+        alphas = np.asarray(alpha, dtype=float)
+        if alphas.ndim > 1 or (alphas.ndim and np.ndim(self.coords) != 1):
+            raise ConfigurationError("an array of alpha needs one axis and a single datum")
+        if not (alphas > 0).all():
             raise ConfigurationError("alpha must be positive")
-        keep = self.sigma >= alpha
-        y = np.zeros_like(self.coords, dtype=complex)
-        y[keep] = self.coords[keep] / self._rows(self.sigma[keep])
-        tail = np.sqrt(np.sum(np.abs(self.coords[~keep]) ** 2, axis=0))
-        return self._solution(y), tail[()], int(np.count_nonzero(keep))
+        # sigma descends: alpha keeps the leading modes and drops the rest
+        kept = np.count_nonzero(self.sigma[:, None] >= alphas.reshape(-1), axis=0)
+        c = self.coords if np.ndim(self.coords) > 1 else self.coords[:, None]
+        y = np.where(np.arange(len(c))[:, None] < kept, c / self.sigma[:, None], 0.0)
+        tail = np.sqrt([np.sum(np.abs(self.coords[k:]) ** 2, axis=0) for k in kept])
+        if alphas.ndim:
+            return self._solution(y), tail, kept
+        return self._solution(y.reshape(self.coords.shape)), tail[0][()], int(kept[0])
 
     def ridge(self, lam):
         """The Tikhonov solution, filter sigma_k / (sigma_k^2 + lam)."""
@@ -454,46 +465,52 @@ def alpha_for_j(j, C, theta, m):
 # ---------------------------------------------------------------------------
 
 def save_operator(op: RestrictionOperator, path, sys: SystemMatrix):
-    """Write R with the resonance margin of ``sys``, the system that built it
-    (``resonance_guard``, which returns a margin already checked at no
-    cost)."""
+    """Write R and the trace Gram's factor L with the resonance margin of
+    ``sys``, the system that built them (``resonance_guard``, which returns
+    a margin already checked at no cost)."""
     store.write_envelope(path, "operator", op.provenance,
-                         store.pack_operator(op.matrix, resonance_guard(sys)))
+                         store.pack_operator(op.matrix, op.gram.chol_V, resonance_guard(sys)))
 
 
-def load_operator(path, gram: TraceGram, volume: VolumeWeights, sys: SystemMatrix):
-    """(operator, margin) of the entry at ``path`` for these inputs."""
-    prov = operator_provenance(sys, gram, volume)
-    matrix, margin = store.unpack_operator(store.read_envelope(path, "operator", prov))
+def load_operator(path, patch: BoundaryPatch, collar, volume: VolumeWeights,
+                  sys: SystemMatrix):
+    """(operator, margin) of the entry at ``path`` for these inputs; the
+    operator's Gram wraps the stored factor, so no Gram is built."""
+    prov = operator_provenance(sys, patch, collar, volume)
+    matrix, chol_V, margin = store.unpack_operator(store.read_envelope(path, "operator", prov))
+    gram = TraceGram(patch, collar, chol_V)
     if matrix.shape != (volume.n_x, gram.n_v):
         raise ConfigurationError(
             f"cached operator shape {matrix.shape} != ({volume.n_x}, {gram.n_v})")
     return RestrictionOperator(matrix, gram, volume, prov), margin
 
 
-def cached_restriction(sys: SystemMatrix, gram: TraceGram, volume: VolumeWeights,
+def cached_restriction(sys: SystemMatrix, patch: BoundaryPatch, collar, volume: VolumeWeights,
                        cache_dir, resonance_threshold):
-    """The restriction operator of ``assemble_restriction``, read from
-    ``cache_dir`` when an entry of the current envelope version holds it; a
-    missing entry, or one of an older version, is assembled and (re)written
-    with the system's resonance margin.
+    """The restriction operator of ``assemble_restriction`` on the trace Gram
+    of ``patch`` and ``collar``, read from ``cache_dir`` when an entry of the
+    current envelope version holds it; a missing entry, or one of an older
+    version, is assembled and (re)written with the Gram's factor and the
+    system's resonance margin.  The operator's ``gram`` is the Gram read or
+    built.
 
     The provenance fixes the guard, so a hit sets the stored margin on
-    ``sys``: a warm run makes no guard solve.  The margin is checked
-    against ``resonance_threshold`` before any column is solved."""
+    ``sys``: a warm run makes no guard solve and builds no Gram.  The margin
+    is checked against ``resonance_threshold`` before the Gram is built or
+    any column is solved."""
     op = path = None
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
-        path = os.path.join(cache_dir,
-                            f"operator-{operator_provenance(sys, gram, volume):016x}.rgfo")
+        prov = operator_provenance(sys, patch, collar, volume)
+        path = os.path.join(cache_dir, f"operator-{prov:016x}.rgfo")
         if os.path.exists(path):
             try:
-                op, sys.margin = load_operator(path, gram, volume, sys)
+                op, sys.margin = load_operator(path, patch, collar, volume, sys)
             except BadVersionError:
                 pass
     check_margin(sys, resonance_threshold)
     if op is None:
-        op = assemble_restriction(sys, gram, volume)
+        op = assemble_restriction(sys, build_norm_weights(patch, collar), volume)
         if path:
             save_operator(op, path, sys)
     return op

@@ -3,28 +3,33 @@
 On-disk layout, all integers little-endian:
 
     magic   4 bytes  b"RGFO"
-    version u32      currently 5
+    version u32      currently 6
     kind    u32      1 = operator, 2 = svd, 3 = field
     prov    u64      provenance hash (FNV-1a of a canonical description)
     length  u64      payload byte count
     payload length bytes
     check   u64      blake2b-64 of the payload (8-byte digest, little-endian)
 
-An operator payload (``pack_operator``) is the real restriction matrix R
-(``pack_matrix``), then the resonance margin (f64) of the system that built
-it.  The provenance names the medium and the solve path, which fix the
+An operator payload (``pack_operator``) is the real restriction matrix R,
+then the Cholesky factor L of the trace Gram it was built on (each in the
+``pack_matrix`` layout), then the resonance margin (f64) of the system that
+built it.  The provenance names the medium and the solve path, which fix the
 guard that computed the margin, so a run that reads the entry takes the
 stored margin instead of running the guard.  The margin is a function of
 the guard's method and of ``solver.GUARD_ITERATIONS`` and
 ``solver.GUARD_SEED``, none of which the provenance names, so a change to
-any of them must bump VERSION.
+any of them must bump VERSION.  Likewise the provenance names the patch and
+collar that L is built from, not ``analysis.build_norm_weights``'s formula,
+so a change to that formula must bump VERSION too.  L is stored as raw
+float64, so a run that reads it whitens with the same bits as the run that
+built it.
 
 Version 1 checked the payload with FNV-1a, version 2 stored operators as
-complex128, version 3 stored R without a margin and version 4 followed the
-margin with the name of its guard; files of any of them raise
-BadVersionError.  Writes are atomic (a ``.rgfo-`` temp file in the same
-directory, then a rename); every verification failure on read raises its
-own exception type.
+complex128, version 3 stored R without a margin, version 4 followed the
+margin with the name of its guard and version 5 held R and the margin
+without L; files of any of them raise BadVersionError.  Writes are atomic
+(a ``.rgfo-`` temp file in the same directory, then a rename); every
+verification failure on read raises its own exception type.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .errors import (BadChecksumError, BadKindError, BadLengthError, BadMagicErr
                      BadProvenanceError, BadVersionError, ConfigurationError)
 
 MAGIC = b"RGFO"
-VERSION = 5
+VERSION = 6
 KINDS = {"operator": 1, "svd": 2, "field": 3}
 # Prefix of the temp files that write_envelope renames into place.
 TEMP_PREFIX = ".rgfo-"
@@ -140,6 +145,22 @@ def read_margin(path):
         return _MARGIN.unpack(fh.read(_MARGIN.size))[0]
 
 
+def read_operator_shapes(path):
+    """The shapes of R and L in an operator envelope's payload, read from
+    their dimension headers unverified like ``read_header``; raises
+    struct.error unless they and the margin fill the payload."""
+    _, _, _, length = read_header(path)
+    with open(path, "rb") as fh:
+        fh.seek(_HEADER.size)
+        r_shape = struct.unpack("<QQ", fh.read(16))
+        fh.seek(r_shape[0] * r_shape[1] * 8, os.SEEK_CUR)
+        l_shape = struct.unpack("<QQ", fh.read(16))
+    if 32 + 8 * (r_shape[0] * r_shape[1] + l_shape[0] * l_shape[1]) + _MARGIN.size != length:
+        raise struct.error(f"payload of {length} bytes does not hold R {r_shape}, "
+                           f"L {l_shape} and a margin")
+    return r_shape, l_shape
+
+
 def read_envelope(path, expected_kind, expected_provenance) -> bytes:
     """Read and fully verify an envelope of the expected kind and provenance,
     returning the payload bytes."""
@@ -182,27 +203,38 @@ def pack_matrix(mat: np.ndarray) -> bytes:
     return b"".join(_matrix_parts(mat))
 
 
-def unpack_matrix(payload: bytes) -> np.ndarray:
-    """The matrix of ``pack_matrix``, a read-only view of ``payload``."""
+def _leading_matrix(payload):
+    """The ``pack_matrix`` matrix at the head of ``payload``, a read-only
+    view, and the byte count it takes."""
     if len(payload) < 16:
         raise BadLengthError("matrix payload shorter than its dimension header")
     rows, cols = struct.unpack_from("<QQ", payload, 0)
-    need = 16 + rows * cols * 8
-    if len(payload) != need:
-        raise BadLengthError(f"matrix payload {len(payload)} bytes, dimensions need {need}")
-    return np.frombuffer(payload, dtype="<f8", offset=16).reshape(rows, cols)
+    end = 16 + rows * cols * 8
+    if len(payload) < end:
+        raise BadLengthError(f"matrix payload {len(payload)} bytes, dimensions need {end}")
+    mat = np.frombuffer(payload, dtype="<f8", count=rows * cols, offset=16)
+    return mat.reshape(rows, cols), end
 
 
-def pack_operator(mat: np.ndarray, margin) -> bytes:
-    """``pack_matrix(mat)``, then the resonance margin f64."""
-    return b"".join((*_matrix_parts(mat), _MARGIN.pack(margin)))
+def unpack_matrix(payload: bytes) -> np.ndarray:
+    """The matrix of ``pack_matrix``, a read-only view of ``payload``."""
+    mat, end = _leading_matrix(payload)
+    if end != len(payload):
+        raise BadLengthError(f"matrix payload {len(payload)} bytes, dimensions need {end}")
+    return mat
+
+
+def pack_operator(mat: np.ndarray, chol: np.ndarray, margin) -> bytes:
+    """``pack_matrix(mat)``, ``pack_matrix(chol)``, then the resonance margin f64."""
+    return b"".join((*_matrix_parts(mat), *_matrix_parts(chol), _MARGIN.pack(margin)))
 
 
 def unpack_operator(payload: bytes):
-    """(matrix, margin) of ``pack_operator``; the matrix is a read-only view
-    of ``payload``."""
+    """(matrix, factor, margin) of ``pack_operator``; the two matrices are
+    read-only views of ``payload``."""
     if len(payload) < _MARGIN.size:
         raise BadLengthError("operator payload shorter than its margin")
     cut = len(payload) - _MARGIN.size
-    return (unpack_matrix(memoryview(payload)[:cut]),
-            _MARGIN.unpack_from(payload, cut)[0])
+    body = memoryview(payload)[:cut]
+    mat, end = _leading_matrix(body)
+    return mat, unpack_matrix(body[end:]), _MARGIN.unpack_from(payload, cut)[0]

@@ -183,13 +183,14 @@ def test_criterion_10_cache_integrity(tmp_path, reference_runge_scene):
     t0 = time.time()
     path = tmp_path / "reference.rgfo"
     runge_op.save_operator(op, path, scene.system)
-    back, _ = runge_op.load_operator(path, gram, volume, scene.system)
+    back, _ = runge_op.load_operator(path, gram.patch, gram.collar, volume, scene.system)
     assert np.array_equal(back.matrix, op.matrix)
+    assert back.gram.chol_V.tobytes() == gram.chol_V.tobytes()
     blob = bytearray(path.read_bytes())
     blob[len(blob) // 2] ^= 0x10
     path.write_bytes(bytes(blob))
     with pytest.raises(BadChecksumError):
-        runge_op.load_operator(path, gram, volume, scene.system)
+        runge_op.load_operator(path, gram.patch, gram.collar, volume, scene.system)
     elapsed = time.time() - t0
     assert elapsed <= budget
     _report("10 cache integrity (bit-exact roundtrip, corruption detected)", elapsed, budget)

@@ -510,7 +510,7 @@ def test_version_two_complex_entry_is_rebuilt(tmp_path, capsys):
         blob = fh.read()
     _, version, kind, prov, length = store._HEADER.unpack_from(blob, 0)
     assert version == store.VERSION
-    R, _ = store.unpack_operator(blob[store._HEADER.size:store._HEADER.size + length])
+    R, _, _ = store.unpack_operator(blob[store._HEADER.size:store._HEADER.size + length])
     c = normalize_config(RUNGE_SMALL)
     grid = rl.build_grid(c["grid"]["n"], c["grid"]["h"], c["grid"]["origin"])
     region = rl.carve_region(grid, c["regions"]["A"])
@@ -551,10 +551,10 @@ def test_corrupt_cache_entry_still_fails(tmp_path, capsys):
 
 
 def _spy_guard(monkeypatch):
-    """Record every factorization built (not a cached one handed back) and
-    every resonance-guard solve: an LU back-solve of a real vector or a
-    MINRES guard step."""
-    from rungelab import solver
+    """Record every factorization built (not a cached one handed back),
+    every resonance-guard solve (an LU back-solve of a real vector or a
+    MINRES guard step) and every trace Gram the runge study builds."""
+    from rungelab import runge_op, solver
 
     calls = []
     factorize, solve_interior = solver.SystemMatrix._factorize, solver.SystemMatrix.solve_interior
@@ -574,6 +574,9 @@ def _spy_guard(monkeypatch):
     monkeypatch.setattr(solver.SystemMatrix, "solve_interior", spy_solve_interior)
     monkeypatch.setattr(solver, "_guard_step",
                         lambda *a: calls.append("guard solve") or guard_step(*a))
+    build_gram = runge_op.build_norm_weights
+    monkeypatch.setattr(runge_op, "build_norm_weights",
+                        lambda *a: calls.append("gram") or build_gram(*a))
     return calls
 
 
@@ -591,6 +594,7 @@ def test_warm_run_takes_the_stored_margin(tmp_path, monkeypatch, capsys):
     calls = _spy_guard(monkeypatch)
     assert main(["--out", out1, "--cache", cache, "run", cfg]) in (0, 2)
     assert calls.count("factorize") == 1 and calls.count("guard solve") == 12
+    assert calls.count("gram") == 1
     [name] = os.listdir(cache)
     margin = store.read_margin(os.path.join(cache, name))
     # the stored margin is the cold system's guard result, bit for bit
@@ -606,6 +610,10 @@ def test_warm_run_takes_the_stored_margin(tmp_path, monkeypatch, capsys):
     assert main(["--cache", cache, "cache", "ls"]) == 0
     listing = capsys.readouterr().out.strip()
     assert listing.endswith(f" margin={margin:.3e}") and "guard" not in listing
+    # and the shapes of R and of the trace Gram's factor L
+    (rows, cols), (n, m) = store.read_operator_shapes(os.path.join(cache, name))
+    assert (n, m) == (cols, cols)
+    assert f" R={rows}x{cols} L={n}x{n} margin=" in listing
 
 
 def test_warm_run_checks_the_stored_margin(tmp_path, monkeypatch, capsys):
@@ -627,6 +635,15 @@ def test_warm_run_checks_the_stored_margin(tmp_path, monkeypatch, capsys):
                           f"relative margin {margin:.3e} < 0.01")
     assert "Traceback" not in err and not out.exists()
     assert calls == []
+
+
+def test_a_cold_run_whose_margin_trips_builds_no_trace_gram(tmp_path, monkeypatch, capsys):
+    strict = _write(tmp_path, "s.json", dict(RUNGE_SMALL, solver={"resonance_threshold": 0.01}))
+    calls = _spy_guard(monkeypatch)
+    out = tmp_path / "o"
+    assert main(["--out", str(out), "--cache", str(tmp_path / "cache"), "run", strict]) == 1
+    assert capsys.readouterr().err.startswith("error: omega=2 is too low")
+    assert calls.count("guard solve") == 12 and "gram" not in calls
 
 
 def test_warm_run_in_a_smooth_medium_raises_the_cold_error(tmp_path, capsys):
@@ -670,8 +687,9 @@ def test_direct_and_krylov_runs_keep_their_own_margins(tmp_path):
 
 
 def test_version_three_entry_is_rebuilt(tmp_path, capsys):
-    # an entry of an older version, R without the margin (version 3) or the
-    # margin followed by its guard's name (version 4), is tagged stale and
+    # an entry of an older version, R without the margin (version 3), the
+    # margin followed by its guard's name (version 4) or R and the margin
+    # without the trace Gram's factor (version 5), is tagged stale and
     # rebuilt to the same bytes as a cold run's
     import struct
     from rungelab import store
@@ -684,9 +702,10 @@ def test_version_three_entry_is_rebuilt(tmp_path, capsys):
     with open(path, "rb") as fh:
         blob = fh.read()
     magic, _, kind, prov, length = store._HEADER.unpack_from(blob, 0)
-    R, margin = store.unpack_operator(blob[store._HEADER.size:store._HEADER.size + length])
+    R, _, margin = store.unpack_operator(blob[store._HEADER.size:store._HEADER.size + length])
     old = {3: store.pack_matrix(R),
-           4: store.pack_matrix(R) + struct.pack("<d12s", margin, b"direct")}
+           4: store.pack_matrix(R) + struct.pack("<d12s", margin, b"direct"),
+           5: store.pack_matrix(R) + struct.pack("<d", margin)}
     for version, payload in old.items():
         with open(path, "wb") as fh:
             fh.write(store._HEADER.pack(magic, version, kind, prov, len(payload)) + payload

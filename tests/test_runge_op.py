@@ -6,8 +6,9 @@ import pytest
 import rungelab as rl
 from rungelab.errors import (BadChecksumError, BadLengthError, BadProvenanceError,
                              ConfigurationError, GeometryError, NumericError)
+from rungelab import runge_op, store
 from rungelab.runge_op import (Expansion, alpha_for_j, apply_adjoint, assemble_restriction,
-                               load_operator, matrix_adjoint,
+                               cached_restriction, load_operator, matrix_adjoint,
                                operator_provenance, save_operator, weighted_svd)
 from rungelab.solver import TangentialTrace
 
@@ -282,6 +283,35 @@ def test_truncate_keeps_ties():
         ex.truncate(0.0)
 
 
+def test_truncate_over_an_alpha_array_matches_single_calls(small_restriction):
+    # one block of ladder steps: the tails and counts of one call per alpha,
+    # the data to rounding; ties and alpha above sigma_0 included
+    _, _, volume, _, svd = small_restriction
+    ex = svd.expand(rng_complex(np.random.default_rng(8), volume.n_x))
+    alphas = np.array([2 * svd.sigma[0], svd.sigma[0], svd.sigma[3], 0.5 * svd.sigma[7],
+                       svd.sigma[-1], 1e-3 * svd.sigma[-1]])
+    data, tails, kept = ex.truncate(alphas)
+    assert data.shape == (svd.gram.n_v, len(alphas))
+    assert tails.shape == kept.shape == alphas.shape
+    for i, alpha in enumerate(alphas):
+        one, tail, k = ex.truncate(alpha)
+        assert tails[i] == tail and kept[i] == k
+        assert np.abs(data[:, i] - one).max() <= 1e-14 * max(np.abs(one).max(), 1.0)
+    assert kept[0] == 0 and np.abs(data[:, 0]).max() == 0.0 and kept[-1] == svd.rank
+
+
+def test_truncate_rejects_a_bad_alpha_array(small_restriction):
+    _, _, volume, _, svd = small_restriction
+    rng = np.random.default_rng(9)
+    ex = svd.expand(rng_complex(rng, volume.n_x))
+    for bad in (np.array([1e-3, 0.0]), np.array([[1e-3]])):
+        with pytest.raises(ConfigurationError):
+            ex.truncate(bad)
+    block = svd.expand(np.column_stack([rng_complex(rng, volume.n_x) for _ in range(2)]))
+    with pytest.raises(ConfigurationError, match="single datum"):
+        block.truncate(np.array([1e-3]))
+
+
 def test_truncate_termwise_bound(small_restriction):
     _, gram, volume, _, svd = small_restriction
     rng = np.random.default_rng(4)
@@ -353,7 +383,7 @@ def test_operator_cache_roundtrip(tmp_path, small_restriction):
     sys_, gram, volume, op, _ = small_restriction
     path = tmp_path / "op.rgfo"
     save_operator(op, path, sys_)
-    back, margin = load_operator(path, gram, volume, sys_)
+    back, margin = load_operator(path, gram.patch, gram.collar, volume, sys_)
     assert np.array_equal(back.matrix, op.matrix)
     # the margin comes back bit for bit
     assert margin == rl.resonance_guard(sys_)
@@ -366,7 +396,7 @@ def test_operator_cache_detects_truncation(tmp_path, small_restriction):
     blob = path.read_bytes()
     path.write_bytes(blob[:-20])
     with pytest.raises(BadLengthError):
-        load_operator(path, gram, volume, sys_)
+        load_operator(path, gram.patch, gram.collar, volume, sys_)
 
 
 def test_operator_cache_detects_corruption(tmp_path, small_restriction):
@@ -377,7 +407,7 @@ def test_operator_cache_detects_corruption(tmp_path, small_restriction):
     blob[60] ^= 0xFF
     path.write_bytes(bytes(blob))
     with pytest.raises(BadChecksumError):
-        load_operator(path, gram, volume, sys_)
+        load_operator(path, gram.patch, gram.collar, volume, sys_)
 
 
 def test_operator_cache_provenance(tmp_path, small_restriction, grid8):
@@ -387,7 +417,7 @@ def test_operator_cache_provenance(tmp_path, small_restriction, grid8):
     other_mat = rl.make_material(grid8, {"kind": "constant", "eps": 2.25, "mu": 1.0})
     other_sys = rl.assemble(grid8, other_mat, 2.0)
     with pytest.raises(BadProvenanceError):
-        load_operator(path, gram, volume, other_sys)
+        load_operator(path, gram.patch, gram.collar, volume, other_sys)
 
 
 def test_operator_provenance_names_the_solver(tmp_path, small_restriction, grid8, vacuum8):
@@ -399,7 +429,8 @@ def test_operator_provenance_names_the_solver(tmp_path, small_restriction, grid8
                   for limit in (rl.solver.DIRECT_LIMIT, 0))
     loose = rl.assemble(grid8, smooth, 2.0, solver_tol=1e-8, check_resonance=False)
     assert lu.direct and not minres.direct and not lu.constant
-    provs = {operator_provenance(s, gram, volume) for s in (lu, minres, loose)}
+    provs = {operator_provenance(s, gram.patch, gram.collar, volume)
+             for s in (lu, minres, loose)}
     assert len(provs) == 3
     # a constant medium takes the transform on either path, but the path
     # fixes the guard whose margin the entry holds: one key per path
@@ -409,12 +440,11 @@ def test_operator_provenance_names_the_solver(tmp_path, small_restriction, grid8
     assert sys_.direct and not krylov.direct and krylov.constant
     for other in (krylov, rl.assemble(grid8, vacuum8, 2.0, solver_tol=1e-8)):
         with pytest.raises(BadProvenanceError):
-            load_operator(path, gram, volume, other)
+            load_operator(path, gram.patch, gram.collar, volume, other)
 
 
 def _provenance(sys_, region, patch):
-    return operator_provenance(sys_, rl.build_norm_weights(patch, collar="exclude_rim"),
-                               rl.VolumeWeights(region))
+    return operator_provenance(sys_, patch, "exclude_rim", rl.VolumeWeights(region))
 
 
 def test_operator_provenance_tells_shifted_regions_apart():
@@ -458,5 +488,52 @@ def test_reference_operator_provenance_is_pinned(reference_runge_scene):
     # the key names the cache entry: a change here orphans every operator
     # cached from configs/runge_reference.json
     cfg, scene, gram, volume, op, _, _ = reference_runge_scene
-    assert op.provenance == 0x2c396ff84741cd81
-    assert operator_provenance(scene.system, gram, volume) == op.provenance
+    assert op.provenance == 0x844f5d97bd82d79b
+    assert operator_provenance(scene.system, gram.patch, gram.collar, volume) == op.provenance
+
+
+def test_patch_key_names_face_edges(sys8, grid8):
+    # the trace Gram reads the face incidence, and an entry holds its factor:
+    # two patches that differ only there must key different entries
+    patch = rl.boundary_patch(grid8, "x-")
+    other = rl.BoundaryPatch(grid8, patch.sides, patch.edge_dofs, patch.edge_area,
+                             patch.rim_mask, patch.face_edges[::-1].copy(),
+                             patch.inward_faces)
+    assert not np.array_equal(other.face_edges, patch.face_edges)
+    assert other.key()[:3] == patch.key()[:3]
+    region = rl.carve_region(grid8, {"kind": "ball", "center": [0.4, 0.5, 0.5], "r": 0.22})
+    volume = rl.VolumeWeights(region)
+    assert (operator_provenance(sys8, patch, "exclude_rim", volume)
+            != operator_provenance(sys8, other, "exclude_rim", volume))
+
+
+def test_cached_restriction_reads_the_gram_factor(tmp_path, small_restriction, monkeypatch):
+    # a cold call builds the Gram once and stores its factor; a warm call
+    # builds none and whitens with the cold factor's exact bits
+    sys_, gram, volume, op, _ = small_restriction
+    built = []
+    build = runge_op.build_norm_weights
+    monkeypatch.setattr(runge_op, "build_norm_weights",
+                        lambda *a: built.append(a) or build(*a))
+    cold = cached_restriction(sys_, gram.patch, gram.collar, volume, str(tmp_path), 1e-6)
+    assert len(built) == 1
+    warm = cached_restriction(sys_, gram.patch, gram.collar, volume, str(tmp_path), 1e-6)
+    assert len(built) == 1
+    assert warm.gram is not cold.gram
+    assert warm.gram.chol_V.tobytes() == cold.gram.chol_V.tobytes() == gram.chol_V.tobytes()
+    assert np.array_equal(warm.gram.v_dofs, gram.v_dofs)
+    assert warm.matrix.tobytes() == cold.matrix.tobytes() == op.matrix.tobytes()
+    assert warm.provenance == cold.provenance == op.provenance
+
+
+def test_stored_gram_factor_of_the_wrong_shape_fails(tmp_path, small_restriction):
+    sys_, gram, volume, op, _ = small_restriction
+    path = tmp_path / "op.rgfo"
+    n = gram.n_v
+    for chol in (gram.chol_V[:-1, :-1], gram.chol_V[:, :-1]):
+        store.write_envelope(path, "operator", op.provenance,
+                             store.pack_operator(op.matrix, chol, 0.5))
+        with pytest.raises(ConfigurationError,
+                           match=rf"factor shape \({chol.shape[0]}, {chol.shape[1]}\) "
+                                 rf"!= \({n}, {n}\)"):
+            load_operator(path, gram.patch, gram.collar, volume, sys_)

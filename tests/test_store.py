@@ -130,20 +130,30 @@ def test_real_matrix_payload():
 
 
 def test_operator_payload(tmp_path):
-    # R, then the margin f64; the margin reads back unverified from the file
-    # without the matrix
-    mat = np.array([[1.0, -2.5], [0.0, 3.0]])
-    blob = store.pack_operator(mat, 1.739e-3)
-    assert blob == store.pack_matrix(mat) + struct.pack("<d", 1.739e-3)
-    back, margin = store.unpack_operator(blob)
-    assert back.tobytes() == mat.tobytes() and margin == 1.739e-3
+    # R, then L, then the margin f64; the margin and the two shapes read
+    # back unverified from the file without the matrices
+    mat = np.array([[1.0, -2.5], [0.0, 3.0], [4.0, 5.0]])
+    chol = np.array([[2.0, 0.0], [-0.5, 1.5]])
+    blob = store.pack_operator(mat, chol, 1.739e-3)
+    assert blob == store.pack_matrix(mat) + store.pack_matrix(chol) + struct.pack("<d", 1.739e-3)
+    back, back_chol, margin = store.unpack_operator(blob)
+    assert back.tobytes() == mat.tobytes() and back_chol.tobytes() == chol.tobytes()
+    assert margin == 1.739e-3
     path = tmp_path / "a.rgfo"
-    store.write_envelope(path, "operator", 9, store.pack_operator(mat, 0.5))
+    store.write_envelope(path, "operator", 9, store.pack_operator(mat, chol, 0.5))
     assert store.read_margin(path) == 0.5
+    assert store.read_operator_shapes(path) == ((3, 2), (2, 2))
+    for cut in (blob[:-1], blob[:4], blob[:-9], blob[:len(store.pack_matrix(mat)) + 8]):
+        with pytest.raises(BadLengthError):
+            store.unpack_operator(cut)
+    # a version-5 payload, R then the margin, holds no L
     with pytest.raises(BadLengthError):
-        store.unpack_operator(blob[:-1])
-    with pytest.raises(BadLengthError):
-        store.unpack_operator(blob[:4])
+        store.unpack_operator(store.pack_matrix(mat) + struct.pack("<d", 0.5))
+    for payload in (b"short", store.pack_matrix(mat) + struct.pack("<d", 0.5),
+                    blob + b"\0"):
+        store.write_envelope(path, "operator", 9, payload)
+        with pytest.raises(struct.error):
+            store.read_operator_shapes(path)
     store.write_envelope(path, "operator", 9, b"short")
     with pytest.raises(struct.error):
         store.read_margin(path)
