@@ -10,10 +10,9 @@ import argparse
 import ctypes
 import json
 import os
-import struct
 import sys
 
-from .errors import RungelabError, ConfigurationError
+from .errors import RungelabError, ConfigurationError, StoreError
 from .experiments import normalize_config, run_experiment
 from . import store
 
@@ -63,19 +62,19 @@ def _cmd_cache(args):
             path = os.path.join(cache_dir, name)
             try:
                 version, kind, prov, length = store.read_header(path)
-            except (OSError, struct.error):
+            except (OSError, StoreError):
                 print(f"{name}  (unreadable)")
                 continue
-            kind_name = {v: k for k, v in store.KINDS.items()}.get(kind, "?")
-            line = (f"{name}  kind={kind_name} version={version} "
-                    f"provenance={prov:#018x} payload={length}B")
+            line = (f"{name}  kind={'operator' if kind == store.KIND else '?'} "
+                    f"version={version} provenance={prov:#018x} payload={length}B")
             if version != store.VERSION:
                 line += "  stale"
-            elif kind_name == "operator":
+            else:
                 try:
-                    (rows, cols), (n, m) = store.read_operator_shapes(path)
-                    line += f" R={rows}x{cols} L={n}x{m} margin={store.read_margin(path):.3e}"
-                except (OSError, struct.error):
+                    matrix, chol, margin = store.unpack_operator(store.read_envelope(path, prov))
+                    line += " R={}x{} L={}x{} margin={:.3e}".format(*matrix.shape, *chol.shape,
+                                                                      margin)
+                except (OSError, StoreError):
                     line += " (unreadable payload)"
             print(line)
         if not names:

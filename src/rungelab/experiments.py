@@ -52,7 +52,7 @@ def _integer(least):
 _GT0 = "a finite number > 0", lambda v: _number(v) and v > 0
 _GE0 = "a finite number >= 0", lambda v: _number(v) and v >= 0
 _GT2 = "a finite number > 2", lambda v: _number(v) and v > 2
-_POINT = "a list of three finite numbers", _list(_number, 3)
+_POINT = geometry.POINT
 _INCREASING = ("a non-empty list of strictly increasing integers >= 1",
                lambda v: _list(_int(1))(v) and all(np.diff(v) > 0))
 _SIDE = ("a side or a non-empty list of sides",

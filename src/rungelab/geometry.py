@@ -252,13 +252,14 @@ def finite_number(v):
     return type(v) in (int, float) and abs(v) < np.inf
 
 
-_POINT = ("a list of three finite numbers",
-          lambda v: isinstance(v, list) and len(v) == 3 and all(map(finite_number, v)))
+# a point key's rule, shared with the experiment config table
+POINT = ("a list of three finite numbers",
+         lambda v: isinstance(v, list) and len(v) == 3 and all(map(finite_number, v)))
 _PARTS = ("a non-empty list of shapes", lambda v: isinstance(v, list) and len(v) > 0)
 # each shape kind's keys, as key: (what its value must be, its test)
 _SHAPE_KEYS = {
-    "ball": {"center": _POINT, "r": ("a finite number > 0", lambda v: finite_number(v) and v > 0)},
-    "box": {"lo": _POINT, "hi": _POINT},
+    "ball": {"center": POINT, "r": ("a finite number > 0", lambda v: finite_number(v) and v > 0)},
+    "box": {"lo": POINT, "hi": POINT},
     "union": {"parts": _PARTS},
     "intersection": {"parts": _PARTS},
     "complement": {"part": ("a shape", lambda v: isinstance(v, dict))},

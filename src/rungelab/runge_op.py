@@ -468,7 +468,7 @@ def save_operator(op: RestrictionOperator, path, sys: SystemMatrix):
     """Write R and the trace Gram's factor L with the resonance margin of
     ``sys``, the system that built them (``resonance_guard``, which returns
     a margin already checked at no cost)."""
-    store.write_envelope(path, "operator", op.provenance,
+    store.write_envelope(path, op.provenance,
                          store.pack_operator(op.matrix, op.gram.chol_V, resonance_guard(sys)))
 
 
@@ -477,7 +477,7 @@ def load_operator(path, patch: BoundaryPatch, collar, volume: VolumeWeights,
     """(operator, margin) of the entry at ``path`` for these inputs; the
     operator's Gram wraps the stored factor, so no Gram is built."""
     prov = operator_provenance(sys, patch, collar, volume)
-    matrix, chol_V, margin = store.unpack_operator(store.read_envelope(path, "operator", prov))
+    matrix, chol_V, margin = store.unpack_operator(store.read_envelope(path, prov))
     gram = TraceGram(patch, collar, chol_V)
     if matrix.shape != (volume.n_x, gram.n_v):
         raise ConfigurationError(

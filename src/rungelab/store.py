@@ -1,19 +1,20 @@
-"""Binary envelope persistence shared by operator caches and field snapshots.
+"""Binary envelope persistence for the operator cache.
 
 On-disk layout, all integers little-endian:
 
     magic   4 bytes  b"RGFO"
     version u32      currently 6
-    kind    u32      1 = operator, 2 = svd, 3 = field
+    kind    u32      1 = operator, the only kind
     prov    u64      provenance hash (FNV-1a of a canonical description)
     length  u64      payload byte count
     payload length bytes
     check   u64      blake2b-64 of the payload (8-byte digest, little-endian)
 
 An operator payload (``pack_operator``) is the real restriction matrix R,
-then the Cholesky factor L of the trace Gram it was built on (each in the
-``pack_matrix`` layout), then the resonance margin (f64) of the system that
-built it.  The provenance names the medium and the solve path, which fix the
+then the Cholesky factor L of the trace Gram it was built on (each as rows
+u64, cols u64 and its row-major float64 entries), then the resonance margin
+(f64) of the system that built it; ``unpack_operator`` is its one parser.
+The provenance names the medium and the solve path, which fix the
 guard that computed the margin, so a run that reads the entry takes the
 stored margin instead of running the guard.  The margin is a function of
 the guard's method and of ``solver.GUARD_ITERATIONS`` and
@@ -43,11 +44,12 @@ import tempfile
 import numpy as np
 
 from .errors import (BadChecksumError, BadKindError, BadLengthError, BadMagicError,
-                     BadProvenanceError, BadVersionError, ConfigurationError)
+                     BadProvenanceError, BadVersionError)
 
 MAGIC = b"RGFO"
 VERSION = 6
-KINDS = {"operator": 1, "svd": 2, "field": 3}
+# the header's kind field: 1, the operator
+KIND = 1
 # Prefix of the temp files that write_envelope renames into place.
 TEMP_PREFIX = ".rgfo-"
 _HEADER = struct.Struct("<4sIIQQ")
@@ -103,11 +105,9 @@ def _canonical(obj):
     raise TypeError(f"not canonicalizable: {type(obj)}")
 
 
-def write_envelope(path, kind, provenance, payload: bytes):
+def write_envelope(path, provenance, payload: bytes):
     """Write payload under the envelope layout, atomically replacing ``path``."""
-    if kind not in KINDS:
-        raise ConfigurationError(f"unknown envelope kind {kind!r}")
-    header = _HEADER.pack(MAGIC, VERSION, KINDS[kind], int(provenance) & 0xFFFFFFFFFFFFFFFF,
+    header = _HEADER.pack(MAGIC, VERSION, KIND, int(provenance) & 0xFFFFFFFFFFFFFFFF,
                           len(payload))
     tail = _TAIL.pack(_payload_check(payload))
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -128,44 +128,18 @@ def write_envelope(path, kind, provenance, payload: bytes):
 
 def read_header(path):
     """(version, kind, provenance, payload length) of an envelope, read from
-    its header alone and unverified; raises struct.error on a short file."""
+    its header alone and unverified; raises BadLengthError on a short file."""
     with open(path, "rb") as fh:
-        _, version, kind, prov, length = _HEADER.unpack(fh.read(_HEADER.size))
+        head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size:
+        raise BadLengthError(f"{path}: file shorter than the envelope header")
+    _, version, kind, prov, length = _HEADER.unpack(head)
     return version, kind, prov, length
 
 
-def read_margin(path):
-    """The margin at the tail of an operator envelope's payload, unverified
-    like ``read_header``; raises struct.error on a short file."""
-    _, _, _, length = read_header(path)
-    if length < _MARGIN.size:
-        raise struct.error(f"payload of {length} bytes holds no margin")
-    with open(path, "rb") as fh:
-        fh.seek(_HEADER.size + length - _MARGIN.size)
-        return _MARGIN.unpack(fh.read(_MARGIN.size))[0]
-
-
-def read_operator_shapes(path):
-    """The shapes of R and L in an operator envelope's payload, read from
-    their dimension headers unverified like ``read_header``; raises
-    struct.error unless they and the margin fill the payload."""
-    _, _, _, length = read_header(path)
-    with open(path, "rb") as fh:
-        fh.seek(_HEADER.size)
-        r_shape = struct.unpack("<QQ", fh.read(16))
-        fh.seek(r_shape[0] * r_shape[1] * 8, os.SEEK_CUR)
-        l_shape = struct.unpack("<QQ", fh.read(16))
-    if 32 + 8 * (r_shape[0] * r_shape[1] + l_shape[0] * l_shape[1]) + _MARGIN.size != length:
-        raise struct.error(f"payload of {length} bytes does not hold R {r_shape}, "
-                           f"L {l_shape} and a margin")
-    return r_shape, l_shape
-
-
-def read_envelope(path, expected_kind, expected_provenance) -> bytes:
-    """Read and fully verify an envelope of the expected kind and provenance,
+def read_envelope(path, expected_provenance) -> bytes:
+    """Read and fully verify an envelope of the expected provenance,
     returning the payload bytes."""
-    if expected_kind not in KINDS:
-        raise ConfigurationError(f"unknown envelope kind {expected_kind!r}")
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER.size + _TAIL.size:
@@ -175,8 +149,8 @@ def read_envelope(path, expected_kind, expected_provenance) -> bytes:
         raise BadMagicError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise BadVersionError(f"{path}: unsupported version {version}")
-    if kind != KINDS[expected_kind]:
-        raise BadKindError(f"{path}: kind {kind} != expected {KINDS[expected_kind]}")
+    if kind != KIND:
+        raise BadKindError(f"{path}: kind {kind} != expected {KIND}")
     if prov != (int(expected_provenance) & 0xFFFFFFFFFFFFFFFF):
         raise BadProvenanceError(
             f"{path}: provenance {prov:#018x} does not match the requested inputs")
@@ -190,7 +164,7 @@ def read_envelope(path, expected_kind, expected_provenance) -> bytes:
     return payload
 
 
-# -- typed payload helpers ---------------------------------------------------
+# -- the operator payload ----------------------------------------------------
 
 def _matrix_parts(mat):
     # the entries as a buffer, copied once by the join that packs them
@@ -198,43 +172,29 @@ def _matrix_parts(mat):
     return struct.pack("<QQ", *mat.shape), mat.data
 
 
-def pack_matrix(mat: np.ndarray) -> bytes:
-    """rows u64, cols u64, then the row-major float64 entries."""
-    return b"".join(_matrix_parts(mat))
-
-
-def _leading_matrix(payload):
-    """The ``pack_matrix`` matrix at the head of ``payload``, a read-only
-    view, and the byte count it takes."""
-    if len(payload) < 16:
-        raise BadLengthError("matrix payload shorter than its dimension header")
-    rows, cols = struct.unpack_from("<QQ", payload, 0)
-    end = 16 + rows * cols * 8
-    if len(payload) < end:
-        raise BadLengthError(f"matrix payload {len(payload)} bytes, dimensions need {end}")
-    mat = np.frombuffer(payload, dtype="<f8", count=rows * cols, offset=16)
-    return mat.reshape(rows, cols), end
-
-
-def unpack_matrix(payload: bytes) -> np.ndarray:
-    """The matrix of ``pack_matrix``, a read-only view of ``payload``."""
-    mat, end = _leading_matrix(payload)
-    if end != len(payload):
-        raise BadLengthError(f"matrix payload {len(payload)} bytes, dimensions need {end}")
-    return mat
-
-
 def pack_operator(mat: np.ndarray, chol: np.ndarray, margin) -> bytes:
-    """``pack_matrix(mat)``, ``pack_matrix(chol)``, then the resonance margin f64."""
+    """R, then L, each as rows u64, cols u64 and its row-major float64
+    entries, then the resonance margin f64."""
     return b"".join((*_matrix_parts(mat), *_matrix_parts(chol), _MARGIN.pack(margin)))
 
 
 def unpack_operator(payload: bytes):
     """(matrix, factor, margin) of ``pack_operator``; the two matrices are
     read-only views of ``payload``."""
-    if len(payload) < _MARGIN.size:
-        raise BadLengthError("operator payload shorter than its margin")
-    cut = len(payload) - _MARGIN.size
-    body = memoryview(payload)[:cut]
-    mat, end = _leading_matrix(body)
-    return mat, unpack_matrix(body[end:]), _MARGIN.unpack_from(payload, cut)[0]
+    matrices, offset = [], 0
+    for name in ("R", "L"):
+        if len(payload) < offset + 16:
+            raise BadLengthError(f"operator payload of {len(payload)} bytes ends before "
+                                 f"the dimensions of {name}")
+        rows, cols = struct.unpack_from("<QQ", payload, offset)
+        end = offset + 16 + 8 * rows * cols
+        if len(payload) < end:
+            raise BadLengthError(f"operator payload of {len(payload)} bytes ends before "
+                                 f"{name}'s {rows}x{cols} entries")
+        mat = np.frombuffer(payload, dtype="<f8", count=rows * cols, offset=offset + 16)
+        matrices.append(mat.reshape(rows, cols))
+        offset = end
+    if len(payload) != offset + _MARGIN.size:
+        raise BadLengthError(f"operator payload of {len(payload)} bytes, R, L and the "
+                             f"margin need {offset + _MARGIN.size}")
+    return (*matrices, _MARGIN.unpack_from(payload, offset)[0])

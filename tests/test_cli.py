@@ -375,7 +375,7 @@ def test_cache_commands(tmp_path, capsys):
     assert main(["--cache", cache, "cache", "ls"]) == 0
     os.makedirs(cache, exist_ok=True)
     from rungelab import store
-    store.write_envelope(os.path.join(cache, "x.rgfo"), "operator", 42, b"payload")
+    store.write_envelope(os.path.join(cache, "x.rgfo"), 42, b"payload")
     # what an interrupted write leaves behind
     with open(os.path.join(cache, store.TEMP_PREFIX + "k3j9x2"), "wb") as fh:
         fh.write(b"RGFO")
@@ -550,6 +550,39 @@ def test_corrupt_cache_entry_still_fails(tmp_path, capsys):
     assert "checksum" in capsys.readouterr().err
 
 
+def test_cache_ls_verifies_every_current_entry(tmp_path, capsys):
+    # cache ls reads each current entry whole and checks it: copies of a
+    # healthy entry with one flipped payload byte or cut short list as
+    # unreadable payloads, a file shorter than the header as unreadable,
+    # and the healthy entry's line names its shapes and margin
+    from rungelab import store
+    from rungelab.errors import BadLengthError
+    cfg = _write(tmp_path, "r.json", RUNGE_SMALL)
+    cache = tmp_path / "cache"
+    assert main(["--out", str(tmp_path / "o"), "--cache", str(cache), "run", cfg]) in (0, 2)
+    [name] = os.listdir(cache)
+    blob = (cache / name).read_bytes()
+    flipped = bytearray(blob)
+    flipped[100] ^= 0x01  # an entry of R
+    (cache / "flipped.rgfo").write_bytes(bytes(flipped))
+    (cache / "truncated.rgfo").write_bytes(blob[:-1])
+    (cache / "short.rgfo").write_bytes(blob[:10])
+    with pytest.raises(BadLengthError):
+        store.read_header(cache / "short.rgfo")
+    version, _, prov, length = store.read_header(cache / name)
+    R, L, margin = _read_entry(cache / name)
+    head = f"kind=operator version={version} provenance={prov:#018x} payload={length}B"
+    capsys.readouterr()
+    assert main(["--cache", str(cache), "cache", "ls"]) == 0
+    lines = dict(line.split("  ", 1) for line in capsys.readouterr().out.splitlines())
+    assert lines == {
+        name: f"{head} R={R.shape[0]}x{R.shape[1]} L={L.shape[0]}x{L.shape[1]} "
+              f"margin={margin:.3e}",
+        "flipped.rgfo": f"{head} (unreadable payload)",
+        "truncated.rgfo": f"{head} (unreadable payload)",
+        "short.rgfo": "(unreadable)"}
+
+
 def _spy_guard(monkeypatch):
     """Record every factorization built (not a cached one handed back),
     every resonance-guard solve (an LU back-solve of a real vector or a
@@ -580,6 +613,12 @@ def _spy_guard(monkeypatch):
     return calls
 
 
+def _read_entry(path):
+    """(R, L, margin) of the operator entry at ``path``, fully verified."""
+    from rungelab import store
+    return store.unpack_operator(store.read_envelope(path, store.read_header(path)[2]))
+
+
 def _cold_system(payload):
     """The system of a config as a cold run assembles it, guard unchecked."""
     from rungelab.experiments import build_scene, normalize_config
@@ -587,7 +626,7 @@ def _cold_system(payload):
 
 
 def test_warm_run_takes_the_stored_margin(tmp_path, monkeypatch, capsys):
-    from rungelab import solver, store
+    from rungelab import solver
     cfg = _write(tmp_path, "r.json", RUNGE_SMALL)
     cache = str(tmp_path / "cache")
     out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
@@ -596,7 +635,7 @@ def test_warm_run_takes_the_stored_margin(tmp_path, monkeypatch, capsys):
     assert calls.count("factorize") == 1 and calls.count("guard solve") == 12
     assert calls.count("gram") == 1
     [name] = os.listdir(cache)
-    margin = store.read_margin(os.path.join(cache, name))
+    R, L, margin = _read_entry(os.path.join(cache, name))
     # the stored margin is the cold system's guard result, bit for bit
     assert margin == solver.resonance_guard(_cold_system(RUNGE_SMALL))
     calls.clear()
@@ -611,7 +650,7 @@ def test_warm_run_takes_the_stored_margin(tmp_path, monkeypatch, capsys):
     listing = capsys.readouterr().out.strip()
     assert listing.endswith(f" margin={margin:.3e}") and "guard" not in listing
     # and the shapes of R and of the trace Gram's factor L
-    (rows, cols), (n, m) = store.read_operator_shapes(os.path.join(cache, name))
+    (rows, cols), (n, m) = R.shape, L.shape
     assert (n, m) == (cols, cols)
     assert f" R={rows}x{cols} L={n}x{n} margin=" in listing
 
@@ -619,12 +658,11 @@ def test_warm_run_takes_the_stored_margin(tmp_path, monkeypatch, capsys):
 def test_warm_run_checks_the_stored_margin(tmp_path, monkeypatch, capsys):
     # a threshold above the stored margin fails the warm run with the typed
     # error, which names the margin, and still makes no guard solve
-    from rungelab import store
     cache = str(tmp_path / "cache")
     cfg = _write(tmp_path, "r.json", RUNGE_SMALL)
     assert main(["--out", str(tmp_path / "o1"), "--cache", cache, "run", cfg]) in (0, 2)
     [name] = os.listdir(cache)
-    margin = store.read_margin(os.path.join(cache, name))
+    _, _, margin = _read_entry(os.path.join(cache, name))
     strict = _write(tmp_path, "s.json", dict(RUNGE_SMALL, solver={"resonance_threshold": 0.01}))
     calls = _spy_guard(monkeypatch)
     capsys.readouterr()
@@ -671,14 +709,14 @@ def test_direct_and_krylov_runs_keep_their_own_margins(tmp_path):
     # guard: a direct_limit 0 run on the default run's cache writes a second
     # entry, and each entry keeps the margin of its own guard (the Krylov
     # path's closed form differs from inverse iteration in the last digits)
-    from rungelab import solver, store
+    from rungelab import solver
     cache = str(tmp_path / "cache")
     margins, reports = {}, []
     for i, payload in enumerate((RUNGE_SMALL, dict(RUNGE_SMALL, solver={"direct_limit": 0}))):
         out, cfg = tmp_path / f"o{i}", _write(tmp_path, f"{i}.json", payload)
         assert main(["--out", str(out), "--cache", cache, "run", cfg]) in (0, 2)
         [name] = set(os.listdir(cache)) - set(margins)
-        margins[name] = store.read_margin(os.path.join(cache, name))
+        margins[name] = _read_entry(os.path.join(cache, name))[2]
         assert margins[name] == solver.resonance_guard(_cold_system(payload))
         reports.append((out / "runge.csv").read_bytes())
     assert len(set(margins.values())) == 2
@@ -703,9 +741,10 @@ def test_version_three_entry_is_rebuilt(tmp_path, capsys):
         blob = fh.read()
     magic, _, kind, prov, length = store._HEADER.unpack_from(blob, 0)
     R, _, margin = store.unpack_operator(blob[store._HEADER.size:store._HEADER.size + length])
-    old = {3: store.pack_matrix(R),
-           4: store.pack_matrix(R) + struct.pack("<d12s", margin, b"direct"),
-           5: store.pack_matrix(R) + struct.pack("<d", margin)}
+    packed_R = struct.pack("<QQ", *R.shape) + R.tobytes()
+    old = {3: packed_R,
+           4: packed_R + struct.pack("<d12s", margin, b"direct"),
+           5: packed_R + struct.pack("<d", margin)}
     for version, payload in old.items():
         with open(path, "wb") as fh:
             fh.write(store._HEADER.pack(magic, version, kind, prov, len(payload)) + payload

@@ -531,8 +531,7 @@ def test_stored_gram_factor_of_the_wrong_shape_fails(tmp_path, small_restriction
     path = tmp_path / "op.rgfo"
     n = gram.n_v
     for chol in (gram.chol_V[:-1, :-1], gram.chol_V[:, :-1]):
-        store.write_envelope(path, "operator", op.provenance,
-                             store.pack_operator(op.matrix, chol, 0.5))
+        store.write_envelope(path, op.provenance, store.pack_operator(op.matrix, chol, 0.5))
         with pytest.raises(ConfigurationError,
                            match=rf"factor shape \({chol.shape[0]}, {chol.shape[1]}\) "
                                  rf"!= \({n}, {n}\)"):
