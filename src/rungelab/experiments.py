@@ -75,9 +75,9 @@ def _box_center(cfg):
 
 
 def _dir_path(v):
-    """Test: a path whose longest existing prefix, where ``os.makedirs``
-    starts creating directories, is a directory."""
-    if not isinstance(v, str):
+    """Test: a non-empty path whose longest existing prefix, where
+    ``os.makedirs`` starts creating directories, is a directory."""
+    if not isinstance(v, str) or not v:
         return False
     path = os.path.abspath(v)
     while not os.path.exists(path):
@@ -189,9 +189,10 @@ _TABLE = (
     ("verify.wave.k", lambda c: [float(c["omega"]), 0.0, 0.0], "verify_solver", _POINT),
     ("verify.wave.p", [0.0, 1.0, 0.0], "verify_solver", _POINT),
     # checked here, so that a file in its place or on its path fails before assembly
-    ("output.dir", "out", "*", ("a path whose nearest existing part is a directory", _dir_path)),
+    ("output.dir", "out", "*",
+     ("a non-empty path whose nearest existing part is a directory", _dir_path)),
     ("cache.dir", None, "*",
-     ("null or a path whose nearest existing part is a directory",
+     ("null or a non-empty path whose nearest existing part is a directory",
       lambda v: v is None or _dir_path(v))),
     ("tolerances.convergence_order", 1.8, "*", _GE0),
     ("tolerances.mimetic_nnz", 0, "*", _integer(0)),
@@ -376,7 +377,6 @@ class Report:
 @dataclass
 class Scene:
     grid: geometry.Grid
-    material: materials.MaterialField
     system: solver.SystemMatrix
     patch: geometry.BoundaryPatch
     omega_region: geometry.Region
@@ -384,13 +384,14 @@ class Scene:
 
 
 def _assemble(cfg: dict, grid, mat, guard=True) -> solver.SystemMatrix:
-    """The one place where a config's ``solver`` section becomes keywords;
-    without ``guard`` the caller checks the resonance margin itself."""
+    """The one place where a config's ``solver`` section becomes keywords; with
+    ``guard`` it checks the resonance margin, without it the caller does."""
     slv = cfg["solver"]
-    return solver.assemble(grid, mat, cfg["omega"],
-                           resonance_threshold=slv["resonance_threshold"],
-                           check_resonance=guard, solver_tol=slv["tol"],
+    sys_ = solver.assemble(grid, mat, cfg["omega"], solver_tol=slv["tol"],
                            direct_limit=slv["direct_limit"])
+    if guard:
+        solver.check_margin(sys_, slv["resonance_threshold"])
+    return sys_
 
 
 def build_scene(cfg: dict, targets=(), check=None, guard=True) -> Scene:
@@ -411,7 +412,7 @@ def build_scene(cfg: dict, targets=(), check=None, guard=True) -> Scene:
         check(g, regions)
     mat = materials.make_material(g, cfg["material"])
     sys_ = _assemble(cfg, g, mat, guard)
-    return Scene(g, mat, sys_, patch, geometry.Region(g, np.ones(g.n, dtype=bool)), regions)
+    return Scene(g, sys_, patch, geometry.Region(g, np.ones(g.n, dtype=bool)), regions)
 
 
 # ---------------------------------------------------------------------------
@@ -939,7 +940,7 @@ RUNNERS = {
 
 def run_experiment(cfg: dict) -> Report:
     """Run the driver of ``cfg["tag"]``; the report carries its wall-clock time."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = RUNNERS[cfg["tag"]](cfg)
-    report.wall_clock = time.time() - t0
+    report.wall_clock = time.perf_counter() - t0
     return report

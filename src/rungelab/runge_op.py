@@ -28,7 +28,7 @@ from scipy.linalg import cython_lapack, lapack
 from .analysis import TraceGram, VolumeWeights, build_norm_weights
 from .errors import BadVersionError, ConfigurationError, NumericError
 from .geometry import BoundaryPatch
-from .solver import SystemMatrix, check_margin, real_matmul, resonance_guard, solve_bvp
+from .solver import SystemMatrix, check_margin, real_matmul, solve_bvp
 from . import store
 
 
@@ -464,12 +464,11 @@ def alpha_for_j(j, C, theta, m):
 # cache
 # ---------------------------------------------------------------------------
 
-def save_operator(op: RestrictionOperator, path, sys: SystemMatrix):
-    """Write R and the trace Gram's factor L with the resonance margin of
-    ``sys``, the system that built them (``resonance_guard``, which returns
-    a margin already checked at no cost)."""
+def save_operator(op: RestrictionOperator, path, margin):
+    """Write R and the trace Gram's factor L with ``margin``, the resonance
+    margin of the system that built them (``solver.check_margin``'s)."""
     store.write_envelope(path, op.provenance,
-                         store.pack_operator(op.matrix, op.gram.chol_V, resonance_guard(sys)))
+                         store.pack_operator(op.matrix, op.gram.chol_V, margin))
 
 
 def load_operator(path, patch: BoundaryPatch, collar, volume: VolumeWeights,
@@ -494,23 +493,23 @@ def cached_restriction(sys: SystemMatrix, patch: BoundaryPatch, collar, volume: 
     system's resonance margin.  The operator's ``gram`` is the Gram read or
     built.
 
-    The provenance fixes the guard, so a hit sets the stored margin on
-    ``sys``: a warm run makes no guard solve and builds no Gram.  The margin
-    is checked against ``resonance_threshold`` before the Gram is built or
-    any column is solved."""
-    op = path = None
+    The provenance fixes the guard, so a hit's stored margin is compared with
+    no guard solve and no Gram built (``check_margin``); a miss runs the guard.
+    The margin is checked against ``resonance_threshold`` before the Gram is
+    built, any column is solved or an entry is written."""
+    op = path = margin = None
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
         prov = operator_provenance(sys, patch, collar, volume)
         path = os.path.join(cache_dir, f"operator-{prov:016x}.rgfo")
         if os.path.exists(path):
             try:
-                op, sys.margin = load_operator(path, patch, collar, volume, sys)
+                op, margin = load_operator(path, patch, collar, volume, sys)
             except BadVersionError:
                 pass
-    check_margin(sys, resonance_threshold)
+    margin = check_margin(sys, resonance_threshold, margin)
     if op is None:
         op = assemble_restriction(sys, build_norm_weights(patch, collar), volume)
         if path:
-            save_operator(op, path, sys)
+            save_operator(op, path, margin)
     return op

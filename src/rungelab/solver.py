@@ -383,10 +383,8 @@ class SystemMatrix:
     start.  The direct path also factorizes for the resonance guard's
     vectors.  ``solve_interior`` checks the residual of every column it
     returns but the guard's.  Immutable after assembly apart from the lazily
-    built factorization and reference inverses, and ``margin`` and
-    ``guard_vector``, the resonance guard's result and last vector: None
-    until ``resonance_guard`` runs or a cached operator's margin is set
-    (``runge_op.cached_restriction``), sparing the guard's solves and LU.
+    built factorization and reference inverses; the guard's margin is a
+    value its callers hold (``resonance_guard``, ``check_margin``).
     """
 
     def __init__(self, grid, material, omega, L, curl, mu_inv_point, solver_tol,
@@ -414,8 +412,6 @@ class SystemMatrix:
         self.constant = max(deps / eps0, dnu / nu0) <= 1e-14
         self._lu = None
         self._inverses = {}
-        self.margin = None
-        self.guard_vector = None
 
     def _reference_inverse(self, signed):
         if signed not in self._inverses:
@@ -525,16 +521,11 @@ class SystemMatrix:
                            M=self._preconditioner())
 
 
-def assemble(grid: Grid, mat: MaterialField, omega, *,
-             resonance_threshold=RESONANCE_THRESHOLD, check_resonance=True,
-             solver_tol=SOLVER_TOL, direct_limit=DIRECT_LIMIT) -> SystemMatrix:
-    """Assemble curl(mu^-1 curl .) - omega^2 eps on interior edges.
-
-    With ``check_resonance`` the system's resonance margin is checked against
-    ``resonance_threshold`` before it is returned (``check_margin``); a
-    caller that may know the margin already, the runge operator cache,
-    assembles without the check and makes it later.
-    """
+def assemble(grid: Grid, mat: MaterialField, omega, *, solver_tol=SOLVER_TOL,
+             direct_limit=DIRECT_LIMIT) -> SystemMatrix:
+    """Assemble curl(mu^-1 curl .) - omega^2 eps on interior edges.  The
+    resonance margin is not checked here: a caller checks it (``check_margin``)
+    on the system returned, or compares a margin it already holds."""
     if not (omega > 0):
         raise ConfigurationError("omega must be positive")
     C = curl_matrix(grid)
@@ -551,21 +542,19 @@ def assemble(grid: Grid, mat: MaterialField, omega, *,
     off_diagonal = ~np.eye(3, dtype=bool)
     if any(mat.cells(t)[..., off_diagonal].any() for t in (mat.eps, mu_inv)):
         L = ((L + L.T) * 0.5).tocsr()
-    sys = SystemMatrix(grid, mat, omega, L, C, _pointwise(grid, Mf), solver_tol, direct_limit,
-                       reference_medium(mat, mu_inv))
-    del L  # the system keeps its interior rows only; freed before the guard
-    if check_resonance:
-        check_margin(sys, resonance_threshold)
-    return sys
+    return SystemMatrix(grid, mat, omega, L, C, _pointwise(grid, Mf), solver_tol, direct_limit,
+                        reference_medium(mat, mu_inv))
 
 
-def check_margin(sys: SystemMatrix, resonance_threshold=RESONANCE_THRESHOLD):
-    """The ``resonance_guard`` margin of ``sys``, checked against the threshold:
-    below it, LowFrequencyError when the nearest resonance omega_r
+def check_margin(sys: SystemMatrix, resonance_threshold=RESONANCE_THRESHOLD, margin=None):
+    """The resonance margin of ``sys``, checked against the threshold and
+    returned: ``margin`` when the caller already holds it (a cache entry's),
+    compared without a solve, else ``resonance_guard``'s.  Below the
+    threshold, LowFrequencyError when the nearest resonance omega_r
     (``nearest_resonance``) lies below omega / 2, else ResonantFrequencyError
-    suggesting omega detuned by 7 percent away from omega_r (up on a tie).  A
-    margin already on ``sys`` (a cached one) is compared without a solve."""
-    margin = resonance_guard(sys)
+    suggesting omega detuned by 7 percent away from omega_r (up on a tie)."""
+    if margin is None:
+        margin = resonance_guard(sys)
     if margin >= resonance_threshold:
         return margin
     omega, omega_r = sys.omega, nearest_resonance(sys)
@@ -598,52 +587,50 @@ def constant_branches(sys: SystemMatrix):
 
 def nearest_resonance(sys: SystemMatrix):
     """omega_r, the frequency of the resonance nearest omega: by
-    ``constant_branches`` in a constant scalar medium, else at the guard's last
-    vector v the Rayleigh quotient of the pencil (K, M), L_II = K - omega^2 M:
+    ``constant_branches`` in a constant scalar medium, else the Rayleigh quotient
+    of the pencil (K, M), L_II = K - omega^2 M, at the last vector v of the
+    guard's inverse iteration, run again for v (only on the error path):
     omega^2 v^T K v / (v^T K v - v^T L_II v), v^T K v = (C v)^T diag(w_face) P (C v)."""
     if sys.constant:
         return constant_branches(sys)[1]
-    if sys.guard_vector is None:  # a margin read from the operator cache
-        sys.margin = None
-        resonance_guard(sys)
-    v = sys.guard_vector
+    v = _inverse_iteration(sys)[1]
     cv = sys.curl[:, sys.idx_interior] @ v
     kv = cv @ (sys.grid.dof_volumes("face") * (sys.mu_inv_point @ cv))
     return float(sys.omega * np.sqrt(kv / (kv - v @ (sys.L_II @ v))))
 
 
 def resonance_guard(sys: SystemMatrix):
-    """Relative smallest-singular-value estimate sigma_min / ``norm_estimate``,
-    kept on ``sys.margin``; a margin already there is returned unchanged.
+    """The relative smallest-singular-value estimate sigma_min /
+    ``norm_estimate`` of ``sys``; nothing is stored on the system.
 
     On the Krylov path a constant scalar medium gives sigma_min exactly
-    (``constant_branches``).  Otherwise ``GUARD_ITERATIONS`` inverse power
-    steps from a ``GUARD_SEED`` start, LU back-solves on the direct path and
-    MINRES runs at ``GUARD_TOL`` on the Krylov path (``_guard_step``),
-    estimate it and leave their last vector on ``sys.guard_vector``.  So the
-    medium's kind and the path (``sys.direct``) fix the guard, and the runge
-    operator cache, keyed by both, stores its margin (``runge_op.save_operator``):
-    a change to any guard's method or constants must bump ``store.VERSION``.
+    (``constant_branches``), otherwise ``_inverse_iteration`` estimates it.
+    So the medium's kind and the path (``sys.direct``) fix the guard, and the
+    runge operator cache, keyed by both, stores its margin
+    (``runge_op.save_operator``): a change to any guard's method or constants
+    must bump ``store.VERSION``.
     """
-    if sys.margin is not None:
-        return sys.margin
     if sys.constant and not sys.direct:
-        sigma_min = sys.grid.h ** 3 * constant_branches(sys)[0]
-    else:
-        rng = np.random.default_rng(GUARD_SEED)
-        v = rng.standard_normal(sys.dimension)
-        v /= np.linalg.norm(v)
-        sigma_min = None
-        for _ in range(GUARD_ITERATIONS):
-            w = sys.solve_interior(v) if sys.direct else _guard_step(sys, v)
-            nw = np.linalg.norm(w)
-            if nw == 0:
-                break
-            sigma_min = 1.0 / nw
-            v = w / nw
-        sys.guard_vector = v
-    sys.margin = float(sigma_min / sys.norm_estimate)
-    return sys.margin
+        return float(sys.grid.h ** 3 * constant_branches(sys)[0] / sys.norm_estimate)
+    return float(_inverse_iteration(sys)[0] / sys.norm_estimate)
+
+
+def _inverse_iteration(sys: SystemMatrix):
+    """(sigma_min, v) after ``GUARD_ITERATIONS`` inverse power steps from a
+    ``GUARD_SEED`` start: LU back-solves on the direct path and MINRES runs
+    at ``GUARD_TOL`` on the Krylov path (``_guard_step``), v the last unit
+    vector.  Deterministic, so a second run repeats the first bit for bit."""
+    v = np.random.default_rng(GUARD_SEED).standard_normal(sys.dimension)
+    v /= np.linalg.norm(v)
+    sigma_min = None
+    for _ in range(GUARD_ITERATIONS):
+        w = sys.solve_interior(v) if sys.direct else _guard_step(sys, v)
+        nw = np.linalg.norm(w)
+        if nw == 0:
+            break
+        sigma_min = 1.0 / nw
+        v = w / nw
+    return sigma_min, v
 
 
 def _guard_step(sys: SystemMatrix, v):

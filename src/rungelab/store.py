@@ -77,7 +77,7 @@ def _payload_check(payload: bytes) -> int:
 
 def provenance_hash(description) -> int:
     """FNV-1a of a canonical JSON rendering of a provenance description."""
-    blob = json.dumps(description, sort_keys=True, default=_canonical).encode()
+    blob = json.dumps(description, sort_keys=True).encode()
     return fnv1a64(blob)
 
 
@@ -93,16 +93,6 @@ def array_digest(*arrays) -> str:
         h.update(repr((a.shape, a.dtype.str)).encode())
         h.update(a.tobytes())
     return h.hexdigest()
-
-
-def _canonical(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not canonicalizable: {type(obj)}")
 
 
 def write_envelope(path, provenance, payload: bytes):

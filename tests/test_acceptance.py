@@ -182,7 +182,7 @@ def test_criterion_10_cache_integrity(tmp_path, reference_runge_scene):
     cfg, scene, gram, volume, op, svd, _ = reference_runge_scene
     t0 = time.time()
     path = tmp_path / "reference.rgfo"
-    runge_op.save_operator(op, path, scene.system)
+    runge_op.save_operator(op, path, rl.resonance_guard(scene.system))
     back, _ = runge_op.load_operator(path, gram.patch, gram.collar, volume, scene.system)
     assert np.array_equal(back.matrix, op.matrix)
     assert back.gram.chol_V.tobytes() == gram.chol_V.tobytes()

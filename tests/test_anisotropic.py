@@ -87,7 +87,7 @@ def test_anisotropic_matrices_symmetric():
 
 def _mu_inv_point(grid, spec):
     mat = rl.make_material(grid, spec)
-    return rl.assemble(grid, mat, OMEGA, check_resonance=False).mu_inv_point, mat
+    return rl.assemble(grid, mat, OMEGA).mu_inv_point, mat
 
 
 def test_anisotropic_pointwise_identity_for_vacuum():

@@ -210,6 +210,11 @@ def _propagate(g_shape, r0, margin_h, x0=(0.5, 0.5, 0.5)):
     # the last cutoff as the largest, so the run failed after the whole study
     (dict(_localize({"kind": "ball", "center": [0.3, 0.5, 0.5], "r": 0.16}),
           localization={"cutoffs": [50, 20, 10]}), "localization.cutoffs"),
+    # an empty path: its nearest existing part is the working directory, so
+    # the output run failed with an untyped error after the whole study and
+    # the cache run went on without a cache
+    ({"output": {"dir": ""}}, "output.dir"),
+    ({"cache": {"dir": ""}}, "cache.dir"),
 ])
 def test_run_exit_one_before_assembly(tmp_path, monkeypatch, capsys, payload, key):
     from rungelab import solver

@@ -382,7 +382,7 @@ def test_alpha_for_j_validation():
 def test_operator_cache_roundtrip(tmp_path, small_restriction):
     sys_, gram, volume, op, _ = small_restriction
     path = tmp_path / "op.rgfo"
-    save_operator(op, path, sys_)
+    save_operator(op, path, rl.resonance_guard(sys_))
     back, margin = load_operator(path, gram.patch, gram.collar, volume, sys_)
     assert np.array_equal(back.matrix, op.matrix)
     # the margin comes back bit for bit
@@ -392,7 +392,7 @@ def test_operator_cache_roundtrip(tmp_path, small_restriction):
 def test_operator_cache_detects_truncation(tmp_path, small_restriction):
     sys_, gram, volume, op, _ = small_restriction
     path = tmp_path / "op.rgfo"
-    save_operator(op, path, sys_)
+    save_operator(op, path, rl.resonance_guard(sys_))
     blob = path.read_bytes()
     path.write_bytes(blob[:-20])
     with pytest.raises(BadLengthError):
@@ -402,7 +402,7 @@ def test_operator_cache_detects_truncation(tmp_path, small_restriction):
 def test_operator_cache_detects_corruption(tmp_path, small_restriction):
     sys_, gram, volume, op, _ = small_restriction
     path = tmp_path / "op.rgfo"
-    save_operator(op, path, sys_)
+    save_operator(op, path, rl.resonance_guard(sys_))
     blob = bytearray(path.read_bytes())
     blob[60] ^= 0xFF
     path.write_bytes(bytes(blob))
@@ -413,7 +413,7 @@ def test_operator_cache_detects_corruption(tmp_path, small_restriction):
 def test_operator_cache_provenance(tmp_path, small_restriction, grid8):
     sys_, gram, volume, op, _ = small_restriction
     path = tmp_path / "op.rgfo"
-    save_operator(op, path, sys_)
+    save_operator(op, path, rl.resonance_guard(sys_))
     other_mat = rl.make_material(grid8, {"kind": "constant", "eps": 2.25, "mu": 1.0})
     other_sys = rl.assemble(grid8, other_mat, 2.0)
     with pytest.raises(BadProvenanceError):
@@ -425,9 +425,9 @@ def test_operator_provenance_names_the_solver(tmp_path, small_restriction, grid8
     # medium by LU, by MINRES and by LU at another tolerance
     sys_, gram, volume, op, _ = small_restriction
     smooth = rl.make_material(grid8, {"kind": "smooth", "seed": 3, "amplitude": 0.3})
-    lu, minres = (rl.assemble(grid8, smooth, 2.0, direct_limit=limit, check_resonance=False)
+    lu, minres = (rl.assemble(grid8, smooth, 2.0, direct_limit=limit)
                   for limit in (rl.solver.DIRECT_LIMIT, 0))
-    loose = rl.assemble(grid8, smooth, 2.0, solver_tol=1e-8, check_resonance=False)
+    loose = rl.assemble(grid8, smooth, 2.0, solver_tol=1e-8)
     assert lu.direct and not minres.direct and not lu.constant
     provs = {operator_provenance(s, gram.patch, gram.collar, volume)
              for s in (lu, minres, loose)}
@@ -435,7 +435,7 @@ def test_operator_provenance_names_the_solver(tmp_path, small_restriction, grid8
     # a constant medium takes the transform on either path, but the path
     # fixes the guard whose margin the entry holds: one key per path
     path = tmp_path / "op.rgfo"
-    save_operator(op, path, sys_)
+    save_operator(op, path, rl.resonance_guard(sys_))
     krylov = rl.assemble(grid8, vacuum8, 2.0, direct_limit=0)
     assert sys_.direct and not krylov.direct and krylov.constant
     for other in (krylov, rl.assemble(grid8, vacuum8, 2.0, solver_tol=1e-8)):
@@ -451,8 +451,7 @@ def test_operator_provenance_tells_shifted_regions_apart():
     # one cell of shift in x on the 12^3 reference grid moves 36 cells but
     # keeps the cell count and the byte sum of the packed mask
     g = rl.build_grid((12, 12, 12), 1.0 / 12)
-    sys_ = rl.assemble(g, rl.make_material(g, {"kind": "constant"}), 2.0,
-                       check_resonance=False)
+    sys_ = rl.assemble(g, rl.make_material(g, {"kind": "constant"}), 2.0)
     patch = rl.boundary_patch(g, "x-")
     a, b = (rl.carve_region(g, {"kind": "ball", "center": [x, 0.47, 0.52], "r": 0.2})
             for x in (0.38, 0.38 + g.h))
@@ -479,7 +478,7 @@ def test_operator_provenance_tells_mirrored_materials_apart(grid8):
     assert mats[0].key() != mats[1].key()
     patch = rl.boundary_patch(grid8, "x-")
     region = rl.carve_region(grid8, {"kind": "ball", "center": [0.4, 0.5, 0.5], "r": 0.22})
-    provs = [_provenance(rl.assemble(grid8, m, 2.0, check_resonance=False), region, patch)
+    provs = [_provenance(rl.assemble(grid8, m, 2.0), region, patch)
              for m in mats]
     assert provs[0] != provs[1]
 

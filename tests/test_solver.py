@@ -40,7 +40,7 @@ MEDIA = {
 @pytest.mark.parametrize("medium", ["vacuum", "layered", "smooth", "full_tensor"])
 def test_system_symmetry(medium, sys8, grid8):
     sys_ = sys8 if medium == "vacuum" else assemble(
-        grid8, rl.make_material(grid8, MEDIA[medium]), 2.0, check_resonance=False)
+        grid8, rl.make_material(grid8, MEDIA[medium]), 2.0)
     # exact: the factorization reads L_II^T as the CSC form of L_II
     d = (sys_.L_II - sys_.L_II.T)
     d.eliminate_zeros()
@@ -64,7 +64,7 @@ def test_uniform_medium_matches_per_cell_formulas(medium, grid8):
             M = max(M, float((np.abs(np.diff(t, axis=axis)) / grid8.h).max()))
     assert mat.M == M
 
-    sys_ = assemble(grid8, mat, 2.0, check_resonance=False)
+    sys_ = assemble(grid8, mat, 2.0)
     reference = []
     for t in (mat.eps, mu_inv):
         t0 = np.trace(t, axis1=-2, axis2=-1).mean() / 3.0
@@ -109,7 +109,7 @@ def test_block_solve_bvp_matches_its_columns(grid8, vacuum8, medium, direct_limi
     # multi-column solve by its place in the block, so on the smooth direct
     # path the columns agree to rounding only
     mat = vacuum8 if medium == "vacuum" else rl.make_material(grid8, MEDIA["smooth"])
-    sys_ = assemble(grid8, mat, 2.0, direct_limit=direct_limit, check_resonance=False)
+    sys_ = assemble(grid8, mat, 2.0, direct_limit=direct_limit)
     patch = rl.boundary_patch(grid8, ["x-", "y+"])
     values = rng_complex(np.random.default_rng(28), (patch.n_dofs, 5))
     block = rl.solve_bvp(sys_, TangentialTrace(patch, values))
@@ -257,7 +257,7 @@ def _fine_sweep_near_first_resonance(g, mat):
     omegas = np.linspace(4.0, 5.0, 9)
     margins = []
     for om in omegas:
-        s = rl.assemble(g, mat, om, check_resonance=False)
+        s = rl.assemble(g, mat, om)
         margins.append(resonance_guard(s))
     dip = int(np.argmin(margins))
     assert 0 < dip < len(omegas) - 1, "sweep should bracket the first cavity resonance"
@@ -270,23 +270,23 @@ def test_resonance_sweep_and_guard():
     fine = _fine_sweep_near_first_resonance(g, mat)
     fine_margins = []
     for om in fine:
-        s = rl.assemble(g, mat, om, check_resonance=False)
+        s = rl.assemble(g, mat, om)
         fine_margins.append(resonance_guard(s))
     best = int(np.argmin(fine_margins))
     assert fine_margins[best] < 1e-4
     with pytest.raises(ResonantFrequencyError) as err:
-        rl.assemble(g, mat, fine[best], resonance_threshold=1e-4)
+        rl.solver.check_margin(rl.assemble(g, mat, fine[best]), 1e-4)
     assert err.value.suggested_omega is not None
 
 
 def test_margin_deterministic(grid8, vacuum8):
     a = rl.assemble(grid8, vacuum8, 2.0)
     b = rl.assemble(grid8, vacuum8, 2.0)
-    assert a.margin == b.margin
+    assert resonance_guard(a) == resonance_guard(b)
 
 
 def test_krylov_path_matches_direct(grid8, vacuum8, sys8):
-    iterative = assemble(grid8, vacuum8, 2.0, direct_limit=0, check_resonance=False)
+    iterative = assemble(grid8, vacuum8, 2.0, direct_limit=0)
     patch = rl.boundary_patch(grid8, "x-", window=((0.0, 0.0), (0.25, 0.25)))
     rng = np.random.default_rng(4)
     f = rng_complex(rng, patch.n_dofs)
@@ -306,7 +306,7 @@ def test_weak_rhs_support(sys8, grid8):
 def test_krylov_nonconvergence_reports_history(grid8, vacuum8, krylov_stall):
     from rungelab.errors import NumericError
 
-    iterative = assemble(grid8, vacuum8, 2.0, direct_limit=0, check_resonance=False)
+    iterative = assemble(grid8, vacuum8, 2.0, direct_limit=0)
     patch = rl.boundary_patch(grid8, "x-")
     rng = np.random.default_rng(9)
     with pytest.raises(NumericError) as err:
@@ -321,7 +321,7 @@ def test_krylov_guard_stall_raises(grid8, krylov_stall):
     # a constant scalar medium takes no guard steps on the Krylov path
     smooth = rl.make_material(grid8, {"kind": "smooth", "seed": 3, "amplitude": 0.3})
     with pytest.raises(NumericError) as err:
-        assemble(grid8, smooth, 2.0, direct_limit=0)
+        resonance_guard(assemble(grid8, smooth, 2.0, direct_limit=0))
     assert err.value.history[0] > solver_mod.GUARD_TOL
 
 
@@ -340,7 +340,7 @@ def test_concurrent_solves_deterministic(sys8, grid8):
 
 @pytest.mark.parametrize("direct_limit", [rl.solver.DIRECT_LIMIT, 0])
 def test_solve_interior_block_matches_columns(grid8, vacuum8, direct_limit):
-    sys_ = assemble(grid8, vacuum8, 2.0, direct_limit=direct_limit, check_resonance=False)
+    sys_ = assemble(grid8, vacuum8, 2.0, direct_limit=direct_limit)
     # right-hand sides of unit boundary data, the block the Cauchy study solves
     rng = np.random.default_rng(11)
     cols = rng.choice(sys_.L_IB.shape[1], size=8, replace=False)
@@ -385,7 +385,7 @@ def test_solve_interior_never_accepts_a_nan_residual(grid8, vacuum8, direct_limi
     # must fail the solve
     from rungelab.errors import NumericError
 
-    sys_ = assemble(grid8, vacuum8, 2.0, direct_limit=direct_limit, check_resonance=False)
+    sys_ = assemble(grid8, vacuum8, 2.0, direct_limit=direct_limit)
     b = -sys_.L_IB[:, np.flatnonzero(sys_.L_IB.getnnz(axis=0))[:3]].toarray()
     want = sys_.solve_interior(b)
     start = sys_._transform_start
@@ -413,7 +413,7 @@ def test_solve_interior_never_accepts_a_nan_residual(grid8, vacuum8, direct_limi
 def test_solve_interior_skips_zero_parts(grid8, vacuum8, direct_limit, ncols, monkeypatch):
     smooth = rl.make_material(grid8, {"kind": "smooth", "seed": 3, "amplitude": 0.3})
     for mat in (vacuum8, smooth):
-        sys_ = assemble(grid8, mat, 2.0, direct_limit=direct_limit, check_resonance=False)
+        sys_ = assemble(grid8, mat, 2.0, direct_limit=direct_limit)
         rng = np.random.default_rng(13)
         cols = rng.choice(sys_.L_IB.shape[1], size=3, replace=False)
         unit = -sys_.L_IB[:, cols].toarray()
@@ -465,7 +465,7 @@ def test_krylov_meets_its_tolerance_on_random_data():
     for spec in ({"kind": "constant", "eps": 1.0, "mu": 1.0},
                  {"kind": "smooth", "seed": 3, "amplitude": 0.3}):
         mat = rl.make_material(g, spec)
-        iterative = assemble(g, mat, 2.0, direct_limit=0, check_resonance=False)
+        iterative = assemble(g, mat, 2.0, direct_limit=0)
         rng = np.random.default_rng(11)
         b = rng.standard_normal((iterative.dimension, 2))
         x = iterative.solve_interior(b)
@@ -475,7 +475,7 @@ def test_krylov_meets_its_tolerance_on_random_data():
 
 def _guard_margins(g, mat, omega):
     """Resonance margins of the direct and of the Krylov path."""
-    return [resonance_guard(assemble(g, mat, omega, check_resonance=False, direct_limit=limit))
+    return [resonance_guard(assemble(g, mat, omega, direct_limit=limit))
             for limit in (10 ** 9, 0)]
 
 
@@ -496,7 +496,7 @@ def test_krylov_guard_margin_is_the_dense_spectrum(n, spec, omega):
     # eigh rather than eigvalsh: the eigenvalue-only LAPACK driver reads the
     # smallest modulus up to 1.1e-12 relative off at 6^3 and omega = 4.44
     g = rl.build_grid((n, n, n), 1.0 / n)
-    sys_ = assemble(g, rl.make_material(g, spec), omega, direct_limit=0, check_resonance=False)
+    sys_ = assemble(g, rl.make_material(g, spec), omega, direct_limit=0)
     dense = np.abs(np.linalg.eigh(sys_.L_II.toarray())[0]).min() / sys_.norm_estimate
     assert abs(resonance_guard(sys_) - dense) <= 1e-12 * dense
 
@@ -511,7 +511,7 @@ def test_krylov_guard_raises_at_a_cavity_resonance(grid8, spec, modes):
     lam = sum((2.0 * 8 * np.sin(np.pi * m / 16)) ** 2 for m in modes)
     omega = np.sqrt(nu0 * lam / eps0)
     with pytest.raises(ResonantFrequencyError) as err:
-        assemble(grid8, mat, omega, direct_limit=0)
+        rl.solver.check_margin(assemble(grid8, mat, omega, direct_limit=0))
     assert type(err.value) is ResonantFrequencyError
     assert err.value.margin < rl.solver.RESONANCE_THRESHOLD
     assert err.value.suggested_omega in (0.93 * omega, 1.07 * omega)
@@ -526,7 +526,7 @@ def _low_frequency_error(g, mat, direct_limit, monkeypatch):
     monkeypatch.setattr(solver_mod, "assemble",
                         lambda *a, _f=solver_mod.assemble, **k: calls.append(1) or _f(*a, **k))
     with pytest.raises(LowFrequencyError) as err:
-        solver_mod.assemble(g, mat, 0.02, direct_limit=direct_limit)
+        solver_mod.check_margin(solver_mod.assemble(g, mat, 0.02, direct_limit=direct_limit))
     assert len(calls) == 1
     assert err.value.suggested_omega is None and "try omega=" not in str(err.value)
     assert err.value.omega2_h2 == 0.02 ** 2 * g.h ** 2
@@ -540,7 +540,7 @@ def test_low_frequency_raises_without_a_suggestion(n, direct_limit, monkeypatch)
     # no detuning raises: the error suggests nothing and assembles nothing more
     g = rl.build_grid((n, n, n), 1.0 / n)
     mat = rl.make_material(g, {"kind": "constant"})
-    norm = assemble(g, mat, 0.02, direct_limit=direct_limit, check_resonance=False).norm_estimate
+    norm = assemble(g, mat, 0.02, direct_limit=direct_limit).norm_estimate
     err = _low_frequency_error(g, mat, direct_limit, monkeypatch)
     assert err.nearest_omega == 0.0
     assert err.margin == pytest.approx(g.h ** 3 * 0.02 ** 2 / norm, rel=1e-9)
@@ -570,13 +570,37 @@ def test_resonance_error_names_the_nearest_cavity_mode(grid8, medium, direct_lim
     omega1 = np.sqrt(rl.solver.mode_table(grid8)[1][0][0, 0, 0])
     omega = detune * omega1
     with pytest.raises(ResonantFrequencyError) as err:
-        assemble(grid8, mat, omega, direct_limit=direct_limit, resonance_threshold=1e-3)
+        rl.solver.check_margin(assemble(grid8, mat, omega, direct_limit=direct_limit), 1e-3)
     assert type(err.value) is ResonantFrequencyError
     omega_r = err.value.nearest_omega
     assert abs(omega_r - omega1) <= 2e-3 * omega1
     assert f"resonance at omega={omega_r:.6g})" in str(err.value)
     assert (omega_r < omega) == (detune > 1)
     assert err.value.suggested_omega == omega * (1.07 if detune > 1 else 0.93)
+
+
+@pytest.mark.parametrize("direct_limit", [10 ** 9, 0])
+def test_nearest_resonance_converges_to_the_exact_mode(direct_limit):
+    # omega_1 of the interior pencil (K, M), K = L_II + omega^2 M, by a dense
+    # generalized eigensolve: the Rayleigh quotient at the guard's vector
+    # closes in on it as omega does, 8.2e-4, 1.1e-6 and 1.4e-8 relative off
+    # on the direct path and 7.6e-4, 1.3e-6 and 1.4e-8 on the Krylov path
+    import scipy.linalg as sla
+
+    g = rl.build_grid((6, 6, 6), 1.0 / 6)
+    mat = rl.make_material(g, MEDIA["smooth"])
+    base = assemble(g, mat, 2.0)
+    interior = base.idx_interior
+    M = rl.solver.material_matrix(g, mat.eps, "edge")[interior][:, interior].toarray()
+    lam = sla.eigh(base.L_II.toarray() + 2.0 ** 2 * M, M, eigvals_only=True)
+    omega1 = np.sqrt(lam[lam > 1e-6 * lam.max()][0])   # above the gradient null space
+    assert omega1 == pytest.approx(4.390487, rel=1e-6)
+    errors = []
+    for f in (0.99, 0.995, 0.998):
+        sys_ = assemble(g, mat, f * omega1, direct_limit=direct_limit)
+        errors.append(abs(rl.solver.nearest_resonance(sys_) - omega1) / omega1)
+    assert errors[0] > errors[1] > errors[2]
+    assert errors[2] < 1e-6
 
 
 def test_krylov_guard_route(grid8, vacuum8, monkeypatch):
@@ -589,9 +613,9 @@ def test_krylov_guard_route(grid8, vacuum8, monkeypatch):
                             lambda self, *a, _m=method, _n=name, **k:
                             calls.update([_n]) or _m(self, *a, **k))
     sys_ = assemble(grid8, vacuum8, 2.0, direct_limit=0)
-    assert sys_.margin > 0 and dict(calls) == {}
+    assert resonance_guard(sys_) > 0 and dict(calls) == {}
     smooth = rl.make_material(grid8, {"kind": "smooth", "seed": 3, "amplitude": 0.3})
-    assemble(grid8, smooth, 2.0, direct_limit=0)
+    resonance_guard(assemble(grid8, smooth, 2.0, direct_limit=0))
     assert dict(calls) == {"_minres": 12}
 
 
@@ -621,7 +645,7 @@ def test_krylov_path_at_a_resonance_of_the_reference_medium(modes):
     omega = np.sqrt(nu0 * lam / eps0)
     direct, krylov = _guard_margins(g, mat, omega)
     assert abs(krylov - direct) <= 1e-3 * direct
-    iterative = assemble(g, mat, omega, direct_limit=0, check_resonance=False)
+    iterative = assemble(g, mat, omega, direct_limit=0)
     b = np.random.default_rng(18).standard_normal(iterative.dimension)
     x = iterative.solve_interior(b)
     assert np.linalg.norm(iterative.L_II @ x - b) <= iterative.solver_tol * np.linalg.norm(b)
@@ -637,7 +661,7 @@ def _dense(apply, n):
 def test_reference_inverse_is_the_exact_inverse_modulus(spec):
     # M = |L_II|^-1 for a constant scalar medium, so M L_II = sign(L_II)
     g = rl.build_grid((8, 10, 6), 0.1)
-    sys_ = assemble(g, rl.make_material(g, spec), 2.0, direct_limit=0, check_resonance=False)
+    sys_ = assemble(g, rl.make_material(g, spec), 2.0, direct_limit=0)
     M = _dense(sys_._preconditioner().matvec, sys_.dimension)
     assert np.abs(M - M.T).max() <= 1e-14 * np.abs(M).max()
     b = np.random.default_rng(16).standard_normal(sys_.dimension)
@@ -650,7 +674,7 @@ def test_reference_inverse_is_the_exact_inverse_modulus(spec):
                          ids=["vacuum", "eps2_mu05"])
 def test_signed_reference_inverse_is_the_exact_inverse(spec):
     g = rl.build_grid((8, 10, 6), 0.1)
-    sys_ = assemble(g, rl.make_material(g, spec), 2.0, direct_limit=0, check_resonance=False)
+    sys_ = assemble(g, rl.make_material(g, spec), 2.0, direct_limit=0)
     S = _dense(sys_._reference_inverse(True), sys_.dimension)
     assert np.abs(S - S.T).max() <= 1e-14 * np.abs(S).max()
     b = np.random.default_rng(19).standard_normal(sys_.dimension)
@@ -666,7 +690,7 @@ def test_reference_inverse_applies_to_a_block_column_by_column(spec, signed):
     # columns a vector gives, and the signed inverse solves them
     for shape, h in (((8, 10, 6), 0.1), ((12, 12, 12), 1.0 / 12)):
         g = rl.build_grid(shape, h)
-        sys_ = assemble(g, rl.make_material(g, spec), 2.0, direct_limit=0, check_resonance=False)
+        sys_ = assemble(g, rl.make_material(g, spec), 2.0, direct_limit=0)
         apply = sys_._reference_inverse(signed)
         B = np.random.default_rng(21).standard_normal((sys_.dimension, 64))
         cols = [apply(np.ascontiguousarray(b)) for b in B.T]
@@ -684,7 +708,7 @@ def test_reference_inverse_applies_to_a_block_column_by_column(spec, signed):
 
 
 def test_vacuum_block_on_the_direct_path_builds_no_factorization(grid8, vacuum8):
-    sys_ = assemble(grid8, vacuum8, 2.0, check_resonance=False)
+    sys_ = assemble(grid8, vacuum8, 2.0)
     assert sys_.direct and sys_.constant
     B = np.random.default_rng(22).standard_normal((sys_.dimension, 3))
     X = sys_.solve_interior(B)
@@ -699,7 +723,8 @@ def test_complex_vector_on_the_direct_path_takes_the_transform(grid8, vacuum8, m
     splu = spla.splu
     built = []
     monkeypatch.setattr(spla, "splu", lambda *a, **k: built.append(1) or splu(*a, **k))
-    sys_ = assemble(grid8, vacuum8, 2.0)   # the guard factorizes on the direct path
+    sys_ = assemble(grid8, vacuum8, 2.0)
+    resonance_guard(sys_)   # the guard factorizes on the direct path
     assert sys_.direct and sys_.constant and len(built) == 1
     calls = _count_solves(monkeypatch, sys_)
     b = rng_complex(np.random.default_rng(24), sys_.dimension)
@@ -723,7 +748,7 @@ def test_mode_matrices_are_the_orthonormal_transforms(shape):
 def test_transform_start_meets_its_tolerance_at_32():
     g = rl.build_grid((32, 32, 32), 1.0 / 32)
     mat = rl.make_material(g, {"kind": "constant", "eps": 1.0, "mu": 1.0})
-    sys_ = assemble(g, mat, 2.0, direct_limit=0, check_resonance=False)
+    sys_ = assemble(g, mat, 2.0, direct_limit=0)
     B = np.random.default_rng(25).standard_normal((sys_.dimension, 4))
     X, resid = sys_._transform_start(B)
     res = np.linalg.norm(sys_.L_II @ X - B, axis=0) / np.linalg.norm(B, axis=0)
@@ -734,7 +759,7 @@ def test_transform_start_meets_its_tolerance_at_32():
 @pytest.mark.parametrize("direct_limit", [rl.solver.DIRECT_LIMIT, 0])
 def test_a_column_the_transform_misses_goes_on_alone(grid8, vacuum8, direct_limit,
                                                       monkeypatch):
-    sys_ = assemble(grid8, vacuum8, 2.0, direct_limit=direct_limit, check_resonance=False)
+    sys_ = assemble(grid8, vacuum8, 2.0, direct_limit=direct_limit)
     exact = sys_._reference_inverse(True)
     skew = np.array([1.0, 1.0 + 1e-6, 1.0])
 
@@ -762,7 +787,7 @@ def test_transform_start_leaves_a_smooth_medium_unchanged(monkeypatch):
 
     def run():
         sys_ = assemble(g, mat, 2.0, direct_limit=0)
-        return sys_.margin, sys_.solve_interior(b)
+        return resonance_guard(sys_), sys_.solve_interior(b)
 
     margin, x = run()
     transform_off(monkeypatch)
@@ -780,7 +805,8 @@ def test_vacuum_krylov_solve_takes_few_iterations(n, monkeypatch):
     monkeypatch.setattr(spla, "minres", lambda *a, **k: runs.append(a[1].shape) or minres(*a, **k))
     g = rl.build_grid((n, n, n), 1.0 / n)
     mat = rl.make_material(g, {"kind": "constant", "eps": 1.0, "mu": 1.0})
-    sys_ = assemble(g, mat, 2.0, direct_limit=0)   # with the resonance guard's steps
+    sys_ = assemble(g, mat, 2.0, direct_limit=0)
+    resonance_guard(sys_)   # with the resonance guard's steps
     b = np.random.default_rng(17).standard_normal(sys_.dimension)
     x = sys_.solve_interior(b)
     assert np.linalg.norm(sys_.L_II @ x - b) <= sys_.solver_tol * np.linalg.norm(b)
@@ -795,7 +821,7 @@ def test_krylov_guard_agrees_with_direct_near_resonance():
     assert np.all(np.abs(krylov - direct) <= 1e-6 * direct)
     resonant = fine[int(np.argmin(direct))]
     with pytest.raises(ResonantFrequencyError) as err:
-        assemble(g, mat, resonant, direct_limit=0, resonance_threshold=1e-4)
+        rl.solver.check_margin(assemble(g, mat, resonant, direct_limit=0), 1e-4)
     assert type(err.value) is ResonantFrequencyError
     assert err.value.suggested_omega is not None
 
@@ -805,13 +831,13 @@ def test_default_route(n, direct):
     # 12^3 carries the many-RHS reference studies; 16^3 is a verify level
     g = rl.build_grid((n, n, n), 1.0 / n)
     mat = rl.make_material(g, {"kind": "constant", "eps": 1.0, "mu": 1.0})
-    assert assemble(g, mat, 2.0, check_resonance=False).direct is direct
+    assert assemble(g, mat, 2.0).direct is direct
 
 
 def _smooth_direct(grid8):
     """A direct system whose medium is not constant, so that every column
     goes to the factorization."""
-    sys_ = assemble(grid8, rl.make_material(grid8, MEDIA["smooth"]), 2.0, check_resonance=False)
+    sys_ = assemble(grid8, rl.make_material(grid8, MEDIA["smooth"]), 2.0)
     assert sys_.direct and not sys_.constant
     return sys_
 
@@ -860,6 +886,7 @@ def test_one_residual_product_per_column(grid8, vacuum8, monkeypatch):
     # application whose residual the start checks; nothing after it computes
     # another, and the LU that the resonance guard built is not used
     sys_ = assemble(grid8, vacuum8, 2.0)
+    resonance_guard(sys_)
     assert sys_.direct and sys_.constant and sys_._lu is not None
     calls = Counter()
     apply = sys_._reference_inverse(True)
@@ -890,7 +917,7 @@ def test_lift_H_matches_the_complex_formula(medium, grid8, sys8):
     spec = {"smooth": {"kind": "smooth", "seed": 5, "amplitude": 0.6},
             "full_tensor": MEDIA["full_tensor"]}.get(medium)
     sys_ = sys8 if spec is None else assemble(
-        grid8, rl.make_material(grid8, spec), 2.0, check_resonance=False)
+        grid8, rl.make_material(grid8, spec), 2.0)
     rng = np.random.default_rng(16)
     for shape in ((len(sys_.idx_boundary),), (len(sys_.idx_boundary), 3)):
         eB = rng_complex(rng, shape)
@@ -900,7 +927,7 @@ def test_lift_H_matches_the_complex_formula(medium, grid8, sys8):
 
 
 def test_krylov_block_lift_meets_its_tolerance(grid8, vacuum8, sys8):
-    krylov = assemble(grid8, vacuum8, 2.0, direct_limit=0, check_resonance=False)
+    krylov = assemble(grid8, vacuum8, 2.0, direct_limit=0)
     rng = np.random.default_rng(15)
     eB = rng_complex(rng, (len(krylov.idx_boundary), 4))
     rhs = -(krylov.L_IB @ eB)
