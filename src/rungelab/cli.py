@@ -14,7 +14,7 @@ import sys
 
 from .errors import RungelabError, ConfigurationError, StoreError
 from .experiments import normalize_config, run_experiment
-from . import store
+from . import runge_op, store
 
 
 def parse_config(text: str, tag=None, out=None, cache=None, seed=None) -> dict:
@@ -51,6 +51,20 @@ def _cmd_run(args):
     return 0 if report.passed else 2
 
 
+def _entry_summary(payload):
+    """The shapes of an operator entry's R and L, its margin, the shapes of
+    its stored factors, and the rank ``weighted_svd`` keeps with its
+    sigma_last / sigma_0."""
+    matrix, chol, factors, margin = store.unpack_operator(payload)
+    factors = runge_op.SvdFactors.checked(factors, matrix.shape)
+    S = runge_op.StackedSvd(factors).S
+    rank = runge_op.kept_rank(S, matrix.shape)
+    shapes = " ".join(f"{name}={a.shape[0]}x{a.shape[1]}"
+                      for name, a in zip(store.FACTORS, factors))
+    return (" R={}x{} L={}x{} margin={:.3e} ".format(*matrix.shape, *chol.shape, margin)
+            + f"{shapes} rank={rank} sigma_last/sigma_0={S[rank - 1] / S[0]:.3e}")
+
+
 def _cmd_cache(args):
     cache_dir = args.cache or "cache"
     if args.action == "ls":
@@ -71,10 +85,8 @@ def _cmd_cache(args):
                 line += "  stale"
             else:
                 try:
-                    matrix, chol, margin = store.unpack_operator(store.read_envelope(path, prov))
-                    line += " R={}x{} L={}x{} margin={:.3e}".format(*matrix.shape, *chol.shape,
-                                                                      margin)
-                except (OSError, StoreError):
+                    line += _entry_summary(store.read_envelope(path, prov))
+                except (OSError, RungelabError):
                     line += " (unreadable payload)"
             print(line)
         if not names:

@@ -602,7 +602,8 @@ class CauchyOperator:
         top[:n, :n] = self._Lt * rsq
         H = blas.dtrmm(rsq, self._Lt, h_trace_block(sys_, self.h_dofs).T[perm].T,
                        overwrite_b=True)  # .T[perm].T: Fortran order, so no copy
-        self._svd = runge_op.StackedSvd(top, H, rows=np.argsort(perm))  # boundary dof order
+        self._svd = runge_op.StackedSvd(runge_op.StackedSvd.reduce(top, H),
+                                        rows=np.argsort(perm))  # boundary dof order
         self.S = self._svd.S
 
     def data_of(self, fields):

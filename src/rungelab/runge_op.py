@@ -20,6 +20,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -36,14 +37,18 @@ class RestrictionOperator:
     """The restriction f -> (E_f, H_f) on the region, with provenance.
 
     ``matrix`` is the real R of A = diag(I_E, i I_H) R: its first
-    ``volume.x_edge_idx`` rows are E, the rest are H / i.
+    ``volume.x_edge_idx`` rows are E, the rest are H / i.  ``factors`` are
+    the ``SvdFactors`` of its whitened singular system, which a cache entry
+    holds or ``whitened_factors`` computes, else None.
     """
 
-    def __init__(self, matrix, gram: TraceGram, volume: VolumeWeights, provenance):
+    def __init__(self, matrix, gram: TraceGram, volume: VolumeWeights, provenance,
+                 factors=None):
         self.matrix = np.ascontiguousarray(matrix, dtype=float)
         self.gram = gram
         self.volume = volume
         self.provenance = provenance
+        self.factors = factors
         if not np.isfinite(self.matrix).all():
             raise NumericError("restriction operator carries non-finite entries")
         self.matrix.flags.writeable = False
@@ -261,6 +266,31 @@ class _CompactBlock:
         return bx
 
 
+class SvdFactors(NamedTuple):
+    """What ``StackedSvd.reduce`` leaves of a stacked W = [T; B], B m x n, in
+    a cache entry's order (``store.FACTORS``): ``dtpqrt``'s Householder block
+    ``v`` (m x n) and block reflector factor ``t``, ``dgebrd``'s reduced
+    R_W ``a`` (n x n), its scalar factors ``tau`` (tauq; taup) and the
+    bidiagonal (d; e), each of the last two 2 x n."""
+
+    v: np.ndarray
+    t: np.ndarray
+    a: np.ndarray
+    tau: np.ndarray
+    bidiagonal: np.ndarray
+
+    @classmethod
+    def checked(cls, arrays, shape):
+        """The factors of an operator B of ``shape`` from a cache entry's
+        ``arrays``; ConfigurationError names a factor of any other shape."""
+        m, n = shape
+        want = ((m, n), (min(QR_BLOCK, n), n), (n, n), (2, n), (2, n))
+        for name, a, w in zip(store.FACTORS, arrays, want, strict=True):
+            if a.shape != w:
+                raise ConfigurationError(f"cached factor {name} shape {a.shape} != {w}")
+        return cls(*arrays)
+
+
 class BidiagonalSvd:
     """A = U S V^T for a square real A (Fortran-ordered float64, overwritten
     and kept), S descending, with U and V never formed: ``dgebrd`` reduces A
@@ -270,14 +300,29 @@ class BidiagonalSvd:
     superdiagonal entry below eps; a block of at most ``SMLSIZ`` rows gets
     explicit singular vectors, a larger one ``dlasda``'s compact form.
     U = Q_B U_B and V = P_B V_B are only applied to columns, S's sort
-    permutation to the coordinates; ``right`` returns the ``rows`` of V y."""
+    permutation to the coordinates; ``right`` returns the ``rows`` of V y.
+
+    The constructor's two steps are ``bidiagonalize`` and ``_finish``, which
+    builds the blocks from its output and leaves that output as it was."""
 
     def __init__(self, a, rows=slice(None)):
-        self._a, self._rows, n = a, rows, len(a)
+        self._finish(a, *self.bidiagonalize(a), rows)
+
+    @staticmethod
+    def bidiagonalize(a):
+        """``dgebrd`` of a square A, overwritten: (tau, bidiagonal), the rows
+        (tauq; taup) and (d; e)."""
+        n = len(a)
         if a.shape != (n, n):
             raise ValueError(f"BidiagonalSvd needs a square matrix, got {a.shape}")
-        d, e, self._tauq, self._taup = (np.zeros(n) for _ in range(4))
-        _lapack_work("dgebrd", n, n, a, n, d, e, self._tauq, self._taup)
+        tau, bidiagonal = np.zeros((2, n)), np.zeros((2, n))
+        _lapack_work("dgebrd", n, n, a, n, *bidiagonal, *tau)
+        return tau, bidiagonal
+
+    def _finish(self, a, tau, bidiagonal, rows):
+        self._a, self._rows, n = a, rows, len(a)
+        self._tauq, self._taup = tau
+        d, e = bidiagonal.copy()
         scale = max(np.abs(d).max(initial=0.0), np.abs(e).max(initial=0.0))
         if scale:
             d /= scale
@@ -315,15 +360,24 @@ class BidiagonalSvd:
 
 
 class StackedSvd(BidiagonalSvd):
-    """The SVD of a stacked W = [T; B], T an n x n upper triangle and B m x n
-    (Fortran-ordered float64, both overwritten): LAPACK's triangular-pentagonal
-    QR ``dtpqrt`` keeps Q_W as Householder vectors, and R_W = U S V^T is
-    taken as a ``BidiagonalSvd``, so no singular vector of W is formed."""
+    """The SVD of a stacked W = [T; B], T an n x n upper triangle and B m x n:
+    LAPACK's triangular-pentagonal QR ``dtpqrt`` keeps Q_W as Householder
+    vectors, and R_W = U S V^T is taken as a ``BidiagonalSvd``, so no
+    singular vector of W is formed.  ``reduce`` runs both reductions; the
+    constructor finishes the SVD from their ``SvdFactors``, which it reads
+    and leaves as they were."""
 
-    def __init__(self, top, low, rows=slice(None)):
-        top, self._v, self._t = _lapack("dtpqrt", 0, min(QR_BLOCK, len(top)), top, low,
-                                        overwrite_a=True, overwrite_b=True)
-        super().__init__(top, rows)
+    def __init__(self, factors: SvdFactors, rows=slice(None)):
+        self._v, self._t = factors.v, factors.t
+        self._finish(factors.a, factors.tau, factors.bidiagonal, rows)
+
+    @staticmethod
+    def reduce(top, low) -> SvdFactors:
+        """The ``SvdFactors`` of W = [top; low], both Fortran-ordered float64
+        and overwritten: ``low`` becomes V_W and ``top`` the reduced R_W."""
+        top, v, t = _lapack("dtpqrt", 0, min(QR_BLOCK, len(top)), top, low,
+                            overwrite_a=True, overwrite_b=True)
+        return SvdFactors(v, t, top, *BidiagonalSvd.bidiagonalize(top))
 
     def split(self, top, low):
         """(U^T w, ||w outside the range of W||^2) for complex columns w =
@@ -365,21 +419,38 @@ class SvdBundle:
                          out2.reshape(W.shape[1:])[()])
 
 
+def whitened_factors(op: RestrictionOperator) -> SvdFactors:
+    """``op.factors``: when no cache entry gave them, ``StackedSvd.reduce``
+    of the whitened B = W_X^{1/2} R L_V^{-T} below a zero triangle, computed
+    once and kept on ``op`` for ``weighted_svd`` and ``save_operator``."""
+    if op.factors is None:
+        # B, Fortran-ordered as the transpose of a C array
+        B = (sla.solve_triangular(op.gram.chol_V, op.matrix.T, lower=True)
+             * np.sqrt(op.volume.x_weights())).T
+        op.factors = StackedSvd.reduce(np.zeros((op.shape[1],) * 2, order="F"),
+                                       np.asfortranarray(B))
+    return op.factors
+
+
+def kept_rank(S, shape):
+    """How many of the descending singular values ``S`` of an operator of
+    ``shape`` lie above numpy's ``matrix_rank`` floor, max(shape) eps S_0:
+    below it they are rounding noise."""
+    return int(np.count_nonzero(S > max(shape) * np.finfo(float).eps * S[0]))
+
+
 def weighted_svd(op: RestrictionOperator) -> SvdBundle:
     """SVD of the Cholesky-whitened operator on weighted bases.
 
     The whitened A is diag(I, iI) times the real B = W_X^{1/2} R L_V^{-T},
     so a real SVD B = U S V^T, taken as the ``StackedSvd`` of B below a zero
     triangle, gives A's: phi = L_V^{-T} V and Psi = diag(I, iI) U / sqrt(w).
-    Only the modes above numpy's ``matrix_rank`` floor, sigma_k >
-    max(n_x, n_v) eps sigma_0, are kept: below it they are rounding noise.
+    The SVD is finished from ``whitened_factors(op)``, so an operator read
+    from the cache runs no whitening solve, QR or bidiagonal reduction.
+    Only the modes above the ``kept_rank`` floor are kept.
     """
-    # B = W_X^{1/2} R L_V^{-T}, Fortran-ordered as the transpose of a C array
-    B = (sla.solve_triangular(op.gram.chol_V, op.matrix.T, lower=True)
-         * np.sqrt(op.volume.x_weights())).T
-    svd = StackedSvd(np.zeros((op.shape[1],) * 2, order="F"), np.asfortranarray(B))
-    rank = int(np.count_nonzero(svd.S > max(B.shape) * np.finfo(float).eps * svd.S[0]))
-    return SvdBundle(svd, rank, op)
+    svd = StackedSvd(whitened_factors(op))
+    return SvdBundle(svd, kept_rank(svd.S, op.shape), op)
 
 
 class Expansion:
@@ -465,23 +536,26 @@ def alpha_for_j(j, C, theta, m):
 # ---------------------------------------------------------------------------
 
 def save_operator(op: RestrictionOperator, path, margin):
-    """Write R and the trace Gram's factor L with ``margin``, the resonance
-    margin of the system that built them (``solver.check_margin``'s)."""
-    store.write_envelope(path, op.provenance,
-                         store.pack_operator(op.matrix, op.gram.chol_V, margin))
+    """Write R, the trace Gram's factor L and ``whitened_factors(op)`` with
+    ``margin``, the resonance margin of the system that built them
+    (``solver.check_margin``'s)."""
+    store.write_envelope(path, op.provenance, *store.pack_operator(
+        op.matrix, op.gram.chol_V, whitened_factors(op), margin))
 
 
 def load_operator(path, patch: BoundaryPatch, collar, volume: VolumeWeights,
                   sys: SystemMatrix):
     """(operator, margin) of the entry at ``path`` for these inputs; the
-    operator's Gram wraps the stored factor, so no Gram is built."""
+    operator's Gram wraps the stored factor and its ``factors`` are the
+    stored ones, so no Gram is built and no reduction is run."""
     prov = operator_provenance(sys, patch, collar, volume)
-    matrix, chol_V, margin = store.unpack_operator(store.read_envelope(path, prov))
+    matrix, chol_V, factors, margin = store.unpack_operator(store.read_envelope(path, prov))
     gram = TraceGram(patch, collar, chol_V)
     if matrix.shape != (volume.n_x, gram.n_v):
         raise ConfigurationError(
             f"cached operator shape {matrix.shape} != ({volume.n_x}, {gram.n_v})")
-    return RestrictionOperator(matrix, gram, volume, prov), margin
+    return RestrictionOperator(matrix, gram, volume, prov,
+                               SvdFactors.checked(factors, matrix.shape)), margin
 
 
 def cached_restriction(sys: SystemMatrix, patch: BoundaryPatch, collar, volume: VolumeWeights,
@@ -489,9 +563,10 @@ def cached_restriction(sys: SystemMatrix, patch: BoundaryPatch, collar, volume: 
     """The restriction operator of ``assemble_restriction`` on the trace Gram
     of ``patch`` and ``collar``, read from ``cache_dir`` when an entry of the
     current envelope version holds it; a missing entry, or one of an older
-    version, is assembled and (re)written with the Gram's factor and the
-    system's resonance margin.  The operator's ``gram`` is the Gram read or
-    built.
+    version, is assembled and (re)written with the Gram's factor, the
+    factors of the whitened singular system and the system's resonance
+    margin.  The operator's ``gram`` is the Gram read or built, and a hit's
+    ``factors`` are the stored ones, which ``weighted_svd`` finishes.
 
     The provenance fixes the guard, so a hit's stored margin is compared with
     no guard solve and no Gram built (``check_margin``); a miss runs the guard.

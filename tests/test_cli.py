@@ -515,7 +515,7 @@ def test_version_two_complex_entry_is_rebuilt(tmp_path, capsys):
         blob = fh.read()
     _, version, kind, prov, length = store._HEADER.unpack_from(blob, 0)
     assert version == store.VERSION
-    R, _, _ = store.unpack_operator(blob[store._HEADER.size:store._HEADER.size + length])
+    R, *_ = store.unpack_operator(blob[store._HEADER.size:store._HEADER.size + length])
     c = normalize_config(RUNGE_SMALL)
     grid = rl.build_grid(c["grid"]["n"], c["grid"]["h"], c["grid"]["origin"])
     region = rl.carve_region(grid, c["regions"]["A"])
@@ -559,7 +559,8 @@ def test_cache_ls_verifies_every_current_entry(tmp_path, capsys):
     # cache ls reads each current entry whole and checks it: copies of a
     # healthy entry with one flipped payload byte or cut short list as
     # unreadable payloads, a file shorter than the header as unreadable,
-    # and the healthy entry's line names its shapes and margin
+    # and the healthy entry's line names its shapes and margin, then its
+    # factors' shapes and the rank and sigma_last / sigma_0 a cold run keeps
     from rungelab import store
     from rungelab.errors import BadLengthError
     cfg = _write(tmp_path, "r.json", RUNGE_SMALL)
@@ -576,13 +577,15 @@ def test_cache_ls_verifies_every_current_entry(tmp_path, capsys):
         store.read_header(cache / "short.rgfo")
     version, _, prov, length = store.read_header(cache / name)
     R, L, margin = _read_entry(cache / name)
+    (m, n), svd = R.shape, _cold_svd(RUNGE_SMALL)
     head = f"kind=operator version={version} provenance={prov:#018x} payload={length}B"
     capsys.readouterr()
     assert main(["--cache", str(cache), "cache", "ls"]) == 0
     lines = dict(line.split("  ", 1) for line in capsys.readouterr().out.splitlines())
     assert lines == {
-        name: f"{head} R={R.shape[0]}x{R.shape[1]} L={L.shape[0]}x{L.shape[1]} "
-              f"margin={margin:.3e}",
+        name: f"{head} R={m}x{n} L={L.shape[0]}x{L.shape[1]} margin={margin:.3e} "
+              f"V_W={m}x{n} T_W={min(32, n)}x{n} A_B={n}x{n} tau=2x{n} bidiagonal=2x{n} "
+              f"rank={svd.rank} sigma_last/sigma_0={svd.sigma[-1] / svd.sigma[0]:.3e}",
         "flipped.rgfo": f"{head} (unreadable payload)",
         "truncated.rgfo": f"{head} (unreadable payload)",
         "short.rgfo": "(unreadable)"}
@@ -621,13 +624,26 @@ def _spy_guard(monkeypatch):
 def _read_entry(path):
     """(R, L, margin) of the operator entry at ``path``, fully verified."""
     from rungelab import store
-    return store.unpack_operator(store.read_envelope(path, store.read_header(path)[2]))
+    R, L, _, margin = store.unpack_operator(
+        store.read_envelope(path, store.read_header(path)[2]))
+    return R, L, margin
 
 
 def _cold_system(payload):
     """The system of a config as a cold run assembles it, guard unchecked."""
     from rungelab.experiments import build_scene, normalize_config
     return build_scene(normalize_config(payload), guard=False).system
+
+
+def _cold_svd(payload):
+    """The weighted SVD of a runge config's operator, assembled without a cache."""
+    import rungelab as rl
+    from rungelab.experiments import build_scene, normalize_config
+    cfg = normalize_config(payload)
+    scene = build_scene(cfg, ["A"], guard=False)
+    gram = rl.build_norm_weights(scene.patch, cfg["patch"]["collar"])
+    volume = rl.VolumeWeights(scene.regions["A"])
+    return rl.weighted_svd(rl.assemble_restriction(scene.system, gram, volume))
 
 
 def test_warm_run_takes_the_stored_margin(tmp_path, monkeypatch, capsys):
@@ -653,7 +669,7 @@ def test_warm_run_takes_the_stored_margin(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(["--cache", cache, "cache", "ls"]) == 0
     listing = capsys.readouterr().out.strip()
-    assert listing.endswith(f" margin={margin:.3e}") and "guard" not in listing
+    assert f" margin={margin:.3e} V_W=" in listing and "guard" not in listing
     # and the shapes of R and of the trace Gram's factor L
     (rows, cols), (n, m) = R.shape, L.shape
     assert (n, m) == (cols, cols)
@@ -731,8 +747,9 @@ def test_direct_and_krylov_runs_keep_their_own_margins(tmp_path):
 
 def test_version_three_entry_is_rebuilt(tmp_path, capsys):
     # an entry of an older version, R without the margin (version 3), the
-    # margin followed by its guard's name (version 4) or R and the margin
-    # without the trace Gram's factor (version 5), is tagged stale and
+    # margin followed by its guard's name (version 4), R and the margin
+    # without the trace Gram's factor (version 5) or R, L and the margin
+    # without the singular system's factors (version 6), is tagged stale and
     # rebuilt to the same bytes as a cold run's
     import struct
     from rungelab import store
@@ -745,11 +762,13 @@ def test_version_three_entry_is_rebuilt(tmp_path, capsys):
     with open(path, "rb") as fh:
         blob = fh.read()
     magic, _, kind, prov, length = store._HEADER.unpack_from(blob, 0)
-    R, _, margin = store.unpack_operator(blob[store._HEADER.size:store._HEADER.size + length])
-    packed_R = struct.pack("<QQ", *R.shape) + R.tobytes()
+    R, L, _, margin = store.unpack_operator(
+        blob[store._HEADER.size:store._HEADER.size + length])
+    packed_R, packed_L = (struct.pack("<QQ", *m.shape) + m.tobytes() for m in (R, L))
     old = {3: packed_R,
            4: packed_R + struct.pack("<d12s", margin, b"direct"),
-           5: packed_R + struct.pack("<d", margin)}
+           5: packed_R + struct.pack("<d", margin),
+           6: packed_R + packed_L + struct.pack("<d", margin)}
     for version, payload in old.items():
         with open(path, "wb") as fh:
             fh.write(store._HEADER.pack(magic, version, kind, prov, len(payload)) + payload

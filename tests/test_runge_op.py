@@ -530,8 +530,51 @@ def test_stored_gram_factor_of_the_wrong_shape_fails(tmp_path, small_restriction
     path = tmp_path / "op.rgfo"
     n = gram.n_v
     for chol in (gram.chol_V[:-1, :-1], gram.chol_V[:, :-1]):
-        store.write_envelope(path, op.provenance, store.pack_operator(op.matrix, chol, 0.5))
+        store.write_envelope(path, op.provenance,
+                             *store.pack_operator(op.matrix, chol, op.factors, 0.5))
         with pytest.raises(ConfigurationError,
                            match=rf"factor shape \({chol.shape[0]}, {chol.shape[1]}\) "
                                  rf"!= \({n}, {n}\)"):
             load_operator(path, gram.patch, gram.collar, volume, sys_)
+
+
+def test_stored_factor_of_the_wrong_shape_fails(tmp_path, small_restriction):
+    sys_, gram, volume, op, _ = small_restriction
+    path = tmp_path / "op.rgfo"
+    for i, name in enumerate(store.FACTORS):
+        factors = list(op.factors)
+        factors[i] = factors[i][:, :-1]
+        store.write_envelope(path, op.provenance,
+                             *store.pack_operator(op.matrix, gram.chol_V, factors, 0.5))
+        (a, b), (c, d) = factors[i].shape, op.factors[i].shape
+        with pytest.raises(ConfigurationError,
+                           match=rf"cached factor {name} shape \({a}, {b}\) != \({c}, {d}\)"):
+            load_operator(path, gram.patch, gram.collar, volume, sys_)
+
+
+def test_warm_weighted_svd_runs_no_reduction(tmp_path, small_restriction, monkeypatch):
+    # a hit finishes the SVD from the stored factors: no dtpqrt and no
+    # dgebrd, and every result bit for bit the cold run's
+    sys_, gram, volume, _, _ = small_restriction
+    called = []
+    for name in ("_lapack", "_lapack_work"):
+        monkeypatch.setattr(runge_op, name, lambda routine, *a, call=getattr(runge_op, name),
+                            **k: called.append(routine) or call(routine, *a, **k))
+
+    def bundle():
+        return weighted_svd(cached_restriction(sys_, gram.patch, gram.collar, volume,
+                                               str(tmp_path), 1e-6))
+
+    cold = bundle()
+    assert {"dtpqrt", "dgebrd"} <= set(called)
+    called.clear()
+    warm = bundle()
+    rng = np.random.default_rng(5)
+    W = rng.standard_normal((volume.n_x, 3)) + 1j * rng.standard_normal((volume.n_x, 3))
+    y = rng.standard_normal((cold.rank, 2))
+    assert warm.rank == cold.rank and warm.sigma.tobytes() == cold.sigma.tobytes()
+    for a, b in ((cold.expand(W), warm.expand(W)), (cold.expand(W[:, 0]), warm.expand(W[:, 0]))):
+        assert a.coords.tobytes() == b.coords.tobytes()
+        assert np.asarray(a.out2).tobytes() == np.asarray(b.out2).tobytes()
+    assert warm.right(y).tobytes() == cold.right(y).tobytes()
+    assert called and not {"dtpqrt", "dgebrd"} & set(called)

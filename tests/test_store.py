@@ -10,13 +10,23 @@ from rungelab.errors import (BadChecksumError, BadKindError, BadLengthError, Bad
                              BadVersionError, BadProvenanceError)
 
 
+def _factors(rng, m, n, nb=2):
+    """Random arrays of the shapes of an (m, n) operator's stored factors."""
+    F = np.asfortranarray
+    return (F(rng.standard_normal((m, n))), F(rng.standard_normal((nb, n))),
+            F(rng.standard_normal((n, n))), rng.standard_normal((2, n)),
+            rng.standard_normal((2, n)))
+
+
 def test_roundtrip(tmp_path):
+    # the parts are hashed and written in turn, never joined: the payload
+    # read back is their concatenation
     path = tmp_path / "a.rgfo"
     rng = np.random.default_rng(0)
-    payload = store.pack_operator(rng.standard_normal((7, 5)),
-                                  np.tril(rng.standard_normal((5, 5))), rng.random())
-    store.write_envelope(path, 1234, payload)
-    assert store.read_envelope(path, 1234) == payload
+    parts = store.pack_operator(rng.standard_normal((7, 5)), np.tril(rng.standard_normal((5, 5))),
+                                _factors(rng, 7, 5), rng.random())
+    store.write_envelope(path, 1234, *parts)
+    assert store.read_envelope(path, 1234) == b"".join(parts)
 
 
 def test_checksum_detects_flip(tmp_path):
@@ -124,37 +134,84 @@ def test_no_stray_tempfiles(tmp_path):
 
 def test_real_matrix_payload():
     # R, then L, each as rows, cols and row-major float64 entries, then the
-    # margin f64; a signed zero keeps its sign
+    # factors, V_W, T_W and A_B column-major, then the margin f64; a signed
+    # zero keeps its sign
     mat = np.array([[1.0, -2.5, -0.0], [0.0, 3.0, 1e-300]])
     chol = np.array([[2.0, 0.0, 0.0], [-0.5, 1.5, 0.0], [0.25, -0.0, 1.0]])
-    blob = store.pack_operator(mat, chol, 1.739e-3)
+    factors = (np.asfortranarray(mat), mat[:1], chol, mat[:, :2], -mat[:, 1:])
+    blob = b"".join(store.pack_operator(mat, chol, factors, 1.739e-3))
     assert blob == (struct.pack("<QQ", 2, 3)
                     + struct.pack("<6d", 1.0, -2.5, -0.0, 0.0, 3.0, 1e-300)
                     + struct.pack("<QQ", 3, 3)
                     + struct.pack("<9d", 2.0, 0.0, 0.0, -0.5, 1.5, 0.0, 0.25, -0.0, 1.0)
+                    + struct.pack("<QQ", 2, 3)
+                    + struct.pack("<6d", 1.0, 0.0, -2.5, 3.0, -0.0, 1e-300)
+                    + struct.pack("<QQ", 1, 3) + struct.pack("<3d", 1.0, -2.5, -0.0)
+                    + struct.pack("<QQ", 3, 3)
+                    + struct.pack("<9d", 2.0, -0.5, 0.25, 0.0, 1.5, -0.0, 0.0, 0.0, 1.0)
+                    + struct.pack("<QQ", 2, 2) + struct.pack("<4d", 1.0, -2.5, 0.0, 3.0)
+                    + struct.pack("<QQ", 2, 2) + struct.pack("<4d", 2.5, 0.0, -3.0, -1e-300)
                     + struct.pack("<d", 1.739e-3))
-    back, back_chol, margin = store.unpack_operator(blob)
+    back, back_chol, back_factors, margin = store.unpack_operator(blob)
     assert back.tobytes() == mat.tobytes() and back_chol.tobytes() == chol.tobytes()
+    assert [f.tobytes() for f in back_factors] == [np.array(f).tobytes() for f in factors]
+    assert all(f.flags.f_contiguous for f in back_factors[:3])
     assert margin == 1.739e-3
+    assert not back.flags.writeable and not back_chol.flags.writeable
+    # a writable payload, as read_envelope returns, gives LAPACK writable
+    # factors and still read-only R and L
+    back, back_chol, back_factors, _ = store.unpack_operator(bytearray(blob))
+    assert all(f.flags.writeable for f in back_factors)
     assert not back.flags.writeable and not back_chol.flags.writeable
 
 
 def test_operator_payload(tmp_path):
     rng = np.random.default_rng(0)
     mat, chol = rng.standard_normal((7, 5)), np.tril(rng.standard_normal((5, 5)))
-    blob = store.pack_operator(mat, chol, 0.5)
-    r_bytes = 16 + 8 * mat.size
+    parts = store.pack_operator(mat, chol, _factors(rng, 7, 5), 0.5)
+    blob = b"".join(parts)
+    r_bytes, l_bytes = 16 + 8 * mat.size, 16 + 8 * chol.size
     for cut in (blob[:-1], blob[:4], blob[:-9], blob[:r_bytes + 8], blob + b"\0", b"short"):
         with pytest.raises(BadLengthError):
             store.unpack_operator(cut)
-    # a version-5 payload, R then the margin, holds no L
+    # a version-5 payload, R then the margin, holds no L, and a version-6
+    # payload, R, L and the margin, no factors
     with pytest.raises(BadLengthError):
         store.unpack_operator(blob[:r_bytes] + struct.pack("<d", 0.5))
+    with pytest.raises(BadLengthError, match="the dimensions of V_W"):
+        store.unpack_operator(blob[:r_bytes + l_bytes] + struct.pack("<d", 0.5))
     # an envelope round trip hands back the same matrices and margin
     path = tmp_path / "a.rgfo"
-    store.write_envelope(path, 9, blob)
-    back, back_chol, margin = store.unpack_operator(store.read_envelope(path, 9))
+    store.write_envelope(path, 9, *parts)
+    back, back_chol, _, margin = store.unpack_operator(store.read_envelope(path, 9))
     assert np.array_equal(back, mat) and np.array_equal(back_chol, chol) and margin == 0.5
+
+
+def test_payload_cut_inside_a_factor_names_it():
+    rng = np.random.default_rng(1)
+    m, n = 7, 5
+    parts = store.pack_operator(rng.standard_normal((m, n)), np.eye(n), _factors(rng, m, n), 0.5)
+    # parts: the dimensions and the entries of each matrix, then the margin
+    starts = np.cumsum([0] + [memoryview(p).nbytes for p in parts])
+    blob = b"".join(parts)
+    for i, name in enumerate(store.FACTORS, start=2):
+        entries = starts[2 * i + 1]
+        with pytest.raises(BadLengthError, match=f"ends before {name}'s "):
+            store.unpack_operator(blob[:entries + 12])
+        with pytest.raises(BadLengthError, match=f"the dimensions of {name}$"):
+            store.unpack_operator(blob[:entries - 3])
+
+
+def test_aligned_arrays_from_an_envelope(tmp_path):
+    # the header is 28 bytes: the payload is read into a buffer of its own,
+    # so every array read back is 8-byte aligned
+    rng = np.random.default_rng(2)
+    path = tmp_path / "a.rgfo"
+    store.write_envelope(path, 3, *store.pack_operator(
+        rng.standard_normal((7, 5)), np.eye(5), _factors(rng, 7, 5), 0.5))
+    R, L, factors, _ = store.unpack_operator(store.read_envelope(path, 3))
+    for a in (R, L, *factors):
+        assert a.ctypes.data % 8 == 0 and a.flags.aligned
 
 
 def test_provenance_hash_stable():
