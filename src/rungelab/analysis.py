@@ -8,12 +8,14 @@ the Gram is
 
     G_V = M^{1/2} (I + M^{-1/2} S M^{-1/2})^{-1/2} M^{1/2},
 
-computed by dense eigendecomposition and stored only as its Cholesky factor
-L: the norm is ||L^T f||, and every solve, whitening and weighted SVD goes
-through L.  The mass-normalized spectrum of the smoothing operator is >= 1,
-so the surrogate norm never exceeds the plain L2 norm of the trace.  It depends on the patch and collar only: one
-TraceGram serves every region restricted through that trace side, and each
-region's VolumeWeights are diagonal and need no Gram.
+formed as C C^T from the eigendecomposition I + M^{-1/2} S M^{-1/2} =
+V Lambda V^T, with C = M^{1/2} V Lambda^{-1/4}, and stored only as its
+Cholesky factor L: the norm is ||L^T f||, and every solve, whitening and
+weighted SVD goes through L.  The mass-normalized spectrum of the smoothing
+operator is >= 1, so the surrogate norm never exceeds the plain L2 norm of
+the trace.  It depends on the patch and collar only: one TraceGram serves
+every region restricted through that trace side, and each region's
+VolumeWeights are diagonal and need no Gram.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg import blas, lapack
 
 from .errors import ConfigurationError, NumericError, SizeError
 from .geometry import Grid, Region, BoundaryPatch
@@ -181,38 +184,25 @@ def _patch_graph_laplacian(patch: BoundaryPatch, sel):
                          shape=(len(sel), len(sel)))
 
 
-def _symmetrize(a, block=256):
-    """a = 0.5 (a + a^T) in place, entry by entry as numpy evaluates the
-    expression, holding one block pair at a time."""
-    n = len(a)
-    for i in range(0, n, block):
-        for j in range(i, n, block):
-            s = a[i:i + block, j:j + block] + a[j:j + block, i:i + block].T
-            s *= 0.5
-            a[i:i + block, j:j + block] = s
-            a[j:j + block, i:i + block] = s.T
-
-
 def _component_factor(S, mass):
-    """The Cholesky factor of one connected component's Gram from its dense
-    Laplacian ``S``, which is overwritten.  Every elementwise step is that of
-    M^{1/2} (I + M^{-1/2} S M^{-1/2})^{-1/2} M^{1/2}, symmetrized, in the same
-    order, so a patch of one component gets the same factor bit for bit as
-    the whole-array expressions did."""
+    """The C-ordered lower Cholesky factor of one connected component's Gram
+    from its dense Laplacian ``S``, which is overwritten.  ``dsyevd`` reads one
+    triangle of I + M^{-1/2} S M^{-1/2} and leaves V of V Lambda V^T in its
+    place; V is scaled in place to C = M^{1/2} V Lambda^{-1/4}, ``dsyrk`` forms
+    G = C C^T as the upper triangle of a Fortran array (the lower one in C
+    order), and ``dpotrf`` factors that in place as G = U^T U, U^T = L."""
     rsqrt_mass = 1.0 / np.sqrt(mass)
     S *= rsqrt_mass[:, None]
     S *= rsqrt_mass[None, :]
-    _symmetrize(S)
     S[np.diag_indices_from(S)] += 1.0
-    evals, evecs = np.linalg.eigh(S)
-    del S
-    gram = (evecs * (1.0 / np.sqrt(evals))) @ evecs.T
-    del evecs
-    sqrt_mass = np.sqrt(mass)
-    gram *= sqrt_mass[:, None]
-    gram *= sqrt_mass[None, :]
-    _symmetrize(gram)
-    return np.linalg.cholesky(gram)
+    evals, C = sla.eigh(S.T, overwrite_a=True, check_finite=False, driver="evd")
+    C *= np.sqrt(mass)[:, None]
+    C *= evals ** -0.25
+    gram = blas.dsyrk(1.0, C, lower=0)
+    upper, info = lapack.dpotrf(gram, lower=0, clean=1, overwrite_a=1)
+    if info:
+        raise NumericError(f"dpotrf of the trace Gram returned info = {info}", history=[info])
+    return upper.T
 
 
 def build_norm_weights(patch: BoundaryPatch, collar="include_rim") -> TraceGram:
@@ -220,11 +210,11 @@ def build_norm_weights(patch: BoundaryPatch, collar="include_rim") -> TraceGram:
 
     The graph Laplacian links only dofs that share a patch face, so the Gram
     is block diagonal over the connected components of the patch graph (the
-    six sides of a whole boundary without its rim are six).  Each component
-    applies the inverse square root of its mass-normalized (identity plus
-    graph Laplacian) by dense eigendecomposition, and is rejected beyond
-    ``DENSE_GRAM_LIMIT`` dofs; its Cholesky factor fills its block of the
-    dense lower-triangular factor, which is all that is returned.
+    six sides of a whole boundary without its rim are six, one side is one).
+    Each component is rejected beyond ``DENSE_GRAM_LIMIT`` dofs, and
+    ``_component_factor`` factors its Gram from one dense eigendecomposition;
+    each factor fills its block of the dense lower-triangular factor, which
+    is all that is returned.
     """
     sel = patch.select(collar)
     if len(sel) == 0:
@@ -240,8 +230,6 @@ def build_norm_weights(patch: BoundaryPatch, collar="include_rim") -> TraceGram:
                 f"eigendecomposition is capped at {DENSE_GRAM_LIMIT}, coarsen the patch or the grid",
                 size=len(comp), limit=DENSE_GRAM_LIMIT, component=i)
     mass = patch.edge_area[sel]
-    if count == 1:
-        return TraceGram(patch, collar, _component_factor(laplacian.toarray(), mass))
     chol_V = np.zeros((len(sel), len(sel)))
     for comp in components:
         chol_V[np.ix_(comp, comp)] = _component_factor(laplacian[comp][:, comp].toarray(),

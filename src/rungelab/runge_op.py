@@ -507,14 +507,19 @@ class Expansion:
 
     def discrepancy_lambda(self, target, lo=1e-14, hi=1e6, iters=80):
         """Bisect each column's monotone misfit(lambda) curve to its target;
-        ``lo`` if misfit(lo) reaches it, else ``hi`` if misfit(hi) stays below."""
+        ``lo`` if misfit(lo) reaches it, else ``hi`` if misfit(hi) stays below.
+        A step that moves no bracket would repeat at every later step, so the
+        bisection stops there with the bits of all ``iters`` steps."""
         llo = np.full(np.shape(target), np.log10(lo))
         lhi = np.full(np.shape(target), np.log10(hi))
         for _ in range(iters):
             mid = 0.5 * (llo + lhi)
             below = self.ridge_misfit(10.0 ** mid) < target
+            moved = np.where(below, mid != llo, mid != lhi)
             llo = np.where(below, mid, llo)
             lhi = np.where(below, lhi, mid)
+            if not moved.any():
+                break
         lam = np.where(self.ridge_misfit(hi) <= target, hi, 10.0 ** (0.5 * (llo + lhi)))
         return np.where(self.ridge_misfit(lo) >= target, lo, lam)[()]
 

@@ -4,7 +4,7 @@ import pytest
 import rungelab as rl
 from rungelab.analysis import (build_norm_weights, fit_holder, fit_line, fit_log_modulus,
                                fit_power, hcurl_norm, lp_norm, r_squared)
-from rungelab.errors import ConfigurationError, SizeError
+from rungelab.errors import ConfigurationError, NumericError, SizeError
 
 from conftest import rng_complex
 
@@ -80,6 +80,13 @@ def _surrogate_gram(patch, sel):
     return np.outer(m, m) * ((evecs / np.sqrt(evals)) @ evecs.T)
 
 
+def _assert_v_solve(w, G, rng):
+    """v_solve applies the inverse of the Gram itself, to a vector and a block."""
+    for r in (rng.standard_normal(w.n_v), rng.standard_normal((w.n_v, 3))):
+        x = np.linalg.solve(G, r)
+        assert np.linalg.norm(w.v_solve(r) - x) <= 1e-12 * np.linalg.norm(x)
+
+
 def test_gram_cholesky_reproduces(grid8):
     patch = rl.boundary_patch(grid8, "x-")
     rng = np.random.default_rng(3)
@@ -90,6 +97,7 @@ def test_gram_cholesky_reproduces(grid8):
         f, g = rng_complex(rng, w.n_v), rng_complex(rng, w.n_v)
         assert w.v_inner(f, g) == pytest.approx(np.conj(g) @ G @ f, rel=1e-12)
         assert w.v_norm(f) == pytest.approx(np.sqrt((np.conj(f) @ G @ f).real), rel=1e-12)
+        _assert_v_solve(w, G, rng)
 
 
 def test_surrogate_contracts_l2(grid8):
@@ -126,6 +134,7 @@ def test_whole_boundary_gram_by_component(grid8):
     G = _surrogate_gram(patch, w.v_sel)
     assert np.linalg.norm(w.chol_V @ w.chol_V.T - G) <= 1e-12 * np.linalg.norm(G)
     assert np.array_equal(w.chol_V, np.tril(w.chol_V))
+    _assert_v_solve(w, G, np.random.default_rng(4))
     side_of = np.full(w.n_v, -1)
     for i, side in enumerate(rl.geometry.SIDES):
         one = build_norm_weights(rl.boundary_patch(grid8, side), "exclude_rim")
@@ -150,6 +159,15 @@ def test_gram_size_cap_is_per_component(grid8, monkeypatch):
     with pytest.raises(SizeError, match="^patch component 0 of 1 carries 768 dofs;") as err:
         build_norm_weights(patch, "include_rim")
     assert (err.value.size, err.value.limit, err.value.component) == (768, 100, 0)
+
+
+def test_component_factor_rejects_a_gram_it_cannot_factor():
+    # with a mass of 1e-300 the second dof's Gram diagonal, about 1e-450,
+    # underflows to zero and dpotrf stops at that pivot
+    from rungelab.analysis import _component_factor
+    with pytest.raises(NumericError, match="info = 2$") as err:
+        _component_factor(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.array([1.0, 1e-300]))
+    assert err.value.history == [2]
 
 
 def test_fit_holder_degenerate_ones():

@@ -355,6 +355,31 @@ def test_runge_expansion_runs_the_discrepancy_bisection(small_restriction):
     assert np.linalg.norm(ex.ridge(0.0) - full) <= 1e-10 * np.linalg.norm(full)
 
 
+def test_discrepancy_bisection_stops_when_no_bracket_moves():
+    rng = np.random.default_rng(11)
+    coords = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+    ex = Expansion(np.logspace(0, -8, 12), None, coords, np.full(3, 1e-6))
+    target = np.sqrt(ex.ridge_misfit(1e-14) * ex.ridge_misfit(1e6))
+    # the full 80-step bisection, and the first step that moves no bracket
+    llo, lhi = np.full(3, np.log10(1e-14)), np.full(3, np.log10(1e6))
+    still = None
+    for step in range(1, 81):
+        mid = 0.5 * (llo + lhi)
+        below = ex.ridge_misfit(10.0 ** mid) < target
+        new_lo, new_hi = np.where(below, mid, llo), np.where(below, lhi, mid)
+        if still is None and np.array_equal(new_lo, llo) and np.array_equal(new_hi, lhi):
+            still = step
+        llo, lhi = new_lo, new_hi
+    assert still is not None and still < 80
+    calls = []
+    misfit = ex.ridge_misfit
+    ex.ridge_misfit = lambda lam: calls.append(lam) or misfit(lam)
+    lam = ex.discrepancy_lambda(target)
+    assert np.array_equal(lam, 10.0 ** (0.5 * (llo + lhi)))
+    # the bisection up to that step, then the two clamp checks
+    assert len(calls) == still + 2
+
+
 def test_alpha_for_j_inversion():
     # theta -> 0 limit of the inversion: alpha = C e^{-j^{2/m}}
     a = alpha_for_j(1, 1.0, 1e-12, 2.0)
